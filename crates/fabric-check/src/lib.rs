@@ -14,8 +14,8 @@
 //!   mode (`FABRIC_CHECK_SEED`) injects random pre-acquisition yields
 //!   and short sleeps to shake out interleavings a lightly loaded CI
 //!   host never schedules; the seed is echoed in every failure for
-//!   replay. Per-label hold-time/contention counters feed the
-//!   `lock_contention` bench section.
+//!   replay. Per-label hold-time/contention counters are read with
+//!   [`stats_snapshot`].
 //!
 //! * **Static** ([`lint`] + the `repo_lint` binary): a lexical,
 //!   dependency-free scan of workspace sources for the defect classes

@@ -15,6 +15,10 @@
 //!   stays allowed: it documents the violated invariant.
 //! * `relaxed-ordering` — `Ordering::Relaxed` without a `// relaxed:`
 //!   justification on the same or preceding line.
+//! * `env-selector` — `env::var`/`env::var_os`/`env::vars` in library
+//!   code. Each layer has one production implementation; a process
+//!   environment read is how a second one gets selected behind the
+//!   caller's back. Configuration arrives through constructors.
 //! * `lock-order` — `LOCK_ORDER.txt` must parse, be acyclic, declare
 //!   every `named("...")` label used in non-test source, and not
 //!   declare labels that no longer exist (or `test.` labels at all).
@@ -22,7 +26,10 @@
 //! Scope: `crates/<name>/src/**/*.rs` excluding `crates/shims` (vendored
 //! stand-ins), `crates/bench` (reporting binary, not hot-path code) and
 //! `crates/fabric-check` (the linter's own sources contain every rule
-//! pattern as string literals; its behavior is covered by fixtures).
+//! pattern as string literals; its behavior is covered by fixtures, and
+//! `FABRIC_CHECK_SYNC`/`FABRIC_CHECK_SEED` are read there by design).
+//! `env-selector` alone also covers `crates/shims`, `crates/bench` and
+//! the root `src/`.
 //! Code at or after a `#[cfg(test)]` line is exempt, as are
 //! comment-only lines. `named()` labels are additionally collected from
 //! `tests/` so the manifest inventory covers integration fixtures.
@@ -273,6 +280,14 @@ pub fn lint_file(path: &str, content: &str) -> Vec<Finding> {
                 "`Ordering::Relaxed` without a `// relaxed:` justification comment".to_string(),
             );
         }
+        if code.contains("env::var") {
+            hit(
+                ENV_SELECTOR,
+                "process-environment read in library code: take the value through a \
+                 constructor or config struct instead"
+                    .to_string(),
+            );
+        }
     }
     findings
 }
@@ -396,23 +411,42 @@ pub fn lock_order_findings(
     findings
 }
 
-/// Crate-source directories the per-line rules scan, relative to the
-/// workspace root.
-pub fn scan_roots(root: &Path) -> std::io::Result<Vec<PathBuf>> {
-    let mut roots = Vec::new();
-    let crates = root.join("crates");
-    for entry in std::fs::read_dir(&crates)? {
+const ENV_SELECTOR: &str = "env-selector";
+
+fn src_dirs(parent: &Path, skip: &[&str], out: &mut Vec<PathBuf>) -> std::io::Result<()> {
+    for entry in std::fs::read_dir(parent)? {
         let entry = entry?;
         let name = entry.file_name();
-        let name = name.to_string_lossy();
-        if name == "shims" || name == "bench" || name == "fabric-check" {
+        if skip.contains(&name.to_string_lossy().as_ref()) {
             continue;
         }
         let src = entry.path().join("src");
         if src.is_dir() {
-            roots.push(src);
+            out.push(src);
         }
     }
+    Ok(())
+}
+
+/// Crate-source directories the per-line rules scan, relative to the
+/// workspace root.
+pub fn scan_roots(root: &Path) -> std::io::Result<Vec<PathBuf>> {
+    let mut roots = Vec::new();
+    src_dirs(
+        &root.join("crates"),
+        &["shims", "bench", "fabric-check"],
+        &mut roots,
+    )?;
+    roots.sort();
+    Ok(roots)
+}
+
+/// The further source directories only `env-selector` covers: the
+/// shims, the bench crate and the root package.
+fn env_only_roots(root: &Path) -> std::io::Result<Vec<PathBuf>> {
+    let mut roots = vec![root.join("crates/bench/src"), root.join("src")];
+    src_dirs(&root.join("crates/shims"), &[], &mut roots)?;
+    roots.retain(|d| d.is_dir());
     roots.sort();
     Ok(roots)
 }
@@ -449,6 +483,16 @@ pub fn workspace_findings(root: &Path) -> std::io::Result<Vec<Finding>> {
         let path = rel(root, file);
         findings.extend(lint_file(&path, &content));
         labels.extend(collect_labels(&path, &content));
+    }
+    let mut env_files = Vec::new();
+    for dir in env_only_roots(root)? {
+        rs_files(&dir, &mut env_files)?;
+    }
+    env_files.sort();
+    for file in &env_files {
+        let content = std::fs::read_to_string(file)?;
+        let hits = lint_file(&rel(root, file), &content);
+        findings.extend(hits.into_iter().filter(|f| f.rule == ENV_SELECTOR));
     }
     let tests_dir = root.join("tests");
     if tests_dir.is_dir() {
@@ -502,6 +546,7 @@ mod tests {
     const BAD_CAST: &str = include_str!("../fixtures/bad_cast.fixture");
     const BAD_UNWRAP: &str = include_str!("../fixtures/bad_unwrap.fixture");
     const BAD_RELAXED: &str = include_str!("../fixtures/bad_relaxed.fixture");
+    const BAD_ENV: &str = include_str!("../fixtures/bad_env.fixture");
     const GOOD: &str = include_str!("../fixtures/good.fixture");
 
     fn rules(findings: &[Finding]) -> Vec<&'static str> {
@@ -530,6 +575,12 @@ mod tests {
     fn bad_relaxed_fixture_trips_rule() {
         let f = lint_file("crates/fabric-peer/src/fixture.rs", BAD_RELAXED);
         assert!(rules(&f).contains(&"relaxed-ordering"), "{f:?}");
+    }
+
+    #[test]
+    fn bad_env_fixture_trips_rule() {
+        let f = lint_file("crates/fabric-statedb/src/fixture.rs", BAD_ENV);
+        assert_eq!(rules(&f), vec!["env-selector"], "{f:?}");
     }
 
     #[test]

@@ -42,11 +42,10 @@ impl SerialOracle {
     /// its own blocks, and they need the same serial ground truth as a
     /// pregenerated stream.
     pub fn from_blocks(scenario: &StreamScenario, blocks: Vec<Block>) -> Self {
-        // The oracle's replay is pinned to the *legacy* state backend
-        // while the audited peers run the process default (sharded
-        // unless overridden) — every audit whose state comparison
-        // passes is therefore also a cross-backend differential check,
-        // the same convention the fp256/fq256 oracles follow.
+        // The oracle's replay is pinned to the *legacy* state store
+        // while the audited peers run the sharded one — every audit
+        // whose state comparison passes is therefore also a
+        // cross-backend differential check.
         let serial = ValidatorPipeline::with_state_backend(
             scenario.validator_msp(),
             scenario.policies(),

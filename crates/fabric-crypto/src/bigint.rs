@@ -45,9 +45,8 @@ pub const fn mac(acc: u64, a: u64, b: u64, carry_in: u64) -> (u64, u64) {
 /// Whole-row multiply-accumulate: `acc[..a.len()] += a·b`, returning the
 /// carry-out limb. This is the widened form of [`mac`] — one straight
 /// lane-wise carry chain instead of per-call-site loops — shared by the
-/// schoolbook multiply ([`U256::widening_mul`]), Montgomery REDC
-/// ([`crate::mont`]) and the Barrett fold for the scalar field
-/// ([`crate::fq256`]), and shaped so a vectorizing backend can treat the
+/// schoolbook multiply ([`U256::widening_mul`]) and Montgomery REDC
+/// ([`crate::mont`]), and shaped so a vectorizing backend can treat the
 /// row as one fused operation.
 ///
 /// # Panics
@@ -84,9 +83,9 @@ pub fn propagate_carry(acc: &mut [u64], mut carry: u64) -> u64 {
 /// exponentiation). `a` is reduced modulo `m` first; returns `None`
 /// when `a ≡ 0` or `gcd(a, m) ≠ 1`.
 ///
-/// This is the plain-integer inverse shared by the scalar field
-/// ([`crate::mont::MontgomeryDomain::inv`]) and the Solinas-form base
-/// field ([`crate::fp256::Fp256::inv`]).
+/// This is the plain-integer inverse shared by the ECDSA scalar flow
+/// (`s⁻¹`, `k⁻¹`), [`crate::mont::MontgomeryDomain::inv`] and the
+/// Solinas-form base field ([`crate::fp256::Fp256::inv`]).
 ///
 /// # Panics
 ///
@@ -126,50 +125,6 @@ pub fn inv_mod_odd(a: &U256, m: &U256) -> Option<U256> {
         // gcd(a, m) != 1: not invertible.
         None
     }
-}
-
-/// Montgomery-trick batch inversion over canonical residues of a
-/// *prime* modulus, parameterized by the field's multiply and invert:
-/// every invertible element in `values` is replaced by its inverse at
-/// the cost of a single inversion plus `3(n-1)` multiplications. The
-/// returned mask is `true` where `values[i]` now holds an inverse;
-/// zeros are left zero and reported `false` (with a prime modulus every
-/// nonzero element is invertible).
-///
-/// Shared by the Solinas base field ([`crate::fp256::Fp256::batch_inv`])
-/// and the Barrett scalar field ([`crate::fq256::Fq256::batch_inv`]) so
-/// the prefix-product bookkeeping lives in exactly one place. (The
-/// Montgomery domain keeps its own variant: it must also handle
-/// non-coprime residues under composite moduli.)
-pub fn batch_inv_prime_field(
-    values: &mut [U256],
-    mul: impl Fn(&U256, &U256) -> U256,
-    inv: impl Fn(&U256) -> Option<U256>,
-) -> Vec<bool> {
-    let mask: Vec<bool> = values.iter().map(|v| !v.is_zero()).collect();
-    if !mask.iter().any(|&ok| ok) {
-        return mask; // all zero: nothing to invert
-    }
-    // prefix[i] = product of nonzero values[0..=i].
-    let mut prefix = Vec::with_capacity(values.len());
-    let mut acc = U256::ONE;
-    for (v, &ok) in values.iter().zip(&mask) {
-        if ok {
-            acc = mul(&acc, v);
-        }
-        prefix.push(acc);
-    }
-    let mut inv_acc = inv(&acc).expect("product of nonzero elements mod a prime");
-    for i in (0..values.len()).rev() {
-        if !mask[i] {
-            continue;
-        }
-        let prev = if i == 0 { U256::ONE } else { prefix[i - 1] };
-        let inv_i = mul(&inv_acc, &prev);
-        inv_acc = mul(&inv_acc, &values[i]);
-        values[i] = inv_i;
-    }
-    mask
 }
 
 /// Halves `x` modulo an odd `m`: `x/2` when even, `(x+m)/2` otherwise

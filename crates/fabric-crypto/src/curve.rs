@@ -4,11 +4,12 @@
 //! (paper §2.1.1), so the whole validation pipeline — client signatures,
 //! endorsements, orderer block signatures — runs on the arithmetic in this
 //! module. Points are manipulated in Jacobian coordinates over the
-//! backend-selectable base field from [`crate::field`] (Solinas fast
-//! reduction by default, generic Montgomery as the differential oracle);
-//! scalar arithmetic modulo the group order runs on the analogous
-//! switch in [`crate::scalar`] (Barrett fold by default, Montgomery as
-//! the oracle).
+//! Solinas base field [`Fp256`] (canonical residues, NIST fast
+//! reduction); scalar arithmetic modulo the group order runs on a
+//! [`MontgomeryDomain`] built on `n`. Each layer has exactly one
+//! implementation here: the generic Montgomery domain on `p` and the
+//! long-division remainders in [`crate::bigint`] are the references the
+//! differential tests hold [`Fp256`] to, constructed only by tests.
 //!
 //! The implementation favours clarity and auditability over side-channel
 //! hardening: this library signs only synthetic benchmark identities.
@@ -17,42 +18,33 @@ use std::fmt;
 use std::sync::OnceLock;
 
 use crate::bigint::U256;
-use crate::field::{default_field_backend, FieldDomain};
-use crate::scalar::{default_scalar_backend, ScalarDomain};
+use crate::fp256::Fp256;
+use crate::mont::MontgomeryDomain;
 
-/// Curve parameters: the backend-selectable base-field domain for `p`
-/// and the backend-selectable scalar domain for `n`.
+/// Curve parameters. Field elements (`a`, `b`, `gx`, `gy`, and every
+/// point coordinate) are canonical integers below the prime
+/// [`Fp256::P`].
 #[derive(Debug)]
 pub struct CurveParams {
-    /// Field domain (modulo the prime `p`). Coordinates stored in
-    /// points are *representation residues* of this domain.
-    pub fp: FieldDomain,
-    /// Scalar domain (modulo the group order `n`). Scalars handled
-    /// through it are *representation residues* of this domain.
-    pub fn_: ScalarDomain,
-    /// Curve coefficient `a = -3` (field representation).
+    /// Scalar domain (modulo the group order `n`). Values passed to its
+    /// `mul` are Montgomery residues; convert with `to_mont`/`from_mont`.
+    pub fn_: MontgomeryDomain,
+    /// Curve coefficient `a = -3`.
     pub a: U256,
-    /// Curve coefficient `b` (field representation).
+    /// Curve coefficient `b`.
     pub b: U256,
-    /// Base point x in affine coordinates (field representation).
+    /// Base point x in affine coordinates.
     pub gx: U256,
-    /// Base point y (field representation).
+    /// Base point y.
     pub gy: U256,
     /// Group order `n` as a plain integer.
     pub order: U256,
 }
 
-/// Returns the process-wide P-256 parameter set.
-///
-/// The base-field and scalar-field backends are resolved once here, on
-/// first use (see [`crate::field::default_field_backend`] and
-/// [`crate::scalar::default_scalar_backend`]); every process-wide table
-/// is built in the base-field backend's representation.
+/// Returns the process-wide P-256 parameter set, built on first use.
 pub fn p256() -> &'static CurveParams {
     static PARAMS: OnceLock<CurveParams> = OnceLock::new();
     PARAMS.get_or_init(|| {
-        let p = U256::from_hex("ffffffff00000001000000000000000000000000ffffffffffffffffffffffff")
-            .expect("p-256 prime literal");
         let n = U256::from_hex("ffffffff00000000ffffffffffffffffbce6faada7179e84f3b9cac2fc632551")
             .expect("p-256 order literal");
         let b = U256::from_hex("5ac635d8aa3a93e7b3ebbd55769886bc651d06b0cc53b0f63bce3c3e27d2604b")
@@ -61,19 +53,9 @@ pub fn p256() -> &'static CurveParams {
             .expect("p-256 gx literal");
         let gy = U256::from_hex("4fe342e2fe1a7f9b8ee7eb4a7c0f9e162bce33576b315ececbb6406837bf51f5")
             .expect("p-256 gy literal");
-        let fp = FieldDomain::p256(default_field_backend());
-        assert_eq!(fp.modulus(), &p, "field backend must use the P-256 prime");
-        let fn_ = ScalarDomain::p256_order(default_scalar_backend());
-        assert_eq!(fn_.modulus(), &n, "scalar backend must use the P-256 order");
-        let three = fp.to_repr(&U256::from_u64(3));
-        let a = fp.neg(&three);
-        let b = fp.to_repr(&b);
-        let gx = fp.to_repr(&gx);
-        let gy = fp.to_repr(&gy);
         CurveParams {
-            fp,
-            fn_,
-            a,
+            fn_: MontgomeryDomain::new(n),
+            a: Fp256.neg(&U256::from_u64(3)),
             b,
             gx,
             gy,
@@ -84,14 +66,14 @@ pub fn p256() -> &'static CurveParams {
 
 /// A point on P-256 in affine coordinates, or the identity.
 ///
-/// Coordinates are stored in the field-domain representation; use
+/// Coordinates are canonical integers below the field prime; use
 /// [`AffinePoint::x_bytes`]/[`AffinePoint::to_sec1_bytes`] for wire
 /// representations.
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub struct AffinePoint {
-    /// x coordinate (field representation). Meaningless when `infinity`.
+    /// x coordinate. Meaningless when `infinity`.
     pub x: U256,
-    /// y coordinate (field representation). Meaningless when `infinity`.
+    /// y coordinate. Meaningless when `infinity`.
     pub y: U256,
     /// Marker for the group identity.
     pub infinity: bool,
@@ -126,8 +108,8 @@ impl AffinePoint {
         }
     }
 
-    /// Constructs a point from plain (non-Montgomery) affine coordinates,
-    /// verifying the curve equation `y² = x³ - 3x + b`.
+    /// Constructs a point from affine coordinates, verifying the curve
+    /// equation `y² = x³ - 3x + b`.
     ///
     /// # Errors
     ///
@@ -135,15 +117,12 @@ impl AffinePoint {
     /// satisfy the curve equation, or [`PointError::OutOfRange`] when a
     /// coordinate is `>= p`.
     pub fn from_coords(x: &U256, y: &U256) -> Result<Self, PointError> {
-        let c = p256();
-        if x >= c.fp.modulus() || y >= c.fp.modulus() {
+        if x >= &Fp256::P || y >= &Fp256::P {
             return Err(PointError::OutOfRange);
         }
-        let xm = c.fp.to_repr(x);
-        let ym = c.fp.to_repr(y);
         let pt = AffinePoint {
-            x: xm,
-            y: ym,
+            x: *x,
+            y: *y,
             infinity: false,
         };
         if pt.is_on_curve() {
@@ -159,21 +138,22 @@ impl AffinePoint {
             return true;
         }
         let c = p256();
-        let y2 = c.fp.sqr(&self.y);
-        let x3 = c.fp.mul(&c.fp.sqr(&self.x), &self.x);
-        let ax = c.fp.mul(&c.a, &self.x);
-        let rhs = c.fp.add(&c.fp.add(&x3, &ax), &c.b);
+        let f = Fp256;
+        let y2 = f.sqr(&self.y);
+        let x3 = f.mul(&f.sqr(&self.x), &self.x);
+        let ax = f.mul(&c.a, &self.x);
+        let rhs = f.add(&f.add(&x3, &ax), &c.b);
         y2 == rhs
     }
 
     /// The x coordinate as a plain 32-byte big-endian integer.
     pub fn x_bytes(&self) -> [u8; 32] {
-        p256().fp.from_repr(&self.x).to_be_bytes()
+        self.x.to_be_bytes()
     }
 
     /// The y coordinate as a plain 32-byte big-endian integer.
     pub fn y_bytes(&self) -> [u8; 32] {
-        p256().fp.from_repr(&self.y).to_be_bytes()
+        self.y.to_be_bytes()
     }
 
     /// Serializes in uncompressed SEC1 form (`04 || X || Y`, 65 bytes).
@@ -213,7 +193,7 @@ impl AffinePoint {
             JacobianPoint {
                 x: self.x,
                 y: self.y,
-                z: p256().fp.one(),
+                z: U256::ONE,
             }
         }
     }
@@ -232,8 +212,8 @@ impl fmt::Debug for AffinePoint {
             write!(
                 f,
                 "AffinePoint(x=0x{}, y=0x{})",
-                p256().fp.from_repr(&self.x).to_hex(),
-                p256().fp.from_repr(&self.y).to_hex()
+                self.x.to_hex(),
+                self.y.to_hex()
             )
         }
     }
@@ -243,8 +223,8 @@ impl JacobianPoint {
     /// The group identity.
     pub fn identity() -> Self {
         JacobianPoint {
-            x: p256().fp.one(),
-            y: p256().fp.one(),
+            x: U256::ONE,
+            y: U256::ONE,
             z: U256::ZERO,
         }
     }
@@ -259,7 +239,7 @@ impl JacobianPoint {
         if self.is_identity() || self.y.is_zero() {
             return JacobianPoint::identity();
         }
-        let f = &p256().fp;
+        let f = Fp256;
         // delta = Z^2, gamma = Y^2, beta = X*gamma
         let delta = f.sqr(&self.z);
         let gamma = f.sqr(&self.y);
@@ -298,7 +278,7 @@ impl JacobianPoint {
         if other.is_identity() {
             return *self;
         }
-        let f = &p256().fp;
+        let f = Fp256;
         let z1z1 = f.sqr(&self.z);
         let z2z2 = f.sqr(&other.z);
         let u1 = f.mul(&self.x, &z2z2);
@@ -373,7 +353,7 @@ impl JacobianPoint {
         if self.is_identity() {
             return other.to_jacobian();
         }
-        let f = &p256().fp;
+        let f = Fp256;
         let z1z1 = f.sqr(&self.z);
         let u2 = f.mul(&other.x, &z1z1);
         let s2 = f.mul(&f.mul(&other.y, &self.z), &z1z1);
@@ -417,7 +397,7 @@ impl JacobianPoint {
         for i in 1..table.len() {
             table[i] = table[i - 1].add(&twice);
         }
-        let f = &p256().fp;
+        let f = Fp256;
         let digits = wnaf_digits(k, W);
         let mut acc = JacobianPoint::identity();
         for &d in digits.iter().rev() {
@@ -440,7 +420,7 @@ impl JacobianPoint {
     /// Normalizes a batch of points to affine with a *single* field
     /// inversion (Montgomery's trick over the `Z` coordinates).
     pub fn batch_to_affine(points: &[JacobianPoint]) -> Vec<AffinePoint> {
-        let f = &p256().fp;
+        let f = Fp256;
         let mut zs: Vec<U256> = points.iter().map(|p| p.z).collect();
         let mask = f.batch_inv(&mut zs);
         points
@@ -490,18 +470,17 @@ impl JacobianPoint {
         if self.is_identity() {
             return false;
         }
-        let c = p256();
-        let f = &c.fp;
+        let f = Fp256;
         let zz = f.sqr(&self.z);
         let mut candidate = *r;
         loop {
-            if &candidate >= f.modulus() {
+            if candidate >= Fp256::P {
                 return false;
             }
-            if f.mul(&f.to_repr(&candidate), &zz) == self.x {
+            if f.mul(&candidate, &zz) == self.x {
                 return true;
             }
-            let (next, carry) = candidate.overflowing_add(&c.order);
+            let (next, carry) = candidate.overflowing_add(&p256().order);
             if carry {
                 return false;
             }
@@ -514,7 +493,7 @@ impl JacobianPoint {
         if self.is_identity() {
             return AffinePoint::identity();
         }
-        let f = &p256().fp;
+        let f = Fp256;
         let zinv = f.inv_prime(&self.z).expect("nonzero z");
         let zinv2 = f.sqr(&zinv);
         let zinv3 = f.mul(&zinv2, &zinv);
@@ -565,22 +544,12 @@ pub(crate) fn wnaf_digits(k: &U256, w: u32) -> Vec<i8> {
     digits
 }
 
-/// Window width of the fixed-base comb table, in bits.
-///
-/// The default 8-bit windows hold `32 × 255` precomputed points
-/// (~590 KiB resident) and make any `k·G` at most 31 mixed additions
-/// with **zero** doublings. The `comb-window-4` cargo feature shrinks
-/// the table to 4-bit windows — `64 × 15` points, ~68 KiB — for
-/// cache-constrained hosts, at the cost of up to 63 mixed additions per
-/// multiplication. Both shapes share the same build and digit-selection
-/// code below; `fixed_base_matches_windowed_mul` pins whichever is
-/// compiled against the generic windowed ladder. Footprints and the
-/// trade-off are tabulated in the crate README.
-pub const COMB_WINDOW_BITS: usize = if cfg!(feature = "comb-window-4") {
-    4
-} else {
-    8
-};
+/// Window width of the fixed-base comb table, in bits: `32 × 255`
+/// precomputed points (~590 KiB resident), making any `k·G` at most 31
+/// mixed additions with **zero** doublings.
+/// `fixed_base_matches_windowed_mul` pins the table against the generic
+/// windowed ladder.
+pub const COMB_WINDOW_BITS: usize = 8;
 
 /// Number of comb windows covering a 256-bit scalar.
 pub const COMB_WINDOWS: usize = 256 / COMB_WINDOW_BITS;
@@ -714,7 +683,7 @@ mod tests {
         // (n-1)G = -G
         let nm1 = n.wrapping_sub(&U256::ONE);
         let p = g.mul_scalar(&nm1).to_affine();
-        let f = &p256().fp;
+        let f = Fp256;
         assert_eq!(p.x, AffinePoint::generator().x);
         assert_eq!(p.y, f.neg(&AffinePoint::generator().y));
     }
@@ -750,8 +719,8 @@ mod tests {
 
     #[test]
     fn comb_table_dimensions_match_the_active_window() {
-        // 8-bit windows: 32 × 255 entries; comb-window-4: 64 × 15. The
-        // digit loop, table build and these constants must agree.
+        // 8-bit windows: 32 × 255 entries. The digit loop, table build
+        // and these constants must agree.
         assert_eq!(COMB_WINDOW_BITS * COMB_WINDOWS, 256);
         assert_eq!(COMB_DIGITS, (1 << COMB_WINDOW_BITS) - 1);
         let table = fixed_base_table();
@@ -810,7 +779,7 @@ mod tests {
         // Degenerate cases: doubling and cancellation.
         let p_affine = p.to_affine();
         assert_eq!(p.add_mixed(&p_affine).to_affine(), p.double().to_affine());
-        let f = &p256().fp;
+        let f = Fp256;
         let neg = AffinePoint {
             x: p_affine.x,
             y: f.neg(&p_affine.y),
@@ -912,7 +881,7 @@ mod tests {
 
     #[test]
     fn inverse_points_cancel() {
-        let f = &p256().fp;
+        let f = Fp256;
         let g = AffinePoint::generator();
         let neg_g = AffinePoint {
             x: g.x,

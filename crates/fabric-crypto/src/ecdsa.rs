@@ -20,26 +20,26 @@
 //!   `Q` and of `2^128·Q`, affine) so the double-scalar half needs only
 //!   ~128 shared doublings and ~42 mixed additions — endorser keys
 //!   repeat across every block, so the table amortizes immediately;
-//! * `s⁻¹ mod n` uses binary-Euclid inversion through the
-//!   backend-selectable scalar domain ([`crate::scalar::ScalarDomain`]:
-//!   Barrett-folded canonical arithmetic by default, Montgomery REDC as
-//!   the oracle), or is amortized across a whole block with
-//!   [`batch_s_inverses`] (Montgomery's trick: one inversion per block)
-//!   and [`VerifyingKey::verify_prehashed_with_sinv`];
+//! * `s⁻¹ mod n` uses binary-Euclid inversion on plain integers
+//!   ([`crate::bigint::inv_mod_odd`]), or is amortized across a whole
+//!   block with [`batch_s_inverses`] (Montgomery's trick: one inversion
+//!   per block) and [`VerifyingKey::verify_prehashed_with_sinv`]; the
+//!   `u1`/`u2` products run on the Montgomery domain on `n`
+//!   ([`crate::curve::CurveParams::fn_`]), entered once per signature;
 //! * the final `x(R) ≡ r (mod n)` comparison happens in projective
 //!   coordinates ([`JacobianPoint::eq_x_mod_order`]), eliminating the
 //!   second field inversion entirely.
 //!
 //! The seed implementation (bit-serial Shamir ladder + two Fermat
 //! inversions) is preserved as [`VerifyingKey::verify_prehashed_shamir`];
-//! randomized tests cross-check the two paths agree and the
-//! `bench_validation` harness reports the before/after ratio.
+//! randomized tests cross-check that the two paths agree.
 
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
-use crate::bigint::{U256, U512};
+use crate::bigint::{inv_mod_odd, U256, U512};
 use crate::curve::{mul_fixed_base, p256, wnaf_digits, AffinePoint, JacobianPoint, PointError};
+use crate::fp256::Fp256;
 use crate::sha256::{hmac_sha256, sha256};
 
 /// An ECDSA P-256 private key.
@@ -114,7 +114,7 @@ impl KeyPrecomp {
         let k_hi = U256([k.0[2], k.0[3], 0, 0]);
         let d_lo = wnaf_digits(&k_lo, Self::WINDOW);
         let d_hi = wnaf_digits(&k_hi, Self::WINDOW);
-        let f = &p256().fp;
+        let f = Fp256;
         let mut acc = JacobianPoint::identity();
         for i in (0..d_lo.len().max(d_hi.len())).rev() {
             acc = acc.double();
@@ -237,22 +237,17 @@ impl SigningKey {
                 continue;
             }
             let point = mul_fixed_base(&k).to_affine();
-            let r = c.fp.from_repr(&point.x).reduce_once(n);
+            let r = point.x.reduce_once(n);
             if r.is_zero() {
                 continue;
             }
-            // s = k^-1 (z + r d) mod n, in the scalar domain's
-            // representation (canonical under Barrett, Montgomery form
-            // under the oracle backend).
+            // s = k^-1 (z + r d) mod n. A Montgomery product of one
+            // Montgomery residue and one plain integer is the plain
+            // product, so each multiply needs a single domain entry.
             let fd = &c.fn_;
-            let km = fd.to_repr(&k);
-            let kinv = fd.inv(&km).expect("k nonzero");
-            let rm = fd.to_repr(&r);
-            let dm = fd.to_repr(&self.d);
-            let zm = fd.to_repr(&z);
-            let rd = fd.mul(&rm, &dm);
-            let sum = fd.add(&zm, &rd);
-            let s = fd.from_repr(&fd.mul(&kinv, &sum));
+            let kinv = inv_mod_odd(&k, n).expect("k nonzero");
+            let rd = fd.mul(&fd.to_mont(&r), &self.d);
+            let s = fd.mul(&fd.to_mont(&kinv), &z.add_mod(&rd, n));
             if s.is_zero() {
                 continue;
             }
@@ -360,9 +355,7 @@ impl VerifyingKey {
         if sig.r.is_zero() || &sig.r >= n || sig.s.is_zero() || &sig.s >= n {
             return Err(EcdsaError::InvalidScalar);
         }
-        let fd = &c.fn_;
-        let sm = fd.to_repr(&sig.s);
-        let sinv = fd.from_repr(&fd.inv(&sm).expect("s nonzero"));
+        let sinv = inv_mod_odd(&sig.s, n).expect("s nonzero");
         self.verify_prehashed_with_sinv(digest, sig, &sinv)
     }
 
@@ -388,10 +381,12 @@ impl VerifyingKey {
             return Err(EcdsaError::InvalidScalar);
         }
         let z = bits2int(digest, n);
+        // One domain entry for s⁻¹; multiplying the Montgomery residue
+        // by the plain z and r yields the plain u1 and u2 directly.
         let fd = &c.fn_;
-        let sinv_m = fd.to_repr(sinv);
-        let u1 = fd.from_repr(&fd.mul(&sinv_m, &fd.to_repr(&z)));
-        let u2 = fd.from_repr(&fd.mul(&sinv_m, &fd.to_repr(&sig.r)));
+        let sinv_m = fd.to_mont(sinv);
+        let u1 = fd.mul(&sinv_m, &z);
+        let u2 = fd.mul(&sinv_m, &sig.r);
         let precomp = self.precomp.get_or_init(|| KeyPrecomp::build(&self.point));
         let rp = mul_fixed_base(&u1).add(&precomp.mul(&u2));
         if rp.eq_x_mod_order(&sig.r) {
@@ -423,17 +418,17 @@ impl VerifyingKey {
         }
         let z = U512::from_u256(&U256::from_be_bytes(digest)).rem(n);
         let fd = &c.fn_;
-        let sm = fd.to_repr(&sig.s);
+        let sm = fd.to_mont(&sig.s);
         let sinv = fd.inv_prime(&sm).expect("s nonzero");
-        let u1 = fd.from_repr(&fd.mul(&sinv, &fd.to_repr(&z)));
-        let u2 = fd.from_repr(&fd.mul(&sinv, &fd.to_repr(&sig.r)));
+        let u1 = fd.from_mont(&fd.mul(&sinv, &fd.to_mont(&z)));
+        let u2 = fd.from_mont(&fd.mul(&sinv, &fd.to_mont(&sig.r)));
         let g = AffinePoint::generator().to_jacobian();
         let q = self.point.to_jacobian();
         let rp = JacobianPoint::shamir(&u1, &g, &u2, &q);
         if rp.is_identity() {
             return Err(EcdsaError::InvalidSignature);
         }
-        let x = c.fp.from_repr(&rp.to_affine().x).rem(n);
+        let x = rp.to_affine().x.rem(n);
         if x == sig.r {
             Ok(())
         } else {
@@ -459,14 +454,14 @@ pub fn batch_s_inverses(sigs: &[Signature]) -> Vec<U256> {
             if sig.s.is_zero() || &sig.s >= n {
                 U256::ZERO
             } else {
-                fd.to_repr(&sig.s)
+                fd.to_mont(&sig.s)
             }
         })
         .collect();
     fd.batch_inv(&mut values);
     for v in values.iter_mut() {
         if !v.is_zero() {
-            *v = fd.from_repr(v);
+            *v = fd.from_mont(v);
         }
     }
     values

@@ -18,12 +18,11 @@
 //!
 //! [`Fp256`] implements the full field API the curve layer needs (mul,
 //! square, add, sub, neg, pow, Fermat and binary-Euclid inversion,
-//! Montgomery-trick batch inversion) on plain integers `< p`. The
-//! backend dispatch that lets the curve run on either this module or the
-//! Montgomery oracle lives in [`crate::field`]; the differential test
-//! harness (`tests/tests/crypto_differential.rs`) pins every operation
-//! here against [`crate::mont::MontgomeryDomain`] on random, boundary,
-//! and near-`p` inputs.
+//! Montgomery-trick batch inversion) on plain integers `< p`, and
+//! [`crate::curve`] calls it directly. The differential test harness
+//! (`tests/tests/crypto_differential.rs`) pins every operation here
+//! against a [`crate::mont::MontgomeryDomain`] on `p` and against long
+//! division, on random, boundary, and near-`p` inputs.
 //!
 //! Like the rest of this crate, the implementation favours clarity and
 //! auditability over side-channel hardening (the reduction's final
@@ -115,8 +114,8 @@ impl Fp256 {
     }
 
     /// Multiplicative inverse via Fermat's little theorem (`a^(p-2)`).
-    /// Returns `None` for zero. Kept for API parity with the Montgomery
-    /// oracle; [`Self::inv`] is several times faster.
+    /// Returns `None` for zero. [`Self::inv`] is several times faster;
+    /// this is the independent check it is tested against.
     pub fn inv_prime(&self, a: &U256) -> Option<U256> {
         if a.is_zero() {
             return None;
@@ -134,13 +133,39 @@ impl Fp256 {
         inv_mod_odd(a, &Self::P)
     }
 
-    /// Montgomery-trick batch inversion on the shared prime-field core
-    /// ([`crate::bigint::batch_inv_prime_field`]): every invertible
-    /// element in `values` is replaced by its inverse at the cost of a
-    /// single field inversion plus `3(n-1)` multiplications; the mask
-    /// is `true` where an inverse was written.
+    /// Montgomery-trick batch inversion: every invertible element in
+    /// `values` is replaced by its inverse at the cost of a single
+    /// field inversion plus `3(n-1)` multiplications. The mask is
+    /// `true` where an inverse was written; zeros are left zero and
+    /// reported `false` (`p` is prime, so every nonzero element is
+    /// invertible).
     pub fn batch_inv(&self, values: &mut [U256]) -> Vec<bool> {
-        crate::bigint::batch_inv_prime_field(values, |a, b| self.mul(a, b), |a| self.inv(a))
+        let mask: Vec<bool> = values.iter().map(|v| !v.is_zero()).collect();
+        if !mask.iter().any(|&ok| ok) {
+            return mask; // all zero: nothing to invert
+        }
+        // prefix[i] = product of nonzero values[0..=i].
+        let mut prefix = Vec::with_capacity(values.len());
+        let mut acc = U256::ONE;
+        for (v, &ok) in values.iter().zip(&mask) {
+            if ok {
+                acc = self.mul(&acc, v);
+            }
+            prefix.push(acc);
+        }
+        let mut inv_acc = self
+            .inv(&acc)
+            .expect("product of nonzero elements mod a prime");
+        for i in (0..values.len()).rev() {
+            if !mask[i] {
+                continue;
+            }
+            let prev = if i == 0 { U256::ONE } else { prefix[i - 1] };
+            let inv_i = self.mul(&inv_acc, &prev);
+            inv_acc = self.mul(&inv_acc, &values[i]);
+            values[i] = inv_i;
+        }
+        mask
     }
 }
 

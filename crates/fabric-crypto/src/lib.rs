@@ -8,26 +8,17 @@
 //! * [`bigint`] — fixed-width 256-bit integers, with a dedicated
 //!   squaring kernel, single-subtraction reduction for `< 2m` values,
 //!   and the shared carry-chain primitives (`adc`/`sbb`/`mac`) and
-//!   binary-Euclid modular inverse used by both field backends;
+//!   binary-Euclid modular inverse;
+//! * [`fp256`] — the base field: Solinas-form (NIST fast-reduction)
+//!   arithmetic specialized to the P-256 prime. Reduction is a fixed
+//!   nine-term word shuffle with no multiplications, on canonical
+//!   residues;
 //! * [`mont`] — Montgomery modular arithmetic for odd 256-bit moduli:
 //!   REDC multiply/square, Fermat and binary-Euclid inversion, and
-//!   Montgomery-trick *batch* inversion (one field inversion per block
-//!   of signatures). The differential-test oracle and A/B baseline for
-//!   both the base field and the scalar field;
-//! * [`fp256`] — Solinas-form (NIST fast-reduction) arithmetic
-//!   specialized to the P-256 prime: reduction is a fixed nine-term
-//!   word shuffle with no multiplications, on canonical residues;
-//! * [`fq256`] — Barrett-folded arithmetic in the scalar field (mod
-//!   the group order `n`): a precomputed `⌊2^512/n⌋` constant reduces
-//!   the 512-bit product on canonical residues, eliminating the REDC
-//!   domain crossings the ECDSA scalar flow is dominated by;
-//! * [`field`] — the backend switch wiring [`fp256`] (default) or
-//!   [`mont`] under the curve layer, selected by the
-//!   `FABRIC_FIELD_BACKEND` environment variable or the
-//!   `montgomery-field-default` cargo feature;
-//! * [`scalar`] — the analogous switch for the scalar field, wiring
-//!   [`fq256`] (default) or [`mont`] under the ECDSA layer
-//!   (`FABRIC_SCALAR_BACKEND` / `montgomery-scalar-default`);
+//!   Montgomery-trick *batch* inversion (one inversion per block of
+//!   signatures). Built on the group order `n` it is the scalar field
+//!   of the ECDSA layer; built on `p` by the differential tests it is
+//!   the reference [`fp256`] is held to;
 //! * [`curve`] — NIST P-256 group operations: Jacobian/mixed addition,
 //!   windowed and width-5 wNAF scalar multiplication, Shamir
 //!   double-scalar multiplication, a lazily built fixed-base comb table
@@ -37,8 +28,7 @@
 //! * [`ecdsa`] — ECDSA sign/verify with RFC 6979 deterministic nonces.
 //!   Verification is the validator's hottest operation and runs on the
 //!   fixed-base + per-key split-wNAF fast path (see the module docs);
-//!   the seed's Shamir/Fermat path is preserved for cross-checking and
-//!   before/after benchmarking;
+//!   the seed's Shamir/Fermat path is preserved for cross-checking;
 //! * [`sha256`](mod@sha256) — FIPS 180-4 SHA-256 and HMAC-SHA-256;
 //! * [`der`] — strict DER encoding of `ECDSA-Sig-Value`;
 //! * [`identity`] — X.509-lite certificates (~860-byte class, like the
@@ -65,17 +55,12 @@ pub mod bigint;
 pub mod curve;
 pub mod der;
 pub mod ecdsa;
-pub mod field;
 pub mod fp256;
-pub mod fq256;
 pub mod identity;
 pub mod mont;
-pub mod scalar;
 pub mod sha256;
 
 pub use bigint::U256;
 pub use ecdsa::{EcdsaError, Signature, SigningKey, VerifyingKey};
-pub use field::{default_field_backend, FieldBackend, FieldDomain};
 pub use identity::{Certificate, Identity, Msp, NodeId, Role, SigningIdentity};
-pub use scalar::{default_scalar_backend, ScalarBackend, ScalarDomain};
 pub use sha256::{sha256, Sha256};

@@ -1,14 +1,17 @@
 //! Montgomery-domain modular arithmetic for odd 256-bit moduli.
 //!
 //! Both the P-256 field prime `p` and the group order `n` are odd, so a
-//! single generic Montgomery implementation serves field arithmetic (point
-//! operations) and scalar arithmetic (ECDSA). Montgomery multiplication is
-//! self-contained — no precomputed reduction identities to mistranscribe —
-//! and runs in a few dozen nanoseconds per multiply. The hot paths have
-//! since moved to specialized kernels ([`crate::fp256`] for the base
-//! field, [`crate::fq256`] for the scalar field); this module remains
-//! fully compiled as the differential-test oracle and A/B baseline for
-//! both.
+//! single generic Montgomery implementation can serve field arithmetic
+//! (point operations) and scalar arithmetic (ECDSA). Montgomery
+//! multiplication is self-contained — no precomputed reduction identities
+//! to mistranscribe — and runs in a few dozen nanoseconds per multiply.
+//!
+//! In this crate the domain on `n` *is* the scalar field
+//! ([`crate::curve::CurveParams::fn_`]; the group order has none of the
+//! sparse structure that makes a specialized fold pay). The base field
+//! moved to the Solinas kernel in [`crate::fp256`]; a domain on `p` is
+//! built only by the differential tests, as the reference that kernel is
+//! held to.
 //!
 //! The only non-trivial setup constants, `R mod m` and `R² mod m`
 //! (`R = 2^256`), are derived at construction time with the slow-but-sure

@@ -181,11 +181,10 @@ impl ValidatorPipeline {
     }
 
     /// Creates a validator like [`ValidatorPipeline::new`] but with its
-    /// state database on an explicit backend instead of the process
-    /// default — the differential-audit constructor: the cluster
-    /// harness's serial oracle pins its replay to the legacy store
-    /// while peers run whatever `FABRIC_STATE_BACKEND` selects, so an
-    /// audit pass is also a cross-backend equivalence check.
+    /// state database on an explicit backend — the differential-audit
+    /// constructor: the cluster harness's serial oracle pins its replay
+    /// to the legacy reference store while peers run the sharded one,
+    /// so an audit pass is also a cross-backend equivalence check.
     ///
     /// # Panics
     ///

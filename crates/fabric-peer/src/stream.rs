@@ -126,9 +126,9 @@ pub struct StreamStats {
     /// Sum of per-block stage totals (incl. ledger) *as measured inside
     /// this concurrent run*. On hosts with fewer cores than lanes,
     /// preemption inflates per-block stage times, so this is NOT the
-    /// cost of an independent serial replay — benchmark one separately
-    /// (as `bench_validation` does in `serial_wall_us`) for a wall-clock
-    /// comparison.
+    /// cost of an independent serial replay — time one separately (as
+    /// the reference benchmark's `probe.serial_replay_ms` does) for a
+    /// wall-clock comparison.
     pub serial_sum_us: u64,
     /// `serial_sum / makespan`: how much measured stage time the
     /// pipeline packed into each wall-clock second, i.e. the degree of

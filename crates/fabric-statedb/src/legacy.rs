@@ -1,13 +1,13 @@
-//! The original single-map state store, kept compiled as the
-//! **differential oracle** for the sharded MVCC backend.
+//! The original single-map state store, kept as the **reference
+//! implementation** for the sharded MVCC store.
 //!
 //! One `BTreeMap` behind one `RwLock`: trivially correct for every
-//! sequential interleaving, which is exactly what an oracle should be.
-//! The equivalence harness (`tests/tests/statedb_equivalence.rs`) holds
-//! [`crate::ShardedStateDb`] to bit-identical results against this
-//! store; select it at runtime with `FABRIC_STATE_BACKEND=legacy` or at
-//! build time with the `legacy-state-default` feature (see
-//! [`crate::default_state_backend`]).
+//! sequential interleaving, which is exactly what a reference should
+//! be. The equivalence harness (`tests/tests/statedb_equivalence.rs`)
+//! holds [`crate::ShardedStateDb`] to bit-identical results against
+//! this store, and the cluster's serial oracle replays onto it. No peer
+//! runs on it: the only way in is
+//! [`crate::StateDb::with_backend`]`(`[`crate::StateBackend::Legacy`]`)`.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;

@@ -7,47 +7,39 @@
 //! version observed at endorsement time against the current version
 //! (paper §2.1.2 step 3).
 //!
-//! Three stores are provided:
+//! The stores:
 //!
 //! * [`StateDb`] — the unbounded, thread-safe store used by software
-//!   peers. Since the sharded-MVCC rework it is a *facade* over two
-//!   interchangeable backends (see below);
-//! * [`LegacyStateDb`] — the original single-map-single-lock store,
-//!   kept fully compiled as the **differential oracle** (the
-//!   fp256/fq256 convention: the old path stays selectable so the
-//!   equivalence harness can hold the new one to bit-identical
-//!   results);
+//!   peers: [`StateDb::new`] is the sharded MVCC store below;
 //! * [`ShardedStateDb`] — the hash-sharded MVCC store: per-shard
 //!   version-chained maps so reads can pin a height snapshot without
 //!   blocking the committer, a k-way merged ordered index preserving
 //!   range/prefix scans, and per-shard write batches so a block's
 //!   commit goes wide over disjoint shards;
+//! * [`LegacyStateDb`] — the original single-map-single-lock store,
+//!   kept as the **reference implementation** the equivalence harness
+//!   and the cluster's serial oracle hold the sharded store to. Nothing
+//!   in a peer constructs it: it is reached only through the explicit
+//!   [`StateDb::with_backend`]`(`[`StateBackend::Legacy`]`)`;
 //! * [`BoundedStateDb`] — a capacity-limited store with an explicit
 //!   read/write-lock discipline, modeling the in-hardware BRAM/URAM
 //!   key-value store of the Blockchain Machine (paper §3.3: 8192
 //!   entries, "internal locking mechanism to disallow reading of a key
 //!   if it is currently being written").
 //!
-//! # Selecting a backend
+//! # One production store, one reference
 //!
-//! [`StateDb::new`] consults [`default_state_backend`]:
-//!
-//! 1. the `FABRIC_STATE_BACKEND` environment variable
-//!    (`sharded` | `legacy`) decides — this is how the CI matrix and
-//!    the benchmark's A/B runs drive both backends;
-//! 2. otherwise the `legacy-state-default` cargo feature makes the
-//!    legacy store the fallback for builds that want the oracle
-//!    without touching the environment;
-//! 3. otherwise sharded.
-//!
-//! Both backends answer the *same* API with the same semantics for
-//! every sequential interleaving of `apply`/`get`/`range`/`snapshot` —
-//! asserted by the proptest differential harness in
+//! Both implementations answer the *same* API with the same semantics
+//! for every sequential interleaving of `apply`/`get`/`range`/`snapshot`
+//! — asserted by the proptest differential harness in
 //! `tests/tests/statedb_equivalence.rs` (bit-identical state hashes,
 //! MVCC flags, and range-scan results on randomized batches). They
 //! differ under concurrency: the sharded store's [`StateDb::pin`]
 //! snapshot reads proceed while the committer applies batches, where
-//! the legacy store materializes the snapshot up front.
+//! the legacy store materializes the snapshot up front. The sharded
+//! store is the one a peer runs because it wins the reference
+//! benchmark's `state_zipf_1m` workload on commit throughput, commit
+//! tail and reads beside the committer (verdict table in ROADMAP.md).
 
 #![warn(missing_docs)]
 
@@ -197,50 +189,14 @@ pub enum StateBackend {
     /// Hash-sharded MVCC store (per-shard version chains, pinned
     /// snapshot reads, wide block commit).
     Sharded,
-    /// The original single-map store, kept as the differential oracle.
+    /// The original single-map store, kept as the reference the
+    /// sharded store is tested against.
     Legacy,
 }
 
-impl StateBackend {
-    /// Stable lowercase name, as used by `FABRIC_STATE_BACKEND` and the
-    /// benchmark JSON.
-    pub fn name(&self) -> &'static str {
-        match self {
-            StateBackend::Sharded => "sharded",
-            StateBackend::Legacy => "legacy",
-        }
-    }
-}
-
-impl fmt::Display for StateBackend {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// Resolves the backend [`StateDb::new`] should use (see the module
-/// docs for precedence). An explicit `FABRIC_STATE_BACKEND` always
-/// wins; the `legacy-state-default` feature only changes the fallback
-/// when the env var is unset.
-///
-/// # Panics
-///
-/// Panics when `FABRIC_STATE_BACKEND` is set to an unknown value —
-/// silently falling back would make an A/B run measure the wrong thing.
-pub fn default_state_backend() -> StateBackend {
-    match std::env::var("FABRIC_STATE_BACKEND") {
-        Ok(v) if v.eq_ignore_ascii_case("sharded") => StateBackend::Sharded,
-        Ok(v) if v.eq_ignore_ascii_case("legacy") => StateBackend::Legacy,
-        Ok(other) => {
-            panic!("FABRIC_STATE_BACKEND must be \"sharded\" or \"legacy\", got {other:?}")
-        }
-        Err(_) if cfg!(feature = "legacy-state-default") => StateBackend::Legacy,
-        Err(_) => StateBackend::Sharded,
-    }
-}
-
-/// The unbounded, thread-safe versioned store used by software peers —
-/// a facade dispatching to the configured [`StateBackend`].
+/// The unbounded, thread-safe versioned store used by software peers:
+/// the sharded MVCC store, or — only when a test or oracle asks for it
+/// by name — the legacy reference.
 ///
 /// Cloning is cheap: clones share the same underlying maps, matching
 /// how a peer's components all see one state database.
@@ -271,15 +227,14 @@ impl Default for StateDb {
 }
 
 impl StateDb {
-    /// Creates an empty database on the process-default backend (see
-    /// [`default_state_backend`]).
+    /// Creates an empty database (the sharded MVCC store).
     pub fn new() -> Self {
-        StateDb::with_backend(default_state_backend())
+        StateDb::with_backend(StateBackend::Sharded)
     }
 
     /// Creates an empty database on an explicit backend — how the
-    /// differential harness constructs its oracle/subject pair without
-    /// touching the environment.
+    /// differential harness constructs its reference/subject pair and
+    /// the only way to reach the legacy store.
     pub fn with_backend(backend: StateBackend) -> Self {
         let inner = match backend {
             StateBackend::Legacy => Backend::Legacy(LegacyStateDb::new()),
@@ -311,15 +266,14 @@ impl StateDb {
         }
     }
 
-    /// Rebuilds a database from a checkpoint snapshot on the
-    /// process-default backend: the entries of a previous
+    /// Rebuilds a (sharded) database from a checkpoint snapshot: the
+    /// entries of a previous
     /// [`StateDb::snapshot`] plus the tip height recorded with it. The
     /// journal replay that follows a snapshot restore continues from
     /// this tip. Snapshot entries are an ordered, backend-independent
-    /// dump, so a checkpoint written by one backend restores into the
-    /// other (the recovery cross-check relies on this).
+    /// dump, so a dump taken from one backend restores into the other.
     pub fn from_snapshot(entries: Vec<(String, VersionedValue)>, tip: Option<Height>) -> Self {
-        Self::from_snapshot_with_backend(default_state_backend(), entries, tip)
+        Self::from_snapshot_with_backend(StateBackend::Sharded, entries, tip)
     }
 
     /// [`StateDb::from_snapshot`] on an explicit backend.
@@ -657,7 +611,7 @@ mod tests {
             let mut b = WriteBatch::new();
             b.put("a", b"1".to_vec());
             db.apply(&b, Height::new(1, 0));
-            assert_eq!(db.get("a").unwrap().value, b"1", "{}", db.backend());
+            assert_eq!(db.get("a").unwrap().value, b"1", "{:?}", db.backend());
             assert_eq!(db.get_version("a"), Some(Height::new(1, 0)));
             assert_eq!(db.get("missing"), None);
         }
@@ -672,7 +626,7 @@ mod tests {
             let mut d = WriteBatch::new();
             d.delete("a");
             db.apply(&d, Height::new(2, 0));
-            assert_eq!(db.get("a"), None, "{}", db.backend());
+            assert_eq!(db.get("a"), None, "{:?}", db.backend());
             assert_eq!(db.len(), 0);
         }
     }
@@ -729,7 +683,7 @@ mod tests {
                 serial.apply(b, *h);
             }
             blockwise.apply_block(&batches);
-            assert_eq!(serial.snapshot(), blockwise.snapshot(), "{backend}");
+            assert_eq!(serial.snapshot(), blockwise.snapshot(), "{backend:?}");
             assert_eq!(serial.tip_height(), blockwise.tip_height());
         }
     }
@@ -752,7 +706,7 @@ mod tests {
             assert_eq!(db.get("a").unwrap().value, vec![9]);
             assert_eq!(db.get("b"), None);
             // ...the pinned view did not.
-            assert_eq!(pin.get("a").unwrap().value, vec![1], "{}", db.backend());
+            assert_eq!(pin.get("a").unwrap().value, vec![1], "{:?}", db.backend());
             assert_eq!(pin.get("b").unwrap().value, vec![2]);
             assert_eq!(pin.get("c"), None);
             let keys: Vec<String> = pin.range("", "zzz").into_iter().map(|(k, _)| k).collect();
@@ -768,7 +722,7 @@ mod tests {
             let mut b = WriteBatch::new();
             b.put("a", vec![1]);
             db.apply(&b, Height::new(0, 0));
-            assert_eq!(pin.get("a"), None, "{}", db.backend());
+            assert_eq!(pin.get("a"), None, "{:?}", db.backend());
             assert!(pin.snapshot().is_empty());
         }
     }
@@ -785,18 +739,11 @@ mod tests {
         let tip = src.tip_height();
         for backend in [StateBackend::Legacy, StateBackend::Sharded] {
             let restored = StateDb::from_snapshot_with_backend(backend, entries.clone(), tip);
-            assert_eq!(restored.snapshot(), entries, "{backend}");
+            assert_eq!(restored.snapshot(), entries, "{backend:?}");
             assert_eq!(restored.tip_height(), tip);
             assert_eq!(restored.state_hash(), src.state_hash());
             assert_eq!(restored.len(), 300);
         }
-    }
-
-    #[test]
-    fn backend_names_are_stable() {
-        assert_eq!(StateBackend::Sharded.name(), "sharded");
-        assert_eq!(StateBackend::Legacy.name(), "legacy");
-        assert_eq!(StateBackend::Sharded.to_string(), "sharded");
     }
 
     #[test]

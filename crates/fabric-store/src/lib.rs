@@ -61,7 +61,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use fabric_ledger::{Ledger, LedgerError};
-use fabric_statedb::{Height, StateBackend, StateDb};
+use fabric_statedb::{Height, StateDb};
 
 pub mod blockstore;
 pub mod checkpoint;
@@ -78,19 +78,13 @@ pub struct StoreConfig {
     /// Blocks (and journal records) buffered per `write` syscall — the
     /// fsync-free group-commit window. `1` hands every commit straight
     /// to the OS; larger groups amortize syscalls at the cost of a
-    /// longer tail a crash can lose. Measured at 1/8/64 by the
-    /// `durability` section of `BENCH_validation.json`.
+    /// longer tail a crash can lose. The reference benchmark
+    /// (`benchmark/`) runs the default and reports `store.flush_ms` and
+    /// `store.append_us_per_block` for it.
     pub group_commit: usize,
     /// Active-segment size threshold: crossing it seals the segment
     /// (flush + index sidecar) and opens the next one.
     pub segment_max_bytes: u64,
-    /// State-database backend the store builds at open (checkpoint
-    /// restore and journal replay both target it). Defaults to the
-    /// process default ([`fabric_statedb::default_state_backend`]), so
-    /// `FABRIC_STATE_BACKEND` reaches durable peers too; the recovery
-    /// cross-check pins it explicitly to prove replay lands the same
-    /// state on either backend.
-    pub state_backend: StateBackend,
 }
 
 impl Default for StoreConfig {
@@ -98,7 +92,6 @@ impl Default for StoreConfig {
         StoreConfig {
             group_commit: 8,
             segment_max_bytes: 4 * 1024 * 1024,
-            state_backend: fabric_statedb::default_state_backend(),
         }
     }
 }
@@ -283,12 +276,8 @@ impl FabricStore {
 
         // 5. State restore + bounded replay, then the verified ledger.
         let state_db = match &ckpt {
-            Some(ckpt) => StateDb::from_snapshot_with_backend(
-                config.state_backend,
-                ckpt.entries.clone(),
-                ckpt.tip,
-            ),
-            None => StateDb::with_backend(config.state_backend),
+            Some(ckpt) => StateDb::from_snapshot(ckpt.entries.clone(), ckpt.tip),
+            None => StateDb::new(),
         };
         let journal_records_found = jscan.records.len();
         let journal_records_replayed = journal::replay(&state_db, &jscan.records, c, k);

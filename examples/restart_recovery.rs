@@ -57,7 +57,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = StoreConfig {
         group_commit: 4,
         segment_max_bytes: 64 * 1024,
-        ..StoreConfig::default()
     };
 
     // ---- Session 1: durable peer, dies mid-stream -------------------

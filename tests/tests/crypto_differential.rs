@@ -1,32 +1,29 @@
-//! Differential test harness for the P-256 field backends.
+//! Differential test harness for the P-256 field arithmetic.
 //!
 //! The convention this repo uses for every crypto fast path (see
-//! `crates/fabric-crypto/README.md`): the optimized implementation is
-//! pinned operation-by-operation against a preserved oracle on random,
-//! boundary, and adversarial inputs — the same verify-both-ways
-//! discipline Wycheproof-style suites apply to curve code.
-//!
-//! Two fast paths are cross-checked here, each against two independent
-//! oracles (the generic Montgomery domain on the same modulus — the
-//! seed implementation, still fully compiled — and plain 512-bit long
-//! division from [`fabric_crypto::bigint`]):
+//! `crates/fabric-crypto/README.md`): the production implementation is
+//! pinned operation-by-operation against independent references on
+//! random, boundary, and adversarial inputs — the same
+//! verify-both-ways discipline Wycheproof-style suites apply to curve
+//! code. The references are constructed here, by the tests; the shipped
+//! crate wires exactly one implementation per field.
 //!
 //! * the Solinas-form **base field** ([`fabric_crypto::fp256`], mod the
-//!   prime `p`), introduced in PR 2;
-//! * the Barrett-folded **scalar field** ([`fabric_crypto::fq256`], mod
-//!   the group order `n`), introduced in PR 4 — same operations, biased
-//!   toward near-`n` inputs where the quotient estimate saturates.
+//!   prime `p`) against two references: a generic Montgomery domain on
+//!   `p` (the seed implementation) and plain 512-bit long division from
+//!   [`fabric_crypto::bigint`];
+//! * the **scalar field** — the Montgomery domain on the group order
+//!   `n` that the ECDSA layer runs on (`p256().fn_`) — against long
+//!   division, biased toward near-`n` inputs, including the
+//!   single-domain-entry products the verify path uses.
 //!
 //! On top of the field layer, full ECDSA sign→verify round-trips and
-//! the fast-vs-Shamir verification agreement run on whichever backends
-//! the process selected (`FABRIC_FIELD_BACKEND` ×
-//! `FABRIC_SCALAR_BACKEND`); the CI matrix crosses all four
-//! combinations, so every wiring stays green.
+//! the fast-vs-Shamir verification agreement.
 
-use fabric_crypto::bigint::{U256, U512};
+use fabric_crypto::bigint::{inv_mod_odd, U256, U512};
+use fabric_crypto::curve::p256;
 use fabric_crypto::ecdsa::{Signature, SigningKey};
 use fabric_crypto::fp256::{reduce_wide, Fp256};
-use fabric_crypto::fq256::{reduce_wide_scalar, Fq256};
 use fabric_crypto::mont::MontgomeryDomain;
 use fabric_crypto::sha256::sha256;
 use fabric_peer::SigCacheKey;
@@ -39,11 +36,14 @@ fn oracle() -> &'static MontgomeryDomain {
     ORACLE.get_or_init(|| MontgomeryDomain::new(Fp256::P))
 }
 
-/// The Montgomery oracle on the P-256 group order, built once — the
-/// baseline the Barrett scalar field is pinned against.
-fn scalar_oracle() -> &'static MontgomeryDomain {
-    static ORACLE: OnceLock<MontgomeryDomain> = OnceLock::new();
-    ORACLE.get_or_init(|| MontgomeryDomain::new(Fq256::N))
+/// The scalar field under test: the very domain the ECDSA layer uses.
+fn scalar_field() -> &'static MontgomeryDomain {
+    &p256().fn_
+}
+
+/// The group order `n`.
+fn order() -> U256 {
+    p256().order
 }
 
 /// Field elements biased toward the places Solinas folding can go
@@ -88,35 +88,40 @@ fn via_oracle(f: impl Fn(&MontgomeryDomain, U256, U256) -> U256, a: &U256, b: &U
     m.from_mont(&f(m, m.to_mont(a), m.to_mont(b)))
 }
 
-/// Scalar-field elements biased toward the places the Barrett quotient
-/// estimate can go wrong: zero, one, `n − k`, small values, sparse limb
+/// Scalar-field elements biased toward the places a mod-`n` reduction
+/// can go wrong: zero, one, `n − k`, small values, sparse limb
 /// patterns, and uniform randoms (the mod-`n` mirror of [`arb_fe`]).
 fn arb_se() -> impl Strategy<Value = U256> {
     prop_oneof![
-        any::<[u64; 4]>().prop_map(|l| U256(l).rem(&Fq256::N)),
+        any::<[u64; 4]>().prop_map(|l| U256(l).rem(&order())),
         Just(U256::ZERO),
         Just(U256::ONE),
-        Just(Fq256::N.wrapping_sub(&U256::ONE)),
-        Just(Fq256::N.wrapping_sub(&U256::from_u64(2))),
-        (1u64..4096).prop_map(|k| Fq256::N.wrapping_sub(&U256::from_u64(k))),
+        Just(order().wrapping_sub(&U256::ONE)),
+        Just(order().wrapping_sub(&U256::from_u64(2))),
+        (1u64..4096).prop_map(|k| order().wrapping_sub(&U256::from_u64(k))),
         (0u64..4096).prop_map(U256::from_u64),
-        // Single hot limb (exercises the carry lanes of the fold).
+        // Single hot limb (exercises the carry lanes of REDC).
         (0usize..4, any::<u64>()).prop_map(|(i, l)| {
             let mut v = U256::ZERO;
             v.0[i] = l;
-            v.rem(&Fq256::N)
+            v.rem(&order())
         }),
     ]
 }
 
-/// `x` through the scalar Montgomery oracle, mapped back to canonical.
-fn via_scalar_oracle(
-    f: impl Fn(&MontgomeryDomain, U256, U256) -> U256,
-    a: &U256,
-    b: &U256,
-) -> U256 {
-    let m = scalar_oracle();
+/// `f` applied inside the scalar field, canonical in and out.
+fn via_scalar_field(f: impl Fn(&MontgomeryDomain, U256, U256) -> U256, a: &U256, b: &U256) -> U256 {
+    let m = scalar_field();
     m.from_mont(&f(m, m.to_mont(a), m.to_mont(b)))
+}
+
+/// `a + b` as a 512-bit integer (the sum of two residues can carry
+/// into bit 256), for long-division reference sums.
+fn wide_sum(a: &U256, b: &U256) -> U512 {
+    let (sum, carry) = a.overflowing_add(b);
+    let mut wide = U512::from_u256(&sum);
+    wide.0[4] = carry as u64;
+    wide
 }
 
 proptest! {
@@ -199,74 +204,82 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     #[test]
-    fn barrett_scalar_mul_matches_montgomery(a in arb_se(), b in arb_se()) {
-        let bar = Fq256.mul(&a, &b);
-        let mon = via_scalar_oracle(|m, x, y| m.mul(&x, &y), &a, &b);
-        prop_assert_eq!(bar, mon);
-        // And against the long-division oracle, independently.
-        prop_assert_eq!(bar, a.widening_mul(&b).rem(&Fq256::N));
+    fn scalar_mul_matches_long_division(a in arb_se(), b in arb_se()) {
+        let expect = a.widening_mul(&b).rem(&order());
+        prop_assert_eq!(via_scalar_field(|m, x, y| m.mul(&x, &y), &a, &b), expect);
+        // The product as the ECDSA layer computes u1/u2/s: one operand
+        // enters the domain, the other stays plain, and the result is
+        // already the plain product.
+        let m = scalar_field();
+        prop_assert_eq!(m.mul(&m.to_mont(&a), &b), expect);
     }
 
     #[test]
-    fn barrett_scalar_sqr_matches_montgomery(a in arb_se()) {
-        let bar = Fq256.sqr(&a);
-        let mon = via_scalar_oracle(|m, x, _| m.sqr(&x), &a, &a);
-        prop_assert_eq!(bar, mon);
-        prop_assert_eq!(Fq256.sqr(&a), Fq256.mul(&a, &a));
+    fn scalar_sqr_matches_long_division(a in arb_se()) {
+        let sqr = via_scalar_field(|m, x, _| m.sqr(&x), &a, &a);
+        prop_assert_eq!(sqr, a.widening_sqr().rem(&order()));
+        prop_assert_eq!(sqr, via_scalar_field(|m, x, y| m.mul(&x, &y), &a, &a));
     }
 
     #[test]
-    fn barrett_scalar_add_sub_neg_match_montgomery(a in arb_se(), b in arb_se()) {
-        prop_assert_eq!(Fq256.add(&a, &b), via_scalar_oracle(|m, x, y| m.add(&x, &y), &a, &b));
-        prop_assert_eq!(Fq256.sub(&a, &b), via_scalar_oracle(|m, x, y| m.sub(&x, &y), &a, &b));
-        let m = scalar_oracle();
-        prop_assert_eq!(Fq256.neg(&a), m.from_mont(&m.neg(&m.to_mont(&a))));
-        prop_assert!(Fq256.add(&a, &Fq256.neg(&a)).is_zero());
-        prop_assert_eq!(Fq256.sub(&a, &b), Fq256.add(&a, &Fq256.neg(&b)));
+    fn scalar_add_sub_neg_match_long_division(a in arb_se(), b in arb_se()) {
+        let n = order();
+        let add = via_scalar_field(|m, x, y| m.add(&x, &y), &a, &b);
+        prop_assert_eq!(add, wide_sum(&a, &b).rem(&n));
+        // a − b = a + (n − b), summed wide so the reference never wraps.
+        let sub = via_scalar_field(|m, x, y| m.sub(&x, &y), &a, &b);
+        prop_assert_eq!(sub, wide_sum(&a, &n.wrapping_sub(&b)).rem(&n));
+        let m = scalar_field();
+        let neg = m.from_mont(&m.neg(&m.to_mont(&a)));
+        prop_assert_eq!(neg, n.wrapping_sub(&a).rem(&n));
+        prop_assert!(wide_sum(&a, &neg).rem(&n).is_zero());
     }
 
     #[test]
-    fn barrett_scalar_inverse_matches_montgomery(a in arb_se()) {
-        let m = scalar_oracle();
-        let bar = Fq256.inv(&a);
-        let mon = m.inv(&m.to_mont(&a)).map(|i| m.from_mont(&i));
-        prop_assert_eq!(bar, mon);
-        prop_assert_eq!(bar, Fq256.inv_prime(&a));
-        if let Some(inv) = bar {
-            prop_assert_eq!(Fq256.mul(&a, &inv), U256::ONE);
+    fn scalar_inverse_matches_fermat_and_plain_euclid(a in arb_se()) {
+        let m = scalar_field();
+        let euclid = m.inv(&m.to_mont(&a)).map(|i| m.from_mont(&i));
+        let fermat = m.inv_prime(&m.to_mont(&a)).map(|i| m.from_mont(&i));
+        prop_assert_eq!(euclid, fermat);
+        // The plain-integer inverse the verify path calls directly.
+        prop_assert_eq!(euclid, inv_mod_odd(&a, &order()));
+        if let Some(inv) = euclid {
+            prop_assert_eq!(a.widening_mul(&inv).rem(&order()), U256::ONE);
         } else {
             prop_assert!(a.is_zero());
         }
     }
 
     #[test]
-    fn barrett_scalar_batch_inverse_matches_individual(values in proptest::collection::vec(arb_se(), 1..20)) {
-        let mut batch = values.clone();
-        let mask = Fq256.batch_inv(&mut batch);
+    fn scalar_batch_inverse_matches_individual(values in proptest::collection::vec(arb_se(), 1..20)) {
+        let m = scalar_field();
+        let mut batch: Vec<U256> = values.iter().map(|v| m.to_mont(v)).collect();
+        let mask = m.batch_inv(&mut batch);
         for i in 0..values.len() {
             if values[i].is_zero() {
                 prop_assert!(!mask[i]);
                 prop_assert!(batch[i].is_zero());
             } else {
                 prop_assert!(mask[i]);
-                prop_assert_eq!(Some(batch[i]), Fq256.inv(&values[i]));
+                prop_assert_eq!(Some(m.from_mont(&batch[i])), inv_mod_odd(&values[i], &order()));
             }
         }
     }
 
     #[test]
-    fn barrett_scalar_reduction_matches_long_division(c in arb_wide()) {
-        prop_assert_eq!(reduce_wide_scalar(&c), c.rem(&Fq256::N));
-    }
-
-    #[test]
-    fn barrett_scalar_pow_matches_montgomery(a in arb_se(), e in any::<u64>()) {
-        let e = U256::from_u64(e);
-        let m = scalar_oracle();
-        prop_assert_eq!(
-            Fq256.pow(&a, &e),
-            m.from_mont(&m.pow(&m.to_mont(&a), &e))
-        );
+    fn scalar_pow_matches_long_division_ladder(a in arb_se(), e in any::<u64>()) {
+        let n = order();
+        let m = scalar_field();
+        let got = m.from_mont(&m.pow(&m.to_mont(&a), &U256::from_u64(e)));
+        // Square-and-multiply with every reduction done by long division.
+        let mut expect = U256::ONE;
+        for i in (0..64).rev() {
+            expect = expect.widening_sqr().rem(&n);
+            if (e >> i) & 1 == 1 {
+                expect = expect.widening_mul(&a).rem(&n);
+            }
+        }
+        prop_assert_eq!(got, expect);
     }
 }
 
@@ -312,34 +325,40 @@ proptest! {
             vk.verify_prehashed_shamir(&digest, &sig).is_ok()
         );
     }
-
-    /// The re-validation cache key is derived from *plain byte*
-    /// encodings (SEC1 point, digest, raw `r‖s`), never from field
-    /// representation residues — so a verdict cached under one backend
-    /// means the same triple under the other. Recompute it from first
-    /// principles and compare.
-    #[test]
-    fn sig_cache_key_is_backend_independent(seed in any::<[u8; 16]>(), msg in proptest::collection::vec(any::<u8>(), 0..64)) {
-        let key = SigningKey::from_seed(&seed);
-        let digest = sha256(&msg);
-        let sig = key.sign_prehashed(&digest);
-        let vk = key.verifying_key();
-        let cache_key = SigCacheKey::compute(vk, &digest, &sig);
-        let mut material = Vec::new();
-        material.extend_from_slice(&vk.to_sec1_bytes()); // 04 ‖ canonical x ‖ canonical y
-        material.extend_from_slice(&digest);
-        material.extend_from_slice(&sig.to_raw_bytes()); // canonical r ‖ s
-        prop_assert_eq!(cache_key, SigCacheKey::from_bytes(sha256(&material)));
-    }
 }
 
-/// Directed boundary sweep for the scalar field: the exact values where
-/// the Barrett quotient estimate and its correction loop can be off by
-/// one — `n ± k`, powers of two at every limb boundary, and their
-/// pairwise products.
+/// The re-validation cache key is a digest of *plain byte* encodings
+/// (SEC1 point ‖ digest ‖ raw `r‖s`), never of an internal field
+/// representation, so its bytes are part of the on-the-wire meaning of
+/// a cached verdict. Pinned on the RFC 6979 A.2.5 key and its "sample"
+/// signature: the expected value is SHA-256 over those published bytes,
+/// computed outside this code base.
+#[test]
+fn sig_cache_key_bytes_match_fixed_vector() {
+    fn hex32(s: &str) -> [u8; 32] {
+        U256::from_hex(s).unwrap().to_be_bytes()
+    }
+    let key = SigningKey::from_be_bytes(&hex32(
+        "c9afa9d845ba75166b5c215767b1d6934e50c3db36e89b127b8a622b120f6721",
+    ))
+    .unwrap();
+    let digest = sha256(b"sample");
+    let sig = key.sign_prehashed(&digest);
+    assert_eq!(
+        SigCacheKey::compute(key.verifying_key(), &digest, &sig),
+        SigCacheKey::from_bytes(hex32(
+            "326b83d9b4b9fba11c30b8db5009d8819093d919d94fbc45ac197f5099a14d46"
+        ))
+    );
+}
+
+/// Directed boundary sweep for the scalar field against long division:
+/// the values where a mod-`n` reduction's final correction can be off
+/// by one — `n − k`, small `k`, powers of two at every limb boundary —
+/// and their pairwise products.
 #[test]
 fn scalar_boundary_matrix_matches_oracle() {
-    let n = Fq256::N;
+    let n = order();
     let mut edge = vec![U256::ZERO, U256::ONE, U256::from_u64(2)];
     for k in 1u64..=64 {
         edge.push(n.wrapping_sub(&U256::from_u64(k)));
@@ -351,16 +370,19 @@ fn scalar_boundary_matrix_matches_oracle() {
         v.0[i / 64] = 1 << (i % 64);
         edge.push(v.rem(&n));
     }
-    let m = scalar_oracle();
+    let m = scalar_field();
     for a in &edge {
+        let am = m.to_mont(a);
         for b in &edge {
-            let bar = Fq256.mul(a, b);
-            let mon = m.from_mont(&m.mul(&m.to_mont(a), &m.to_mont(b)));
-            assert_eq!(bar, mon, "mul mismatch at a={a:?} b={b:?}");
+            let expect = a.widening_mul(b).rem(&n);
+            let full = m.from_mont(&m.mul(&am, &m.to_mont(b)));
+            assert_eq!(full, expect, "mul mismatch at a={a:?} b={b:?}");
+            // The single-entry product the ECDSA layer uses.
+            assert_eq!(m.mul(&am, b), expect, "mixed mul at a={a:?} b={b:?}");
         }
         assert_eq!(
-            Fq256.sqr(a),
-            m.from_mont(&m.sqr(&m.to_mont(a))),
+            m.from_mont(&m.sqr(&am)),
+            a.widening_sqr().rem(&n),
             "sqr mismatch at a={a:?}"
         );
     }

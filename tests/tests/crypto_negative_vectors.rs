@@ -3,10 +3,7 @@
 //! Hand-rolled analogues of the classic Wycheproof test classes —
 //! malformed DER, out-of-range scalars, wrong-curve points, signature
 //! malleability — asserting that the optimized verification path and
-//! the preserved seed (Shamir) path **reject identically**, whatever
-//! base-field backend the process runs on. The CI matrix executes this
-//! file once under Solinas and once under Montgomery, so a divergence
-//! in either wiring fails a build.
+//! the preserved seed (Shamir) path **reject identically**.
 
 use fabric_crypto::bigint::U256;
 use fabric_crypto::curve::{p256, AffinePoint, PointError};
@@ -165,7 +162,7 @@ fn wrong_curve_points_are_rejected() {
     );
 
     // A coordinate at/above the field prime.
-    let p = *p256().fp.modulus();
+    let p = fabric_crypto::fp256::Fp256::P;
     let g = AffinePoint::generator();
     let gy = U256::from_be_bytes(&g.y_bytes());
     assert_eq!(

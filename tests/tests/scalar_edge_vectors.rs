@@ -1,24 +1,21 @@
 //! Wycheproof-style edge vectors for the ECDSA *scalar* arithmetic.
 //!
-//! The Barrett scalar domain (PR 4) changes how every mod-`n` quantity
-//! in verification is computed — `bits2int` folding of the digest,
-//! `s⁻¹`, the `u1`/`u2` derivation — so this file pins the scalar
-//! values where that arithmetic saturates: `r` or `s` at `n − 1`,
-//! `s = 1` (whose inverse is the identity), and digests at or above `n`
-//! (which `bits2int` must fold, not truncate).
+//! Every mod-`n` quantity in verification — `bits2int` folding of the
+//! digest, `s⁻¹`, the `u1`/`u2` derivation — runs on one scalar field
+//! (the Montgomery domain on `n`, `p256().fn_`), so this file pins the
+//! scalar values where that arithmetic saturates: `r` or `s` at
+//! `n − 1`, `s = 1` (whose inverse is the identity), and digests at or
+//! above `n` (which `bits2int` must fold, not truncate).
 //!
 //! Every ECDSA-level vector is asserted identical on the optimized and
-//! the preserved Shamir path; the CI matrix runs the file under all
-//! four `FABRIC_SCALAR_BACKEND` × `FABRIC_FIELD_BACKEND` combinations,
-//! so a verdict that depended on the backend would split a matrix leg.
-//! The scalar-domain computations themselves (`u1`/`u2`, `s⁻¹`) are
-//! additionally cross-checked *in-process* between the Barrett and
-//! Montgomery [`ScalarDomain`]s, which are both always compiled.
+//! the preserved Shamir path. The vectors are forged, and the
+//! scalar-domain computations (`u1`/`u2`, `s⁻¹`) cross-checked, with
+//! plain long division — arithmetic that shares nothing with the
+//! domain under test.
 
-use fabric_crypto::bigint::U256;
+use fabric_crypto::bigint::{inv_mod_odd, U256};
 use fabric_crypto::curve::{mul_fixed_base, p256};
 use fabric_crypto::ecdsa::{Signature, SigningKey, VerifyingKey};
-use fabric_crypto::scalar::{ScalarBackend, ScalarDomain};
 use fabric_crypto::sha256::sha256;
 
 fn test_key() -> SigningKey {
@@ -46,17 +43,15 @@ fn paths_agree(vk: &VerifyingKey, digest: &[u8; 32], sig: &Signature) -> bool {
 /// vectors: the signature is *valid* by construction, with the edge
 /// value in the scalar slot.
 fn forge_signature_with_s(key: &SigningKey, k: &U256, s_target: &U256) -> (Signature, [u8; 32]) {
-    let c = p256();
-    let n = &c.order;
+    let n = &p256().order;
     let d = U256::from_be_bytes(&key.to_be_bytes());
     let point = mul_fixed_base(k).to_affine();
-    let r = c.fp.from_repr(&point.x).reduce_once(n);
+    let r = U256::from_be_bytes(&point.x_bytes()).reduce_once(n);
     assert!(!r.is_zero(), "pick a different k");
-    // z = s·k − r·d (mod n), all canonical.
-    let fd = ScalarDomain::p256_order(ScalarBackend::Barrett);
-    let sk = fd.mul(s_target, &k.rem(n));
-    let rd = fd.mul(&r, &d);
-    let z = fd.sub(&sk, &rd);
+    // z = s·k − r·d (mod n), by long division.
+    let sk = s_target.widening_mul(k).rem(n);
+    let rd = r.widening_mul(&d).rem(n);
+    let z = sk.sub_mod(&rd, n);
     let sig = Signature { r, s: *s_target };
     (sig, z.to_be_bytes())
 }
@@ -156,15 +151,13 @@ fn digests_at_and_above_n_fold_identically() {
     assert!(paths_agree(vk, &max, &sig), "all-ones digest");
 }
 
-/// The scalar edge values, crossed through both in-process
-/// [`ScalarDomain`]s: `u1`/`u2` derivation and inversion must be
-/// bit-identical between Barrett and Montgomery whatever the process
-/// backend is.
+/// The scalar edge values through the scalar field the verify path
+/// runs on: inversion and the `u1`/`u2` derivation must match plain
+/// long division bit for bit.
 #[test]
-fn edge_scalars_agree_across_scalar_backends_in_process() {
-    let bar = ScalarDomain::p256_order(ScalarBackend::Barrett);
-    let mon = ScalarDomain::p256_order(ScalarBackend::Montgomery);
-    let n = *bar.modulus();
+fn edge_scalars_match_long_division() {
+    let m = &p256().fn_;
+    let n = p256().order;
     let nm1 = n.wrapping_sub(&U256::ONE);
     let edge = [
         U256::ONE,
@@ -175,30 +168,30 @@ fn edge_scalars_agree_across_scalar_backends_in_process() {
         U256([0, 0, 0, 1 << 63]).rem(&n),
     ];
     for s in &edge {
-        // s⁻¹ through each backend, canonical at the boundary.
-        let inv_bar = bar.from_repr(&bar.inv(&bar.to_repr(s)).unwrap());
-        let inv_mon = mon.from_repr(&mon.inv(&mon.to_repr(s)).unwrap());
-        assert_eq!(inv_bar, inv_mon, "s⁻¹ diverged for s={s:?}");
+        // s⁻¹ as the verify path computes it, and through the domain.
+        let sinv = inv_mod_odd(s, &n).unwrap();
+        assert_eq!(
+            s.widening_mul(&sinv).rem(&n),
+            U256::ONE,
+            "s·s⁻¹ ≠ 1 for s={s:?}"
+        );
+        let via_domain = m.from_mont(&m.inv(&m.to_mont(s)).unwrap());
+        assert_eq!(via_domain, sinv, "s⁻¹ diverged for s={s:?}");
+        let sinv_m = m.to_mont(&sinv);
         for z in &edge {
-            for r in &edge {
-                // u1 = z·s⁻¹, u2 = r·s⁻¹ — the exact per-signature flow.
-                let u_bar = (
-                    bar.from_repr(&bar.mul(&bar.to_repr(z), &bar.to_repr(&inv_bar))),
-                    bar.from_repr(&bar.mul(&bar.to_repr(r), &bar.to_repr(&inv_bar))),
-                );
-                let u_mon = (
-                    mon.from_repr(&mon.mul(&mon.to_repr(z), &mon.to_repr(&inv_mon))),
-                    mon.from_repr(&mon.mul(&mon.to_repr(r), &mon.to_repr(&inv_mon))),
-                );
-                assert_eq!(u_bar, u_mon, "u1/u2 diverged at z={z:?} r={r:?} s={s:?}");
-            }
+            // u1 = z·s⁻¹ (and u2 = r·s⁻¹ over the same edge set) — the
+            // exact per-signature flow: one domain entry, plain result.
+            assert_eq!(
+                m.mul(&sinv_m, z),
+                z.widening_mul(&sinv).rem(&n),
+                "u diverged at z={z:?} s={s:?}"
+            );
         }
     }
-    // Batched inversion over the whole edge set, both backends.
-    let mut vals_bar: Vec<U256> = edge.iter().map(|v| bar.to_repr(v)).collect();
-    let mut vals_mon: Vec<U256> = edge.iter().map(|v| mon.to_repr(v)).collect();
-    assert_eq!(bar.batch_inv(&mut vals_bar), mon.batch_inv(&mut vals_mon));
-    for (b, m) in vals_bar.iter().zip(&vals_mon) {
-        assert_eq!(bar.from_repr(b), mon.from_repr(m));
+    // Batched inversion over the whole edge set.
+    let mut vals: Vec<U256> = edge.iter().map(|v| m.to_mont(v)).collect();
+    assert!(m.batch_inv(&mut vals).iter().all(|&ok| ok));
+    for (v, s) in vals.iter().zip(&edge) {
+        assert_eq!(Some(m.from_mont(v)), inv_mod_odd(s, &n));
     }
 }

@@ -6,7 +6,8 @@
 //! must never surface as valid — not after eviction, not after
 //! re-insert, not after any interleaving of the two. These tests drive
 //! the cache far past capacity and assert that invariant, plus the
-//! hit/miss accounting that `BENCH_validation.json` reports (each probe
+//! hit/miss accounting the reference benchmark reports as
+//! `sigcache.hit_rate` / `sigcache.misses` (each probe
 //! increments exactly one counter; per-pass rates are derived from
 //! stats deltas, never double-counted).
 

@@ -334,7 +334,7 @@ fn journal_order_is_apply_order_under_parallel_commit() {
         let records = sink.records.lock().clone();
         assert_eq!(
             records, expected,
-            "{backend}: journal records must be the batches in exact commit order"
+            "{backend:?}: journal records must be the batches in exact commit order"
         );
         // Determinism closure: replaying the journal into fresh stores
         // of BOTH backends reproduces the state bit-for-bit.
@@ -348,7 +348,7 @@ fn journal_order_is_apply_order_under_parallel_commit() {
             assert_eq!(
                 replayed.state_hash(),
                 src_hash,
-                "replay {replay_backend} of a {backend} journal diverged"
+                "replay {replay_backend:?} of a {backend:?} journal diverged"
             );
             assert_eq!(replayed.tip_height(), db.tip_height());
         }
@@ -364,9 +364,9 @@ fn replay_never_rejournals_on_either_backend() {
         let mut b = WriteBatch::new();
         b.put("k", vec![1]);
         db.replay(&b, Height::new(1, 0));
-        assert!(sink.records.lock().is_empty(), "{backend}");
+        assert!(sink.records.lock().is_empty(), "{backend:?}");
         db.apply(&b, Height::new(2, 0));
-        assert_eq!(sink.records.lock().len(), 1, "{backend}");
+        assert_eq!(sink.records.lock().len(), 1, "{backend:?}");
     }
 }
 
@@ -488,7 +488,7 @@ fn soak_pinned_readers_never_see_torn_or_future_state() {
             assert_eq!(
                 u64::from_le_bytes(v.value.as_slice().try_into().unwrap()),
                 BLOCKS,
-                "{backend}"
+                "{backend:?}"
             );
         }
     }

@@ -25,8 +25,11 @@
 //!   `BmacReceiver::resuming_from` and converges to the full-chain
 //!   state.
 //!
-//! Field/scalar backends: the CI matrix runs this harness on every
-//! backend combination (the `recovery-gate` step).
+//! The store always builds the sharded state database. That journal,
+//! checkpoint and snapshot contents mean the same on the legacy
+//! reference store is `statedb_equivalence.rs`'s job
+//! (`snapshot_restore_crosses_backends`,
+//! `journal_order_is_apply_order_under_parallel_commit`).
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -210,7 +213,6 @@ fn crash_at_any_offset_recovers_the_serial_prefix() {
         StoreConfig {
             group_commit: 4,
             segment_max_bytes: 8 * 1024,
-            ..StoreConfig::default()
         },
         Some(oracle.blocks.len() / 2),
         false,
@@ -316,7 +318,6 @@ fn checkpoint_journal_disagreement_is_reconciled() {
         StoreConfig {
             group_commit: 2,
             segment_max_bytes: 8 * 1024,
-            ..StoreConfig::default()
         },
         Some(oracle.blocks.len() - 1),
         false,
@@ -443,7 +444,6 @@ fn recovered_peer_resumes_the_stream_to_the_full_chain() {
         StoreConfig {
             group_commit: 2,
             segment_max_bytes: 8 * 1024,
-            ..StoreConfig::default()
         },
         None,
         false,
@@ -596,7 +596,6 @@ proptest! {
             StoreConfig {
                 group_commit: group,
                 segment_max_bytes: if tiny_segments { 4 * 1024 } else { 4 * 1024 * 1024 },
-                ..StoreConfig::default()
             },
             checkpoint.then_some(oracle.blocks.len() / 2),
             false,
@@ -642,7 +641,6 @@ fn one_sided_flush_at_every_block_boundary_recovers_a_serial_prefix() {
     let config = StoreConfig {
         group_commit: 3,
         segment_max_bytes: 8 * 1024,
-        ..StoreConfig::default()
     };
     let mut skew_seen = false;
     for p in 0..=n {
@@ -691,7 +689,6 @@ fn stream_abort_mid_flight_leaves_a_recoverable_torn_tail() {
     let config = StoreConfig {
         group_commit: 2,
         segment_max_bytes: 8 * 1024,
-        ..StoreConfig::default()
     };
     for (pushed, explicit_abort) in [(1, true), (n / 2, true), (n, true), (n, false)] {
         let dir = tempdir("stream-abort");
@@ -719,138 +716,6 @@ fn stream_abort_mid_flight_leaves_a_recoverable_torn_tail() {
                 "recovered {k} blocks but the sequencer only committed {committed}"
             );
         }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-}
-
-// ---------------------------------------------------------------------
-// State-backend cross-checks: the on-disk formats (journal, checkpoint,
-// block store) are backend-independent, so any surviving prefix must
-// recover to the SAME state whichever backend replays it — and a
-// checkpoint written by one backend must restore into the other.
-// ---------------------------------------------------------------------
-
-use fabric_statedb::StateBackend;
-
-/// Reopens the store pinned to `backend` and runs the full serial-prefix
-/// audit, returning `(height, state hash, journal records replayed)`.
-fn recover_with_backend(
-    dir: &Path,
-    reference: &Reference,
-    backend: StateBackend,
-) -> (u64, u64, usize) {
-    let store = FabricStore::open(
-        dir,
-        StoreConfig {
-            state_backend: backend,
-            ..StoreConfig::default()
-        },
-    )
-    .unwrap_or_else(|e| panic!("recovery on {backend} must succeed, got {e}"));
-    assert_eq!(store.state_db().backend(), backend);
-    let ledger = store.ledger();
-    let k = ledger.height();
-    for n in 0..k {
-        let cb = ledger.block(n).expect("recovered block readable");
-        assert_eq!(
-            cb.commit_hash, reference.commit_hashes[n as usize],
-            "block {n} commit hash ({backend})"
-        );
-    }
-    assert_eq!(
-        store.state_db().snapshot(),
-        reference.snapshots[k as usize],
-        "recovered state == serial prefix state at height {k} ({backend})"
-    );
-    (
-        k,
-        store.state_db().state_hash(),
-        store.recovery().journal_records_replayed,
-    )
-}
-
-/// The crash/truncation fault matrix of
-/// `crash_at_any_offset_recovers_the_serial_prefix`, crossed with the
-/// state backend: every journal truncation must recover to the same
-/// serial prefix with bit-identical state hashes on sharded and legacy
-/// replay (journal replay into sharded shards ≡ legacy replay).
-#[test]
-fn journal_truncation_recovers_identically_on_both_backends() {
-    let scenario = small_scenario(505);
-    let oracle = reference(&scenario);
-    let dir = tempdir("backend-matrix");
-    // Commit durably WITH the sharded backend: the journal under test
-    // was produced through the commit-order mutex path.
-    durable_commit(
-        &dir,
-        &scenario,
-        &oracle,
-        StoreConfig {
-            group_commit: 4,
-            segment_max_bytes: 8 * 1024,
-            state_backend: StateBackend::Sharded,
-        },
-        Some(oracle.blocks.len() / 2),
-        false,
-    );
-
-    let jpath = dir.join("journal.log");
-    let jlen = std::fs::metadata(&jpath).unwrap().len();
-    let step = (jlen / 11).max(1);
-    let mut offsets: Vec<u64> = (0..jlen).step_by(step as usize).collect();
-    offsets.push(jlen);
-    for cut in offsets {
-        let crashed = tempdir("backend-matrix-cut");
-        copy_dir(&dir, &crashed);
-        truncate_file(&crashed.join("journal.log"), cut);
-        let (k_s, hash_s, replayed_s) =
-            recover_with_backend(&crashed, &oracle, StateBackend::Sharded);
-        let (k_l, hash_l, replayed_l) =
-            recover_with_backend(&crashed, &oracle, StateBackend::Legacy);
-        assert_eq!(k_s, k_l, "recovered heights diverge at cut {cut}");
-        assert_eq!(hash_s, hash_l, "state hashes diverge at cut {cut}");
-        assert_eq!(
-            replayed_s, replayed_l,
-            "replay record counts diverge at cut {cut}"
-        );
-        std::fs::remove_dir_all(&crashed).unwrap();
-    }
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-/// Checkpoints round-trip across backends: a store committed and
-/// checkpointed under one backend reopens under the other (snapshot
-/// restore crosses the shard layout in both directions), recovering
-/// the full serial state.
-#[test]
-fn checkpoint_restore_round_trips_across_backends() {
-    for (writer, reader) in [
-        (StateBackend::Sharded, StateBackend::Legacy),
-        (StateBackend::Legacy, StateBackend::Sharded),
-    ] {
-        let scenario = small_scenario(606);
-        let oracle = reference(&scenario);
-        let dir = tempdir("backend-ckpt");
-        durable_commit(
-            &dir,
-            &scenario,
-            &oracle,
-            StoreConfig {
-                group_commit: 2,
-                segment_max_bytes: 8 * 1024,
-                state_backend: writer,
-            },
-            Some(oracle.blocks.len() - 1), // checkpoint near the tip
-            false,
-        );
-        let (k, hash_reader, _) = recover_with_backend(&dir, &oracle, reader);
-        assert_eq!(k, oracle.blocks.len() as u64, "{writer}->{reader}");
-        // And back onto the writer backend for the hash comparison.
-        let (_, hash_writer, _) = recover_with_backend(&dir, &oracle, writer);
-        assert_eq!(
-            hash_reader, hash_writer,
-            "checkpoint written by {writer} diverges when restored by {reader}"
-        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }
