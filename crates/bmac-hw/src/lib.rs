@@ -12,9 +12,16 @@
 //! * [`timing`] — the latency constants;
 //! * [`resources`] — the Table-1 FPGA utilization model;
 //! * [`throughput`] — the closed-form steady-state model for sweeps;
-//! * [`processor`] — the detailed functional+timed block_processor;
+//! * [`processor`] — the detailed functional+timed block_processor; it
+//!   forms each `ecdsa_engine` request (key id, SHA-256 digest,
+//!   signature) at the point the engine is charged;
 //! * [`machine`] — the full card: protocol_processor + processor +
-//!   reg_map, with `GetBlockData()` semantics.
+//!   reg_map, with `GetBlockData()` semantics. The link
+//!   (`bmac_protocol::BmacReceiver`) only reassembles; the machine decodes
+//!   each completed block once, with the same
+//!   `fabric_protos::txflow::decode_block_struct` the software peer uses,
+//!   so field extraction and hashing are modelled in this crate and both
+//!   peers validate one decoded form.
 
 #![warn(missing_docs)]
 

@@ -3,19 +3,27 @@
 //! Top-level simulation of the FPGA card (paper Figure 4a): Ethernet
 //! packets come in, the protocol_processor classifies and parses them
 //! (timing per [`crate::timing`]), identities synchronize the key
-//! registry, reassembled blocks stream into the
-//! [`processor::BlockProcessor`](crate::processor::BlockProcessor) — and results are
-//! published through the `reg_map` for the host CPU to read with
-//! `GetBlockData()`.
+//! registry, and each block the link reassembles is decoded **once**
+//! with [`decode_block_struct`] — the model of the protocol_processor's
+//! DataExtractor, and the same decoded form the software peer validates.
+//! The decoded block streams into the
+//! [`processor::BlockProcessor`](crate::processor::BlockProcessor), which
+//! forms and hashes each verification request where it charges the
+//! `ecdsa_engine`; results are published through the `reg_map` for the
+//! host CPU to read with `GetBlockData()`. A block with an envelope that
+//! does not decode is refused here ([`MachineError::Decode`]) and never
+//! reaches the processor.
 
 use std::collections::{HashMap, VecDeque};
 
 use bmac_protocol::packet::{BmacPacket, PacketError, SectionType};
-use bmac_protocol::receiver::{BmacReceiver, ReceiveError, ReceivedBlock};
+use bmac_protocol::receiver::{BmacReceiver, ReceiveError};
 use fabric_crypto::identity::Certificate;
 use fabric_crypto::VerifyingKey;
 use fabric_policy::Policy;
-use fabric_protos::messages::SerializedIdentity;
+use fabric_protos::messages::{Block, SerializedIdentity};
+use fabric_protos::txflow::{decode_block_struct, DecodedBlock};
+use fabric_protos::wire::WireError;
 use fabric_sim::SimTime;
 
 use crate::processor::{BlockProcessor, HwBlockResult, ProcessError, ProcessorConfig};
@@ -28,6 +36,8 @@ pub enum MachineError {
     Receive(ReceiveError),
     /// Packet decode failure.
     Packet(PacketError),
+    /// A reassembled block failed its one structural decode.
+    Decode(WireError),
     /// Block processing failure.
     Process(ProcessError),
     /// An identity-sync certificate failed to parse or chain.
@@ -39,6 +49,7 @@ impl std::fmt::Display for MachineError {
         match self {
             MachineError::Receive(e) => write!(f, "receive: {e}"),
             MachineError::Packet(e) => write!(f, "packet: {e}"),
+            MachineError::Decode(e) => write!(f, "reassembled block undecodable: {e}"),
             MachineError::Process(e) => write!(f, "process: {e}"),
             MachineError::BadIdentity(why) => write!(f, "bad identity sync: {why}"),
         }
@@ -57,8 +68,8 @@ pub struct BMacMachine {
     /// reg_map result queue: results wait here until the CPU reads them
     /// ("a mechanism to block writing of new data to the registers until
     /// the previous data has been read", §3.4). Each result keeps its
-    /// reassembled block so the host software can ledger-commit it.
-    results: VecDeque<(HwBlockResult, ReceivedBlock)>,
+    /// block, raw and decoded, so the host software can ledger-commit it.
+    results: VecDeque<(HwBlockResult, Block, DecodedBlock)>,
     /// protocol_processor availability (packets stream through at line
     /// rate, cut-through).
     protocol_free: SimTime,
@@ -122,26 +133,28 @@ impl BMacMachine {
             .receiver
             .ingest_packet(packet, wire.len())
             .map_err(MachineError::Receive)?;
-        for block in completed {
+        for received in completed {
+            // `0`: the marshaled length is not known here and has no reader.
+            let decoded = decode_block_struct(&received.block, 0).map_err(MachineError::Decode)?;
             let result = self
                 .processor
-                .process_block(&block, &self.keys, done)
+                .process_block(&decoded, &self.keys, done)
                 .map_err(MachineError::Process)?;
-            self.results.push_back((result, block));
+            self.results.push_back((result, received.block, decoded));
         }
         Ok(())
     }
 
     /// The host-side `GetBlockData()`: pops the oldest published result.
     pub fn get_block_data(&mut self) -> Option<HwBlockResult> {
-        self.results.pop_front().map(|(r, _)| r)
+        self.results.pop_front().map(|(r, _, _)| r)
     }
 
     /// `GetBlockData()` variant that also hands back the reassembled
-    /// block, which the host needs for the ledger commit ("the software
-    /// reads validation result of the block from hardware, and combines
-    /// it with the original block", §3.4).
-    pub fn get_block_data_full(&mut self) -> Option<(HwBlockResult, ReceivedBlock)> {
+    /// block and its decoded form, which the host needs for the ledger
+    /// commit ("the software reads validation result of the block from
+    /// hardware, and combines it with the original block", §3.4).
+    pub fn get_block_data_full(&mut self) -> Option<(HwBlockResult, Block, DecodedBlock)> {
         self.results.pop_front()
     }
 
@@ -158,11 +171,6 @@ impl BMacMachine {
     /// `(packets, bytes)` seen by the protocol_processor.
     pub fn traffic(&self) -> (u64, u64) {
         (self.packets_seen, self.bytes_seen)
-    }
-
-    /// Access to the processor (tests compare database contents).
-    pub fn processor_mut(&mut self) -> &mut BlockProcessor {
-        &mut self.processor
     }
 
     /// Incomplete blocks at the receiver (lost packets).

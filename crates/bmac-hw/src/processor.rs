@@ -10,15 +10,21 @@
 //! [`crate::timing`]. This mirrors how the paper validated functional
 //! equivalence (identical valid/invalid flags and commit hash, §4.1)
 //! alongside performance.
+//!
+//! The processor consumes the same [`DecodedBlock`] the software peer
+//! validates (the machine decodes each completed block once). The
+//! fixed-width `ecdsa_engine` requests of §3.3 are formed here, where
+//! the engine is charged: the key selector is the signer certificate's
+//! 16-bit node id and the HashCalculator's SHA-256 runs only for a
+//! verification that is actually executed.
 
 use std::collections::HashMap;
 
-use bmac_protocol::receiver::{ExtractedTx, ReceivedBlock, VerificationRequest};
-use fabric_crypto::identity::NodeId;
-use fabric_crypto::VerifyingKey;
+use fabric_crypto::{sha256, Certificate, Signature, VerifyingKey};
 use fabric_ledger::TxValidationCode;
 use fabric_policy::circuit::{PolicyStatus, ShortCircuitEvaluator};
 use fabric_policy::{Policy, PolicyCircuit};
+use fabric_protos::txflow::{DecodedBlock, DecodedTransaction};
 use fabric_sim::SimTime;
 use fabric_statedb::{BoundedStateDb, Height};
 
@@ -168,11 +174,6 @@ impl BlockProcessor {
         }
     }
 
-    /// The in-hardware database (e.g. for equivalence checks).
-    pub fn db(&mut self) -> &mut BoundedStateDb {
-        &mut self.db
-    }
-
     /// Recompiles the policy circuits in place (partial reconfiguration,
     /// paper §5): timing state and database contents are untouched.
     pub fn update_policies(&mut self, policies: &HashMap<String, Policy>) {
@@ -187,17 +188,17 @@ impl BlockProcessor {
         self.blocks_processed
     }
 
-    /// Processes one reassembled block: functional validation plus
-    /// timing. `keys` maps 16-bit ids to public keys (the DataProcessor's
-    /// X.509 key extraction output); `ready` is when the block's data
-    /// became available from the protocol_processor.
+    /// Processes one decoded block: functional validation plus timing.
+    /// `keys` maps 16-bit ids to public keys (the DataProcessor's X.509
+    /// key extraction output); `ready` is when the block's data became
+    /// available from the protocol_processor.
     ///
     /// # Errors
     ///
     /// [`ProcessError::UnknownKey`] if a signer id has no registered key.
     pub fn process_block(
         &mut self,
-        rb: &ReceivedBlock,
+        block: &DecodedBlock,
         keys: &HashMap<u16, VerifyingKey>,
         ready: SimTime,
     ) -> Result<HwBlockResult, ProcessError> {
@@ -212,7 +213,12 @@ impl BlockProcessor {
         let bv_end = bv_start + t;
         self.block_verify_free = bv_end;
         stats.verifications += 1;
-        let block_valid = self.check(&rb.block_verification, keys)?;
+        let block_valid = self.check(
+            &block.orderer_cert,
+            &block.orderer_signed_message,
+            &block.orderer_signature,
+            keys,
+        )?;
         stats.block_verified = bv_end;
 
         // --- Stage 2: block_validate (one block at a time in the stage).
@@ -220,13 +226,13 @@ impl BlockProcessor {
 
         // tx_verify + tx_vscc per transaction, scheduled by tx_scheduler
         // onto the first free tx_verify instance.
-        let n = rb.txs.len();
+        let n = block.txs.len();
         let mut vscc_end = vec![0u64; n];
         // Pre-MVCC outcome per transaction (precise codes so the
         // software-combined transactions filter — and hence the commit
         // hash — matches the software peer exactly).
         let mut tx_code = vec![TxValidationCode::Valid; n];
-        for (i, tx) in rb.txs.iter().enumerate() {
+        for (i, tx) in block.txs.iter().enumerate() {
             // Pick the validator whose verify engine frees first.
             let v = (0..self.verify_free.len())
                 .min_by_key(|&v| self.verify_free[v].max(vstart))
@@ -238,7 +244,12 @@ impl BlockProcessor {
                 (false, vs)
             } else {
                 stats.verifications += 1;
-                let ok = self.check(&tx.client, keys)?;
+                let ok = self.check(
+                    &tx.creator_cert,
+                    &tx.signed_payload,
+                    &tx.client_signature,
+                    keys,
+                )?;
                 if !ok {
                     tx_code[i] = TxValidationCode::BadSignature;
                 }
@@ -263,7 +274,7 @@ impl BlockProcessor {
         // tx_collector: in-order hand-off to tx_mvcc_commit.
         let mut flags = Vec::with_capacity(n);
         let mut collected = vstart;
-        for (i, tx) in rb.txs.iter().enumerate() {
+        for (i, tx) in block.txs.iter().enumerate() {
             collected = collected.max(vscc_end[i]);
             let m_start = collected.max(self.mvcc_free);
             let mut m_end = m_start + MVCC_FIXED;
@@ -297,11 +308,7 @@ impl BlockProcessor {
                 stats.db_writes += 1;
                 m_end += HW_DB_ACCESS;
                 self.db
-                    .put(
-                        key,
-                        value.clone(),
-                        Height::new(rb.block.header.number, i as u64),
-                    )
+                    .put(key, value.clone(), Height::new(block.number, i as u64))
                     .map_err(|_| ProcessError::DbFull)?;
             }
             flags.push(TxValidationCode::Valid);
@@ -314,7 +321,7 @@ impl BlockProcessor {
         self.blocks_processed += 1;
 
         Ok(HwBlockResult {
-            block_num: rb.block.header.number,
+            block_num: block.number,
             block_valid,
             flags,
             stats,
@@ -327,7 +334,7 @@ impl BlockProcessor {
     /// `(policy_satisfied, waves, executed, skipped)`.
     fn run_vscc(
         &self,
-        tx: &ExtractedTx,
+        tx: &DecodedTransaction,
         keys: &HashMap<u16, VerifyingKey>,
         valid_so_far: bool,
     ) -> Result<(bool, u64, u64, u64), ProcessError> {
@@ -350,12 +357,15 @@ impl BlockProcessor {
             }
             waves += 1;
             let wave_end = (idx + e).min(tx.endorsements.len());
-            for req in &tx.endorsements[idx..wave_end] {
+            for end in &tx.endorsements[idx..wave_end] {
                 executed += 1;
-                let ok = self.check(req, keys)?;
-                let endorser = NodeId::decode(req.signer_id)
-                    .map_err(|_| ProcessError::UnknownKey(req.signer_id))?;
-                if sc.record(endorser, ok) == PolicyStatus::Satisfied {
+                let ok = self.check(
+                    &end.endorser_cert,
+                    &end.signed_message,
+                    &end.signature,
+                    keys,
+                )?;
+                if sc.record(end.endorser_cert.node_id, ok) == PolicyStatus::Satisfied {
                     satisfied = true;
                 }
             }
@@ -366,16 +376,19 @@ impl BlockProcessor {
         Ok((ok, waves, executed, skipped))
     }
 
-    /// One ecdsa_engine invocation: functional verification of a request
-    /// against the registered key.
+    /// One ecdsa_engine invocation: the request is the signer's 16-bit
+    /// id (key selector), the SHA-256 digest of `message` (the
+    /// HashCalculator) and the signature, verified against the key
+    /// registered under that id.
     fn check(
         &self,
-        req: &VerificationRequest,
+        signer: &Certificate,
+        message: &[u8],
+        signature: &Signature,
         keys: &HashMap<u16, VerifyingKey>,
     ) -> Result<bool, ProcessError> {
-        let key = keys
-            .get(&req.signer_id)
-            .ok_or(ProcessError::UnknownKey(req.signer_id))?;
-        Ok(key.verify_prehashed(&req.digest, &req.signature).is_ok())
+        let id = signer.node_id.encode();
+        let key = keys.get(&id).ok_or(ProcessError::UnknownKey(id))?;
+        Ok(key.verify_prehashed(&sha256(message), signature).is_ok())
     }
 }

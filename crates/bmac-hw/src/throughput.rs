@@ -20,7 +20,6 @@
 //!   mvcc/commit tail (hidden under vscc latency unless database work
 //!   exceeds the engine time — the Figure 12c observation).
 
-use fabric_policy::Policy;
 use fabric_sim::{throughput_per_sec, SimTime};
 
 use crate::resources::Geometry;
@@ -50,19 +49,6 @@ pub struct HwWorkload {
 }
 
 impl HwWorkload {
-    /// Builds a workload from a policy (taking `min_satisfying` and the
-    /// per-org endorsement count from the policy principals).
-    pub fn from_policy(num_txs: usize, policy: &Policy, reads: usize, writes: usize) -> Self {
-        HwWorkload {
-            num_txs,
-            endorsements_per_tx: policy.principals().len(),
-            needed_endorsements: policy.min_satisfying(),
-            reads_per_tx: reads,
-            writes_per_tx: writes,
-            tx_section_bytes: 900,
-        }
-    }
-
     /// smallbank under the default 2-of-2 policy.
     pub fn smallbank(num_txs: usize) -> Self {
         HwWorkload {

@@ -12,10 +12,13 @@ use std::collections::HashMap;
 
 use fabric_crypto::identity::NodeId;
 
-/// A bidirectional identity cache.
+/// The identity cache.
 ///
 /// Keys are the *full identity bytes as they appear on the wire* (the
 /// marshaled `SerializedIdentity`), values are 16-bit encoded node ids.
+/// The sender looks identities up by bytes (to strip them); the receiver
+/// only ever goes from id to bytes (to put them back), so entries
+/// installed with [`IdentityCache::insert_raw`] have no bytes → id side.
 #[derive(Debug, Clone, Default)]
 pub struct IdentityCache {
     by_bytes: HashMap<Vec<u8>, u16>,
@@ -50,9 +53,9 @@ impl IdentityCache {
         true
     }
 
-    /// Inserts by raw 16-bit id (receiver side, from a sync packet).
+    /// Inserts by raw 16-bit id (receiver side, from a sync packet):
+    /// resolvable with [`IdentityCache::bytes_of`] only.
     pub fn insert_raw(&mut self, raw: u16, identity_bytes: Vec<u8>) {
-        self.by_bytes.insert(identity_bytes.clone(), raw);
         self.by_id.insert(raw, identity_bytes);
     }
 

@@ -11,8 +11,9 @@
 //! * [`packet`] — wire format (L2/L3/L4 framing + BMac L7 header);
 //! * [`cache`] — the identity cache;
 //! * [`sender`] — DataRemover + AnnotationGenerator + sectioning;
-//! * [`receiver`] — the software reference receiver (the functional core
-//!   of the hardware `protocol_processor`).
+//! * [`receiver`] — reassembly: the DataInserter half of the hardware
+//!   `protocol_processor`. It restores blocks byte-exactly and stops
+//!   there; whoever consumes a [`ReceivedBlock`] decodes it, once.
 //!
 //! # Example
 //!
@@ -57,7 +58,7 @@ pub mod sender;
 
 pub use cache::IdentityCache;
 pub use packet::{Annotation, BmacPacket, FieldKind, PacketError, SectionType};
-pub use receiver::{BmacReceiver, ExtractedTx, ReceiveError, ReceivedBlock, VerificationRequest};
+pub use receiver::{BmacReceiver, ReceiveError, ReceivedBlock};
 pub use retransmit::{
     Feedback, GoBackNReceiver, GoBackNSender, RetransmitError, RetransmitSupervisor, RtoPolicy, Seq,
 };

@@ -1,71 +1,33 @@
-//! Software reference receiver for the BMac protocol.
+//! BMac receiver: reassembly; the consumer decodes.
 //!
-//! Functionally identical to the hardware `protocol_processor` (§3.2,
-//! Figure 5b): classifies packets, maintains the identity cache
-//! (DataInserter), reconstructs byte-exact sections, and extracts the
-//! verification requests and database requests the block processor
-//! consumes (DataExtractor / DataProcessor / HashCalculator). The
-//! hardware simulator in `bmac-hw` reuses this for functional behaviour
-//! and adds the timing model on top.
+//! The link half of the hardware `protocol_processor` (§3.2, Figure
+//! 5b): classify packets, keep the identity cache in sync, and put the
+//! cached identity bytes back at each locator (DataInserter) so every
+//! section — and hence the block — is restored byte-exactly. A block is
+//! parked while a locator names an identity whose sync packet has not
+//! arrived.
+//!
+//! Nothing here looks inside an envelope. Field extraction and hashing
+//! (DataExtractor / DataProcessor / HashCalculator) happen once, in
+//! whoever consumes the [`ReceivedBlock`]: `fabric-peer`'s verify stage
+//! and the `bmac-hw` machine both run
+//! `fabric_protos::txflow::decode_block_struct` on the completed block,
+//! and that single decode is also what rejects an envelope that does not
+//! parse.
 
 use std::collections::HashMap;
 
-use fabric_crypto::der;
-use fabric_crypto::sha256::sha256;
-use fabric_crypto::Signature;
-use fabric_protos::messages::{
-    metadata_index, Block, BlockData, BlockHeader, BlockMetadata, MetadataSignature,
-    SignatureHeader,
-};
-use fabric_protos::txflow::{decode_transaction, DecodedTransaction};
+use fabric_protos::messages::{Block, BlockData, BlockHeader, BlockMetadata};
 use fabric_protos::wire::WireError;
-use fabric_protos::Version;
 
 use crate::cache::IdentityCache;
 use crate::packet::{Annotation, BmacPacket, PacketError, SectionType};
-
-/// One verification request as consumed by an `ecdsa_engine`: signature,
-/// key owner (by id), and the 32-byte message digest (§3.3).
-#[derive(Debug, Clone)]
-pub struct VerificationRequest {
-    /// Parsed ECDSA signature.
-    pub signature: Signature,
-    /// 16-bit encoded id of the signer (key selector).
-    pub signer_id: u16,
-    /// SHA-256 digest of the signed message.
-    pub digest: [u8; 32],
-}
-
-/// Extracted per-transaction data, i.e. the contents of `tx_fifo` +
-/// `ends_fifo` + `rdset_fifo` + `wrset_fifo` for one transaction
-/// (Figure 7).
-#[derive(Debug, Clone)]
-pub struct ExtractedTx {
-    /// Transaction id.
-    pub tx_id: String,
-    /// Chaincode (selects the policy circuit via `cc_id`).
-    pub chaincode: String,
-    /// Client signature verification request.
-    pub client: VerificationRequest,
-    /// One verification request per endorsement.
-    pub endorsements: Vec<VerificationRequest>,
-    /// Database read requests: key + expected version.
-    pub reads: Vec<(String, Option<Version>)>,
-    /// Database write requests: key + value.
-    pub writes: Vec<(String, Vec<u8>)>,
-    /// Reconstructed envelope size in bytes.
-    pub envelope_len: usize,
-}
 
 /// A block fully reassembled from BMac packets.
 #[derive(Debug, Clone)]
 pub struct ReceivedBlock {
     /// The byte-exact reconstructed block.
     pub block: Block,
-    /// Block-level verification request (orderer signature).
-    pub block_verification: VerificationRequest,
-    /// Per-transaction extracted data.
-    pub txs: Vec<ExtractedTx>,
     /// Total wire bytes consumed for this block (excluding syncs).
     pub wire_bytes: usize,
 }
@@ -78,7 +40,7 @@ pub enum ReceiveError {
     /// A locator referenced an id missing from the cache (a lost
     /// IdentitySync packet).
     UnknownIdentity(u16),
-    /// Reconstructed bytes failed to decode.
+    /// The reconstructed header or metadata section failed to decode.
     Decode(WireError),
     /// The reconstructed section failed a structural expectation.
     Malformed(&'static str),
@@ -103,19 +65,20 @@ impl std::error::Error for ReceiveError {}
 struct PartialBlock {
     header: Option<Vec<u8>>,
     metadata: Option<(Vec<u8>, Vec<Annotation>)>,
+    /// Transaction sections by index; every key is below `total_txs`.
     txs: HashMap<u16, (Vec<u8>, Vec<Annotation>)>,
+    /// The block's transaction count, fixed by its first packet.
     total_txs: Option<u16>,
     wire_bytes: usize,
 }
 
 impl PartialBlock {
+    /// All keys of `txs` are distinct and below `total_txs`, so a full
+    /// count means indices `0..total_txs` are all present.
     fn is_complete(&self) -> bool {
-        match self.total_txs {
-            Some(n) => {
-                self.header.is_some() && self.metadata.is_some() && self.txs.len() == n as usize
-            }
-            None => false,
-        }
+        self.header.is_some()
+            && self.metadata.is_some()
+            && self.total_txs.map(usize::from) == Some(self.txs.len())
     }
 }
 
@@ -218,7 +181,10 @@ impl BmacReceiver {
     ///
     /// # Errors
     ///
-    /// [`ReceiveError`] on reconstruction failures.
+    /// [`ReceiveError::Malformed`] for a transaction index at or above
+    /// the block's transaction count, or a count that differs from the
+    /// one the block's first packet announced (the packet is dropped);
+    /// otherwise [`ReceiveError`] on reconstruction failures.
     pub fn ingest_packet(
         &mut self,
         packet: BmacPacket,
@@ -234,8 +200,17 @@ impl BmacReceiver {
             self.stats.late_duplicates += 1;
             return Ok(Vec::new());
         }
+        if packet.section == SectionType::Transaction && packet.index >= packet.total_txs {
+            return Err(ReceiveError::Malformed(
+                "transaction index not below the block's transaction count",
+            ));
+        }
         let partial = self.partial.entry(packet.block_num).or_default();
-        partial.total_txs = Some(packet.total_txs);
+        if *partial.total_txs.get_or_insert(packet.total_txs) != packet.total_txs {
+            return Err(ReceiveError::Malformed(
+                "transaction count differs from the block's first packet",
+            ));
+        }
         partial.wire_bytes += wire_len;
         match packet.section {
             SectionType::Header => partial.header = Some(packet.payload.to_vec()),
@@ -304,8 +279,7 @@ impl BmacReceiver {
                 self.stats.blocks += 1;
                 Ok(vec![block])
             }
-            Err(ReceiveError::UnknownIdentity(_))
-            | Err(ReceiveError::Malformed("orderer identity not cached")) => Ok(Vec::new()),
+            Err(ReceiveError::UnknownIdentity(_)) => Ok(Vec::new()),
             Err(e) => Err(e),
         }
     }
@@ -345,95 +319,28 @@ impl BmacReceiver {
     }
 
     fn reassemble(&self, partial: &PartialBlock) -> Result<ReceivedBlock, ReceiveError> {
-        let header_bytes = partial.header.as_ref().expect("checked complete");
-        let (md_stripped, md_annotations) = partial.metadata.as_ref().expect("checked complete");
+        const INCOMPLETE: ReceiveError = ReceiveError::Malformed("block section missing");
+        let header_bytes = partial.header.as_ref().ok_or(INCOMPLETE)?;
+        let (md_stripped, md_annotations) = partial.metadata.as_ref().ok_or(INCOMPLETE)?;
         let header = BlockHeader::unmarshal(header_bytes).map_err(ReceiveError::Decode)?;
         let md_bytes = self.reconstruct(md_stripped, md_annotations)?;
         let metadata = BlockMetadata::unmarshal(&md_bytes).map_err(ReceiveError::Decode)?;
 
-        // Block verification request from the metadata signature slot.
-        let sig_slot = &metadata.metadata[metadata_index::SIGNATURES];
-        let md_sig = MetadataSignature::unmarshal(sig_slot).map_err(ReceiveError::Decode)?;
-        let sh =
-            SignatureHeader::unmarshal(&md_sig.signature_header).map_err(ReceiveError::Decode)?;
-        let orderer_id = self
-            .cache
-            .id_of(&sh.creator)
-            .ok_or(ReceiveError::Malformed("orderer identity not cached"))?;
-        let signature = der::decode_signature(&md_sig.signature)
-            .map_err(|_| ReceiveError::Malformed("bad orderer DER signature"))?;
-        let mut signed = md_sig.signature_header.clone();
-        signed.extend_from_slice(&header.marshal());
-        let block_verification = VerificationRequest {
-            signature,
-            signer_id: orderer_id,
-            digest: sha256(&signed),
-        };
-
-        // Transactions, in order.
-        let total = partial.total_txs.expect("checked complete");
-        let mut envelopes = Vec::with_capacity(total as usize);
-        let mut txs = Vec::with_capacity(total as usize);
-        for i in 0..total {
-            let (stripped, annotations) = partial.txs.get(&i).expect("checked complete");
-            let env_bytes = self.reconstruct(stripped, annotations)?;
-            let decoded = decode_transaction(&env_bytes).map_err(ReceiveError::Decode)?;
-            txs.push(self.extract_tx(&decoded, env_bytes.len())?);
-            envelopes.push(env_bytes);
+        // Envelopes, in order; the capacity is the number of sections
+        // actually received, not a count read off the wire.
+        let mut envelopes = Vec::with_capacity(partial.txs.len());
+        for i in 0..partial.total_txs.ok_or(INCOMPLETE)? {
+            let (stripped, annotations) = partial.txs.get(&i).ok_or(INCOMPLETE)?;
+            envelopes.push(self.reconstruct(stripped, annotations)?);
         }
 
-        let block = Block {
-            header,
-            data: BlockData { data: envelopes },
-            metadata,
-        };
         Ok(ReceivedBlock {
-            block,
-            block_verification,
-            txs,
+            block: Block {
+                header,
+                data: BlockData { data: envelopes },
+                metadata,
+            },
             wire_bytes: partial.wire_bytes,
-        })
-    }
-
-    /// DataExtractor + DataProcessor + HashCalculator for one
-    /// transaction: produce the fixed-width verification requests and the
-    /// database request streams.
-    fn extract_tx(
-        &self,
-        decoded: &DecodedTransaction,
-        envelope_len: usize,
-    ) -> Result<ExtractedTx, ReceiveError> {
-        let creator_ident = fabric_protos::messages::SerializedIdentity {
-            mspid: decoded.creator_cert.org_name.clone(),
-            id_bytes: decoded.creator_cert.to_bytes(),
-        }
-        .marshal();
-        let creator_id = self
-            .cache
-            .id_of(&creator_ident)
-            .unwrap_or_else(|| decoded.creator_cert.node_id.encode());
-        let client = VerificationRequest {
-            signature: decoded.client_signature,
-            signer_id: creator_id,
-            digest: sha256(&decoded.signed_payload),
-        };
-        let endorsements = decoded
-            .endorsements
-            .iter()
-            .map(|e| VerificationRequest {
-                signature: e.signature,
-                signer_id: e.endorser_cert.node_id.encode(),
-                digest: sha256(&e.signed_message),
-            })
-            .collect();
-        Ok(ExtractedTx {
-            tx_id: decoded.tx_id.clone(),
-            chaincode: decoded.chaincode.clone(),
-            client,
-            endorsements,
-            reads: decoded.reads.clone(),
-            writes: decoded.writes.clone(),
-            envelope_len,
         })
     }
 }
@@ -483,51 +390,6 @@ mod tests {
         let block = one_block(3);
         let received = roundtrip(&block);
         assert_eq!(received.block.marshal(), block.marshal());
-    }
-
-    #[test]
-    fn block_verification_request_verifies() {
-        let block = one_block(2);
-        let received = roundtrip(&block);
-        // Decode the orderer cert from the reconstructed block and check
-        // the extracted digest + signature verify against it.
-        let decoded = fabric_protos::txflow::decode_block(&block.marshal()).unwrap();
-        assert!(decoded
-            .orderer_cert
-            .public_key
-            .verify_prehashed(
-                &received.block_verification.digest,
-                &received.block_verification.signature
-            )
-            .is_ok());
-        assert_eq!(
-            received.block_verification.signer_id,
-            decoded.orderer_cert.node_id.encode()
-        );
-    }
-
-    #[test]
-    fn extracted_requests_verify_with_real_keys() {
-        let block = one_block(2);
-        let received = roundtrip(&block);
-        let decoded = fabric_protos::txflow::decode_block(&block.marshal()).unwrap();
-        for (ext, dec) in received.txs.iter().zip(&decoded.txs) {
-            assert!(dec
-                .creator_cert
-                .public_key
-                .verify_prehashed(&ext.client.digest, &ext.client.signature)
-                .is_ok());
-            assert_eq!(ext.endorsements.len(), dec.endorsements.len());
-            for (er, ed) in ext.endorsements.iter().zip(&dec.endorsements) {
-                assert!(ed
-                    .endorser_cert
-                    .public_key
-                    .verify_prehashed(&er.digest, &er.signature)
-                    .is_ok());
-            }
-            assert_eq!(ext.reads, dec.reads);
-            assert_eq!(ext.writes, dec.writes);
-        }
     }
 
     #[test]

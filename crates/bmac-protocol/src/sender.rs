@@ -102,11 +102,6 @@ impl BmacSender {
         self.stats
     }
 
-    /// Number of identities in the cache.
-    pub fn cache_len(&self) -> usize {
-        self.cache.len()
-    }
-
     /// Sections a block into self-contained packets.
     ///
     /// # Errors

@@ -2,7 +2,7 @@
 //!
 //! This crate is the paper's primary contribution assembled from the
 //! substrates: the [`BMacPeer`] receives blocks from the orderer through
-//! the BMac protocol ([`bmac_protocol`]), validates them on the simulated
+//! the BMac protocol (`bmac_protocol`), validates them on the simulated
 //! network-attached FPGA ([`bmac_hw`]), reads the result with the
 //! `GetBlockData()` host API, and commits blocks to the ledger exactly
 //! like a software-only peer — while remaining compatible with Gossip

@@ -5,9 +5,12 @@
 //! validates them, and the software reads the result with
 //! `GetBlockData()` "right before the ledger commit operation" (§3.5),
 //! commits the block to the disk ledger and mirrors the valid write sets
-//! into its own queryable state database. When a block arrives through
-//! Gossip instead (a software-only sender), the peer falls back to the
-//! full software validation pipeline — the compatibility goal of §1.
+//! into its own queryable state database — through the same commit tail
+//! as the software peer ([`ValidatorPipeline::commit_flagged`]), fed the
+//! hardware's flags and the block the machine decoded. When a block
+//! arrives through Gossip instead (a software-only sender), the peer
+//! falls back to the full software validation pipeline — the
+//! compatibility goal of §1.
 
 use std::collections::HashMap;
 
@@ -15,10 +18,10 @@ use bmac_hw::processor::HwBlockStats;
 use bmac_hw::{BMacMachine, MachineError, ProcessorConfig};
 use fabric_crypto::Msp;
 use fabric_ledger::{Ledger, LedgerError, TxValidationCode};
-use fabric_peer::pipeline::{ValidateError, ValidatorPipeline};
+use fabric_peer::pipeline::{StageTimings, ValidateError, ValidatorPipeline};
 use fabric_protos::messages::Block;
 use fabric_sim::SimTime;
-use fabric_statedb::{Height, StateDb, WriteBatch};
+use fabric_statedb::StateDb;
 
 use crate::config::BmacConfig;
 
@@ -71,8 +74,9 @@ impl std::error::Error for PeerError {}
 #[derive(Debug)]
 pub struct BMacPeer {
     machine: BMacMachine,
-    ledger: Ledger,
-    state_db: StateDb,
+    /// The software pipeline: owns the ledger and the queryable state
+    /// database, commits hardware-validated blocks and validates
+    /// Gossip-delivered ones.
     fallback: ValidatorPipeline,
     commits: Vec<CommitRecord>,
 }
@@ -94,12 +98,8 @@ impl BMacPeer {
         // The BMac peer VM runs with 4 vCPUs in the paper — its software
         // only commits blocks; fallback validation uses those vCPUs.
         let fallback = ValidatorPipeline::new(msp, policies, 4);
-        let ledger = fallback.ledger();
-        let state_db = fallback.state_db();
         BMacPeer {
             machine,
-            ledger,
-            state_db,
             fallback,
             commits: Vec::new(),
         }
@@ -107,12 +107,12 @@ impl BMacPeer {
 
     /// The peer's ledger.
     pub fn ledger(&self) -> Ledger {
-        self.ledger.clone()
+        self.fallback.ledger()
     }
 
     /// The peer's (software-visible) state database.
     pub fn state_db(&self) -> StateDb {
-        self.state_db.clone()
+        self.fallback.state_db()
     }
 
     /// The underlying machine (for traffic statistics).
@@ -169,40 +169,24 @@ impl BMacPeer {
     /// result (the software side of Figure 4b).
     fn drain_hw_results(&mut self) -> Result<Vec<CommitRecord>, PeerError> {
         let mut out = Vec::new();
-        while let Some((result, received)) = self.machine.get_block_data_full() {
-            let tx_ids: Vec<String> = received.txs.iter().map(|t| t.tx_id.clone()).collect();
-            let modified: Vec<Vec<String>> = received
-                .txs
-                .iter()
-                .map(|t| t.writes.iter().map(|(k, _)| k.clone()).collect())
-                .collect();
+        while let Some((result, block, decoded)) = self.machine.get_block_data_full() {
+            // Ledger append plus the mirror of the valid write sets into
+            // the software-visible state DB, so queries and the Gossip
+            // fallback stay consistent with the in-hardware database.
             let committed = self
-                .ledger
-                .commit_block(
-                    received.block.clone(),
-                    &tx_ids,
-                    result.flags.clone(),
-                    &modified,
+                .fallback
+                .commit_flagged(
+                    &block,
+                    &decoded,
+                    result.block_valid,
+                    result.flags,
+                    StageTimings::default(),
                 )
                 .map_err(PeerError::Ledger)?;
-            // Mirror valid write sets into the software-visible state DB
-            // so queries and the Gossip fallback stay consistent with the
-            // in-hardware database.
-            for (i, tx) in received.txs.iter().enumerate() {
-                if !result.flags[i].is_valid() {
-                    continue;
-                }
-                let mut batch = WriteBatch::new();
-                for (k, v) in &tx.writes {
-                    batch.put(k.clone(), v.clone());
-                }
-                self.state_db
-                    .apply(&batch, Height::new(result.block_num, i as u64));
-            }
             let record = CommitRecord {
-                block_num: result.block_num,
-                block_valid: result.block_valid,
-                flags: result.flags,
+                block_num: committed.block_num,
+                block_valid: committed.block_valid,
+                flags: committed.codes,
                 commit_hash: committed.commit_hash,
                 hw_stats: Some(result.stats),
             };

@@ -14,8 +14,7 @@
 //!   mode (`FABRIC_CHECK_SEED`) injects random pre-acquisition yields
 //!   and short sleeps to shake out interleavings a lightly loaded CI
 //!   host never schedules; the seed is echoed in every failure for
-//!   replay. Per-label hold-time/contention counters are read with
-//!   [`stats_snapshot`].
+//!   replay.
 //!
 //! * **Static** ([`lint`] + the `repo_lint` binary): a lexical,
 //!   dependency-free scan of workspace sources for the defect classes
@@ -45,7 +44,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, Once, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// The checked lock-order manifest, compiled into the binary so the
 /// runtime checker and the repo lint can never drift apart.
@@ -164,11 +163,6 @@ struct NodeInfo {
     id: u32,
     label: &'static str,
     named: bool,
-    acquisitions: AtomicU64,
-    contended: AtomicU64,
-    block_ns: AtomicU64,
-    hold_ns: AtomicU64,
-    max_hold_ns: AtomicU64,
 }
 
 // ---------------------------------------------------------------------------
@@ -259,11 +253,6 @@ fn alloc_node(g: &mut Graph, label: &'static str, named: bool) -> &'static NodeI
         id: g.nodes.len() as u32,
         label,
         named,
-        acquisitions: AtomicU64::new(0),
-        contended: AtomicU64::new(0),
-        block_ns: AtomicU64::new(0),
-        hold_ns: AtomicU64::new(0),
-        max_hold_ns: AtomicU64::new(0),
     }));
     g.nodes.push(n);
     n
@@ -277,7 +266,6 @@ struct HeldEntry {
     node: &'static NodeInfo,
     instance: usize,
     acq_id: u64,
-    since: Instant,
     mode: Mode,
 }
 
@@ -326,7 +314,6 @@ pub fn before_acquire(tag: &LockTag, mode: Mode) -> Option<Pending> {
     let node = node_for(tag);
     let instance = tag as *const LockTag as usize;
     check_order(node, instance, mode);
-    node.acquisitions.fetch_add(1, Ordering::Relaxed);
     Some(Pending {
         node,
         instance,
@@ -334,13 +321,8 @@ pub fn before_acquire(tag: &LockTag, mode: Mode) -> Option<Pending> {
     })
 }
 
-/// Post-acquisition hook: records contention stats and pushes the lock
-/// onto the thread's held stack.
-pub fn after_acquire(p: Pending, contended: bool, block_ns: u64) -> HeldToken {
-    if contended {
-        p.node.contended.fetch_add(1, Ordering::Relaxed);
-        p.node.block_ns.fetch_add(block_ns, Ordering::Relaxed);
-    }
+/// Post-acquisition hook: pushes the lock onto the thread's held stack.
+pub fn after_acquire(p: Pending) -> HeldToken {
     push_held(p.node, p.instance, p.mode)
 }
 
@@ -351,7 +333,6 @@ fn push_held(node: &'static NodeInfo, instance: usize, mode: Mode) -> HeldToken 
             node,
             instance,
             acq_id,
-            since: Instant::now(),
             mode,
         });
     });
@@ -380,20 +361,14 @@ pub fn condvar_release(t: HeldToken) -> Option<ReacquireTicket> {
 pub fn reacquire(t: ReacquireTicket) -> HeldToken {
     perturb();
     check_order(t.node, t.instance, t.mode);
-    t.node.acquisitions.fetch_add(1, Ordering::Relaxed);
     push_held(t.node, t.instance, t.mode)
 }
 
 fn pop_held(t: HeldToken) -> Option<HeldEntry> {
-    let now = Instant::now();
     HELD.with(|h| {
         let mut held = h.borrow_mut();
         let pos = held.iter().rposition(|e| e.acq_id == t.acq_id)?;
-        let e = held.remove(pos);
-        let ns = now.saturating_duration_since(e.since).as_nanos() as u64;
-        e.node.hold_ns.fetch_add(ns, Ordering::Relaxed);
-        e.node.max_hold_ns.fetch_max(ns, Ordering::Relaxed);
-        Some(e)
+        Some(held.remove(pos))
     })
 }
 
@@ -566,24 +541,6 @@ fn seed_note() -> String {
     }
 }
 
-/// Named-lock order edges observed so far, as `(held, acquired)` label
-/// pairs (test introspection).
-pub fn observed_edges() -> Vec<(String, String)> {
-    let g = graph();
-    let mut out = Vec::new();
-    for (from, succ) in &g.out {
-        let fl = g.nodes[*from as usize];
-        for to in succ {
-            let tl = g.nodes[*to as usize];
-            if fl.named && tl.named {
-                out.push((fl.label.to_string(), tl.label.to_string()));
-            }
-        }
-    }
-    out.sort();
-    out
-}
-
 // ---------------------------------------------------------------------------
 // Perturbation
 // ---------------------------------------------------------------------------
@@ -655,56 +612,6 @@ pub fn perturb_trace(seed: u64, thread_index: u64, n: usize) -> Vec<u64> {
     (0..n).map(|_| perturb_decision(&mut s)).collect()
 }
 
-// ---------------------------------------------------------------------------
-// Contention accounting
-// ---------------------------------------------------------------------------
-
-/// Snapshot of one named lock's accounting counters.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LockStats {
-    pub label: String,
-    pub acquisitions: u64,
-    pub contended: u64,
-    pub block_ns: u64,
-    pub hold_ns: u64,
-    pub max_hold_ns: u64,
-}
-
-/// Counters for every named lock, sorted by label. Anonymous locks are
-/// tracked for ordering but not reported (their labels are synthetic).
-pub fn stats_snapshot() -> Vec<LockStats> {
-    let g = graph();
-    let mut out: Vec<LockStats> = g
-        .nodes
-        .iter()
-        .filter(|n| n.named)
-        .map(|n| LockStats {
-            label: n.label.to_string(),
-            acquisitions: n.acquisitions.load(Ordering::Relaxed),
-            contended: n.contended.load(Ordering::Relaxed),
-            block_ns: n.block_ns.load(Ordering::Relaxed),
-            hold_ns: n.hold_ns.load(Ordering::Relaxed),
-            max_hold_ns: n.max_hold_ns.load(Ordering::Relaxed),
-        })
-        .collect();
-    out.sort_by(|a, b| a.label.cmp(&b.label));
-    out
-}
-
-/// Zeroes every node's counters (the bench isolates its measured
-/// workload this way). The order graph itself is never reset: observed
-/// edges stay binding for the whole process.
-pub fn reset_stats() {
-    let g = graph();
-    for n in &g.nodes {
-        n.acquisitions.store(0, Ordering::Relaxed);
-        n.contended.store(0, Ordering::Relaxed);
-        n.block_ns.store(0, Ordering::Relaxed);
-        n.hold_ns.store(0, Ordering::Relaxed);
-        n.max_hold_ns.store(0, Ordering::Relaxed);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -722,7 +629,7 @@ mod tests {
 
     fn acquire(tag: &LockTag, mode: Mode) -> HeldToken {
         let p = before_acquire(tag, mode).expect("checking enabled");
-        after_acquire(p, false, 0)
+        after_acquire(p)
     }
 
     #[test]
@@ -846,26 +753,6 @@ mod tests {
         assert!(holding("test.ooo_b"));
         release(hb);
         assert!(held_labels().is_empty());
-    }
-
-    #[test]
-    fn stats_accumulate_per_label() {
-        let _serial = test_lock();
-        enable();
-        let a = LockTag::named("test.stats");
-        let ha = acquire(&a, Mode::Exclusive);
-        release(ha);
-        let p = before_acquire(&a, Mode::Exclusive).expect("enabled");
-        let ha = after_acquire(p, true, 1234);
-        release(ha);
-        let snap = stats_snapshot();
-        let s = snap
-            .iter()
-            .find(|s| s.label == "test.stats")
-            .expect("label tracked");
-        assert!(s.acquisitions >= 2);
-        assert!(s.contended >= 1);
-        assert!(s.block_ns >= 1234);
     }
 
     #[test]

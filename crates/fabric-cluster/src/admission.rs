@@ -14,7 +14,7 @@
 //!
 //! The output is deterministic (admission order is the generated-stream
 //! order; the verify pool never reorders), so the cluster can audit a
-//! mempool-fed run against [`SerialOracle::from_blocks`] of the same
+//! mempool-fed run against [`SerialOracle::from_blocks`](crate::oracle::SerialOracle::from_blocks) of the same
 //! stream, bit-identically, exactly as it audits a pregenerated run.
 
 use std::sync::Arc;

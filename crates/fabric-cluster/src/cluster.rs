@@ -233,11 +233,6 @@ pub struct ClusterReport {
 }
 
 impl ClusterReport {
-    /// All peers audited clean.
-    pub fn converged(&self) -> bool {
-        self.peers.iter().all(|p| p.divergence.is_none())
-    }
-
     /// Panics with every divergence when the cluster did not converge.
     pub fn assert_converged(&self) {
         let diverged: Vec<String> = self

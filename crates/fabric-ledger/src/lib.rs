@@ -494,7 +494,7 @@ impl Ledger {
 
     /// Verifies the whole chain — header-hash links, data hashes, and
     /// the running commit hash — and returns the first bad block. The
-    /// per-block check is [`verify_stored_block`], the same one
+    /// per-block check is `verify_stored_block`, the same one
     /// [`Ledger::with_store`] runs (with index rebuilding) at recovery.
     pub fn verify_chain(&self) -> Result<(), u64> {
         let g = self.inner.lock();

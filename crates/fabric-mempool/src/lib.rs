@@ -170,16 +170,6 @@ impl MempoolStats {
         self.admitted + self.duplicates + self.shed
     }
 
-    /// Fraction of submissions answered by the dedup window.
-    pub fn dedup_hit_rate(&self) -> f64 {
-        let total = self.submissions();
-        if total == 0 {
-            0.0
-        } else {
-            self.duplicates as f64 / total as f64
-        }
-    }
-
     /// Fraction of submissions shed by backpressure.
     pub fn shed_rate(&self) -> f64 {
         let total = self.submissions();

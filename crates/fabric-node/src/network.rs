@@ -222,11 +222,6 @@ impl FabricNetwork {
         }
     }
 
-    /// The ordering service.
-    pub fn ordering_mut(&mut self) -> &mut OrderingService {
-        &mut self.ordering
-    }
-
     /// The lead orderer's identity.
     pub fn orderer_identity(&self) -> &SigningIdentity {
         self.ordering.identity()
@@ -321,11 +316,6 @@ impl FabricNetwork {
     /// Cuts a partial block (Fabric's batch timeout).
     pub fn cut_partial_block(&mut self) -> Option<Block> {
         self.ordering.cut_partial_block()
-    }
-
-    /// Number of endorser peers.
-    pub fn num_endorsers(&self) -> usize {
-        self.endorsers.len()
     }
 }
 

@@ -16,6 +16,13 @@
 //! Wall-clock time spent in each stage is recorded so tests and examples
 //! can reproduce the bottleneck analysis of Figure 3 on real hardware.
 //!
+//! A block is decoded **once**, at the top of the verify stage (step 1):
+//! the link hands over reassembled bytes, and every later step — and
+//! `verify_block_signatures`, which is the verify stage alone — reads
+//! that one `DecodedBlock`. Steps 4–5 are one function,
+//! [`ValidatorPipeline::commit_flagged`], which the hardware peer also
+//! calls with the flags its machine computed.
+//!
 //! # Verification architecture
 //!
 //! Step 2 runs as a four-phase signature pipeline that mirrors how the
@@ -177,7 +184,14 @@ impl ValidatorPipeline {
     ///
     /// Panics if `workers == 0`.
     pub fn new(msp: Msp, policies: HashMap<String, Policy>, workers: usize) -> Self {
-        Self::with_cache_capacity(msp, policies, workers, DEFAULT_SIG_CACHE_CAPACITY)
+        Self::with_storage(
+            msp,
+            policies,
+            workers,
+            DEFAULT_SIG_CACHE_CAPACITY,
+            StateDb::new(),
+            Ledger::new(),
+        )
     }
 
     /// Creates a validator like [`ValidatorPipeline::new`] but with its
@@ -201,29 +215,6 @@ impl ValidatorPipeline {
             workers,
             DEFAULT_SIG_CACHE_CAPACITY,
             StateDb::with_backend(backend),
-            Ledger::new(),
-        )
-    }
-
-    /// Creates a validator with an explicit signature-cache capacity
-    /// (`0` effectively disables reuse beyond the in-flight block, since
-    /// each shard still holds one entry).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers == 0`.
-    pub fn with_cache_capacity(
-        msp: Msp,
-        policies: HashMap<String, Policy>,
-        workers: usize,
-        cache_capacity: usize,
-    ) -> Self {
-        Self::with_storage(
-            msp,
-            policies,
-            workers,
-            cache_capacity,
-            StateDb::new(),
             Ledger::new(),
         )
     }
@@ -371,13 +362,19 @@ impl ValidatorPipeline {
     /// Steps 1–2: unmarshal, orderer check, parallel verify/vscc. This
     /// half touches no shared validator state beyond the caches, so the
     /// streaming validator runs it for several blocks concurrently.
+    ///
+    /// The block's one decode happens here: the link delivers reassembled
+    /// bytes, and everything downstream (vscc, MVCC, commit) reads this
+    /// `DecodedBlock`. A block with an envelope that does not parse is
+    /// rejected here and never committed.
     pub(crate) fn verify_stage(&self, block: &Block) -> Result<VerifiedBlock, ValidateError> {
         let mut timings = StageTimings::default();
 
-        // Step 1a: retrieve block and transaction data (unmarshal).
+        // Step 1a: retrieve block and transaction data (unmarshal). The
+        // marshaled length is not known without re-marshaling the block,
+        // and `DecodedBlock::block_len` has no reader: pass 0.
         let t0 = Instant::now();
-        let block_len = block.marshal().len();
-        let decoded = decode_block_struct(block, block_len).map_err(ValidateError::Decode)?;
+        let decoded = decode_block_struct(block, 0).map_err(ValidateError::Decode)?;
         timings.unmarshal_us = t0.elapsed().as_micros() as u64;
 
         // Step 1b: verify the orderer signature.
@@ -442,6 +439,30 @@ impl ValidatorPipeline {
         }
         timings.mvcc_us = t0.elapsed().as_micros() as u64;
 
+        self.commit_flagged(block, &decoded, block_valid, codes, timings)
+            .map_err(ValidateError::Ledger)
+    }
+
+    /// Steps 4–5, the one commit tail: applies the write sets of the
+    /// transactions `codes` marks valid to the state database, then
+    /// appends `block` to the ledger with those codes. The software path
+    /// reaches it from its commit stage, after MVCC; the hardware peer
+    /// (`bmac-core`) calls it with the flags the machine computed.
+    /// `decoded` must be the decode of `block`, `codes` one per
+    /// transaction, and calls must come in block order.
+    ///
+    /// # Errors
+    ///
+    /// [`LedgerError`] when the append fails.
+    pub fn commit_flagged(
+        &self,
+        block: &Block,
+        decoded: &DecodedBlock,
+        block_valid: bool,
+        codes: Vec<TxValidationCode>,
+        mut timings: StageTimings,
+    ) -> Result<BlockValidationResult, LedgerError> {
+        assert_eq!(codes.len(), decoded.txs.len(), "one code per transaction");
         // Step 4a: state DB commit of valid write sets. The tip guard is
         // the commit-ordering invariant the streaming sequencer relies
         // on: writes land in strictly increasing block order, so MVCC of
@@ -481,10 +502,9 @@ impl ValidatorPipeline {
             .iter()
             .map(|t| t.writes.iter().map(|(k, _)| k.clone()).collect())
             .collect();
-        let committed = self
-            .ledger
-            .commit_block(block.clone(), &tx_ids, codes.clone(), &modified)
-            .map_err(ValidateError::Ledger)?;
+        let committed =
+            self.ledger
+                .commit_block(block.clone(), &tx_ids, codes.clone(), &modified)?;
         timings.ledger_us = t0.elapsed().as_micros() as u64;
 
         Ok(BlockValidationResult {
@@ -511,21 +531,22 @@ impl ValidatorPipeline {
         &self,
         block: &Block,
     ) -> Result<Vec<TxValidationCode>, ValidateError> {
-        let block_len = block.marshal().len();
-        let decoded = decode_block_struct(block, block_len).map_err(ValidateError::Decode)?;
-        let block_valid = self.verify_orderer(&decoded);
-        Ok(self.verify_vscc_parallel(&decoded, block_valid))
+        self.verify_stage(block).map(|v| v.codes)
     }
 
+    /// Step 1b: the orderer check is one more verification task — same
+    /// digest, cache key and claim path as every client and endorsement
+    /// signature.
     fn verify_orderer(&self, decoded: &DecodedBlock) -> bool {
         if !self.msp_validate_cached(&decoded.orderer_cert) {
             return false;
         }
-        let digest = sha256(&decoded.orderer_signed_message);
-        let key = &decoded.orderer_cert.public_key;
-        let sig = &decoded.orderer_signature;
-        let sinv = s_inverse(sig);
-        self.verify_cached(key, &digest, sig, &sinv)
+        let task = VerifyTask::new(
+            &decoded.orderer_cert.public_key,
+            &decoded.orderer_signed_message,
+            &decoded.orderer_signature,
+        );
+        self.verify_task(&task, &batch_s_inverses(&[task.sig])[0])
     }
 
     /// Step 2: the four-phase signature pipeline described in the module
@@ -689,25 +710,6 @@ impl ValidatorPipeline {
         }
     }
 
-    fn verify_cached(
-        &self,
-        key: &VerifyingKey,
-        digest: &[u8; 32],
-        sig: &Signature,
-        sinv: &U256,
-    ) -> bool {
-        let cache_key = SigCacheKey::compute(key, digest, sig);
-        match self.sig_cache.claim(&cache_key) {
-            Claim::Verdict(verdict) => verdict,
-            Claim::Verify(guard) => {
-                self.bump_verifications(1);
-                let valid = key.verify_prehashed_with_sinv(digest, sig, sinv).is_ok();
-                guard.fulfill(valid);
-                valid
-            }
-        }
-    }
-
     fn bump_verifications(&self, n: usize) {
         // relaxed: monotonic stats counter; never gates data visibility
         self.verifications.fetch_add(n, Ordering::Relaxed);
@@ -748,10 +750,16 @@ enum TxPlan {
     },
 }
 
-/// `s⁻¹ mod n` for a single signature (the non-batched path used by the
-/// orderer check).
-fn s_inverse(sig: &Signature) -> U256 {
-    batch_s_inverses(std::slice::from_ref(sig))[0]
+impl<'a> VerifyTask<'a> {
+    fn new(key: &'a VerifyingKey, message: &[u8], sig: &Signature) -> Self {
+        let digest = sha256(message);
+        VerifyTask {
+            cache_key: SigCacheKey::compute(key, &digest, sig),
+            digest,
+            sig: *sig,
+            key,
+        }
+    }
 }
 
 /// Appends a `(pubkey, digest, signature)` verification task unless an
@@ -763,15 +771,9 @@ fn intern_task<'a>(
     message: &[u8],
     sig: &Signature,
 ) -> usize {
-    let digest = sha256(message);
-    let cache_key = SigCacheKey::compute(key, &digest, sig);
-    *index.entry(cache_key).or_insert_with(|| {
-        tasks.push(VerifyTask {
-            cache_key,
-            digest,
-            sig: *sig,
-            key,
-        });
+    let task = VerifyTask::new(key, message, sig);
+    *index.entry(task.cache_key).or_insert_with(|| {
+        tasks.push(task);
         tasks.len() - 1
     })
 }

@@ -8,13 +8,14 @@
 //! the functional [`ValidatorPipeline`]:
 //!
 //! * **verify lanes** — a small pool of OS threads runs the signature
-//!   half of validation ([`ValidatorPipeline::verify_stage`]: unmarshal,
-//!   orderer check, parallel verify/vscc) for several blocks
+//!   half of validation (`ValidatorPipeline::verify_stage`: the block's
+//!   one decode, orderer check, parallel verify/vscc) for several blocks
 //!   concurrently. Signature verification is state-independent, so this
 //!   is safe at any depth.
 //! * **commit sequencer** — a single thread drains verified blocks in
 //!   strict block-number order and runs the order-sensitive half
-//!   ([`ValidatorPipeline::commit_stage`]: MVCC, state DB commit, ledger
+//!   (`ValidatorPipeline::commit_stage`: MVCC, then the
+//!   [`ValidatorPipeline::commit_flagged`] tail — state DB commit, ledger
 //!   append). Because MVCC for block N+1 only ever runs *after* block
 //!   N's writes are applied, the stream observes exactly the state a
 //!   serial `validate_and_commit` replay would — the serial-equivalence

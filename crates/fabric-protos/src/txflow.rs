@@ -373,7 +373,8 @@ pub struct DecodedBlock {
     pub orderer_signed_message: Vec<u8>,
     /// Every transaction, fully decoded in order.
     pub txs: Vec<DecodedTransaction>,
-    /// Size of the marshaled block.
+    /// Size of the marshaled block: caller-supplied, `0` when unknown;
+    /// no reader in the workspace.
     pub block_len: usize,
 }
 
@@ -389,7 +390,9 @@ pub fn decode_block(block_bytes: &[u8]) -> Result<DecodedBlock, WireError> {
     decode_block_struct(&block, block_bytes.len())
 }
 
-/// Decodes an already-unmarshaled [`Block`] structure.
+/// Decodes an already-unmarshaled [`Block`] structure. `block_len` is
+/// stored in [`DecodedBlock::block_len`] as given; pass `0` when the
+/// marshaled length is not at hand.
 ///
 /// # Errors
 ///
@@ -420,21 +423,6 @@ pub fn decode_block_struct(block: &Block, block_len: usize) -> Result<DecodedBlo
         txs,
         block_len,
     })
-}
-
-/// Counts the deepest chain of nested protobuf messages in a marshaled
-/// envelope — documentation for the paper's "up to 23 layers" claim.
-pub fn envelope_nesting_depth() -> usize {
-    // Envelope > Payload > Header > SignatureHeader > SerializedIdentity >
-    // certificate — counted structurally on the transaction path:
-    // Envelope(1) Payload(2) data->Transaction(3) TransactionAction(4)
-    // ChaincodeActionPayload(5) ChaincodeEndorsedAction(6)
-    // ProposalResponsePayload(7) ChaincodeAction(8) TxReadWriteSet(9)
-    // NsReadWriteSet(10) KvRwSet(11) KvRead/KvWrite(12) Version(13)
-    // plus the header path: Header, ChannelHeader/SignatureHeader,
-    // SerializedIdentity, endorsement identities... Fabric counts ~23
-    // including the identity and certificate layers.
-    13
 }
 
 fn to_hex(bytes: &[u8]) -> String {

@@ -59,11 +59,6 @@ impl Cluster {
         self.partitioned.insert(id);
     }
 
-    /// Heals a partition.
-    pub fn heal(&mut self, id: NodeId) {
-        self.partitioned.remove(&id);
-    }
-
     /// One simulation round: tick every node, then deliver all in-flight
     /// messages (subject to partitions and drops).
     pub fn round(&mut self) {

@@ -191,16 +191,6 @@ impl ServerPool {
         (start, finish)
     }
 
-    /// Earliest time any server is free.
-    pub fn earliest_free(&self) -> SimTime {
-        *self.free_at.iter().min().expect("pool is non-empty")
-    }
-
-    /// Time when all servers are drained.
-    pub fn drained_at(&self) -> SimTime {
-        *self.free_at.iter().max().expect("pool is non-empty")
-    }
-
     /// Number of servers.
     pub fn size(&self) -> usize {
         self.free_at.len()

@@ -252,20 +252,6 @@ impl StateDb {
         }
     }
 
-    /// Wraps an existing legacy store in the facade.
-    pub fn from_legacy(db: LegacyStateDb) -> Self {
-        StateDb {
-            inner: Backend::Legacy(db),
-        }
-    }
-
-    /// Wraps an existing sharded store in the facade.
-    pub fn from_sharded(db: ShardedStateDb) -> Self {
-        StateDb {
-            inner: Backend::Sharded(db),
-        }
-    }
-
     /// Rebuilds a (sharded) database from a checkpoint snapshot: the
     /// entries of a previous
     /// [`StateDb::snapshot`] plus the tip height recorded with it. The

@@ -181,11 +181,6 @@ impl ShardedStateDb {
         }
     }
 
-    /// Number of shards (fixed at construction).
-    pub fn shard_count(&self) -> usize {
-        self.inner.shards.len()
-    }
-
     /// Rebuilds a store from a checkpoint snapshot (see
     /// [`crate::StateDb::from_snapshot`]): entries land in their home
     /// shards as single-entry chains at epoch 1.

@@ -9,10 +9,10 @@
 //! # `check-sync` instrumentation
 //!
 //! With the `check-sync` feature, every lock carries a
-//! [`fabric_check::LockTag`] and acquisitions flow through the
+//! `fabric_check::LockTag` and acquisitions flow through the
 //! fabric-check lock-order graph: cycle detection, `LOCK_ORDER.txt`
-//! manifest enforcement, seeded schedule perturbation, and per-label
-//! hold/contention accounting. The [`Mutex::named`]/[`RwLock::named`]
+//! manifest enforcement and seeded schedule perturbation. The
+//! [`Mutex::named`]/[`RwLock::named`]
 //! constructors give a lock its allocation-site label (instances
 //! sharing a label share a graph node); unnamed locks get per-instance
 //! nodes. The feature only *compiles* the hooks — checking stays off
@@ -91,17 +91,9 @@ impl<T: ?Sized> Mutex<T> {
                 inner: std::mem::ManuallyDrop::new(recover(self.inner.lock())),
             };
         };
-        let (inner, contended, block_ns) = match self.inner.try_lock() {
-            Ok(g) => (g, false, 0),
-            Err(sync::TryLockError::Poisoned(p)) => (p.into_inner(), false, 0),
-            Err(sync::TryLockError::WouldBlock) => {
-                let start = std::time::Instant::now();
-                let g = recover(self.inner.lock());
-                (g, true, start.elapsed().as_nanos() as u64)
-            }
-        };
+        let inner = recover(self.inner.lock());
         MutexGuard {
-            token: Some(fabric_check::after_acquire(pending, contended, block_ns)),
+            token: Some(fabric_check::after_acquire(pending)),
             inner: std::mem::ManuallyDrop::new(inner),
         }
     }
@@ -209,17 +201,9 @@ impl<T: ?Sized> RwLock<T> {
                 inner: recover(self.inner.read()),
             };
         };
-        let (inner, contended, block_ns) = match self.inner.try_read() {
-            Ok(g) => (g, false, 0),
-            Err(sync::TryLockError::Poisoned(p)) => (p.into_inner(), false, 0),
-            Err(sync::TryLockError::WouldBlock) => {
-                let start = std::time::Instant::now();
-                let g = recover(self.inner.read());
-                (g, true, start.elapsed().as_nanos() as u64)
-            }
-        };
+        let inner = recover(self.inner.read());
         RwLockReadGuard {
-            token: Some(fabric_check::after_acquire(pending, contended, block_ns)),
+            token: Some(fabric_check::after_acquire(pending)),
             inner,
         }
     }
@@ -240,17 +224,9 @@ impl<T: ?Sized> RwLock<T> {
                 inner: recover(self.inner.write()),
             };
         };
-        let (inner, contended, block_ns) = match self.inner.try_write() {
-            Ok(g) => (g, false, 0),
-            Err(sync::TryLockError::Poisoned(p)) => (p.into_inner(), false, 0),
-            Err(sync::TryLockError::WouldBlock) => {
-                let start = std::time::Instant::now();
-                let g = recover(self.inner.write());
-                (g, true, start.elapsed().as_nanos() as u64)
-            }
-        };
+        let inner = recover(self.inner.write());
         RwLockWriteGuard {
-            token: Some(fabric_check::after_acquire(pending, contended, block_ns)),
+            token: Some(fabric_check::after_acquire(pending)),
             inner,
         }
     }

@@ -11,7 +11,7 @@
 //!
 //! The driver emits a deterministic schedule (a pure function of its
 //! config), which the cluster's mempool-fed mode and the admission
-//! benchmark replay against [`fabric-mempool`]'s `admit`.
+//! benchmark replay against `fabric-mempool`'s `admit`.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -8,10 +8,13 @@ use std::collections::HashMap;
 use bmac_core::{BMacPeer, BmacConfig};
 use bmac_protocol::BmacSender;
 use fabric_crypto::identity::{Msp, Role};
+use fabric_ledger::TxValidationCode;
 use fabric_node::network::{FabricNetwork, FabricNetworkBuilder};
 use fabric_peer::pipeline::ValidatorPipeline;
 use fabric_policy::parse;
-use fabric_protos::messages::{Block, Envelope};
+use fabric_protos::messages::{
+    Block, ChaincodeActionPayload, Endorsement, Envelope, Payload, Transaction,
+};
 use workload::{Driver, Smallbank, Workload};
 
 fn make_msp() -> Msp {
@@ -134,6 +137,76 @@ fn forged_client_signature_rejected_by_both() {
     assert_eq!(sw_codes, hw_flags);
     assert!(sw_codes[0].is_valid());
     assert!(!sw_codes[1].is_valid());
+}
+
+/// Rewrites an envelope's endorsement list and re-signs the payload as
+/// the (deterministically re-issued) client, so only what `edit` did to
+/// the endorsements is wrong with the transaction.
+fn edit_endorsements(envelope: &[u8], edit: impl FnOnce(&mut Vec<Endorsement>)) -> Vec<u8> {
+    let client = Msp::new(2).issue(0, Role::Client, 0).unwrap();
+    let mut env = Envelope::unmarshal(envelope).unwrap();
+    let mut payload = Payload::unmarshal(&env.payload).unwrap();
+    let mut tx = Transaction::unmarshal(&payload.data).unwrap();
+    let mut cap = ChaincodeActionPayload::unmarshal(&tx.actions[0].payload).unwrap();
+    edit(&mut cap.action.endorsements);
+    tx.actions[0].payload = cap.marshal();
+    payload.data = tx.marshal();
+    env.payload = payload.marshal();
+    env.signature = fabric_crypto::der::encode_signature(&client.sign(&env.payload));
+    env.marshal()
+}
+
+/// One block, five ways to treat a signature: the hardware path forms its
+/// verification requests (signer id, digest) from the same decoded block
+/// the software validator reads, so both must flag each case alike.
+#[test]
+fn bad_and_duplicated_signatures_are_flagged_identically_by_both() {
+    let mut net = smallbank_net(5);
+    let (sw, mut bmac, mut sender) = make_peers();
+    let mut cut = Vec::new();
+    for account in ["a", "b", "c", "d", "e"] {
+        cut = net
+            .submit_invocation(
+                0,
+                "smallbank",
+                "create_account",
+                &[account.into(), "1".into(), "1".into()],
+            )
+            .unwrap();
+    }
+    let block = cut.remove(0);
+    let mut envelopes = block.data.data.clone();
+    // tx 1: client signature corrupted.
+    let mut env = Envelope::unmarshal(&envelopes[1]).unwrap();
+    *env.signature.last_mut().unwrap() ^= 0x01;
+    envelopes[1] = env.marshal();
+    // tx 2: one endorsement signature corrupted — 2-of-2 cannot be met.
+    envelopes[2] = edit_endorsements(&envelopes[2], |e| {
+        *e[1].signature.last_mut().unwrap() ^= 0x01;
+    });
+    // tx 3: an endorsement repeated beside a full set — still satisfied.
+    envelopes[3] = edit_endorsements(&envelopes[3], |e| e.insert(1, e[0].clone()));
+    // tx 4: an endorsement repeated in place of the other org's.
+    envelopes[4] = edit_endorsements(&envelopes[4], |e| e[1] = e[0].clone());
+    let orderer = Msp::new(2).issue(0, Role::Orderer, 0).unwrap();
+    let rebuilt = fabric_protos::txflow::build_block(
+        block.header.number,
+        &block.header.previous_hash,
+        envelopes,
+        &orderer,
+    );
+    let (sw_codes, hw_flags) = validate_both(&sw, &mut bmac, &mut sender, &rebuilt);
+    assert_eq!(sw_codes, hw_flags);
+    assert_eq!(
+        sw_codes,
+        [
+            TxValidationCode::Valid,
+            TxValidationCode::BadSignature,
+            TxValidationCode::EndorsementPolicyFailure,
+            TxValidationCode::Valid,
+            TxValidationCode::EndorsementPolicyFailure,
+        ]
+    );
 }
 
 #[test]

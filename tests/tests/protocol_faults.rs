@@ -1,10 +1,19 @@
 //! Fault injection on the BMac protocol: loss, reordering, duplication,
-//! corruption. The protocol has no retransmission (paper §5) — losses
-//! must be *detected*, not silently absorbed.
+//! corruption, mislabelled sections. The protocol has no retransmission
+//! (paper §5) — losses must be *detected*, not silently absorbed — and
+//! the link only reassembles: an envelope that does not decode is the
+//! consumer's to reject.
 
-use bmac_protocol::{BmacPacket, BmacReceiver, BmacSender, SectionType};
+use std::collections::HashMap;
+use std::sync::Arc;
+
+use bmac_hw::{BMacMachine, Geometry, MachineError, ProcessorConfig};
+use bmac_protocol::{BmacPacket, BmacReceiver, BmacSender, ReceiveError, SectionType};
+use fabric_crypto::identity::{Msp, Role};
 use fabric_node::chaincode::KvChaincode;
 use fabric_node::network::FabricNetworkBuilder;
+use fabric_peer::pipeline::{ValidateError, ValidatorPipeline};
+use fabric_peer::stream::{StreamConfig, StreamError, StreamValidator};
 use fabric_policy::parse;
 use fabric_protos::messages::Block;
 use proptest::prelude::*;
@@ -105,6 +114,52 @@ fn corrupted_payload_fails_signature_not_crash() {
     }
 }
 
+#[test]
+fn out_of_range_transaction_index_is_rejected_not_a_panic() {
+    let block = one_block(2);
+    let mut sender = BmacSender::new();
+    let mut receiver = BmacReceiver::new();
+    let mut completed = 0;
+    let mut rejected = 0;
+    for mut p in sender.send_block(&block).unwrap() {
+        // Tx 1 claims to be tx 5 of 2: by count the block would look
+        // complete, but slot 1 is empty.
+        if p.section == SectionType::Transaction && p.index == 1 {
+            p.index = 5;
+        }
+        match receiver.ingest(&p.encode().unwrap()) {
+            Ok(blocks) => completed += blocks.len(),
+            Err(ReceiveError::Malformed(_)) => rejected += 1,
+            Err(e) => panic!("unexpected error: {e}"),
+        }
+    }
+    assert_eq!(rejected, 1, "exactly the mislabelled packet is refused");
+    assert_eq!(completed, 0);
+    assert_eq!(receiver.incomplete_blocks(), vec![block.header.number]);
+}
+
+#[test]
+fn transaction_count_is_fixed_by_the_first_packet() {
+    let block = one_block(2);
+    let mut packets = BmacSender::new().send_block(&block).unwrap();
+    let metadata = packets.pop().unwrap();
+    let mut receiver = BmacReceiver::new();
+    for p in &packets {
+        assert!(receiver.ingest(&p.encode().unwrap()).unwrap().is_empty());
+    }
+    // Were the count overwritable, a metadata section claiming one tx
+    // would complete a block truncated to header + tx 0 + metadata.
+    let mut lying = metadata.clone();
+    lying.total_txs = 1;
+    assert!(matches!(
+        receiver.ingest(&lying.encode().unwrap()),
+        Err(ReceiveError::Malformed(_))
+    ));
+    let done = receiver.ingest(&metadata.encode().unwrap()).unwrap();
+    assert_eq!(done.len(), 1);
+    assert_eq!(done[0].block.marshal(), block.marshal());
+}
+
 /// Applies a randomized delivery schedule — shuffling, duplication, and
 /// an optional single drop — to one block's packets and returns what the
 /// receiver produced plus whether it reported the block incomplete.
@@ -194,6 +249,39 @@ proptest! {
         );
     }
 
+    /// One section packet of a real block relabelled with an arbitrary
+    /// `(index, total_txs)`, any delivery order: every `ingest` returns,
+    /// and whatever completes is the original block byte for byte.
+    /// (Identity syncs are left alone — their `index` is the identity
+    /// id, not a section label — and a *consistent* relabelling of
+    /// several packets is, to the link, simply a different block.)
+    #[test]
+    fn relabelled_section_never_panics_nor_yields_a_wrong_block(
+        ntx in 1usize..4,
+        seed in any::<u64>(),
+        victim in any::<u64>(),
+        index in prop_oneof![0u16..5, any::<u16>()],
+        total_txs in prop_oneof![0u16..5, any::<u16>()],
+    ) {
+        let block = one_block(ntx);
+        let mut sender = BmacSender::new();
+        let mut packets = sender.send_block(&block).unwrap();
+        let sections: Vec<usize> = (0..packets.len())
+            .filter(|&i| packets[i].section != SectionType::IdentitySync)
+            .collect();
+        let victim = sections[(victim % sections.len() as u64) as usize];
+        packets[victim].index = index;
+        packets[victim].total_txs = total_txs;
+        packets.shuffle(&mut StdRng::seed_from_u64(seed));
+        let mut receiver = BmacReceiver::new();
+        for p in &packets {
+            // Ok or Err, never a panic.
+            for b in receiver.ingest(&p.encode().unwrap()).unwrap_or_default() {
+                prop_assert_eq!(b.block.marshal(), block.marshal());
+            }
+        }
+    }
+
     /// Losing an identity-sync packet parks every block that references
     /// the identity: no completion, and the block stays reported as
     /// incomplete (the detectable-loss guarantee, paper §5).
@@ -253,4 +341,93 @@ fn loss_rate_sweep_detects_all_incomplete_blocks() {
         !incomplete.is_empty(),
         "20% loss certainly broke some block"
     );
+}
+
+/// The link reassembles an envelope it cannot parse byte-exactly; the
+/// consumer's single decode is what rejects it — the stream validator
+/// with the serial prefix committed, the hardware machine before its
+/// block processor sees the block.
+#[test]
+fn undecodable_envelope_is_rejected_by_the_consumer_not_the_link() {
+    let garbage = vec![0xffu8; 48];
+    assert!(fabric_protos::txflow::decode_transaction(&garbage).is_err());
+
+    // A three-block chain; the middle block's second envelope becomes
+    // the garbage. The sender annotates envelopes and so cannot send it:
+    // packetize the real block and swap that section's payload.
+    let policy = parse("2-outof-2 orgs").unwrap();
+    let mut net = FabricNetworkBuilder::new()
+        .orgs(2)
+        .block_size(2)
+        .chaincode("kv", policy.clone())
+        .build();
+    net.install_chaincode(|| Box::new(KvChaincode::new("kv")));
+    let mut blocks: Vec<Block> = (0..6)
+        .flat_map(|i| {
+            net.submit_invocation(0, "kv", "put", &[format!("k{i}"), "1".into()])
+                .unwrap()
+        })
+        .collect();
+    assert_eq!(blocks.len(), 3);
+    let mut sender = BmacSender::new();
+    let mut wires: Vec<Vec<Vec<u8>>> = Vec::new();
+    for block in &blocks {
+        let mut packets = sender.send_block(block).unwrap();
+        for p in &mut packets {
+            if (p.block_num, p.section, p.index) == (1, SectionType::Transaction, 1) {
+                p.payload = garbage.clone().into();
+                p.annotations.clear();
+            }
+        }
+        wires.push(packets.iter().map(|p| p.encode().unwrap()).collect());
+    }
+    blocks[1].data.data[1] = garbage;
+
+    // The link: all three blocks reassemble, the bad one byte-exactly.
+    let mut receiver = BmacReceiver::new();
+    let mut received = Vec::new();
+    for wire in wires.iter().flatten() {
+        received.extend(receiver.ingest(wire).unwrap());
+    }
+    assert_eq!(received.len(), 3);
+    for (got, want) in received.iter().zip(&blocks) {
+        assert_eq!(got.block.marshal(), want.marshal());
+    }
+
+    // The software consumer: decode error at block 1, block 0 committed,
+    // block 2 never.
+    let mut msp = Msp::new(2);
+    for (org, role) in [
+        (0, Role::Peer),
+        (1, Role::Peer),
+        (0, Role::Orderer),
+        (0, Role::Client),
+    ] {
+        msp.issue(org, role, 0).unwrap();
+    }
+    let policies: HashMap<String, fabric_policy::Policy> = [("kv".to_string(), policy)].into();
+    let pipeline = Arc::new(ValidatorPipeline::new(msp, policies.clone(), 2));
+    let outcome = StreamValidator::run(
+        Arc::clone(&pipeline),
+        StreamConfig::default(),
+        received.into_iter().map(|rb| rb.block),
+    );
+    assert!(matches!(
+        outcome,
+        Err(StreamError::Validate(ValidateError::Decode(_)))
+    ));
+    assert_eq!(pipeline.ledger().height(), 1, "exactly the serial prefix");
+
+    // The hardware consumer: the packet completing block 1 is an error
+    // and the block processor never runs on it.
+    let mut machine = BMacMachine::new(ProcessorConfig::new(Geometry::new(4, 2), 2), &policies);
+    for wire in &wires[0] {
+        machine.ingest_wire(wire, 0).unwrap();
+    }
+    let errors: Vec<MachineError> = wires[1]
+        .iter()
+        .filter_map(|wire| machine.ingest_wire(wire, 0).err())
+        .collect();
+    assert!(matches!(errors[..], [MachineError::Decode(_)]));
+    assert_eq!(machine.blocks_processed(), 1, "block 0 only");
 }
