@@ -54,7 +54,8 @@ impl IdentityCache {
     }
 
     /// Inserts by raw 16-bit id (receiver side, from a sync packet):
-    /// resolvable with [`IdentityCache::bytes_of`] only.
+    /// resolvable with [`IdentityCache::bytes_of`] only. Replaces what
+    /// the id held; the receiver refuses a sync that would.
     pub fn insert_raw(&mut self, raw: u16, identity_bytes: Vec<u8>) {
         self.by_id.insert(raw, identity_bytes);
     }

@@ -17,7 +17,8 @@
 
 use std::collections::HashMap;
 
-use fabric_protos::messages::{Block, BlockData, BlockHeader, BlockMetadata};
+use fabric_crypto::identity::Certificate;
+use fabric_protos::messages::{Block, BlockData, BlockHeader, BlockMetadata, SerializedIdentity};
 use fabric_protos::wire::WireError;
 
 use crate::cache::IdentityCache;
@@ -182,17 +183,18 @@ impl BmacReceiver {
     /// # Errors
     ///
     /// [`ReceiveError::Malformed`] for a transaction index at or above
-    /// the block's transaction count, or a count that differs from the
-    /// one the block's first packet announced (the packet is dropped);
-    /// otherwise [`ReceiveError`] on reconstruction failures.
+    /// the block's transaction count, a count that differs from the one
+    /// the block's first packet announced, or an identity sync that is
+    /// not a certificate for the id it names or that re-points a known
+    /// id at other bytes (the packet is dropped); otherwise
+    /// [`ReceiveError`] on reconstruction failures.
     pub fn ingest_packet(
         &mut self,
         packet: BmacPacket,
         wire_len: usize,
     ) -> Result<Vec<ReceivedBlock>, ReceiveError> {
         if packet.section == SectionType::IdentitySync {
-            self.cache.insert_raw(packet.index, packet.payload.to_vec());
-            self.stats.identities += 1;
+            self.sync_identity(packet.index, &packet.payload)?;
             // The new identity may unblock complete-but-waiting blocks.
             return self.drain_ready();
         }
@@ -228,6 +230,36 @@ impl BmacReceiver {
             return Ok(Vec::new());
         }
         self.complete_one(packet.block_num)
+    }
+
+    /// Installs a synchronized identity. Every later block is
+    /// reassembled from these bytes, so a sync must carry a certificate
+    /// whose node id is the id it is filed under, and may never replace
+    /// the bytes of an id already known (a retransmitted, identical sync
+    /// is idempotent).
+    fn sync_identity(&mut self, id: u16, payload: &[u8]) -> Result<(), ReceiveError> {
+        let cert = SerializedIdentity::unmarshal(payload)
+            .ok()
+            .and_then(|si| Certificate::from_bytes(&si.id_bytes).ok())
+            .ok_or(ReceiveError::Malformed(
+                "identity sync payload is not a certificate",
+            ))?;
+        if cert.node_id.encode() != id {
+            return Err(ReceiveError::Malformed(
+                "identity sync id does not match its certificate",
+            ));
+        }
+        match self.cache.bytes_of(id) {
+            Some(known) if known == payload => Ok(()),
+            Some(_) => Err(ReceiveError::Malformed(
+                "identity sync re-points a known id at different bytes",
+            )),
+            None => {
+                self.cache.insert_raw(id, payload.to_vec());
+                self.stats.identities += 1;
+                Ok(())
+            }
+        }
     }
 
     fn is_completed(&self, block_num: u64) -> bool {

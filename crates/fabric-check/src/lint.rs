@@ -19,6 +19,13 @@
 //!   code. Each layer has one production implementation; a process
 //!   environment read is how a second one gets selected behind the
 //!   caller's back. Configuration arrives through constructors.
+//! * `spawn-site` — `thread::scope` / `thread::spawn` /
+//!   `thread::Builder` outside the files that own the workspace's
+//!   threads: `fabric-peer/src/verify.rs` (every signature-verification
+//!   fan-out), `fabric-peer/src/stream.rs` (the streaming validator's
+//!   lanes) and `fabric-statedb/src/sharded.rs` (the striped apply). A
+//!   new parallel loop goes through one of them instead of becoming a
+//!   second pool.
 //! * `lock-order` — `LOCK_ORDER.txt` must parse, be acyclic, declare
 //!   every `named("...")` label used in non-test source, and not
 //!   declare labels that no longer exist (or `test.` labels at all).
@@ -239,6 +246,8 @@ pub fn lint_file(path: &str, content: &str) -> Vec<Finding> {
     let mut findings = Vec::new();
     let mut in_test = false;
     let cast_scope = in_cast_scope(path);
+    let normalized = norm_path(path);
+    let spawn_site = SPAWN_SITES.iter().any(|f| normalized.ends_with(f));
     for (idx, raw) in lines.iter().enumerate() {
         let trimmed = raw.trim_start();
         if trimmed.starts_with("#[cfg(test)") {
@@ -285,6 +294,14 @@ pub fn lint_file(path: &str, content: &str) -> Vec<Finding> {
                 ENV_SELECTOR,
                 "process-environment read in library code: take the value through a \
                  constructor or config struct instead"
+                    .to_string(),
+            );
+        }
+        if !spawn_site && SPAWN_PATTERNS.iter().any(|p| code.contains(p)) {
+            hit(
+                "spawn-site",
+                "thread spawned outside the workspace's spawn sites: run the work through \
+                 `fabric_peer::verify::Verifier::par_map` (or extend the allow-list with a reason)"
                     .to_string(),
             );
         }
@@ -412,6 +429,15 @@ pub fn lock_order_findings(
 }
 
 const ENV_SELECTOR: &str = "env-selector";
+
+const SPAWN_PATTERNS: [&str; 3] = ["thread::scope", "thread::spawn", "thread::Builder"];
+
+/// The files allowed to start threads (see the `spawn-site` rule).
+const SPAWN_SITES: [&str; 3] = [
+    "crates/fabric-peer/src/verify.rs",
+    "crates/fabric-peer/src/stream.rs",
+    "crates/fabric-statedb/src/sharded.rs",
+];
 
 fn src_dirs(parent: &Path, skip: &[&str], out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     for entry in std::fs::read_dir(parent)? {
@@ -547,6 +573,7 @@ mod tests {
     const BAD_UNWRAP: &str = include_str!("../fixtures/bad_unwrap.fixture");
     const BAD_RELAXED: &str = include_str!("../fixtures/bad_relaxed.fixture");
     const BAD_ENV: &str = include_str!("../fixtures/bad_env.fixture");
+    const BAD_SPAWN: &str = include_str!("../fixtures/bad_spawn.fixture");
     const GOOD: &str = include_str!("../fixtures/good.fixture");
 
     fn rules(findings: &[Finding]) -> Vec<&'static str> {
@@ -581,6 +608,15 @@ mod tests {
     fn bad_env_fixture_trips_rule() {
         let f = lint_file("crates/fabric-statedb/src/fixture.rs", BAD_ENV);
         assert_eq!(rules(&f), vec!["env-selector"], "{f:?}");
+    }
+
+    #[test]
+    fn bad_spawn_fixture_trips_rule_outside_the_spawn_sites() {
+        let f = lint_file("crates/fabric-mempool/src/fixture.rs", BAD_SPAWN);
+        assert_eq!(rules(&f), vec!["spawn-site"], "{f:?}");
+        for site in SPAWN_SITES {
+            assert!(lint_file(site, BAD_SPAWN).is_empty(), "{site}");
+        }
     }
 
     #[test]

@@ -27,7 +27,7 @@ use workload::StreamScenario;
 /// Shape of the admission front-end feeding the orderer.
 #[derive(Debug, Clone, Copy)]
 pub struct MempoolFeed {
-    /// The mempool's tuning (shards, TTL, workers, backpressure bound).
+    /// The mempool's tuning (TTL, workers, backpressure bound).
     pub mempool: MempoolConfig,
     /// Every `resubmit_every`-th envelope is submitted twice, modelling
     /// impatient clients; the dedup window must strip the copies

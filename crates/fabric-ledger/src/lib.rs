@@ -24,6 +24,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use fabric_crypto::sha256::Sha256;
@@ -282,21 +283,20 @@ struct TipInfo {
 #[derive(Debug, Clone)]
 pub struct Ledger {
     inner: Arc<Mutex<LedgerInner>>,
+    /// The chain height, published after each commit so that reading it
+    /// never waits behind a commit's durable append (which holds `inner`
+    /// for milliseconds).
+    height: Arc<AtomicU64>,
 }
 
 impl Default for Ledger {
     fn default() -> Self {
-        Ledger {
-            inner: Arc::new(Mutex::named(
-                "ledger.inner",
-                LedgerInner {
-                    store: Box::new(MemoryBlockStore::new()),
-                    tip: None,
-                    tx_index: HashMap::new(),
-                    history: HistoryDb::new(),
-                },
-            )),
-        }
+        Ledger::from_inner(LedgerInner {
+            store: Box::new(MemoryBlockStore::new()),
+            tip: None,
+            tx_index: HashMap::new(),
+            history: HistoryDb::new(),
+        })
     }
 }
 
@@ -314,6 +314,13 @@ impl Ledger {
     /// Creates an empty in-memory ledger.
     pub fn new() -> Self {
         Ledger::default()
+    }
+
+    fn from_inner(inner: LedgerInner) -> Self {
+        Ledger {
+            height: Arc::new(AtomicU64::new(inner.store.len())),
+            inner: Arc::new(Mutex::named("ledger.inner", inner)),
+        }
     }
 
     /// Opens a ledger over an existing block store — the recovery path.
@@ -359,22 +366,18 @@ impl Ledger {
                 commit_hash: cb.commit_hash,
             });
         }
-        Ok(Ledger {
-            inner: Arc::new(Mutex::named(
-                "ledger.inner",
-                LedgerInner {
-                    store,
-                    tip,
-                    tx_index,
-                    history,
-                },
-            )),
-        })
+        Ok(Ledger::from_inner(LedgerInner {
+            store,
+            tip,
+            tx_index,
+            history,
+        }))
     }
 
-    /// Current chain height (number of the next block).
+    /// Current chain height (number of the next block). Lock-free: while
+    /// a commit is in flight this is still the height before it.
     pub fn height(&self) -> u64 {
-        self.inner.lock().store.len()
+        self.height.load(Ordering::Acquire)
     }
 
     /// Number of the next block this ledger will accept — the streaming
@@ -463,6 +466,7 @@ impl Ledger {
             header_hash,
             commit_hash,
         });
+        self.height.store(expected + 1, Ordering::Release);
         Ok(committed)
     }
 
@@ -632,6 +636,68 @@ mod tests {
             fetched.block.metadata.metadata[metadata_index::TRANSACTIONS_FILTER],
             vec![0u8, 11]
         );
+    }
+
+    /// A store whose `append` reports that it was entered, then waits to
+    /// be released: a commit held in flight for as long as a test likes.
+    #[derive(Debug)]
+    struct GatedStore {
+        blocks: MemoryBlockStore,
+        entered: Arc<std::sync::Barrier>,
+        release: Arc<std::sync::Barrier>,
+    }
+
+    impl BlockStore for GatedStore {
+        fn len(&self) -> u64 {
+            self.blocks.len()
+        }
+        fn get(&self, number: u64) -> Option<CommittedBlock> {
+            self.blocks.get(number)
+        }
+        fn append(&mut self, block: &CommittedBlock) -> Result<(), StoreError> {
+            self.entered.wait();
+            self.release.wait();
+            self.blocks.append(block)
+        }
+        fn flush(&mut self) -> Result<(), StoreError> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn height_does_not_wait_behind_an_in_flight_commit() {
+        let entered = Arc::new(std::sync::Barrier::new(2));
+        let release = Arc::new(std::sync::Barrier::new(2));
+        let ledger = Ledger::with_store(Box::new(GatedStore {
+            blocks: MemoryBlockStore::new(),
+            entered: Arc::clone(&entered),
+            release: Arc::clone(&release),
+        }))
+        .unwrap();
+        let (b0, ids) = make_block(0, [0u8; 32], 1);
+        let committer = {
+            let ledger = ledger.clone();
+            std::thread::spawn(move || {
+                ledger.commit_block(b0, &ids, vec![TxValidationCode::Valid], &[vec![]])
+            })
+        };
+        entered.wait(); // the commit now holds the ledger inside `append`
+        let (tx, rx) = std::sync::mpsc::channel();
+        let reader = {
+            let ledger = ledger.clone();
+            std::thread::spawn(move || tx.send(ledger.height()))
+        };
+        let during = rx.recv_timeout(std::time::Duration::from_secs(3));
+        release.wait();
+        committer.join().unwrap().unwrap();
+        reader.join().unwrap().unwrap();
+        assert_eq!(
+            during,
+            Ok(0),
+            "height() waited for the commit instead of reporting the height before it"
+        );
+        assert_eq!(ledger.height(), 1);
+        assert_eq!(ledger.next_block_number(), 1);
     }
 
     #[test]

@@ -11,12 +11,13 @@
 //!   duplicates against a per-shard replay window; when the pool is at
 //!   capacity the submission is *shed at admission* (counted, never
 //!   ordered) instead of overloading the pipeline downstream;
-//! * **pre-ordering verification** — [`Mempool::verify_pending`] runs a
-//!   work-stealing pool of OS threads, decoupled from the commit path,
-//!   that checks client signatures (and optionally warms endorsement
-//!   verdicts) through the *shared* [`SignatureCache`] — the same cache
-//!   the committer's vscc stage consults, so every signature verified
-//!   here is a cache hit there;
+//! * **pre-ordering verification** — [`Mempool::verify_pending`] checks
+//!   client signatures, then warms endorsement verdicts, decoupled from
+//!   the commit path, on the same engine the committer's vscc stage
+//!   runs on ([`fabric_peer::Verifier`]: membership memo, claim on the
+//!   *shared* [`SignatureCache`], work-stealing threads) — so every
+//!   signature verified here is a cache hit there, and this crate spawns
+//!   no thread and keeps no memo of its own;
 //! * **draining** — [`Mempool::drain`] hands verified transactions to
 //!   the orderer in admission order, flipping their dedup records into
 //!   the replay window (TTL-evicted after `replay_ttl` further
@@ -35,11 +36,11 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
-use std::time::Instant;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use fabric_crypto::{sha256, Msp};
-use fabric_peer::sigcache::Claim;
+use fabric_peer::Verifier;
 use fabric_protos::txflow::decode_transaction;
 use parking_lot::Mutex;
 
@@ -48,11 +49,12 @@ pub use admit::{decode_admission, AdmissionTx};
 // depending on fabric-peer directly.
 pub use fabric_peer::{SigCacheKey, SigCacheStats, SignatureCache};
 
+/// Dedup/replay-window shards (the admission lock granularity).
+const SHARDS: usize = 16;
+
 /// Tuning knobs for a [`Mempool`].
 #[derive(Debug, Clone, Copy)]
 pub struct MempoolConfig {
-    /// Dedup/replay-window shards (the admission lock granularity).
-    pub shards: usize,
     /// Backpressure bound: when `pending + ready` reaches this, new
     /// distinct transactions are shed at admission.
     pub max_pending: usize,
@@ -62,20 +64,14 @@ pub struct MempoolConfig {
     pub replay_ttl: u64,
     /// Verify-pool worker threads.
     pub verify_workers: usize,
-    /// Whether the verify pool also decodes endorsements and warms
-    /// their verdicts into the shared cache (making the committer's
-    /// vscc stage nearly lookup-only).
-    pub warm_endorsements: bool,
 }
 
 impl Default for MempoolConfig {
     fn default() -> Self {
         MempoolConfig {
-            shards: 16,
             max_pending: 4096,
             replay_ttl: 1 << 20,
             verify_workers: 4,
-            warm_endorsements: true,
         }
     }
 }
@@ -108,33 +104,10 @@ pub struct VerifyReport {
     pub endorsements_warmed: usize,
     /// Worker threads used.
     pub workers: usize,
-    /// Summed per-worker busy time (µs).
+    /// Summed time the workers spent on transactions (µs).
     pub busy_us: u64,
     /// Wall-clock time of the parallel phase (µs).
     pub wall_us: u64,
-}
-
-impl VerifyReport {
-    /// Fraction of the pool's thread-time spent verifying, in [0, 1]:
-    /// `busy / (wall × workers)`. Zero when nothing ran.
-    pub fn occupancy(&self) -> f64 {
-        if self.workers == 0 || self.wall_us == 0 {
-            0.0
-        } else {
-            (self.busy_us as f64 / (self.wall_us as f64 * self.workers as f64)).min(1.0)
-        }
-    }
-
-    /// Folds another report into this one (for multi-batch runs).
-    pub fn accumulate(&mut self, other: &VerifyReport) {
-        self.batch += other.batch;
-        self.valid += other.valid;
-        self.invalid += other.invalid;
-        self.endorsements_warmed += other.endorsements_warmed;
-        self.workers = self.workers.max(other.workers);
-        self.busy_us += other.busy_us;
-        self.wall_us += other.wall_us;
-    }
 }
 
 /// Point-in-time mempool counters.
@@ -253,18 +226,16 @@ pub struct Mempool {
     pending_count: AtomicUsize,
     ready_count: AtomicUsize,
     seq: AtomicU64,
-    cache: Arc<SignatureCache>,
-    /// Trust anchors for admission-time creator validation; `None`
-    /// skips the membership check (signature-only admission).
-    msp: Option<Msp>,
-    cert_memo: Mutex<HashMap<[u8; 32], bool>>,
+    /// The verification engine: trust anchors for admission-time creator
+    /// validation (`None` = signature-only admission), the signature
+    /// cache shared with the committer, the verify threads.
+    verifier: Verifier,
     admitted: AtomicU64,
     duplicates: AtomicU64,
     shed: AtomicU64,
     malformed: AtomicU64,
     invalid: AtomicU64,
     drained: AtomicU64,
-    verifications: AtomicU64,
 }
 
 impl Mempool {
@@ -275,7 +246,7 @@ impl Mempool {
     ///
     /// # Panics
     ///
-    /// Panics if `shards`, `max_pending`, or `verify_workers` is zero.
+    /// Panics if `max_pending` or `verify_workers` is zero.
     pub fn new(cfg: MempoolConfig, cache: Arc<SignatureCache>) -> Self {
         Self::with_msp(cfg, cache, None)
     }
@@ -285,13 +256,11 @@ impl Mempool {
     ///
     /// # Panics
     ///
-    /// Panics if `shards`, `max_pending`, or `verify_workers` is zero.
+    /// Panics if `max_pending` or `verify_workers` is zero.
     pub fn with_msp(cfg: MempoolConfig, cache: Arc<SignatureCache>, msp: Option<Msp>) -> Self {
-        assert!(cfg.shards > 0, "mempool needs at least one shard");
         assert!(cfg.max_pending > 0, "max_pending of zero sheds everything");
-        assert!(cfg.verify_workers > 0, "verify pool needs a worker");
         Mempool {
-            shards: (0..cfg.shards)
+            shards: (0..SHARDS)
                 .map(|_| Mutex::named("mempool.shard", Shard::default()))
                 .collect(),
             pending: Mutex::named("mempool.pending", VecDeque::new()),
@@ -299,16 +268,13 @@ impl Mempool {
             pending_count: AtomicUsize::new(0),
             ready_count: AtomicUsize::new(0),
             seq: AtomicU64::new(0),
-            cache,
-            msp,
-            cert_memo: Mutex::named("mempool.cert_memo", HashMap::new()),
+            verifier: Verifier::new(msp, cache, cfg.verify_workers),
             admitted: AtomicU64::new(0),
             duplicates: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             malformed: AtomicU64::new(0),
             invalid: AtomicU64::new(0),
             drained: AtomicU64::new(0),
-            verifications: AtomicU64::new(0),
             cfg,
         }
     }
@@ -371,23 +337,10 @@ impl Mempool {
         AdmitOutcome::Admitted
     }
 
-    /// Memoized MSP membership check (each chain validation is itself an
-    /// ECDSA verify of the CA signature).
-    fn creator_trusted(&self, cert: &fabric_crypto::identity::Certificate) -> bool {
-        let Some(msp) = &self.msp else { return true };
-        let fp = cert.fingerprint();
-        if let Some(&ok) = self.cert_memo.lock().get(&fp) {
-            return ok;
-        }
-        let ok = msp.validate(cert).is_ok();
-        self.cert_memo.lock().insert(fp, ok);
-        ok
-    }
-
-    /// Verifies everything currently pending with the work-stealing
-    /// pool, moving valid transactions to the ready set (in admission
-    /// order) and discarding invalid ones — a rejected id leaves the
-    /// dedup window, so an honest resubmission with a good signature is
+    /// Verifies everything currently pending on the verifier's threads,
+    /// moving valid transactions to the ready set (in admission order)
+    /// and discarding invalid ones — a rejected id leaves the dedup
+    /// window, so an honest resubmission with a good signature is
     /// re-admitted rather than swallowed as a duplicate.
     pub fn verify_pending(&self) -> VerifyReport {
         let batch: Vec<QueuedTx> = {
@@ -399,28 +352,11 @@ impl Mempool {
         }
 
         let n = batch.len();
-        let workers = self.cfg.verify_workers.min(n);
-        let next = AtomicUsize::new(0);
-        let verdicts: Vec<OnceLock<(bool, usize)>> = (0..n).map(|_| OnceLock::new()).collect();
-        let busy_us = AtomicU64::new(0);
         let wall = Instant::now();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    let t0 = Instant::now();
-                    loop {
-                        // relaxed: work claim needs only RMW uniqueness; verdicts are published through OnceLock and the scope join
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let outcome = self.verify_one(&batch[i]);
-                        verdicts[i].set(outcome).expect("task claimed twice");
-                    }
-                    // relaxed: accumulator read only after the scope join below
-                    busy_us.fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
-                });
-            }
+        let outcomes = self.verifier.par_map(n, |i| {
+            let t0 = Instant::now();
+            let (valid, warmed) = self.verify_one(&batch[i]);
+            (valid, warmed, t0.elapsed())
         });
         let wall_us = wall.elapsed().as_micros() as u64;
 
@@ -428,15 +364,14 @@ impl Mempool {
         // above never reorders what the orderer will see.
         let mut report = VerifyReport {
             batch: n,
-            workers,
-            // relaxed: scope join above synchronizes the accumulator
-            busy_us: busy_us.load(Ordering::Relaxed),
+            workers: self.verifier.workers().min(n),
             wall_us,
             ..VerifyReport::default()
         };
-        for (queued, verdict) in batch.into_iter().zip(verdicts) {
-            let (valid, warmed) = verdict.into_inner().expect("verify pool missed a task");
+        let mut busy = Duration::ZERO;
+        for (queued, (valid, warmed, took)) in batch.into_iter().zip(outcomes) {
             report.endorsements_warmed += warmed;
+            busy += took;
             let mut shard = self.shards[self.shard_of(&queued.tx_id)].lock();
             if valid {
                 report.valid += 1;
@@ -458,36 +393,29 @@ impl Mempool {
             // relaxed: approximate backpressure gauge (see admit)
             self.pending_count.fetch_sub(1, Ordering::Relaxed);
         }
+        report.busy_us = busy.as_micros() as u64;
         report
     }
 
-    /// One verify task: membership, client signature through the shared
-    /// cache's claim API, then (optionally) endorsement warming.
-    /// Returns `(valid, endorsements_warmed)`.
+    /// One verify task: membership, then the client signature, then —
+    /// only for a transaction whose client signature verified — a full
+    /// decode off the admission path to warm every endorsement verdict,
+    /// so the committer's vscc phase is lookup-only. Returns
+    /// `(valid, endorsements_warmed)`.
     fn verify_one(&self, queued: &QueuedTx) -> (bool, usize) {
-        if !self.creator_trusted(&queued.tx.creator_cert) {
+        let tx = &queued.tx;
+        if !self.verifier.trusted(&tx.creator_cert) {
             return (false, 0);
         }
-        let valid = match self.cache.claim(&queued.tx.cache_key) {
-            Claim::Verdict(v) => v,
-            Claim::Verify(guard) => {
-                // relaxed: monotonic stats counter; never gates data visibility
-                self.verifications.fetch_add(1, Ordering::Relaxed);
-                let ok = queued
-                    .tx
-                    .creator_cert
-                    .public_key
-                    .verify_prehashed(&queued.tx.payload_digest, &queued.tx.client_signature)
-                    .is_ok();
-                guard.fulfill(ok);
-                ok
-            }
-        };
-        if !valid || !self.cfg.warm_endorsements {
-            return (valid, 0);
+        let valid = self.verifier.check(&tx.cache_key, || {
+            tx.creator_cert
+                .public_key
+                .verify_prehashed(&tx.payload_digest, &tx.client_signature)
+                .is_ok()
+        });
+        if !valid {
+            return (false, 0);
         }
-        // Full decode off the admission path: warm every endorsement
-        // verdict so the committer's vscc phase is lookup-only.
         let Ok(decoded) = decode_transaction(&queued.envelope) else {
             return (false, 0);
         };
@@ -495,17 +423,13 @@ impl Mempool {
         for e in &decoded.endorsements {
             let digest = sha256(&e.signed_message);
             let key = SigCacheKey::compute(&e.endorser_cert.public_key, &digest, &e.signature);
-            if let Claim::Verify(guard) = self.cache.claim(&key) {
-                // relaxed: monotonic stats counter; never gates data visibility
-                self.verifications.fetch_add(1, Ordering::Relaxed);
-                let ok = e
-                    .endorser_cert
+            self.verifier.check(&key, || {
+                warmed += 1;
+                e.endorser_cert
                     .public_key
                     .verify_prehashed(&digest, &e.signature)
-                    .is_ok();
-                guard.fulfill(ok);
-                warmed += 1;
-            }
+                    .is_ok()
+            });
         }
         (true, warmed)
     }
@@ -551,16 +475,6 @@ impl Mempool {
         self.ready_count.load(Ordering::Relaxed)
     }
 
-    /// The shared signature cache (for wiring a committer to it).
-    pub fn cache(&self) -> Arc<SignatureCache> {
-        Arc::clone(&self.cache)
-    }
-
-    /// The configuration this pool was built with.
-    pub fn config(&self) -> &MempoolConfig {
-        &self.cfg
-    }
-
     /// Current counters.
     pub fn stats(&self) -> MempoolStats {
         MempoolStats {
@@ -571,9 +485,9 @@ impl Mempool {
             malformed: self.malformed.load(Ordering::Relaxed),
             invalid: self.invalid.load(Ordering::Relaxed),
             drained: self.drained.load(Ordering::Relaxed),
-            verifications: self.verifications.load(Ordering::Relaxed),
             pending: self.pending_count.load(Ordering::Relaxed),
             ready: self.ready_count.load(Ordering::Relaxed),
+            verifications: self.verifier.verifications() as u64,
             tracked: self.shards.iter().map(|s| s.lock().entries.len()).sum(),
         }
     }

@@ -3,8 +3,10 @@
 //! Two complementary implementations of the same validation semantics:
 //!
 //! * [`pipeline`] — the *functional* peer: real ECDSA/SHA-256, real
-//!   protobuf unmarshaling, a bounded vscc worker pool, sequential MVCC
-//!   and commit against a real state database and ledger. Used for
+//!   protobuf unmarshaling, vscc over the one signature-verification
+//!   engine ([`verify::Verifier`], which the mempool's admission pool
+//!   calls too), sequential MVCC and commit against a real state
+//!   database and ledger. Used for
 //!   correctness (including the software-vs-hardware equivalence check
 //!   of §4.1) and for wall-clock microbenchmarks.
 //! * [`model`] — the *calibrated performance model*: reproduces the
@@ -30,6 +32,7 @@ pub mod model;
 pub mod pipeline;
 pub mod sigcache;
 pub mod stream;
+pub mod verify;
 
 pub use costs::SwCosts;
 pub use fabric_ledger::TxValidationCode;
@@ -37,3 +40,4 @@ pub use model::{BlockProfile, CpuProfile, SwBreakdown, SwValidatorModel};
 pub use pipeline::{BlockValidationResult, StageTimings, ValidateError, ValidatorPipeline};
 pub use sigcache::{Claim, ClaimGuard, SigCacheKey, SigCacheStats, SignatureCache};
 pub use stream::{StreamConfig, StreamError, StreamReport, StreamStats, StreamValidator};
+pub use verify::Verifier;

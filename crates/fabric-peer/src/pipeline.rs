@@ -36,11 +36,13 @@
 //! * **batch invert** — compute the `s⁻¹ mod n` of *all* unique tasks
 //!   with a single modular inversion
 //!   ([`fabric_crypto::ecdsa::batch_s_inverses`]);
-//! * **verify in parallel** — a `std::thread::scope` pool of
-//!   [`ValidatorPipeline::workers`] OS threads (the paper's "vscc
-//!   threads = vCPUs") work-steals tasks from a shared atomic index,
-//!   consulting the sharded LRU [`SignatureCache`] before running the
-//!   precomputed fixed-base + wNAF ECDSA engine;
+//! * **verify in parallel** — [`Verifier::par_map`] over the tasks:
+//!   [`ValidatorPipeline::workers`] threads (the paper's "vscc threads =
+//!   vCPUs") steal task indices, and each task goes through
+//!   [`Verifier::check`], which consults the sharded LRU
+//!   [`SignatureCache`] before running the precomputed fixed-base + wNAF
+//!   ECDSA engine. The orderer check (step 1) and the mempool's
+//!   admission pool go through the same [`Verifier`] calls;
 //! * **assemble** — fold task verdicts back into per-transaction
 //!   validation codes, evaluating each endorsement policy sequentially
 //!   (Fabric v1.4 semantics).
@@ -51,8 +53,7 @@
 //! endorser signatures, replayed envelopes) into lookups.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 use fabric_crypto::ecdsa::batch_s_inverses;
@@ -64,7 +65,8 @@ use fabric_protos::messages::Block;
 use fabric_protos::txflow::{decode_block_struct, DecodedBlock};
 use fabric_statedb::{Height, StateBackend, StateDb, WriteBatch};
 
-use crate::sigcache::{Claim, SigCacheKey, SigCacheStats, SignatureCache};
+use crate::sigcache::{SigCacheKey, SigCacheStats, SignatureCache};
+use crate::verify::Verifier;
 
 /// Per-stage wall-clock timings of one block validation (µs).
 #[derive(Debug, Clone, Copy, Default)]
@@ -142,35 +144,16 @@ impl std::error::Error for ValidateError {}
 /// The software validator peer.
 ///
 /// Owns a state database and ledger; configured with the chaincode
-/// endorsement policies and the MSP trust anchors, plus the number of
-/// parallel vscc workers (the paper's "vscc threads" = vCPUs, §4.1).
+/// endorsement policies, and — inside its [`Verifier`] — the MSP trust
+/// anchors, the signature cache and the number of parallel vscc workers
+/// (the paper's "vscc threads" = vCPUs, §4.1).
 #[derive(Debug)]
 pub struct ValidatorPipeline {
-    msp: Msp,
     policies: HashMap<String, Policy>,
     state_db: StateDb,
     ledger: Ledger,
-    workers: usize,
-    /// Count of *underlying* ECDSA verifications performed — cache hits
-    /// do not increment this (for Figure 12a's "Fabric verifies all
-    /// endorsements" evidence and the cache-dedup tests).
-    verifications: AtomicUsize,
-    /// Sharded LRU of verification verdicts keyed by
-    /// `(pubkey, digest, signature)`. Behind an `Arc` so an admission
-    /// front-end (the mempool's verify pool) can share verdicts with the
-    /// committer: a signature checked at admission is a cache hit here.
-    sig_cache: Arc<SignatureCache>,
-    /// Memo of certificate-chain checks by certificate fingerprint: a
-    /// block repeats the same few certificates hundreds of times, and
-    /// each MSP validation is itself a full ECDSA verification (the CA
-    /// signature over the TBS bytes).
-    cert_cache: parking_lot::Mutex<HashMap<[u8; 32], bool>>,
+    verifier: Verifier,
 }
-
-/// Upper bound on memoized certificate verdicts before the memo resets
-/// (a certificate is ~100 bytes of key material; this bounds the memo at
-/// roughly a megabyte under pathological cert churn).
-const CERT_CACHE_CAPACITY: usize = 16 * 1024;
 
 /// Default number of cached signature verdicts (~1 MiB of keys): a few
 /// hundred blocks of smallbank-shaped traffic.
@@ -267,22 +250,12 @@ impl ValidatorPipeline {
         state_db: StateDb,
         ledger: Ledger,
     ) -> Self {
-        assert!(workers > 0, "at least one vscc worker required");
         ValidatorPipeline {
-            msp,
             policies,
             state_db,
             ledger,
-            workers,
-            verifications: AtomicUsize::new(0),
-            sig_cache,
-            cert_cache: parking_lot::Mutex::named("peer.cert_memo", HashMap::new()),
+            verifier: Verifier::new(Some(msp), sig_cache, workers),
         }
-    }
-
-    /// Shared handle to the signature-verdict cache.
-    pub fn sig_cache(&self) -> Arc<SignatureCache> {
-        Arc::clone(&self.sig_cache)
     }
 
     /// Flushes the storage layer (state journal, then block store) — the
@@ -298,29 +271,9 @@ impl ValidatorPipeline {
         self.ledger.flush().map_err(ValidateError::Ledger)
     }
 
-    /// Memoized [`Msp::validate`]: the chain check (an ECDSA
-    /// verification of the CA signature) runs once per distinct
-    /// certificate, then becomes a fingerprint lookup.
-    fn msp_validate_cached(&self, cert: &fabric_crypto::Certificate) -> bool {
-        let fp = cert.fingerprint();
-        {
-            let cache = self.cert_cache.lock();
-            if let Some(&ok) = cache.get(&fp) {
-                return ok;
-            }
-        }
-        let ok = self.msp.validate(cert).is_ok();
-        let mut cache = self.cert_cache.lock();
-        if cache.len() >= CERT_CACHE_CAPACITY {
-            cache.clear();
-        }
-        cache.insert(fp, ok);
-        ok
-    }
-
     /// Signature-cache statistics (hits, misses, residency).
     pub fn sig_cache_stats(&self) -> SigCacheStats {
-        self.sig_cache.stats()
+        self.verifier.sig_cache().stats()
     }
 
     /// The peer's state database handle.
@@ -333,15 +286,16 @@ impl ValidatorPipeline {
         self.ledger.clone()
     }
 
-    /// Total ECDSA verifications performed so far.
+    /// Total *underlying* ECDSA verifications performed so far — cache
+    /// hits do not count (Figure 12a's "Fabric verifies all
+    /// endorsements" evidence and the cache-dedup tests read this).
     pub fn verifications(&self) -> usize {
-        // relaxed: monotonic stats counter; never gates data visibility
-        self.verifications.load(Ordering::Relaxed)
+        self.verifier.verifications()
     }
 
     /// Number of vscc workers.
     pub fn workers(&self) -> usize {
-        self.workers
+        self.verifier.workers()
     }
 
     /// Validates and commits one block (steps 1–5 of Figure 2a).
@@ -535,10 +489,10 @@ impl ValidatorPipeline {
     }
 
     /// Step 1b: the orderer check is one more verification task — same
-    /// digest, cache key and claim path as every client and endorsement
-    /// signature.
+    /// digest, cache key and [`Verifier::check`] as every client and
+    /// endorsement signature.
     fn verify_orderer(&self, decoded: &DecodedBlock) -> bool {
-        if !self.msp_validate_cached(&decoded.orderer_cert) {
+        if !self.verifier.trusted(&decoded.orderer_cert) {
             return false;
         }
         let task = VerifyTask::new(
@@ -573,8 +527,11 @@ impl ValidatorPipeline {
 
         // Phase 3: work-stealing parallel verification over *signatures*
         // (better load balance than per-transaction when endorsement
-        // counts vary), each worker consulting the shared cache first.
-        let verdicts = self.verify_tasks_parallel(&tasks, &sinvs);
+        // counts vary): each unique task is verified exactly once, or
+        // answered by the shared cache.
+        let verdicts = self
+            .verifier
+            .par_map(tasks.len(), |i| self.verify_task(&tasks[i], &sinvs[i]));
 
         // Phase 4: fold verdicts into per-transaction validation codes.
         txs.iter()
@@ -619,7 +576,7 @@ impl ValidatorPipeline {
         for tx in &decoded.txs {
             // The creator identity must chain to its org CA before its
             // signature is worth checking.
-            if !self.msp_validate_cached(&tx.creator_cert) {
+            if !self.verifier.trusted(&tx.creator_cert) {
                 txs.push(TxPlan::BadCreator);
                 continue;
             }
@@ -635,7 +592,7 @@ impl ValidatorPipeline {
             // like the seed's per-tx loop.
             let mut endorsements = Vec::with_capacity(tx.endorsements.len());
             for e in &tx.endorsements {
-                if !self.msp_validate_cached(&e.endorser_cert) {
+                if !self.verifier.trusted(&e.endorser_cert) {
                     continue;
                 }
                 let task = intern_task(
@@ -656,63 +613,12 @@ impl ValidatorPipeline {
         (tasks, txs)
     }
 
-    /// Phase 3: `workers` scoped OS threads work-steal task indices from
-    /// a shared atomic counter. Each unique task is verified exactly
-    /// once (or answered by the cache) and its verdict recorded.
-    fn verify_tasks_parallel(&self, tasks: &[VerifyTask<'_>], sinvs: &[U256]) -> Vec<bool> {
-        let n = tasks.len();
-        let workers = self.workers.min(n.max(1));
-        if workers <= 1 || n <= 1 {
-            return tasks
-                .iter()
-                .zip(sinvs)
-                .map(|(t, sinv)| self.verify_task(t, sinv))
-                .collect();
-        }
-        let next = AtomicUsize::new(0);
-        let verdicts: Vec<OnceLock<bool>> = (0..n).map(|_| OnceLock::new()).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    // relaxed: work claim needs only RMW uniqueness; verdicts are
-                    // published through the scope join below
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let verdict = self.verify_task(&tasks[i], &sinvs[i]);
-                    verdicts[i].set(verdict).expect("task index claimed twice");
-                });
-            }
-        });
-        verdicts
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("verify worker missed a task"))
-            .collect()
-    }
-
     fn verify_task(&self, task: &VerifyTask<'_>, sinv: &U256) -> bool {
-        // claim() is the thundering-herd-safe path: under concurrent
-        // misses on one triple (two streaming verify stages, or the
-        // admission pool racing the committer) exactly one claimant runs
-        // the ECDSA engine and the rest wait for its verdict.
-        match self.sig_cache.claim(&task.cache_key) {
-            Claim::Verdict(verdict) => verdict,
-            Claim::Verify(guard) => {
-                self.bump_verifications(1);
-                let valid = task
-                    .key
-                    .verify_prehashed_with_sinv(&task.digest, &task.sig, sinv)
-                    .is_ok();
-                guard.fulfill(valid);
-                valid
-            }
-        }
-    }
-
-    fn bump_verifications(&self, n: usize) {
-        // relaxed: monotonic stats counter; never gates data visibility
-        self.verifications.fetch_add(n, Ordering::Relaxed);
+        self.verifier.check(&task.cache_key, || {
+            task.key
+                .verify_prehashed_with_sinv(&task.digest, &task.sig, sinv)
+                .is_ok()
+        })
     }
 }
 

@@ -149,11 +149,6 @@ pub struct ClaimGuard<'a> {
 }
 
 impl ClaimGuard<'_> {
-    /// The key this claim covers.
-    pub fn key(&self) -> &SigCacheKey {
-        &self.key
-    }
-
     /// Publishes the verdict: inserts it into the cache, then wakes
     /// every waiter coalesced behind this claim.
     pub fn fulfill(mut self, valid: bool) {

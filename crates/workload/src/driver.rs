@@ -5,11 +5,21 @@
 //! metrics" (paper §4.2). The driver generates random operations against
 //! a [`FabricNetwork`], collects the blocks the ordering service cuts,
 //! and measures the envelope-size profile the performance models consume.
+//!
+//! Endorsers commit blocks too, and what they commit must be what a
+//! validator commits: [`Driver::commit_back`] replays every cut block on
+//! a serial oracle [`ValidatorPipeline`] and hands the endorsers the
+//! writes of the transactions it flags valid, and no others. (Handing
+//! them every write set lets endorser versions drift from validator
+//! versions, and the valid share of a stream decays with its length.)
 
+use fabric_crypto::identity::Msp;
 use fabric_node::client::ClientError;
+use fabric_node::endorser::TxWrites;
 use fabric_node::network::FabricNetwork;
-use fabric_peer::BlockProfile;
+use fabric_peer::{BlockProfile, StageTimings, TxValidationCode, ValidatorPipeline};
 use fabric_protos::messages::Block;
+use fabric_protos::txflow::{decode_block_struct, DecodedBlock};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -43,6 +53,9 @@ pub struct Driver {
     rng: StdRng,
     submitted: u64,
     aborted: u64,
+    /// The serial validator [`Driver::commit_back`] replays blocks on;
+    /// built on first use, it must see every block from number 0.
+    oracle: Option<ValidatorPipeline>,
 }
 
 impl Driver {
@@ -54,6 +67,45 @@ impl Driver {
             rng: StdRng::seed_from_u64(seed),
             submitted: 0,
             aborted: 0,
+            oracle: None,
+        }
+    }
+
+    fn oracle(&mut self, net: &FabricNetwork) -> &ValidatorPipeline {
+        self.oracle.get_or_insert_with(|| {
+            // The org CAs are a function of the org index alone, so a
+            // fresh MSP of the same width trusts what the network issued.
+            ValidatorPipeline::new(
+                Msp::new(net.num_orgs()),
+                net.chaincodes().iter().cloned().collect(),
+                1,
+            )
+        })
+    }
+
+    /// Replays `block` on the driver's oracle validator and commits back
+    /// to the endorsers the writes of the transactions it flags valid —
+    /// what every validator of the stream commits — so follow-up
+    /// simulations read the versions validators hold. With `withhold`
+    /// the oracle still commits the block but the endorsers learn nothing
+    /// of it: their later endorsements of its keys read stale versions.
+    ///
+    /// Blocks must come in order from number 0, [`Driver::prepare`]'s
+    /// set-up blocks (which it feeds itself) first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the oracle rejects the block: driver-produced blocks
+    /// decode and chain, so that is a bug, not an input condition.
+    pub fn commit_back(&mut self, net: &mut FabricNetwork, block: &Block, withhold: bool) {
+        let codes = self
+            .oracle(net)
+            .validate_and_commit(block)
+            .expect("driver-produced blocks validate")
+            .codes;
+        if !withhold {
+            let decoded = decode_block_struct(block, 0).expect("driver-produced blocks decode");
+            commit_valid_writes(net, decoded, &codes);
         }
     }
 
@@ -85,18 +137,22 @@ impl Driver {
         if let Some(block) = net.cut_partial_block() {
             blocks.push(block);
         }
-        // Commit setup writes to the endorsers so follow-up simulations
-        // read fresh versions.
+        // Every set-up transaction creates a key of its own, so all of
+        // them are valid: the oracle catches up without checking a
+        // signature, and the endorsers get every write.
         for block in &blocks {
-            let decoded = fabric_protos::txflow::decode_block(&block.marshal())
-                .expect("driver-produced blocks decode");
-            let writes: Vec<fabric_node::endorser::TxWrites> = decoded
-                .txs
-                .iter()
-                .enumerate()
-                .map(|(i, tx)| (i as u64, tx.writes.clone()))
-                .collect();
-            net.commit_to_endorsers(decoded.number, &writes);
+            let decoded = decode_block_struct(block, 0).expect("driver-produced blocks decode");
+            let codes = vec![TxValidationCode::Valid; decoded.txs.len()];
+            self.oracle(net)
+                .commit_flagged(
+                    block,
+                    &decoded,
+                    true,
+                    codes.clone(),
+                    StageTimings::default(),
+                )
+                .expect("driver-produced blocks chain");
+            commit_valid_writes(net, decoded, &codes);
         }
         Ok(blocks)
     }
@@ -205,7 +261,8 @@ impl Driver {
     }
 
     /// Generates blocks until `count` of them have been cut, committing
-    /// each block's writes back to the endorsers.
+    /// each block's valid writes back to the endorsers
+    /// ([`Driver::commit_back`]).
     ///
     /// # Errors
     ///
@@ -218,15 +275,7 @@ impl Driver {
         let mut blocks = Vec::new();
         while blocks.len() < count {
             for block in self.submit_one(net)? {
-                let decoded = fabric_protos::txflow::decode_block(&block.marshal())
-                    .expect("driver-produced blocks decode");
-                let writes: Vec<fabric_node::endorser::TxWrites> = decoded
-                    .txs
-                    .iter()
-                    .enumerate()
-                    .map(|(i, tx)| (i as u64, tx.writes.clone()))
-                    .collect();
-                net.commit_to_endorsers(decoded.number, &writes);
+                self.commit_back(net, &block, false);
                 blocks.push(block);
             }
         }
@@ -237,6 +286,20 @@ impl Driver {
     pub fn counters(&self) -> (u64, u64) {
         (self.submitted, self.aborted)
     }
+}
+
+/// Commits to the endorsers the writes of the transactions `codes` flags
+/// valid, at the heights a validator commits them.
+fn commit_valid_writes(net: &mut FabricNetwork, decoded: DecodedBlock, codes: &[TxValidationCode]) {
+    let writes: Vec<TxWrites> = decoded
+        .txs
+        .into_iter()
+        .zip(codes)
+        .enumerate()
+        .filter(|(_, (_, code))| code.is_valid())
+        .map(|(i, (tx, _))| (i as u64, tx.writes))
+        .collect();
+    net.commit_to_endorsers(decoded.number, &writes);
 }
 
 /// Measures a [`BlockProfile`] from real blocks: average envelope size,

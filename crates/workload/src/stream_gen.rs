@@ -11,7 +11,10 @@
 //! * **cross-block MVCC conflicts** — a block's writes are withheld from
 //!   the endorsers with probability `stale_commit_pct`, so later blocks
 //!   are endorsed against stale versions and must be flagged
-//!   `MvccReadConflict` by any correct validator, streaming or serial;
+//!   `MvccReadConflict` by any correct validator, streaming or serial
+//!   (every other block's *valid* writes go back to the endorsers, as
+//!   [`Driver::commit_back`] describes, so without injected faults the
+//!   valid share does not depend on the stream's length);
 //! * **invalid signatures** — `corrupt_sigs` client signatures are
 //!   flipped (the tx must flag `BadSignature` while the rest of its
 //!   block stays valid);
@@ -162,10 +165,8 @@ impl StreamScenario {
         while produced < self.num_blocks {
             let cut = driver.submit_one(&mut net).expect("scenario submission");
             for block in cut {
-                let commit_back = rng.gen_range(0..100u8) >= self.stale_commit_pct;
-                if commit_back {
-                    commit_writes_to_endorsers(&mut net, &block);
-                }
+                let withhold = rng.gen_range(0..100u8) < self.stale_commit_pct;
+                driver.commit_back(&mut net, &block, withhold);
                 blocks.push(block);
                 produced += 1;
             }
@@ -214,20 +215,6 @@ impl StreamScenario {
             setup_blocks,
         }
     }
-}
-
-/// Commits one block's writes to the endorsers so later endorsements
-/// read fresh versions.
-fn commit_writes_to_endorsers(net: &mut FabricNetwork, block: &Block) {
-    let decoded =
-        fabric_protos::txflow::decode_block(&block.marshal()).expect("generated blocks decode");
-    let writes: Vec<fabric_node::endorser::TxWrites> = decoded
-        .txs
-        .iter()
-        .enumerate()
-        .map(|(i, tx)| (i as u64, tx.writes.clone()))
-        .collect();
-    net.commit_to_endorsers(decoded.number, &writes);
 }
 
 #[cfg(test)]
@@ -304,6 +291,39 @@ mod tests {
             }
         }
         assert_eq!(differing, 2, "every configured corruption must land");
+    }
+
+    #[test]
+    fn valid_share_does_not_decay_along_a_fault_free_stream() {
+        // With every write set committed back to the endorsers — those
+        // of MVCC-invalid transactions too — each in-block conflict
+        // poisons its keys for good and the stream rots as it grows.
+        let scenario = StreamScenario {
+            accounts: 200,
+            block_size: 20,
+            num_blocks: 60,
+            seed: 11,
+            ..StreamScenario::default()
+        };
+        let stream = scenario.generate();
+        let validator =
+            fabric_peer::ValidatorPipeline::new(scenario.validator_msp(), scenario.policies(), 1);
+        let valid_per_block: Vec<usize> = stream
+            .blocks
+            .iter()
+            .map(|b| validator.validate_and_commit(b).unwrap().valid_count())
+            .collect();
+        let workload = &valid_per_block[stream.setup_blocks..];
+        assert_eq!(workload.len(), 60);
+        let share = |blocks: &[usize]| {
+            blocks.iter().sum::<usize>() as f64 / (blocks.len() * scenario.block_size) as f64
+        };
+        let (first, last) = (share(&workload[..15]), share(&workload[45..]));
+        assert!(
+            (first - last).abs() <= 0.10,
+            "valid share drifted from {first:.2} to {last:.2} over 60 blocks"
+        );
+        assert!(first > 0.8, "first quarter only {first:.2} valid");
     }
 
     #[test]

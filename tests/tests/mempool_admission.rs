@@ -16,7 +16,12 @@
 //!   serial oracle of the mempool-produced blocks;
 //! * **cache sharing**: the verdicts the admission pool produced are
 //!   hits, not re-verifications, for a committer wired to the same
-//!   signature cache.
+//!   signature cache;
+//! * **one verification engine**: on a fixed scenario the verification
+//!   counts of the admission pool and of the committer, the drained
+//!   order and every verdict are the same for 1, 2 and 4 workers, and
+//!   equal to what the tree recorded before both sides were rewritten
+//!   on `fabric_peer::Verifier`.
 
 use std::collections::HashSet;
 use std::path::PathBuf;
@@ -26,8 +31,12 @@ use fabric_cluster::{
     mempool_feed_blocks, run, ClusterConfig, FaultPlan, KillPoint, MempoolFeed, OrderingMode,
     SerialOracle,
 };
+use fabric_ledger::Ledger;
 use fabric_mempool::{decode_admission, AdmitOutcome, Mempool, MempoolConfig, SignatureCache};
+use fabric_peer::ValidatorPipeline;
+use fabric_protos::txflow::{block_header_hash, build_block};
 use fabric_sim::MILLIS;
+use fabric_statedb::StateDb;
 use proptest::prelude::*;
 use workload::{StreamScenario, Workload};
 
@@ -263,5 +272,128 @@ fn feed_blocks_audit_against_their_own_oracle() {
                 "a bad signature leaked past admission"
             );
         }
+    }
+}
+
+/// Everything countable about one admission-then-commit pass over the
+/// fixed scenario below.
+#[derive(Debug, PartialEq, Eq)]
+struct EnginePass {
+    /// `(valid, invalid, endorsements_warmed)` of each `verify_pending`.
+    verify_calls: Vec<(usize, usize, usize)>,
+    admission_verifications: u64,
+    duplicates: u64,
+    /// First eight bytes of SHA-256 over the drained envelopes, in
+    /// drain order.
+    drained_digest: String,
+    drained: usize,
+    committer_verifications: usize,
+    /// The committer's flags, one string per block, one letter per
+    /// transaction (the first of the code's name: `V`alid,
+    /// `M`vccReadConflict, `B`adSignature, ...).
+    codes: Vec<String>,
+}
+
+/// Admits a stream with corrupted client signatures and replayed
+/// envelopes (verifying every five admissions, so a replay of a
+/// rejected envelope is re-admitted and answered from the cache), cuts
+/// the drained envelopes into blocks, and commits them on a validator
+/// that shares the admission pool's signature cache.
+fn engine_pass(workers: usize) -> EnginePass {
+    let scenario = StreamScenario {
+        workload: Workload::Smallbank,
+        accounts: 64,
+        block_size: 4,
+        num_blocks: 6,
+        stale_commit_pct: 0,
+        corrupt_sigs: 3,
+        duplicate_txs: 4,
+        seed: 4242,
+    };
+    let generated = scenario.generate();
+    let cache = Arc::new(SignatureCache::new(8192));
+    let mempool = Mempool::with_msp(
+        MempoolConfig {
+            verify_workers: workers,
+            ..MempoolConfig::default()
+        },
+        Arc::clone(&cache),
+        Some(scenario.validator_msp()),
+    );
+    let mut verify_calls = Vec::new();
+    let mut verify = |mempool: &Mempool| {
+        let r = mempool.verify_pending();
+        verify_calls.push((r.valid, r.invalid, r.endorsements_warmed));
+    };
+    let envelopes = generated.blocks.iter().flat_map(|b| &b.data.data);
+    for (i, env) in envelopes.enumerate() {
+        assert_ne!(mempool.admit(env), AdmitOutcome::Shed);
+        if (i + 1) % 5 == 0 {
+            verify(&mempool);
+        }
+    }
+    verify(&mempool);
+    let drained = mempool.drain(usize::MAX);
+    let stats = mempool.stats();
+
+    let committer = ValidatorPipeline::with_shared_cache(
+        scenario.validator_msp(),
+        scenario.policies(),
+        workers,
+        cache,
+        StateDb::new(),
+        Ledger::new(),
+    );
+    let orderer = scenario.orderer();
+    let mut prev = [0u8; 32];
+    let mut codes = Vec::new();
+    for (number, chunk) in drained.chunks(scenario.block_size).enumerate() {
+        let block = build_block(number as u64, &prev, chunk.to_vec(), &orderer);
+        prev = block_header_hash(&block.header);
+        let result = committer.validate_and_commit(&block).unwrap();
+        assert!(result.block_valid);
+        let letters = result
+            .codes
+            .iter()
+            .map(|c| format!("{c:?}")[..1].to_string());
+        codes.push(letters.collect());
+    }
+    let digest = fabric_crypto::sha256(&drained.concat());
+    EnginePass {
+        verify_calls,
+        admission_verifications: stats.verifications,
+        duplicates: stats.duplicates,
+        drained_digest: digest[..8].iter().map(|b| format!("{b:02x}")).collect(),
+        drained: drained.len(),
+        committer_verifications: committer.verifications(),
+        codes,
+    }
+}
+
+/// The admission pool and the committer run on one verification engine:
+/// worker count changes nothing countable, and the rewrite changed
+/// nothing either — the expected values were recorded by running this
+/// test's body at commit 668b41e, where the mempool still had its own
+/// thread pool, certificate memo and claim loops.
+#[test]
+fn verification_counts_and_verdicts_match_the_recorded_parent_for_every_worker_count() {
+    let mut verify_calls = vec![(5, 0, 10); 12];
+    verify_calls.extend([(4, 1, 8), (5, 0, 10), (4, 1, 8), (3, 0, 6)]);
+    verify_calls.extend([(4, 1, 8), (3, 0, 6), (2, 0, 4)]);
+    let mut codes = vec!["VVVV"; 17];
+    codes.extend(["VMVV", "VVMV", "MVVM", "VMMM", "V"]);
+    let recorded = EnginePass {
+        verify_calls,
+        // 85 drained × (client + 2 endorsements) + 3 rejected clients.
+        admission_verifications: 258,
+        duplicates: 4,
+        drained_digest: "ea407933248fcdb8".into(),
+        drained: 85,
+        // One orderer signature a block; every other lookup is a hit.
+        committer_verifications: 22,
+        codes: codes.into_iter().map(String::from).collect(),
+    };
+    for workers in [1, 2, 4] {
+        assert_eq!(engine_pass(workers), recorded, "{workers} workers");
     }
 }

@@ -160,6 +160,89 @@ fn transaction_count_is_fixed_by_the_first_packet() {
     assert_eq!(done[0].block.marshal(), block.marshal());
 }
 
+/// One block's packets with the first identity sync moved to the front,
+/// and that sync.
+fn packets_sync_first(block: &Block) -> (Vec<BmacPacket>, BmacPacket) {
+    let mut packets = BmacSender::new().send_block(block).unwrap();
+    let at = packets
+        .iter()
+        .position(|p| p.section == SectionType::IdentitySync)
+        .expect("a fresh sender syncs every identity");
+    let sync = packets.remove(at);
+    packets.insert(0, sync.clone());
+    (packets, sync)
+}
+
+/// Feeds `forged` right after the first (honest) identity sync, then the
+/// rest of the block: the forgery must be refused as malformed and the
+/// block must still come out byte-exact.
+fn forged_sync_is_refused_and_harmless(block: &Block, forge: impl Fn(&BmacPacket) -> BmacPacket) {
+    let (packets, sync) = packets_sync_first(block);
+    let mut receiver = BmacReceiver::new();
+    let mut done = Vec::new();
+    for (i, p) in packets.iter().enumerate() {
+        done.extend(receiver.ingest(&p.encode().unwrap()).unwrap());
+        if i == 0 {
+            assert!(matches!(
+                receiver.ingest(&forge(&sync).encode().unwrap()),
+                Err(ReceiveError::Malformed(_))
+            ));
+        }
+    }
+    assert_eq!(done.len(), 1);
+    assert_eq!(done[0].block.marshal(), block.marshal());
+}
+
+#[test]
+fn identity_sync_filed_under_another_id_is_rejected() {
+    // An honest certificate announced under an id that is not its own:
+    // accepted, it would be put back wherever that other id is located.
+    let block = one_block(2);
+    forged_sync_is_refused_and_harmless(&block, |sync| {
+        let mut forged = sync.clone();
+        forged.index ^= 0x0100; // another organization
+        forged
+    });
+}
+
+#[test]
+fn identity_resync_with_different_bytes_is_rejected_and_identical_is_idempotent() {
+    // A second certificate for the same node id (same subject, other
+    // serial) must not replace the bytes every later block is rebuilt
+    // from; the identical retransmission must stay harmless.
+    let block = one_block(2);
+    forged_sync_is_refused_and_harmless(&block, |sync| {
+        let si = fabric_protos::messages::SerializedIdentity::unmarshal(&sync.payload).unwrap();
+        let mut cert = fabric_crypto::identity::Certificate::from_bytes(&si.id_bytes).unwrap();
+        cert.serial += 1;
+        let forged_si = fabric_protos::messages::SerializedIdentity {
+            id_bytes: cert.to_bytes(),
+            ..si
+        };
+        let mut forged = sync.clone();
+        forged.payload = forged_si.marshal().into();
+        forged
+    });
+    let (packets, sync) = packets_sync_first(&block);
+    let mut receiver = BmacReceiver::new();
+    let mut done = 0;
+    for p in &packets {
+        done += receiver.ingest(&p.encode().unwrap()).unwrap().len();
+        done += receiver.ingest(&sync.encode().unwrap()).unwrap().len();
+    }
+    assert_eq!(done, 1, "identical re-syncs change nothing");
+}
+
+#[test]
+fn identity_sync_with_a_garbage_payload_is_rejected() {
+    let block = one_block(2);
+    forged_sync_is_refused_and_harmless(&block, |sync| {
+        let mut forged = sync.clone();
+        forged.payload = vec![0xA5; sync.payload.len()].into();
+        forged
+    });
+}
+
 /// Applies a randomized delivery schedule — shuffling, duplication, and
 /// an optional single drop — to one block's packets and returns what the
 /// receiver produced plus whether it reported the block incomplete.

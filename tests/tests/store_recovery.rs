@@ -372,7 +372,13 @@ fn checkpoint_journal_disagreement_is_reconciled() {
     truncate_file(&jlost.join("journal.log"), 64);
     let store = FabricStore::open(&jlost, StoreConfig::default()).unwrap();
     let ck = store.recovery().checkpoint_height.expect("ckpt used");
-    assert_eq!(store.ledger().height(), ck.block_num + 1);
+    // Past the snapshot a block survives only while it needs no journal
+    // record, i.e. has no valid transaction.
+    let recordless = oracle.codes[ck.block_num as usize + 1..]
+        .iter()
+        .take_while(|codes| !codes.iter().any(|c| c.is_valid()))
+        .count() as u64;
+    assert_eq!(store.ledger().height(), ck.block_num + 1 + recordless);
     drop(store);
     assert_recovers_to_serial_prefix(&jlost, &oracle);
     std::fs::remove_dir_all(&jlost).unwrap();
