@@ -212,6 +212,9 @@ fn manifest_exempt(label: &str) -> bool {
 fn node_for(tag: &LockTag) -> &'static NodeInfo {
     let cached = tag.node.load(Ordering::Acquire);
     if !cached.is_null() {
+        // SAFETY: a non-null `tag.node` was stored by the CAS below from
+        // a `&'static NodeInfo` that `alloc_node` leaked, so it points
+        // to a live, never-freed, never-mutated `NodeInfo`.
         return unsafe { &*cached };
     }
     let node = {
@@ -244,6 +247,9 @@ fn node_for(tag: &LockTag) -> &'static NodeInfo {
         Ordering::Acquire,
     ) {
         Ok(_) => node,
+        // SAFETY: the CAS expects null, so a failure returns the non-null
+        // pointer another thread stored — from its own leaked
+        // `&'static NodeInfo`, as above.
         Err(existing) => unsafe { &*existing },
     }
 }

@@ -26,6 +26,12 @@
 //!   lanes) and `fabric-statedb/src/sharded.rs` (the striped apply). A
 //!   new parallel loop goes through one of them instead of becoming a
 //!   second pool.
+//! * `unsafe-site` — `unsafe` outside the files that own the
+//!   workspace's unsafe code: `fabric-crypto/src/sha256.rs` (the SHA
+//!   extensions kernel and its one call) and `fabric-check/src/lib.rs`
+//!   (the lock graph's leaked nodes). Inside them, every `unsafe` block
+//!   or fn must sit under a `// SAFETY:` comment (attributes may come
+//!   between) saying why its requirements hold.
 //! * `lock-order` — `LOCK_ORDER.txt` must parse, be acyclic, declare
 //!   every `named("...")` label used in non-test source, and not
 //!   declare labels that no longer exist (or `test.` labels at all).
@@ -36,7 +42,8 @@
 //! pattern as string literals; its behavior is covered by fixtures, and
 //! `FABRIC_CHECK_SYNC`/`FABRIC_CHECK_SEED` are read there by design).
 //! `env-selector` alone also covers `crates/shims`, `crates/bench` and
-//! the root `src/`.
+//! the root `src/`; `unsafe-site` alone also covers
+//! `crates/fabric-check/src/lib.rs`.
 //! Code at or after a `#[cfg(test)]` line is exempt, as are
 //! comment-only lines. `named()` labels are additionally collected from
 //! `tests/` so the manifest inventory covers integration fixtures.
@@ -238,6 +245,27 @@ fn relaxed_justified(lines: &[&str], idx: usize) -> bool {
     false
 }
 
+/// Whether `code` uses `unsafe` as a keyword (not as part of a longer
+/// identifier such as `unsafe_code`).
+fn has_unsafe_keyword(code: &str) -> bool {
+    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+    code.match_indices("unsafe").any(|(at, word)| {
+        !code[..at].chars().next_back().is_some_and(is_ident)
+            && !code[at + word.len()..].chars().next().is_some_and(is_ident)
+    })
+}
+
+/// Whether the comment run directly above line `idx` (attribute lines
+/// may sit in between) carries a `SAFETY:` justification.
+fn safety_justified(lines: &[&str], idx: usize) -> bool {
+    lines[..idx]
+        .iter()
+        .rev()
+        .map(|l| l.trim_start())
+        .take_while(|l| l.starts_with("//") || l.starts_with("#["))
+        .any(|l| l.starts_with("//") && l.contains("SAFETY:"))
+}
+
 /// Per-line rules for one file. `path` determines rule scoping and is
 /// echoed into findings; callers may pass a virtual path to lint a
 /// snippet as if it lived elsewhere (the fixture tests do).
@@ -248,6 +276,7 @@ pub fn lint_file(path: &str, content: &str) -> Vec<Finding> {
     let cast_scope = in_cast_scope(path);
     let normalized = norm_path(path);
     let spawn_site = SPAWN_SITES.iter().any(|f| normalized.ends_with(f));
+    let unsafe_site = UNSAFE_SITES.iter().any(|f| normalized.ends_with(f));
     for (idx, raw) in lines.iter().enumerate() {
         let trimmed = raw.trim_start();
         if trimmed.starts_with("#[cfg(test)") {
@@ -296,6 +325,21 @@ pub fn lint_file(path: &str, content: &str) -> Vec<Finding> {
                  constructor or config struct instead"
                     .to_string(),
             );
+        }
+        if has_unsafe_keyword(code) {
+            if !unsafe_site {
+                hit(
+                    UNSAFE_SITE,
+                    "`unsafe` outside the files that own the workspace's unsafe code: find a \
+                     safe formulation (or extend the allow-list with a measured reason)"
+                        .to_string(),
+                );
+            } else if !safety_justified(&lines, idx) {
+                hit(
+                    UNSAFE_SITE,
+                    "`unsafe` without a `// SAFETY:` comment directly above it".to_string(),
+                );
+            }
         }
         if !spawn_site && SPAWN_PATTERNS.iter().any(|p| code.contains(p)) {
             hit(
@@ -439,6 +483,14 @@ const SPAWN_SITES: [&str; 3] = [
     "crates/fabric-statedb/src/sharded.rs",
 ];
 
+const UNSAFE_SITE: &str = "unsafe-site";
+
+/// The files allowed to contain `unsafe` (see the `unsafe-site` rule).
+const UNSAFE_SITES: [&str; 2] = [
+    "crates/fabric-crypto/src/sha256.rs",
+    "crates/fabric-check/src/lib.rs",
+];
+
 fn src_dirs(parent: &Path, skip: &[&str], out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     for entry in std::fs::read_dir(parent)? {
         let entry = entry?;
@@ -520,6 +572,11 @@ pub fn workspace_findings(root: &Path) -> std::io::Result<Vec<Finding>> {
         let hits = lint_file(&rel(root, file), &content);
         findings.extend(hits.into_iter().filter(|f| f.rule == ENV_SELECTOR));
     }
+    // This crate's sources are outside the scan roots, but its lib.rs
+    // holds real `unsafe`: that one file gets the one rule.
+    let own_lib = "crates/fabric-check/src/lib.rs";
+    let hits = lint_file(own_lib, &std::fs::read_to_string(root.join(own_lib))?);
+    findings.extend(hits.into_iter().filter(|f| f.rule == UNSAFE_SITE));
     let tests_dir = root.join("tests");
     if tests_dir.is_dir() {
         let mut test_files = Vec::new();
@@ -574,6 +631,7 @@ mod tests {
     const BAD_RELAXED: &str = include_str!("../fixtures/bad_relaxed.fixture");
     const BAD_ENV: &str = include_str!("../fixtures/bad_env.fixture");
     const BAD_SPAWN: &str = include_str!("../fixtures/bad_spawn.fixture");
+    const BAD_UNSAFE: &str = include_str!("../fixtures/bad_unsafe.fixture");
     const GOOD: &str = include_str!("../fixtures/good.fixture");
 
     fn rules(findings: &[Finding]) -> Vec<&'static str> {
@@ -617,6 +675,23 @@ mod tests {
         for site in SPAWN_SITES {
             assert!(lint_file(site, BAD_SPAWN).is_empty(), "{site}");
         }
+    }
+
+    #[test]
+    fn bad_unsafe_fixture_trips_rule_outside_the_unsafe_sites_and_without_a_safety_comment() {
+        let f = lint_file("crates/fabric-store/src/fixture.rs", BAD_UNSAFE);
+        assert_eq!(rules(&f), vec!["unsafe-site", "unsafe-site"], "{f:?}");
+        // In a file that owns unsafe code the justified block passes and
+        // the bare one still trips.
+        for site in UNSAFE_SITES {
+            let f = lint_file(site, BAD_UNSAFE);
+            assert_eq!(rules(&f), vec!["unsafe-site"], "{site}: {f:?}");
+            assert!(f[0].message.contains("SAFETY"), "{f:?}");
+        }
+        // Attributes may sit between the comment and an `unsafe fn`; a
+        // longer identifier is not the keyword.
+        let src = "// SAFETY: callers check the CPU feature first\n#[target_feature(enable = \"sha\")]\nunsafe fn k() {}\n#![forbid(unsafe_code)]\n";
+        assert!(lint_file(UNSAFE_SITES[0], src).is_empty());
     }
 
     #[test]

@@ -29,7 +29,8 @@
 //!   Verification is the validator's hottest operation and runs on the
 //!   fixed-base + per-key split-wNAF fast path (see the module docs);
 //!   the seed's Shamir/Fermat path is preserved for cross-checking;
-//! * [`sha256`](mod@sha256) — FIPS 180-4 SHA-256 and HMAC-SHA-256;
+//! * [`sha256`](mod@sha256) — FIPS 180-4 SHA-256 (on the CPU's SHA
+//!   extensions where it has them) and HMAC-SHA-256;
 //! * [`der`] — strict DER encoding of `ECDSA-Sig-Value`;
 //! * [`identity`] — X.509-lite certificates (~860-byte class, like the
 //!   certificates whose redundancy the BMac protocol removes), the 16-bit

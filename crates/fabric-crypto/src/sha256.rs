@@ -6,6 +6,11 @@
 //! hashes. All are SHA-256, as is the digest step of every ECDSA
 //! signature, so this module sits under both the software peer and the
 //! hardware simulator.
+//!
+//! The compression function has two kernels ([`kernel`]): the CPU's SHA
+//! extensions on an `x86_64` processor that reports them, the portable
+//! rounds everywhere else. The processor decides, per call; nothing
+//! selects between them (see the crate README, "SHA-256 kernels").
 
 /// Incremental SHA-256 hasher.
 ///
@@ -51,94 +56,212 @@ impl Sha256 {
     }
 
     /// Absorbs `data` into the hash state.
-    pub fn update(&mut self, data: &[u8]) {
+    pub fn update(&mut self, mut data: &[u8]) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
-        let mut data = data;
         if self.buf_len > 0 {
             let take = (64 - self.buf_len).min(data.len());
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
             self.buf_len += take;
             data = &data[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
+            if self.buf_len < 64 {
+                return;
             }
+            compress_blocks(&mut self.state, &self.buf);
+            self.buf_len = 0;
         }
-        while data.len() >= 64 {
-            let block: [u8; 64] = data[..64].try_into().expect("64-byte slice");
-            self.compress(&block);
-            data = &data[64..];
+        // Whole blocks are compressed where they lie, in one kernel call.
+        let (blocks, tail) = data.split_at(data.len() & !63);
+        if !blocks.is_empty() {
+            compress_blocks(&mut self.state, blocks);
         }
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
-        }
+        self.buf[..tail.len()].copy_from_slice(tail);
+        self.buf_len = tail.len();
     }
 
     /// Finishes the computation and returns the 32-byte digest.
     pub fn finalize(mut self) -> [u8; 32] {
-        let bit_len = self.total_len.wrapping_mul(8);
         // Padding: 0x80, zeros to 56 mod 64, then 8-byte big-endian length.
-        let pad_len = if self.buf_len < 56 {
-            56 - self.buf_len
-        } else {
-            120 - self.buf_len
-        };
-        let mut pad = [0u8; 72];
-        pad[0] = 0x80;
-        pad[pad_len..pad_len + 8].copy_from_slice(&bit_len.to_be_bytes());
-        self.update(&pad[..pad_len + 8]);
-        debug_assert_eq!(self.buf_len, 0);
+        self.buf[self.buf_len] = 0x80;
+        self.buf[self.buf_len + 1..].fill(0);
+        if self.buf_len >= 56 {
+            compress_blocks(&mut self.state, &self.buf);
+            self.buf.fill(0);
+        }
+        let bit_len = self.total_len.wrapping_mul(8);
+        self.buf[56..].copy_from_slice(&bit_len.to_be_bytes());
+        compress_blocks(&mut self.state, &self.buf);
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
         }
         out
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for (i, item) in w.iter_mut().enumerate().take(16) {
-            *item = u32::from_be_bytes(block[i * 4..i * 4 + 4].try_into().expect("4-byte slice"));
+/// Runs the compression function over every whole 64-byte block of
+/// `blocks`, in order. The one place a kernel is chosen: the CPU's SHA
+/// extensions when it has them, the portable rounds otherwise — decided
+/// by what the processor reports, never by a switch.
+fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+    debug_assert_eq!(blocks.len() % 64, 0, "whole blocks only");
+    if !kernel::hardware(state, blocks) {
+        kernel::portable(state, blocks);
+    }
+}
+
+/// The two SHA-256 compression kernels, exposed one by one so the
+/// differential tests can hold the hardware kernel to the portable one
+/// on the same input. Not a hashing interface: no padding, no length —
+/// hash with [`Sha256`] or [`sha256`]. Both functions compress every
+/// whole 64-byte block of `blocks` into `state` and ignore a trailing
+/// partial block.
+pub mod kernel {
+    use super::K;
+
+    /// The FIPS 180-4 rounds in plain integer arithmetic: what every CPU
+    /// without SHA extensions runs, and the reference the hardware
+    /// kernel is tested against.
+    pub fn portable(state: &mut [u32; 8], blocks: &[u8]) {
+        for block in blocks.chunks_exact(64) {
+            let mut w = [0u32; 64];
+            for (word, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
+                *word = u32::from_be_bytes(bytes.try_into().expect("4-byte chunk"));
+            }
+            for i in 16..64 {
+                let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+                let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+                w[i] = w[i - 16]
+                    .wrapping_add(s0)
+                    .wrapping_add(w[i - 7])
+                    .wrapping_add(s1);
+            }
+            let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+            for i in 0..64 {
+                let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+                let ch = (e & f) ^ (!e & g);
+                let t1 = h
+                    .wrapping_add(s1)
+                    .wrapping_add(ch)
+                    .wrapping_add(K[i])
+                    .wrapping_add(w[i]);
+                let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+                let maj = (a & b) ^ (a & c) ^ (b & c);
+                let t2 = s0.wrapping_add(maj);
+                h = g;
+                g = f;
+                f = e;
+                e = d.wrapping_add(t1);
+                d = c;
+                c = b;
+                b = a;
+                a = t1.wrapping_add(t2);
+            }
+            for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+                *s = s.wrapping_add(v);
+            }
         }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
+    }
+
+    /// Compresses with the CPU's SHA extensions and returns `true`, or
+    /// touches nothing and returns `false` when this processor (or
+    /// target) has none.
+    pub fn hardware(state: &mut [u32; 8], blocks: &[u8]) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("ssse3")
+            && is_x86_feature_detected!("sse4.1")
+        {
+            // SAFETY: `sha_ni`'s only requirement is that the CPU has
+            // the `sha`, `sse2`, `ssse3` and `sse4.1` features; the three
+            // checks above are exactly that (`sse2` is part of the
+            // x86_64 baseline).
+            unsafe { sha_ni(state, blocks) };
+            return true;
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
+        let _ = (state, blocks);
+        false
+    }
+
+    /// The compression function on `sha256rnds2` / `sha256msg1` /
+    /// `sha256msg2`. The eight state words stay in two registers across
+    /// all blocks of the call and are written back once.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support the `sha`, `sse2`, `ssse3` and `sse4.1`
+    /// features. Memory safety does not depend on `blocks.len()`: loads
+    /// go through `chunks_exact`, so a trailing partial block is not
+    /// read.
+    // SAFETY: the caller contract is the `# Safety` section above; every
+    // pointer below is derived from a reference to at least 16 readable
+    // (or writable) bytes and accessed with the unaligned load/store.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    unsafe fn sha_ni(state: &mut [u32; 8], blocks: &[u8]) {
+        use std::arch::x86_64::*;
+
+        // Four rounds: `rnds2` consumes the low two lanes of `wk`.
+        macro_rules! rounds4 {
+            ($abef:ident, $cdgh:ident, $w:expr, $i:expr) => {{
+                let k = _mm_loadu_si128(K[4 * $i..4 * $i + 4].as_ptr().cast());
+                let wk = _mm_add_epi32($w, k);
+                $cdgh = _mm_sha256rnds2_epu32($cdgh, $abef, wk);
+                $abef = _mm_sha256rnds2_epu32($abef, $cdgh, _mm_shuffle_epi32(wk, 0x0E));
+            }};
         }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        // The next four schedule words from the previous sixteen, then
+        // their four rounds.
+        macro_rules! schedule_rounds4 {
+            ($abef:ident, $cdgh:ident, $w0:expr, $w1:expr, $w2:expr, $w3:expr, $w4:expr, $i:expr) => {{
+                let t = _mm_add_epi32(_mm_sha256msg1_epu32($w0, $w1), _mm_alignr_epi8($w3, $w2, 4));
+                $w4 = _mm_sha256msg2_epu32(t, $w3);
+                rounds4!($abef, $cdgh, $w4, $i);
+            }};
+        }
+
+        // Big-endian words -> lanes.
+        let be = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+        // The instructions want the state as (A,B,E,F) and (C,D,G,H).
+        let dcba = _mm_loadu_si128(state[..4].as_ptr().cast());
+        let hgfe = _mm_loadu_si128(state[4..].as_ptr().cast());
+        let cdab = _mm_shuffle_epi32(dcba, 0xB1);
+        let efgh = _mm_shuffle_epi32(hgfe, 0x1B);
+        let mut abef = _mm_alignr_epi8(cdab, efgh, 8);
+        let mut cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+
+        for block in blocks.chunks_exact(64) {
+            let (abef_in, cdgh_in) = (abef, cdgh);
+            let mut w0 = _mm_shuffle_epi8(_mm_loadu_si128(block[..16].as_ptr().cast()), be);
+            let mut w1 = _mm_shuffle_epi8(_mm_loadu_si128(block[16..32].as_ptr().cast()), be);
+            let mut w2 = _mm_shuffle_epi8(_mm_loadu_si128(block[32..48].as_ptr().cast()), be);
+            let mut w3 = _mm_shuffle_epi8(_mm_loadu_si128(block[48..].as_ptr().cast()), be);
+            let mut w4;
+            rounds4!(abef, cdgh, w0, 0);
+            rounds4!(abef, cdgh, w1, 1);
+            rounds4!(abef, cdgh, w2, 2);
+            rounds4!(abef, cdgh, w3, 3);
+            schedule_rounds4!(abef, cdgh, w0, w1, w2, w3, w4, 4);
+            schedule_rounds4!(abef, cdgh, w1, w2, w3, w4, w0, 5);
+            schedule_rounds4!(abef, cdgh, w2, w3, w4, w0, w1, 6);
+            schedule_rounds4!(abef, cdgh, w3, w4, w0, w1, w2, 7);
+            schedule_rounds4!(abef, cdgh, w4, w0, w1, w2, w3, 8);
+            schedule_rounds4!(abef, cdgh, w0, w1, w2, w3, w4, 9);
+            schedule_rounds4!(abef, cdgh, w1, w2, w3, w4, w0, 10);
+            schedule_rounds4!(abef, cdgh, w2, w3, w4, w0, w1, 11);
+            schedule_rounds4!(abef, cdgh, w3, w4, w0, w1, w2, 12);
+            schedule_rounds4!(abef, cdgh, w4, w0, w1, w2, w3, 13);
+            schedule_rounds4!(abef, cdgh, w0, w1, w2, w3, w4, 14);
+            schedule_rounds4!(abef, cdgh, w1, w2, w3, w4, w0, 15);
+            abef = _mm_add_epi32(abef, abef_in);
+            cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        }
+
+        let feba = _mm_shuffle_epi32(abef, 0x1B);
+        let dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+        let dcba = _mm_blend_epi16(feba, dchg, 0xF0);
+        let hgfe = _mm_alignr_epi8(dchg, feba, 8);
+        _mm_storeu_si128(state[..4].as_mut_ptr().cast(), dcba);
+        _mm_storeu_si128(state[4..].as_mut_ptr().cast(), hgfe);
     }
 }
 

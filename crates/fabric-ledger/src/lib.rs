@@ -348,8 +348,7 @@ impl Ledger {
                 verify_stored_block(number, &prev_header, &prev_commit, &cb)
                     .map_err(|block| LedgerError::Corrupt { block })?;
             let block = &cb.block;
-            let decoded =
-                decode_block_struct(block, block.marshal().len()).map_err(|_| corrupt())?;
+            let decoded = decode_block_struct(block, block.encoded_len()).map_err(|_| corrupt())?;
             if decoded.txs.len() != cb.tx_filter.len() {
                 return Err(corrupt());
             }

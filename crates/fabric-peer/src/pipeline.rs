@@ -62,7 +62,7 @@ use fabric_crypto::{sha256, Msp, Signature, VerifyingKey, U256};
 use fabric_ledger::{Ledger, LedgerError, TxValidationCode};
 use fabric_policy::Policy;
 use fabric_protos::messages::Block;
-use fabric_protos::txflow::{decode_block_struct, DecodedBlock};
+use fabric_protos::txflow::{decode_block_struct, hash_block_data, DecodedBlock};
 use fabric_statedb::{Height, StateBackend, StateDb, WriteBatch};
 
 use crate::sigcache::{SigCacheKey, SigCacheStats, SignatureCache};
@@ -126,6 +126,12 @@ impl BlockValidationResult {
 pub enum ValidateError {
     /// The block could not be decoded at all.
     Decode(fabric_protos::wire::WireError),
+    /// The header's `data_hash` is not the hash of the envelopes that
+    /// arrived with it: the block is refused like an undecodable one.
+    DataHash {
+        /// Number the header claims.
+        block: u64,
+    },
     /// Ledger append failed (ordering/duplicate/chain problems).
     Ledger(LedgerError),
 }
@@ -134,6 +140,12 @@ impl std::fmt::Display for ValidateError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ValidateError::Decode(e) => write!(f, "block decode failed: {e}"),
+            ValidateError::DataHash { block } => {
+                write!(
+                    f,
+                    "block {block}: header data hash does not match its envelopes"
+                )
+            }
             ValidateError::Ledger(e) => write!(f, "ledger commit failed: {e}"),
         }
     }
@@ -304,7 +316,9 @@ impl ValidatorPipeline {
     ///
     /// [`ValidateError::Decode`] when the block structure itself is
     /// unparsable (individual bad transactions are *flagged*, not
-    /// errors), or [`ValidateError::Ledger`] when the append fails.
+    /// errors), [`ValidateError::DataHash`] when the envelopes are not
+    /// the ones the header commits to, or [`ValidateError::Ledger`] when
+    /// the append fails.
     pub fn validate_and_commit(
         &self,
         block: &Block,
@@ -319,8 +333,9 @@ impl ValidatorPipeline {
     ///
     /// The block's one decode happens here: the link delivers reassembled
     /// bytes, and everything downstream (vscc, MVCC, commit) reads this
-    /// `DecodedBlock`. A block with an envelope that does not parse is
-    /// rejected here and never committed.
+    /// `DecodedBlock`. A block with an envelope that does not parse, or
+    /// whose envelopes are not the ones its header's `data_hash` commits
+    /// to, is rejected here and never committed.
     pub(crate) fn verify_stage(&self, block: &Block) -> Result<VerifiedBlock, ValidateError> {
         let mut timings = StageTimings::default();
 
@@ -331,8 +346,16 @@ impl ValidatorPipeline {
         let decoded = decode_block_struct(block, 0).map_err(ValidateError::Decode)?;
         timings.unmarshal_us = t0.elapsed().as_micros() as u64;
 
-        // Step 1b: verify the orderer signature.
+        // Step 1b: the envelopes must be the ones the header commits to
+        // (the ledger checks the same at recovery, so a block accepted
+        // here without it could not be read back), then the orderer
+        // signature over that header.
         let t0 = Instant::now();
+        if block.header.data_hash != hash_block_data(&block.data) {
+            return Err(ValidateError::DataHash {
+                block: block.header.number,
+            });
+        }
         let block_valid = self.verify_orderer(&decoded);
         timings.block_verify_us = t0.elapsed().as_micros() as u64;
 
@@ -480,7 +503,8 @@ impl ValidatorPipeline {
     ///
     /// # Errors
     ///
-    /// [`ValidateError::Decode`] when the block structure is unparsable.
+    /// [`ValidateError::Decode`] when the block structure is unparsable,
+    /// [`ValidateError::DataHash`] when it does not match its header.
     pub fn verify_block_signatures(
         &self,
         block: &Block,
@@ -714,6 +738,19 @@ mod tests {
         (net, ValidatorPipeline::new(msp, policies, workers))
     }
 
+    /// A validator and the first two single-transaction blocks (`put a`,
+    /// `put b`) of a chain it trusts.
+    fn validator_and_two_blocks() -> (ValidatorPipeline, Block, Block) {
+        let (mut net, validator) = network_and_validator(1, 2);
+        let mut submit = |key: &str| {
+            net.submit_invocation(0, "kv", "put", &[key.into(), "1".into()])
+                .unwrap()
+                .remove(0)
+        };
+        let (first, second) = (submit("a"), submit("b"));
+        (validator, first, second)
+    }
+
     #[test]
     fn valid_block_commits_all_transactions() {
         let (mut net, validator) = network_and_validator(2, 4);
@@ -792,15 +829,35 @@ mod tests {
 
     #[test]
     fn forged_orderer_invalidates_block() {
-        let (mut net, validator) = network_and_validator(1, 2);
-        let mut blocks = net
-            .submit_invocation(0, "kv", "put", &["a".into(), "1".into()])
-            .unwrap();
-        blocks[0].header.number = 0; // keep number but tamper data hash
-        blocks[0].header.data_hash = vec![0xAA; 32];
-        let result = validator.validate_and_commit(&blocks[0]).unwrap();
+        let (validator, mut block, next) = validator_and_two_blocks();
+        // A well-formed orderer signature, over another header.
+        let slot = fabric_protos::messages::metadata_index::SIGNATURES;
+        block.metadata.metadata[slot] = next.metadata.metadata[slot].clone();
+        let result = validator.validate_and_commit(&block).unwrap();
         assert!(!result.block_valid);
         assert!(result.codes.iter().all(|c| !c.is_valid()));
+    }
+
+    #[test]
+    fn swapped_envelope_is_refused_before_any_verification() {
+        // The envelope is replaced by another validly signed one and the
+        // header left alone: every signature in the block would verify,
+        // but the header no longer commits to what it carries. Committing
+        // it would write a block the ledger refuses at recovery.
+        let (validator, mut block, next) = validator_and_two_blocks();
+        block.data.data[0] = next.data.data[0].clone();
+        let before = validator.verifications();
+        assert!(matches!(
+            validator.validate_and_commit(&block),
+            Err(ValidateError::DataHash { block: 0 })
+        ));
+        assert!(matches!(
+            validator.verify_block_signatures(&block),
+            Err(ValidateError::DataHash { block: 0 })
+        ));
+        assert_eq!(validator.verifications(), before, "no verification burned");
+        assert_eq!(validator.ledger().height(), 0);
+        assert!(validator.state_db().get("b").is_none());
     }
 
     #[test]

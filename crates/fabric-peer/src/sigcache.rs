@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
 
-use fabric_crypto::{sha256, Signature, VerifyingKey};
+use fabric_crypto::{Sha256, Signature, VerifyingKey};
 
 const SHARDS: usize = 16;
 
@@ -36,11 +36,11 @@ pub struct SigCacheKey([u8; 32]);
 impl SigCacheKey {
     /// Derives the cache key for a verification triple.
     pub fn compute(key: &VerifyingKey, digest: &[u8; 32], sig: &Signature) -> Self {
-        let mut material = Vec::with_capacity(65 + 32 + 64);
-        material.extend_from_slice(&key.to_sec1_bytes());
-        material.extend_from_slice(digest);
-        material.extend_from_slice(&sig.to_raw_bytes());
-        SigCacheKey(sha256(&material))
+        let mut h = Sha256::new();
+        h.update(&key.to_sec1_bytes());
+        h.update(digest);
+        h.update(&sig.to_raw_bytes());
+        SigCacheKey(h.finalize())
     }
 
     /// Wraps a precomputed 32-byte key digest. The differential test
@@ -407,6 +407,7 @@ impl LruShard {
 mod tests {
     use super::*;
     use fabric_crypto::ecdsa::SigningKey;
+    use fabric_crypto::sha256;
 
     fn triple(tag: u8) -> (VerifyingKey, [u8; 32], Signature) {
         let key = SigningKey::from_seed(&[tag]);

@@ -799,21 +799,19 @@ mod tests {
         assert_eq!(s.serial_sum_us, expect);
     }
 
-    #[test]
-    fn error_mid_stream_still_commits_the_serial_prefix() {
-        // Block 1 is made structurally undecodable. A serial replay
-        // commits block 0, then fails on block 1; the stream must land
-        // in the identical state even when a verify lane discovers the
-        // bad block while block 0 is still uncommitted.
-        let mut blocks = hot_key_blocks(3, true);
-        blocks[1].data.data[0] = vec![0xFF, 0xEE, 0xDD];
-
+    /// `blocks[1]` is one the verify stage refuses with an error
+    /// `expected` recognises. A serial replay commits block 0, then
+    /// fails on block 1; the stream must land in the identical state
+    /// even when a verify lane discovers the bad block while block 0 is
+    /// still uncommitted.
+    fn assert_refused_block_commits_the_serial_prefix(
+        blocks: &[Block],
+        expected: fn(&ValidateError) -> bool,
+    ) {
         let serial = make_validator(2);
         serial.validate_and_commit(&blocks[0]).unwrap();
-        assert!(matches!(
-            serial.validate_and_commit(&blocks[1]),
-            Err(ValidateError::Decode(_))
-        ));
+        let err = serial.validate_and_commit(&blocks[1]).unwrap_err();
+        assert!(expected(&err), "serial: {err:?}");
 
         let pipeline = Arc::new(make_validator(2));
         let stream = StreamValidator::new(
@@ -823,12 +821,12 @@ mod tests {
                 max_in_flight: 3,
             },
         );
-        for b in &blocks {
+        for b in blocks {
             stream.push(b.clone()).unwrap();
         }
         match stream.finish() {
-            Err(StreamError::Validate(ValidateError::Decode(_))) => {}
-            other => panic!("expected decode failure, got {other:?}"),
+            Err(StreamError::Validate(e)) if expected(&e) => {}
+            other => panic!("expected the verify stage to refuse block 1, got {other:?}"),
         }
         // The prefix below the failure committed, deterministically.
         assert_eq!(pipeline.ledger().height(), 1);
@@ -838,6 +836,27 @@ mod tests {
             pipeline.ledger().tip_commit_hash()
         );
         assert_eq!(serial.state_db().snapshot(), pipeline.state_db().snapshot());
+    }
+
+    #[test]
+    fn error_mid_stream_still_commits_the_serial_prefix() {
+        // Block 1 is made structurally undecodable.
+        let mut blocks = hot_key_blocks(3, true);
+        blocks[1].data.data[0] = vec![0xFF, 0xEE, 0xDD];
+        assert_refused_block_commits_the_serial_prefix(&blocks, |e| {
+            matches!(e, ValidateError::Decode(_))
+        });
+    }
+
+    #[test]
+    fn swapped_envelope_mid_stream_still_commits_the_serial_prefix() {
+        // Block 1 carries block 2's (validly signed) envelope under its
+        // own header: decodable, every signature good, data hash wrong.
+        let mut blocks = hot_key_blocks(3, true);
+        blocks[1].data.data[0] = blocks[2].data.data[0].clone();
+        assert_refused_block_commits_the_serial_prefix(&blocks, |e| {
+            matches!(e, ValidateError::DataHash { block: 1 })
+        });
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //! Every type provides `marshal`/`unmarshal`; unknown fields are skipped
 //! on decode, mirroring protobuf semantics.
 
-use crate::wire::{ProtoReader, ProtoWriter, WireError};
+use crate::wire::{
+    bytes_field_len, message_field_len, uint64_field_len, ProtoReader, ProtoWriter, WireError,
+};
 
 /// Generates `marshal`/`unmarshal` boilerplate-free accessors is overkill
 /// here; each message is written out explicitly for auditability.
@@ -827,11 +829,33 @@ pub struct Block {
 impl Block {
     /// Serializes to protobuf bytes.
     pub fn marshal(&self) -> Vec<u8> {
-        let mut w = ProtoWriter::new();
-        w.bytes(1, &self.header.marshal());
-        w.bytes(2, &self.data.marshal());
-        w.bytes(3, &self.metadata.marshal());
-        w.into_bytes()
+        let mut out = Vec::new();
+        self.marshal_into(&mut out);
+        out
+    }
+
+    /// Appends the protobuf bytes to `out`, each section written once,
+    /// where it lands: nothing is marshaled into a temporary and copied
+    /// into its parent, and `out` grows by exactly
+    /// [`Block::encoded_len`].
+    pub fn marshal_into(&self, out: &mut Vec<u8>) {
+        out.reserve(self.encoded_len());
+        let mut w = ProtoWriter::appending_to(std::mem::take(out));
+        w.bytes_in_place(1, self.header.encoded_len(), |w| {
+            self.header.write_fields(w)
+        });
+        w.bytes_in_place(2, self.data.encoded_len(), |w| self.data.write_fields(w));
+        w.bytes_in_place(3, self.metadata.encoded_len(), |w| {
+            self.metadata.write_fields(w)
+        });
+        *out = w.into_bytes();
+    }
+
+    /// Length of [`Block::marshal`]'s output, without producing it.
+    pub fn encoded_len(&self) -> usize {
+        bytes_field_len(1, self.header.encoded_len())
+            + bytes_field_len(2, self.data.encoded_len())
+            + bytes_field_len(3, self.metadata.encoded_len())
     }
 
     /// Parses from protobuf bytes.
@@ -867,11 +891,22 @@ pub struct BlockHeader {
 impl BlockHeader {
     /// Serializes to protobuf bytes.
     pub fn marshal(&self) -> Vec<u8> {
-        let mut w = ProtoWriter::new();
+        let mut w = ProtoWriter::with_capacity(self.encoded_len());
+        self.write_fields(&mut w);
+        w.into_bytes()
+    }
+
+    /// Length of [`BlockHeader::marshal`]'s output.
+    pub fn encoded_len(&self) -> usize {
+        uint64_field_len(1, self.number)
+            + bytes_field_len(2, self.previous_hash.len())
+            + bytes_field_len(3, self.data_hash.len())
+    }
+
+    fn write_fields(&self, w: &mut ProtoWriter) {
         w.uint64(1, self.number);
         w.bytes(2, &self.previous_hash);
         w.bytes(3, &self.data_hash);
-        w.into_bytes()
     }
 
     /// Parses from protobuf bytes.
@@ -903,11 +938,20 @@ pub struct BlockData {
 impl BlockData {
     /// Serializes to protobuf bytes.
     pub fn marshal(&self) -> Vec<u8> {
-        let mut w = ProtoWriter::new();
+        let mut w = ProtoWriter::with_capacity(self.encoded_len());
+        self.write_fields(&mut w);
+        w.into_bytes()
+    }
+
+    /// Length of [`BlockData::marshal`]'s output.
+    pub fn encoded_len(&self) -> usize {
+        self.data.iter().map(|d| bytes_field_len(1, d.len())).sum()
+    }
+
+    fn write_fields(&self, w: &mut ProtoWriter) {
         for d in &self.data {
             w.bytes(1, d);
         }
-        w.into_bytes()
     }
 
     /// Parses from protobuf bytes.
@@ -959,7 +1003,20 @@ impl Default for BlockMetadata {
 impl BlockMetadata {
     /// Serializes to protobuf bytes.
     pub fn marshal(&self) -> Vec<u8> {
-        let mut w = ProtoWriter::new();
+        let mut w = ProtoWriter::with_capacity(self.encoded_len());
+        self.write_fields(&mut w);
+        w.into_bytes()
+    }
+
+    /// Length of [`BlockMetadata::marshal`]'s output.
+    pub fn encoded_len(&self) -> usize {
+        self.metadata
+            .iter()
+            .map(|d| message_field_len(1, bytes_field_len(1, d.len())))
+            .sum()
+    }
+
+    fn write_fields(&self, w: &mut ProtoWriter) {
         for d in &self.metadata {
             // Fabric always emits all metadata slots, even empty ones, so
             // slot positions are preserved: use message framing.
@@ -967,7 +1024,6 @@ impl BlockMetadata {
                 inner.bytes(1, d);
             });
         }
-        w.into_bytes()
     }
 
     /// Parses from protobuf bytes.

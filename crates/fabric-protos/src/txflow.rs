@@ -273,7 +273,8 @@ pub fn decode_transaction(envelope_bytes: &[u8]) -> Result<DecodedTransaction, W
             .map_err(|_| WireError::Semantic("bad endorser certificate"))?;
         let signature = fabric_crypto::der::decode_signature(&e.signature)
             .map_err(|_| WireError::Semantic("bad endorsement DER"))?;
-        let mut signed_message = prp_bytes.clone();
+        let mut signed_message = Vec::with_capacity(prp_bytes.len() + e.endorser.len());
+        signed_message.extend_from_slice(prp_bytes);
         signed_message.extend_from_slice(&e.endorser);
         endorsements.push(DecodedEndorsement {
             endorser_cert,

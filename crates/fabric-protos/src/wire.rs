@@ -67,6 +67,36 @@ pub fn varint_len(v: u64) -> usize {
     }
 }
 
+fn key_len(field: u32) -> usize {
+    varint_len(u64::from(field) << 3)
+}
+
+/// Bytes [`ProtoWriter::uint64`] emits for value `v`: zero when `v` is
+/// zero (proto3 default semantics).
+pub fn uint64_field_len(field: u32, v: u64) -> usize {
+    if v == 0 {
+        0
+    } else {
+        key_len(field) + varint_len(v)
+    }
+}
+
+/// Bytes [`ProtoWriter::bytes`] emits for a `len`-byte value: zero when
+/// it is empty.
+pub fn bytes_field_len(field: u32, len: usize) -> usize {
+    if len == 0 {
+        0
+    } else {
+        message_field_len(field, len)
+    }
+}
+
+/// Bytes [`ProtoWriter::message`] emits for a nested message of `len`
+/// bytes — emitted even when empty.
+pub fn message_field_len(field: u32, len: usize) -> usize {
+    key_len(field) + varint_len(len as u64) + len
+}
+
 /// Serializer for protobuf messages.
 ///
 /// ```
@@ -93,6 +123,12 @@ impl ProtoWriter {
         ProtoWriter {
             buf: Vec::with_capacity(cap),
         }
+    }
+
+    /// Creates a writer that appends to `buf`; [`ProtoWriter::into_bytes`]
+    /// hands the grown buffer back.
+    pub fn appending_to(buf: Vec<u8>) -> Self {
+        ProtoWriter { buf }
     }
 
     /// Writes a `uint64`/`uint32`/`enum` field. Zero values are skipped
@@ -134,6 +170,30 @@ impl ProtoWriter {
         self.key(field, WireType::LengthDelimited);
         put_varint(&mut self.buf, inner.buf.len() as u64);
         self.buf.extend_from_slice(&inner.buf);
+    }
+
+    /// Writes a length-delimited field whose `len`-byte value `f` writes
+    /// straight into this writer — a nested message marshaled where it
+    /// lands instead of into a temporary. Skipped when `len` is zero,
+    /// like [`ProtoWriter::bytes`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `f` writes a number of bytes other than `len`: the
+    /// length prefix is already on the wire by then.
+    pub fn bytes_in_place<F: FnOnce(&mut ProtoWriter)>(&mut self, field: u32, len: usize, f: F) {
+        if len == 0 {
+            return;
+        }
+        self.key(field, WireType::LengthDelimited);
+        put_varint(&mut self.buf, len as u64);
+        let start = self.buf.len();
+        f(self);
+        assert_eq!(
+            self.buf.len() - start,
+            len,
+            "encoded_len disagrees with the encoder"
+        );
     }
 
     /// Consumes the writer, returning the encoded bytes.
@@ -389,6 +449,39 @@ mod tests {
         let inner2 = r2.next_field().unwrap().unwrap();
         let mut r3 = ProtoReader::new(inner2.data);
         assert_eq!(r3.next_field().unwrap().unwrap().data, b"deep");
+    }
+
+    #[test]
+    fn in_place_fields_match_the_copying_forms_and_the_len_helpers() {
+        let mut inner = ProtoWriter::new();
+        inner.uint64(1, 300);
+        inner.bytes(2, &[9u8; 200]);
+        let inner = inner.into_bytes();
+        assert_eq!(
+            inner.len(),
+            uint64_field_len(1, 300) + bytes_field_len(2, 200)
+        );
+        assert_eq!(uint64_field_len(1, 0) + bytes_field_len(2, 0), 0);
+
+        let mut copying = ProtoWriter::new();
+        copying.bytes(7, &inner);
+        copying.bytes(8, b"");
+        copying.message(9, |_| {});
+        let mut in_place = ProtoWriter::appending_to(vec![0xEE]);
+        in_place.bytes_in_place(7, inner.len(), |w| {
+            w.uint64(1, 300);
+            w.bytes(2, &[9u8; 200]);
+        });
+        in_place.bytes_in_place(8, 0, |_| unreachable!("empty fields are skipped"));
+        in_place.message(9, |_| {});
+        let copying = copying.into_bytes();
+        assert_eq!(
+            copying.len(),
+            bytes_field_len(7, inner.len()) + message_field_len(9, 0)
+        );
+        let in_place = in_place.into_bytes();
+        assert_eq!(in_place[0], 0xEE, "appends, does not overwrite");
+        assert_eq!(&in_place[1..], &copying[..]);
     }
 
     #[test]

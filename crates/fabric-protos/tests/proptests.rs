@@ -94,6 +94,43 @@ proptest! {
         prop_assert_eq!(Block::unmarshal(&block.marshal()).unwrap(), block);
     }
 
+    /// `Block::marshal_into` writes every section where it lands; the
+    /// definition it replaced marshaled each into a temporary and copied
+    /// it into the parent. Same bytes, including the skipped cases: a
+    /// zero block number, empty hashes, empty envelopes, no envelopes.
+    #[test]
+    fn block_marshals_in_place_to_the_nested_definition(
+        number in prop_oneof![Just(0u64), any::<u64>()],
+        hash_len in prop_oneof![Just(0usize), Just(32usize)],
+        envelopes in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..300), 0..6),
+        filter in proptest::collection::vec(any::<u8>(), 0..200),
+    ) {
+        let mut block = Block {
+            header: BlockHeader {
+                number,
+                previous_hash: vec![1; hash_len],
+                data_hash: vec![2; hash_len],
+            },
+            data: BlockData { data: envelopes },
+            metadata: BlockMetadata::default(),
+        };
+        block.metadata.metadata[metadata_index::TRANSACTIONS_FILTER] = filter;
+        let mut nested = ProtoWriter::new();
+        nested.bytes(1, &block.header.marshal());
+        nested.bytes(2, &block.data.marshal());
+        nested.bytes(3, &block.metadata.marshal());
+        let nested = nested.into_bytes();
+        prop_assert_eq!(block.encoded_len(), nested.len());
+        prop_assert_eq!(block.header.encoded_len(), block.header.marshal().len());
+        prop_assert_eq!(block.data.encoded_len(), block.data.marshal().len());
+        prop_assert_eq!(block.metadata.encoded_len(), block.metadata.marshal().len());
+        let mut out = vec![0xEE; 3];
+        block.marshal_into(&mut out);
+        prop_assert_eq!(&out[..3], &[0xEE; 3][..]);
+        prop_assert_eq!(&out[3..], &nested[..]);
+        prop_assert_eq!(block.marshal(), nested);
+    }
+
     #[test]
     fn unmarshal_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
         let _ = Envelope::unmarshal(&bytes);

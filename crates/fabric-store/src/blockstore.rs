@@ -452,19 +452,20 @@ impl BlockStore for DurableBlockStore {
     }
 
     fn append(&mut self, cb: &CommittedBlock) -> Result<(), StoreError> {
-        let payload = cb.block.marshal();
-        let record = frame::encode_record(&payload);
         let needs_seal = {
             let mut writer = self.writer.lock();
+            let offset = writer.file_len + writer.buffered.len() as u64;
+            // The block is marshaled once, straight into the group-commit
+            // buffer, and framed where it lies.
+            let len = frame::append_record(&mut writer.buffered, |out| cb.block.marshal_into(out));
             let seg = self.segments.last_mut().expect("active segment");
             seg.entries.push(Entry {
-                offset: writer.file_len + writer.buffered.len() as u64,
+                offset,
                 // lint:allow(truncating-cast) record payloads are bounded by MAX_RECORD_LEN
-                len: payload.len() as u32,
+                len: len as u32,
                 // lint:allow(truncating-cast) tx count per block is far below u32::MAX
                 valid_count: cb.tx_filter.iter().filter(|c| c.is_valid()).count() as u32,
             });
-            writer.buffered.extend_from_slice(&record);
             writer.pending += 1;
             self.total_blocks += 1;
             if writer.pending >= self.group_commit {

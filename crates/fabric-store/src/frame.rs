@@ -43,14 +43,40 @@ pub(crate) fn take<'a>(bytes: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
     Some(head)
 }
 
+/// Appends one framed record to `out`, its payload written in place by
+/// `fill`: the header goes down first as a placeholder and is patched
+/// with the length and CRC once the payload's bytes are there, so a
+/// payload that can serialize itself into a buffer is never copied.
+/// Returns the payload length. The one framing implementation:
+/// [`encode_record`] is this with a `fill` that copies a slice.
+///
+/// # Panics
+///
+/// Panics (leaving `out` as it was) if the payload exceeds
+/// [`MAX_RECORD_LEN`].
+pub fn append_record(out: &mut Vec<u8>, fill: impl FnOnce(&mut Vec<u8>)) -> usize {
+    let start = out.len();
+    out.extend_from_slice(&[0u8; HEADER_LEN]);
+    fill(out);
+    let payload = start + HEADER_LEN;
+    let len = out.len() - payload;
+    let len32 = match u32::try_from(len) {
+        Ok(len32) if len <= MAX_RECORD_LEN => len32,
+        _ => {
+            out.truncate(start);
+            panic!("record payload too large");
+        }
+    };
+    let crc = crc32(&out[payload..]);
+    out[start..start + 4].copy_from_slice(&len32.to_le_bytes());
+    out[start + 4..payload].copy_from_slice(&crc.to_le_bytes());
+    len
+}
+
 /// Serializes one framed record.
 pub fn encode_record(payload: &[u8]) -> Vec<u8> {
-    assert!(payload.len() <= MAX_RECORD_LEN, "record payload too large");
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    // lint:allow(truncating-cast) MAX_RECORD_LEN (asserted above) fits in u32
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
+    append_record(&mut out, |out| out.extend_from_slice(payload));
     out
 }
 
@@ -158,6 +184,29 @@ mod tests {
         assert_eq!(scan.valid_len, bytes.len());
         let payloads: Vec<&[u8]> = scan.records.iter().map(|(_, p)| p.as_slice()).collect();
         assert_eq!(payloads, vec![b"alpha".as_slice(), b"", b"gamma"]);
+    }
+
+    #[test]
+    fn append_record_frames_in_place_after_existing_bytes() {
+        // The header is spelled out, not taken from `encode_record`,
+        // which is built on the function under test.
+        let mut out = encode_record(b"first");
+        let before = out.len();
+        let len = append_record(&mut out, |out| {
+            out.extend_from_slice(b"sec");
+            out.extend_from_slice(b"ond");
+        });
+        assert_eq!(len, 6);
+        assert_eq!(&out[before..before + 4], &6u32.to_le_bytes());
+        assert_eq!(
+            &out[before + 4..before + 8],
+            &crc32(b"second").to_le_bytes()
+        );
+        assert_eq!(&out[before + 8..], b"second");
+        let s = scan(&out);
+        assert_eq!(s.tail, Tail::Clean);
+        assert_eq!(s.records.len(), 2);
+        assert_eq!(s.records[1], (before, b"second".to_vec()));
     }
 
     #[test]

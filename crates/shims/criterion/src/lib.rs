@@ -27,14 +27,23 @@ impl Criterion {
         BenchmarkGroup {
             _criterion: self,
             sample_size: 10,
+            throughput: None,
         }
     }
 
     /// Registers a stand-alone benchmark.
     pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, name: &str, f: F) -> &mut Self {
-        run_one(name, 10, f);
+        run_one(name, 10, None, f);
         self
     }
+}
+
+/// How much data one iteration of a benchmark processes; when set, the
+/// median is also reported as a rate.
+#[derive(Debug, Clone, Copy)]
+pub enum Throughput {
+    /// Bytes per iteration, reported as MB/s (10⁶ bytes).
+    Bytes(u64),
 }
 
 /// A named collection of related benchmarks.
@@ -42,6 +51,7 @@ impl Criterion {
 pub struct BenchmarkGroup<'a> {
     _criterion: &'a mut Criterion,
     sample_size: usize,
+    throughput: Option<Throughput>,
 }
 
 impl BenchmarkGroup<'_> {
@@ -51,9 +61,15 @@ impl BenchmarkGroup<'_> {
         self
     }
 
+    /// Sets the per-iteration throughput of the benchmarks that follow.
+    pub fn throughput(&mut self, throughput: Throughput) -> &mut Self {
+        self.throughput = Some(throughput);
+        self
+    }
+
     /// Runs one benchmark in the group.
     pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, name: &str, f: F) -> &mut Self {
-        run_one(name, self.sample_size, f);
+        run_one(name, self.sample_size, self.throughput, f);
         self
     }
 
@@ -88,7 +104,12 @@ impl Bencher {
     }
 }
 
-fn run_one<F: FnMut(&mut Bencher)>(name: &str, sample_size: usize, mut f: F) {
+fn run_one<F: FnMut(&mut Bencher)>(
+    name: &str,
+    sample_size: usize,
+    throughput: Option<Throughput>,
+    mut f: F,
+) {
     let mut b = Bencher {
         samples: Vec::new(),
         sample_size,
@@ -101,8 +122,11 @@ fn run_one<F: FnMut(&mut Bencher)>(name: &str, sample_size: usize, mut f: F) {
     b.samples.sort_unstable();
     let median = b.samples[b.samples.len() / 2];
     let mean: Duration = b.samples.iter().sum::<Duration>() / b.samples.len() as u32;
+    let rate = throughput.map_or_else(String::new, |Throughput::Bytes(bytes)| {
+        format!("  {:>9.1} MB/s", bytes as f64 / 1e6 / median.as_secs_f64())
+    });
     println!(
-        "  {name:<28} median {:>12?}  mean {:>12?}  ({} samples)",
+        "  {name:<28} median {:>12?}  mean {:>12?}  ({} samples){rate}",
         median,
         mean,
         b.samples.len()

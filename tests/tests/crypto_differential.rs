@@ -19,13 +19,20 @@
 //!
 //! On top of the field layer, full ECDSA sign→verify round-trips and
 //! the fast-vs-Shamir verification agreement.
+//!
+//! And under all of it, the **SHA-256 compression kernels**
+//! ([`fabric_crypto::sha256::kernel`]): the CPU's SHA extensions against
+//! the portable rounds on the same blocks, and both — padded by this
+//! file, not by the hasher — against digests computed outside this code
+//! base. On a CPU without the extensions the hardware arm has nothing to
+//! run; the tests then exercise the portable arm alone and say so.
 
 use fabric_crypto::bigint::{inv_mod_odd, U256, U512};
 use fabric_crypto::curve::p256;
 use fabric_crypto::ecdsa::{Signature, SigningKey};
 use fabric_crypto::fp256::{reduce_wide, Fp256};
 use fabric_crypto::mont::MontgomeryDomain;
-use fabric_crypto::sha256::sha256;
+use fabric_crypto::sha256::{kernel, sha256, Sha256};
 use fabric_peer::SigCacheKey;
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -335,9 +342,6 @@ proptest! {
 /// computed outside this code base.
 #[test]
 fn sig_cache_key_bytes_match_fixed_vector() {
-    fn hex32(s: &str) -> [u8; 32] {
-        U256::from_hex(s).unwrap().to_be_bytes()
-    }
     let key = SigningKey::from_be_bytes(&hex32(
         "c9afa9d845ba75166b5c215767b1d6934e50c3db36e89b127b8a622b120f6721",
     ))
@@ -416,5 +420,155 @@ fn field_boundary_matrix_matches_oracle() {
             m.from_mont(&m.sqr(&m.to_mont(a))),
             "sqr mismatch at a={a:?}"
         );
+    }
+}
+
+/// A SHA-256 compression kernel, as [`kernel`] exposes both.
+type Kernel = fn(&mut [u32; 8], &[u8]);
+
+/// The hardware kernel, or `None` — with a note on stderr — on a CPU (or
+/// target) without SHA extensions.
+fn hardware_kernel() -> Option<Kernel> {
+    static NOTE: std::sync::Once = std::sync::Once::new();
+    if kernel::hardware(&mut [0; 8], &[]) {
+        Some(|state, blocks| assert!(kernel::hardware(state, blocks)))
+    } else {
+        NOTE.call_once(|| {
+            eprintln!("note: no SHA extensions on this CPU; hardware-kernel arm skipped")
+        });
+        None
+    }
+}
+
+/// FIPS 180-4 §5.3.3 initial hash value, restated here so the kernels
+/// are driven without the hasher.
+const H0: [u32; 8] = [
+    0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
+];
+
+/// SHA-256 of `message` with `compress` as the compression function and
+/// the §5.1.1 padding done here.
+fn digest_with(compress: Kernel, message: &[u8]) -> [u8; 32] {
+    let mut padded = message.to_vec();
+    padded.push(0x80);
+    while padded.len() % 64 != 56 {
+        padded.push(0);
+    }
+    padded.extend_from_slice(&(message.len() as u64 * 8).to_be_bytes());
+    let mut state = H0;
+    compress(&mut state, &padded);
+    let mut out = [0u8; 32];
+    for (chunk, word) in out.chunks_exact_mut(4).zip(state) {
+        chunk.copy_from_slice(&word.to_be_bytes());
+    }
+    out
+}
+
+/// Every kernel this CPU can run, named.
+fn kernels() -> Vec<(&'static str, Kernel)> {
+    let mut all: Vec<(&'static str, Kernel)> = vec![("portable", kernel::portable)];
+    all.extend(hardware_kernel().map(|k| ("hardware", k)));
+    all
+}
+
+fn hex32(s: &str) -> [u8; 32] {
+    U256::from_hex(s).unwrap().to_be_bytes()
+}
+
+/// Lengths on both sides of every padding boundary (55/56: the length
+/// field stops fitting; 63/64/65 and 119/120: the same one block on),
+/// each kernel and the hasher against `hashlib.sha256` over
+/// `bytes((i*7+3) & 0xff for i in range(n))`.
+#[test]
+fn sha256_padding_boundary_vectors() {
+    for (n, expected) in [
+        (
+            55,
+            "e7313d333c272e639f790978283f9eb392e843d0f29b7016828bb1daa4aac70b",
+        ),
+        (
+            56,
+            "4324d65f3c103567f5589c710bc08f8523f929a9272e3af36fc968e52abc6c27",
+        ),
+        (
+            63,
+            "81c80242132f230c3bd41b3e63bbcff16107339549214a99614ff26664625055",
+        ),
+        (
+            64,
+            "39e3d7b6b5d075d37d053ad89b24b41bef4f3c29760c84447cab3f3be1882241",
+        ),
+        (
+            65,
+            "aacca6ff74fdbb296d165a45cecfa04e5127bc008770fbbdd48006f2d2fae95e",
+        ),
+        (
+            119,
+            "9ce7368e4daf32341631b492e80359dc9f594b48453cd0dd5bf0b19279cc177e",
+        ),
+        (
+            120,
+            "7836b787757e95e58b3ca5aec90b1b004e8deba1e50e9675af9cabf1a13a04b5",
+        ),
+    ] {
+        let message: Vec<u8> = (0..n).map(|i| (i * 7 + 3) as u8).collect();
+        let expected = hex32(expected);
+        assert_eq!(sha256(&message), expected, "hasher, {n} bytes");
+        for (name, compress) in kernels() {
+            assert_eq!(
+                digest_with(compress, &message),
+                expected,
+                "{name}, {n} bytes"
+            );
+        }
+    }
+}
+
+/// FIPS 180-4 / NIST CAVS long-message vector: one million `a`.
+#[test]
+fn sha256_one_million_a() {
+    let message = vec![b'a'; 1_000_000];
+    let expected = hex32("cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+    assert_eq!(sha256(&message), expected, "hasher");
+    for (name, compress) in kernels() {
+        assert_eq!(digest_with(compress, &message), expected, "{name}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The hardware kernel against the portable one, called directly on
+    /// the same blocks from the same (arbitrary) chaining state — and the
+    /// hasher, fed the message in three pieces cut at random points,
+    /// against the kernels driven whole.
+    #[test]
+    fn sha256_kernels_and_split_updates_agree(
+        message in proptest::collection::vec(any::<u8>(), 0..=8192),
+        state in any::<[u32; 8]>(),
+        cuts in (any::<usize>(), any::<usize>()),
+    ) {
+        let whole_blocks = &message[..message.len() & !63];
+        let mut portable = state;
+        kernel::portable(&mut portable, whole_blocks);
+        if let Some(hardware) = hardware_kernel() {
+            let mut hw = state;
+            hardware(&mut hw, whole_blocks);
+            prop_assert_eq!(hw, portable);
+            // A trailing partial block is ignored, not read.
+            let mut hw = state;
+            hardware(&mut hw, &message);
+            prop_assert_eq!(hw, portable);
+        }
+
+        let expected = digest_with(kernel::portable, &message);
+        let (a, b) = (cuts.0 % (message.len() + 1), cuts.1 % (message.len() + 1));
+        let (a, b) = (a.min(b), a.max(b));
+        let mut h = Sha256::new();
+        h.update(&message[..a]);
+        h.update(&message[a..b]);
+        h.update(&message[b..]);
+        prop_assert_eq!(h.finalize(), expected);
+        prop_assert_eq!(sha256(&message), expected);
     }
 }

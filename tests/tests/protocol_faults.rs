@@ -426,6 +426,45 @@ fn loss_rate_sweep_detects_all_incomplete_blocks() {
     );
 }
 
+/// Three chained two-transaction blocks under a 2-of-2 policy.
+fn three_block_chain() -> Vec<Block> {
+    let mut net = FabricNetworkBuilder::new()
+        .orgs(2)
+        .block_size(2)
+        .chaincode("kv", parse("2-outof-2 orgs").unwrap())
+        .build();
+    net.install_chaincode(|| Box::new(KvChaincode::new("kv")));
+    let blocks: Vec<Block> = (0..6)
+        .flat_map(|i| {
+            net.submit_invocation(0, "kv", "put", &[format!("k{i}"), "1".into()])
+                .unwrap()
+        })
+        .collect();
+    assert_eq!(blocks.len(), 3);
+    blocks
+}
+
+/// A software validator that trusts [`three_block_chain`]'s network,
+/// and the policies it runs under.
+fn software_peer() -> (
+    Arc<ValidatorPipeline>,
+    HashMap<String, fabric_policy::Policy>,
+) {
+    let mut msp = Msp::new(2);
+    for (org, role) in [
+        (0, Role::Peer),
+        (1, Role::Peer),
+        (0, Role::Orderer),
+        (0, Role::Client),
+    ] {
+        msp.issue(org, role, 0).unwrap();
+    }
+    let policies: HashMap<String, fabric_policy::Policy> =
+        [("kv".to_string(), parse("2-outof-2 orgs").unwrap())].into();
+    let pipeline = Arc::new(ValidatorPipeline::new(msp, policies.clone(), 2));
+    (pipeline, policies)
+}
+
 /// The link reassembles an envelope it cannot parse byte-exactly; the
 /// consumer's single decode is what rejects it — the stream validator
 /// with the serial prefix committed, the hardware machine before its
@@ -438,20 +477,7 @@ fn undecodable_envelope_is_rejected_by_the_consumer_not_the_link() {
     // A three-block chain; the middle block's second envelope becomes
     // the garbage. The sender annotates envelopes and so cannot send it:
     // packetize the real block and swap that section's payload.
-    let policy = parse("2-outof-2 orgs").unwrap();
-    let mut net = FabricNetworkBuilder::new()
-        .orgs(2)
-        .block_size(2)
-        .chaincode("kv", policy.clone())
-        .build();
-    net.install_chaincode(|| Box::new(KvChaincode::new("kv")));
-    let mut blocks: Vec<Block> = (0..6)
-        .flat_map(|i| {
-            net.submit_invocation(0, "kv", "put", &[format!("k{i}"), "1".into()])
-                .unwrap()
-        })
-        .collect();
-    assert_eq!(blocks.len(), 3);
+    let mut blocks = three_block_chain();
     let mut sender = BmacSender::new();
     let mut wires: Vec<Vec<Vec<u8>>> = Vec::new();
     for block in &blocks {
@@ -479,17 +505,7 @@ fn undecodable_envelope_is_rejected_by_the_consumer_not_the_link() {
 
     // The software consumer: decode error at block 1, block 0 committed,
     // block 2 never.
-    let mut msp = Msp::new(2);
-    for (org, role) in [
-        (0, Role::Peer),
-        (1, Role::Peer),
-        (0, Role::Orderer),
-        (0, Role::Client),
-    ] {
-        msp.issue(org, role, 0).unwrap();
-    }
-    let policies: HashMap<String, fabric_policy::Policy> = [("kv".to_string(), policy)].into();
-    let pipeline = Arc::new(ValidatorPipeline::new(msp, policies.clone(), 2));
+    let (pipeline, policies) = software_peer();
     let outcome = StreamValidator::run(
         Arc::clone(&pipeline),
         StreamConfig::default(),
@@ -513,4 +529,45 @@ fn undecodable_envelope_is_rejected_by_the_consumer_not_the_link() {
         .collect();
     assert!(matches!(errors[..], [MachineError::Decode(_)]));
     assert_eq!(machine.blocks_processed(), 1, "block 0 only");
+}
+
+/// The link reassembles what it is sent and checks nothing about it: a
+/// block whose second envelope was replaced by another validly signed
+/// one, under the original header, crosses it byte-exactly. Every
+/// signature in it verifies; only the header's data hash says the
+/// envelope is not the one the orderer cut. The committer must refuse it
+/// — it used to commit it, and the ledger then refused its own store at
+/// recovery.
+#[test]
+fn swapped_envelope_crosses_the_link_and_is_refused_by_the_committer() {
+    let mut blocks = three_block_chain();
+    blocks[1].data.data[1] = blocks[2].data.data[0].clone();
+
+    let mut sender = BmacSender::new();
+    let mut receiver = BmacReceiver::new();
+    let mut received = Vec::new();
+    for block in &blocks {
+        for p in sender.send_block(block).unwrap() {
+            received.extend(receiver.ingest(&p.encode().unwrap()).unwrap());
+        }
+    }
+    assert_eq!(received.len(), 3);
+    for (got, want) in received.iter().zip(&blocks) {
+        assert_eq!(got.block.marshal(), want.marshal());
+    }
+
+    let (pipeline, _) = software_peer();
+    let outcome = StreamValidator::run(
+        Arc::clone(&pipeline),
+        StreamConfig::default(),
+        received.into_iter().map(|rb| rb.block),
+    );
+    assert!(
+        matches!(
+            outcome,
+            Err(StreamError::Validate(ValidateError::DataHash { block: 1 }))
+        ),
+        "{outcome:?}"
+    );
+    assert_eq!(pipeline.ledger().height(), 1, "exactly the serial prefix");
 }

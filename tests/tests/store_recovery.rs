@@ -19,6 +19,8 @@
 //!   replay, checkpoints ahead of the store are discarded;
 //! * a CRC-fixed bit flip inside a stored block (corruption framing
 //!   cannot catch), rejected at reopen with the offending block number;
+//! * format stability: the segment bytes equal the frame and the
+//!   nested marshaling restated from their definitions, byte for byte;
 //! * journal record atomicity: truncation at every prefix length never
 //!   yields a state mixing two batches;
 //! * restart + resume: a recovered peer resumes the stream via
@@ -244,6 +246,68 @@ fn crash_at_any_offset_recovers_the_serial_prefix() {
     // The untouched directory recovers the whole chain.
     let k = assert_recovers_to_serial_prefix(&dir, &oracle);
     assert_eq!(k, oracle.blocks.len() as u64);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The on-disk format did not move when `append` stopped copying: the
+/// bytes in the segments are, block for block, the frame the store has
+/// always written (`len u32 LE ‖ crc32 u32 LE ‖ payload`) around the
+/// marshaling `Block` has always had (each section marshaled on its own
+/// and nested as a length-delimited field) — both restated here from
+/// their definitions, sharing no code with the store: the CRC is the
+/// bit-at-a-time polynomial division, the blocks come from an in-memory
+/// ledger that never marshaled them.
+#[test]
+fn segment_bytes_are_the_original_frame_around_the_original_marshaling() {
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        !bytes.iter().fold(!0u32, |crc, &b| {
+            (0..8).fold(crc ^ u32::from(b), |c, _| {
+                (c >> 1) ^ (0xEDB8_8320 & 0u32.wrapping_sub(c & 1))
+            })
+        })
+    }
+    fn nested_marshal(block: &Block) -> Vec<u8> {
+        let mut w = fabric_protos::wire::ProtoWriter::new();
+        w.bytes(1, &block.header.marshal());
+        w.bytes(2, &block.data.marshal());
+        w.bytes(3, &block.metadata.marshal());
+        w.into_bytes()
+    }
+    assert_eq!(crc32_bitwise(b"123456789"), 0xCBF4_3926);
+
+    let scenario = small_scenario(909);
+    let oracle = reference(&scenario);
+    let dir = tempdir("format");
+    durable_commit(
+        &dir,
+        &scenario,
+        &oracle,
+        StoreConfig {
+            group_commit: 3,
+            segment_max_bytes: 8 * 1024,
+        },
+        None,
+        false,
+    );
+    let segments = segment_files(&dir);
+    assert!(segments.len() >= 2, "want a sealed and an active segment");
+    let on_disk: Vec<u8> = segments
+        .iter()
+        .flat_map(|seg| std::fs::read(seg).unwrap())
+        .collect();
+
+    let memory = ValidatorPipeline::new(scenario.validator_msp(), scenario.policies(), 2);
+    let mut expected = Vec::new();
+    for block in &oracle.blocks {
+        let number = memory.validate_and_commit(block).unwrap().block_num;
+        let stamped = memory.ledger().block(number).unwrap().block;
+        let payload = nested_marshal(&stamped);
+        expected.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        expected.extend_from_slice(&crc32_bitwise(&payload).to_le_bytes());
+        expected.extend_from_slice(&payload);
+    }
+    assert_eq!(on_disk.len(), expected.len());
+    assert!(on_disk == expected, "segment bytes changed");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
