@@ -1,19 +1,35 @@
 //! Microbenchmarks of the cryptographic substrate: the operations the
-//! paper's Figure 3a profiles (ecdsa_verify ~40%, sha256 ~10%) — and, in
-//! the `per_byte` group, the three per-byte loops of the commit path at
-//! the sizes a 100-transaction block gives them: SHA-256 in bulk, the
-//! store's CRC-32, and a whole durable append (marshal + frame + CRC +
-//! group-committed write).
+//! paper's Figure 3a profiles (ecdsa_verify ~40%, sha256 ~10%); in the
+//! `fp256` group, the field and point operations a verification is made
+//! of, so every row of `fabric-crypto/README.md`'s cost table has a
+//! command behind it; and, in the `per_byte` group, the three per-byte
+//! loops of the commit path at the sizes a 100-transaction block gives
+//! them: SHA-256 in bulk, the store's CRC-32, and a whole durable append
+//! (marshal + frame + CRC + group-committed write).
+//!
+//! `ecdsa_verify` and the `fp256` group run over inputs that change
+//! every iteration: a loop over one input lets the branch predictor
+//! learn it and hides what any data-dependent branch costs (such a loop
+//! read 56 µs for a verification that cost 75 µs inside a peer).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use fabric_crypto::bigint::U256;
-use fabric_crypto::curve::{AffinePoint, JacobianPoint};
+use fabric_crypto::curve::{mul_fixed_base, AffinePoint, JacobianPoint};
 use fabric_crypto::ecdsa::SigningKey;
+use fabric_crypto::fp256::Fp256;
 use fabric_crypto::sha256::sha256;
 use fabric_ledger::{BlockStore, CommittedBlock, TxValidationCode};
 use fabric_protos::messages::{Block, BlockData};
 use fabric_store::{crc::crc32, DurableBlockStore, StoreConfig};
 use std::hint::black_box;
+
+/// Inputs a cycling bench walks: enough that no predictor holds them.
+const OPERANDS: usize = 1024;
+
+/// The `i`-th of a fixed sequence of pseudo-random 256-bit values.
+fn operand(label: &[u8], i: usize) -> [u8; 32] {
+    sha256(&[label, &i.to_be_bytes()].concat())
+}
 
 fn bench_crypto(c: &mut Criterion) {
     let mut group = c.benchmark_group("crypto");
@@ -21,11 +37,29 @@ fn bench_crypto(c: &mut Criterion) {
 
     let key = SigningKey::from_seed(b"bench");
     let msg = vec![0xabu8; 3_400]; // smallbank envelope size
-    let sig = key.sign(&msg);
 
     group.bench_function("ecdsa_sign", |b| b.iter(|| key.sign(black_box(&msg))));
+
+    // What a committer sees: a block's worth of endorser keys, every
+    // signature and digest different.
+    let keys: Vec<SigningKey> = (0..8)
+        .map(|i| SigningKey::from_seed(format!("bench{i}").as_bytes()))
+        .collect();
+    let signed: Vec<_> = (0..OPERANDS)
+        .map(|i| {
+            let digest = operand(b"digest", i);
+            let key = &keys[i % keys.len()];
+            (key.verifying_key(), digest, key.sign_prehashed(&digest))
+        })
+        .collect();
+    let mut next = 0;
     group.bench_function("ecdsa_verify", |b| {
-        b.iter(|| key.verifying_key().verify(black_box(&msg), black_box(&sig)))
+        b.iter(|| {
+            let (key, digest, sig) = &signed[next % OPERANDS];
+            next += 1;
+            key.verify_prehashed(black_box(digest), black_box(sig))
+                .expect("valid signature")
+        })
     });
     group.bench_function("sha256_64B", |b| b.iter(|| sha256(black_box(&msg[..64]))));
     group.bench_function("sha256_3400B", |b| b.iter(|| sha256(black_box(&msg))));
@@ -39,6 +73,64 @@ fn bench_crypto(c: &mut Criterion) {
     let q = g.mul_scalar(&U256::from_u64(7777));
     group.bench_function("p256_shamir_dual_mul", |b| {
         b.iter(|| JacobianPoint::shamir(black_box(&k), &g, black_box(&k), &q))
+    });
+    group.finish();
+}
+
+/// Each operation as a dependent chain — the result feeds the next call,
+/// as in a point formula — so no two calls see the same input.
+fn bench_fp256(c: &mut Criterion) {
+    let mut group = c.benchmark_group("fp256");
+    group.sample_size(20);
+
+    let f = Fp256;
+    let elements: Vec<U256> = (0..OPERANDS)
+        .map(|i| U256::from_be_bytes(&operand(b"fp", i)).reduce_once(&Fp256::P))
+        .collect();
+    let scalars: Vec<JacobianPoint> = elements.iter().map(mul_fixed_base).collect();
+    let points = JacobianPoint::batch_to_affine(&scalars);
+
+    // Monomorphized per operation, so the call under test inlines as
+    // it does in the point formulas.
+    fn chain(
+        group: &mut criterion::BenchmarkGroup<'_>,
+        name: &str,
+        elements: &[U256],
+        op: impl Fn(&U256, &U256) -> U256,
+    ) {
+        let (mut acc, mut next) = (elements[0], 0);
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                next += 1;
+                acc = op(&acc, &elements[next % OPERANDS]);
+                acc
+            })
+        });
+    }
+    chain(&mut group, "add", &elements, |a, b| f.add(a, b));
+    chain(&mut group, "sub", &elements, |a, b| f.sub(a, b));
+    chain(&mut group, "mul", &elements, |a, b| f.mul(a, b));
+    let mut acc = elements[0];
+    group.bench_function("sqr", |b| {
+        b.iter(|| {
+            acc = f.sqr(&acc);
+            acc
+        })
+    });
+    let mut acc = scalars[0];
+    group.bench_function("double", |b| {
+        b.iter(|| {
+            acc = acc.double();
+            acc
+        })
+    });
+    let (mut acc, mut next) = (scalars[0], 0);
+    group.bench_function("add_mixed", |b| {
+        b.iter(|| {
+            next += 1;
+            acc = acc.add_mixed(&points[next % OPERANDS]);
+            acc
+        })
     });
     group.finish();
 }
@@ -85,5 +177,5 @@ fn bench_per_byte(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-criterion_group!(benches, bench_crypto, bench_per_byte);
+criterion_group!(benches, bench_crypto, bench_fp256, bench_per_byte);
 criterion_main!(benches);

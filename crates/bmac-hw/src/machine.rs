@@ -11,8 +11,11 @@
 //! forms and hashes each verification request where it charges the
 //! `ecdsa_engine`; results are published through the `reg_map` for the
 //! host CPU to read with `GetBlockData()`. A block with an envelope that
-//! does not decode is refused here ([`MachineError::Decode`]) and never
-//! reaches the processor.
+//! does not decode ([`MachineError::Decode`]), or whose envelopes are not
+//! the ones its header commits to ([`MachineError::DataHash`] — the
+//! paper's `HashCalculator`, §3.2, which hashes at line rate and so
+//! costs the timing model nothing), is refused here and never reaches
+//! the processor.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -22,7 +25,7 @@ use fabric_crypto::identity::Certificate;
 use fabric_crypto::VerifyingKey;
 use fabric_policy::Policy;
 use fabric_protos::messages::{Block, SerializedIdentity};
-use fabric_protos::txflow::{decode_block_struct, DecodedBlock};
+use fabric_protos::txflow::{decode_block_struct, hash_block_data, DecodedBlock};
 use fabric_protos::wire::WireError;
 use fabric_sim::SimTime;
 
@@ -38,6 +41,12 @@ pub enum MachineError {
     Packet(PacketError),
     /// A reassembled block failed its one structural decode.
     Decode(WireError),
+    /// A reassembled block's envelopes do not hash to its header's
+    /// `data_hash`.
+    DataHash {
+        /// Number of the refused block.
+        block: u64,
+    },
     /// Block processing failure.
     Process(ProcessError),
     /// An identity-sync certificate failed to parse or chain.
@@ -50,6 +59,12 @@ impl std::fmt::Display for MachineError {
             MachineError::Receive(e) => write!(f, "receive: {e}"),
             MachineError::Packet(e) => write!(f, "packet: {e}"),
             MachineError::Decode(e) => write!(f, "reassembled block undecodable: {e}"),
+            MachineError::DataHash { block } => {
+                write!(
+                    f,
+                    "block {block}: envelopes do not match the header's data hash"
+                )
+            }
             MachineError::Process(e) => write!(f, "process: {e}"),
             MachineError::BadIdentity(why) => write!(f, "bad identity sync: {why}"),
         }
@@ -136,6 +151,11 @@ impl BMacMachine {
         for received in completed {
             // `0`: the marshaled length is not known here and has no reader.
             let decoded = decode_block_struct(&received.block, 0).map_err(MachineError::Decode)?;
+            if received.block.header.data_hash != hash_block_data(&received.block.data) {
+                return Err(MachineError::DataHash {
+                    block: received.block.header.number,
+                });
+            }
             let result = self
                 .processor
                 .process_block(&decoded, &self.keys, done)

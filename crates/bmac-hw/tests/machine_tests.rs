@@ -218,12 +218,36 @@ fn orderer_request_derived_from_the_decoded_block_verifies() {
     // Same key, same signature, different header bytes: the digest is
     // taken over what was received, so the block is refused and — early
     // abort — nothing but the block engine ran.
+    // (Not `data_hash`: a header that no longer commits to the envelopes
+    // is refused before the processor, see below.)
     let mut tampered = block.clone();
-    tampered.header.data_hash = vec![0xAA; 32];
+    tampered.header.previous_hash = vec![0xAA; 32];
     let (r, _) = process_on_fresh_machine(&tampered);
     assert!(!r.block_valid);
     assert_eq!(r.valid_count(), 0);
     assert_eq!(r.stats.verifications, 1);
+}
+
+#[test]
+fn block_whose_envelopes_do_not_match_its_data_hash_is_refused() {
+    let mut net = kv_net(1);
+    let mut block = one_block(&mut net, "a");
+    block.header.data_hash = vec![0xAA; 32];
+    let mut m = machine();
+    let outcomes: Vec<_> = BmacSender::new()
+        .send_block(&block)
+        .unwrap()
+        .iter()
+        .map(|p| m.ingest_wire(&p.encode().unwrap(), 0))
+        .collect();
+    let (last, earlier) = outcomes.split_last().unwrap();
+    assert!(earlier.iter().all(Result::is_ok));
+    assert!(
+        matches!(last, Err(MachineError::DataHash { block: n }) if *n == block.header.number),
+        "{last:?}"
+    );
+    assert_eq!(m.blocks_processed(), 0);
+    assert_eq!(m.pending_results(), 0);
 }
 
 #[test]

@@ -143,6 +143,13 @@ fn half_mod(x: &U256, m: &U256) -> U256 {
     }
 }
 
+/// All ones when `bit`, zero otherwise: the selector of the
+/// branch-free modular add/sub.
+#[inline(always)]
+fn limb_mask(bit: bool) -> u64 {
+    (bit as u64).wrapping_neg()
+}
+
 /// A 256-bit unsigned integer stored as four little-endian `u64` limbs.
 ///
 /// ```
@@ -391,28 +398,35 @@ impl U256 {
 
     /// Modular addition: `(self + rhs) mod m`.
     ///
-    /// Requires `self < m` and `rhs < m`.
+    /// Requires `self < m` and `rhs < m`. Branch-free: whether the sum
+    /// reaches `m` is a coin flip on random field elements, which a
+    /// branch predictor cannot learn, so `sum − m` is always computed
+    /// and a mask picks between the two.
+    #[inline]
     pub fn add_mod(&self, rhs: &U256, m: &U256) -> U256 {
         debug_assert!(self < m && rhs < m);
         let (sum, carry) = self.overflowing_add(rhs);
-        if carry || &sum >= m {
-            sum.wrapping_sub(m)
-        } else {
-            sum
+        let (reduced, borrow) = sum.overflowing_sub(m);
+        // The 257-bit sum is ≥ m when it wrapped 2^256 or `sum − m` did
+        // not borrow.
+        let take_reduced = limb_mask(carry | !borrow);
+        let mut out = sum;
+        for (o, r) in out.0.iter_mut().zip(&reduced.0) {
+            *o ^= (*o ^ r) & take_reduced;
         }
+        out
     }
 
     /// Modular subtraction: `(self - rhs) mod m`.
     ///
-    /// Requires `self < m` and `rhs < m`.
+    /// Requires `self < m` and `rhs < m`. Branch-free like
+    /// [`Self::add_mod`]: `m` masked by the borrow is added back.
+    #[inline]
     pub fn sub_mod(&self, rhs: &U256, m: &U256) -> U256 {
         debug_assert!(self < m && rhs < m);
         let (diff, borrow) = self.overflowing_sub(rhs);
-        if borrow {
-            diff.wrapping_add(m)
-        } else {
-            diff
-        }
+        let add_back = limb_mask(borrow);
+        diff.wrapping_add(&U256(m.0.map(|limb| limb & add_back)))
     }
 
     /// Remainder of `self` divided by `m` via binary long division.

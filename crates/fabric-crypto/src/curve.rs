@@ -398,9 +398,10 @@ impl JacobianPoint {
             table[i] = table[i - 1].add(&twice);
         }
         let f = Fp256;
-        let digits = wnaf_digits(k, W);
+        let mut digits = [0i8; 257];
+        let len = wnaf_digits(k, W, &mut digits);
         let mut acc = JacobianPoint::identity();
-        for &d in digits.iter().rev() {
+        for &d in digits[..len].iter().rev() {
             acc = acc.double();
             if d > 0 {
                 acc = acc.add(&table[(d as usize) / 2]);
@@ -507,41 +508,44 @@ impl JacobianPoint {
 
 /// Width-`w` non-adjacent form: one signed odd digit in
 /// `±{1, 3, .., 2^(w-1)-1}` per bit position, at most one nonzero digit
-/// in any `w` consecutive positions.
-pub(crate) fn wnaf_digits(k: &U256, w: u32) -> Vec<i8> {
+/// in any `w` consecutive positions. Writes the nonzero digits into the
+/// caller's zeroed `out` (position `i` weighs `2^i`) and returns the
+/// recoding's length, the top nonzero position plus one — at most
+/// `k.bit_len() + 1`, which `out` must hold.
+///
+/// Reads `k` a window at a time and carries one bit between windows (a
+/// negative digit borrows from the bits above it), so a scalar near
+/// `2^256` needs no wider arithmetic: the carry simply lands on
+/// position 256.
+pub(crate) fn wnaf_digits(k: &U256, w: u32, out: &mut [i8]) -> usize {
     debug_assert!((2..=7).contains(&w));
-    let modulus = 1u64 << w;
-    let half = modulus >> 1;
-    let mut k = *k;
-    // Negative digits add their magnitude back into `k`, which can carry
-    // past bit 255 for scalars near 2^256; `carry` models that virtual
-    // bit 256 so recoding is correct for every `U256` input.
-    let mut carry = false;
-    let mut digits = Vec::with_capacity(258);
-    while !k.is_zero() || carry {
-        if k.is_odd() {
-            let low = k.0[0] & (modulus - 1);
-            if low >= half {
-                // Digit is low - 2^w (negative): add its magnitude back.
-                let (sum, overflow) = k.overflowing_add(&U256::from_u64(modulus - low));
-                k = sum;
-                carry |= overflow;
-                digits.push((low as i64 - modulus as i64) as i8);
-            } else {
-                k = k.wrapping_sub(&U256::from_u64(low));
-                digits.push(low as i8);
-            }
-        } else {
-            digits.push(0);
+    debug_assert!(out.iter().all(|&d| d == 0));
+    let bits = k.bit_len();
+    // Bits `i .. i + w` of `k`, zero past bit 255.
+    let window = |i: usize| -> u64 {
+        let (limb, off) = (i / 64, i % 64);
+        let mut v = k.0.get(limb).map_or(0, |l| l >> off);
+        if off > 0 {
+            v |= k.0.get(limb + 1).map_or(0, |l| l << (64 - off));
         }
-        k = k.shr_small(1);
-        if carry {
-            // Shift the virtual bit 256 down into bit 255.
-            k.0[3] |= 1 << 63;
-            carry = false;
+        v & ((1 << w) - 1)
+    };
+    let (mut i, mut carry, mut len) = (0, 0u64, 0);
+    while i < bits || carry != 0 {
+        let v = window(i) + carry;
+        if v & 1 == 0 {
+            // An even value leaves the carry as it found it.
+            i += 1;
+            continue;
         }
+        // Odd, so at most 2^w − 1: the upper half becomes v − 2^w and
+        // carries one into the window above.
+        carry = v >> (w - 1);
+        out[i] = (v as i64 - ((carry as i64) << w)) as i8;
+        len = i + 1;
+        i += w as usize;
     }
-    digits
+    len
 }
 
 /// Window width of the fixed-base comb table, in bits: `32 × 255`
@@ -810,7 +814,9 @@ mod tests {
     fn wnaf_digits_recode_correctly() {
         // Reconstruct k = sum(d_i * 2^i) and check digit constraints.
         for k in [1u64, 2, 31, 32, 0xdead_beef_cafe, u64::MAX] {
-            let digits = super::wnaf_digits(&U256::from_u64(k), 5);
+            let mut digits = [0i8; 65];
+            let len = super::wnaf_digits(&U256::from_u64(k), 5, &mut digits);
+            assert!(len == 0 || digits[len - 1] != 0, "length ends on a digit");
             let mut acc = 0i128;
             for (i, &d) in digits.iter().enumerate() {
                 assert!(d == 0 || d % 2 != 0, "wNAF digits are zero or odd");
@@ -823,9 +829,8 @@ mod tests {
 
     #[test]
     fn wnaf_handles_scalars_near_2_256() {
-        // The recoding's add-back carries past bit 255 for these; the
-        // virtual-carry handling must keep the result correct (it used
-        // to panic in an overflow assert).
+        // A negative top digit carries past bit 255 for these: the
+        // recoding must put that carry on position 256.
         let g = AffinePoint::generator().to_jacobian();
         let q = g.mul_scalar(&U256::from_u64(997));
         for k in [

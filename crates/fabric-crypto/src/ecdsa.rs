@@ -17,9 +17,10 @@
 //!   ([`crate::curve::mul_fixed_base`]): ≤31 mixed additions, no
 //!   doublings;
 //! * `u2·Q` uses a lazily built *per-key* table (wNAF odd multiples of
-//!   `Q` and of `2^128·Q`, affine) so the double-scalar half needs only
-//!   ~128 shared doublings and ~42 mixed additions — endorser keys
-//!   repeat across every block, so the table amortizes immediately;
+//!   `2^(32i)·Q` for each of the eight 32-bit pieces of `u2`, affine) so
+//!   the double-scalar half needs only 32 shared doublings and ~46
+//!   mixed additions — endorser keys repeat across every block, so the
+//!   table amortizes immediately;
 //! * `s⁻¹ mod n` uses binary-Euclid inversion on plain integers
 //!   ([`crate::bigint::inv_mod_odd`]), or is amortized across a whole
 //!   block with [`batch_s_inverses`] (Montgomery's trick: one inversion
@@ -70,66 +71,79 @@ impl PartialEq for VerifyingKey {
 
 impl Eq for VerifyingKey {}
 
-/// Per-key precomputation for the `u2·Q` half of verification: width-5
-/// wNAF odd multiples `{1,3,..,15}·B` for both `B = Q` and
-/// `B = 2^128·Q`, normalized to affine with one batched inversion.
-/// Splitting `u2 = u2_hi·2^128 + u2_lo` halves the doubling count of
-/// the Strauss ladder from 256 to 128.
+/// Per-key precomputation for the `u2·Q` half of verification: `u2` is
+/// cut into [`Self::PIECES`] pieces of [`Self::PIECE_BITS`] bits, and
+/// piece `i` gets its own width-5 wNAF table of odd multiples
+/// `{1,3,..,15}·2^(i·PIECE_BITS)·Q`, all normalized to affine with one
+/// batched inversion. Every piece walks the same doubling ladder, so a
+/// verification doubles `PIECE_BITS` times instead of 256 and adds
+/// hardly more often than an unsplit wNAF would (each piece pays for
+/// its own top digit: ~46 additions against ~43).
 struct KeyPrecomp {
-    lo: Vec<AffinePoint>,
-    hi: Vec<AffinePoint>,
+    /// `PIECES` tables of `TABLE_LEN` points, piece 0 first.
+    tables: Vec<AffinePoint>,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Tables built by the current thread.
+    static PRECOMP_BUILDS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 impl KeyPrecomp {
     const WINDOW: u32 = 5;
     const TABLE_LEN: usize = 1 << (Self::WINDOW - 2);
+    /// Picked with `cargo bench -p bmac-bench --bench crypto` among
+    /// 4, 8 and 16 (the crate README has the numbers): 64 points,
+    /// 4.5 KiB, a key.
+    const PIECES: usize = 8;
+    const PIECE_BITS: usize = 256 / Self::PIECES;
 
     fn build(q: &AffinePoint) -> Self {
-        let base_lo = q.to_jacobian();
-        let mut base_hi = base_lo;
-        for _ in 0..128 {
-            base_hi = base_hi.double();
-        }
-        let mut jac = Vec::with_capacity(2 * Self::TABLE_LEN);
-        for base in [base_lo, base_hi] {
+        #[cfg(test)]
+        PRECOMP_BUILDS.with(|n| n.set(n.get() + 1));
+        let mut jac = Vec::with_capacity(Self::PIECES * Self::TABLE_LEN);
+        let mut base = q.to_jacobian();
+        for _ in 0..Self::PIECES {
             let twice = base.double();
             let mut acc = base;
             for _ in 0..Self::TABLE_LEN {
                 jac.push(acc);
                 acc = acc.add(&twice);
             }
+            base = twice;
+            for _ in 1..Self::PIECE_BITS {
+                base = base.double();
+            }
         }
-        let affine = JacobianPoint::batch_to_affine(&jac);
-        let (lo, hi) = affine.split_at(Self::TABLE_LEN);
         KeyPrecomp {
-            lo: lo.to_vec(),
-            hi: hi.to_vec(),
+            tables: JacobianPoint::batch_to_affine(&jac),
         }
     }
 
-    /// `k·Q` via the split table: wNAF digits of the two 128-bit halves
-    /// walk one shared doubling ladder.
+    /// `k·Q`: the wNAF digits of every piece of `k` walk one shared
+    /// doubling ladder. A piece's recoding may carry one position past
+    /// its top bit, hence the `+ 1`.
     fn mul(&self, k: &U256) -> JacobianPoint {
-        let k_lo = U256([k.0[0], k.0[1], 0, 0]);
-        let k_hi = U256([k.0[2], k.0[3], 0, 0]);
-        let d_lo = wnaf_digits(&k_lo, Self::WINDOW);
-        let d_hi = wnaf_digits(&k_hi, Self::WINDOW);
+        let mut digits = [[0i8; Self::PIECE_BITS + 1]; Self::PIECES];
+        let mut len = 0;
+        for (i, d) in digits.iter_mut().enumerate() {
+            let bit = i * Self::PIECE_BITS;
+            let piece = (k.0[bit / 64] >> (bit % 64)) & (u64::MAX >> (64 - Self::PIECE_BITS));
+            len = len.max(wnaf_digits(&U256::from_u64(piece), Self::WINDOW, d));
+        }
         let f = Fp256;
         let mut acc = JacobianPoint::identity();
-        for i in (0..d_lo.len().max(d_hi.len())).rev() {
+        for pos in (0..len).rev() {
             acc = acc.double();
-            for (digits, table) in [(&d_lo, &self.lo), (&d_hi, &self.hi)] {
-                let d = digits.get(i).copied().unwrap_or(0);
-                if d > 0 {
-                    acc = acc.add_mixed(&table[(d as usize) / 2]);
-                } else if d < 0 {
-                    let p = &table[(-d as usize) / 2];
-                    let neg = AffinePoint {
-                        x: p.x,
-                        y: f.neg(&p.y),
-                        infinity: p.infinity,
-                    };
-                    acc = acc.add_mixed(&neg);
+            for (d, table) in digits.iter().zip(self.tables.chunks_exact(Self::TABLE_LEN)) {
+                let d = d[pos];
+                if d != 0 {
+                    let mut p = table[usize::from(d.unsigned_abs()) / 2];
+                    if d < 0 {
+                        p.y = f.neg(&p.y);
+                    }
+                    acc = acc.add_mixed(&p);
                 }
             }
         }
@@ -263,14 +277,19 @@ impl fmt::Debug for SigningKey {
     }
 }
 
+/// Keys the precomp registry holds before it is cleared.
+const REGISTRY_CAP: usize = 1024;
+
 /// Process-wide registry sharing one precomp slot per distinct public
 /// key, so re-parsing the same certificate (every block decode does)
 /// reuses the table built on first verification instead of rebuilding
-/// it. Bounded: once full, new keys simply get private (unshared) slots.
+/// it. Bounded at [`REGISTRY_CAP`] keys, i.e. tables: a key arriving
+/// at a full registry clears it (keys in use keep their table through
+/// their own `Arc`), so a key is rebuilt at most once per
+/// `REGISTRY_CAP` new keys rather than on every parse.
 fn shared_precomp_slot(point: &AffinePoint) -> Arc<OnceLock<KeyPrecomp>> {
     type Registry =
         parking_lot::Mutex<std::collections::HashMap<[u8; 64], Arc<OnceLock<KeyPrecomp>>>>;
-    const REGISTRY_CAP: usize = 1024;
     static REGISTRY: OnceLock<Registry> = OnceLock::new();
     let registry = REGISTRY
         .get_or_init(|| parking_lot::Mutex::named("crypto.precomp_registry", Default::default()));
@@ -281,10 +300,11 @@ fn shared_precomp_slot(point: &AffinePoint) -> Arc<OnceLock<KeyPrecomp>> {
     if let Some(slot) = map.get(&key) {
         return Arc::clone(slot);
     }
-    let slot = Arc::new(OnceLock::new());
-    if map.len() < REGISTRY_CAP {
-        map.insert(key, Arc::clone(&slot));
+    if map.len() >= REGISTRY_CAP {
+        map.clear();
     }
+    let slot = Arc::new(OnceLock::new());
+    map.insert(key, Arc::clone(&slot));
     slot
 }
 
@@ -772,6 +792,49 @@ mod tests {
         assert!(vk1.verify_prehashed(&digest, &sig).is_ok());
         assert!(vk2.verify_prehashed(&digest, &sig).is_ok());
         assert_eq!(vk1, vk2);
+    }
+
+    /// Certificates are re-parsed on every block decode, so "parse,
+    /// then verify" is the unit a key's table has to survive.
+    #[test]
+    fn keys_past_the_registry_cap_build_once_not_per_parse() {
+        let builds = || PRECOMP_BUILDS.with(|n| n.get());
+        let digest = sha256(b"registry");
+        let signed: Vec<([u8; 65], Signature)> = (0..REGISTRY_CAP + 8)
+            .map(|i| {
+                let key = SigningKey::from_seed(format!("registry{i}").as_bytes());
+                (
+                    key.verifying_key().to_sec1_bytes(),
+                    key.sign_prehashed(&digest),
+                )
+            })
+            .collect();
+        let parse_and_verify = |(sec1, sig): &([u8; 65], Signature)| {
+            let vk = VerifyingKey::from_sec1_bytes(sec1).unwrap();
+            assert!(vk.verify_prehashed(&digest, sig).is_ok());
+        };
+        // More keys than the registry holds, rotated through twice: the
+        // worst case costs one build per key per rotation.
+        let before = builds();
+        for _ in 0..2 {
+            signed.iter().for_each(parse_and_verify);
+        }
+        assert!(builds() - before <= 2 * signed.len());
+        // The keys that arrived after the registry filled are a block's
+        // endorsers from here on: one build each at most, however many
+        // times they are parsed and verified.
+        let late = &signed[REGISTRY_CAP..];
+        let before = builds();
+        for _ in 0..32 {
+            late.iter().for_each(parse_and_verify);
+        }
+        assert!(
+            builds() - before <= late.len(),
+            "{} tables built for {} verifications of {} keys",
+            builds() - before,
+            32 * late.len(),
+            late.len()
+        );
     }
 
     #[test]

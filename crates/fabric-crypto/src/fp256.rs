@@ -82,11 +82,13 @@ impl Fp256 {
     }
 
     /// Field addition.
+    #[inline]
     pub fn add(&self, a: &U256, b: &U256) -> U256 {
         a.add_mod(b, &Self::P)
     }
 
     /// Field subtraction.
+    #[inline]
     pub fn sub(&self, a: &U256, b: &U256) -> U256 {
         a.sub_mod(b, &Self::P)
     }

@@ -423,6 +423,69 @@ fn field_boundary_matrix_matches_oracle() {
     }
 }
 
+/// Directed matrix for the branch-free modular add/sub, on `p` and on
+/// `n`: the sums and differences where the mask flips — `a + b` one
+/// below, at and one above the modulus, one below, at and one above
+/// `2^256` (both moduli exceed `2^255`, so a sum of residues can wrap),
+/// `a − b` at `a = b`, `a = 0` and `b = m − 1` — against 512-bit long
+/// division. Random inputs are the proptests' job.
+#[test]
+fn add_sub_mask_boundaries_match_long_division() {
+    let one = U256::ONE;
+    for m in [Fp256::P, order()] {
+        let top = m.wrapping_sub(&one); // m − 1
+        let gap = U256::ZERO.wrapping_sub(&m); // 2^256 − m
+        let half = m.shr_small(1);
+        let mut firsts = vec![
+            U256::ZERO,
+            one,
+            U256::from_u64(2),
+            half,
+            half.wrapping_add(&one),
+            gap,
+            top.wrapping_sub(&one),
+            top,
+        ];
+        for i in [63, 64, 127, 128, 191, 192, 255] {
+            let mut v = U256::ZERO;
+            v.0[i / 64] = 1 << (i % 64);
+            firsts.extend([v, v.wrapping_sub(&one)]);
+        }
+        let mut pairs = Vec::new();
+        for a in &firsts {
+            // b placing a + b at target − 1, target, target + 1 for
+            // target = m and target = 2^256 (as wrapping arithmetic).
+            for target in [m, U256::ZERO] {
+                for b in [
+                    target.wrapping_sub(a).wrapping_sub(&one),
+                    target.wrapping_sub(a),
+                    target.wrapping_sub(a).wrapping_add(&one),
+                ] {
+                    pairs.push((*a, b));
+                }
+            }
+            pairs.extend([(*a, *a), (U256::ZERO, *a), (*a, top), (*a, U256::ZERO)]);
+        }
+        let mut checked = 0;
+        for (a, b) in pairs.iter().filter(|(a, b)| a < &m && b < &m) {
+            let sum = wide_sum(a, b).rem(&m);
+            let diff = wide_sum(a, &m.wrapping_sub(b)).rem(&m);
+            assert_eq!(a.add_mod(b, &m), sum, "{a:?} + {b:?} mod {m:?}");
+            assert_eq!(a.sub_mod(b, &m), diff, "{a:?} − {b:?} mod {m:?}");
+            // The same through the two fields built on them.
+            if m == Fp256::P {
+                assert_eq!(Fp256.add(a, b), sum);
+                assert_eq!(Fp256.sub(a, b), diff);
+            } else {
+                assert_eq!(scalar_field().add(a, b), sum);
+                assert_eq!(scalar_field().sub(a, b), diff);
+            }
+            checked += 1;
+        }
+        assert!(checked > 150, "only {checked} in-range pairs for {m:?}");
+    }
+}
+
 /// A SHA-256 compression kernel, as [`kernel`] exposes both.
 type Kernel = fn(&mut [u32; 8], &[u8]);
 

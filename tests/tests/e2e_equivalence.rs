@@ -5,12 +5,13 @@
 
 use std::collections::HashMap;
 
-use bmac_core::{BMacPeer, BmacConfig};
+use bmac_core::{BMacPeer, BmacConfig, PeerError};
+use bmac_hw::MachineError;
 use bmac_protocol::BmacSender;
 use fabric_crypto::identity::{Msp, Role};
 use fabric_ledger::TxValidationCode;
 use fabric_node::network::{FabricNetwork, FabricNetworkBuilder};
-use fabric_peer::pipeline::ValidatorPipeline;
+use fabric_peer::pipeline::{ValidateError, ValidatorPipeline};
 use fabric_policy::parse;
 use fabric_protos::messages::{
     Block, ChaincodeActionPayload, Endorsement, Envelope, Payload, Transaction,
@@ -257,4 +258,48 @@ fn ledgers_chain_identically_across_many_blocks() {
     );
     assert!(sw.ledger().verify_chain().is_ok());
     assert!(bmac.ledger().verify_chain().is_ok());
+}
+
+/// A block whose envelope was swapped after the orderer hashed and
+/// signed it: the software peer's committer and the hardware peer's
+/// `HashCalculator` both compare the envelopes with `header.data_hash`,
+/// refuse the block, and stay on the same prefix.
+#[test]
+fn swapped_envelope_is_refused_by_both_and_the_prefix_agrees() {
+    let mut net = smallbank_net(3);
+    let mut driver = Driver::new(Workload::Smallbank, 6, 33);
+    let (sw, mut bmac, mut sender) = make_peers();
+    let mut blocks = driver.prepare(&mut net).unwrap();
+    blocks.extend(driver.generate_blocks(&mut net, 3).unwrap());
+    let (bad, prefix) = blocks.split_last_mut().unwrap();
+    for block in prefix.iter() {
+        validate_both(&sw, &mut bmac, &mut sender, block);
+    }
+    bad.data.data[1] = prefix.last().unwrap().data.data[0].clone();
+
+    let number = bad.header.number;
+    assert!(matches!(
+        sw.validate_and_commit(bad),
+        Err(ValidateError::DataHash { block }) if block == number
+    ));
+    let mut refusal = None;
+    for p in sender.send_block(bad).unwrap() {
+        match bmac.ingest_wire(&p.encode().unwrap(), 0) {
+            Ok(committed) => assert!(committed.is_empty(), "refused block committed"),
+            Err(e) => refusal = Some(e),
+        }
+    }
+    assert!(
+        matches!(
+            refusal,
+            Some(PeerError::Machine(MachineError::DataHash { block })) if block == number
+        ),
+        "{refusal:?}"
+    );
+    assert_eq!(sw.ledger().height(), number);
+    assert_eq!(bmac.ledger().height(), number);
+    assert_eq!(
+        sw.ledger().tip_commit_hash(),
+        bmac.ledger().tip_commit_hash()
+    );
 }

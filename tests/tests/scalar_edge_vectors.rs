@@ -13,7 +13,7 @@
 //! plain long division — arithmetic that shares nothing with the
 //! domain under test.
 
-use fabric_crypto::bigint::{inv_mod_odd, U256};
+use fabric_crypto::bigint::{inv_mod_odd, U256, U512};
 use fabric_crypto::curve::{mul_fixed_base, p256};
 use fabric_crypto::ecdsa::{Signature, SigningKey, VerifyingKey};
 use fabric_crypto::sha256::sha256;
@@ -193,5 +193,113 @@ fn edge_scalars_match_long_division() {
     assert!(m.batch_inv(&mut vals).iter().all(|&ok| ok));
     for (v, s) in vals.iter().zip(&edge) {
         assert_eq!(Some(m.from_mont(v)), inv_mod_odd(s, &n));
+    }
+}
+
+/// `a⁻¹ mod n` as `a^(n−2)`, every product reduced by long division.
+fn inverse_by_long_division(a: &U256, n: &U256) -> U256 {
+    let e = n.wrapping_sub(&U256::from_u64(2));
+    let mut acc = U256::ONE;
+    for i in (0..e.bit_len()).rev() {
+        acc = acc.widening_sqr().rem(n);
+        if e.bit(i) {
+            acc = acc.widening_mul(a).rem(n);
+        }
+    }
+    acc
+}
+
+/// Forges a valid signature whose verification multiplies the key by
+/// exactly `u2` (and the generator by `u1`): with `R = (u1 + u2·d)·G`
+/// and `r = x(R) mod n`, `s = r·u2⁻¹` and `z = u1·s` make
+/// `z·s⁻¹ = u1` and `r·s⁻¹ = u2`. Long division throughout; `R` comes
+/// off the fixed-base comb, which shares no table with the per-key path.
+fn forge_signature_with_u2(key: &SigningKey, u1: &U256, u2: &U256) -> (Signature, [u8; 32]) {
+    let n = &p256().order;
+    let d = U256::from_be_bytes(&key.to_be_bytes());
+    let (sum, carry) = u1.overflowing_add(&u2.widening_mul(&d).rem(n));
+    let mut k = U512::from_u256(&sum);
+    k.0[4] = carry as u64;
+    let k = k.rem(n);
+    let point = mul_fixed_base(&k).to_affine();
+    let r = U256::from_be_bytes(&point.x_bytes()).reduce_once(n);
+    assert!(!point.infinity && !r.is_zero(), "pick a different u1");
+    let s = r.widening_mul(&inverse_by_long_division(u2, n)).rem(n);
+    let z = u1.widening_mul(&s).rem(n);
+    (Signature { r, s }, z.to_be_bytes())
+}
+
+/// The per-key table splits `u2` into equal pieces that share one
+/// doubling ladder, each recoded to signed digits on its own. These
+/// `u2` sit where that can go wrong for any piece width from 16 to 64
+/// bits: a piece of all ones recodes to `2^w − 1`, carrying out of its
+/// top bit; zero pieces between full ones leave tables unused on some
+/// ladder steps; a lone top piece leaves every other table unused.
+#[test]
+fn u2_at_the_piece_boundaries_verifies_on_both_paths() {
+    let key = test_key();
+    let vk = key.verifying_key();
+    let n = p256().order;
+    let u1 = U256::from_be_bytes(&sha256(b"u1 for the piece-boundary vectors")).rem(&n);
+    let vectors = [
+        (
+            "every piece all ones (2^255 − 1)",
+            U256([u64::MAX, u64::MAX, u64::MAX, u64::MAX >> 1]),
+        ),
+        (
+            "all ones below bit 224, top piece 0xfffffffe",
+            U256([u64::MAX, u64::MAX, u64::MAX, 0xffff_fffe_ffff_ffff]),
+        ),
+        (
+            "64-bit pieces alternate zero / ones",
+            U256([0, u64::MAX, 0, u64::MAX >> 1]),
+        ),
+        (
+            "64-bit pieces alternate ones / zero",
+            U256([u64::MAX, 0, u64::MAX, 0]),
+        ),
+        (
+            "32-bit pieces alternate zero / ones",
+            U256([0xffff_ffff_0000_0000; 4]),
+        ),
+        (
+            "32-bit pieces alternate ones / zero",
+            U256([0x0000_0000_ffff_ffff; 4]),
+        ),
+        (
+            "16-bit pieces alternate zero / ones",
+            U256([0xffff_0000_ffff_0000; 4]),
+        ),
+        (
+            "16-bit pieces alternate ones / zero",
+            U256([0x0000_ffff_0000_ffff; 4]),
+        ),
+        ("only the top 16 bits", U256([0, 0, 0, 0xabcd << 48])),
+        ("only the top 32 bits", U256([0, 0, 0, 0xabcd_1235 << 32])),
+        ("only bit 255", U256([0, 0, 0, 1 << 63])),
+        ("only the bottom piece, all ones", U256::from_u64(0xffff)),
+        ("one", U256::ONE),
+        ("n − 1", n.wrapping_sub(&U256::ONE)),
+    ];
+    for (what, u2) in vectors {
+        assert!(!u2.is_zero() && u2 < n, "{what}: u2 out of range");
+        let (sig, digest) = forge_signature_with_u2(&key, &u1, &u2);
+        // The forgery hit its target: the verifier's own u2 is ours.
+        let sinv = inv_mod_odd(&sig.s, &n).unwrap();
+        assert_eq!(sig.r.widening_mul(&sinv).rem(&n), u2, "{what}: forged u2");
+        assert!(paths_agree(vk, &digest, &sig), "{what}: must verify");
+        // One flipped bit anywhere must be refused, by both paths.
+        let mut bad_digest = digest;
+        bad_digest[31] ^= 0x01;
+        assert!(
+            !paths_agree(vk, &bad_digest, &sig),
+            "{what}: digest bit flip"
+        );
+        let mut bad_r = sig;
+        bad_r.r.0[0] ^= 1;
+        assert!(!paths_agree(vk, &digest, &bad_r), "{what}: r bit flip");
+        let mut bad_s = sig;
+        bad_s.s.0[1] ^= 1 << 17;
+        assert!(!paths_agree(vk, &digest, &bad_s), "{what}: s bit flip");
     }
 }
