@@ -53,6 +53,31 @@ fn bench_protos(c: &mut Criterion) {
     group.bench_function("decode_block_10tx", |b| {
         b.iter(|| decode_block(black_box(&block_bytes)).unwrap())
     });
+
+    // A block as the peer meets it: 100 drm-sized transactions over a
+    // handful of identities (3 clients, 2 endorsers, the orderer), so
+    // its 301 certificates are 6 byte strings.
+    let clients: Vec<_> = (0..3)
+        .map(|i| msp.issue(i % 2, Role::Client, 1 + i).unwrap())
+        .collect();
+    let envs: Vec<Vec<u8>> = (0..100u8)
+        .map(|i| {
+            let key = format!("license:content{}:user{i}", i % 8);
+            let p = TxParams {
+                channel_id: "mychannel",
+                chaincode: "drm",
+                reads: vec![(format!("content{}", i % 8), None)],
+                writes: vec![(key, vec![i; 120])],
+                nonce: vec![i; 24],
+                timestamp: 1_700_000_000,
+            };
+            build_transaction(&clients[i as usize % 3], &[&e1, &e2], &p).envelope
+        })
+        .collect();
+    let block_bytes = build_block(1, &[0u8; 32], envs, &orderer).marshal();
+    group.bench_function("decode_block_100tx", |b| {
+        b.iter(|| decode_block(black_box(&block_bytes)).unwrap())
+    });
     group.finish();
 }
 

@@ -82,6 +82,33 @@ fn bench_validation(c: &mut Criterion) {
             assert_eq!(committed, 1);
         })
     });
+
+    // The signature stages of a 100-transaction drm block whose 301
+    // verdicts are all cached: decode, data hash, task collection, cache
+    // lookups — no ECDSA, no inversion, no spawn.
+    let scenario = workload::StreamScenario {
+        workload: workload::Workload::Drm,
+        accounts: 8,
+        block_size: 100,
+        num_blocks: 1,
+        ..Default::default()
+    };
+    let block = scenario.generate().blocks.pop().expect("a workload block");
+    let validator = ValidatorPipeline::new(scenario.validator_msp(), scenario.policies(), 2);
+    let cold = validator.verify_block_signatures(&block).unwrap();
+    assert!(cold.iter().all(|c| c.is_valid()));
+    group.bench_function("vscc_warm_100tx", |b| {
+        b.iter(|| {
+            validator
+                .verify_block_signatures(black_box(&block))
+                .unwrap()
+        })
+    });
+    assert_eq!(
+        validator.verifications(),
+        301,
+        "every iteration was all hits"
+    );
     group.finish();
 }
 

@@ -310,7 +310,11 @@ impl BmacPacket {
         let num_annotations = buf.get_u16() as usize;
         let payload_len = buf.get_u32() as usize;
         // L7 variable part.
-        let mut annotations = Vec::with_capacity(num_annotations);
+        // An announced count reserves no more than the bytes that
+        // arrived can hold (a locator, the smaller annotation, is 7).
+        let mut annotations = Vec::with_capacity(num_annotations.min(buf.remaining() / 7));
+        #[cfg(test)]
+        RESERVED.with(|r| r.set(annotations.capacity() * std::mem::size_of::<Annotation>()));
         for _ in 0..num_annotations {
             if buf.remaining() < 1 {
                 return Err(PacketError::Truncated);
@@ -368,6 +372,13 @@ impl BmacPacket {
                 .sum::<usize>()
             + self.payload.len()
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Bytes the last [`BmacPacket::decode`] on this thread reserved for
+    /// annotations.
+    static RESERVED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 #[cfg(test)]
@@ -466,6 +477,29 @@ mod tests {
         p.annotations.truncate(u16::MAX as usize);
         let q = BmacPacket::decode(&p.encode().unwrap()).unwrap();
         assert_eq!(q.annotations.len(), u16::MAX as usize);
+    }
+
+    #[test]
+    fn announced_annotation_count_reserves_no_more_than_the_packet_can_hold() {
+        // A 40-byte BMac message claiming 65 535 annotations and carrying
+        // three: the count is a wire u16 and must not size an allocation.
+        let mut p = sample();
+        p.annotations = vec![Annotation::Locator { offset: 0, id: 1 }; 3];
+        p.payload = Bytes::new();
+        let mut wire = p.encode().unwrap();
+        assert_eq!(wire.len() - L2_L3_L4_HEADER_BYTES, 40);
+        let count_at = L2_L3_L4_HEADER_BYTES + 13;
+        assert_eq!(wire[count_at..count_at + 2], [0, 3]);
+        wire[count_at..count_at + 2].copy_from_slice(&u16::MAX.to_be_bytes());
+        assert_eq!(BmacPacket::decode(&wire), Err(PacketError::Truncated));
+        let reserved = RESERVED.with(|r| r.get());
+        assert!(
+            reserved <= 4 * wire.len(),
+            "{reserved} bytes reserved for a {}-byte packet",
+            wire.len()
+        );
+        // The honest count still round-trips.
+        assert_eq!(BmacPacket::decode(&p.encode().unwrap()).unwrap(), p);
     }
 
     #[test]

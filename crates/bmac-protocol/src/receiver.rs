@@ -331,18 +331,27 @@ impl BmacReceiver {
             })
             .collect();
         locators.sort_by_key(|&(off, _)| off);
-        let mut out = Vec::with_capacity(stripped.len() + locators.len() * 900);
+        // Every locator is resolved before the output is allocated, once,
+        // at its exact size: a section naming identities this receiver
+        // does not hold reserves nothing for them.
+        let inserts = locators
+            .into_iter()
+            .map(|(offset, id)| {
+                let offset = offset as usize;
+                if offset > stripped.len() {
+                    return Err(ReceiveError::Malformed("locator offset out of range"));
+                }
+                let ident = self.cache.bytes_of(id);
+                Ok((offset, ident.ok_or(ReceiveError::UnknownIdentity(id))?))
+            })
+            .collect::<Result<Vec<(usize, &[u8])>, ReceiveError>>()?;
+        let inserted: usize = inserts.iter().map(|(_, ident)| ident.len()).sum();
+        let mut out = Vec::with_capacity(stripped.len() + inserted);
+        #[cfg(test)]
+        RESERVED.with(|r| r.set(r.get() + out.capacity()));
         let mut pos = 0usize;
-        for (offset, id) in locators {
-            let offset = offset as usize;
-            if offset > stripped.len() {
-                return Err(ReceiveError::Malformed("locator offset out of range"));
-            }
+        for (offset, ident) in inserts {
             out.extend_from_slice(&stripped[pos..offset]);
-            let ident = self
-                .cache
-                .bytes_of(id)
-                .ok_or(ReceiveError::UnknownIdentity(id))?;
             out.extend_from_slice(ident);
             pos = offset;
         }
@@ -375,6 +384,12 @@ impl BmacReceiver {
             wire_bytes: partial.wire_bytes,
         })
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Bytes [`BmacReceiver::reconstruct`] reserved on this thread.
+    static RESERVED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 #[cfg(test)]
@@ -489,6 +504,28 @@ mod tests {
         // identity sync, and loss is observable via incomplete_blocks().
         assert_eq!(completed, 0);
         assert_eq!(receiver.incomplete_blocks(), vec![block.header.number]);
+    }
+
+    #[test]
+    fn unresolved_locators_reserve_nothing_and_resolved_ones_their_exact_size() {
+        // 65 535 locators in one section used to reserve 59 MB before
+        // the first id was looked up.
+        let receiver = BmacReceiver::new();
+        let locators = vec![Annotation::Locator { offset: 0, id: 7 }; u16::MAX as usize];
+        RESERVED.with(|r| r.set(0));
+        assert!(matches!(
+            receiver.reconstruct(b"stripped", &locators),
+            Err(ReceiveError::UnknownIdentity(7))
+        ));
+        assert_eq!(RESERVED.with(|r| r.get()), 0);
+        // With every identity held, each section is allocated once at
+        // the size it comes out at.
+        let block = one_block(3);
+        let received = roundtrip(&block);
+        let sections = received.block.data.data.iter();
+        let exact: usize =
+            sections.map(Vec::len).sum::<usize>() + received.block.metadata.marshal().len();
+        assert_eq!(RESERVED.with(|r| r.get()), exact);
     }
 
     #[test]

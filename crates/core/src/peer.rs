@@ -176,8 +176,8 @@ impl BMacPeer {
             let committed = self
                 .fallback
                 .commit_flagged(
-                    &block,
-                    &decoded,
+                    block,
+                    decoded,
                     result.block_valid,
                     result.flags,
                     StageTimings::default(),

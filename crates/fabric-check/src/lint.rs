@@ -44,8 +44,10 @@
 //! `env-selector` alone also covers `crates/shims`, `crates/bench` and
 //! the root `src/`; `unsafe-site` alone also covers
 //! `crates/fabric-check/src/lib.rs`.
-//! Code at or after a `#[cfg(test)]` line is exempt, as are
-//! comment-only lines. `named()` labels are additionally collected from
+//! Code at or after a `#[cfg(test)]` line that gates a module is exempt
+//! (a `#[cfg(test)]` on a single statement or item — a test-only counter
+//! inside a function — exempts nothing after it), as are comment-only
+//! lines. `named()` labels are additionally collected from
 //! `tests/` so the manifest inventory covers integration fixtures.
 
 use std::collections::HashSet;
@@ -279,9 +281,7 @@ pub fn lint_file(path: &str, content: &str) -> Vec<Finding> {
     let unsafe_site = UNSAFE_SITES.iter().any(|f| normalized.ends_with(f));
     for (idx, raw) in lines.iter().enumerate() {
         let trimmed = raw.trim_start();
-        if trimmed.starts_with("#[cfg(test)") {
-            in_test = true;
-        }
+        in_test |= opens_test_module(&lines, idx);
         if in_test || trimmed.starts_with("//") {
             continue;
         }
@@ -353,6 +353,17 @@ pub fn lint_file(path: &str, content: &str) -> Vec<Finding> {
     findings
 }
 
+/// Whether line `idx` is a `#[cfg(test)]` whose item — past any further
+/// attributes — is a module: the rest of the file is then test code.
+fn opens_test_module(lines: &[&str], idx: usize) -> bool {
+    lines[idx].trim_start().starts_with("#[cfg(test)")
+        && lines[idx + 1..]
+            .iter()
+            .map(|l| l.trim_start())
+            .find(|l| !l.starts_with("#["))
+            .is_some_and(|l| l.starts_with("mod ") || l.starts_with("pub mod "))
+}
+
 /// Collects `named("label")` uses (for the lock-order inventory).
 pub fn collect_labels(path: &str, content: &str) -> Vec<LabelUse> {
     let lines: Vec<&str> = content.lines().collect();
@@ -360,9 +371,7 @@ pub fn collect_labels(path: &str, content: &str) -> Vec<LabelUse> {
     let mut in_test = false;
     for (idx, raw) in lines.iter().enumerate() {
         let trimmed = raw.trim_start();
-        if trimmed.starts_with("#[cfg(test)") {
-            in_test = true;
-        }
+        in_test |= opens_test_module(&lines, idx);
         if trimmed.starts_with("//") {
             continue;
         }
@@ -709,6 +718,15 @@ mod tests {
     fn cfg_test_region_is_exempt() {
         let src = "fn a() {}\n#[cfg(test)]\nmod tests {\n    fn b() { x.unwrap(); }\n}\n";
         assert!(lint_file("crates/fabric-peer/src/x.rs", src).is_empty());
+    }
+
+    #[test]
+    fn cfg_test_on_a_statement_exempts_nothing_after_it() {
+        let src = "fn a() {\n    #[cfg(test)]\n    COUNT.with(|n| n.set(1));\n    x.unwrap();\n}\n";
+        let f = lint_file("crates/fabric-peer/src/x.rs", src);
+        assert_eq!(rules(&f), vec!["no-unwrap"]);
+        let src = "#[cfg(test)]\nthread_local! {}\nlet a = Mutex::named(\"x.a\", 1);\n";
+        assert!(!collect_labels("x.rs", src)[0].in_test);
     }
 
     #[test]

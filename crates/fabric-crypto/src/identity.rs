@@ -9,14 +9,20 @@
 //! * [`Certificate`] — a self-describing certificate of the same size
 //!   class as Fabric's PEM-encoded X.509 material, carrying a real P-256
 //!   public key and a real CA signature chain;
+//! * [`KnownCert`] — a certificate resolved from its wire bytes through
+//!   a process-wide registry: a block repeats the same few identities, so
+//!   each is parsed and fingerprinted once per distinct byte string;
 //! * [`NodeId`] — the paper's 16-bit encoded id (8-bit org, 4-bit role,
 //!   4-bit sequence number), the compressed stand-in used on the wire;
 //! * [`Identity`] / [`SigningIdentity`] — certificate + key material;
 //! * [`Msp`] — the membership service provider: per-org CAs, identity
 //!   issuance and certificate validation.
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::{Arc, OnceLock};
 
 use crate::ecdsa::{EcdsaError, Signature, SigningKey, VerifyingKey};
 use crate::sha256::sha256;
@@ -253,6 +259,88 @@ impl Certificate {
     /// fails.
     pub fn verify_issued_by(&self, ca: &VerifyingKey) -> Result<(), EcdsaError> {
         ca.verify(&self.tbs_bytes(), &self.signature)
+    }
+}
+
+/// Distinct certificates the registry holds before it is cleared, at
+/// ≈ 1.7 KiB each (the wire bytes and the parse).
+const KNOWN_CERTS_CAP: usize = 1024;
+
+/// A certificate as resolved from its wire bytes: the parse and its
+/// [`Certificate::fingerprint`], computed once per distinct byte string
+/// and shared. Immutable, and reads as the [`Certificate`] it holds.
+#[derive(Debug)]
+pub struct KnownCert {
+    cert: Certificate,
+    fingerprint: [u8; 32],
+}
+
+type KnownCerts =
+    parking_lot::Mutex<HashMap<Box<[u8]>, Arc<KnownCert>, BuildHasherDefault<TailHasher>>>;
+
+/// The process-wide registry behind [`KnownCert::resolve`].
+fn known_certs() -> &'static KnownCerts {
+    static REGISTRY: OnceLock<KnownCerts> = OnceLock::new();
+    REGISTRY.get_or_init(|| parking_lot::Mutex::named("crypto.known_certs", HashMap::default()))
+}
+
+impl std::ops::Deref for KnownCert {
+    type Target = Certificate;
+
+    fn deref(&self) -> &Certificate {
+        &self.cert
+    }
+}
+
+impl KnownCert {
+    /// The certificate these `bytes` encode: from the process-wide
+    /// registry when they have been seen — a hit is byte equality, never
+    /// a digest match — else parsed and remembered. The registry is
+    /// cleared when it holds 1 024 entries (those in use live on through
+    /// their `Arc`); bytes that do not parse are not remembered.
+    ///
+    /// # Errors
+    ///
+    /// As [`Certificate::from_bytes`].
+    pub fn resolve(bytes: &[u8]) -> Result<Arc<KnownCert>, IdentityError> {
+        if let Some(known) = known_certs().lock().get(bytes) {
+            return Ok(Arc::clone(known));
+        }
+        // Parsed outside the lock (the parse takes the precomp
+        // registry's); of two racing resolvers the first insert wins.
+        let cert = Certificate::from_bytes(bytes)?;
+        let known = Arc::new(KnownCert {
+            fingerprint: cert.fingerprint(),
+            cert,
+        });
+        let mut map = known_certs().lock();
+        if map.len() >= KNOWN_CERTS_CAP {
+            map.clear();
+        }
+        Ok(Arc::clone(map.entry(bytes.into()).or_insert(known)))
+    }
+
+    /// [`Certificate::fingerprint`], as computed at [`Self::resolve`].
+    pub fn fingerprint(&self) -> [u8; 32] {
+        self.fingerprint
+    }
+}
+
+/// Hashes a byte string by its length and last 32 bytes — of a
+/// certificate, the CA signature, its high-entropy end — instead of all
+/// ≈ 830. The map compares whole keys, so strings sharing a tail cost a
+/// compare and can never answer for each other. Unkeyed: repeating a tail
+/// collides either way, and [`KNOWN_CERTS_CAP`] bounds how many can.
+#[derive(Default)]
+struct TailHasher(DefaultHasher);
+
+impl Hasher for TailHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        self.0.write(&bytes[bytes.len().saturating_sub(32)..]);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.finish()
     }
 }
 
@@ -663,5 +751,87 @@ mod tests {
         assert_ne!(fps[0], fps[1]);
         assert_ne!(fps[0], fps[2]);
         assert_ne!(fps[1], fps[2]);
+    }
+
+    /// The registry is process-wide and the tests below reason about
+    /// what it holds: one at a time.
+    static REGISTRY_TESTS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    #[test]
+    fn a_certificate_is_parsed_and_fingerprinted_once_per_byte_string() {
+        let _one_at_a_time = REGISTRY_TESTS.lock().unwrap_or_else(|p| p.into_inner());
+        let mut ca = CertificateAuthority::new(0);
+        let cert = ca.issue(Role::Client, 7).unwrap().certificate().clone();
+        let bytes = cert.to_bytes();
+        let first = KnownCert::resolve(&bytes).unwrap();
+        // A block's worth of the same identity: the one parse, shared.
+        for _ in 0..300 {
+            let again = KnownCert::resolve(&bytes).unwrap();
+            assert!(Arc::ptr_eq(&first, &again));
+        }
+        assert_eq!(**first, cert);
+        assert_eq!(first.fingerprint(), cert.fingerprint());
+        assert_eq!(
+            first.public_key, cert.public_key,
+            "reads as the certificate"
+        );
+        // Bytes that do not parse are refused every time, not remembered.
+        let held = known_certs().lock().len();
+        for _ in 0..2 {
+            assert!(KnownCert::resolve(&bytes[..bytes.len() - 1]).is_err());
+        }
+        assert_eq!(known_certs().lock().len(), held);
+    }
+
+    #[test]
+    fn same_length_and_tail_but_another_body_is_another_certificate() {
+        let _one_at_a_time = REGISTRY_TESTS.lock().unwrap_or_else(|p| p.into_inner());
+        let mut ca = CertificateAuthority::new(1);
+        let cert = ca.issue(Role::Peer, 2).unwrap().certificate().clone();
+        // One byte of the extensions: still parses, same length, same
+        // CA signature — everything the registry's hash looks at.
+        let mut forged = cert.clone();
+        forged.extensions[100] ^= 1;
+        let (bytes, forged_bytes) = (cert.to_bytes(), forged.to_bytes());
+        assert_eq!(bytes.len(), forged_bytes.len());
+        assert_eq!(bytes[bytes.len() - 32..], forged_bytes[bytes.len() - 32..]);
+        let honest = KnownCert::resolve(&bytes).unwrap();
+        let other = KnownCert::resolve(&forged_bytes).unwrap();
+        assert!(!Arc::ptr_eq(&honest, &other));
+        assert_eq!((&**honest, &**other), (&cert, &forged));
+        assert_ne!(honest.fingerprint(), other.fingerprint());
+        assert!(honest.verify_issued_by(ca.public_key()).is_ok());
+        assert!(other.verify_issued_by(ca.public_key()).is_err());
+        // Each keeps answering for itself, whichever was asked last.
+        assert!(Arc::ptr_eq(&honest, &KnownCert::resolve(&bytes).unwrap()));
+        assert!(Arc::ptr_eq(
+            &other,
+            &KnownCert::resolve(&forged_bytes).unwrap()
+        ));
+    }
+
+    #[test]
+    fn the_registry_stays_within_its_cap_and_handed_out_entries_outlive_a_clear() {
+        let _one_at_a_time = REGISTRY_TESTS.lock().unwrap_or_else(|p| p.into_inner());
+        let mut ca = CertificateAuthority::new(0);
+        let template = ca.issue(Role::Client, 1).unwrap().certificate().clone();
+        let first_bytes = template.to_bytes();
+        let first = KnownCert::resolve(&first_bytes).unwrap();
+        let mut held = Vec::new();
+        for serial in 0..(KNOWN_CERTS_CAP as u64 + 8) {
+            let mut cert = template.clone();
+            cert.serial = 1_000_000 + serial;
+            held.push((KnownCert::resolve(&cert.to_bytes()).unwrap(), cert));
+            assert!(known_certs().lock().len() <= KNOWN_CERTS_CAP);
+        }
+        // The registry was cleared on the way; what it handed out before
+        // is still whole, and resolving it again gives equal content.
+        assert_eq!(**first, template);
+        for (known, cert) in &held {
+            assert_eq!(&***known, cert);
+        }
+        let again = KnownCert::resolve(&first_bytes).unwrap();
+        assert_eq!(**again, **first);
+        assert_eq!(again.fingerprint(), first.fingerprint());
     }
 }

@@ -63,5 +63,5 @@ pub mod sha256;
 
 pub use bigint::U256;
 pub use ecdsa::{EcdsaError, Signature, SigningKey, VerifyingKey};
-pub use identity::{Certificate, Identity, Msp, NodeId, Role, SigningIdentity};
+pub use identity::{Certificate, Identity, KnownCert, Msp, NodeId, Role, SigningIdentity};
 pub use sha256::{sha256, Sha256};

@@ -8,8 +8,9 @@
 //! the verify workers, keeping the admission hot path to three protobuf
 //! layers and one SHA-256.
 
-use fabric_crypto::identity::Certificate;
-use fabric_crypto::{sha256, Signature};
+use std::sync::Arc;
+
+use fabric_crypto::{sha256, KnownCert, Signature};
 use fabric_peer::SigCacheKey;
 use fabric_protos::messages::{
     ChannelHeader, Envelope, Payload, SerializedIdentity, SignatureHeader,
@@ -22,7 +23,7 @@ pub struct AdmissionTx {
     /// Hex transaction id from the channel header.
     pub tx_id: String,
     /// The submitting client's certificate.
-    pub creator_cert: Certificate,
+    pub creator_cert: Arc<KnownCert>,
     /// The client signature over the envelope payload.
     pub client_signature: Signature,
     /// `sha256(envelope.payload)` — the digest the client signed, and
@@ -49,7 +50,7 @@ pub fn decode_admission(envelope_bytes: &[u8]) -> Result<AdmissionTx, WireError>
     }
     let sig_header = SignatureHeader::unmarshal(&payload.header.signature_header)?;
     let creator = SerializedIdentity::unmarshal(&sig_header.creator)?;
-    let creator_cert = Certificate::from_bytes(&creator.id_bytes)
+    let creator_cert = KnownCert::resolve(&creator.id_bytes)
         .map_err(|_| WireError::Semantic("bad creator certificate"))?;
     let client_signature = fabric_crypto::der::decode_signature(&envelope.signature)
         .map_err(|_| WireError::Semantic("bad client signature DER"))?;

@@ -25,7 +25,7 @@
 //!
 //! # Verification architecture
 //!
-//! Step 2 runs as a four-phase signature pipeline that mirrors how the
+//! Step 2 runs as a five-phase signature pipeline that mirrors how the
 //! Blockchain Machine feeds its `ecdsa_engine` bank (§3.2), rather than
 //! naïvely verifying transaction-by-transaction:
 //!
@@ -33,16 +33,21 @@
 //!   signature check (client + all endorsements) as a task, deduplicated
 //!   by `(pubkey, digest, signature)` so a triple repeated within the
 //!   block is verified at most once;
-//! * **batch invert** — compute the `s⁻¹ mod n` of *all* unique tasks
-//!   with a single modular inversion
+//! * **lookup** — ask the sharded LRU [`SignatureCache`] for every
+//!   unique task before anything is spent on it. A block whose verdicts
+//!   are all cached (re-delivered, or checked at admission) ends here:
+//!   nothing is inverted, no thread is spawned;
+//! * **invert the misses** — the `s⁻¹ mod n` of the tasks the cache did
+//!   not answer, with a single modular inversion
 //!   ([`fabric_crypto::ecdsa::batch_s_inverses`]);
-//! * **verify in parallel** — [`Verifier::par_map`] over the tasks:
+//! * **verify the misses** — [`Verifier::par_map`] over them:
 //!   [`ValidatorPipeline::workers`] threads (the paper's "vscc threads =
 //!   vCPUs") steal task indices, and each task goes through
-//!   [`Verifier::check`], which consults the sharded LRU
-//!   [`SignatureCache`] before running the precomputed fixed-base + wNAF
-//!   ECDSA engine. The orderer check (step 1) and the mempool's
-//!   admission pool go through the same [`Verifier`] calls;
+//!   [`Verifier::check`] — the one place a key is claimed, so a task
+//!   another thread began verifying since the lookup waits for that
+//!   verdict — and then the precomputed fixed-base + wNAF ECDSA engine.
+//!   The orderer check (step 1) is looked up and verified the same way,
+//!   and the mempool's admission pool goes through the same [`Verifier`];
 //! * **assemble** — fold task verdicts back into per-transaction
 //!   validation codes, evaluating each endorsement policy sequentially
 //!   (Fabric v1.4 semantics).
@@ -324,7 +329,8 @@ impl ValidatorPipeline {
         block: &Block,
     ) -> Result<BlockValidationResult, ValidateError> {
         let verified = self.verify_stage(block)?;
-        self.commit_stage(block, verified)
+        // This entry point's one copy: caller and ledger each keep one.
+        self.commit_stage(block.clone(), verified)
     }
 
     /// Steps 1–2: unmarshal, orderer check, parallel verify/vscc. This
@@ -378,7 +384,7 @@ impl ValidatorPipeline {
     /// sequencer before calling this.
     pub(crate) fn commit_stage(
         &self,
-        block: &Block,
+        block: Block,
         verified: VerifiedBlock,
     ) -> Result<BlockValidationResult, ValidateError> {
         let VerifiedBlock {
@@ -416,7 +422,7 @@ impl ValidatorPipeline {
         }
         timings.mvcc_us = t0.elapsed().as_micros() as u64;
 
-        self.commit_flagged(block, &decoded, block_valid, codes, timings)
+        self.commit_flagged(block, decoded, block_valid, codes, timings)
             .map_err(ValidateError::Ledger)
     }
 
@@ -426,20 +432,22 @@ impl ValidatorPipeline {
     /// reaches it from its commit stage, after MVCC; the hardware peer
     /// (`bmac-core`) calls it with the flags the machine computed.
     /// `decoded` must be the decode of `block`, `codes` one per
-    /// transaction, and calls must come in block order.
+    /// transaction, and calls must come in block order. Both are moved:
+    /// the block into the ledger, the write sets into the state batches.
     ///
     /// # Errors
     ///
     /// [`LedgerError`] when the append fails.
     pub fn commit_flagged(
         &self,
-        block: &Block,
-        decoded: &DecodedBlock,
+        block: Block,
+        mut decoded: DecodedBlock,
         block_valid: bool,
         codes: Vec<TxValidationCode>,
         mut timings: StageTimings,
     ) -> Result<BlockValidationResult, LedgerError> {
         assert_eq!(codes.len(), decoded.txs.len(), "one code per transaction");
+        let block_num = decoded.number;
         // Step 4a: state DB commit of valid write sets. The tip guard is
         // the commit-ordering invariant the streaming sequencer relies
         // on: writes land in strictly increasing block order, so MVCC of
@@ -448,44 +456,44 @@ impl ValidatorPipeline {
         debug_assert!(
             self.state_db
                 .tip_height()
-                .is_none_or(|h| h.block_num < decoded.number),
-            "state writes for block {} would land at or below the committed tip {:?}",
-            decoded.number,
+                .is_none_or(|h| h.block_num < block_num),
+            "state writes for block {block_num} would land at or below the committed tip {:?}",
             self.state_db.tip_height(),
         );
         // One batch per valid transaction — including empty write sets,
         // because a durable journal counts one record per valid tx —
         // handed to the state DB as a single block so the sharded
-        // backend can fan the apply out over disjoint shards.
+        // backend can fan the apply out over disjoint shards. The ledger
+        // indexes a valid transaction's keys; the batch takes its writes
+        // (what is left of `decoded` is freed after both stage timers).
         let mut batches: Vec<(WriteBatch, Height)> = Vec::new();
-        for (i, tx) in decoded.txs.iter().enumerate() {
+        let mut tx_ids = Vec::with_capacity(codes.len());
+        let mut modified: Vec<Vec<String>> = Vec::with_capacity(codes.len());
+        for (i, tx) in decoded.txs.iter_mut().enumerate() {
+            tx_ids.push(std::mem::take(&mut tx.tx_id));
             if codes[i] != TxValidationCode::Valid {
+                modified.push(Vec::new());
                 continue;
             }
+            modified.push(tx.writes.iter().map(|(k, _)| k.clone()).collect());
             let mut batch = WriteBatch::new();
-            for (k, v) in &tx.writes {
-                batch.put(k.clone(), v.clone());
+            for (k, v) in std::mem::take(&mut tx.writes) {
+                batch.put(k, v);
             }
-            batches.push((batch, Height::new(decoded.number, i as u64)));
+            batches.push((batch, Height::new(block_num, i as u64)));
         }
         self.state_db.apply_block(&batches);
         timings.statedb_commit_us = t0.elapsed().as_micros() as u64;
 
         // Step 4b/5: ledger commit + history.
         let t0 = Instant::now();
-        let tx_ids: Vec<String> = decoded.txs.iter().map(|t| t.tx_id.clone()).collect();
-        let modified: Vec<Vec<String>> = decoded
-            .txs
-            .iter()
-            .map(|t| t.writes.iter().map(|(k, _)| k.clone()).collect())
-            .collect();
-        let committed =
-            self.ledger
-                .commit_block(block.clone(), &tx_ids, codes.clone(), &modified)?;
+        let committed = self
+            .ledger
+            .commit_block(block, &tx_ids, codes.clone(), &modified)?;
         timings.ledger_us = t0.elapsed().as_micros() as u64;
 
         Ok(BlockValidationResult {
-            block_num: decoded.number,
+            block_num,
             block_valid,
             codes,
             tx_ids,
@@ -513,8 +521,8 @@ impl ValidatorPipeline {
     }
 
     /// Step 1b: the orderer check is one more verification task — same
-    /// digest, cache key and [`Verifier::check`] as every client and
-    /// endorsement signature.
+    /// digest, cache key, lookup-first order and [`Verifier::check`] as
+    /// every client and endorsement signature.
     fn verify_orderer(&self, decoded: &DecodedBlock) -> bool {
         if !self.verifier.trusted(&decoded.orderer_cert) {
             return false;
@@ -524,12 +532,12 @@ impl ValidatorPipeline {
             &decoded.orderer_signed_message,
             &decoded.orderer_signature,
         );
-        self.verify_task(&task, &batch_s_inverses(&[task.sig])[0])
+        self.verdicts(&[task])[0]
     }
 
-    /// Step 2: the four-phase signature pipeline described in the module
-    /// docs — collect tasks, batch-invert `s`, verify in parallel with
-    /// the cache, assemble per-transaction codes.
+    /// Step 2: the five-phase signature pipeline described in the module
+    /// docs — collect tasks, look each up, batch-invert and verify the
+    /// misses, assemble per-transaction codes.
     fn verify_vscc_parallel(
         &self,
         decoded: &DecodedBlock,
@@ -545,19 +553,10 @@ impl ValidatorPipeline {
         // validation is cheap and stays sequential here.
         let (tasks, txs) = self.collect_tasks(decoded);
 
-        // Phase 2: one modular inversion for the whole block.
-        let sigs: Vec<Signature> = tasks.iter().map(|t| t.sig).collect();
-        let sinvs = batch_s_inverses(&sigs);
+        // Phases 2–4: the cache first, the ECDSA engine for the rest.
+        let verdicts = self.verdicts(&tasks);
 
-        // Phase 3: work-stealing parallel verification over *signatures*
-        // (better load balance than per-transaction when endorsement
-        // counts vary): each unique task is verified exactly once, or
-        // answered by the shared cache.
-        let verdicts = self
-            .verifier
-            .par_map(tasks.len(), |i| self.verify_task(&tasks[i], &sinvs[i]));
-
-        // Phase 4: fold verdicts into per-transaction validation codes.
+        // Phase 5: fold verdicts into per-transaction validation codes.
         txs.iter()
             .map(|tx| match tx {
                 TxPlan::BadCreator => TxValidationCode::BadSignature,
@@ -574,7 +573,7 @@ impl ValidatorPipeline {
                         .filter(|(_, task)| verdicts[*task])
                         .map(|(node, _)| *node)
                         .collect();
-                    let policy = match self.policies.get(chaincode.as_str()) {
+                    let policy = match self.policies.get(*chaincode) {
                         Some(p) => p,
                         None => return TxValidationCode::EndorsementPolicyFailure,
                     };
@@ -589,11 +588,47 @@ impl ValidatorPipeline {
             .collect()
     }
 
+    /// Phases 2–4, one verdict per task: each is looked up unclaimed, and
+    /// only the misses have their `s` batch-inverted and go through
+    /// [`Verifier::par_map`] to [`Verifier::check`] — work-stealing over
+    /// *signatures* (better load balance than per-transaction when
+    /// endorsement counts vary), each verified exactly once.
+    fn verdicts(&self, tasks: &[VerifyTask<'_>]) -> Vec<bool> {
+        let cache = self.verifier.sig_cache();
+        let cached: Vec<Option<bool>> = tasks
+            .iter()
+            .map(|task| cache.lookup(&task.cache_key))
+            .collect();
+        let misses: Vec<&VerifyTask<'_>> = tasks
+            .iter()
+            .zip(&cached)
+            .filter_map(|(task, hit)| hit.is_none().then_some(task))
+            .collect();
+        let mut verified = Vec::new();
+        if !misses.is_empty() {
+            #[cfg(test)]
+            INVERTED.with(|n| n.set(n.get() + misses.len()));
+            let sigs: Vec<Signature> = misses.iter().map(|task| task.sig).collect();
+            let sinvs = batch_s_inverses(&sigs);
+            verified = self
+                .verifier
+                .par_map(misses.len(), |m| self.verify_task(misses[m], &sinvs[m]));
+        }
+        let mut verified = verified.into_iter();
+        cached
+            .into_iter()
+            .map(|hit| hit.unwrap_or_else(|| verified.next().expect("one verdict per miss")))
+            .collect()
+    }
+
     /// Phase 1: walks the block, MSP-validates certificates, and emits
     /// one [`VerifyTask`] per *unique* `(pubkey, digest, signature)`
     /// triple; transactions reference tasks by index, so a signature
     /// repeated across (or within) transactions is verified once.
-    fn collect_tasks<'a>(&self, decoded: &'a DecodedBlock) -> (Vec<VerifyTask<'a>>, Vec<TxPlan>) {
+    fn collect_tasks<'a>(
+        &self,
+        decoded: &'a DecodedBlock,
+    ) -> (Vec<VerifyTask<'a>>, Vec<TxPlan<'a>>) {
         let mut tasks: Vec<VerifyTask<'a>> = Vec::new();
         let mut index: HashMap<SigCacheKey, usize> = HashMap::new();
         let mut txs = Vec::with_capacity(decoded.txs.len());
@@ -629,7 +664,7 @@ impl ValidatorPipeline {
                 endorsements.push((e.endorser_cert.node_id, task));
             }
             txs.push(TxPlan::Tasks {
-                chaincode: tx.chaincode.clone(),
+                chaincode: &tx.chaincode,
                 client,
                 endorsements,
             });
@@ -668,13 +703,13 @@ struct VerifyTask<'a> {
 }
 
 /// Per-transaction plan produced by task collection.
-enum TxPlan {
+enum TxPlan<'a> {
     /// Creator certificate failed MSP validation; no tasks emitted.
     BadCreator,
     /// Verifiable transaction: task indices for the client signature and
     /// each MSP-valid endorsement.
     Tasks {
-        chaincode: String,
+        chaincode: &'a str,
         client: usize,
         endorsements: Vec<(NodeId, usize)>,
     },
@@ -690,6 +725,12 @@ impl<'a> VerifyTask<'a> {
             key,
         }
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Signatures whose `s` this thread batch-inverted.
+    static INVERTED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// Appends a `(pubkey, digest, signature)` verification task unless an
@@ -711,6 +752,7 @@ fn intern_task<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sigcache::Claim;
     use fabric_crypto::identity::Role;
     use fabric_node::chaincode::KvChaincode;
     use fabric_node::network::FabricNetworkBuilder;
@@ -1013,5 +1055,104 @@ mod tests {
         let r8 = v8.validate_and_commit(&blocks[0]).unwrap();
         assert_eq!(r1.codes, r8.codes);
         assert_eq!(r1.commit_hash, r8.commit_hash);
+    }
+
+    /// This thread's count of batch-inverted signatures and of threads
+    /// `par_map` spawned for it.
+    fn inverted_and_spawned() -> (usize, usize) {
+        (
+            INVERTED.with(|n| n.get()),
+            crate::verify::SPAWNS.with(|n| n.get()),
+        )
+    }
+
+    /// A validator with four workers and one 4-transaction block: 13
+    /// unique signature checks (the orderer's, 4 clients', 8 endorsers').
+    fn validator_and_block_of_four() -> (ValidatorPipeline, Block) {
+        let (mut net, validator) = network_and_validator(4, 4);
+        let mut blocks = Vec::new();
+        for key in ["a", "b", "c", "d"] {
+            blocks = net
+                .submit_invocation(0, "kv", "put", &[key.into(), "1".into()])
+                .unwrap();
+        }
+        (validator, blocks.remove(0))
+    }
+
+    #[test]
+    fn cold_block_misses_every_task_and_its_replay_hits_every_task_for_nothing() {
+        let (validator, block) = validator_and_block_of_four();
+        let (inverted, spawned) = inverted_and_spawned();
+        let cold = validator.verify_block_signatures(&block).unwrap();
+        assert!(cold.iter().all(|c| c.is_valid()));
+        let stats = validator.sig_cache_stats();
+        assert_eq!((stats.hits, stats.misses), (0, 13));
+        assert_eq!(validator.verifications(), 13);
+        // The orderer's alone, then the 12 of vscc over 4 workers.
+        assert_eq!(inverted_and_spawned(), (inverted + 13, spawned + 3));
+
+        let warm = validator.verify_block_signatures(&block).unwrap();
+        assert_eq!(warm, cold);
+        let stats = validator.sig_cache_stats();
+        assert_eq!((stats.hits, stats.misses), (13, 13));
+        assert_eq!(validator.verifications(), 13);
+        assert_eq!(
+            inverted_and_spawned(),
+            (inverted + 13, spawned + 3),
+            "an all-hit block inverts nothing and spawns nothing"
+        );
+    }
+
+    #[test]
+    fn half_warm_block_inverts_and_verifies_exactly_what_is_missing() {
+        let (validator, block) = validator_and_block_of_four();
+        let decoded = decode_block_struct(&block, 0).unwrap();
+        let mut half = decoded.clone();
+        half.txs.truncate(2);
+        validator.verify_vscc_parallel(&half, true);
+        let stats = validator.sig_cache_stats();
+        assert_eq!((stats.hits, stats.misses), (0, 6));
+        let (inverted, _) = inverted_and_spawned();
+
+        let codes = validator.verify_vscc_parallel(&decoded, true);
+        assert!(codes.iter().all(|c| c.is_valid()));
+        let stats = validator.sig_cache_stats();
+        assert_eq!((stats.hits, stats.misses), (6, 12));
+        assert_eq!(validator.verifications(), 12);
+        assert_eq!(inverted_and_spawned().0, inverted + 6);
+    }
+
+    #[test]
+    fn a_key_another_thread_is_verifying_misses_the_lookup_and_coalesces_in_check() {
+        let (validator, block, _) = validator_and_two_blocks();
+        let decoded = decode_block_struct(&block, 0).unwrap();
+        let tx = &decoded.txs[0];
+        let client = VerifyTask::new(
+            &tx.creator_cert.public_key,
+            &tx.signed_payload,
+            &tx.client_signature,
+        );
+        let cache = Arc::clone(validator.verifier.sig_cache());
+        let Claim::Verify(in_flight) = cache.claim(&client.cache_key) else {
+            panic!("nothing is cached yet");
+        };
+        std::thread::scope(|s| {
+            let vscc = s.spawn(|| validator.verify_vscc_parallel(&decoded, true));
+            // Every lookup precedes every claim, and the two endorsement
+            // claims are counted misses: once both are in, the client
+            // key has been looked up — while still held here.
+            while cache.stats().misses < 3 {
+                std::thread::yield_now();
+            }
+            assert_eq!(cache.stats().hits, 0, "a key in flight is not a hit");
+            in_flight.fulfill(true);
+            assert_eq!(vscc.join().unwrap(), vec![TxValidationCode::Valid]);
+        });
+        // The verdict published here answered the client check: parked
+        // on the flight, or — reaching `check` only after — cached.
+        let stats = cache.stats();
+        assert_eq!(stats.misses, 3);
+        assert_eq!(stats.hits + stats.coalesced, 1);
+        assert_eq!(validator.verifications(), 2, "the two endorsements");
     }
 }

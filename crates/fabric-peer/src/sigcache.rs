@@ -244,21 +244,24 @@ impl SignatureCache {
         }
     }
 
-    /// Looks up a verdict, refreshing the entry's recency on a hit.
+    /// Looks up a verdict without claiming the key. A hit counts and
+    /// refreshes recency exactly as [`Self::claim`]'s does; a miss counts
+    /// nothing (the `claim` that follows does); a key in flight is a miss.
+    pub fn lookup(&self, key: &SigCacheKey) -> Option<bool> {
+        let valid = self.shards[key.shard()].lock().get(key)?;
+        // relaxed: monotonic stats counter; never gates data visibility
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(valid)
+    }
+
+    /// [`Self::lookup`] that counts a miss too.
     pub fn get(&self, key: &SigCacheKey) -> Option<bool> {
-        let mut shard = self.shards[key.shard()].lock();
-        match shard.get(key) {
-            Some(valid) => {
-                // relaxed: monotonic stats counter; never gates data visibility
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(valid)
-            }
-            None => {
-                // relaxed: monotonic stats counter; never gates data visibility
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+        let verdict = self.lookup(key);
+        if verdict.is_none() {
+            // relaxed: monotonic stats counter; never gates data visibility
+            self.misses.fetch_add(1, Ordering::Relaxed);
         }
+        verdict
     }
 
     /// Records a verdict, evicting the least-recently-used entry if the
@@ -430,6 +433,42 @@ mod tests {
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.entries, 1);
         assert!((stats.hit_rate() - 2.0 / 3.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn lookup_counts_hits_only_and_does_not_see_a_key_in_flight() {
+        let cache = SignatureCache::new(64);
+        let key = SigCacheKey::from_bytes(sha256(b"lookup"));
+        assert_eq!(cache.lookup(&key), None);
+        let Claim::Verify(guard) = cache.claim(&key) else {
+            panic!("fresh key cannot have a verdict");
+        };
+        assert_eq!(cache.lookup(&key), None, "in flight is not cached");
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses), (0, 1), "only the claim counted");
+        guard.fulfill(true);
+        assert_eq!(cache.lookup(&key), Some(true));
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses), (1, 1));
+    }
+
+    #[test]
+    fn lookup_refreshes_recency_like_a_claim() {
+        // Two-entry shard: touching the older entry makes the other one
+        // the eviction candidate.
+        let cache = SignatureCache::new(2 * SHARDS);
+        let same_shard: Vec<SigCacheKey> = (0..=u8::MAX)
+            .map(|i| SigCacheKey(sha256(&[i])))
+            .filter(|k| k.shard() == 0)
+            .take(3)
+            .collect();
+        let (a, b, c) = (same_shard[0], same_shard[1], same_shard[2]);
+        cache.insert(a, true);
+        cache.insert(b, true);
+        assert_eq!(cache.lookup(&a), Some(true));
+        cache.insert(c, true);
+        assert_eq!(cache.lookup(&a), Some(true), "refreshed, so kept");
+        assert_eq!(cache.lookup(&b), None, "the stale one was evicted");
     }
 
     #[test]

@@ -559,7 +559,7 @@ fn commit_sequencer(shared: &Shared) {
         };
 
         let t0 = Instant::now();
-        let outcome = shared.pipeline.commit_stage(&block, verified);
+        let outcome = shared.pipeline.commit_stage(block, verified);
         let busy = t0.elapsed().as_micros() as u64;
 
         let mut st = shared.state.lock();

@@ -23,7 +23,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use fabric_crypto::{Certificate, Msp};
+use fabric_crypto::{KnownCert, Msp};
 use parking_lot::Mutex;
 
 use crate::sigcache::{Claim, SigCacheKey, SignatureCache};
@@ -75,9 +75,10 @@ impl Verifier {
     }
 
     /// Whether `cert` chains to the CA of its organization. The chain
-    /// check runs once per distinct certificate, then is a fingerprint
-    /// lookup. Always `true` without trust anchors.
-    pub fn trusted(&self, cert: &Certificate) -> bool {
+    /// check runs once per distinct certificate, then is a lookup by the
+    /// fingerprint `cert` was resolved with. Always `true` without trust
+    /// anchors.
+    pub fn trusted(&self, cert: &KnownCert) -> bool {
         let Some(msp) = &self.msp else { return true };
         let fp = cert.fingerprint();
         if let Some(&ok) = self.cert_memo.lock().get(&fp) {
@@ -135,6 +136,8 @@ impl Verifier {
         };
         std::thread::scope(|scope| {
             for _ in 1..workers {
+                #[cfg(test)]
+                SPAWNS.with(|n| n.set(n.get() + 1));
                 scope.spawn(steal);
             }
             steal();
@@ -160,6 +163,12 @@ impl Verifier {
     pub fn sig_cache(&self) -> &Arc<SignatureCache> {
         &self.sig_cache
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Threads [`Verifier::par_map`] spawned on behalf of this thread.
+    pub(crate) static SPAWNS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 #[cfg(test)]
@@ -250,13 +259,19 @@ mod tests {
         assert_eq!(v.verifications(), 2);
     }
 
+    fn known(cert: &fabric_crypto::Certificate) -> Arc<KnownCert> {
+        KnownCert::resolve(&cert.to_bytes()).expect("a certificate's own bytes parse")
+    }
+
     #[test]
     fn trusted_without_anchors_accepts_and_with_anchors_checks_the_chain() {
         let mut msp = Msp::new(2);
         let peer = msp.issue(0, Role::Peer, 0).unwrap();
-        let cert = peer.certificate().clone();
-        let mut forged = cert.clone();
+        let cert = known(peer.certificate());
+        // Still parses, no longer what the CA signed.
+        let mut forged = peer.certificate().clone();
         forged.serial += 1;
+        let forged = known(&forged);
         assert!(verifier(None, 1).trusted(&forged));
         let v = verifier(Some(msp), 1);
         assert!(v.trusted(&cert));
@@ -277,9 +292,38 @@ mod tests {
             let mut forged = template.clone();
             forged.node_id.org = 9;
             forged.serial = serial;
-            assert!(!v.trusted(&forged), "forged certificate {serial} accepted");
+            assert!(
+                !v.trusted(&known(&forged)),
+                "forged certificate {serial} accepted"
+            );
             assert!(v.cert_memo.lock().len() <= CERT_MEMO_CAPACITY);
         }
-        assert!(v.trusted(&template), "honest certificate after the churn");
+        assert!(
+            v.trusted(&known(&template)),
+            "honest certificate after the churn"
+        );
+    }
+
+    #[test]
+    fn concurrent_resolvers_of_one_certificate_share_one_memo_verdict() {
+        let mut msp = Msp::new(1);
+        let bytes = msp
+            .issue(0, Role::Peer, 3)
+            .unwrap()
+            .certificate()
+            .to_bytes();
+        let v = verifier(Some(msp), 1);
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|s| {
+            for _ in 0..8 {
+                s.spawn(|| {
+                    start.wait();
+                    let cert = KnownCert::resolve(&bytes).unwrap();
+                    assert_eq!(cert.to_bytes(), bytes);
+                    assert!(v.trusted(&cert));
+                });
+            }
+        });
+        assert_eq!(v.cert_memo.lock().len(), 1);
     }
 }

@@ -10,20 +10,19 @@
 //! Every type provides `marshal`/`unmarshal`; unknown fields are skipped
 //! on decode, mirroring protobuf semantics.
 
-use crate::wire::{
-    bytes_field_len, message_field_len, uint64_field_len, ProtoReader, ProtoWriter, WireError,
-};
+use crate::wire::{bytes_field_len, message_field_len, uint64_field_len, ProtoWriter, WireError};
 
 /// Generates `marshal`/`unmarshal` boilerplate-free accessors is overkill
 /// here; each message is written out explicitly for auditability.
 macro_rules! unmarshal_loop {
-    ($bytes:expr, $field:ident => $body:block) => {{
-        let mut reader = ProtoReader::new($bytes);
+    ($bytes:expr, $field:ident => $body:expr) => {{
+        let mut reader = $crate::wire::ProtoReader::new($bytes);
         while let Some($field) = reader.next_field()? {
             $body
         }
     }};
 }
+pub(crate) use unmarshal_loop;
 
 /// Outermost wrapper of a transaction: signed payload.
 /// (`common.Envelope`)
@@ -1088,7 +1087,12 @@ impl MetadataSignature {
 }
 
 fn utf8(b: &[u8]) -> Result<String, WireError> {
-    String::from_utf8(b.to_vec()).map_err(|_| WireError::Semantic("invalid utf-8"))
+    utf8_str(b).map(str::to_owned)
+}
+
+/// A string field, borrowed.
+pub(crate) fn utf8_str(b: &[u8]) -> Result<&str, WireError> {
+    std::str::from_utf8(b).map_err(|_| WireError::Semantic("invalid utf-8"))
 }
 
 #[cfg(test)]

@@ -2,12 +2,33 @@
 //!
 //! These helpers assemble the full nested message stack from
 //! [`crate::messages`] — the same layering a real Fabric client, endorser
-//! and orderer produce — and decode it back for validation. The decode
-//! path is deliberately faithful to Fabric's recursive unmarshaling: every
-//! layer is parsed, which is exactly the cost the BMac protocol avoids in
-//! hardware (paper §3.2 reason 1).
+//! and orderer produce — and decode it back for validation.
+//!
+//! # What a decode allocates
+//!
+//! The decode is faithful to what Fabric's recursive unmarshaling
+//! *checks*: every layer is **walked** to its end — a field truncated,
+//! mistyped or not UTF-8 anywhere rejects the envelope whether the peer
+//! reads it or not, and a repeated field means what protobuf says (the
+//! last scalar wins, repeated messages accumulate) — which is the
+//! per-byte cost the BMac protocol processor avoids in hardware (paper
+//! §3.2 reason 1). It does not *materialise* the layers:
+//! [`decode_transaction`] reads borrowed slices of the envelope and
+//! builds none of the [`crate::messages`] structs. It allocates what a
+//! [`DecodedTransaction`] owns — `signed_payload` (one copy of the
+//! envelope's bulk), a `prp ‖ endorser` concatenation per endorsement,
+//! rwset keys and values, `tx_id`, `channel_id`, `chaincode` — plus two
+//! short scratch lists (endorsement and namespace slices: all are walked
+//! before the first is used). A certificate is resolved
+//! ([`KnownCert::resolve`]): parsed once per distinct byte string.
+//!
+//! The owned `marshal`/`unmarshal` types stay for the builders, the BMac
+//! sender and tests; `tests/tests/decode_differential.rs` holds this
+//! decode to the `unmarshal` chain it replaced.
 
-use fabric_crypto::identity::{Certificate, SigningIdentity};
+use std::sync::Arc;
+
+use fabric_crypto::identity::{KnownCert, SigningIdentity};
 use fabric_crypto::sha256::sha256;
 use fabric_crypto::Signature;
 
@@ -186,9 +207,7 @@ pub fn serialize_identity(identity: &SigningIdentity) -> Vec<u8> {
 #[derive(Debug, Clone)]
 pub struct DecodedEndorsement {
     /// The endorser's certificate.
-    pub endorser_cert: Certificate,
-    /// DER signature bytes as transmitted.
-    pub signature_der: Vec<u8>,
+    pub endorser_cert: Arc<KnownCert>,
     /// Parsed signature.
     pub signature: Signature,
     /// The message the endorser signed (`prp ++ endorser-identity`).
@@ -205,7 +224,7 @@ pub struct DecodedTransaction {
     /// Invoked chaincode (namespace of the rwset).
     pub chaincode: String,
     /// Creator (client) certificate.
-    pub creator_cert: Certificate,
+    pub creator_cert: Arc<KnownCert>,
     /// The client's parsed envelope signature.
     pub client_signature: Signature,
     /// Bytes covered by the client signature (marshaled payload).
@@ -220,82 +239,171 @@ pub struct DecodedTransaction {
     pub envelope_len: usize,
 }
 
-/// Fully decodes a marshaled envelope, walking every nested layer.
+/// Fields 1 and 2 of a message, the last occurrence of each, empty when
+/// absent: [`Envelope`], [`Header`], [`SignatureHeader`],
+/// [`TransactionAction`], [`Endorsement`], [`ProposalResponsePayload`]
+/// and [`MetadataSignature`] are all this shape.
+fn fields_1_2(bytes: &[u8]) -> Result<(&[u8], &[u8]), WireError> {
+    let (mut first, mut second): (&[u8], &[u8]) = (&[], &[]);
+    unmarshal_loop!(bytes, f => match f.number {
+        1 => first = f.data,
+        2 => second = f.data,
+        _ => {}
+    });
+    Ok((first, second))
+}
+
+/// [`fields_1_2`] with field 1 a string: [`SerializedIdentity`] and
+/// [`NsReadWriteSet`].
+fn name_and_bytes(bytes: &[u8]) -> Result<(&str, &[u8]), WireError> {
+    let (mut name, mut rest): (&str, &[u8]) = ("", &[]);
+    unmarshal_loop!(bytes, f => match f.number {
+        1 => name = utf8_str(f.data)?,
+        2 => rest = f.data,
+        _ => {}
+    });
+    Ok((name, rest))
+}
+
+/// The certificate inside a marshaled [`SerializedIdentity`].
+fn identity_cert(identity: &[u8], what: &'static str) -> Result<Arc<KnownCert>, WireError> {
+    let (_mspid, id_bytes) = name_and_bytes(identity)?;
+    KnownCert::resolve(id_bytes).map_err(|_| WireError::Semantic(what))
+}
+
+fn parse_signature(der: &[u8], what: &'static str) -> Result<Signature, WireError> {
+    fabric_crypto::der::decode_signature(der).map_err(|_| WireError::Semantic(what))
+}
+
+/// Fully decodes a marshaled envelope, walking every nested layer in
+/// place (the module docs say what that allocates and what it must agree
+/// with).
 ///
 /// # Errors
 ///
 /// Returns [`WireError`] when any layer is structurally malformed — a
 /// missing action, unparsable certificate, or invalid DER signature.
 pub fn decode_transaction(envelope_bytes: &[u8]) -> Result<DecodedTransaction, WireError> {
-    let envelope = Envelope::unmarshal(envelope_bytes)?;
-    let payload = Payload::unmarshal(&envelope.payload)?;
-    let ch = ChannelHeader::unmarshal(&payload.header.channel_header)?;
-    let sig_header = SignatureHeader::unmarshal(&payload.header.signature_header)?;
-    let creator = SerializedIdentity::unmarshal(&sig_header.creator)?;
-    let creator_cert = Certificate::from_bytes(&creator.id_bytes)
-        .map_err(|_| WireError::Semantic("bad creator certificate"))?;
-    let client_signature = fabric_crypto::der::decode_signature(&envelope.signature)
-        .map_err(|_| WireError::Semantic("bad client signature DER"))?;
+    let (payload, client_der) = fields_1_2(envelope_bytes)?;
+    let (mut channel_header, mut signature_header, mut data): (&[u8], &[u8], &[u8]) =
+        (&[], &[], &[]);
+    unmarshal_loop!(payload, f => match f.number {
+        1 => (channel_header, signature_header) = fields_1_2(f.data)?,
+        2 => data = f.data,
+        _ => {}
+    });
+    let (mut channel_id, mut tx_id) = ("", "");
+    unmarshal_loop!(channel_header, f => match f.number {
+        4 => channel_id = utf8_str(f.data)?,
+        5 => tx_id = utf8_str(f.data)?,
+        _ => {}
+    });
+    let (creator, _nonce) = fields_1_2(signature_header)?;
+    let creator_cert = identity_cert(creator, "bad creator certificate")?;
+    let client_signature = parse_signature(client_der, "bad client signature DER")?;
 
-    let tx = Transaction::unmarshal(&payload.data)?;
-    let action = tx
-        .actions
-        .first()
-        .ok_or(WireError::Semantic("transaction has no actions"))?;
-    let cap = ChaincodeActionPayload::unmarshal(&action.payload)?;
-    let prp_bytes = &cap.action.proposal_response_payload;
-    let prp = ProposalResponsePayload::unmarshal(prp_bytes)?;
-    let cc_action = ChaincodeAction::unmarshal(&prp.extension)?;
-    let txrw = TxReadWriteSet::unmarshal(&cc_action.results)?;
-
-    let mut chaincode = cc_action.chaincode_id.name.clone();
-    let mut reads = Vec::new();
-    let mut writes = Vec::new();
-    for ns in &txrw.ns_rwset {
+    // Transaction: every action is walked, the first one is used.
+    let mut action = None;
+    unmarshal_loop!(data, f => if f.number == 1 {
+        let header_and_payload = fields_1_2(f.data)?;
+        action.get_or_insert(header_and_payload);
+    });
+    let (_, action_payload) = action.ok_or(WireError::Semantic("transaction has no actions"))?;
+    // ChaincodeActionPayload: a repeated endorsed action replaces the
+    // proposal response payload and the endorsements alike.
+    let mut prp: &[u8] = &[];
+    let mut endorsed: Vec<(&[u8], &[u8])> = Vec::new();
+    unmarshal_loop!(action_payload, f => if f.number == 2 {
+        prp = &[];
+        endorsed.clear();
+        unmarshal_loop!(f.data, g => match g.number {
+            1 => prp = g.data,
+            2 => endorsed.push(fields_1_2(g.data)?),
+            _ => {}
+        });
+    });
+    let (_proposal_hash, extension) = fields_1_2(prp)?;
+    // ChaincodeAction: the results, and the chaincode id's name.
+    let (mut results, mut chaincode): (&[u8], &str) = (&[], "");
+    unmarshal_loop!(extension, f => match f.number {
+        1 => results = f.data,
+        3 => unmarshal_loop!(f.data, _response => {}),
+        4 => {
+            chaincode = "";
+            unmarshal_loop!(f.data, g => match g.number {
+                2 => chaincode = utf8_str(g.data)?,
+                1 | 3 => { utf8_str(g.data)?; }
+                _ => {}
+            });
+        }
+        _ => {}
+    });
+    // TxReadWriteSet: every namespace is walked before any rwset is.
+    let mut namespaces: Vec<(&str, &[u8])> = Vec::new();
+    unmarshal_loop!(results, f => if f.number == 2 {
+        namespaces.push(name_and_bytes(f.data)?);
+    });
+    let (mut reads, mut writes) = (Vec::new(), Vec::new());
+    for (namespace, rwset) in namespaces {
         if chaincode.is_empty() {
-            chaincode = ns.namespace.clone();
+            chaincode = namespace;
         }
-        let kv = KvRwSet::unmarshal(&ns.rwset)?;
-        for r in kv.reads {
-            reads.push((r.key, r.version));
-        }
-        for w in kv.writes {
-            if !w.is_delete {
-                writes.push((w.key, w.value));
-            }
-        }
+        unmarshal_loop!(rwset, f => match f.number {
+            1 => reads.push(kv_read(f.data)?),
+            3 => writes.extend(kv_write(f.data)?),
+            _ => {}
+        });
     }
 
-    let mut endorsements = Vec::with_capacity(cap.action.endorsements.len());
-    for e in &cap.action.endorsements {
-        let ident = SerializedIdentity::unmarshal(&e.endorser)?;
-        let endorser_cert = Certificate::from_bytes(&ident.id_bytes)
-            .map_err(|_| WireError::Semantic("bad endorser certificate"))?;
-        let signature = fabric_crypto::der::decode_signature(&e.signature)
-            .map_err(|_| WireError::Semantic("bad endorsement DER"))?;
-        let mut signed_message = Vec::with_capacity(prp_bytes.len() + e.endorser.len());
-        signed_message.extend_from_slice(prp_bytes);
-        signed_message.extend_from_slice(&e.endorser);
+    let mut endorsements = Vec::with_capacity(endorsed.len());
+    for (endorser, der) in endorsed {
+        let endorser_cert = identity_cert(endorser, "bad endorser certificate")?;
+        let signature = parse_signature(der, "bad endorsement DER")?;
+        let mut signed_message = Vec::with_capacity(prp.len() + endorser.len());
+        signed_message.extend_from_slice(prp);
+        signed_message.extend_from_slice(endorser);
         endorsements.push(DecodedEndorsement {
             endorser_cert,
-            signature_der: e.signature.clone(),
             signature,
             signed_message,
         });
     }
 
     Ok(DecodedTransaction {
-        tx_id: ch.tx_id,
-        channel_id: ch.channel_id,
-        chaincode,
+        tx_id: tx_id.to_owned(),
+        channel_id: channel_id.to_owned(),
+        chaincode: chaincode.to_owned(),
         creator_cert,
         client_signature,
-        signed_payload: envelope.payload,
+        signed_payload: payload.to_vec(),
         reads,
         writes,
         endorsements,
         envelope_len: envelope_bytes.len(),
     })
+}
+
+/// One [`KvRead`].
+fn kv_read(bytes: &[u8]) -> Result<ReadEntry, WireError> {
+    let (mut key, mut version) = ("", None);
+    unmarshal_loop!(bytes, f => match f.number {
+        1 => key = utf8_str(f.data)?,
+        2 => version = Some(Version::unmarshal(f.data)?),
+        _ => {}
+    });
+    Ok((key.to_owned(), version))
+}
+
+/// One [`KvWrite`]; `None` for a delete.
+fn kv_write(bytes: &[u8]) -> Result<Option<WriteEntry>, WireError> {
+    let (mut key, mut is_delete, mut value): (&str, bool, &[u8]) = ("", false, &[]);
+    unmarshal_loop!(bytes, f => match f.number {
+        1 => key = utf8_str(f.data)?,
+        2 => is_delete = f.value != 0,
+        3 => value = f.data,
+        _ => {}
+    });
+    Ok((!is_delete).then(|| (key.to_owned(), value.to_vec())))
 }
 
 /// Builds a block from ordered envelopes, with the orderer's signature in
@@ -367,7 +475,7 @@ pub struct DecodedBlock {
     /// `data_hash` from the header.
     pub data_hash: Vec<u8>,
     /// Orderer certificate recovered from the signature metadata.
-    pub orderer_cert: Certificate,
+    pub orderer_cert: Arc<KnownCert>,
     /// Parsed orderer signature.
     pub orderer_signature: Signature,
     /// Bytes the orderer signed.
@@ -399,15 +507,12 @@ pub fn decode_block(block_bytes: &[u8]) -> Result<DecodedBlock, WireError> {
 ///
 /// Returns [`WireError`] when any nested layer is malformed.
 pub fn decode_block_struct(block: &Block, block_len: usize) -> Result<DecodedBlock, WireError> {
-    let md_sig_bytes = &block.metadata.metadata[metadata_index::SIGNATURES];
-    let md_sig = MetadataSignature::unmarshal(md_sig_bytes)?;
-    let sig_header = SignatureHeader::unmarshal(&md_sig.signature_header)?;
-    let orderer_ident = SerializedIdentity::unmarshal(&sig_header.creator)?;
-    let orderer_cert = Certificate::from_bytes(&orderer_ident.id_bytes)
-        .map_err(|_| WireError::Semantic("bad orderer certificate"))?;
-    let orderer_signature = fabric_crypto::der::decode_signature(&md_sig.signature)
-        .map_err(|_| WireError::Semantic("bad orderer signature DER"))?;
-    let orderer_signed_message = block_signature_message(&md_sig.signature_header, &block.header);
+    let (signature_header, orderer_der) =
+        fields_1_2(&block.metadata.metadata[metadata_index::SIGNATURES])?;
+    let (creator, _nonce) = fields_1_2(signature_header)?;
+    let orderer_cert = identity_cert(creator, "bad orderer certificate")?;
+    let orderer_signature = parse_signature(orderer_der, "bad orderer signature DER")?;
+    let orderer_signed_message = block_signature_message(signature_header, &block.header);
 
     let mut txs = Vec::with_capacity(block.data.data.len());
     for env in &block.data.data {
@@ -480,7 +585,7 @@ mod tests {
         assert_eq!(decoded.reads.len(), 1);
         assert_eq!(decoded.writes.len(), 1);
         assert_eq!(decoded.endorsements.len(), 2);
-        assert_eq!(decoded.creator_cert, *client.certificate());
+        assert_eq!(**decoded.creator_cert, *client.certificate());
     }
 
     #[test]
@@ -540,7 +645,7 @@ mod tests {
         let decoded = decode_block(&bytes).unwrap();
         assert_eq!(decoded.number, 7);
         assert_eq!(decoded.txs.len(), 4);
-        assert_eq!(decoded.orderer_cert, *orderer.certificate());
+        assert_eq!(**decoded.orderer_cert, *orderer.certificate());
         // Orderer signature verifies.
         assert!(decoded
             .orderer_cert

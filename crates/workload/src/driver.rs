@@ -145,8 +145,8 @@ impl Driver {
             let codes = vec![TxValidationCode::Valid; decoded.txs.len()];
             self.oracle(net)
                 .commit_flagged(
-                    block,
-                    &decoded,
+                    block.clone(),
+                    decoded.clone(),
                     true,
                     codes.clone(),
                     StageTimings::default(),
