@@ -4,8 +4,9 @@
 //! of, so every row of `fabric-crypto/README.md`'s cost table has a
 //! command behind it; and, in the `per_byte` group, the three per-byte
 //! loops of the commit path at the sizes a 100-transaction block gives
-//! them: SHA-256 in bulk, the store's CRC-32, and a whole durable append
-//! (marshal + frame + CRC + group-committed write).
+//! them: SHA-256 in bulk, the store's CRC-32 (the kernel this CPU picks
+//! and the portable tables), a whole durable append (marshal + frame +
+//! CRC + group-committed write) and the block's journaled state apply.
 //!
 //! `ecdsa_verify` and the `fp256` group run over inputs that change
 //! every iteration: a loop over one input lets the branch predictor
@@ -20,8 +21,13 @@ use fabric_crypto::fp256::Fp256;
 use fabric_crypto::sha256::sha256;
 use fabric_ledger::{BlockStore, CommittedBlock, TxValidationCode};
 use fabric_protos::messages::{Block, BlockData};
-use fabric_store::{crc::crc32, DurableBlockStore, StoreConfig};
+use fabric_statedb::{Height, StateDb, WriteBatch};
+use fabric_store::crc::{crc32, kernel};
+use fabric_store::frame::HEADER_LEN;
+use fabric_store::journal::encode_batch;
+use fabric_store::{DurableBlockStore, StateJournal, StoreConfig};
 use std::hint::black_box;
+use std::sync::Arc;
 
 /// Inputs a cycling bench walks: enough that no predictor holds them.
 const OPERANDS: usize = 1024;
@@ -155,6 +161,9 @@ fn bench_per_byte(c: &mut Criterion) {
     let marshaled = block.marshal();
     group.throughput(Throughput::Bytes(marshaled.len() as u64));
     group.bench_function("crc32_400KB", |b| b.iter(|| crc32(black_box(&marshaled))));
+    group.bench_function("crc32_400KB_portable", |b| {
+        b.iter(|| !kernel::portable(!0, black_box(&marshaled)))
+    });
 
     let dir = std::env::temp_dir().join(format!("bmac-bench-append-{}", std::process::id()));
     let StoreConfig {
@@ -172,9 +181,34 @@ fn bench_per_byte(c: &mut Criterion) {
     group.bench_function("append_block_400KB", |b| {
         b.iter(|| store.append(black_box(&committed)).expect("append"))
     });
-    group.finish();
     drop(store);
     let _ = std::fs::remove_dir_all(&dir);
+
+    // The same block's state commit through an attached journal: 100
+    // single-write batches (`store.journal_bytes_per_tx` ≈ 73), framed
+    // into the journal's group buffer, one `write` every
+    // `group_commit`-th call.
+    let path = std::env::temp_dir().join(format!("bmac-bench-journal-{}", std::process::id()));
+    let db = StateDb::new();
+    let journal = StateJournal::open_at(&path, 0, group_commit).expect("scratch journal");
+    db.attach_journal(Arc::new(journal));
+    let batches: Vec<(WriteBatch, Height)> = (0..100u64)
+        .map(|tx| {
+            let mut batch = WriteBatch::new();
+            batch.put(format!("drm-asset-{tx:08}"), vec![0x5a; 24]);
+            (batch, Height::new(1, tx))
+        })
+        .collect();
+    let journaled: usize = batches
+        .iter()
+        .map(|(b, h)| HEADER_LEN + encode_batch(b, *h).len())
+        .sum();
+    group.throughput(Throughput::Bytes(journaled as u64));
+    group.bench_function("journal_apply_100tx", |b| {
+        b.iter(|| db.apply_block(black_box(&batches)))
+    });
+    group.finish();
+    let _ = std::fs::remove_file(&path);
 }
 
 criterion_group!(benches, bench_crypto, bench_fp256, bench_per_byte);

@@ -134,6 +134,7 @@ impl LegacyStateDb {
                 );
             }
             journal.record(batch, height);
+            journal.apply_boundary();
         }
         Self::apply_locked(&mut g, batch, height);
     }

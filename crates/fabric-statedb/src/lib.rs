@@ -167,6 +167,13 @@ pub trait JournalSink: Send + Sync + std::fmt::Debug {
     /// Records one batch at its commit height, before it becomes
     /// visible in memory.
     fn record(&self, batch: &WriteBatch, height: Height);
+    /// Marks the end of one apply call — after the last
+    /// [`JournalSink::record`] of a [`StateDb::apply`] or
+    /// [`StateDb::apply_block`] (a block with no batches included),
+    /// under the same lock. The unit a buffering sink counts its
+    /// group-commit window in: the peer applies a block per call, so
+    /// one boundary is one block. Sinks that do not buffer ignore it.
+    fn apply_boundary(&self) {}
     /// Forces buffered journal bytes down to the backing medium (the
     /// group-commit boundary).
     fn flush(&self);
@@ -336,7 +343,10 @@ impl StateDb {
     /// in-memory apply then fans out over disjoint shards concurrently,
     /// which is the "commit stage goes wide" half of the MVCC rework.
     /// Equivalent to `for (b, h) in batches { self.apply(b, h) }` on
-    /// any backend.
+    /// any backend, except that on the sharded backend an attached
+    /// journal sees one [`JournalSink::apply_boundary`] for the whole
+    /// call (also when `batches` is empty) where the loop — which is
+    /// what the legacy reference runs — marks one per batch.
     pub fn apply_block(&self, batches: &[(WriteBatch, Height)]) {
         match &self.inner {
             Backend::Legacy(db) => {

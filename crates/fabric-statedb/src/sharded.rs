@@ -278,9 +278,6 @@ impl ShardedStateDb {
     }
 
     fn apply_batches(&self, batches: &[(&WriteBatch, Height)], journal: bool) {
-        if batches.is_empty() {
-            return;
-        }
         let inner = &self.inner;
         // The commit-order mutex is held for the WHOLE apply: journal
         // record order == apply order, and concurrent apply calls
@@ -293,7 +290,13 @@ impl ShardedStateDb {
                     assert_order_held("journal record emitted");
                     sink.record(batch, *height);
                 }
+                // Also for a block with no valid transaction: the sink
+                // counts its group-commit window in apply calls.
+                sink.apply_boundary();
             }
+        }
+        if batches.is_empty() {
+            return;
         }
         let epoch_pre = order.epoch;
         // Prune fence: nothing at or below this epoch is dropped except

@@ -9,11 +9,14 @@
 //! ```
 //!
 //! Appends land in an in-process buffer and reach the file in one
-//! `write` syscall per *group* of [`group_commit`](crate::StoreConfig)
-//! blocks — fsync-free group commit: the store never calls `fsync`, so
-//! the crash-recovery protocol (tail truncation + the min-rule in
-//! [`crate::FabricStore::open`]) must — and does — tolerate an arbitrary
-//! byte prefix surviving a crash.
+//! `write` syscall per *group*: [`group_commit`](crate::StoreConfig)
+//! blocks, or fewer once the buffer holds 256 KiB (`GROUP_MAX_BYTES`) —
+//! a group is bounded in bytes as well as in blocks, so large blocks
+//! are written while they are still in cache instead of piling up into
+//! one multi-megabyte stall on the committer. Fsync-free group commit:
+//! the store never calls `fsync`, so the crash-recovery protocol (tail
+//! truncation + the min-rule in [`crate::FabricStore::open`]) must — and
+//! does — tolerate an arbitrary byte prefix surviving a crash.
 //!
 //! When the active segment grows past `segment_max_bytes` it is
 //! *sealed*: flushed, its per-segment index sidecar written, and a new
@@ -33,6 +36,15 @@ use parking_lot::Mutex;
 
 use crate::frame::{self, Tail, HEADER_LEN};
 use crate::StoreOpenError;
+
+/// Byte ceiling of one group-commit `write`: an append that leaves at
+/// least this much buffered hands the buffer to the OS whatever the
+/// block count says. Small enough that the bytes are still in the
+/// CPU's cache when the kernel copies them, large enough that small
+/// blocks still share a syscall. Not a tuning knob: the count in
+/// [`crate::StoreConfig::group_commit`] is the knob, this keeps it from
+/// meaning "3 MB at once" when blocks are large.
+const GROUP_MAX_BYTES: usize = 256 * 1024;
 
 /// One indexed record of a segment.
 #[derive(Debug, Clone, Copy)]
@@ -71,6 +83,8 @@ struct Writer {
 impl Writer {
     fn flush(&mut self) -> Result<(), StoreError> {
         if !self.buffered.is_empty() {
+            #[cfg(test)]
+            WRITES.with(|n| n.set(n.get() + 1));
             self.file
                 .write_all(&self.buffered)
                 .map_err(|e| StoreError::new(format!("segment write: {e}")))?;
@@ -80,6 +94,12 @@ impl Writer {
         self.pending = 0;
         Ok(())
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// `write` calls this thread's segment writers have issued.
+    static WRITES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// The durable block store. Implements [`fabric_ledger::BlockStore`],
@@ -288,7 +308,8 @@ impl DurableBlockStore {
     }
 
     /// Seals the active segment: flush, write the index sidecar, open
-    /// the next segment.
+    /// the next segment. The writer keeps its (now empty) group buffer,
+    /// so the next segment's first append does not grow one from zero.
     fn seal_active(&mut self) -> Result<(), StoreError> {
         let mut writer = self.writer.lock();
         writer.flush()?;
@@ -297,12 +318,8 @@ impl DurableBlockStore {
         let next_path = seg_log_path(&self.dir, index + 1);
         let file = File::create(&next_path)
             .map_err(|e| StoreError::new(format!("create next segment: {e}")))?;
-        *writer = Writer {
-            file,
-            file_len: 0,
-            buffered: Vec::new(),
-            pending: 0,
-        };
+        writer.file = file;
+        writer.file_len = 0;
         drop(writer);
         self.segments.push(Segment {
             path: next_path,
@@ -312,8 +329,9 @@ impl DurableBlockStore {
         Ok(())
     }
 
-    /// Reads the record of block `number` from its segment, verifying
-    /// the frame CRC.
+    /// Reads the record of block `number` from its segment and verifies
+    /// the frame CRC where the bytes were read. Returns the whole record:
+    /// the payload starts at [`HEADER_LEN`].
     fn read_record(&self, number: u64) -> Option<Vec<u8>> {
         let seg_idx = self
             .segments
@@ -335,10 +353,8 @@ impl DurableBlockStore {
         let mut record = vec![0u8; HEADER_LEN + entry.len as usize];
         file.read_exact(&mut record).ok()?;
         let scan = frame::scan(&record);
-        match (&scan.tail, scan.records.len()) {
-            (Tail::Clean, 1) => Some(scan.records.into_iter().next().expect("one record").1),
-            _ => None,
-        }
+        let intact = scan.tail == Tail::Clean && scan.records.len() == 1;
+        intact.then_some(record)
     }
 }
 
@@ -367,12 +383,12 @@ fn scan_segment(path: &Path, first_block: u64) -> Result<Vec<Entry>, StoreOpenEr
         }
     }
     let mut entries = Vec::with_capacity(scan.records.len());
-    for (i, (offset, payload)) in scan.records.iter().enumerate() {
+    for (i, &(offset, payload)) in scan.records.iter().enumerate() {
         let valid_count = parse_valid_count(payload).ok_or(StoreOpenError::CorruptBlock {
             block: first_block + i as u64,
         })?;
         entries.push(Entry {
-            offset: *offset as u64,
+            offset: offset as u64,
             // lint:allow(truncating-cast) record payloads are bounded by MAX_RECORD_LEN
             len: payload.len() as u32,
             valid_count,
@@ -406,7 +422,7 @@ fn load_sidecar(idx_path: &Path, log_path: &Path, first_block: u64) -> Option<Ve
     if scan.tail != Tail::Clean || scan.records.len() != 1 {
         return None;
     }
-    let payload = &scan.records[0].1;
+    let payload = scan.records[0].1;
     if payload.len() < 12 {
         return None;
     }
@@ -446,8 +462,8 @@ impl BlockStore for DurableBlockStore {
     }
 
     fn get(&self, number: u64) -> Option<CommittedBlock> {
-        let payload = self.read_record(number)?;
-        let block = Block::unmarshal(&payload).ok()?;
+        let record = self.read_record(number)?;
+        let block = Block::unmarshal(&record[HEADER_LEN..]).ok()?;
         CommittedBlock::from_stamped_block(block).ok()
     }
 
@@ -468,7 +484,7 @@ impl BlockStore for DurableBlockStore {
             });
             writer.pending += 1;
             self.total_blocks += 1;
-            if writer.pending >= self.group_commit {
+            if writer.pending >= self.group_commit || writer.buffered.len() >= GROUP_MAX_BYTES {
                 writer.flush()?;
             }
             writer.file_len + writer.buffered.len() as u64 >= self.segment_max_bytes
@@ -481,5 +497,112 @@ impl BlockStore for DurableBlockStore {
 
     fn flush(&mut self) -> Result<(), StoreError> {
         self.writer.lock().flush()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fabric_ledger::TxValidationCode;
+    use fabric_protos::messages::BlockData;
+
+    fn tempdir(tag: &str) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("fabric-store-blocks-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// A block of `txs` envelopes of `envelope` filler bytes each
+    /// (`append` marshals and frames; it never decodes).
+    fn block(txs: usize, envelope: usize) -> CommittedBlock {
+        CommittedBlock {
+            block: Block {
+                data: BlockData {
+                    data: vec![vec![0xab; envelope]; txs],
+                },
+                ..Block::default()
+            },
+            header_hash: [0; 32],
+            tx_filter: vec![TxValidationCode::Valid; txs],
+            commit_hash: [0; 32],
+        }
+    }
+
+    fn writes() -> usize {
+        WRITES.with(|n| n.get())
+    }
+
+    fn on_disk(dir: &Path, index: usize) -> u64 {
+        std::fs::metadata(seg_log_path(dir, index))
+            .expect("segment exists")
+            .len()
+    }
+
+    #[test]
+    fn a_group_is_bounded_in_blocks_and_in_bytes() {
+        let dir = tempdir("group");
+        let (mut store, _) = DurableBlockStore::open(&dir, 8, 64 << 20).unwrap();
+
+        // Eight small blocks: nothing reaches the file before the
+        // eighth, which takes all of them down in one `write`.
+        let small = block(2, 100);
+        let small_record = (HEADER_LEN + small.block.marshal().len()) as u64;
+        let before = writes();
+        for _ in 0..7 {
+            store.append(&small).unwrap();
+        }
+        assert_eq!(writes(), before, "a partial group stays in process");
+        assert_eq!(on_disk(&dir, 0), 0);
+        store.append(&small).unwrap();
+        assert_eq!(writes(), before + 1, "eight blocks, one write");
+        assert_eq!(on_disk(&dir, 0), 8 * small_record);
+
+        // One block above the byte ceiling: in the file when `append`
+        // returns, with no `flush` and seven blocks short of the count.
+        let large = block(100, 3_950);
+        let large_record = (HEADER_LEN + large.block.marshal().len()) as u64;
+        assert!(large_record as usize > GROUP_MAX_BYTES);
+        store.append(&large).unwrap();
+        assert_eq!(writes(), before + 2);
+        assert_eq!(on_disk(&dir, 0), 8 * small_record + large_record);
+
+        // Below the ceiling the count still decides: small blocks behind
+        // a large one start a fresh group of eight.
+        for _ in 0..7 {
+            store.append(&small).unwrap();
+        }
+        assert_eq!(writes(), before + 2);
+        store.append(&small).unwrap();
+        assert_eq!(writes(), before + 3);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn sealing_a_segment_keeps_the_group_buffer() {
+        let dir = tempdir("seal");
+        let cb = block(10, 1_000);
+        let record = (HEADER_LEN + cb.block.marshal().len()) as u64;
+        // Two records fill a segment; the group count alone never
+        // flushes, so the buffer has grown to two records by the seal.
+        let (mut store, _) = DurableBlockStore::open(&dir, 100, 2 * record).unwrap();
+        store.append(&cb).unwrap();
+        let grown = store.writer.lock().buffered.capacity();
+        assert!(grown >= record as usize);
+        store.append(&cb).unwrap();
+        assert_eq!(store.segments.len(), 2, "second append sealed segment 0");
+        assert_eq!(on_disk(&dir, 0), 2 * record);
+        let writer = store.writer.lock();
+        assert!(writer.buffered.is_empty() && writer.pending == 0);
+        assert!(
+            writer.buffered.capacity() >= grown,
+            "seal must not drop the buffer's allocation"
+        );
+        drop(writer);
+        // And the new segment's writer works.
+        store.append(&cb).unwrap();
+        store.flush().unwrap();
+        assert_eq!(on_disk(&dir, 1), record);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -204,7 +204,7 @@ pub fn load(root: &Path) -> Option<Checkpoint> {
     if scan.tail != Tail::Clean || scan.records.len() != 1 {
         return None;
     }
-    decode(&scan.records[0].1)
+    decode(scan.records[0].1)
 }
 
 /// Whether a checkpoint file is present on disk (used to distinguish

@@ -97,9 +97,10 @@ pub enum Tail {
 
 /// Result of scanning a framed byte stream.
 #[derive(Debug)]
-pub struct Scan {
-    /// `(offset, payload)` of each valid record, in file order.
-    pub records: Vec<(usize, Vec<u8>)>,
+pub struct Scan<'a> {
+    /// `(offset, payload)` of each valid record, in file order; the
+    /// payloads are slices of the scanned bytes.
+    pub records: Vec<(usize, &'a [u8])>,
     /// Bytes covered by the valid records (the truncation point when the
     /// tail is torn).
     pub valid_len: usize,
@@ -110,7 +111,7 @@ pub struct Scan {
 /// Scans a byte stream into its valid record prefix. Never fails: the
 /// tail classification tells the caller whether (and how) the stream
 /// degraded.
-pub fn scan(bytes: &[u8]) -> Scan {
+pub fn scan(bytes: &[u8]) -> Scan<'_> {
     let mut records = Vec::new();
     let mut offset = 0usize;
     while offset < bytes.len() {
@@ -158,7 +159,7 @@ pub fn scan(bytes: &[u8]) -> Scan {
                 tail,
             };
         }
-        records.push((offset, payload.to_vec()));
+        records.push((offset, payload));
         offset += HEADER_LEN + len;
     }
     Scan {
@@ -182,7 +183,7 @@ mod tests {
         let scan = scan(&bytes);
         assert_eq!(scan.tail, Tail::Clean);
         assert_eq!(scan.valid_len, bytes.len());
-        let payloads: Vec<&[u8]> = scan.records.iter().map(|(_, p)| p.as_slice()).collect();
+        let payloads: Vec<&[u8]> = scan.records.iter().map(|&(_, p)| p).collect();
         assert_eq!(payloads, vec![b"alpha".as_slice(), b"", b"gamma"]);
     }
 
@@ -206,7 +207,7 @@ mod tests {
         let s = scan(&out);
         assert_eq!(s.tail, Tail::Clean);
         assert_eq!(s.records.len(), 2);
-        assert_eq!(s.records[1], (before, b"second".to_vec()));
+        assert_eq!(s.records[1], (before, b"second".as_slice()));
     }
 
     #[test]
@@ -218,12 +219,12 @@ mod tests {
             let s = scan(&bytes[..cut]);
             // The valid prefix is always complete records.
             assert!(s.records.len() <= full);
-            for ((_, got), want) in
+            for (&(_, got), want) in
                 s.records
                     .iter()
                     .zip([b"first".as_slice(), b"second", b"third-record"])
             {
-                assert_eq!(got.as_slice(), want);
+                assert_eq!(got, want);
             }
             // And never classified as corruption: truncation is a crash.
             assert!(!matches!(s.tail, Tail::Corrupt { .. }), "cut={cut}");

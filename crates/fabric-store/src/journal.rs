@@ -14,9 +14,14 @@
 //! [`JournalSink`]: the state database forwards every batch here,
 //! under its own write lock, *before* mutating memory — so the
 //! journal's record order is exactly the apply order and a replayed
-//! journal reproduces the state byte-for-byte. Records buffer in
-//! process and reach the file in one `write` per group-commit window
-//! (fsync-free, like the block segments).
+//! journal reproduces the state byte-for-byte. Records are framed
+//! where they lie in an in-process buffer, which reaches the file in
+//! one `write` per group-commit window (fsync-free, like the block
+//! segments). The window is counted in *apply calls* — the state
+//! database marks the end of each one with
+//! [`JournalSink::apply_boundary`], and the peer applies a block in one
+//! call — so `group_commit` means blocks here exactly as it does in the
+//! block store, however many records a block carries.
 //!
 //! Atomicity is at record granularity: the frame CRC means a crash
 //! mid-record yields the previous record boundary on recovery, never a
@@ -36,6 +41,13 @@ use crate::StoreOpenError;
 /// Encodes one `(batch, height)` journal record payload.
 pub fn encode_batch(batch: &WriteBatch, height: Height) -> Vec<u8> {
     let mut out = Vec::with_capacity(24 + 16 * batch.len());
+    encode_batch_into(&mut out, batch, height);
+    out
+}
+
+/// [`encode_batch`] appended to `out`: how the journal writes a record
+/// payload straight into its group buffer.
+fn encode_batch_into(out: &mut Vec<u8>, batch: &WriteBatch, height: Height) {
     out.extend_from_slice(&height.block_num.to_le_bytes());
     out.extend_from_slice(&height.tx_num.to_le_bytes());
     let n = u32::try_from(batch.len()).expect("journal batch exceeds u32::MAX entries");
@@ -54,7 +66,6 @@ pub fn encode_batch(batch: &WriteBatch, height: Height) -> Vec<u8> {
             None => out.push(0),
         }
     }
-    out
 }
 
 /// Decodes a journal record payload. `None` on any structural mismatch
@@ -143,19 +154,19 @@ pub fn scan_journal(path: &Path) -> Result<JournalScan, StoreOpenError> {
     }
     let mut records = Vec::with_capacity(scan.records.len());
     let mut last: Option<Height> = None;
-    for (offset, payload) in &scan.records {
+    for &(offset, payload) in &scan.records {
         let (height, batch) = decode_batch(payload).ok_or(StoreOpenError::CorruptJournal {
-            offset: *offset as u64,
+            offset: offset as u64,
         })?;
         // Commit order is strictly non-decreasing; a violation means the
         // file was tampered with, not torn.
         if last.is_some_and(|prev| height < prev) {
             return Err(StoreOpenError::CorruptJournal {
-                offset: *offset as u64,
+                offset: offset as u64,
             });
         }
         last = Some(height);
-        let end = *offset as u64 + frame::HEADER_LEN as u64 + payload.len() as u64;
+        let end = offset as u64 + frame::HEADER_LEN as u64 + payload.len() as u64;
         records.push((end, height, batch));
     }
     Ok(JournalScan {
@@ -168,8 +179,16 @@ pub fn scan_journal(path: &Path) -> Result<JournalScan, StoreOpenError> {
 #[derive(Debug)]
 struct JournalInner {
     file: File,
+    /// Framed records awaiting the next group boundary.
     buffered: Vec<u8>,
+    /// Apply calls (blocks) since the last flush.
     pending: usize,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// `write` calls this thread's journals have issued.
+    static WRITES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// The append half of the journal; implements [`JournalSink`] so it
@@ -227,6 +246,8 @@ impl StateJournal {
 
     fn flush_inner(inner: &mut JournalInner) {
         if !inner.buffered.is_empty() {
+            #[cfg(test)]
+            WRITES.with(|n| n.set(n.get() + 1));
             inner
                 .file
                 .write_all(&inner.buffered)
@@ -239,9 +260,14 @@ impl StateJournal {
 
 impl JournalSink for StateJournal {
     fn record(&self, batch: &WriteBatch, height: Height) {
-        let record = frame::encode_record(&encode_batch(batch, height));
         let mut inner = self.inner.lock();
-        inner.buffered.extend_from_slice(&record);
+        frame::append_record(&mut inner.buffered, |out| {
+            encode_batch_into(out, batch, height)
+        });
+    }
+
+    fn apply_boundary(&self) {
+        let mut inner = self.inner.lock();
         inner.pending += 1;
         if inner.pending >= self.group_commit {
             Self::flush_inner(&mut inner);
@@ -289,6 +315,7 @@ pub fn replay(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn batch_roundtrip() {
@@ -329,6 +356,64 @@ mod tests {
         let mut extended = payload.clone();
         extended.push(0);
         assert!(decode_batch(&extended).is_none(), "trailing garbage");
+    }
+
+    /// One block's worth of per-tx batches, one key each.
+    fn block_batches(block: u64, txs: u64) -> Vec<(WriteBatch, Height)> {
+        (0..txs)
+            .map(|tx| {
+                let mut b = WriteBatch::new();
+                b.put(format!("k{block}-{tx}"), vec![tx as u8; 32]);
+                (b, Height::new(block, tx))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_group_unit_is_an_apply_call_not_a_record() {
+        let path = std::env::temp_dir().join(format!("fabric-store-jgroup-{}", std::process::id()));
+        let writes = || WRITES.with(|n| n.get());
+        let file_len = || std::fs::metadata(&path).unwrap().len();
+
+        // Default window: seven 100-tx blocks are zero writes, the
+        // eighth takes all 800 records down in one.
+        let _ = std::fs::remove_file(&path);
+        let db = StateDb::new();
+        db.attach_journal(Arc::new(StateJournal::open_at(&path, 0, 8).unwrap()));
+        let before = writes();
+        for block in 0..7 {
+            db.apply_block(&block_batches(block, 100));
+        }
+        assert_eq!(writes(), before, "a 100-tx apply is no write");
+        assert_eq!(file_len(), 0);
+        db.apply_block(&block_batches(7, 100));
+        assert_eq!(writes(), before + 1, "the eighth block is one write");
+        assert_eq!(scan_journal(&path).unwrap().records.len(), 800);
+        // A block with no valid transaction still counts as a block.
+        for _ in 0..8 {
+            db.apply_block(&[]);
+        }
+        db.apply_block(&block_batches(8, 1));
+        assert_eq!(writes(), before + 1, "nothing buffered, nothing written");
+        for block in 9..16 {
+            db.apply_block(&block_batches(block, 1));
+        }
+        assert_eq!(writes(), before + 2);
+
+        // A window of one: every apply call is on disk when it returns —
+        // one write for the block, not one per transaction.
+        let _ = std::fs::remove_file(&path);
+        let db = StateDb::new();
+        db.attach_journal(Arc::new(StateJournal::open_at(&path, 0, 1).unwrap()));
+        let before = writes();
+        db.apply_block(&block_batches(0, 100));
+        assert_eq!(writes(), before + 1);
+        assert_eq!(scan_journal(&path).unwrap().records.len(), 100);
+        let batches = block_batches(1, 1);
+        db.apply(&batches[0].0, batches[0].1);
+        assert_eq!(writes(), before + 2);
+        assert_eq!(scan_journal(&path).unwrap().records.len(), 101);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -75,12 +75,15 @@ pub use journal::StateJournal;
 /// Tuning knobs of the durable store.
 #[derive(Debug, Clone, Copy)]
 pub struct StoreConfig {
-    /// Blocks (and journal records) buffered per `write` syscall — the
-    /// fsync-free group-commit window. `1` hands every commit straight
-    /// to the OS; larger groups amortize syscalls at the cost of a
-    /// longer tail a crash can lose. The reference benchmark
-    /// (`benchmark/`) runs the default and reports `store.flush_ms` and
-    /// `store.append_us_per_block` for it.
+    /// Blocks buffered per `write` syscall, in the block store and in
+    /// the journal alike (the journal's unit is the state database's
+    /// apply call, one per block) — the fsync-free group-commit window.
+    /// `1` hands every commit straight to the OS; larger groups
+    /// amortize syscalls at the cost of a longer tail a crash can lose.
+    /// The block store also writes early once 256 KiB are buffered, so
+    /// the window is a ceiling on blocks, not a promise of that many.
+    /// The reference benchmark (`benchmark/`) runs the default and
+    /// reports `store.flush_ms` and `store.append_us_per_block` for it.
     pub group_commit: usize,
     /// Active-segment size threshold: crossing it seals the segment
     /// (flush + index sidecar) and opens the next one.

@@ -276,6 +276,8 @@ type JournaledBatch = (Vec<(String, Option<Vec<u8>>)>, Height);
 #[derive(Debug, Default)]
 struct RecordingSink {
     records: parking_lot::Mutex<Vec<JournaledBatch>>,
+    /// `records.len()` at each `apply_boundary`.
+    boundaries: parking_lot::Mutex<Vec<usize>>,
 }
 
 impl JournalSink for RecordingSink {
@@ -287,6 +289,11 @@ impl JournalSink for RecordingSink {
                 .collect(),
             height,
         ));
+    }
+
+    fn apply_boundary(&self) {
+        let at = self.records.lock().len();
+        self.boundaries.lock().push(at);
     }
 
     fn flush(&self) {}
@@ -367,6 +374,28 @@ fn replay_never_rejournals_on_either_backend() {
         assert!(sink.records.lock().is_empty(), "{backend:?}");
         db.apply(&b, Height::new(2, 0));
         assert_eq!(sink.records.lock().len(), 1, "{backend:?}");
+    }
+}
+
+/// The unit a durable journal counts its group-commit window in: one
+/// boundary after the records of each apply call, a block with no valid
+/// transaction included, none for a replay. The sharded backend takes a
+/// block as one call; the legacy reference loops over its batches.
+#[test]
+fn apply_boundary_closes_each_apply_call() {
+    let block = wide_block(1, 3, 2);
+    for (backend, after_block) in [
+        (StateBackend::Sharded, vec![1, 4, 4]),
+        (StateBackend::Legacy, vec![1, 2, 3, 4]),
+    ] {
+        let db = StateDb::with_backend(backend);
+        let sink = Arc::new(RecordingSink::default());
+        db.attach_journal(sink.clone());
+        db.apply(&block[0].0, Height::new(0, 0));
+        db.replay(&block[0].0, Height::new(0, 1));
+        db.apply_block(&block);
+        db.apply_block(&[]);
+        assert_eq!(*sink.boundaries.lock(), after_block, "{backend:?}");
     }
 }
 
