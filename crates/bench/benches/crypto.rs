@@ -16,7 +16,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use fabric_crypto::bigint::U256;
 use fabric_crypto::curve::{mul_fixed_base, AffinePoint, JacobianPoint};
-use fabric_crypto::ecdsa::SigningKey;
+use fabric_crypto::ecdsa::{batch_s_inverses, verify_batch, BatchItem, SigningKey, BATCH_LANES};
 use fabric_crypto::fp256::Fp256;
 use fabric_crypto::sha256::sha256;
 use fabric_ledger::{BlockStore, CommittedBlock, TxValidationCode};
@@ -65,6 +65,31 @@ fn bench_crypto(c: &mut Criterion) {
             next += 1;
             key.verify_prehashed(black_box(digest), black_box(sig))
                 .expect("valid signature")
+        })
+    });
+    // The same signatures eight at a time, as vscc hands its cache
+    // misses over: one iteration is one chunk, `s⁻¹` from the batched
+    // inversion as in a block. On a CPU without AVX-512 IFMA this is
+    // the scalar loop and reads eight times `ecdsa_verify`.
+    let sinvs = batch_s_inverses(&signed.iter().map(|(_, _, sig)| *sig).collect::<Vec<_>>());
+    let items: Vec<BatchItem<'_>> = signed
+        .iter()
+        .zip(&sinvs)
+        .map(|(&(key, digest, sig), &sinv)| BatchItem {
+            key,
+            digest,
+            sig,
+            sinv,
+        })
+        .collect();
+    let mut next = 0;
+    group.bench_function("ecdsa_verify_batch8", |b| {
+        b.iter(|| {
+            let chunk = &items[next % OPERANDS..][..BATCH_LANES];
+            next += BATCH_LANES;
+            let verdicts = verify_batch(black_box(chunk));
+            assert!(verdicts.iter().all(|&valid| valid));
+            verdicts
         })
     });
     group.bench_function("sha256_64B", |b| b.iter(|| sha256(black_box(&msg[..64]))));
@@ -116,6 +141,26 @@ fn bench_fp256(c: &mut Criterion) {
     chain(&mut group, "add", &elements, |a, b| f.add(a, b));
     chain(&mut group, "sub", &elements, |a, b| f.sub(a, b));
     chain(&mut group, "mul", &elements, |a, b| f.mul(a, b));
+    // Eight products an iteration: divide by eight to set it beside
+    // `mul`. Absent on a CPU without AVX-512 IFMA.
+    #[cfg(target_arch = "x86_64")]
+    {
+        use fabric_crypto::p256x8::Fp256x8;
+        let lanes: Vec<Fp256x8> = elements
+            .chunks_exact(BATCH_LANES)
+            .map_while(|chunk| Fp256x8::new(chunk.try_into().expect("eight elements")))
+            .collect();
+        if let Some(&first) = lanes.first() {
+            let (mut acc, mut next) = (first, 0);
+            group.bench_function("fp256x8_mul", |b| {
+                b.iter(|| {
+                    next += 1;
+                    acc = acc.mul(&lanes[next % lanes.len()]);
+                    acc
+                })
+            });
+        }
+    }
     let mut acc = elements[0];
     group.bench_function("sqr", |b| {
         b.iter(|| {

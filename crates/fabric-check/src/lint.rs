@@ -28,12 +28,18 @@
 //!   second pool.
 //! * `unsafe-site` — `unsafe` outside the files that own the
 //!   workspace's unsafe code: `fabric-crypto/src/sha256.rs` (the SHA
-//!   extensions kernel and its one call), `fabric-store/src/crc.rs`
-//!   (the carry-less-multiply CRC-32 kernel and its one call) and
+//!   extensions kernel and its one call), `fabric-crypto/src/p256x8.rs`
+//!   (the dispatch into the eight-lane ECDSA kernel and its register
+//!   loads and stores), `fabric-store/src/crc.rs` (the
+//!   carry-less-multiply CRC-32 kernel and its one call) and
 //!   `fabric-check/src/lib.rs` (the lock graph's leaked nodes). Inside
 //!   them, every `unsafe` block or fn must sit under a `// SAFETY:`
 //!   comment (attributes may come between) saying why its requirements
 //!   hold.
+//! * `test-oracle` — `verify_prehashed_shamir` in non-test code outside
+//!   `fabric-crypto`. The seed's verification is kept, hidden from the
+//!   documentation, as the reference the tests hold the production path
+//!   to; a production caller would make it a second implementation.
 //! * `lock-order` — `LOCK_ORDER.txt` must parse, be acyclic, declare
 //!   every `named("...")` label used in non-test source, and not
 //!   declare labels that no longer exist (or `test.` labels at all).
@@ -43,8 +49,8 @@
 //! `crates/fabric-check` (the linter's own sources contain every rule
 //! pattern as string literals; its behavior is covered by fixtures, and
 //! `FABRIC_CHECK_SYNC`/`FABRIC_CHECK_SEED` are read there by design).
-//! `env-selector` alone also covers `crates/shims`, `crates/bench` and
-//! the root `src/`; `unsafe-site` alone also covers
+//! `env-selector` and `test-oracle` alone also cover `crates/shims`,
+//! `crates/bench` and the root `src/`; `unsafe-site` alone also covers
 //! `crates/fabric-check/src/lib.rs`.
 //! Code at or after a `#[cfg(test)]` line that gates a module is exempt
 //! (a `#[cfg(test)]` on a single statement or item — a test-only counter
@@ -328,6 +334,14 @@ pub fn lint_file(path: &str, content: &str) -> Vec<Finding> {
                     .to_string(),
             );
         }
+        if code.contains(TEST_ORACLE_FN) && !normalized.contains("crates/fabric-crypto/") {
+            hit(
+                TEST_ORACLE,
+                "the tests' reference verification called from non-test code: production \
+                 verifies through `verify_prehashed` / `verify_batch`"
+                    .to_string(),
+            );
+        }
         if has_unsafe_keyword(code) {
             if !unsafe_site {
                 hit(
@@ -494,11 +508,18 @@ const SPAWN_SITES: [&str; 3] = [
     "crates/fabric-statedb/src/sharded.rs",
 ];
 
+const TEST_ORACLE: &str = "test-oracle";
+
+/// The reference implementation only tests may call (see the
+/// `test-oracle` rule).
+const TEST_ORACLE_FN: &str = "verify_prehashed_shamir";
+
 const UNSAFE_SITE: &str = "unsafe-site";
 
 /// The files allowed to contain `unsafe` (see the `unsafe-site` rule).
-const UNSAFE_SITES: [&str; 3] = [
+const UNSAFE_SITES: [&str; 4] = [
     "crates/fabric-crypto/src/sha256.rs",
+    "crates/fabric-crypto/src/p256x8.rs",
     "crates/fabric-store/src/crc.rs",
     "crates/fabric-check/src/lib.rs",
 ];
@@ -531,8 +552,8 @@ pub fn scan_roots(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     Ok(roots)
 }
 
-/// The further source directories only `env-selector` covers: the
-/// shims, the bench crate and the root package.
+/// The further source directories only `env-selector` and
+/// `test-oracle` cover: the shims, the bench crate and the root package.
 fn env_only_roots(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     let mut roots = vec![root.join("crates/bench/src"), root.join("src")];
     src_dirs(&root.join("crates/shims"), &[], &mut roots)?;
@@ -582,7 +603,10 @@ pub fn workspace_findings(root: &Path) -> std::io::Result<Vec<Finding>> {
     for file in &env_files {
         let content = std::fs::read_to_string(file)?;
         let hits = lint_file(&rel(root, file), &content);
-        findings.extend(hits.into_iter().filter(|f| f.rule == ENV_SELECTOR));
+        findings.extend(
+            hits.into_iter()
+                .filter(|f| f.rule == ENV_SELECTOR || f.rule == TEST_ORACLE),
+        );
     }
     // This crate's sources are outside the scan roots, but its lib.rs
     // holds real `unsafe`: that one file gets the one rule.
@@ -644,6 +668,7 @@ mod tests {
     const BAD_ENV: &str = include_str!("../fixtures/bad_env.fixture");
     const BAD_SPAWN: &str = include_str!("../fixtures/bad_spawn.fixture");
     const BAD_UNSAFE: &str = include_str!("../fixtures/bad_unsafe.fixture");
+    const BAD_ORACLE: &str = include_str!("../fixtures/bad_oracle.fixture");
     const GOOD: &str = include_str!("../fixtures/good.fixture");
 
     fn rules(findings: &[Finding]) -> Vec<&'static str> {
@@ -704,6 +729,23 @@ mod tests {
         // longer identifier is not the keyword.
         let src = "// SAFETY: callers check the CPU feature first\n#[target_feature(enable = \"sha\")]\nunsafe fn k() {}\n#![forbid(unsafe_code)]\n";
         assert!(lint_file(UNSAFE_SITES[0], src).is_empty());
+    }
+
+    #[test]
+    fn bad_oracle_fixture_trips_rule_outside_fabric_crypto_and_outside_tests() {
+        for path in [
+            "crates/fabric-peer/src/fixture.rs",
+            "crates/bench/src/bin/fixture.rs",
+            "src/fixture.rs",
+        ] {
+            let f = lint_file(path, BAD_ORACLE);
+            assert_eq!(rules(&f), vec!["test-oracle"], "{path}: {f:?}");
+        }
+        // The crate that keeps the reference may name it, and so may any
+        // test module.
+        assert!(lint_file("crates/fabric-crypto/src/ecdsa.rs", BAD_ORACLE).is_empty());
+        let in_tests = format!("#[cfg(test)]\nmod tests {{\n{BAD_ORACLE}}}\n");
+        assert!(lint_file("crates/fabric-peer/src/fixture.rs", &in_tests).is_empty());
     }
 
     #[test]

@@ -571,11 +571,11 @@ pub const COMB_DIGITS: usize = (1 << COMB_WINDOW_BITS) - 1;
 /// entry per window. The table is built once per process (one batched
 /// inversion over all entries); every ECDSA signature and the `u1·G`
 /// half of every verification then reuses it.
-struct FixedBaseTable {
-    windows: Vec<Vec<AffinePoint>>,
+pub(crate) struct FixedBaseTable {
+    pub(crate) windows: Vec<Vec<AffinePoint>>,
 }
 
-fn fixed_base_table() -> &'static FixedBaseTable {
+pub(crate) fn fixed_base_table() -> &'static FixedBaseTable {
     static TABLE: OnceLock<FixedBaseTable> = OnceLock::new();
     TABLE.get_or_init(|| {
         let mut flat: Vec<JacobianPoint> = Vec::with_capacity(COMB_WINDOWS * COMB_DIGITS);

@@ -31,9 +31,17 @@
 //!   coordinates ([`JacobianPoint::eq_x_mod_order`]), eliminating the
 //!   second field inversion entirely.
 //!
+//! [`verify_batch`] is the same verification for a list: on a CPU with
+//! AVX-512 IFMA it runs chunks of [`BATCH_LANES`] through the lane
+//! kernel (`p256x8.rs`; the crate README, "Lane kernel"), and the
+//! pipeline above is its portable twin, its test oracle and the fallback
+//! for whatever a lane leaves undecided.
+//!
 //! The seed implementation (bit-serial Shamir ladder + two Fermat
-//! inversions) is preserved as [`VerifyingKey::verify_prehashed_shamir`];
-//! randomized tests cross-check that the two paths agree.
+//! inversions) is preserved as `VerifyingKey::verify_prehashed_shamir`,
+//! hidden from the documentation and callable from tests only
+//! (`repo_lint` rule `test-oracle`); randomized tests cross-check that
+//! the two paths agree.
 
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -58,9 +66,19 @@ pub struct SigningKey {
 #[derive(Clone)]
 pub struct VerifyingKey {
     point: AffinePoint,
-    /// Lazily built per-key acceleration table; identity semantics
-    /// (`PartialEq`, `Debug`, serialization) ignore it.
-    precomp: Arc<OnceLock<KeyPrecomp>>,
+    /// Lazily built per-key acceleration tables; identity semantics
+    /// (`PartialEq`, `Debug`, serialization) ignore them.
+    precomp: Arc<PrecompSlot>,
+}
+
+/// What the registry shares per distinct public key: the scalar path's
+/// table and the lane kernel's, each built on the first verification
+/// that needs it.
+#[derive(Default)]
+struct PrecompSlot {
+    scalar: OnceLock<KeyPrecomp>,
+    #[cfg(target_arch = "x86_64")]
+    lanes: OnceLock<crate::p256x8::KeyLanes>,
 }
 
 impl PartialEq for VerifyingKey {
@@ -282,14 +300,13 @@ const REGISTRY_CAP: usize = 1024;
 
 /// Process-wide registry sharing one precomp slot per distinct public
 /// key, so re-parsing the same certificate (every block decode does)
-/// reuses the table built on first verification instead of rebuilding
-/// it. Bounded at [`REGISTRY_CAP`] keys, i.e. tables: a key arriving
-/// at a full registry clears it (keys in use keep their table through
+/// reuses the tables built on first verification instead of rebuilding
+/// them. Bounded at [`REGISTRY_CAP`] keys, i.e. slots: a key arriving
+/// at a full registry clears it (keys in use keep their tables through
 /// their own `Arc`), so a key is rebuilt at most once per
 /// `REGISTRY_CAP` new keys rather than on every parse.
-fn shared_precomp_slot(point: &AffinePoint) -> Arc<OnceLock<KeyPrecomp>> {
-    type Registry =
-        parking_lot::Mutex<std::collections::HashMap<[u8; 64], Arc<OnceLock<KeyPrecomp>>>>;
+fn shared_precomp_slot(point: &AffinePoint) -> Arc<PrecompSlot> {
+    type Registry = parking_lot::Mutex<std::collections::HashMap<[u8; 64], Arc<PrecompSlot>>>;
     static REGISTRY: OnceLock<Registry> = OnceLock::new();
     let registry = REGISTRY
         .get_or_init(|| parking_lot::Mutex::named("crypto.precomp_registry", Default::default()));
@@ -303,7 +320,7 @@ fn shared_precomp_slot(point: &AffinePoint) -> Arc<OnceLock<KeyPrecomp>> {
     if map.len() >= REGISTRY_CAP {
         map.clear();
     }
-    let slot = Arc::new(OnceLock::new());
+    let slot = Arc::new(PrecompSlot::default());
     map.insert(key, Arc::clone(&slot));
     slot
 }
@@ -313,7 +330,7 @@ impl VerifyingKey {
         if point.infinity {
             return VerifyingKey {
                 point,
-                precomp: Arc::new(OnceLock::new()),
+                precomp: Arc::default(),
             };
         }
         VerifyingKey {
@@ -395,19 +412,11 @@ impl VerifyingKey {
         sig: &Signature,
         sinv: &U256,
     ) -> Result<(), EcdsaError> {
-        let c = p256();
-        let n = &c.order;
-        if sig.r.is_zero() || &sig.r >= n || sig.s.is_zero() || &sig.s >= n {
-            return Err(EcdsaError::InvalidScalar);
-        }
-        let z = bits2int(digest, n);
-        // One domain entry for s⁻¹; multiplying the Montgomery residue
-        // by the plain z and r yields the plain u1 and u2 directly.
-        let fd = &c.fn_;
-        let sinv_m = fd.to_mont(sinv);
-        let u1 = fd.mul(&sinv_m, &z);
-        let u2 = fd.mul(&sinv_m, &sig.r);
-        let precomp = self.precomp.get_or_init(|| KeyPrecomp::build(&self.point));
+        let (u1, u2) = point_scalars(digest, sig, sinv)?;
+        let precomp = self
+            .precomp
+            .scalar
+            .get_or_init(|| KeyPrecomp::build(&self.point));
         let rp = mul_fixed_base(&u1).add(&precomp.mul(&u2));
         if rp.eq_x_mod_order(&sig.r) {
             Ok(())
@@ -426,6 +435,7 @@ impl VerifyingKey {
     /// # Errors
     ///
     /// As [`Self::verify_prehashed`].
+    #[doc(hidden)]
     pub fn verify_prehashed_shamir(
         &self,
         digest: &[u8; 32],
@@ -455,6 +465,100 @@ impl VerifyingKey {
             Err(EcdsaError::InvalidSignature)
         }
     }
+}
+
+/// The range check on `(r, s)` and the two scalars verification
+/// multiplies by: `u1 = z·s⁻¹` for the generator, `u2 = r·s⁻¹` for the
+/// key, both below `n`.
+fn point_scalars(
+    digest: &[u8; 32],
+    sig: &Signature,
+    sinv: &U256,
+) -> Result<(U256, U256), EcdsaError> {
+    let c = p256();
+    let n = &c.order;
+    if sig.r.is_zero() || &sig.r >= n || sig.s.is_zero() || &sig.s >= n {
+        return Err(EcdsaError::InvalidScalar);
+    }
+    let z = bits2int(digest, n);
+    // One domain entry for s⁻¹; multiplying the Montgomery residue
+    // by the plain z and r yields the plain u1 and u2 directly.
+    let fd = &c.fn_;
+    let sinv_m = fd.to_mont(sinv);
+    Ok((fd.mul(&sinv_m, &z), fd.mul(&sinv_m, &sig.r)))
+}
+
+/// One entry of [`verify_batch`]: what
+/// [`VerifyingKey::verify_prehashed_with_sinv`] takes.
+#[derive(Clone, Copy, Debug)]
+pub struct BatchItem<'a> {
+    /// The key the signature is checked against.
+    pub key: &'a VerifyingKey,
+    /// The message digest.
+    pub digest: [u8; 32],
+    /// The signature.
+    pub sig: Signature,
+    /// `s⁻¹ mod n`, from [`batch_s_inverses`].
+    pub sinv: U256,
+}
+
+impl BatchItem<'_> {
+    fn verify(&self) -> bool {
+        self.key
+            .verify_prehashed_with_sinv(&self.digest, &self.sig, &self.sinv)
+            .is_ok()
+    }
+}
+
+/// Signatures the lane kernel verifies in one pass. A caller that
+/// spreads a list over threads hands [`verify_batch`] chunks of this
+/// many; a pass costs the same whatever its fill.
+pub const BATCH_LANES: usize = 8;
+
+/// `verify_prehashed_with_sinv(..).is_ok()` for every item, in order.
+///
+/// On an `x86_64` processor that reports AVX-512 F and IFMA, chunks of
+/// [`BATCH_LANES`] items go through the eight-lane kernel and only what
+/// a lane leaves undecided (the exceptional cases of its addition
+/// formula, an `r` with a second candidate) through the scalar path;
+/// everywhere else every item does. The processor decides, per call;
+/// nothing selects between them, and the verdicts are the scalar
+/// path's either way.
+pub fn verify_batch(items: &[BatchItem<'_>]) -> Vec<bool> {
+    #[cfg(target_arch = "x86_64")]
+    if crate::p256x8::available() {
+        return items.chunks(BATCH_LANES).flat_map(verify_lanes).collect();
+    }
+    items.iter().map(BatchItem::verify).collect()
+}
+
+/// One pass of the lane kernel over at most [`BATCH_LANES`] items.
+#[cfg(target_arch = "x86_64")]
+fn verify_lanes(items: &[BatchItem<'_>]) -> Vec<bool> {
+    use crate::p256x8::{verify8, KeyLanes, Lane};
+    // An out-of-range signature is refused here, as the scalar path
+    // refuses it: its lane stays empty.
+    let mut lanes: [Option<Lane<'_>>; BATCH_LANES] = Default::default();
+    for (lane, item) in lanes.iter_mut().zip(items) {
+        if let Ok((u1, u2)) = point_scalars(&item.digest, &item.sig, &item.sinv) {
+            let key = item.key;
+            *lane = Some(Lane {
+                table: key
+                    .precomp
+                    .lanes
+                    .get_or_init(|| KeyLanes::build(&key.point)),
+                u1,
+                u2,
+                r: item.sig.r,
+            });
+        }
+    }
+    let decided = verify8(&lanes).unwrap_or_default();
+    items
+        .iter()
+        .enumerate()
+        .map(|(l, item)| lanes[l].is_some() && decided[l].unwrap_or_else(|| item.verify()))
+        .collect()
 }
 
 /// Computes `s⁻¹ mod n` for a whole block's worth of signatures with a

@@ -28,7 +28,10 @@
 //! * [`ecdsa`] — ECDSA sign/verify with RFC 6979 deterministic nonces.
 //!   Verification is the validator's hottest operation and runs on the
 //!   fixed-base + per-key split-wNAF fast path (see the module docs);
-//!   the seed's Shamir/Fermat path is preserved for cross-checking;
+//!   [`ecdsa::verify_batch`] is the same for a list, eight at a time in
+//!   AVX-512 IFMA lanes (`p256x8`, an `x86_64`-only module) on a CPU that has
+//!   them; the seed's Shamir/Fermat path is preserved for
+//!   cross-checking;
 //! * [`sha256`](mod@sha256) — FIPS 180-4 SHA-256 (on the CPU's SHA
 //!   extensions where it has them) and HMAC-SHA-256;
 //! * [`der`] — strict DER encoding of `ECDSA-Sig-Value`;
@@ -59,6 +62,8 @@ pub mod ecdsa;
 pub mod fp256;
 pub mod identity;
 pub mod mont;
+#[cfg(target_arch = "x86_64")]
+pub mod p256x8;
 pub mod sha256;
 
 pub use bigint::U256;

@@ -40,20 +40,26 @@
 //! * **invert the misses** — the `s⁻¹ mod n` of the tasks the cache did
 //!   not answer, with a single modular inversion
 //!   ([`fabric_crypto::ecdsa::batch_s_inverses`]);
-//! * **verify the misses** — [`Verifier::par_map`] over them:
+//! * **verify the misses** — [`Verifier::par_map`] over *chunks* of
+//!   eight of them ([`fabric_crypto::ecdsa::BATCH_LANES`]):
 //!   [`ValidatorPipeline::workers`] threads (the paper's "vscc threads =
-//!   vCPUs") steal task indices, and each task goes through
-//!   [`Verifier::check`] — the one place a key is claimed, so a task
-//!   another thread began verifying since the lookup waits for that
-//!   verdict — and then the precomputed fixed-base + wNAF ECDSA engine.
-//!   The orderer check (step 1) is looked up and verified the same way,
-//!   and the mempool's admission pool goes through the same [`Verifier`];
+//!   vCPUs") steal chunk indices, and each chunk goes through
+//!   [`Verifier::check_batch`] — which claims the chunk's keys without
+//!   waiting, so a task another thread began verifying since the lookup
+//!   is waited for only after this thread's own claims are fulfilled —
+//!   and then, as one batch, through
+//!   [`fabric_crypto::ecdsa::verify_batch`]: eight verifications in the
+//!   lanes of one AVX-512 IFMA pass where the CPU has them, the
+//!   precomputed fixed-base + wNAF scalar engine one by one where it
+//!   does not. The orderer check (step 1) is looked up and verified the
+//!   same way, a chunk of one, and the mempool's admission pool goes
+//!   through the same [`Verifier`];
 //! * **assemble** — fold task verdicts back into per-transaction
 //!   validation codes, evaluating each endorsement policy sequentially
 //!   (Fabric v1.4 semantics).
 //!
-//! Per-signature parallelism load-balances much better than per-tx
-//! parallelism when endorsement counts vary, and the cache converts the
+//! Parallelism over chunks of signatures load-balances much better than
+//! per-tx parallelism when endorsement counts vary, and the cache converts the
 //! cross-transaction signature redundancy Fabric blocks carry (repeated
 //! endorser signatures, replayed envelopes) into lookups.
 
@@ -61,7 +67,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use fabric_crypto::ecdsa::batch_s_inverses;
+use fabric_crypto::ecdsa::{batch_s_inverses, verify_batch, BatchItem, BATCH_LANES};
 use fabric_crypto::identity::NodeId;
 use fabric_crypto::{sha256, Msp, Signature, VerifyingKey, U256};
 use fabric_ledger::{Ledger, LedgerError, TxValidationCode};
@@ -589,10 +595,12 @@ impl ValidatorPipeline {
     }
 
     /// Phases 2–4, one verdict per task: each is looked up unclaimed, and
-    /// only the misses have their `s` batch-inverted and go through
-    /// [`Verifier::par_map`] to [`Verifier::check`] — work-stealing over
-    /// *signatures* (better load balance than per-transaction when
-    /// endorsement counts vary), each verified exactly once.
+    /// only the misses have their `s` batch-inverted and go, in chunks
+    /// of [`BATCH_LANES`], through [`Verifier::par_map`] to
+    /// [`Verifier::check_batch`] — work-stealing over *chunks of
+    /// signatures* (better load balance than per-transaction when
+    /// endorsement counts vary), each signature verified exactly once
+    /// and a chunk's worth in one pass of the ECDSA engine.
     fn verdicts(&self, tasks: &[VerifyTask<'_>]) -> Vec<bool> {
         let cache = self.verifier.sig_cache();
         let cached: Vec<Option<bool>> = tasks
@@ -610,9 +618,15 @@ impl ValidatorPipeline {
             INVERTED.with(|n| n.set(n.get() + misses.len()));
             let sigs: Vec<Signature> = misses.iter().map(|task| task.sig).collect();
             let sinvs = batch_s_inverses(&sigs);
-            verified = self
-                .verifier
-                .par_map(misses.len(), |m| self.verify_task(misses[m], &sinvs[m]));
+            let chunks: Vec<_> = misses
+                .chunks(BATCH_LANES)
+                .zip(sinvs.chunks(BATCH_LANES))
+                .collect();
+            let chunks = self.verifier.par_map(chunks.len(), |c| {
+                let (tasks, sinvs) = chunks[c];
+                self.verify_chunk(tasks, sinvs)
+            });
+            verified = chunks.concat();
         }
         let mut verified = verified.into_iter();
         cached
@@ -624,7 +638,8 @@ impl ValidatorPipeline {
     /// Phase 1: walks the block, MSP-validates certificates, and emits
     /// one [`VerifyTask`] per *unique* `(pubkey, digest, signature)`
     /// triple; transactions reference tasks by index, so a signature
-    /// repeated across (or within) transactions is verified once.
+    /// repeated across (or within) transactions is verified once — and
+    /// no chunk of [`Self::verdicts`] holds the same cache key twice.
     fn collect_tasks<'a>(
         &self,
         decoded: &'a DecodedBlock,
@@ -672,11 +687,21 @@ impl ValidatorPipeline {
         (tasks, txs)
     }
 
-    fn verify_task(&self, task: &VerifyTask<'_>, sinv: &U256) -> bool {
-        self.verifier.check(&task.cache_key, || {
-            task.key
-                .verify_prehashed_with_sinv(&task.digest, &task.sig, sinv)
-                .is_ok()
+    /// One chunk of misses: the keys this thread can claim are verified
+    /// as one batch, the rest waited for afterwards.
+    fn verify_chunk(&self, tasks: &[&VerifyTask<'_>], sinvs: &[U256]) -> Vec<bool> {
+        let keys: Vec<SigCacheKey> = tasks.iter().map(|task| task.cache_key).collect();
+        self.verifier.check_batch(&keys, |claimed| {
+            let items: Vec<BatchItem<'_>> = claimed
+                .iter()
+                .map(|&i| BatchItem {
+                    key: tasks[i].key,
+                    digest: tasks[i].digest,
+                    sig: tasks[i].sig,
+                    sinv: sinvs[i],
+                })
+                .collect();
+            verify_batch(&items)
         })
     }
 }
@@ -1088,8 +1113,11 @@ mod tests {
         let stats = validator.sig_cache_stats();
         assert_eq!((stats.hits, stats.misses), (0, 13));
         assert_eq!(validator.verifications(), 13);
-        // The orderer's alone, then the 12 of vscc over 4 workers.
-        assert_eq!(inverted_and_spawned(), (inverted + 13, spawned + 3));
+        // The orderer's alone is one chunk, verified inline; the 12 of
+        // vscc are ⌈12 / 8⌉ = 2 chunks, so two of the 4 workers have
+        // something to take and one of them is the caller.
+        assert_eq!(BATCH_LANES, 8);
+        assert_eq!(inverted_and_spawned(), (inverted + 13, spawned + 1));
 
         let warm = validator.verify_block_signatures(&block).unwrap();
         assert_eq!(warm, cold);
@@ -1098,7 +1126,7 @@ mod tests {
         assert_eq!(validator.verifications(), 13);
         assert_eq!(
             inverted_and_spawned(),
-            (inverted + 13, spawned + 3),
+            (inverted + 13, spawned + 1),
             "an all-hit block inverts nothing and spawns nothing"
         );
     }

@@ -136,6 +136,26 @@ pub enum Claim<'a> {
     Verify(ClaimGuard<'a>),
 }
 
+/// Outcome of [`SignatureCache::try_claim`]: [`Claim`] for a caller that
+/// must not wait.
+#[derive(Debug)]
+pub enum TryClaim<'a> {
+    /// A verdict was cached.
+    Verdict(bool),
+    /// The caller owns the verification for this key, as with
+    /// [`Claim::Verify`].
+    Verify(ClaimGuard<'a>),
+    /// Another caller holds the claim and has not published yet.
+    Busy,
+}
+
+/// What a key's shard says about it, read under the shard lock.
+enum Probe<'a> {
+    Verdict(bool),
+    Verify(ClaimGuard<'a>),
+    InFlight(Arc<Flight>),
+}
+
 /// Exclusive right to verify one cache key. Call
 /// [`ClaimGuard::fulfill`] with the verdict; dropping the guard without
 /// fulfilling (panic, early return) releases the claim so a waiter can
@@ -201,28 +221,10 @@ impl SignatureCache {
     /// `(key, digest, sig)` triple runs a single ECDSA verification.
     pub fn claim(&self, key: &SigCacheKey) -> Claim<'_> {
         loop {
-            let flight = {
-                let mut shard = self.shards[key.shard()].lock();
-                if let Some(valid) = shard.get(key) {
-                    // relaxed: monotonic stats counter; never gates data visibility
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return Claim::Verdict(valid);
-                }
-                match shard.inflight.get(key) {
-                    Some(flight) => Arc::clone(flight),
-                    None => {
-                        // relaxed: monotonic stats counter; never gates data visibility
-                        self.misses.fetch_add(1, Ordering::Relaxed);
-                        let flight = Arc::new(Flight::new());
-                        shard.inflight.insert(*key, Arc::clone(&flight));
-                        return Claim::Verify(ClaimGuard {
-                            cache: self,
-                            key: *key,
-                            flight,
-                            done: false,
-                        });
-                    }
-                }
+            let flight = match self.probe(key) {
+                Probe::Verdict(valid) => return Claim::Verdict(valid),
+                Probe::Verify(guard) => return Claim::Verify(guard),
+                Probe::InFlight(flight) => flight,
             };
             // Wait outside the shard lock: the claimant needs it to
             // publish, and unrelated keys must not stall behind us.
@@ -242,6 +244,44 @@ impl SignatureCache {
             }
             // Claimant abandoned: retry; one of the waiters re-claims.
         }
+    }
+
+    /// [`Self::claim`] that never waits: a key another caller is
+    /// verifying is reported [`TryClaim::Busy`] (and counts as nothing)
+    /// instead of blocking until that verdict. For a caller that
+    /// already holds claims — waiting while holding one is how two
+    /// callers whose key sets overlap deadlock.
+    pub fn try_claim(&self, key: &SigCacheKey) -> TryClaim<'_> {
+        match self.probe(key) {
+            Probe::Verdict(valid) => TryClaim::Verdict(valid),
+            Probe::Verify(guard) => TryClaim::Verify(guard),
+            Probe::InFlight(_) => TryClaim::Busy,
+        }
+    }
+
+    /// One look at `key`'s shard: the cached verdict (a counted hit), the
+    /// flight of whoever is verifying it, or — neither — a new flight
+    /// and its claim (a counted miss).
+    fn probe(&self, key: &SigCacheKey) -> Probe<'_> {
+        let mut shard = self.shards[key.shard()].lock();
+        if let Some(valid) = shard.get(key) {
+            // relaxed: monotonic stats counter; never gates data visibility
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Probe::Verdict(valid);
+        }
+        if let Some(flight) = shard.inflight.get(key) {
+            return Probe::InFlight(Arc::clone(flight));
+        }
+        // relaxed: monotonic stats counter; never gates data visibility
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let flight = Arc::new(Flight::new());
+        shard.inflight.insert(*key, Arc::clone(&flight));
+        Probe::Verify(ClaimGuard {
+            cache: self,
+            key: *key,
+            flight,
+            done: false,
+        })
     }
 
     /// Looks up a verdict without claiming the key. A hit counts and
@@ -450,6 +490,29 @@ mod tests {
         assert_eq!(cache.lookup(&key), Some(true));
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
+    }
+
+    #[test]
+    fn try_claim_reports_a_held_key_busy_without_waiting_or_counting() {
+        let cache = SignatureCache::new(64);
+        let key = SigCacheKey::from_bytes(sha256(b"try-claim"));
+        let TryClaim::Verify(guard) = cache.try_claim(&key) else {
+            panic!("fresh key: the claim is free");
+        };
+        assert!(matches!(cache.try_claim(&key), TryClaim::Busy));
+        let stats = cache.stats();
+        assert_eq!(
+            (stats.hits, stats.misses, stats.coalesced),
+            (0, 1, 0),
+            "only the claim that was handed out counted"
+        );
+        guard.fulfill(false);
+        assert!(matches!(cache.try_claim(&key), TryClaim::Verdict(false)));
+        assert_eq!(cache.stats().hits, 1);
+        // An abandoned claim is free again, not busy.
+        let other = SigCacheKey::from_bytes(sha256(b"try-claim-abandoned"));
+        drop(cache.try_claim(&other));
+        assert!(matches!(cache.try_claim(&other), TryClaim::Verify(_)));
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //!
 //! * [`Verifier::trusted`] — membership: the MSP chain check behind one
 //!   bounded certificate memo;
-//! * [`Verifier::check`] — the workspace's single
-//!   claim → verify → fulfill → count site over the shared
+//! * [`Verifier::check`] and, for a chunk of keys verified as one
+//!   batch, [`Verifier::check_batch`] — the workspace's only
+//!   claim → verify → fulfill → count sites over the shared
 //!   [`SignatureCache`];
 //! * [`Verifier::par_map`] — the workspace's single verification
 //!   `thread::scope`: `workers - 1` spawned threads plus the calling
@@ -26,7 +27,7 @@ use std::sync::{Arc, OnceLock};
 use fabric_crypto::{KnownCert, Msp};
 use parking_lot::Mutex;
 
-use crate::sigcache::{Claim, SigCacheKey, SignatureCache};
+use crate::sigcache::{Claim, ClaimGuard, SigCacheKey, SignatureCache, TryClaim};
 
 /// Upper bound on memoized certificate verdicts before the memo resets
 /// (one 32-byte fingerprint and a flag per entry, so about a megabyte
@@ -110,6 +111,55 @@ impl Verifier {
                 valid
             }
         }
+    }
+
+    /// [`Self::check`] for a chunk of keys whose misses are verified
+    /// together: `verify` is given the indices (into `keys`, ascending)
+    /// of the keys this call claimed and returns their verdicts in that
+    /// order; each is counted in [`Verifier::verifications`].
+    ///
+    /// Keys are claimed **without waiting**, the claimed ones verified
+    /// as one batch and every guard fulfilled, and only then — holding
+    /// nothing — does the call wait (through [`Self::check`], which
+    /// verifies the key alone if its holder gave up) for the keys another
+    /// caller was verifying. Two verify lanes whose chunks share two
+    /// keys in opposite order would otherwise each hold one claim and
+    /// wait for the other's. A panic in `verify` drops every guard of the
+    /// chunk, so waiters on any of them re-claim.
+    pub fn check_batch(
+        &self,
+        keys: &[SigCacheKey],
+        verify: impl Fn(&[usize]) -> Vec<bool>,
+    ) -> Vec<bool> {
+        let mut verdicts: Vec<Option<bool>> = vec![None; keys.len()];
+        let mut claimed: Vec<usize> = Vec::new();
+        let mut guards: Vec<ClaimGuard<'_>> = Vec::new();
+        for (i, key) in keys.iter().enumerate() {
+            match self.sig_cache.try_claim(key) {
+                TryClaim::Verdict(valid) => verdicts[i] = Some(valid),
+                TryClaim::Verify(guard) => {
+                    claimed.push(i);
+                    guards.push(guard);
+                }
+                TryClaim::Busy => {}
+            }
+        }
+        if !claimed.is_empty() {
+            self.verifications
+                // relaxed: monotonic stats counter; never gates data visibility
+                .fetch_add(claimed.len(), Ordering::Relaxed);
+            let verified = verify(&claimed);
+            assert_eq!(verified.len(), claimed.len(), "one verdict per claimed key");
+            for ((i, guard), valid) in claimed.iter().zip(guards).zip(verified) {
+                guard.fulfill(valid);
+                verdicts[*i] = Some(valid);
+            }
+        }
+        verdicts
+            .into_iter()
+            .enumerate()
+            .map(|(i, verdict)| verdict.unwrap_or_else(|| self.check(&keys[i], || verify(&[i])[0])))
+            .collect()
     }
 
     /// `(0..n).map(f)`, in index order, computed by up to
@@ -257,6 +307,135 @@ mod tests {
         assert!(!v.check(&bad, || false));
         assert!(!v.check(&bad, || unreachable!("cached verdict")));
         assert_eq!(v.verifications(), 2);
+    }
+
+    fn keys(tag: u8, n: u8) -> Vec<SigCacheKey> {
+        (0..n)
+            .map(|i| SigCacheKey::from_bytes([tag.wrapping_add(i); 32]))
+            .collect()
+    }
+
+    #[test]
+    fn check_batch_verifies_what_it_claims_as_one_batch_and_counts_exactly_that() {
+        let v = verifier(None, 1);
+        let keys = keys(20, 5);
+        assert!(v.check(&keys[1], || true));
+        assert!(!v.check(&keys[3], || false));
+        assert_eq!(v.verifications(), 2);
+        let calls = AtomicUsize::new(0);
+        let verdicts = v.check_batch(&keys, |claimed| {
+            calls.fetch_add(1, Ordering::SeqCst);
+            assert_eq!(claimed, [0, 2, 4], "the three keys with no verdict yet");
+            claimed.iter().map(|&i| i != 2).collect()
+        });
+        assert_eq!(verdicts, [true, true, false, false, true]);
+        assert_eq!(calls.load(Ordering::SeqCst), 1, "one batch");
+        assert_eq!(v.verifications(), 2 + 3);
+        // All five are cached now: nothing to claim, nothing verified.
+        let again = v.check_batch(&keys, |_| unreachable!("cached verdicts"));
+        assert_eq!(again, verdicts);
+        assert_eq!(v.verifications(), 5);
+        assert!(v.check_batch(&[], |_| unreachable!()).is_empty());
+    }
+
+    #[test]
+    fn check_batch_holds_no_claim_while_it_waits_for_a_key_another_thread_is_verifying() {
+        let v = verifier(None, 1);
+        let cache = Arc::clone(v.sig_cache());
+        let keys = keys(40, 3);
+        let Claim::Verify(held_elsewhere) = cache.claim(&keys[1]) else {
+            panic!("nothing is cached yet");
+        };
+        std::thread::scope(|s| {
+            let batch = s.spawn(|| {
+                v.check_batch(&keys, |claimed| {
+                    assert_eq!(claimed, [0, 2], "the held key is not waited for here");
+                    vec![true, false]
+                })
+            });
+            // Both claimed keys are published while the third is still
+            // held here: the batch did not park on it with guards in
+            // hand. (On failure the guard drops with this frame, so the
+            // batch thread re-claims, finishes, and the panic shows.)
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+            while cache.stats().entries < 2 {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "the batch waits for a held key before fulfilling its own"
+                );
+                std::thread::yield_now();
+            }
+            assert_eq!(v.verifications(), 2);
+            held_elsewhere.fulfill(true);
+            assert_eq!(batch.join().expect("no panic"), [true, true, false]);
+        });
+        // The verdict published here answered the middle key: parked on
+        // the flight, or — reaching `check` only after — cached. Either
+        // way it was not verified again.
+        let stats = cache.stats();
+        assert_eq!(stats.misses, 3);
+        assert_eq!(stats.hits + stats.coalesced, 1);
+        assert_eq!(v.verifications(), 2, "the two keys the batch claimed");
+    }
+
+    #[test]
+    fn a_panic_inside_the_batch_drops_every_guard_so_waiters_reclaim() {
+        let v = verifier(None, 1);
+        let cache = Arc::clone(v.sig_cache());
+        let keys = keys(60, 8);
+        let (claimed_tx, claimed_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let release_rx = std::sync::Mutex::new(release_rx);
+        let waiter_runs = AtomicUsize::new(0);
+        std::thread::scope(|s| {
+            let batch = s.spawn(|| {
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    v.check_batch(&keys, |claimed| {
+                        claimed_tx.send(claimed.len()).expect("test is listening");
+                        release_rx
+                            .lock()
+                            .expect("single user")
+                            .recv()
+                            .expect("released");
+                        panic!("the batch fails with eight claims held");
+                    })
+                }))
+            });
+            assert_eq!(claimed_rx.recv().expect("batch started"), 8);
+            // All eight are held: a caller that may not wait is told so.
+            assert!(keys
+                .iter()
+                .all(|k| matches!(cache.try_claim(k), TryClaim::Busy)));
+            // Two callers that may wait do, on the first and last key.
+            let waiters: Vec<_> = [0, 7]
+                .into_iter()
+                .map(|i| {
+                    let (v, key, runs) = (&v, &keys[i], &waiter_runs);
+                    s.spawn(move || {
+                        v.check(key, || {
+                            runs.fetch_add(1, Ordering::SeqCst);
+                            true
+                        })
+                    })
+                })
+                .collect();
+            release_tx.send(()).expect("batch is waiting");
+            assert!(
+                batch.join().expect("caught").is_err(),
+                "the panic propagates"
+            );
+            for waiter in waiters {
+                assert!(waiter.join().expect("no panic"), "its own verdict");
+            }
+        });
+        // No verdict came out of the failed batch: each waiter was handed
+        // the claim and verified, and the six keys nobody waited for are
+        // free — not busy, not cached.
+        assert_eq!(waiter_runs.load(Ordering::SeqCst), 2);
+        assert_eq!(v.verifications(), 8 + 2);
+        for key in &keys[1..7] {
+            assert!(matches!(cache.try_claim(key), TryClaim::Verify(_)));
+        }
     }
 
     fn known(cert: &fabric_crypto::Certificate) -> Arc<KnownCert> {

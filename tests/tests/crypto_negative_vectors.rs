@@ -15,8 +15,9 @@ fn test_key() -> SigningKey {
     SigningKey::from_seed(b"negative-vectors")
 }
 
-/// Asserts both verification paths produce the same accept/reject
-/// verdict, and returns it.
+/// Asserts both verification paths — and `verify_batch`, which on a
+/// processor with AVX-512 IFMA is the eight-lane kernel — produce the
+/// same accept/reject verdict, and returns it.
 fn paths_agree(vk: &VerifyingKey, digest: &[u8; 32], sig: &Signature) -> bool {
     let fast = vk.verify_prehashed(digest, sig);
     let shamir = vk.verify_prehashed_shamir(digest, sig);
@@ -24,6 +25,11 @@ fn paths_agree(vk: &VerifyingKey, digest: &[u8; 32], sig: &Signature) -> bool {
         fast.is_ok(),
         shamir.is_ok(),
         "fast ({fast:?}) and shamir ({shamir:?}) verdicts diverged for sig={sig:?}"
+    );
+    assert_eq!(
+        bmac_integration_tests::batch_verdict(vk, digest, sig),
+        fast.is_ok(),
+        "batch and fast ({fast:?}) verdicts diverged for sig={sig:?}"
     );
     fast.is_ok()
 }
@@ -134,6 +140,10 @@ fn out_of_range_scalars_rejected_identically() {
                 vk.verify_prehashed_shamir(&digest, &sig),
                 Err(EcdsaError::InvalidScalar),
                 "shamir path accepted {what}"
+            );
+            assert!(
+                !bmac_integration_tests::batch_verdict(vk, &digest, &sig),
+                "batch accepted {what}"
             );
             // The raw wire decoding rejects the same values.
             let mut raw = [0u8; 64];
