@@ -18,8 +18,9 @@ use fabric_crypto::bigint::U256;
 use fabric_crypto::curve::{mul_fixed_base, AffinePoint, JacobianPoint};
 use fabric_crypto::ecdsa::{batch_s_inverses, verify_batch, BatchItem, SigningKey, BATCH_LANES};
 use fabric_crypto::fp256::Fp256;
-use fabric_crypto::sha256::sha256;
+use fabric_crypto::sha256::{sha256, sha256_many};
 use fabric_ledger::{BlockStore, CommittedBlock, TxValidationCode};
+use fabric_peer::SigCacheKey;
 use fabric_protos::messages::{Block, BlockData};
 use fabric_statedb::{Height, StateDb, WriteBatch};
 use fabric_store::crc::{crc32, kernel};
@@ -193,6 +194,53 @@ fn bench_per_byte(c: &mut Criterion) {
     let bulk = vec![0x5au8; 64 * 1024];
     group.throughput(Throughput::Bytes(bulk.len() as u64));
     group.bench_function("sha256_64KiB", |b| b.iter(|| sha256(black_box(&bulk))));
+
+    // What vscc hashes for one drm block of the reference benchmark:
+    // 100 signed payloads of ≈ 3.87 KB and 200 `prp ‖ endorser` of
+    // ≈ 0.96 KB, interleaved as the block carries them, then one cache
+    // key per signature. `_many` is the batch entry (sixteen at a time
+    // in AVX-512 lanes where the CPU has them), `_each` one `sha256` per
+    // message — what `_many` is on every other CPU.
+    let signed: Vec<Vec<u8>> = (0..300)
+        .map(|i| {
+            let len = if i % 3 == 0 {
+                3_870 + i % 7
+            } else {
+                960 + i % 5
+            };
+            (0..len).map(|j| (i * 31 + j) as u8).collect()
+        })
+        .collect();
+    let signed: Vec<&[u8]> = signed.iter().map(Vec::as_slice).collect();
+    group.throughput(Throughput::Bytes(
+        signed.iter().map(|m| m.len() as u64).sum(),
+    ));
+    group.bench_function("sha256_many_block_shape", |b| {
+        b.iter(|| sha256_many(black_box(&signed)))
+    });
+    group.bench_function("sha256_each_block_shape", |b| {
+        b.iter(|| {
+            signed
+                .iter()
+                .map(|m| sha256(black_box(m)))
+                .collect::<Vec<_>>()
+        })
+    });
+    let signers: Vec<SigningKey> = (0..8)
+        .map(|k| SigningKey::from_seed(format!("bench-cache-key-{k}").as_bytes()))
+        .collect();
+    let digests = sha256_many(&signed);
+    let sigs: Vec<_> = (0..300)
+        .map(|i| signers[i % 8].sign_prehashed(&digests[i]))
+        .collect();
+    group.throughput(Throughput::Bytes(300 * 161));
+    group.bench_function("cache_keys_300", |b| {
+        b.iter(|| {
+            SigCacheKey::compute_many(
+                (0..300).map(|i| (signers[i % 8].verifying_key(), &digests[i], &sigs[i])),
+            )
+        })
+    });
 
     // 100 envelopes of 3 950 bytes: the drm block of the reference
     // benchmark (`protos.block_bytes_per_tx`). Append never decodes, so

@@ -33,7 +33,9 @@
 //!   them; the seed's Shamir/Fermat path is preserved for
 //!   cross-checking;
 //! * [`sha256`](mod@sha256) — FIPS 180-4 SHA-256 (on the CPU's SHA
-//!   extensions where it has them) and HMAC-SHA-256;
+//!   extensions where it has them; [`sha256::sha256_many`] hashes a list
+//!   sixteen messages at a time in AVX-512 lanes where it has those)
+//!   and HMAC-SHA-256;
 //! * [`der`] — strict DER encoding of `ECDSA-Sig-Value`;
 //! * [`identity`] — X.509-lite certificates (~860-byte class, like the
 //!   certificates whose redundancy the BMac protocol removes), the 16-bit

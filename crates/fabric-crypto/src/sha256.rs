@@ -7,10 +7,15 @@
 //! signature, so this module sits under both the software peer and the
 //! hardware simulator.
 //!
-//! The compression function has two kernels ([`kernel`]): the CPU's SHA
-//! extensions on an `x86_64` processor that reports them, the portable
-//! rounds everywhere else. The processor decides, per call; nothing
-//! selects between them (see the crate README, "SHA-256 kernels").
+//! The compression function has three kernels ([`kernel`]). One stream
+//! ([`Sha256`], [`sha256`]) runs on the CPU's SHA extensions on an
+//! `x86_64` processor that reports them and on the portable rounds
+//! everywhere else. Many messages at once ([`sha256_many`]) run sixteen
+//! to a pass in the 32-bit lanes of AVX-512 registers where the processor
+//! has those — the paper's *bank* of hash calculators, for one core — and
+//! one [`sha256`] per message where it does not. The processor decides,
+//! per call; nothing selects between them (see the crate README,
+//! "SHA-256 kernels").
 
 /// Incremental SHA-256 hasher.
 ///
@@ -109,14 +114,22 @@ fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
     }
 }
 
-/// The two SHA-256 compression kernels, exposed one by one so the
-/// differential tests can hold the hardware kernel to the portable one
-/// on the same input. Not a hashing interface: no padding, no length —
-/// hash with [`Sha256`] or [`sha256`]. Both functions compress every
-/// whole 64-byte block of `blocks` into `state` and ignore a trailing
-/// partial block.
+/// The three SHA-256 compression kernels, exposed one by one so the
+/// differential tests can hold the hardware and the lane kernel to the
+/// portable one on the same input. Not a hashing interface: no padding,
+/// no length — hash with [`Sha256`], [`sha256`] or [`sha256_many`].
+/// Every function compresses every whole 64-byte block of a stream into
+/// that stream's state and ignores a trailing partial block.
 pub mod kernel {
     use super::K;
+
+    /// Streams the lane kernel compresses at once: one per 32-bit lane
+    /// of a 512-bit register.
+    pub const LANES: usize = 16;
+
+    /// Sixteen chaining states, word-major — `states[i][l]` is word `i`
+    /// of stream `l` — so that a row is one register.
+    pub type LaneStates = [[u32; LANES]; 8];
 
     /// The FIPS 180-4 rounds in plain integer arithmetic: what every CPU
     /// without SHA extensions runs, and the reference the hardware
@@ -263,6 +276,216 @@ pub mod kernel {
         _mm_storeu_si128(state[..4].as_mut_ptr().cast(), dcba);
         _mm_storeu_si128(state[4..].as_mut_ptr().cast(), hgfe);
     }
+
+    /// Whether this processor runs the lane kernel.
+    pub(super) fn lanes_available() -> bool {
+        #[cfg(target_arch = "x86_64")]
+        return is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512bw");
+        #[cfg(not(target_arch = "x86_64"))]
+        false
+    }
+
+    /// Compresses sixteen independent streams at once, stream `l`'s
+    /// whole blocks into column `l` of `states`, in AVX-512 lanes, and
+    /// returns `true`; or touches nothing and returns `false` when this
+    /// processor (or target) has no `avx512f` + `avx512bw`. The streams
+    /// need not be equally long: the call takes as many steps as the
+    /// longest has blocks, and a stream that has run out (an empty one
+    /// from the start) is left out of every later state update.
+    pub fn lanes(states: &mut LaneStates, blocks: &[&[u8]; LANES]) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        if lanes_available() {
+            // SAFETY: `sha_lanes`'s only requirement is that the CPU has
+            // the `avx512f` and `avx512bw` features; `lanes_available`
+            // checked exactly those two.
+            unsafe { sha_lanes(states, blocks) };
+            return true;
+        }
+        let _ = (states, blocks);
+        false
+    }
+
+    /// The compression function over sixteen streams: state words and
+    /// message schedule are registers of sixteen `u32`, one stream a
+    /// lane. A step loads one block per running stream, turns the
+    /// sixteen rows of sixteen big-endian words into sixteen schedule
+    /// registers (byte shuffle, then a 16 × 16 word transposition), runs
+    /// the 64 rounds on `vprord` / `vpternlogd`, and adds the result
+    /// into the lanes that had a block.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512bw")]
+    fn sha_lanes(states: &mut LaneStates, blocks: &[&[u8]; LANES]) {
+        use std::arch::x86_64::*;
+
+        /// What a lane with no block left loads; its result is masked out.
+        static IDLE: [u8; 64] = [0; 64];
+
+        #[target_feature(enable = "avx512f")]
+        fn load_block(src: &[u8; 64]) -> __m512i {
+            // SAFETY: `src` is 64 readable bytes, and the unaligned load
+            // has no alignment requirement.
+            unsafe { _mm512_loadu_si512(src.as_ptr().cast()) }
+        }
+        #[target_feature(enable = "avx512f")]
+        fn load_row(src: &[u32; LANES]) -> __m512i {
+            // SAFETY: `src` is 64 readable bytes, and the unaligned load
+            // has no alignment requirement.
+            unsafe { _mm512_loadu_si512(src.as_ptr().cast()) }
+        }
+        #[target_feature(enable = "avx512f")]
+        fn store_row(dst: &mut [u32; LANES], v: __m512i) {
+            // SAFETY: `dst` is 64 writable bytes, and the unaligned store
+            // has no alignment requirement.
+            unsafe { _mm512_storeu_si512(dst.as_mut_ptr().cast(), v) }
+        }
+
+        /// Rows of sixteen words to columns: `rows[l]` word `j` becomes
+        /// `rows[j]` lane `l`.
+        #[target_feature(enable = "avx512f")]
+        fn transpose(rows: &mut [__m512i; LANES]) {
+            // Words within each 128-bit quarter, four rows at a time:
+            // `q[4g + k]` holds, quarter by quarter, words `k`, `k + 4`,
+            // `k + 8`, `k + 12` of rows `4g..4g + 4`.
+            let (r, mut q) = (*rows, *rows);
+            for g in 0..4 {
+                let lo01 = _mm512_unpacklo_epi32(r[4 * g], r[4 * g + 1]);
+                let hi01 = _mm512_unpackhi_epi32(r[4 * g], r[4 * g + 1]);
+                let lo23 = _mm512_unpacklo_epi32(r[4 * g + 2], r[4 * g + 3]);
+                let hi23 = _mm512_unpackhi_epi32(r[4 * g + 2], r[4 * g + 3]);
+                q[4 * g] = _mm512_unpacklo_epi64(lo01, lo23);
+                q[4 * g + 1] = _mm512_unpackhi_epi64(lo01, lo23);
+                q[4 * g + 2] = _mm512_unpacklo_epi64(hi01, hi23);
+                q[4 * g + 3] = _mm512_unpackhi_epi64(hi01, hi23);
+            }
+            // Then whole quarters across the four row groups.
+            for k in 0..4 {
+                let top_even = _mm512_shuffle_i32x4::<0x88>(q[k], q[4 + k]);
+                let top_odd = _mm512_shuffle_i32x4::<0xDD>(q[k], q[4 + k]);
+                let bottom_even = _mm512_shuffle_i32x4::<0x88>(q[8 + k], q[12 + k]);
+                let bottom_odd = _mm512_shuffle_i32x4::<0xDD>(q[8 + k], q[12 + k]);
+                rows[k] = _mm512_shuffle_i32x4::<0x88>(top_even, bottom_even);
+                rows[k + 4] = _mm512_shuffle_i32x4::<0x88>(top_odd, bottom_odd);
+                rows[k + 8] = _mm512_shuffle_i32x4::<0xDD>(top_even, bottom_even);
+                rows[k + 12] = _mm512_shuffle_i32x4::<0xDD>(top_odd, bottom_odd);
+            }
+        }
+
+        // Each of Σ0, Σ1, σ0, σ1 is one three-input XOR (truth table
+        // 0x96) of rotations and shifts.
+        macro_rules! xor3 {
+            ($a:expr, $b:expr, $c:expr) => {
+                _mm512_ternarylogic_epi32::<0x96>($a, $b, $c)
+            };
+        }
+        macro_rules! add {
+            ($a:expr, $b:expr) => {
+                _mm512_add_epi32($a, $b)
+            };
+        }
+        // One round on the working variables in the roles given; the
+        // next round is the same with the names rotated by one. `Ch` is
+        // truth table 0xCA (`e ? f : g`), `Maj` 0xE8.
+        macro_rules! round {
+            ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident, $h:ident, $wk:expr) => {{
+                let s1 = xor3!(
+                    _mm512_ror_epi32::<6>($e),
+                    _mm512_ror_epi32::<11>($e),
+                    _mm512_ror_epi32::<25>($e)
+                );
+                let ch = _mm512_ternarylogic_epi32::<0xCA>($e, $f, $g);
+                let t1 = add!(add!($h, s1), add!(ch, $wk));
+                let s0 = xor3!(
+                    _mm512_ror_epi32::<2>($a),
+                    _mm512_ror_epi32::<13>($a),
+                    _mm512_ror_epi32::<22>($a)
+                );
+                let maj = _mm512_ternarylogic_epi32::<0xE8>($a, $b, $c);
+                $d = add!($d, t1);
+                $h = add!(t1, add!(s0, maj));
+            }};
+        }
+        // Sixteen rounds, `$wk!(j)` giving round `j`'s `W + K`.
+        macro_rules! rounds16 {
+            ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident, $h:ident, $wk:ident) => {{
+                round!($a, $b, $c, $d, $e, $f, $g, $h, $wk!(0));
+                round!($h, $a, $b, $c, $d, $e, $f, $g, $wk!(1));
+                round!($g, $h, $a, $b, $c, $d, $e, $f, $wk!(2));
+                round!($f, $g, $h, $a, $b, $c, $d, $e, $wk!(3));
+                round!($e, $f, $g, $h, $a, $b, $c, $d, $wk!(4));
+                round!($d, $e, $f, $g, $h, $a, $b, $c, $wk!(5));
+                round!($c, $d, $e, $f, $g, $h, $a, $b, $wk!(6));
+                round!($b, $c, $d, $e, $f, $g, $h, $a, $wk!(7));
+                round!($a, $b, $c, $d, $e, $f, $g, $h, $wk!(8));
+                round!($h, $a, $b, $c, $d, $e, $f, $g, $wk!(9));
+                round!($g, $h, $a, $b, $c, $d, $e, $f, $wk!(10));
+                round!($f, $g, $h, $a, $b, $c, $d, $e, $wk!(11));
+                round!($e, $f, $g, $h, $a, $b, $c, $d, $wk!(12));
+                round!($d, $e, $f, $g, $h, $a, $b, $c, $wk!(13));
+                round!($c, $d, $e, $f, $g, $h, $a, $b, $wk!(14));
+                round!($b, $c, $d, $e, $f, $g, $h, $a, $wk!(15));
+            }};
+        }
+
+        // Big-endian words -> lanes, in every 128-bit quarter.
+        let be = _mm512_set4_epi32(0x0c0d_0e0f, 0x0809_0a0b, 0x0405_0607, 0x0001_0203);
+        // The round constants, sixteen rounds at a time.
+        let k16 = K.as_chunks::<16>().0;
+        let streams = blocks.map(|stream| stream.as_chunks::<64>().0);
+        let steps = streams.iter().map(|s| s.len()).max().unwrap_or(0);
+        let mut state = states.map(|row| load_row(&row));
+        for step in 0..steps {
+            let mut running: __mmask16 = 0;
+            let mut w = [_mm512_setzero_si512(); LANES];
+            for (l, stream) in streams.iter().enumerate() {
+                let block = match stream.get(step) {
+                    Some(block) => {
+                        running |= 1 << l;
+                        block
+                    }
+                    None => &IDLE,
+                };
+                w[l] = _mm512_shuffle_epi8(load_block(block), be);
+            }
+            transpose(&mut w);
+
+            let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = state;
+            macro_rules! first {
+                ($j:expr) => {
+                    add!(w[$j], _mm512_set1_epi32(k16[0][$j] as i32))
+                };
+            }
+            rounds16!(a, b, c, d, e, f, g, h, first);
+            for k in &k16[1..] {
+                // The schedule is a ring of sixteen: W[t] overwrites
+                // W[t − 16].
+                macro_rules! next {
+                    ($j:expr) => {{
+                        let (w15, w2) = (w[($j + 1) & 15], w[($j + 14) & 15]);
+                        let s0 = xor3!(
+                            _mm512_ror_epi32::<7>(w15),
+                            _mm512_ror_epi32::<18>(w15),
+                            _mm512_srli_epi32::<3>(w15)
+                        );
+                        let s1 = xor3!(
+                            _mm512_ror_epi32::<17>(w2),
+                            _mm512_ror_epi32::<19>(w2),
+                            _mm512_srli_epi32::<10>(w2)
+                        );
+                        w[$j] = add!(add!(w[$j], s0), add!(w[($j + 9) & 15], s1));
+                        add!(w[$j], _mm512_set1_epi32(k[$j] as i32))
+                    }};
+                }
+                rounds16!(a, b, c, d, e, f, g, h, next);
+            }
+
+            for (row, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+                *row = _mm512_mask_add_epi32(*row, running, *row, v);
+            }
+        }
+        for (row, v) in states.iter_mut().zip(state) {
+            store_row(row, v);
+        }
+    }
 }
 
 impl Default for Sha256 {
@@ -276,6 +499,93 @@ pub fn sha256(data: &[u8]) -> [u8; 32] {
     let mut h = Sha256::new();
     h.update(data);
     h.finalize()
+}
+
+/// Fewest messages worth a pass of the lane kernel. A pass costs the
+/// same whether sixteen lanes are filled or one, and SHA extensions hash
+/// one stream at a little under half the lanes' combined rate: seven
+/// messages are faster one by one, eight or nine (161-byte cache keys)
+/// break even, more win (sweep of 1..=32 messages of 161, 960 and 3 870
+/// bytes in CHANGES.md, PR 24).
+const MIN_LANES: usize = 8;
+
+#[cfg(test)]
+thread_local! {
+    /// Messages [`sha256_many`] hashed one by one on this thread.
+    static ONE_BY_ONE: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// [`sha256`] of every message, in input order.
+///
+/// On a processor with AVX-512 (`avx512f` + `avx512bw`) the messages are
+/// hashed sixteen at a time in the lanes of [`kernel::lanes`]: sorted by
+/// length so that the sixteen of a pass share nearly all their steps,
+/// whole blocks read where they lie, and each message's last one or two
+/// blocks (tail bytes, `0x80`, zeros, bit length) built in a buffer per
+/// lane and run in the lanes as well. Fewer than a handful of messages —
+/// in the call, or left over for the last pass — and every other
+/// processor or target take one [`sha256`] per message, which is also
+/// what the lanes are tested against.
+///
+/// ```
+/// use fabric_crypto::sha256::{sha256, sha256_many};
+/// let messages: Vec<Vec<u8>> = (0..40).map(|i| vec![i as u8; 3 * i]).collect();
+/// let refs: Vec<&[u8]> = messages.iter().map(Vec::as_slice).collect();
+/// let each: Vec<[u8; 32]> = refs.iter().map(|m| sha256(m)).collect();
+/// assert_eq!(sha256_many(&refs), each);
+/// ```
+pub fn sha256_many(messages: &[&[u8]]) -> Vec<[u8; 32]> {
+    let mut out = vec![[0u8; 32]; messages.len()];
+    let mut order: Vec<usize> = (0..messages.len()).collect();
+    // How many of `order`, from its front, went through the lanes.
+    let mut in_lanes = 0;
+    if messages.len() >= MIN_LANES && kernel::lanes_available() {
+        order.sort_unstable_by_key(|&i| messages[i].len());
+        let full_enough = |pass: &&[usize]| pass.len() >= MIN_LANES;
+        for pass in order.chunks(kernel::LANES).take_while(full_enough) {
+            digest_pass(messages, pass, &mut out);
+            in_lanes += pass.len();
+        }
+    }
+    let one_by_one = &order[in_lanes..];
+    #[cfg(test)]
+    ONE_BY_ONE.with(|n| n.set(n.get() + one_by_one.len()));
+    for &i in one_by_one {
+        out[i] = sha256(messages[i]);
+    }
+    out
+}
+
+/// One pass of the lane kernel: `out[i] = sha256(messages[i])` for the up
+/// to sixteen `i` of `pass`. The caller has checked that this processor
+/// runs the lanes.
+fn digest_pass(messages: &[&[u8]], pass: &[usize], out: &mut [[u8; 32]]) {
+    use kernel::LANES;
+    let mut states: kernel::LaneStates = H0.map(|word| [word; LANES]);
+    // A lane's whole blocks, then its padded tail: one block when the
+    // tail leaves room for 0x80 and the length, two when it does not. A
+    // lane beyond `pass` keeps two empty streams and is never updated.
+    let mut bodies: [&[u8]; LANES] = [&[]; LANES];
+    let mut padded = [[0u8; 128]; LANES];
+    let mut padded_len = [0; LANES];
+    for (l, &i) in pass.iter().enumerate() {
+        let (body, tail) = messages[i].split_at(messages[i].len() & !63);
+        bodies[l] = body;
+        padded[l][..tail.len()].copy_from_slice(tail);
+        padded[l][tail.len()] = 0x80;
+        let end = if tail.len() < 56 { 64 } else { 128 };
+        let bit_len = (messages[i].len() as u64).wrapping_mul(8);
+        padded[l][end - 8..end].copy_from_slice(&bit_len.to_be_bytes());
+        padded_len[l] = end;
+    }
+    let tails: [&[u8]; LANES] = std::array::from_fn(|l| &padded[l][..padded_len[l]]);
+    let ran = kernel::lanes(&mut states, &bodies) && kernel::lanes(&mut states, &tails);
+    assert!(ran, "digest_pass on a processor without the lane kernel");
+    for (l, &i) in pass.iter().enumerate() {
+        for (bytes, row) in out[i].chunks_exact_mut(4).zip(&states) {
+            bytes.copy_from_slice(&row[l].to_be_bytes());
+        }
+    }
 }
 
 /// HMAC-SHA-256 (RFC 2104). Used by the RFC 6979 deterministic nonce
@@ -354,6 +664,58 @@ mod tests {
             h.update(&data[..split]);
             h.update(&data[split..]);
             assert_eq!(h.finalize(), sha256(&data), "split={split}");
+        }
+    }
+
+    /// Messages hashed one by one by `sha256_many(messages)` on this
+    /// thread, after checking the digests.
+    fn one_by_one(messages: &[Vec<u8>]) -> usize {
+        let refs: Vec<&[u8]> = messages.iter().map(Vec::as_slice).collect();
+        let before = ONE_BY_ONE.with(|n| n.get());
+        let digests = sha256_many(&refs);
+        let each: Vec<[u8; 32]> = refs.iter().map(|m| sha256(m)).collect();
+        assert_eq!(digests, each);
+        ONE_BY_ONE.with(|n| n.get()) - before
+    }
+
+    #[test]
+    fn many_equals_each_and_only_a_thin_call_or_a_thin_last_pass_goes_one_by_one() {
+        let message = |i: usize, len: usize| -> Vec<u8> {
+            (0..len).map(|j| (i * 31 + j * 7 + 3) as u8).collect()
+        };
+        let lanes = kernel::lanes_available();
+        for (n, in_lanes) in [
+            (0, 0),
+            (1, 0),
+            (MIN_LANES - 1, 0),
+            (MIN_LANES, MIN_LANES),
+            (16, 16),
+            (16 + MIN_LANES - 1, 16),
+            (16 + MIN_LANES, 16 + MIN_LANES),
+            (40, 40),
+        ] {
+            // Lengths on both sides of every padding boundary, unsorted.
+            let messages: Vec<Vec<u8>> = (0..n).map(|i| message(i, (i * 37) % 200)).collect();
+            let expected = if lanes { n - in_lanes } else { n };
+            assert_eq!(one_by_one(&messages), expected, "{n} messages");
+        }
+    }
+
+    #[test]
+    fn a_100_tx_block_sends_none_of_its_600_hashes_down_the_per_message_path() {
+        // What vscc hashes for one reference block: 100 signed payloads
+        // of about 3.87 KB, 200 `prp ‖ endorser` of about 0.96 KB, then
+        // the 300 cache keys, 161 bytes each.
+        let signed: Vec<Vec<u8>> = (0..300)
+            .map(|i| vec![i as u8; if i < 100 { 3870 + i % 7 } else { 960 + i % 5 }])
+            .collect();
+        let keys: Vec<Vec<u8>> = (0..300).map(|i| vec![i as u8; 161]).collect();
+        let hashed_one_by_one = one_by_one(&signed) + one_by_one(&keys);
+        if kernel::lanes_available() {
+            assert_eq!(hashed_one_by_one, 0);
+        } else {
+            eprintln!("no avx512f + avx512bw on this processor: sha256_many is one sha256 each");
+            assert_eq!(hashed_one_by_one, 600);
         }
     }
 

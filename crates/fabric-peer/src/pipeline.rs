@@ -29,10 +29,17 @@
 //! Blockchain Machine feeds its `ecdsa_engine` bank (§3.2), rather than
 //! naïvely verifying transaction-by-transaction:
 //!
-//! * **collect** — walk the decoded block once and gather every
-//!   signature check (client + all endorsements) as a task, deduplicated
-//!   by `(pubkey, digest, signature)` so a triple repeated within the
-//!   block is verified at most once;
+//! * **collect** — gather → digest → key → intern: walk the decoded
+//!   block once and gather every signature check (client + all
+//!   endorsements) whose certificate is trusted, asking membership once
+//!   per distinct certificate; digest all the signed messages in one
+//!   call ([`fabric_crypto::sha256::sha256_many`] — the paper's
+//!   `HashCalculator` bank: sixteen messages to a pass of AVX-512 lanes
+//!   where the CPU has them, one `sha256` each where it does not) and
+//!   derive all the cache keys in one more
+//!   ([`SigCacheKey::compute_many`]); then intern the tasks,
+//!   deduplicated by `(pubkey, digest, signature)` so a triple repeated
+//!   within the block is verified at most once;
 //! * **lookup** — ask the sharded LRU [`SignatureCache`] for every
 //!   unique task before anything is spent on it. A block whose verdicts
 //!   are all cached (re-delivered, or checked at admission) ends here:
@@ -69,7 +76,8 @@ use std::time::Instant;
 
 use fabric_crypto::ecdsa::{batch_s_inverses, verify_batch, BatchItem, BATCH_LANES};
 use fabric_crypto::identity::NodeId;
-use fabric_crypto::{sha256, Msp, Signature, VerifyingKey, U256};
+use fabric_crypto::sha256::sha256_many;
+use fabric_crypto::{KnownCert, Msp, Signature, VerifyingKey, U256};
 use fabric_ledger::{Ledger, LedgerError, TxValidationCode};
 use fabric_policy::Policy;
 use fabric_protos::messages::Block;
@@ -526,19 +534,20 @@ impl ValidatorPipeline {
         self.verify_stage(block).map(|v| v.codes)
     }
 
-    /// Step 1b: the orderer check is one more verification task — same
-    /// digest, cache key, lookup-first order and [`Verifier::check`] as
-    /// every client and endorsement signature.
+    /// Step 1b: the orderer check is one more verification task — a
+    /// slice of one through the same [`intern_tasks`], lookup-first order
+    /// and [`Verifier::check_batch`] as every client and endorsement
+    /// signature.
     fn verify_orderer(&self, decoded: &DecodedBlock) -> bool {
         if !self.verifier.trusted(&decoded.orderer_cert) {
             return false;
         }
-        let task = VerifyTask::new(
+        let (tasks, _) = intern_tasks(&[(
             &decoded.orderer_cert.public_key,
             &decoded.orderer_signed_message,
             &decoded.orderer_signature,
-        );
-        self.verdicts(&[task])[0]
+        )]);
+        self.verdicts(&tasks)[0]
     }
 
     /// Step 2: the five-phase signature pipeline described in the module
@@ -635,54 +644,73 @@ impl ValidatorPipeline {
             .collect()
     }
 
-    /// Phase 1: walks the block, MSP-validates certificates, and emits
-    /// one [`VerifyTask`] per *unique* `(pubkey, digest, signature)`
-    /// triple; transactions reference tasks by index, so a signature
-    /// repeated across (or within) transactions is verified once — and
-    /// no chunk of [`Self::verdicts`] holds the same cache key twice.
+    /// Phase 1, gather → digest → key → intern: walks the block once,
+    /// MSP-validating each *distinct* certificate (the block's few
+    /// certificates are `Arc`s out of one registry, so the pointer names
+    /// them and the verifier's memo is asked once each, not once per
+    /// signature) and gathering every trusted `(key, message, signature)`;
+    /// then [`intern_tasks`] digests all messages in one call, derives all
+    /// cache keys in one call, and emits one [`VerifyTask`] per *unique*
+    /// `(pubkey, digest, signature)` triple. Transactions reference tasks
+    /// by index, so a signature repeated across (or within) transactions
+    /// is verified once — and no chunk of [`Self::verdicts`] holds the
+    /// same cache key twice.
     fn collect_tasks<'a>(
         &self,
         decoded: &'a DecodedBlock,
     ) -> (Vec<VerifyTask<'a>>, Vec<TxPlan<'a>>) {
-        let mut tasks: Vec<VerifyTask<'a>> = Vec::new();
-        let mut index: HashMap<SigCacheKey, usize> = HashMap::new();
+        let mut seen: HashMap<*const KnownCert, bool> = HashMap::new();
+        let mut trusted = |cert: &Arc<KnownCert>| {
+            *seen
+                .entry(Arc::as_ptr(cert))
+                .or_insert_with(|| self.verifier.trusted(cert))
+        };
+        // Until they are interned, the plans index `triples`.
+        let mut triples: Vec<Triple<'a>> = Vec::new();
         let mut txs = Vec::with_capacity(decoded.txs.len());
         for tx in &decoded.txs {
             // The creator identity must chain to its org CA before its
             // signature is worth checking.
-            if !self.verifier.trusted(&tx.creator_cert) {
+            if !trusted(&tx.creator_cert) {
                 txs.push(TxPlan::BadCreator);
                 continue;
             }
-            let client = intern_task(
-                &mut index,
-                &mut tasks,
+            let client = triples.len();
+            triples.push((
                 &tx.creator_cert.public_key,
                 &tx.signed_payload,
                 &tx.client_signature,
-            );
+            ));
             // vscc verifies ALL endorsements (Fabric semantics);
             // endorsers with invalid certificates are skipped, exactly
             // like the seed's per-tx loop.
             let mut endorsements = Vec::with_capacity(tx.endorsements.len());
             for e in &tx.endorsements {
-                if !self.verifier.trusted(&e.endorser_cert) {
+                if !trusted(&e.endorser_cert) {
                     continue;
                 }
-                let task = intern_task(
-                    &mut index,
-                    &mut tasks,
-                    &e.endorser_cert.public_key,
-                    &e.signed_message,
-                    &e.signature,
-                );
-                endorsements.push((e.endorser_cert.node_id, task));
+                endorsements.push((e.endorser_cert.node_id, triples.len()));
+                triples.push((&e.endorser_cert.public_key, &e.signed_message, &e.signature));
             }
             txs.push(TxPlan::Tasks {
                 chaincode: &tx.chaincode,
                 client,
                 endorsements,
             });
+        }
+        let (tasks, task_of) = intern_tasks(&triples);
+        for tx in &mut txs {
+            if let TxPlan::Tasks {
+                client,
+                endorsements,
+                ..
+            } = tx
+            {
+                *client = task_of[*client];
+                for (_, task) in endorsements {
+                    *task = task_of[*task];
+                }
+            }
         }
         (tasks, txs)
     }
@@ -728,6 +756,7 @@ struct VerifyTask<'a> {
 }
 
 /// Per-transaction plan produced by task collection.
+#[cfg_attr(test, derive(Debug, PartialEq))]
 enum TxPlan<'a> {
     /// Creator certificate failed MSP validation; no tasks emitted.
     BadCreator,
@@ -740,38 +769,49 @@ enum TxPlan<'a> {
     },
 }
 
-impl<'a> VerifyTask<'a> {
-    fn new(key: &'a VerifyingKey, message: &[u8], sig: &Signature) -> Self {
-        let digest = sha256(message);
-        VerifyTask {
-            cache_key: SigCacheKey::compute(key, &digest, sig),
-            digest,
-            sig: *sig,
-            key,
-        }
-    }
+/// One signature check as a block carries it: key, signed message,
+/// signature.
+type Triple<'a> = (&'a VerifyingKey, &'a [u8], &'a Signature);
+
+/// The one way a `(key, message, signature)` becomes a task: every
+/// message digested in one call ([`sha256_many`]), every cache key
+/// derived in one call ([`SigCacheKey::compute_many`]), then one
+/// [`VerifyTask`] per distinct cache key, in order of first appearance.
+/// Returns the tasks and, for each triple, the index of its task.
+fn intern_tasks<'a>(triples: &[Triple<'a>]) -> (Vec<VerifyTask<'a>>, Vec<usize>) {
+    let messages: Vec<&[u8]> = triples.iter().map(|&(_, message, _)| message).collect();
+    let digests = sha256_many(&messages);
+    let cache_keys = SigCacheKey::compute_many(
+        triples
+            .iter()
+            .zip(&digests)
+            .map(|(&(key, _, sig), digest)| (key, digest, sig)),
+    );
+    let mut tasks = Vec::new();
+    let mut index: HashMap<SigCacheKey, usize> = HashMap::with_capacity(triples.len());
+    let task_of = triples
+        .iter()
+        .zip(digests)
+        .zip(cache_keys)
+        .map(|((&(key, _, sig), digest), cache_key)| {
+            *index.entry(cache_key).or_insert_with(|| {
+                tasks.push(VerifyTask {
+                    cache_key,
+                    digest,
+                    sig: *sig,
+                    key,
+                });
+                tasks.len() - 1
+            })
+        })
+        .collect();
+    (tasks, task_of)
 }
 
 #[cfg(test)]
 thread_local! {
     /// Signatures whose `s` this thread batch-inverted.
     static INVERTED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-}
-
-/// Appends a `(pubkey, digest, signature)` verification task unless an
-/// identical triple is already queued, and returns its task index.
-fn intern_task<'a>(
-    index: &mut HashMap<SigCacheKey, usize>,
-    tasks: &mut Vec<VerifyTask<'a>>,
-    key: &'a VerifyingKey,
-    message: &[u8],
-    sig: &Signature,
-) -> usize {
-    let task = VerifyTask::new(key, message, sig);
-    *index.entry(task.cache_key).or_insert_with(|| {
-        tasks.push(task);
-        tasks.len() - 1
-    })
 }
 
 #[cfg(test)]
@@ -787,8 +827,19 @@ mod tests {
         block_size: usize,
         workers: usize,
     ) -> (fabric_node::FabricNetwork, ValidatorPipeline) {
+        network_of_clients_and_validator(1, block_size, workers)
+    }
+
+    /// [`network_and_validator`] with `clients` client identities, dealt
+    /// over the two organizations in turn.
+    fn network_of_clients_and_validator(
+        clients: u8,
+        block_size: usize,
+        workers: usize,
+    ) -> (fabric_node::FabricNetwork, ValidatorPipeline) {
         let mut net = FabricNetworkBuilder::new()
             .orgs(2)
+            .clients(clients.into())
             .block_size(block_size)
             .chaincode("kv", parse("2-outof-2 orgs").unwrap())
             .build();
@@ -799,7 +850,9 @@ mod tests {
         msp.issue(0, Role::Peer, 0).unwrap();
         msp.issue(1, Role::Peer, 0).unwrap();
         msp.issue(0, Role::Orderer, 0).unwrap();
-        msp.issue(0, Role::Client, 0).unwrap();
+        for i in 0..clients {
+            msp.issue(i % 2, Role::Client, i / 2).unwrap();
+        }
         let mut policies = HashMap::new();
         policies.insert("kv".to_string(), parse("2-outof-2 orgs").unwrap());
         (net, ValidatorPipeline::new(msp, policies, workers))
@@ -1131,6 +1184,116 @@ mod tests {
         );
     }
 
+    /// A certificate that still parses but is no longer what its CA
+    /// signed.
+    fn forged(cert: &KnownCert) -> Arc<KnownCert> {
+        let mut forged = fabric_crypto::Certificate::from_bytes(&cert.to_bytes()).unwrap();
+        forged.serial += 1;
+        KnownCert::resolve(&forged.to_bytes()).unwrap()
+    }
+
+    #[test]
+    fn batched_collect_yields_the_tasks_and_codes_of_deriving_each_task_alone() {
+        let (validator, block) = validator_and_block_of_four();
+        let mut decoded = decode_block_struct(&block, 0).unwrap();
+        // Every triple of the first transaction again in the third, a
+        // creator the CA never signed, and an endorser it never signed.
+        decoded.txs[2] = decoded.txs[0].clone();
+        decoded.txs[1].creator_cert = forged(&decoded.txs[1].creator_cert);
+        let endorser = &mut decoded.txs[3].endorsements[0].endorser_cert;
+        *endorser = forged(endorser);
+
+        // The reference: membership asked per signature, one `sha256`
+        // and one `SigCacheKey::compute` per message, interned in order.
+        let mut expected_tasks = Vec::new();
+        let mut index = HashMap::new();
+        let mut intern = |key: &VerifyingKey, message: &[u8], sig: &Signature| {
+            let digest = fabric_crypto::sha256(message);
+            let cache_key = SigCacheKey::compute(key, &digest, sig);
+            *index.entry(cache_key).or_insert_with(|| {
+                expected_tasks.push((cache_key, digest, *sig, key.to_sec1_bytes()));
+                expected_tasks.len() - 1
+            })
+        };
+        let expected_plans: Vec<TxPlan<'_>> = decoded
+            .txs
+            .iter()
+            .map(|tx| {
+                if !validator.verifier.trusted(&tx.creator_cert) {
+                    return TxPlan::BadCreator;
+                }
+                let creator = &tx.creator_cert.public_key;
+                TxPlan::Tasks {
+                    chaincode: &tx.chaincode,
+                    client: intern(creator, &tx.signed_payload, &tx.client_signature),
+                    endorsements: tx
+                        .endorsements
+                        .iter()
+                        .filter(|e| validator.verifier.trusted(&e.endorser_cert))
+                        .map(|e| {
+                            let key = &e.endorser_cert.public_key;
+                            let task = intern(key, &e.signed_message, &e.signature);
+                            (e.endorser_cert.node_id, task)
+                        })
+                        .collect(),
+                }
+            })
+            .collect();
+
+        let (tasks, plans) = validator.collect_tasks(&decoded);
+        let tasks: Vec<_> = tasks
+            .iter()
+            .map(|t| (t.cache_key, t.digest, t.sig, t.key.to_sec1_bytes()))
+            .collect();
+        assert_eq!(tasks, expected_tasks);
+        assert_eq!(
+            tasks.len(),
+            5,
+            "3 shared by two transactions, 2 of the last"
+        );
+        assert_eq!(plans, expected_plans);
+        assert_eq!(plans[0], plans[2], "the repeat names the same tasks");
+        assert_eq!(plans[1], TxPlan::BadCreator);
+        assert_eq!(
+            validator.verify_vscc_parallel(&decoded, true),
+            [
+                TxValidationCode::Valid,
+                TxValidationCode::BadSignature,
+                TxValidationCode::Valid,
+                TxValidationCode::EndorsementPolicyFailure,
+            ]
+        );
+    }
+
+    #[test]
+    fn a_block_takes_the_certificate_memo_once_per_distinct_certificate() {
+        // Two 100-transaction blocks over six identities: the orderer,
+        // three clients, one endorser in each of two organizations.
+        let _one_at_a_time = crate::verify::REGISTRY_FLOOD
+            .lock()
+            .unwrap_or_else(|p| p.into_inner());
+        let (mut net, validator) = network_of_clients_and_validator(3, 100, 2);
+        let mut blocks = Vec::new();
+        for i in 0..200 {
+            let args = [format!("k{i}"), "1".into()];
+            blocks.extend(net.submit_invocation(i % 3, "kv", "put", &args).unwrap());
+        }
+        let memo_locks = || crate::verify::MEMO_LOCKS.with(|n| n.get());
+        for (block, locks_per_certificate) in blocks.iter().zip([
+            2, // cold: one to look, one to record the chain check
+            1,
+        ]) {
+            let before = memo_locks();
+            let result = validator.validate_and_commit(block).unwrap();
+            assert_eq!(result.valid_count(), 100);
+            assert_eq!(
+                memo_locks() - before,
+                6 * locks_per_certificate,
+                "300 signatures and the orderer's, six certificates"
+            );
+        }
+    }
+
     #[test]
     fn half_warm_block_inverts_and_verifies_exactly_what_is_missing() {
         let (validator, block) = validator_and_block_of_four();
@@ -1155,13 +1318,13 @@ mod tests {
         let (validator, block, _) = validator_and_two_blocks();
         let decoded = decode_block_struct(&block, 0).unwrap();
         let tx = &decoded.txs[0];
-        let client = VerifyTask::new(
+        let (client, _) = intern_tasks(&[(
             &tx.creator_cert.public_key,
             &tx.signed_payload,
             &tx.client_signature,
-        );
+        )]);
         let cache = Arc::clone(validator.verifier.sig_cache());
-        let Claim::Verify(in_flight) = cache.claim(&client.cache_key) else {
+        let Claim::Verify(in_flight) = cache.claim(&client[0].cache_key) else {
             panic!("nothing is cached yet");
         };
         std::thread::scope(|s| {

@@ -82,16 +82,23 @@ impl Verifier {
     pub fn trusted(&self, cert: &KnownCert) -> bool {
         let Some(msp) = &self.msp else { return true };
         let fp = cert.fingerprint();
-        if let Some(&ok) = self.cert_memo.lock().get(&fp) {
+        if let Some(&ok) = self.memo().get(&fp) {
             return ok;
         }
         let ok = msp.validate(cert).is_ok();
-        let mut memo = self.cert_memo.lock();
+        let mut memo = self.memo();
         if memo.len() >= CERT_MEMO_CAPACITY {
             memo.clear();
         }
         memo.insert(fp, ok);
         ok
+    }
+
+    /// The certificate memo, locked.
+    fn memo(&self) -> parking_lot::MutexGuard<'_, HashMap<[u8; 32], bool>> {
+        #[cfg(test)]
+        MEMO_LOCKS.with(|n| n.set(n.get() + 1));
+        self.cert_memo.lock()
     }
 
     /// The verdict for `key`: from the cache, from a concurrent caller
@@ -219,7 +226,16 @@ impl Verifier {
 thread_local! {
     /// Threads [`Verifier::par_map`] spawned on behalf of this thread.
     pub(crate) static SPAWNS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// Times [`Verifier::trusted`] took the certificate memo's lock on
+    /// this thread.
+    pub(crate) static MEMO_LOCKS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
+
+/// `KnownCert::resolve`'s registry is process-wide and cleared when
+/// full: a test that floods it and a test that counts a block's distinct
+/// certificates by pointer run one at a time.
+#[cfg(test)]
+pub(crate) static REGISTRY_FLOOD: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 #[cfg(test)]
 mod tests {
@@ -464,6 +480,7 @@ mod tests {
         // An untrusted submitter sends a fresh certificate per envelope:
         // each names an organization the anchors do not know, so every
         // one is rejected — and none may cost memory beyond the bound.
+        let _one_at_a_time = REGISTRY_FLOOD.lock().unwrap_or_else(|p| p.into_inner());
         let mut msp = Msp::new(2);
         let template = msp.issue(0, Role::Client, 0).unwrap().certificate().clone();
         let v = verifier(Some(msp), 1);

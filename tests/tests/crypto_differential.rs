@@ -21,18 +21,21 @@
 //! the fast-vs-Shamir verification agreement.
 //!
 //! And under all of it, the **SHA-256 compression kernels**
-//! ([`fabric_crypto::sha256::kernel`]): the CPU's SHA extensions against
-//! the portable rounds on the same blocks, and both — padded by this
-//! file, not by the hasher — against digests computed outside this code
-//! base. On a CPU without the extensions the hardware arm has nothing to
-//! run; the tests then exercise the portable arm alone and say so.
+//! ([`fabric_crypto::sha256::kernel`]): the CPU's SHA extensions and the
+//! sixteen-lane AVX-512 kernel against the portable rounds on the same
+//! blocks, and all three — padded by this file, not by the hasher —
+//! against digests computed outside this code base; then
+//! [`sha256_many`], the batch entry built on the lanes, against one
+//! [`sha256`] per message. On a CPU without the extensions (or without
+//! AVX-512) that arm has nothing to run; the tests then exercise the
+//! remaining arms alone and say so.
 
 use fabric_crypto::bigint::{inv_mod_odd, U256, U512};
 use fabric_crypto::curve::p256;
 use fabric_crypto::ecdsa::{Signature, SigningKey};
 use fabric_crypto::fp256::{reduce_wide, Fp256};
 use fabric_crypto::mont::MontgomeryDomain;
-use fabric_crypto::sha256::{kernel, sha256, Sha256};
+use fabric_crypto::sha256::{kernel, sha256, sha256_many, Sha256};
 use fabric_peer::SigCacheKey;
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -503,6 +506,46 @@ fn hardware_kernel() -> Option<Kernel> {
     }
 }
 
+/// Whether [`kernel::lanes`] has lanes to run on here; says so once on
+/// stderr when it has not (every `sha256_many` is then one `sha256` per
+/// message, and the lane arms have nothing to add).
+fn lanes_run_here() -> bool {
+    static NOTE: std::sync::Once = std::sync::Once::new();
+    let run = kernel::lanes(&mut [[0; kernel::LANES]; 8], &[&[]; kernel::LANES]);
+    if !run {
+        NOTE.call_once(|| {
+            eprintln!("note: no avx512f + avx512bw on this CPU; lane-kernel arms skipped")
+        });
+    }
+    run
+}
+
+/// The lane kernel as a one-stream kernel: `blocks` in lane `P` from
+/// `state`, the other fifteen lanes running a three-block filler from
+/// `H0` — which must come out as the portable kernel's, whatever the
+/// neighbour did and however much longer or shorter it ran.
+fn in_lane<const P: usize>(state: &mut [u32; 8], blocks: &[u8]) {
+    let filler = [0xa5u8; 192];
+    let mut filler_state = H0;
+    kernel::portable(&mut filler_state, &filler);
+    let mut streams: [&[u8]; kernel::LANES] = [&filler; kernel::LANES];
+    streams[P] = blocks;
+    let mut states: kernel::LaneStates = H0.map(|word| [word; kernel::LANES]);
+    for (row, word) in states.iter_mut().zip(*state) {
+        row[P] = word;
+    }
+    assert!(kernel::lanes(&mut states, &streams));
+    let columns: [[u32; 8]; kernel::LANES] =
+        std::array::from_fn(|l| std::array::from_fn(|w| states[w][l]));
+    for (l, lane) in columns.into_iter().enumerate() {
+        if l == P {
+            *state = lane;
+        } else {
+            assert_eq!(lane, filler_state, "filler in lane {l} beside lane {P}");
+        }
+    }
+}
+
 /// FIPS 180-4 §5.3.3 initial hash value, restated here so the kernels
 /// are driven without the hasher.
 const H0: [u32; 8] = [
@@ -531,7 +574,56 @@ fn digest_with(compress: Kernel, message: &[u8]) -> [u8; 32] {
 fn kernels() -> Vec<(&'static str, Kernel)> {
     let mut all: Vec<(&'static str, Kernel)> = vec![("portable", kernel::portable)];
     all.extend(hardware_kernel().map(|k| ("hardware", k)));
+    if lanes_run_here() {
+        all.push(("lanes, first lane", in_lane::<0>));
+        all.push(("lanes, sixth lane", in_lane::<5>));
+        all.push(("lanes, last lane", in_lane::<15>));
+    }
     all
+}
+
+/// `n` bytes that differ from message to message (`tag`) and from byte
+/// to byte.
+fn filler_bytes(tag: usize, n: usize) -> Vec<u8> {
+    (0..n).map(|i| (tag * 31 + i * 13 + 5) as u8).collect()
+}
+
+/// `sha256_many` over `messages`, held to one `sha256` each.
+fn many_equals_each(messages: &[Vec<u8>]) -> Vec<[u8; 32]> {
+    let refs: Vec<&[u8]> = messages.iter().map(Vec::as_slice).collect();
+    let digests = sha256_many(&refs);
+    let each: Vec<[u8; 32]> = refs.iter().map(|m| sha256(m)).collect();
+    assert_eq!(digests, each);
+    digests
+}
+
+/// `message` through `sha256_many` sixteen times: in every lane of a
+/// full pass (a pass is sorted by length, so `lane` shorter fillers put
+/// it in lane `lane`), alone of its length among fillers of other
+/// lengths, and at a different place in the input each time.
+fn through_every_lane(message: &[u8], expected: [u8; 32]) {
+    let n = message.len();
+    for lane in 0..kernel::LANES {
+        // A message of no bytes has nothing shorter: it is always first.
+        let shorter = lane.min(n);
+        let mut messages: Vec<Vec<u8>> = (0..kernel::LANES - 1)
+            .map(|k| {
+                let len = if k < shorter {
+                    n * k / shorter
+                } else {
+                    n + 1 + 29 * (k - shorter)
+                };
+                filler_bytes(k, len)
+            })
+            .collect();
+        let at = lane * 7 % kernel::LANES;
+        messages.insert(at, message.to_vec());
+        assert_eq!(
+            many_equals_each(&messages)[at],
+            expected,
+            "{n} bytes, lane {lane}, input position {at}"
+        );
+    }
 }
 
 fn hex32(s: &str) -> [u8; 32] {
@@ -545,6 +637,10 @@ fn hex32(s: &str) -> [u8; 32] {
 #[test]
 fn sha256_padding_boundary_vectors() {
     for (n, expected) in [
+        (
+            0,
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        ),
         (
             55,
             "e7313d333c272e639f790978283f9eb392e843d0f29b7016828bb1daa4aac70b",
@@ -584,6 +680,61 @@ fn sha256_padding_boundary_vectors() {
                 "{name}, {n} bytes"
             );
         }
+        through_every_lane(&message, expected);
+    }
+}
+
+/// Every length from none to 300 bytes — every tail length against both
+/// padding layouts, with none to four whole blocks before it — in every
+/// lane position.
+#[test]
+fn sha256_many_every_length_in_every_lane() {
+    lanes_run_here();
+    for n in 0..=300 {
+        let message = filler_bytes(n, n);
+        through_every_lane(&message, sha256(&message));
+    }
+}
+
+/// The batch sizes around the lane kernel's pass: none, one, a thin
+/// call, one pass, a pass and a thin rest, a pass and a rest worth a
+/// second pass, several passes.
+#[test]
+fn sha256_many_every_batch_size_matches_one_sha256_per_message() {
+    lanes_run_here();
+    assert!(sha256_many(&[]).is_empty());
+    for count in (0..=40).chain([63, 64, 65, 100]) {
+        let messages: Vec<Vec<u8>> = (0..count)
+            .map(|i| filler_bytes(i, (i * 53 + count) % 301))
+            .collect();
+        many_equals_each(&messages);
+    }
+}
+
+/// A batch of cache keys is the keys one by one ([`SigCacheKey::compute`]
+/// is pinned to the published bytes by the fixed vector above).
+#[test]
+fn sig_cache_keys_in_a_batch_match_one_by_one() {
+    lanes_run_here();
+    let keys: Vec<SigningKey> = (0..5u8).map(|k| SigningKey::from_seed(&[k; 16])).collect();
+    let triples: Vec<_> = (0..40usize)
+        .map(|i| {
+            let key = &keys[i % keys.len()];
+            let digest = sha256(&filler_bytes(i, i));
+            (key.verifying_key(), digest, key.sign_prehashed(&digest))
+        })
+        .collect();
+    for count in [0, 1, 7, 8, 16, 17, 24, 40] {
+        let batch = SigCacheKey::compute_many(
+            triples[..count]
+                .iter()
+                .map(|(key, digest, sig)| (*key, digest, sig)),
+        );
+        let each: Vec<SigCacheKey> = triples[..count]
+            .iter()
+            .map(|(key, digest, sig)| SigCacheKey::compute(key, digest, sig))
+            .collect();
+        assert_eq!(batch, each, "{count} triples");
     }
 }
 
@@ -601,8 +752,10 @@ fn sha256_one_million_a() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The hardware kernel against the portable one, called directly on
-    /// the same blocks from the same (arbitrary) chaining state — and the
+    /// The hardware and the lane kernel against the portable one, called
+    /// directly on the same blocks from the same (arbitrary) chaining
+    /// state (the lane kernel with the stream in its first, sixth and
+    /// last lane, beside fifteen streams of another length) — and the
     /// hasher, fed the message in three pieces cut at random points,
     /// against the kernels driven whole.
     #[test]
@@ -614,14 +767,14 @@ proptest! {
         let whole_blocks = &message[..message.len() & !63];
         let mut portable = state;
         kernel::portable(&mut portable, whole_blocks);
-        if let Some(hardware) = hardware_kernel() {
-            let mut hw = state;
-            hardware(&mut hw, whole_blocks);
-            prop_assert_eq!(hw, portable);
+        for (name, compress) in kernels() {
+            let mut other = state;
+            compress(&mut other, whole_blocks);
+            prop_assert_eq!(other, portable, "{}", name);
             // A trailing partial block is ignored, not read.
-            let mut hw = state;
-            hardware(&mut hw, &message);
-            prop_assert_eq!(hw, portable);
+            let mut other = state;
+            compress(&mut other, &message);
+            prop_assert_eq!(other, portable, "{}, partial block", name);
         }
 
         let expected = digest_with(kernel::portable, &message);
@@ -633,5 +786,54 @@ proptest! {
         h.update(&message[b..]);
         prop_assert_eq!(h.finalize(), expected);
         prop_assert_eq!(sha256(&message), expected);
+    }
+}
+
+/// Message lengths for the batch property: mostly short (every padding
+/// layout, up to four whole blocks), one in five of 1–8 KB.
+fn arb_len() -> impl Strategy<Value = usize> {
+    prop_oneof![
+        0usize..=300,
+        0usize..=300,
+        0usize..=300,
+        0usize..=300,
+        1024usize..=8192,
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `sha256_many` equals one `sha256` per message, in input order,
+    /// over none to forty messages: lengths as drawn, all equal, one
+    /// empty, or one far longer than the pass it is sorted into.
+    #[test]
+    fn sha256_many_matches_one_sha256_per_message(
+        mut lens in proptest::collection::vec(arb_len(), 0..=40),
+        shape in 0usize..4,
+        shared in 0usize..=300,
+        pick in any::<usize>(),
+        tag in any::<usize>(),
+    ) {
+        lanes_run_here();
+        if let Some(count) = std::num::NonZeroUsize::new(lens.len()) {
+            match shape {
+                1 => lens.fill(shared),
+                2 => lens[pick % count] = 0,
+                3 => {
+                    lens.iter_mut().for_each(|len| *len %= 301);
+                    lens[pick % count] = 8000 + shared;
+                }
+                _ => {}
+            }
+        }
+        let messages: Vec<Vec<u8>> = lens
+            .iter()
+            .enumerate()
+            .map(|(i, &len)| filler_bytes(tag % 1024 + i, len))
+            .collect();
+        let refs: Vec<&[u8]> = messages.iter().map(Vec::as_slice).collect();
+        let each: Vec<[u8; 32]> = refs.iter().map(|m| sha256(m)).collect();
+        prop_assert_eq!(sha256_many(&refs), each);
     }
 }
