@@ -16,7 +16,9 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use fabric_crypto::bigint::U256;
 use fabric_crypto::curve::{mul_fixed_base, AffinePoint, JacobianPoint};
-use fabric_crypto::ecdsa::{batch_s_inverses, verify_batch, BatchItem, SigningKey, BATCH_LANES};
+use fabric_crypto::ecdsa::{
+    batch_s_inverses, verify_batch, BatchItem, Signature, SigningKey, VerifyingKey, BATCH_LANES,
+};
 use fabric_crypto::fp256::Fp256;
 use fabric_crypto::sha256::{sha256, sha256_many};
 use fabric_ledger::{BlockStore, CommittedBlock, TxValidationCode};
@@ -68,31 +70,69 @@ fn bench_crypto(c: &mut Criterion) {
                 .expect("valid signature")
         })
     });
-    // The same signatures eight at a time, as vscc hands its cache
-    // misses over: one iteration is one chunk, `s⁻¹` from the batched
-    // inversion as in a block. On a CPU without AVX-512 IFMA this is
-    // the scalar loop and reads eight times `ecdsa_verify`.
-    let sinvs = batch_s_inverses(&signed.iter().map(|(_, _, sig)| *sig).collect::<Vec<_>>());
-    let items: Vec<BatchItem<'_>> = signed
-        .iter()
-        .zip(&sinvs)
-        .map(|(&(key, digest, sig), &sinv)| BatchItem {
-            key,
-            digest,
-            sig,
-            sinv,
+    // Signatures eight at a time, as vscc hands its cache misses over:
+    // one iteration is one chunk, `s⁻¹` from the batched inversion as
+    // in a block. On a CPU without AVX-512 IFMA this is the scalar loop
+    // and reads eight times `ecdsa_verify`, and there are no combs.
+    //
+    // `_comb8` and `_comb3`: the cycled signatures over eight keys, and
+    // over three of them (a smallbank block's client and two
+    // endorsers). They are the first keys the lanes verify, so each
+    // gets a comb on that first use.
+    let items = batch_items(&signed);
+    let three: Vec<_> = (0..OPERANDS)
+        .map(|i| {
+            let digest = operand(b"comb3-digest", i);
+            let key = &keys[i % 3];
+            (key.verifying_key(), digest, key.sign_prehashed(&digest))
         })
         .collect();
-    let mut next = 0;
-    group.bench_function("ecdsa_verify_batch8", |b| {
-        b.iter(|| {
-            let chunk = &items[next % OPERANDS..][..BATCH_LANES];
-            next += BATCH_LANES;
-            let verdicts = verify_batch(black_box(chunk));
-            assert!(verdicts.iter().all(|&valid| valid));
-            verdicts
+    let three = batch_items(&three);
+    verify_batch(&items);
+    let combs = items.iter().all(|item| item.key.has_comb());
+    // `_ladder`: the same shape over eight keys made once fresh keys
+    // have taken every place left under the cap on combs, so each keeps
+    // to its ladder table.
+    for i in 0.. {
+        let filler = SigningKey::from_seed(format!("bench-filler-{i}").as_bytes());
+        let digest = operand(b"filler-digest", i);
+        let sig = filler.sign_prehashed(&digest);
+        verify_batch(&batch_items(&[(filler.verifying_key(), digest, sig)]));
+        if !filler.verifying_key().has_comb() {
+            break;
+        }
+    }
+    let ladder_keys: Vec<SigningKey> = (0..BATCH_LANES)
+        .map(|i| SigningKey::from_seed(format!("bench-ladder-{i}").as_bytes()))
+        .collect();
+    let ladder_signed: Vec<_> = (0..OPERANDS)
+        .map(|i| {
+            let digest = operand(b"ladder-digest", i);
+            let key = &ladder_keys[i % BATCH_LANES];
+            (key.verifying_key(), digest, key.sign_prehashed(&digest))
         })
-    });
+        .collect();
+    let ladder_items = batch_items(&ladder_signed);
+    // Every key's ladder table built before the timing starts.
+    verify_batch(&ladder_items);
+    assert!(!ladder_keys.iter().any(|key| key.verifying_key().has_comb()));
+    bench_batch8(&mut group, "ecdsa_verify_batch8_ladder", &ladder_items);
+    if combs {
+        bench_batch8(&mut group, "ecdsa_verify_batch8_comb8", &items);
+        bench_batch8(&mut group, "ecdsa_verify_batch8_comb3", &three);
+    }
+    // What a key's comb costs, once.
+    #[cfg(target_arch = "x86_64")]
+    {
+        let points: Vec<AffinePoint> = keys.iter().map(|k| *k.verifying_key().point()).collect();
+        let mut next = 0;
+        group.bench_function("key_comb_build", |b| {
+            b.iter(|| {
+                next += 1;
+                fabric_crypto::p256x8::KeyComb::build(black_box(&points[next % points.len()]))
+            })
+        });
+    }
     group.bench_function("sha256_64B", |b| b.iter(|| sha256(black_box(&msg[..64]))));
     group.bench_function("sha256_3400B", |b| b.iter(|| sha256(black_box(&msg))));
 
@@ -107,6 +147,37 @@ fn bench_crypto(c: &mut Criterion) {
         b.iter(|| JacobianPoint::shamir(black_box(&k), &g, black_box(&k), &q))
     });
     group.finish();
+}
+
+type Signed<'a> = (&'a VerifyingKey, [u8; 32], Signature);
+
+/// What `verify_batch` takes for `signed`, `s⁻¹` batch-inverted.
+fn batch_items<'a>(signed: &[Signed<'a>]) -> Vec<BatchItem<'a>> {
+    let sinvs = batch_s_inverses(&signed.iter().map(|(_, _, sig)| *sig).collect::<Vec<_>>());
+    signed
+        .iter()
+        .zip(sinvs)
+        .map(|(&(key, digest, sig), sinv)| BatchItem {
+            key,
+            digest,
+            sig,
+            sinv,
+        })
+        .collect()
+}
+
+/// One chunk of `items` an iteration, cycling; every verdict valid.
+fn bench_batch8(group: &mut criterion::BenchmarkGroup<'_>, name: &str, items: &[BatchItem<'_>]) {
+    let mut next = 0;
+    group.bench_function(name, |b| {
+        b.iter(|| {
+            let chunk = &items[next % items.len()..][..BATCH_LANES];
+            next += BATCH_LANES;
+            let verdicts = verify_batch(black_box(chunk));
+            assert!(verdicts.iter().all(|&valid| valid));
+            verdicts
+        })
+    });
 }
 
 /// Each operation as a dependent chain — the result feeds the next call,

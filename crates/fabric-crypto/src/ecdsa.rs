@@ -44,6 +44,8 @@
 //! the two paths agree.
 
 use std::fmt;
+#[cfg(target_arch = "x86_64")]
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use crate::bigint::{inv_mod_odd, U256, U512};
@@ -72,13 +74,131 @@ pub struct VerifyingKey {
 }
 
 /// What the registry shares per distinct public key: the scalar path's
-/// table and the lane kernel's, each built on the first verification
-/// that needs it.
+/// table, and the lane kernel's comb or, past the cap on combs, its
+/// ladder table, each built on the first verification that needs it
+/// (see [`PrecompSlot::lane_table`]).
 #[derive(Default)]
 struct PrecompSlot {
     scalar: OnceLock<KeyPrecomp>,
     #[cfg(target_arch = "x86_64")]
     lanes: OnceLock<crate::p256x8::KeyLanes>,
+    /// Decided on the key's first lane verification: its comb, or
+    /// `None` when [`COMB_CAP`] combs were alive then.
+    #[cfg(target_arch = "x86_64")]
+    comb: OnceLock<Option<LiveComb>>,
+}
+
+/// Combs alive at a time, in the registry or held by live keys: 32 ×
+/// 320 KiB = 10 MiB at most. The first keys the lanes verify take the
+/// places, since every key a Fabric channel's blocks carry recurs in
+/// every block; the cap is what bounds a stream of one-off keys, to 32
+/// builds (≈ 80 ms) and 10 MiB. A key that finds every place taken
+/// keeps to its ladder table for as long as the registry holds its slot:
+/// nothing evicts a comb whose key has gone quiet (crate README, "Lane
+/// kernel").
+#[cfg(target_arch = "x86_64")]
+const COMB_CAP: usize = 32;
+
+/// Combs alive now; [`LiveComb`] holds one unit of it.
+#[cfg(target_arch = "x86_64")]
+static LIVE_COMBS: AtomicUsize = AtomicUsize::new(0);
+
+/// Combs built, by any thread.
+#[cfg(all(test, target_arch = "x86_64"))]
+static COMB_BUILDS: AtomicUsize = AtomicUsize::new(0);
+
+/// A key's comb and its place under [`COMB_CAP`], given back on drop.
+#[cfg(target_arch = "x86_64")]
+struct LiveComb(crate::p256x8::KeyComb);
+
+#[cfg(target_arch = "x86_64")]
+impl LiveComb {
+    /// `q`'s comb, if fewer than [`COMB_CAP`] are alive.
+    fn build(q: &AffinePoint) -> Option<Self> {
+        LIVE_COMBS
+            // relaxed: a counter whose read-modify-writes are totally
+            // ordered among themselves; it publishes no other memory.
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |live| {
+                (live < COMB_CAP).then_some(live + 1)
+            })
+            .ok()?;
+        #[cfg(test)]
+        // relaxed: a test's build counter, read after the builders joined.
+        COMB_BUILDS.fetch_add(1, Ordering::Relaxed);
+        Some(LiveComb(crate::p256x8::KeyComb::build(q)))
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+impl Drop for LiveComb {
+    fn drop(&mut self) {
+        // relaxed: as in `build`.
+        LIVE_COMBS.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+impl PrecompSlot {
+    fn has_comb(&self) -> bool {
+        false
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+impl PrecompSlot {
+    fn has_comb(&self) -> bool {
+        matches!(self.comb.get(), Some(Some(_)))
+    }
+
+    /// The table this lane verification of `q` multiplies by: the comb
+    /// when the key has one, its ladder table otherwise. The key's first
+    /// lane verification decides which, building the comb if a place
+    /// under [`COMB_CAP`] is free; threads racing to that first use wait
+    /// for the one build.
+    fn lane_table(&self, q: &AffinePoint) -> crate::p256x8::KeyTable<'_> {
+        use crate::p256x8::{KeyLanes, KeyTable};
+        match self.comb.get_or_init(|| LiveComb::build(q)) {
+            Some(comb) => KeyTable::Comb(&comb.0),
+            None => KeyTable::Ladder(self.lanes.get_or_init(|| KeyLanes::build(q))),
+        }
+    }
+}
+
+/// How much the precomputation registry holds, for a gauge: see
+/// [`precomp_stats`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PrecompStats {
+    /// Distinct public keys in the registry (at most 1 024).
+    pub keys: usize,
+    /// Of those, keys with a lane ladder table (5 KiB each).
+    pub ladder_tables: usize,
+    /// Combs alive (320 KiB each), in the registry or held by keys it
+    /// no longer lists; never more than the cap of 32.
+    pub combs: usize,
+}
+
+/// A snapshot of the precomputation registry: its keys, their lane
+/// ladder tables, and the combs. Takes the registry lock once.
+pub fn precomp_stats() -> PrecompStats {
+    let map = precomp_registry().lock();
+    let (ladder_tables, combs) = lane_gauges(map.values());
+    PrecompStats {
+        keys: map.len(),
+        ladder_tables,
+        combs,
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+fn lane_gauges<'a>(slots: impl Iterator<Item = &'a Arc<PrecompSlot>>) -> (usize, usize) {
+    let ladders = slots.filter(|slot| slot.lanes.get().is_some()).count();
+    // relaxed: a gauge read.
+    (ladders, LIVE_COMBS.load(Ordering::Relaxed))
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn lane_gauges<'a>(_: impl Iterator<Item = &'a Arc<PrecompSlot>>) -> (usize, usize) {
+    (0, 0)
 }
 
 impl PartialEq for VerifyingKey {
@@ -306,14 +426,10 @@ const REGISTRY_CAP: usize = 1024;
 /// their own `Arc`), so a key is rebuilt at most once per
 /// `REGISTRY_CAP` new keys rather than on every parse.
 fn shared_precomp_slot(point: &AffinePoint) -> Arc<PrecompSlot> {
-    type Registry = parking_lot::Mutex<std::collections::HashMap<[u8; 64], Arc<PrecompSlot>>>;
-    static REGISTRY: OnceLock<Registry> = OnceLock::new();
-    let registry = REGISTRY
-        .get_or_init(|| parking_lot::Mutex::named("crypto.precomp_registry", Default::default()));
     let mut key = [0u8; 64];
     key[..32].copy_from_slice(&point.x_bytes());
     key[32..].copy_from_slice(&point.y_bytes());
-    let mut map = registry.lock();
+    let mut map = precomp_registry().lock();
     if let Some(slot) = map.get(&key) {
         return Arc::clone(slot);
     }
@@ -323,6 +439,14 @@ fn shared_precomp_slot(point: &AffinePoint) -> Arc<PrecompSlot> {
     let slot = Arc::new(PrecompSlot::default());
     map.insert(key, Arc::clone(&slot));
     slot
+}
+
+type Registry = parking_lot::Mutex<std::collections::HashMap<[u8; 64], Arc<PrecompSlot>>>;
+
+fn precomp_registry() -> &'static Registry {
+    static REGISTRY: OnceLock<Registry> = OnceLock::new();
+    REGISTRY
+        .get_or_init(|| parking_lot::Mutex::named("crypto.precomp_registry", Default::default()))
 }
 
 impl VerifyingKey {
@@ -369,6 +493,15 @@ impl VerifyingKey {
     /// The underlying curve point.
     pub fn point(&self) -> &AffinePoint {
         &self.point
+    }
+
+    /// Whether [`verify_batch`] multiplies this key by its comb (no
+    /// doubling) rather than its ladder table: a key gets its comb on
+    /// its first lane verification, under a cap on live combs (crate
+    /// README, "Lane kernel"). Always `false` before that and where the
+    /// lanes do not run.
+    pub fn has_comb(&self) -> bool {
+        self.precomp.has_comb()
     }
 
     /// Verifies `signature` over `message` (SHA-256 hashed internally).
@@ -523,7 +656,8 @@ pub const BATCH_LANES: usize = 8;
 /// formula, an `r` with a second candidate) through the scalar path;
 /// everywhere else every item does. The processor decides, per call;
 /// nothing selects between them, and the verdicts are the scalar
-/// path's either way.
+/// path's either way. A key's first lane verification gives it a comb
+/// if a place is free ([`VerifyingKey::has_comb`]).
 pub fn verify_batch(items: &[BatchItem<'_>]) -> Vec<bool> {
     #[cfg(target_arch = "x86_64")]
     if crate::p256x8::available() {
@@ -535,18 +669,14 @@ pub fn verify_batch(items: &[BatchItem<'_>]) -> Vec<bool> {
 /// One pass of the lane kernel over at most [`BATCH_LANES`] items.
 #[cfg(target_arch = "x86_64")]
 fn verify_lanes(items: &[BatchItem<'_>]) -> Vec<bool> {
-    use crate::p256x8::{verify8, KeyLanes, Lane};
+    use crate::p256x8::{verify8, Lane};
     // An out-of-range signature is refused here, as the scalar path
     // refuses it: its lane stays empty.
     let mut lanes: [Option<Lane<'_>>; BATCH_LANES] = Default::default();
     for (lane, item) in lanes.iter_mut().zip(items) {
         if let Ok((u1, u2)) = point_scalars(&item.digest, &item.sig, &item.sinv) {
-            let key = item.key;
             *lane = Some(Lane {
-                table: key
-                    .precomp
-                    .lanes
-                    .get_or_init(|| KeyLanes::build(&key.point)),
+                table: item.key.precomp.lane_table(&item.key.point),
                 u1,
                 u2,
                 r: item.sig.r,
@@ -898,10 +1028,20 @@ mod tests {
         assert_eq!(vk1, vk2);
     }
 
+    /// Held by every test that fills or clears the precomp registry, or
+    /// counts what it holds: the registry and the comb count are
+    /// process-wide.
+    static REGISTRY_TESTS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn one_at_a_time() -> std::sync::MutexGuard<'static, ()> {
+        REGISTRY_TESTS.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
     /// Certificates are re-parsed on every block decode, so "parse,
     /// then verify" is the unit a key's table has to survive.
     #[test]
     fn keys_past_the_registry_cap_build_once_not_per_parse() {
+        let _one_at_a_time = one_at_a_time();
         let builds = || PRECOMP_BUILDS.with(|n| n.get());
         let digest = sha256(b"registry");
         let signed: Vec<([u8; 65], Signature)> = (0..REGISTRY_CAP + 8)
@@ -947,5 +1087,222 @@ mod tests {
         let vk = key.verifying_key();
         let parsed = VerifyingKey::from_sec1_bytes(&vk.to_sec1_bytes()).unwrap();
         assert_eq!(*vk, parsed);
+    }
+
+    /// 2 000 distinct keys, each verified once through the batch — the
+    /// stream a channel with that many signers gives a peer — build at
+    /// most the cap's worth of combs, the rest keep to their ladder
+    /// tables, and the verdicts are the scalar path's.
+    #[test]
+    fn two_thousand_one_use_keys_build_at_most_the_cap_of_combs() {
+        let _one_at_a_time = one_at_a_time();
+        let before = precomp_stats().combs;
+        let keys: Vec<SigningKey> = (0..2_000)
+            .map(|i| SigningKey::from_seed(format!("one-use-{i}").as_bytes()))
+            .collect();
+        let signed: Vec<([u8; 32], Signature)> = keys
+            .iter()
+            .enumerate()
+            .map(|(i, key)| {
+                let digest = sha256(format!("one-use-{i}").as_bytes());
+                let mut sig = key.sign_prehashed(&digest);
+                if i % 7 == 3 {
+                    sig.r.0[1] ^= 1 << (i % 64);
+                }
+                (digest, sig)
+            })
+            .collect();
+        let sinvs = batch_s_inverses(&signed.iter().map(|(_, sig)| *sig).collect::<Vec<_>>());
+        let items: Vec<BatchItem<'_>> = keys
+            .iter()
+            .zip(&signed)
+            .zip(sinvs)
+            .map(|((key, &(digest, sig)), sinv)| BatchItem {
+                key: key.verifying_key(),
+                digest,
+                sig,
+                sinv,
+            })
+            .collect();
+        let expected: Vec<bool> = items.iter().map(BatchItem::verify).collect();
+        assert_eq!(verify_batch(&items), expected);
+        assert_eq!(expected.iter().filter(|&&v| !v).count(), 286);
+        let combs = precomp_stats().combs;
+        let with_comb = keys.iter().filter(|k| k.verifying_key().has_comb()).count();
+        assert_eq!(combs - before, with_comb);
+        assert!(combs <= 32);
+        // The registry has long forgotten the first keys, which took the
+        // places: their combs go with them.
+        drop(items);
+        drop(keys);
+        assert_eq!(precomp_stats().combs, before);
+    }
+
+    /// The comb rule, where the lanes run: see
+    /// [`PrecompSlot::lane_table`].
+    #[cfg(target_arch = "x86_64")]
+    mod combs {
+        use super::*;
+
+        /// A fresh key (its own registry slot) and one valid item for it.
+        struct Fresh {
+            key: SigningKey,
+            digest: [u8; 32],
+            sig: Signature,
+            sinv: U256,
+        }
+
+        impl Fresh {
+            fn new(tag: &str) -> Self {
+                let key = SigningKey::from_seed(format!("combs-{tag}").as_bytes());
+                let digest = sha256(tag.as_bytes());
+                let sig = key.sign_prehashed(&digest);
+                let sinv = batch_s_inverses(&[sig])[0];
+                Fresh {
+                    key,
+                    digest,
+                    sig,
+                    sinv,
+                }
+            }
+
+            fn item(&self) -> BatchItem<'_> {
+                BatchItem {
+                    key: self.key.verifying_key(),
+                    digest: self.digest,
+                    sig: self.sig,
+                    sinv: self.sinv,
+                }
+            }
+
+            /// One lane verification of the key, valid.
+            fn verify(&self) {
+                assert_eq!(verify_batch(&[self.item()]), [true]);
+            }
+
+            fn has_comb(&self) -> bool {
+                self.key.verifying_key().has_comb()
+            }
+        }
+
+        fn lanes_absent() -> bool {
+            let absent = !crate::p256x8::available();
+            if absent {
+                eprintln!("no avx512ifma on this processor: no comb is built, test skipped");
+            }
+            absent
+        }
+
+        fn builds() -> usize {
+            // relaxed: read after every builder has returned.
+            COMB_BUILDS.load(Ordering::Relaxed)
+        }
+
+        /// Drops `keys` and clears the registry, so their combs go.
+        fn forget(keys: Vec<Fresh>) {
+            drop(keys);
+            precomp_registry().lock().clear();
+        }
+
+        #[test]
+        fn racing_first_uses_build_one_comb() {
+            let _one_at_a_time = one_at_a_time();
+            if lanes_absent() {
+                return;
+            }
+            let key = Fresh::new("race");
+            let (combs, built) = (precomp_stats().combs, builds());
+            assert!(combs < COMB_CAP && !key.has_comb());
+            // Eight threads verify the key at once: one of them builds,
+            // the others wait for that comb.
+            let start = std::sync::Barrier::new(8);
+            std::thread::scope(|s| {
+                for _ in 0..8 {
+                    s.spawn(|| {
+                        start.wait();
+                        key.verify();
+                    });
+                }
+            });
+            assert!(key.has_comb());
+            assert_eq!((precomp_stats().combs, builds()), (combs + 1, built + 1));
+            // From here on the comb answers, valid and invalid alike.
+            let mut bad = key.item();
+            bad.sig.s.0[0] ^= 4;
+            bad.sinv = batch_s_inverses(&[bad.sig])[0];
+            assert_eq!(verify_batch(&[key.item(), bad]), [true, false]);
+            assert_eq!(builds(), built + 1);
+            forget(vec![key]);
+            assert_eq!(precomp_stats().combs, combs);
+        }
+
+        /// Keys that arrive one after another: the first take the free
+        /// places, the rest keep to the ladder for as long as their
+        /// slots live, and a freed place goes to the next new key.
+        #[test]
+        fn ten_more_keys_than_the_cap_never_pass_it() {
+            let _one_at_a_time = one_at_a_time();
+            if lanes_absent() {
+                return;
+            }
+            let live = precomp_stats().combs;
+            let keys: Vec<Fresh> = (0..COMB_CAP + 10)
+                .map(|i| Fresh::new(&format!("cap-{i}")))
+                .collect();
+            for key in &keys {
+                key.verify();
+                assert!(precomp_stats().combs <= COMB_CAP);
+            }
+            let with_comb = |keys: &[Fresh]| keys.iter().filter(|k| k.has_comb()).count();
+            assert_eq!(precomp_stats().combs, COMB_CAP);
+            assert!(keys[..COMB_CAP - live].iter().all(Fresh::has_comb));
+            assert_eq!(with_comb(&keys), COMB_CAP - live);
+            // Five keys with a comb go; the waiting keys stay on the
+            // ladder, five new keys take the places.
+            let (gone, keys): (Vec<Fresh>, Vec<Fresh>) = {
+                let mut seen = 0;
+                keys.into_iter().partition(|k| {
+                    let go = k.has_comb() && seen < 5;
+                    seen += usize::from(go);
+                    go
+                })
+            };
+            forget(gone);
+            assert_eq!(precomp_stats().combs, COMB_CAP - 5);
+            keys.iter().for_each(Fresh::verify);
+            assert_eq!(with_comb(&keys), COMB_CAP - live - 5);
+            let late: Vec<Fresh> = (0..6).map(|i| Fresh::new(&format!("late-{i}"))).collect();
+            late.iter().for_each(Fresh::verify);
+            assert_eq!(with_comb(&late), 5);
+            assert!(!late[5].has_comb());
+            assert_eq!(precomp_stats().combs, COMB_CAP);
+            forget(keys);
+            forget(late);
+            assert_eq!(precomp_stats().combs, live);
+        }
+
+        #[test]
+        fn a_registry_clear_with_no_live_key_frees_the_combs() {
+            let _one_at_a_time = one_at_a_time();
+            if lanes_absent() {
+                return;
+            }
+            let before = precomp_stats();
+            let keys: Vec<Fresh> = ["clear-a", "clear-b"].map(Fresh::new).into();
+            for key in &keys {
+                key.verify();
+                assert!(key.has_comb());
+            }
+            let with_combs = precomp_stats();
+            assert_eq!(with_combs.combs, before.combs + 2);
+            assert!(with_combs.keys >= 2);
+            // A clear alone frees nothing a live key still holds...
+            precomp_registry().lock().clear();
+            assert_eq!(precomp_stats().combs, before.combs + 2);
+            assert!(keys.iter().all(Fresh::has_comb));
+            // ...and the last key gone frees its comb.
+            drop(keys);
+            assert_eq!(precomp_stats().combs, before.combs);
+        }
     }
 }

@@ -10,10 +10,21 @@
 //! lane that meets anything the formulas here do not cover reports
 //! *undecided* and the caller decides it on the scalar path, so the
 //! verdicts are the scalar path's on every input. See the crate README,
-//! "Lane kernel", for the bound table and the schedule. The module is
+//! "Lane kernel", for the bound table and the schedules. The module is
 //! reached through [`crate::ecdsa::verify_batch`]; what it makes public
 //! itself is [`Fp256x8`], the field multiply on its own for the bench
-//! and the differential tests.
+//! and the differential tests, and [`KeyComb::build`], what a key's
+//! comb costs, for the bench.
+//!
+//! # Schedules
+//!
+//! Both scalars are read as signed digits after one fold (`k ≥ 2^255`
+//! becomes `n − k` on the negated point). `u1·G` is 32 radix-256 digits
+//! added from the generator's comb. `u2·Q` comes from the key's table:
+//! a comb, for a key the caller gave one, is the same 32 additions and
+//! no doubling; a ladder table takes 64 radix-16 digits over eight
+//! pieces that share 28 doublings. A pass runs the ladder only when one
+//! of its lanes needs it, the comb lanes masked out of its additions.
 //!
 //! # Representation
 //!
@@ -45,7 +56,7 @@ use std::arch::x86_64::*;
 use std::sync::OnceLock;
 
 use crate::bigint::U256;
-use crate::curve::{fixed_base_table, p256, AffinePoint, JacobianPoint, COMB_DIGITS, COMB_WINDOWS};
+use crate::curve::{fixed_base_table, p256, AffinePoint, JacobianPoint, COMB_WINDOW_BITS};
 use crate::ecdsa::BATCH_LANES as LANES;
 use crate::fp256::Fp256;
 
@@ -112,7 +123,8 @@ fn table_point(p: &AffinePoint, r: &U256) -> TablePoint {
 /// Per-key table for the `u2·Q` half: `u2` is 64 signed radix-16
 /// digits, eight to each of eight 32-bit pieces that walk one doubling
 /// ladder, and piece `i` looks its digit `d` up here as
-/// `points[8·i + |d| − 1] = |d|·2^(32i)·Q`. 64 points, 5 KiB a key.
+/// `points[8·i + |d| − 1] = |d|·2^(32i)·Q`. 64 points, 5 KiB a key:
+/// what every key gets on its first batch.
 pub(crate) struct KeyLanes {
     points: Box<[TablePoint; Self::PIECES * Self::DIGITS]>,
 }
@@ -151,28 +163,71 @@ impl KeyLanes {
     }
 }
 
-/// The fixed-base comb ([`crate::curve::mul_fixed_base`]'s table) in
-/// lane format, built from it on the first batch: 32 × 255 points,
-/// 638 KiB.
-struct LaneComb {
-    points: Vec<TablePoint>,
-    /// One in the lane domain: the `Z` of a table point.
-    one: Limbs,
+/// Windows of a comb: one signed radix-256 digit of a scalar each.
+const WINDOWS: usize = 256 / COMB_WINDOW_BITS;
+
+/// Largest digit magnitude of a comb window, and the points it stores.
+const HALF: usize = 1 << (COMB_WINDOW_BITS - 1);
+
+/// A comb in lane format: `points[128·w + |d| − 1] = |d|·2^(8w)·P` for
+/// `w` in `0..32` and `d` in `1..=128`, 4 096 points, 320 KiB. With it
+/// `k·P` is 32 masked additions and no doubling, one per signed
+/// radix-256 digit of `k`. The generator has one for `u1·G`; a key
+/// under `ecdsa`'s cap on combs has one for `u2·Q`.
+pub struct KeyComb {
+    points: Box<[TablePoint; WINDOWS * HALF]>,
 }
 
-fn lane_comb() -> &'static LaneComb {
-    static COMB: OnceLock<LaneComb> = OnceLock::new();
-    COMB.get_or_init(|| {
+impl KeyComb {
+    /// `P`'s comb: 32 × 8 doublings and one batched inversion for the
+    /// window bases, then 127 mixed additions a window and one batched
+    /// inversion over all 4 096 multiples. Public for `cargo bench`
+    /// (`key_comb_build`); the verification path builds one on a key's
+    /// first lane verification, under `ecdsa`'s cap on combs.
+    pub fn build(p: &AffinePoint) -> Self {
+        let mut bases = Vec::with_capacity(WINDOWS);
+        let mut base = p.to_jacobian();
+        for w in 0..WINDOWS {
+            if w > 0 {
+                for _ in 0..COMB_WINDOW_BITS {
+                    base = base.double();
+                }
+            }
+            bases.push(base);
+        }
+        let mut multiples = Vec::with_capacity(WINDOWS * HALF);
+        for base in JacobianPoint::batch_to_affine(&bases) {
+            let mut multiple = base.to_jacobian();
+            multiples.push(multiple);
+            for _ in 1..HALF {
+                multiple = multiple.add_mixed(&base);
+                multiples.push(multiple);
+            }
+        }
+        Self::from_affine(JacobianPoint::batch_to_affine(&multiples).iter())
+    }
+
+    fn from_affine<'a>(points: impl Iterator<Item = &'a AffinePoint>) -> Self {
         let r = r260();
-        LaneComb {
-            points: fixed_base_table()
+        let points: Vec<TablePoint> = points.map(|p| table_point(p, &r)).collect();
+        KeyComb {
+            points: points.try_into().expect("WINDOWS × HALF points"),
+        }
+    }
+}
+
+/// The generator's comb, taken from the first 128 multiples of each
+/// window of [`crate::curve::mul_fixed_base`]'s table on the first
+/// batch.
+fn generator_comb() -> &'static KeyComb {
+    static COMB: OnceLock<KeyComb> = OnceLock::new();
+    COMB.get_or_init(|| {
+        KeyComb::from_affine(
+            fixed_base_table()
                 .windows
                 .iter()
-                .flatten()
-                .map(|p| table_point(p, &r))
-                .collect(),
-            one: to_limbs(&r),
-        }
+                .flat_map(|window| &window[..HALF]),
+        )
     })
 }
 
@@ -226,10 +281,18 @@ impl Fp256x8 {
     }
 }
 
+/// The table a lane multiplies its key by: its comb, or its ladder
+/// table once the cap on combs is reached.
+#[derive(Clone, Copy)]
+pub(crate) enum KeyTable<'a> {
+    Ladder(&'a KeyLanes),
+    Comb(&'a KeyComb),
+}
+
 /// One lane's work: the key's table, the two scalars the scalar path
 /// would multiply by, and the `r` to compare `x(R)` with.
 pub(crate) struct Lane<'a> {
-    pub(crate) table: &'a KeyLanes,
+    pub(crate) table: KeyTable<'a>,
     pub(crate) u1: U256,
     pub(crate) u2: U256,
     pub(crate) r: U256,
@@ -255,75 +318,132 @@ pub(crate) fn verify8(lanes: &[Option<Lane<'_>>; LANES]) -> Option<[Option<bool>
     Some(unsafe { verify8_ifma(lanes) })
 }
 
-/// `u2 < 2^255` as 64 signed radix-16 digits in `−7..=8`, least
-/// significant first. The top nibble is at most 7, so the recoding
-/// carries nothing out.
-fn signed_digits(k: &U256) -> [i8; 64] {
-    debug_assert!(!k.bit(255));
-    let mut out = [0i8; 64];
+/// `k < 2^255` as `N` signed digits of `W` bits in
+/// `−(2^(W−1) − 1)..=2^(W−1)`, least significant first: a digit above
+/// `2^(W−1)` becomes itself minus `2^W` and carries one into the next.
+/// The top digit is at most `2^(W−1) − 1` before its carry, so the
+/// recoding carries nothing out.
+fn signed_digits<const W: usize, const N: usize>(k: &U256) -> [i16; N] {
+    debug_assert!(!k.bit(255) && W * N == 256 && 64 % W == 0);
+    let half = 1 << (W - 1);
+    let mut out = [0; N];
     let mut carry = 0;
     for (j, d) in out.iter_mut().enumerate() {
-        let v = (k.0[j / 16] >> (j % 16 * 4) & 0xf) as i8 + carry;
-        carry = (v > 8) as i8;
-        *d = v - 16 * carry;
+        let bit = j * W;
+        let v = (k.0[bit / 64] >> (bit % 64) & ((1 << W) - 1)) as i16 + carry;
+        carry = i16::from(v > half);
+        *d = v - (carry << W);
     }
     debug_assert_eq!(carry, 0);
     out
 }
 
+/// The recoding both scalars go through: `k ≥ 2^255` is folded to
+/// `n − k`, whose digits, every one flipped, multiply the same point —
+/// `k·P = (n − k)·(−P)`. Every digit is at most `2^(W−1)` in magnitude,
+/// the largest multiple a table stores.
+fn folded_digits<const W: usize, const N: usize>(k: &U256) -> [i16; N] {
+    if k.bit(255) {
+        signed_digits::<W, N>(&p256().order.wrapping_sub(k)).map(|d| -d)
+    } else {
+        signed_digits::<W, N>(k)
+    }
+}
+
+/// The operand of one masked addition, lane by lane: the table points
+/// in limb-major rows, and which lanes add and which add the negative.
+#[derive(Default)]
+struct Gathered {
+    rows: [[u64; LANES]; 2 * LIMBS],
+    nonzero: u8,
+    negative: u8,
+}
+
+impl Gathered {
+    /// Lane `l` adds `sign(d)·point`; nothing for `d = 0`, whose point
+    /// is any valid one (the table's first).
+    fn put(&mut self, l: usize, point: &TablePoint, d: i16) {
+        transpose_in(&mut self.rows, l, point);
+        self.nonzero |= u8::from(d != 0) << l;
+        self.negative |= u8::from(d < 0) << l;
+    }
+
+    /// Adds what was put into the lanes that put a nonzero digit, and
+    /// starts the next operand. A lane nothing was put into keeps its
+    /// stale row and is masked out.
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn add_to(&mut self, acc: &mut Acc, one: &Fe) {
+        let (x2, y2) = load_point(&self.rows);
+        acc.add_affine(self.nonzero, &x2, &negate_where(self.negative, &y2), one);
+        (self.nonzero, self.negative) = (0, 0);
+    }
+}
+
+/// Index of digit `d` in window `w` of a comb.
+fn comb_index(w: usize, d: i16) -> usize {
+    w * HALF + usize::from(d.unsigned_abs().max(1)) - 1
+}
+
 #[target_feature(enable = "avx512f,avx512ifma")]
 fn verify8_ifma(lanes: &[Option<Lane<'_>>; LANES]) -> [Option<bool>; LANES] {
     let c = p256();
-    let comb = lane_comb();
-    // `u2 ≥ 2^255` is folded to `n − u2` with `−Q`: every digit flips.
-    let mut digits = [[0i8; 64]; LANES];
-    for (digits, lane) in digits.iter_mut().zip(lanes) {
+    let g = generator_comb();
+    let mut ladders: [Option<(&KeyLanes, [i16; 64])>; LANES] = [None; LANES];
+    let mut combs: [Option<(&KeyComb, [i16; WINDOWS])>; LANES] = [None; LANES];
+    let mut generator: [Option<(&KeyComb, [i16; WINDOWS])>; LANES] = [None; LANES];
+    for (l, lane) in lanes.iter().enumerate() {
         let Some(lane) = lane else { continue };
-        if lane.u2.bit(255) {
-            *digits = signed_digits(&c.order.wrapping_sub(&lane.u2)).map(|d| -d);
-        } else {
-            *digits = signed_digits(&lane.u2);
+        generator[l] = Some((g, folded_digits::<8, WINDOWS>(&lane.u1)));
+        match lane.table {
+            KeyTable::Ladder(table) => ladders[l] = Some((table, folded_digits::<4, 64>(&lane.u2))),
+            KeyTable::Comb(table) => {
+                combs[l] = Some((table, folded_digits::<8, WINDOWS>(&lane.u2)))
+            }
         }
     }
 
-    let one = splat(&comb.one);
+    let one = splat(&to_limbs(&r260()));
     let mut acc = Acc::at_infinity();
-    let mut gathered = [[0u64; LANES]; 2 * LIMBS];
-    // u2·Q: the digits of all eight pieces at one position share the
-    // four doublings above it — 28 doublings, 64 masked additions.
-    for step in (0..KeyLanes::STEPS).rev() {
-        if step + 1 < KeyLanes::STEPS {
-            for _ in 0..4 {
-                acc.double();
+    let mut gathered = Gathered::default();
+    // u2·Q for the ladder lanes: the digits of all eight pieces at one
+    // position share the four doublings above it — 28 doublings, 64
+    // masked additions. The comb lanes stay at infinity through it, and
+    // a pass without a ladder lane skips it.
+    if ladders.iter().any(Option::is_some) {
+        for step in (0..KeyLanes::STEPS).rev() {
+            if step + 1 < KeyLanes::STEPS {
+                for _ in 0..4 {
+                    acc.double();
+                }
             }
-        }
-        for piece in 0..KeyLanes::PIECES {
-            let (mut nonzero, mut negative) = (0u8, 0u8);
-            for (l, lane) in lanes.iter().enumerate() {
-                let Some(lane) = lane else { continue };
-                let d = digits[l][piece * KeyLanes::STEPS + step];
-                nonzero |= u8::from(d != 0) << l;
-                negative |= u8::from(d < 0) << l;
-                let index = piece * KeyLanes::DIGITS + usize::from(d.unsigned_abs().max(1)) - 1;
-                transpose_in(&mut gathered, l, &lane.table.points[index]);
+            for piece in 0..KeyLanes::PIECES {
+                for (l, ladder) in ladders.iter().enumerate() {
+                    let Some((table, digits)) = ladder else {
+                        continue;
+                    };
+                    let d = digits[piece * KeyLanes::STEPS + step];
+                    let index = piece * KeyLanes::DIGITS + usize::from(d.unsigned_abs().max(1)) - 1;
+                    gathered.put(l, &table.points[index], d);
+                }
+                gathered.add_to(&mut acc, &one);
             }
-            let (x2, y2) = load_point(&gathered);
-            acc.add_affine(nonzero, &x2, &negate_where(negative, &y2), &one);
         }
     }
-    // u1·G from the comb, into the same accumulator: 32 masked
-    // additions, no doubling.
-    for window in 0..COMB_WINDOWS {
-        let mut nonzero = 0u8;
-        for (l, lane) in lanes.iter().enumerate() {
-            let Some(lane) = lane else { continue };
-            let d = (lane.u1.0[window / 8] >> (window % 8 * 8)) as u8;
-            nonzero |= u8::from(d != 0) << l;
-            let index = window * COMB_DIGITS + usize::from(d.max(1)) - 1;
-            transpose_in(&mut gathered, l, &comb.points[index]);
+    // u2·Q for the comb lanes, then u1·G for every lane, into the same
+    // accumulator: 32 + 32 masked additions, no doubling.
+    for phase in [&combs, &generator] {
+        if phase.iter().all(Option::is_none) {
+            continue;
         }
-        let (x2, y2) = load_point(&gathered);
-        acc.add_affine(nonzero, &x2, &y2, &one);
+        for w in 0..WINDOWS {
+            for (l, comb) in phase.iter().enumerate() {
+                let Some((table, digits)) = comb else {
+                    continue;
+                };
+                gathered.put(l, &table.points[comb_index(w, digits[w])], digits[w]);
+            }
+            gathered.add_to(&mut acc, &one);
+        }
     }
 
     // x(R) = r as X = r·Z², out of the lane domain: a product with a
@@ -714,33 +834,80 @@ mod tests {
         );
     }
 
+    /// The value of signed radix-`2^w` digits modulo `n`, Horner from
+    /// the top.
+    fn digits_value(digits: &[i16], w: u32) -> U256 {
+        let fd = &p256().fn_;
+        let radix = fd.to_mont(&U256::from_u64(1 << w));
+        let value = digits.iter().rev().fold(U256::ZERO, |acc, &d| {
+            let d_mod_n = fd.to_mont(&U256::from_u64(u64::from(d.unsigned_abs())));
+            let shifted = fd.mul(&acc, &radix);
+            if d < 0 {
+                fd.sub(&shifted, &d_mod_n)
+            } else {
+                fd.add(&shifted, &d_mod_n)
+            }
+        });
+        fd.from_mont(&value)
+    }
+
+    /// Both recodings, through the fold both scalars take: radix 256
+    /// (`u1` on every lane, `u2` on a comb lane) and radix 16 (`u2` on a
+    /// ladder lane). `k` and `n − k` are both tried, so every case is
+    /// folded once.
     #[test]
     fn signed_digits_recode_every_carry_case() {
-        let cases = [
+        let n = p256().order;
+        let bytes = |b: u8| U256([u64::from_ne_bytes([b; 8]); 4]);
+        let mut cases = vec![
             U256::ZERO,
             U256::ONE,
+            // Every digit at the top of its range: carries all the way.
             U256([u64::MAX, u64::MAX, u64::MAX, u64::MAX >> 1]),
+            // Runs of 0x80 (no carry, digit 128), 0x81 (a carry out of
+            // every byte, digit −127) and 0xff (−1 and a carry).
+            bytes(0x80).shr_small(1),
+            bytes(0x80),
+            bytes(0x81).shr_small(1),
+            bytes(0x81),
+            bytes(0xff).shr_small(1),
+            U256([0x8080_8080_8080_8080, 0x8181_8181_8181_8181, u64::MAX, 0]),
+            // A top byte of 0x7f with a carry coming into it: digit 128.
+            U256([0, 0, 0x8000_0000_0000_0000, 0x7fff_ffff_ffff_ff81]),
+            U256([u64::MAX, u64::MAX, u64::MAX, 0x7f00_0000_0000_0000]),
             U256([0x8888_8888_8888_8888; 4]).shr_small(1),
             U256([0x9999_9999_9999_9999, 0, u64::MAX, 0x7000_0000_0000_0000]),
-            random("digits", 0).shr_small(1),
+            // The fold's edges: 2^255 − 1, 2^255, n − 1.
+            U256([0, 0, 0, 1 << 63]),
+            n.wrapping_sub(&U256::ONE),
         ];
-        for k in cases {
-            let digits = signed_digits(&k);
+        cases.extend((0..8).map(|i| random("digits", i).rem(&n)));
+        // Unfolded digits lie in −127..=128 (−7..=8); a fold flips them,
+        // so what reaches a table is at most 128 (8) in magnitude.
+        for k in cases.iter().flat_map(|k| [*k, n.wrapping_sub(k).rem(&n)]) {
+            let k = k.rem(&n);
+            let radix256: [i16; 32] = folded_digits::<8, 32>(&k);
+            assert!(radix256.iter().all(|d| d.abs() <= 128), "{k:?}");
+            assert_eq!(digits_value(&radix256, 8), k, "radix 256: {k:?}");
+            let radix16: [i16; 64] = folded_digits::<4, 64>(&k);
+            assert!(radix16.iter().all(|d| d.abs() <= 8), "{k:?}");
+            assert_eq!(digits_value(&radix16, 4), k, "radix 16: {k:?}");
+            let unfolded = if k.bit(255) { n.wrapping_sub(&k) } else { k };
+            let sign = if k.bit(255) { -1 } else { 1 };
+            let digits = signed_digits::<8, 32>(&unfolded);
+            assert!(digits.iter().all(|d| (-127..=128).contains(d)), "{k:?}");
+            assert_eq!(radix256, digits.map(|d| sign * d), "{k:?}");
+            let digits = signed_digits::<4, 64>(&unfolded);
             assert!(digits.iter().all(|d| (-7..=8).contains(d)), "{k:?}");
-            // Horner from the top, modulo n: the recoding's value is k.
-            let fd = &p256().fn_;
-            let sixteen = fd.to_mont(&U256::from_u64(16));
-            let value = digits.iter().rev().fold(U256::ZERO, |acc, &d| {
-                let d_mod_n = fd.to_mont(&U256::from_u64(u64::from(d.unsigned_abs())));
-                let shifted = fd.mul(&acc, &sixteen);
-                if d < 0 {
-                    fd.sub(&shifted, &d_mod_n)
-                } else {
-                    fd.add(&shifted, &d_mod_n)
-                }
-            });
-            assert_eq!(fd.from_mont(&value), k.rem(&p256().order), "{k:?}");
+            assert_eq!(radix16, digits.map(|d| sign * d), "{k:?}");
         }
+        // The cases above hit both ends of the radix-256 range.
+        let all: Vec<i16> = cases
+            .iter()
+            .filter(|k| !k.bit(255))
+            .flat_map(signed_digits::<8, 32>)
+            .collect();
+        assert!(all.contains(&128) && all.contains(&-127) && all.contains(&-1));
     }
 
     #[test]
@@ -955,13 +1122,63 @@ mod tests {
         on_lanes(check);
     }
 
-    fn lane<'a>(table: &'a KeyLanes, u1: u64, u2: &U256, r: &U256) -> Option<Lane<'a>> {
+    fn lane<'a>(table: KeyTable<'a>, u1: &U256, u2: &U256, r: &U256) -> Option<Lane<'a>> {
         Some(Lane {
             table,
-            u1: U256::from_u64(u1),
+            u1: *u1,
             u2: *u2,
             r: *r,
         })
+    }
+
+    /// `P`'s two lane tables.
+    struct Tables(KeyLanes, KeyComb);
+
+    impl Tables {
+        fn of(p: &AffinePoint) -> Self {
+            Tables(KeyLanes::build(p), KeyComb::build(p))
+        }
+
+        fn get(&self, comb: bool) -> KeyTable<'_> {
+            if comb {
+                KeyTable::Comb(&self.1)
+            } else {
+                KeyTable::Ladder(&self.0)
+            }
+        }
+    }
+
+    #[test]
+    fn key_comb_holds_the_signed_multiples_of_every_window() {
+        let q = mul_fixed_base(&U256::from_u64(7654321)).to_affine();
+        let comb = KeyComb::build(&q);
+        let r = r260();
+        for (w, d) in [
+            (0, 1),
+            (0, 2),
+            (0, 128),
+            (1, 1),
+            (17, 77),
+            (31, 127),
+            (31, 128),
+        ] {
+            let mut k = U256::from_u64(d);
+            for _ in 0..w {
+                k = k.shl_small(8);
+            }
+            let expected = q.mul_scalar(&k);
+            assert_eq!(
+                comb.points[comb_index(w, d as i16)],
+                table_point(&expected, &r),
+                "window {w}, digit {d}"
+            );
+        }
+        // The generator's comb is the scalar path's table, cut to the
+        // multiples a signed digit reaches.
+        assert_eq!(
+            generator_comb().points[..],
+            KeyComb::build(&AffinePoint::generator()).points[..]
+        );
     }
 
     #[test]
@@ -973,50 +1190,71 @@ mod tests {
         let c = p256();
         let n = &c.order;
         let q = mul_fixed_base(&U256::from_u64(1234567)).to_affine();
-        let key = KeyLanes::build(&q);
-        let generator = KeyLanes::build(&AffinePoint::generator());
-        let minus_g = KeyLanes::build(&mul_fixed_base(&n.wrapping_sub(&U256::ONE)).to_affine());
-        // R = u1·G + u2·Q with Q = 1234567·G, by the comb.
-        let x_of = |u1: u64, u2: &U256| {
+        let key = Tables::of(&q);
+        let generator = Tables::of(&AffinePoint::generator());
+        let minus_g = Tables::of(&mul_fixed_base(&n.wrapping_sub(&U256::ONE)).to_affine());
+        // R = u1·G + u2·Q with Q = 1234567·G, by the scalar comb.
+        let x_of = |u1: &U256, u2: &U256| {
             let k = c.fn_.mul(&c.fn_.to_mont(u2), &U256::from_u64(1234567));
-            let k = k.add_mod(&U256::from_u64(u1), n);
+            let k = k.add_mod(u1, n);
             mul_fixed_base(&k).to_affine().x.reduce_once(n)
         };
-        let top_bit = n.wrapping_sub(&U256::from_u64(99)); // folds to 99 with −Q
+        let int = U256::from_u64;
+        let top_bit = n.wrapping_sub(&int(99)); // folds to 99 with −Q, or −G
         let all_ones = U256([u64::MAX, u64::MAX, u64::MAX, u64::MAX >> 1]);
-        let five = U256::from_u64(5);
-        let lanes = [
-            lane(&key, 42, &U256::from_u64(7), &x_of(42, &U256::from_u64(7))),
-            lane(&key, 42, &U256::from_u64(7), &x_of(42, &U256::from_u64(8))),
-            lane(&key, 0, &top_bit, &x_of(0, &top_bit)),
-            lane(&key, u64::MAX, &all_ones, &x_of(u64::MAX, &all_ones)),
-            // 5·G + 5·G: the comb adds what the ladder left.
-            lane(&generator, 5, &five, &x_of(5, &five)),
-            // 5·G − 5·G.
-            lane(&minus_g, 5, &five, &five),
-            // Nothing to add at all.
-            lane(&key, 0, &U256::ZERO, &five),
-            None,
-        ];
-        let verdicts = verify8(&lanes).expect("lanes are available");
-        assert_eq!(
-            verdicts,
-            [
-                Some(true),
-                Some(false),
-                Some(true),
-                Some(true),
+        let five = int(5);
+        // Every split of a pass between ladder and comb lanes: lane `l`
+        // holds a comb when bit `l` of `combs` is set.
+        for combs in [
+            0u8,
+            0xff,
+            0b0101_0101,
+            0b1010_1010,
+            0b0000_1111,
+            0b1111_0000,
+        ] {
+            let t = |l: usize| combs >> l & 1 != 0;
+            let lanes = [
+                lane(key.get(t(0)), &int(42), &int(7), &x_of(&int(42), &int(7))),
+                lane(key.get(t(1)), &int(42), &int(7), &x_of(&int(42), &int(8))),
+                lane(key.get(t(2)), &top_bit, &top_bit, &x_of(&top_bit, &top_bit)),
+                lane(
+                    key.get(t(3)),
+                    &all_ones,
+                    &all_ones,
+                    &x_of(&all_ones, &all_ones),
+                ),
+                // 5·G + 5·G: the u1 comb adds what the u2 half left.
+                lane(generator.get(t(4)), &five, &five, &x_of(&five, &five)),
+                // 5·G − 5·G.
+                lane(minus_g.get(t(5)), &five, &five, &five),
+                // Nothing to add at all.
+                lane(key.get(t(6)), &U256::ZERO, &U256::ZERO, &five),
                 None,
-                None,
-                None,
-                None
-            ]
-        );
+            ];
+            let verdicts = verify8(&lanes).expect("lanes are available");
+            assert_eq!(
+                verdicts,
+                [
+                    Some(true),
+                    Some(false),
+                    Some(true),
+                    Some(true),
+                    None,
+                    None,
+                    None,
+                    None
+                ],
+                "comb lanes {combs:#010b}"
+            );
+        }
         // An r with a second candidate is left to the scalar path
         // whatever the point.
         let small_r = Fp256::P.wrapping_sub(n).wrapping_sub(&U256::ONE);
-        let mut lanes: [Option<Lane<'_>>; LANES] = Default::default();
-        lanes[3] = lane(&key, 42, &U256::from_u64(7), &small_r);
-        assert_eq!(verify8(&lanes).expect("available"), [None; LANES]);
+        for comb in [false, true] {
+            let mut lanes: [Option<Lane<'_>>; LANES] = Default::default();
+            lanes[3] = lane(key.get(comb), &int(42), &int(7), &small_r);
+            assert_eq!(verify8(&lanes).expect("available"), [None; LANES]);
+        }
     }
 }

@@ -8,15 +8,56 @@ use fabric_crypto::ecdsa::{
 };
 use fabric_crypto::sha256::sha256;
 
+/// Whether `verify_batch` runs the eight-lane kernel on this processor.
+pub fn lanes_present() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512ifma") {
+        return true;
+    }
+    false
+}
+
 /// Says on standard error when `verify_batch` has no eight-lane kernel
 /// to run on this processor, so a log shows that `test`'s lane arm had
 /// only the scalar loop to compare with itself.
 pub fn note_if_lanes_absent(test: &str) {
-    #[cfg(target_arch = "x86_64")]
-    if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512ifma") {
-        return;
+    if !lanes_present() {
+        eprintln!("{test}: no avx512ifma on this processor, verify_batch is the scalar loop");
     }
-    eprintln!("{test}: no avx512ifma on this processor, verify_batch is the scalar loop");
+}
+
+/// `n` fresh keys that `verify_batch` multiplies by their comb, and `n`
+/// by their ladder table. A key's first lane verification decides which
+/// for as long as the key lives, and the first keys take the free places
+/// under the process's cap on combs (`fabric-crypto`'s README, "Lane
+/// kernel"), so this verifies fresh keys one at a time until `n` have
+/// come out without a comb. Every key made after that, in any test of
+/// the binary, keeps to its ladder table too. Without the lane kernel
+/// no key has a comb, and the first list is empty.
+pub fn keys_on_each_table(tag: &str, n: usize) -> (Vec<SigningKey>, Vec<SigningKey>) {
+    let (mut comb, mut ladder) = (Vec::new(), Vec::new());
+    let digest = sha256(tag.as_bytes());
+    for i in 0..1_024 {
+        if ladder.len() == n {
+            break;
+        }
+        let key = SigningKey::from_seed(format!("{tag}-{i}").as_bytes());
+        let sig = key.sign_prehashed(&digest);
+        assert!(batch_verdict(key.verifying_key(), &digest, &sig));
+        if key.verifying_key().has_comb() {
+            comb.push(key);
+        } else {
+            ladder.push(key);
+        }
+    }
+    assert_eq!(ladder.len(), n, "{tag}: the cap on combs never filled");
+    assert!(
+        comb.len() >= n || !lanes_present(),
+        "{tag}: other tests took all but {} places under the cap on combs",
+        comb.len()
+    );
+    comb.truncate(n);
+    (comb, ladder)
 }
 
 /// `s⁻¹ mod n` as `batch_s_inverses` gives it, zero for an `s` out of

@@ -12,12 +12,20 @@
 //! equal points, an addition of opposite points), plus an `r` with a
 //! second candidate and scalars out of range.
 //!
+//! A key's first lane verification gives it a comb (no doubling;
+//! `fabric-crypto`'s README, "Lane kernel") while the process has a
+//! place for one, and a ladder table after that, so a pass can hold comb
+//! lanes, ladder lanes or both: every split of a pass between the two is
+//! held to the scalar path. The exceptional constructions run on
+//! whichever table their key gets here; the kernel's own tests in
+//! `p256x8.rs` run them on both.
+//!
 //! `crypto_negative_vectors.rs` and `scalar_edge_vectors.rs` send each
 //! of their vectors through `verify_batch` as well (their `paths_agree`).
 //! On a processor without AVX-512 IFMA `verify_batch` *is* the scalar
 //! loop; everything here still passes and says so on standard error.
 
-use bmac_integration_tests::{batch_verdict, note_if_lanes_absent, s_inverse};
+use bmac_integration_tests::{batch_verdict, keys_on_each_table, note_if_lanes_absent, s_inverse};
 use fabric_crypto::bigint::U256;
 use fabric_crypto::curve::{mul_fixed_base, p256, AffinePoint};
 use fabric_crypto::ecdsa::{verify_batch, BatchItem, Signature, SigningKey, VerifyingKey};
@@ -125,6 +133,70 @@ fn every_batch_length_matches_the_scalar_path_item_by_item() {
     assert_eq!(one_key.len(), 8);
     batch_matches_scalar(&one_key, "one key in eight lanes");
     batch_matches_scalar(&[&cases[0]; 8], "one signature in eight lanes");
+}
+
+/// For each key, one digest: the valid signature, then the same with
+/// `r`, `s` or the digest one bit off.
+fn cases_of(keys: &[SigningKey], tag: &str) -> Vec<Case> {
+    let mut cases = Vec::new();
+    for (i, key) in keys.iter().enumerate() {
+        let vk = key.verifying_key();
+        let digest = sha256(format!("{tag}-digest-{i}").as_bytes());
+        let sig = key.sign_prehashed(&digest);
+        cases.push(Case::new(vk, digest, sig));
+        let mut bad_r = sig;
+        bad_r.r.0[(i + 2) % 4] ^= 1 << (5 * i % 64);
+        cases.push(Case::new(vk, digest, bad_r));
+        let mut bad_s = sig;
+        bad_s.s.0[i % 4] ^= 1 << (3 * i % 64);
+        cases.push(Case::new(vk, digest, bad_s));
+        let mut bad_digest = digest;
+        bad_digest[(7 * i) % 32] ^= 0x01;
+        cases.push(Case::new(vk, bad_digest, sig));
+    }
+    cases
+}
+
+#[test]
+fn every_split_of_a_pass_between_comb_and_ladder_keys_matches_the_scalar_path() {
+    let (comb, ladder) = keys_on_each_table("lanes-split", 8);
+    if comb.is_empty() {
+        note_if_lanes_absent(
+            "every_split_of_a_pass_between_comb_and_ladder_keys_matches_the_scalar_path",
+        );
+        return;
+    }
+    let (comb_cases, ladder_cases) = (cases_of(&comb, "comb"), cases_of(&ladder, "ladder"));
+    // Every subset of the eight lanes holds the comb keys, the rest
+    // ladder keys — so every count 0..=8 of each, in every position —
+    // with a different mix of valid and off-by-a-bit cases each time.
+    let (mut valid, mut invalid) = (0, 0);
+    for combs in 0..=u8::MAX {
+        let pass: Vec<&Case> = (0..8)
+            .map(|l| {
+                let pick = (usize::from(combs) * 7 + l * 5) % comb_cases.len();
+                if combs >> l & 1 != 0 {
+                    &comb_cases[pick]
+                } else {
+                    &ladder_cases[pick]
+                }
+            })
+            .collect();
+        for verdict in batch_matches_scalar(&pass, &format!("comb lanes {combs:#010b}")) {
+            *(if verdict { &mut valid } else { &mut invalid }) += 1;
+        }
+    }
+    assert!(
+        valid >= 400 && invalid >= 1_200,
+        "{valid} valid, {invalid} invalid"
+    );
+    // The comb keys over every batch length around the chunk boundary.
+    for len in 0..=17 {
+        let window: Vec<&Case> = comb_cases.iter().cycle().skip(3 * len).take(len).collect();
+        batch_matches_scalar(&window, &format!("comb keys, length {len}"));
+    }
+    assert!(comb.iter().all(|key| key.verifying_key().has_comb()));
+    assert!(ladder.iter().all(|key| !key.verifying_key().has_comb()));
 }
 
 /// `a⁻¹ mod n` as `a^(n−2)`, every product reduced by long division.

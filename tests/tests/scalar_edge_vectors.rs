@@ -235,19 +235,53 @@ fn forge_signature_with_u2(key: &SigningKey, u1: &U256, u2: &U256) -> (Signature
     (Signature { r, s }, z.to_be_bytes())
 }
 
-/// The per-key table splits `u2` into equal pieces that share one
-/// doubling ladder, each recoded to signed digits on its own. These
-/// `u2` sit where that can go wrong for any piece width from 16 to 64
-/// bits: a piece of all ones recodes to `2^w − 1`, carrying out of its
-/// top bit; zero pieces between full ones leave tables unused on some
-/// ladder steps; a lone top piece leaves every other table unused.
+/// The per-key tables split `u2` into equal pieces that share one
+/// doubling ladder, each recoded to signed digits on its own (the scalar
+/// path's 32-bit wNAF pieces, the lanes' radix-16 ladder), or into
+/// signed radix-256 windows with no ladder at all (the lanes' comb). These
+/// `u2` sit where that can go wrong for any piece
+/// width from 8 to 64 bits: a piece of all ones recodes to `2^w − 1`,
+/// carrying out of its top bit; zero pieces between full ones leave
+/// tables unused on some ladder steps; a lone top piece leaves every
+/// other table unused; a window of `0x80` is the largest digit, one of
+/// `0x81` the most negative with a carry, and a carry into a top byte of
+/// `0x7f` makes it `0x80`. Values at and above `2^255` are folded to
+/// `n − u2` by the lanes. Each vector runs on a key the lanes multiply
+/// by its ladder table and on one they multiply by its comb.
 #[test]
 fn u2_at_the_piece_boundaries_verifies_on_both_paths() {
-    let key = test_key();
-    let vk = key.verifying_key();
     let n = p256().order;
     let u1 = U256::from_be_bytes(&sha256(b"u1 for the piece-boundary vectors")).rem(&n);
+    let bytes = |b: u8| u64::from_ne_bytes([b; 8]);
     let vectors = [
+        ("every byte 0x80 (folded)", U256([bytes(0x80); 4])),
+        (
+            "every byte 0x80, top byte 0",
+            U256([bytes(0x80), bytes(0x80), bytes(0x80), bytes(0x80) >> 8]),
+        ),
+        ("every byte 0x81 (folded)", U256([bytes(0x81); 4])),
+        (
+            "every byte 0x81, top byte 0",
+            U256([bytes(0x81), bytes(0x81), bytes(0x81), bytes(0x81) >> 8]),
+        ),
+        (
+            "a carry into a top byte of 0x7f",
+            U256([0, 0, 0, 0x7f81_0000_0000_0000]),
+        ),
+        (
+            "bytes alternate 0x7f / 0x80",
+            U256([0x807f_807f_807f_807f; 4]).shr_small(1),
+        ),
+        ("one window of 0x80, mid-limb", U256([0, 0x0080_0000, 0, 0])),
+        (
+            "one window of 0xff at a limb's top",
+            U256([0, 0xff00_0000_0000_0000, 0, 0]),
+        ),
+        ("2^255 − 2^248", U256([0, 0, 0, 0x7f00_0000_0000_0000])),
+        (
+            "n − 2^255 (folds to 2^255)",
+            n.wrapping_sub(&U256([0, 0, 0, 1 << 63])),
+        ),
         (
             "every piece all ones (2^255 − 1)",
             U256([u64::MAX, u64::MAX, u64::MAX, u64::MAX >> 1]),
@@ -287,25 +321,41 @@ fn u2_at_the_piece_boundaries_verifies_on_both_paths() {
         ("one", U256::ONE),
         ("n − 1", n.wrapping_sub(&U256::ONE)),
     ];
-    for (what, u2) in vectors {
-        assert!(!u2.is_zero() && u2 < n, "{what}: u2 out of range");
-        let (sig, digest) = forge_signature_with_u2(&key, &u1, &u2);
-        // The forgery hit its target: the verifier's own u2 is ours.
-        let sinv = inv_mod_odd(&sig.s, &n).unwrap();
-        assert_eq!(sig.r.widening_mul(&sinv).rem(&n), u2, "{what}: forged u2");
-        assert!(paths_agree(vk, &digest, &sig), "{what}: must verify");
-        // One flipped bit anywhere must be refused, by both paths.
-        let mut bad_digest = digest;
-        bad_digest[31] ^= 0x01;
-        assert!(
-            !paths_agree(vk, &bad_digest, &sig),
-            "{what}: digest bit flip"
+    let (comb, ladder) = bmac_integration_tests::keys_on_each_table("scalar-edge-vectors", 1);
+    if comb.is_empty() {
+        bmac_integration_tests::note_if_lanes_absent(
+            "u2_at_the_piece_boundaries_verifies_on_both_paths",
         );
-        let mut bad_r = sig;
-        bad_r.r.0[0] ^= 1;
-        assert!(!paths_agree(vk, &digest, &bad_r), "{what}: r bit flip");
-        let mut bad_s = sig;
-        bad_s.s.0[1] ^= 1 << 17;
-        assert!(!paths_agree(vk, &digest, &bad_s), "{what}: s bit flip");
     }
+    for (what, u2) in vectors {
+        for key in comb.iter().chain(&ladder) {
+            u2_verifies_on_both_paths(key, &u1, &u2, what);
+        }
+    }
+}
+
+/// A valid signature with this `u2` verifies, and one bit off in the
+/// digest, `r` or `s` does not, on every path.
+fn u2_verifies_on_both_paths(key: &SigningKey, u1: &U256, u2: &U256, what: &str) {
+    let vk = key.verifying_key();
+    let n = p256().order;
+    assert!(!u2.is_zero() && u2 < &n, "{what}: u2 out of range");
+    let (sig, digest) = forge_signature_with_u2(key, u1, u2);
+    // The forgery hit its target: the verifier's own u2 is ours.
+    let sinv = inv_mod_odd(&sig.s, &n).unwrap();
+    assert_eq!(sig.r.widening_mul(&sinv).rem(&n), *u2, "{what}: forged u2");
+    assert!(paths_agree(vk, &digest, &sig), "{what}: must verify");
+    // One flipped bit anywhere must be refused, by both paths.
+    let mut bad_digest = digest;
+    bad_digest[31] ^= 0x01;
+    assert!(
+        !paths_agree(vk, &bad_digest, &sig),
+        "{what}: digest bit flip"
+    );
+    let mut bad_r = sig;
+    bad_r.r.0[0] ^= 1;
+    assert!(!paths_agree(vk, &digest, &bad_r), "{what}: r bit flip");
+    let mut bad_s = sig;
+    bad_s.s.0[1] ^= 1 << 17;
+    assert!(!paths_agree(vk, &digest, &bad_s), "{what}: s bit flip");
 }
