@@ -1,15 +1,14 @@
-//! Ablation studies for the design choices DESIGN.md calls out:
-//! short-circuit evaluation, early abort, hw/sw commit overlap,
-//! identity removal, engine geometry, and the §5 tiered database.
+//! Ablation studies of the paper's hardware design choices:
+//! short-circuit endorsement evaluation (§3.3), overlap of hardware
+//! validation with the software ledger commit (§3.1), identity removal
+//! in the protocol (§3.1), and engine geometry at an equal engine budget.
 
 use bmac_bench::{heading, report_checks, table, ShapeCheck};
-use bmac_hw::tiered_db::TieredStateDb;
 use bmac_hw::{validate_block, Geometry, HwModelConfig, HwWorkload};
 use bmac_protocol::BmacSender;
 use fabric_node::chaincode::KvChaincode;
 use fabric_node::network::FabricNetworkBuilder;
 use fabric_policy::Policy;
-use fabric_statedb::{Height, StateDb, WriteBatch};
 
 const BLOCK: usize = 150;
 
@@ -97,35 +96,6 @@ fn main() {
         ]);
     }
     table(&["geometry", "vscc engines", "tps (3of3)"], &rows);
-
-    // --- Ablation 5: tiered database hit rates under skewed access.
-    heading("ablation: tiered in-hardware cache over host database (\u{a7}5)");
-    let host = StateDb::new();
-    let mut batch = WriteBatch::new();
-    for k in 0..4096 {
-        batch.put(format!("key{k}"), vec![1]);
-    }
-    host.apply(&batch, Height::new(1, 0));
-    let mut rows = Vec::new();
-    for cache in [64usize, 512, 4096] {
-        let mut tiered = TieredStateDb::new(cache, host.clone());
-        // Zipf-ish skew: 90% of accesses to 10% of keys.
-        for round in 0..4096usize {
-            let key = if round % 10 < 9 {
-                format!("key{}", round % 410)
-            } else {
-                format!("key{}", (round * 7) % 4096)
-            };
-            tiered.get(&key);
-        }
-        let s = tiered.stats();
-        rows.push(vec![
-            format!("{cache}"),
-            format!("{:.1}%", s.hit_rate() * 100.0),
-            format!("{}", s.evictions),
-        ]);
-    }
-    table(&["cache entries", "hit rate", "evictions"], &rows);
 
     let checks = vec![
         ShapeCheck::new(

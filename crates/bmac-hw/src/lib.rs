@@ -29,11 +29,9 @@ pub mod machine;
 pub mod processor;
 pub mod resources;
 pub mod throughput;
-pub mod tiered_db;
 pub mod timing;
 
 pub use machine::{BMacMachine, MachineError};
 pub use processor::{BlockProcessor, HwBlockResult, HwBlockStats, ProcessorConfig};
 pub use resources::{utilization, Geometry, Utilization};
 pub use throughput::{validate_block, HwBreakdown, HwModelConfig, HwWorkload};
-pub use tiered_db::{TieredStateDb, TieredStats};

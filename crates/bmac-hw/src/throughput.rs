@@ -80,7 +80,7 @@ pub struct HwModelConfig {
     /// Architecture geometry.
     pub geometry: Geometry,
     /// Short-circuit endorsement evaluation (§3.3). Disabling verifies
-    /// all endorsements like software (ablation 1 of DESIGN.md).
+    /// all endorsements like software (ablation 1 of the `ablations` bin).
     pub short_circuit: bool,
     /// Overlap hardware validation of block n+1 with software ledger
     /// commit of block n (§3.1). Disabling serializes them.

@@ -94,19 +94,15 @@ pub fn mempool_feed_blocks(scenario: &StreamScenario, feed: &MempoolFeed) -> Fee
         scenario.orderer(),
         OrdererConfig {
             block_size: scenario.block_size,
-            cluster_size: 1,
-            seed: scenario.seed,
+            ..OrdererConfig::default()
         },
     );
     let mut blocks = Vec::new();
     let mut submitted = 0usize;
     let cycle = |mempool: &Mempool, orderer: &mut OrderingService, blocks: &mut Vec<Block>| {
         mempool.verify_pending();
-        blocks.extend(
-            orderer
-                .ingest_mempool(mempool)
-                .expect("single-orderer mode cannot lose its leader"),
-        );
+        let Ok(cut) = orderer.ingest_mempool(mempool);
+        blocks.extend(cut);
     };
     for envelope in generated.blocks.iter().flat_map(|b| &b.data.data) {
         let outcome = mempool.admit(envelope);

@@ -3,7 +3,7 @@
 //! Everything a validator peer consumes is produced here: endorser peers
 //! simulate proposals against their state databases ([`endorser`]),
 //! clients gather endorsements and sign envelopes ([`client`]), the
-//! Raft-backed ordering service cuts signed blocks ([`orderer`]), and the
+//! single orderer cuts signed blocks ([`orderer`]), and the
 //! Gossip dissemination model ([`gossip`]) provides the baseline wire
 //! behaviour the BMac protocol is compared against. [`network`] wires a
 //! complete topology (paper Figure 8).

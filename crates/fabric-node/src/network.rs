@@ -1,8 +1,8 @@
 //! Fabric network assembly: organizations, peers, clients, orderer.
 //!
 //! Builds the paper's experimental topology (Figure 8): N organizations,
-//! each with a certificate authority and endorser peer(s), a Raft
-//! ordering service, and clients submitting transactions — everything a
+//! each with a certificate authority and endorser peer(s), a single
+//! orderer, and clients submitting transactions — everything a
 //! validator peer (software-only or BMac) consumes.
 
 use fabric_crypto::identity::{Msp, Role, SigningIdentity};
@@ -37,7 +37,6 @@ pub struct FabricNetworkBuilder {
     endorsers_per_org: u8,
     clients: usize,
     block_size: usize,
-    orderer_cluster: usize,
     channel: String,
     chaincodes: Vec<(String, Policy)>,
     seed: u64,
@@ -50,7 +49,6 @@ impl Default for FabricNetworkBuilder {
             endorsers_per_org: 1,
             clients: 1,
             block_size: 150,
-            orderer_cluster: 1,
             channel: "mychannel".into(),
             chaincodes: Vec::new(),
             seed: 7,
@@ -89,12 +87,6 @@ impl FabricNetworkBuilder {
         self
     }
 
-    /// Raft ordering-service size.
-    pub fn orderer_cluster(mut self, n: usize) -> Self {
-        self.orderer_cluster = n.max(1);
-        self
-    }
-
     /// Channel name.
     pub fn channel(mut self, name: impl Into<String>) -> Self {
         self.channel = name.into();
@@ -109,7 +101,7 @@ impl FabricNetworkBuilder {
         self
     }
 
-    /// RNG seed for nonces and Raft timers.
+    /// RNG seed for nonces.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
@@ -131,8 +123,7 @@ impl FabricNetworkBuilder {
             orderer_ident,
             OrdererConfig {
                 block_size: self.block_size,
-                cluster_size: self.orderer_cluster,
-                seed: self.seed,
+                ..OrdererConfig::default()
             },
         );
         let clients = (0..self.clients)
@@ -300,9 +291,7 @@ impl FabricNetwork {
             consumed = i + 1;
         }
         let built = client_ref.assemble(&selected, chaincode, first);
-        self.ordering
-            .submit(built.envelope)
-            .map_err(|_| ClientError::NoEndorsers)
+        Ok(self.ordering.submit(built.envelope))
     }
 
     /// Applies committed writes to every endorser's state database

@@ -1,17 +1,18 @@
-//! The ordering service: Raft-ordered envelopes cut into signed blocks.
+//! The ordering service: envelopes cut into signed blocks.
 //!
 //! "The ordering service consists of one or more orderers, which use a
 //! consensus mechanism to establish a total order for the transactions"
-//! (paper §2.1.1). Envelopes are proposed to a Raft cluster; the lead
-//! orderer cuts committed envelopes into blocks of a configured size and
-//! signs them. The paper's evaluation runs a single-orderer Raft service
-//! (§4.1); multi-orderer operation is exercised by the integration tests.
+//! (paper §2.1.1). The paper's evaluation runs a single orderer (§4.1),
+//! and so does this service: envelopes are ordered as they arrive, cut
+//! into blocks of a configured size and signed. Consensus among several
+//! orderers is a pluggable service outside the validator the paper
+//! accelerates, and is not modelled.
+
+use std::convert::Infallible;
 
 use fabric_crypto::identity::SigningIdentity;
 use fabric_protos::messages::Block;
 use fabric_protos::txflow::{block_header_hash, build_block};
-use fabric_raft::cluster::Cluster;
-use fabric_raft::ProposeError;
 
 /// Configuration of the ordering service.
 #[derive(Debug, Clone)]
@@ -19,9 +20,11 @@ pub struct OrdererConfig {
     /// Transactions per block ("block size" throughout the paper's
     /// evaluation).
     pub block_size: usize,
-    /// Number of Raft orderer nodes (1 in the paper's setup).
+    /// Number of orderer nodes. Only the paper's single orderer exists:
+    /// [`OrderingService::new`] refuses any other value.
     pub cluster_size: usize,
-    /// Seed for the Raft cluster's randomized timers.
+    /// Unread: a single orderer has nothing to randomize. Kept so
+    /// existing configuration literals still compile.
     pub seed: u64,
 }
 
@@ -35,86 +38,55 @@ impl Default for OrdererConfig {
     }
 }
 
-/// The ordering service.
-///
-/// Multi-node mode drives a full [`Cluster`]; the common single-orderer
-/// mode skips consensus messaging (a 1-node Raft group commits
-/// immediately), matching the paper's deployment.
+/// The ordering service: one orderer that cuts and signs blocks.
 #[derive(Debug)]
 pub struct OrderingService {
     identity: SigningIdentity,
-    config: OrdererConfig,
-    cluster: Option<Cluster>,
-    /// Envelopes committed by consensus but not yet cut into a block.
-    committed_pending: Vec<Vec<u8>>,
-    /// Envelopes submitted in single-orderer mode.
+    block_size: usize,
+    /// Envelopes ordered but not yet cut into a block.
+    pending: Vec<Vec<u8>>,
     next_block_number: u64,
     previous_hash: [u8; 32],
-    blocks_cut: u64,
 }
 
 impl OrderingService {
-    /// Creates the service with the lead orderer's identity.
+    /// Creates the service with the orderer's identity.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.cluster_size` is not 1: only a single orderer
+    /// is modelled.
     pub fn new(identity: SigningIdentity, config: OrdererConfig) -> Self {
-        let cluster = if config.cluster_size > 1 {
-            let mut c = Cluster::new(config.cluster_size, config.seed);
-            c.run_until_leader(1000)
-                .expect("raft cluster elects a leader");
-            Some(c)
-        } else {
-            None
-        };
+        assert!(
+            config.cluster_size == 1,
+            "only a single orderer is modelled (the paper's \u{a7}4.1 setup); \
+             cluster_size {} is not supported",
+            config.cluster_size
+        );
         OrderingService {
             identity,
-            config,
-            cluster,
-            committed_pending: Vec::new(),
+            block_size: config.block_size,
+            pending: Vec::new(),
             next_block_number: 0,
             previous_hash: [0u8; 32],
-            blocks_cut: 0,
         }
     }
 
     /// Number of transactions per block.
     pub fn block_size(&self) -> usize {
-        self.config.block_size
+        self.block_size
     }
 
-    /// The lead orderer's identity.
+    /// The orderer's identity.
     pub fn identity(&self) -> &SigningIdentity {
         &self.identity
     }
 
     /// Submits a marshaled envelope for ordering. Returns any blocks cut
     /// as a consequence (usually zero or one).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ProposeError`] if the Raft leader vanished (multi-node
-    /// mode only; callers retry after [`OrderingService::tick`]).
-    pub fn submit(&mut self, envelope: Vec<u8>) -> Result<Vec<Block>, ProposeError> {
-        match &mut self.cluster {
-            None => {
-                self.committed_pending.push(envelope);
-            }
-            Some(cluster) => {
-                cluster.propose(envelope);
-                // Drive replication until commit (bounded rounds).
-                for _ in 0..50 {
-                    cluster.round();
-                    let leader = match cluster.leader() {
-                        Some(l) => l,
-                        None => continue,
-                    };
-                    let committed = cluster.node_mut(leader).take_committed();
-                    if !committed.is_empty() {
-                        self.committed_pending.extend(committed);
-                        break;
-                    }
-                }
-            }
-        }
-        Ok(self.cut_ready_blocks())
+    pub fn submit(&mut self, envelope: Vec<u8>) -> Vec<Block> {
+        self.pending.push(envelope);
+        self.cut_ready_blocks()
     }
 
     /// Drains every verified-and-ready transaction from `mempool` into
@@ -124,53 +96,36 @@ impl OrderingService {
     /// blocks cut here are deterministic for a given admission
     /// sequence regardless of verify-pool parallelism.
     ///
-    /// # Errors
-    ///
-    /// Propagates [`ProposeError`] from [`OrderingService::submit`]
-    /// (multi-node mode only). Transactions already drained from the
-    /// mempool before the error are retained in `committed_pending`
-    /// and will be cut once the leader recovers.
+    /// Never fails; the `Result` keeps existing `expect` call sites
+    /// compiling.
     pub fn ingest_mempool(
         &mut self,
         mempool: &fabric_mempool::Mempool,
-    ) -> Result<Vec<Block>, ProposeError> {
-        let mut out = Vec::new();
-        for envelope in mempool.drain(usize::MAX) {
-            out.extend(self.submit(envelope)?);
-        }
-        Ok(out)
-    }
-
-    /// Advances the Raft cluster (no-op for single-orderer mode).
-    pub fn tick(&mut self) {
-        if let Some(cluster) = &mut self.cluster {
-            cluster.round();
-        }
+    ) -> Result<Vec<Block>, Infallible> {
+        self.pending.extend(mempool.drain(usize::MAX));
+        Ok(self.cut_ready_blocks())
     }
 
     /// Cuts a block from whatever is pending, even if smaller than the
     /// configured block size (Fabric's batch timeout path).
     pub fn cut_partial_block(&mut self) -> Option<Block> {
-        if self.committed_pending.is_empty() {
+        if self.pending.is_empty() {
             return None;
         }
-        let take = self.committed_pending.len().min(self.config.block_size);
-        let envs: Vec<Vec<u8>> = self.committed_pending.drain(..take).collect();
+        let take = self.pending.len().min(self.block_size);
+        let envs: Vec<Vec<u8>> = self.pending.drain(..take).collect();
         Some(self.cut(envs))
     }
 
     /// Blocks cut so far.
     pub fn blocks_cut(&self) -> u64 {
-        self.blocks_cut
+        self.next_block_number
     }
 
     fn cut_ready_blocks(&mut self) -> Vec<Block> {
         let mut out = Vec::new();
-        while self.committed_pending.len() >= self.config.block_size {
-            let envs: Vec<Vec<u8>> = self
-                .committed_pending
-                .drain(..self.config.block_size)
-                .collect();
+        while self.pending.len() >= self.block_size {
+            let envs: Vec<Vec<u8>> = self.pending.drain(..self.block_size).collect();
             out.push(self.cut(envs));
         }
         out
@@ -185,7 +140,6 @@ impl OrderingService {
         );
         self.previous_hash = block_header_hash(&block.header);
         self.next_block_number += 1;
-        self.blocks_cut += 1;
         block
     }
 }
@@ -200,19 +154,22 @@ mod tests {
         msp.issue(0, Role::Orderer, 0).unwrap()
     }
 
-    #[test]
-    fn cuts_block_at_configured_size() {
-        let mut svc = OrderingService::new(
+    fn service(block_size: usize) -> OrderingService {
+        OrderingService::new(
             orderer_identity(),
             OrdererConfig {
-                block_size: 3,
-                cluster_size: 1,
-                seed: 1,
+                block_size,
+                ..OrdererConfig::default()
             },
-        );
-        assert!(svc.submit(vec![1]).unwrap().is_empty());
-        assert!(svc.submit(vec![2]).unwrap().is_empty());
-        let blocks = svc.submit(vec![3]).unwrap();
+        )
+    }
+
+    #[test]
+    fn cuts_block_at_configured_size() {
+        let mut svc = service(3);
+        assert!(svc.submit(vec![1]).is_empty());
+        assert!(svc.submit(vec![2]).is_empty());
+        let blocks = svc.submit(vec![3]);
         assert_eq!(blocks.len(), 1);
         assert_eq!(blocks[0].data.data.len(), 3);
         assert_eq!(blocks[0].header.number, 0);
@@ -220,16 +177,9 @@ mod tests {
 
     #[test]
     fn blocks_chain_hashes() {
-        let mut svc = OrderingService::new(
-            orderer_identity(),
-            OrdererConfig {
-                block_size: 1,
-                cluster_size: 1,
-                seed: 1,
-            },
-        );
-        let b0 = svc.submit(vec![1]).unwrap().remove(0);
-        let b1 = svc.submit(vec![2]).unwrap().remove(0);
+        let mut svc = service(1);
+        let b0 = svc.submit(vec![1]).remove(0);
+        let b1 = svc.submit(vec![2]).remove(0);
         assert_eq!(
             b1.header.previous_hash,
             block_header_hash(&b0.header).to_vec()
@@ -239,16 +189,9 @@ mod tests {
 
     #[test]
     fn partial_block_on_timeout() {
-        let mut svc = OrderingService::new(
-            orderer_identity(),
-            OrdererConfig {
-                block_size: 10,
-                cluster_size: 1,
-                seed: 1,
-            },
-        );
-        svc.submit(vec![1]).unwrap();
-        svc.submit(vec![2]).unwrap();
+        let mut svc = service(10);
+        svc.submit(vec![1]);
+        svc.submit(vec![2]);
         let block = svc.cut_partial_block().expect("partial block");
         assert_eq!(block.data.data.len(), 2);
         assert!(svc.cut_partial_block().is_none());
@@ -290,15 +233,8 @@ mod tests {
         }
         mempool.verify_pending();
 
-        let mut svc = OrderingService::new(
-            orderer_identity(),
-            OrdererConfig {
-                block_size: 2,
-                cluster_size: 1,
-                seed: 1,
-            },
-        );
-        let blocks = svc.ingest_mempool(&mempool).unwrap();
+        let mut svc = service(2);
+        let Ok(blocks) = svc.ingest_mempool(&mempool);
         assert_eq!(blocks.len(), 2);
         assert_eq!(blocks[0].data.data, envs[..2].to_vec());
         assert_eq!(blocks[1].data.data, envs[2..].to_vec());
@@ -306,18 +242,14 @@ mod tests {
     }
 
     #[test]
-    fn multi_orderer_raft_orders_envelopes() {
-        let mut svc = OrderingService::new(
+    #[should_panic(expected = "only a single orderer is modelled")]
+    fn several_orderers_are_refused_at_construction() {
+        OrderingService::new(
             orderer_identity(),
             OrdererConfig {
-                block_size: 2,
                 cluster_size: 3,
-                seed: 42,
+                ..OrdererConfig::default()
             },
         );
-        svc.submit(b"tx1".to_vec()).unwrap();
-        let blocks = svc.submit(b"tx2".to_vec()).unwrap();
-        assert_eq!(blocks.len(), 1);
-        assert_eq!(blocks[0].data.data, vec![b"tx1".to_vec(), b"tx2".to_vec()]);
     }
 }

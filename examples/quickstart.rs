@@ -14,7 +14,7 @@ use fabric_node::network::FabricNetworkBuilder;
 use fabric_policy::parse;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // 1. A Fabric network: 2 orgs, 1 endorser each, single Raft orderer.
+    // 1. A Fabric network: 2 orgs, 1 endorser each, single orderer.
     let mut net = FabricNetworkBuilder::new()
         .orgs(2)
         .block_size(2)

@@ -11,7 +11,7 @@
 //! * [`bmac_core`] / `bmac_hw` / `bmac_protocol` — the hardware
 //!   Blockchain Machine simulation and its network protocol;
 //! * `fabric_node`, `fabric_policy`, `fabric_protos`, `fabric_statedb`,
-//!   `fabric_ledger`, `fabric_raft`, `fabric_sim`, `workload` —
+//!   `fabric_ledger`, `fabric_sim`, `workload` —
 //!   supporting network, policy, wire-format, state, and workload crates.
 
 pub use bmac_core;
@@ -23,6 +23,5 @@ pub use fabric_node;
 pub use fabric_peer;
 pub use fabric_policy;
 pub use fabric_protos;
-pub use fabric_raft;
 pub use fabric_sim;
 pub use workload;

@@ -1,6 +1,5 @@
 //! Tests for the paper's §5 extensions: partial reconfiguration of the
-//! policy evaluator, Go-Back-N over real block traffic, and the tiered
-//! database under a validator workload.
+//! policy evaluator, and Go-Back-N over real block traffic.
 
 use std::collections::HashMap;
 
