@@ -42,16 +42,7 @@ impl SerialOracle {
     /// its own blocks, and they need the same serial ground truth as a
     /// pregenerated stream.
     pub fn from_blocks(scenario: &StreamScenario, blocks: Vec<Block>) -> Self {
-        // The oracle's replay is pinned to the *legacy* state store
-        // while the audited peers run the sharded one — every audit
-        // whose state comparison passes is therefore also a
-        // cross-backend differential check.
-        let serial = ValidatorPipeline::with_state_backend(
-            scenario.validator_msp(),
-            scenario.policies(),
-            2,
-            fabric_statedb::StateBackend::Legacy,
-        );
+        let serial = ValidatorPipeline::new(scenario.validator_msp(), scenario.policies(), 2);
         let mut codes = Vec::new();
         let mut commit_hashes = Vec::new();
         let mut snapshots = vec![serial.state_db().snapshot()];

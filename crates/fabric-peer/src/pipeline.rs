@@ -82,7 +82,7 @@ use fabric_ledger::{Ledger, LedgerError, TxValidationCode};
 use fabric_policy::Policy;
 use fabric_protos::messages::Block;
 use fabric_protos::txflow::{decode_block_struct, hash_block_data, DecodedBlock};
-use fabric_statedb::{Height, StateBackend, StateDb, WriteBatch};
+use fabric_statedb::{Height, StateDb, WriteBatch};
 
 use crate::sigcache::{SigCacheKey, SigCacheStats, SignatureCache};
 use crate::verify::Verifier;
@@ -204,31 +204,6 @@ impl ValidatorPipeline {
             workers,
             DEFAULT_SIG_CACHE_CAPACITY,
             StateDb::new(),
-            Ledger::new(),
-        )
-    }
-
-    /// Creates a validator like [`ValidatorPipeline::new`] but with its
-    /// state database on an explicit backend — the differential-audit
-    /// constructor: the cluster harness's serial oracle pins its replay
-    /// to the legacy reference store while peers run the sharded one,
-    /// so an audit pass is also a cross-backend equivalence check.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers == 0`.
-    pub fn with_state_backend(
-        msp: Msp,
-        policies: HashMap<String, Policy>,
-        workers: usize,
-        backend: StateBackend,
-    ) -> Self {
-        Self::with_storage(
-            msp,
-            policies,
-            workers,
-            DEFAULT_SIG_CACHE_CAPACITY,
-            StateDb::with_backend(backend),
             Ledger::new(),
         )
     }

@@ -1,12 +1,11 @@
-//! Hash-sharded MVCC state store — the commit-path rework of ROADMAP
-//! item 3.
+//! [`StateDb`], the hash-sharded MVCC state store every peer runs — the
+//! commit-path rework of ROADMAP item 3.
 //!
 //! # Why
 //!
-//! The legacy store is one `BTreeMap` behind one `RwLock`: every point
-//! read, range scan, snapshot chunk, and batch apply funnels through a
-//! single lock, and its `get` even takes the *write* lock to bump
-//! statistics. Fine for 25-tx harness blocks; the bottleneck at the
+//! A single-lock design — one `BTreeMap` behind one `RwLock` — funnels
+//! every point read, range scan, snapshot chunk, and batch apply through
+//! that lock. Fine for 25-tx harness blocks; the bottleneck at the
 //! million-key populations `workload::arrivals` generates, and a hard
 //! blocker for a wide commit stage.
 //!
@@ -16,15 +15,15 @@
 //!   default) to independent `RwLock<BTreeMap<key, version-chain>>`
 //!   shards. Point reads touch exactly one shard lock; a block's write
 //!   batches group by shard and disjoint shard groups apply
-//!   concurrently ([`ShardedStateDb::apply_block`]).
+//!   concurrently ([`StateDb::apply_block`]).
 //! * **Version chains (MVCC).** Each key maps to a short chain of
 //!   `(epoch, height, value-or-tombstone)` entries in apply order.
 //!   Live reads resolve the newest entry; a pinned snapshot
-//!   ([`ShardedStateDb::pin`]) resolves the newest entry at or below
-//!   its pinned *epoch* — so readers execute at a height snapshot
-//!   without blocking the committer, and the committer never blocks
-//!   behind readers. Chains are pruned below the oldest live pin on
-//!   every touch, so hot keys stay short.
+//!   ([`StateDb::pin`]) resolves the newest entry at or below its
+//!   pinned *epoch* — so readers execute at a height snapshot without
+//!   blocking the committer, and the committer never blocks behind
+//!   readers. Chains are pruned below the oldest live pin on every
+//!   touch, so hot keys stay short.
 //! * **Epochs, not heights, order visibility.** Every apply completes
 //!   one epoch (a monotone counter); the `(epoch, tip-height)` pair
 //!   advances *after* the whole apply — a whole block for
@@ -58,8 +57,13 @@ use crate::{Height, JournalSink, StateDbStats, VersionedValue, WriteBatch};
 /// enough that the k-way merge cursor sweep stays cheap.
 pub const DEFAULT_SHARDS: usize = 16;
 
-/// Minimum total entries in an [`ShardedStateDb::apply_block`] before
-/// the per-shard apply fans out to threads; below this the spawn cost
+/// Entries cloned per visit of the shard locks by snapshotting: large
+/// enough to amortize the lock round-trips, small enough that a writer
+/// blocked behind a chunk waits microseconds, not the whole copy.
+pub const SNAPSHOT_CHUNK: usize = 1024;
+
+/// Minimum total entries in an [`StateDb::apply_block`] before the
+/// per-shard apply fans out to threads; below this the spawn cost
 /// dominates the map work.
 const PARALLEL_APPLY_THRESHOLD: usize = 256;
 
@@ -129,23 +133,34 @@ struct SharedInner {
     misses: AtomicU64,
 }
 
-/// The hash-sharded MVCC store; see the module docs. Constructed
-/// through the [`crate::StateDb`] facade in normal use.
+/// The unbounded, thread-safe versioned store used by software peers:
+/// the hash-sharded MVCC store of the module docs.
 ///
-/// Cloning is cheap: clones share the same shards.
+/// Cloning is cheap: clones share the same shards, matching how a
+/// peer's components all see one state database.
+///
+/// ```
+/// use fabric_statedb::{Height, StateDb, WriteBatch};
+/// let db = StateDb::new();
+/// let mut batch = WriteBatch::new();
+/// batch.put("k", b"v".to_vec());
+/// db.apply(&batch, Height::new(1, 0));
+/// assert_eq!(db.get("k").unwrap().value, b"v");
+/// ```
 #[derive(Debug, Clone)]
-pub struct ShardedStateDb {
+pub struct StateDb {
     inner: Arc<SharedInner>,
 }
 
-impl Default for ShardedStateDb {
+impl Default for StateDb {
     fn default() -> Self {
-        ShardedStateDb::new()
+        StateDb::new()
     }
 }
 
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= b as u64;
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
@@ -153,20 +168,43 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     hash
 }
 
-impl ShardedStateDb {
-    /// Creates an empty store with [`DEFAULT_SHARDS`] shards.
+fn shard_index(key: &str, shards: usize) -> usize {
+    (fnv1a(FNV_OFFSET, key.as_bytes()) % shards as u64) as usize
+}
+
+/// Deterministic 64-bit digest (FNV-1a) of an ordered dump — keys,
+/// values, and versions, each length-prefixed. [`StateDb::state_hash`]
+/// is this over [`StateDb::snapshot`], and a reference that hashes its
+/// own dump with the same function compares on contents alone: equal
+/// state hashes ⇔ bit-identical dumps.
+pub fn hash_dump(dump: impl IntoIterator<Item = (String, VersionedValue)>) -> u64 {
+    let mut hash = FNV_OFFSET;
+    for (key, v) in dump {
+        hash = fnv1a(hash, &(key.len() as u64).to_le_bytes());
+        hash = fnv1a(hash, key.as_bytes());
+        hash = fnv1a(hash, &(v.value.len() as u64).to_le_bytes());
+        hash = fnv1a(hash, &v.value);
+        hash = fnv1a(hash, &v.version.block_num.to_le_bytes());
+        hash = fnv1a(hash, &v.version.tx_num.to_le_bytes());
+    }
+    hash
+}
+
+impl StateDb {
+    /// Creates an empty database with [`DEFAULT_SHARDS`] shards.
     pub fn new() -> Self {
-        ShardedStateDb::with_shards(DEFAULT_SHARDS)
+        StateDb::with_shards(DEFAULT_SHARDS)
     }
 
-    /// Creates an empty store with an explicit shard count.
+    /// Creates an empty database with an explicit shard count
+    /// (shard-count independence is itself a tested property).
     ///
     /// # Panics
     ///
     /// Panics if `shards == 0`.
     pub fn with_shards(shards: usize) -> Self {
         assert!(shards > 0, "shard count must be non-zero");
-        ShardedStateDb {
+        StateDb {
             inner: Arc::new(SharedInner {
                 shards: (0..shards)
                     .map(|_| RwLock::named("statedb.shard", Shard::default()))
@@ -181,11 +219,13 @@ impl ShardedStateDb {
         }
     }
 
-    /// Rebuilds a store from a checkpoint snapshot (see
-    /// [`crate::StateDb::from_snapshot`]): entries land in their home
-    /// shards as single-entry chains at epoch 1.
+    /// Rebuilds a database from a checkpoint snapshot: the entries of a
+    /// previous [`StateDb::snapshot`] (ascending keys) plus the tip
+    /// height recorded with it. Entries land in their home shards as
+    /// single-entry chains at epoch 1; the journal replay that follows a
+    /// snapshot restore continues from this tip.
     pub fn from_snapshot(entries: Vec<(String, VersionedValue)>, tip: Option<Height>) -> Self {
-        let db = ShardedStateDb::new();
+        let db = StateDb::new();
         let epoch = if entries.is_empty() && tip.is_none() {
             0
         } else {
@@ -196,15 +236,14 @@ impl ShardedStateDb {
             for (key, v) in entries {
                 let shard = &db.inner.shards[db.shard_of(&key)];
                 let mut g = shard.write();
-                g.map.insert(
-                    key,
-                    vec![VersionEntry {
-                        epoch,
-                        height: v.version,
-                        value: Some(v.value),
-                    }],
-                );
-                g.live += 1;
+                let chain = vec![VersionEntry {
+                    epoch,
+                    height: v.version,
+                    value: Some(v.value),
+                }];
+                if g.map.insert(key, chain).is_none() {
+                    g.live += 1;
+                }
             }
             order.epoch = epoch;
             order.tip = tip;
@@ -214,16 +253,19 @@ impl ShardedStateDb {
     }
 
     fn shard_of(&self, key: &str) -> usize {
-        (fnv1a64(key.as_bytes()) % self.inner.shards.len() as u64) as usize
+        shard_index(key, self.inner.shards.len())
     }
 
-    /// Attaches a write-ahead journal sink (see
-    /// [`crate::StateDb::attach_journal`]).
+    /// Attaches a write-ahead journal sink. Every subsequent
+    /// [`StateDb::apply`] records to the sink before touching the
+    /// shards. Attach *after* recovery replay so replayed batches are
+    /// not re-journaled.
     pub fn attach_journal(&self, sink: Arc<dyn JournalSink>) {
         self.inner.order.lock().journal = Some(sink);
     }
 
-    /// Flushes the attached journal (a no-op without one).
+    /// Flushes the attached journal (a no-op without one): the durable
+    /// group-commit boundary.
     pub fn flush_journal(&self) {
         let sink = self.inner.order.lock().journal.clone();
         if let Some(sink) = sink {
@@ -256,22 +298,33 @@ impl ShardedStateDb {
         self.get(key).map(|v| v.version)
     }
 
-    /// Applies one batch; journals it first when a sink is attached.
+    /// Applies a write batch, stamping every entry at `height`. With a
+    /// journal attached the batch is recorded first (write-ahead),
+    /// under the lock that orders commits — so the journal's record
+    /// order is exactly the apply order. Sinks must not call back into
+    /// this database.
     pub fn apply(&self, batch: &WriteBatch, height: Height) {
         self.apply_batches(&[(batch, height)], true);
     }
 
-    /// Re-applies a journaled batch during recovery — never re-journals.
+    /// Re-applies a journaled batch during recovery: identical to
+    /// [`StateDb::apply`] except the batch is *never* forwarded to an
+    /// attached journal (replaying must not re-journal).
     pub fn replay(&self, batch: &WriteBatch, height: Height) {
         self.apply_batches(&[(batch, height)], false);
     }
 
-    /// Applies a block's per-transaction batches in commit order, with
-    /// the in-memory work fanned out over disjoint shards when the
-    /// block is large enough to pay for the threads. Journal records
-    /// are emitted for every batch, in batch order, before any entry
-    /// becomes visible. Semantically identical to applying each batch
-    /// in sequence.
+    /// Applies one block's worth of per-transaction batches in commit
+    /// order — the streaming validator's commit stage calls this once
+    /// per block. Journal records are emitted for *every* batch
+    /// (including empty ones: recovery counts one record per valid
+    /// transaction) in exact batch order, before any entry becomes
+    /// visible; the in-memory apply then fans out over disjoint shards
+    /// concurrently when the block is large enough to pay for the
+    /// threads. The contents equal `for (b, h) in batches { self.apply(b, h) }`,
+    /// but an attached journal sees one [`JournalSink::apply_boundary`]
+    /// for the whole call (also when `batches` is empty), and a pinned
+    /// reader sees all of the block or none of it.
     pub fn apply_block(&self, batches: &[(WriteBatch, Height)]) {
         let refs: Vec<(&WriteBatch, Height)> = batches.iter().map(|(b, h)| (b, *h)).collect();
         self.apply_batches(&refs, true);
@@ -281,8 +334,8 @@ impl ShardedStateDb {
         let inner = &self.inner;
         // The commit-order mutex is held for the WHOLE apply: journal
         // record order == apply order, and concurrent apply calls
-        // serialize exactly like the legacy store. Parallelism lives
-        // *inside* one apply (disjoint shard groups), not across them.
+        // serialize. Parallelism lives *inside* one apply (disjoint
+        // shard groups), not across them.
         let mut order = inner.order.lock();
         if journal {
             if let Some(sink) = &order.journal {
@@ -372,10 +425,14 @@ impl ShardedStateDb {
         *inner.committed.write() = (order.epoch, tip);
     }
 
-    /// Pins a read snapshot at the last completed epoch; see
-    /// [`crate::StateDb::pin`]. O(1): registers the epoch in the pin
-    /// table, fencing version pruning below it.
-    pub fn pin(&self) -> ShardedSnapshot {
+    /// Pins a read snapshot at the current *committed* height: every
+    /// read through the returned handle observes exactly the state as
+    /// of that height, whatever the committer applies afterwards.
+    ///
+    /// O(1): the pin registers its epoch in the pin table, readers
+    /// resolve against per-key version chains, and version pruning is
+    /// fenced below the oldest live pin until the handle drops.
+    pub fn pin(&self) -> StateSnapshot {
         let inner = &self.inner;
         let mut pins = inner.pins.lock();
         let (epoch, height) = *inner.committed.read();
@@ -385,7 +442,7 @@ impl ShardedStateDb {
             *pins.entry(epoch).or_insert(0) += 1;
         }
         drop(pins);
-        ShardedSnapshot {
+        StateSnapshot {
             inner: Arc::clone(&self.inner),
             epoch,
             height,
@@ -439,31 +496,40 @@ impl ShardedStateDb {
         }
     }
 
-    /// Highest height ever applied (`None` = never committed).
+    /// Highest height ever passed to [`StateDb::apply`], or `None` for a
+    /// database that has never committed. Commit heights in Fabric are
+    /// monotone, so this is "the visibility horizon": a reader at this
+    /// height sees every committed write.
     pub fn tip_height(&self) -> Option<Height> {
         self.inner.order.lock().tip
     }
 
-    /// Full ordered dump of the live keys; see
-    /// [`crate::StateDb::snapshot`].
+    /// Full ordered dump of the live keys with values and versions — the
+    /// serial-equivalence harness compares final database contents with
+    /// this (a `range` over the whole keyspace would need a sentinel
+    /// upper bound). Assembled from bounded chunks (see
+    /// [`StateDb::snapshot_chunks`]), so a checkpoint of a large store
+    /// does not stall concurrent writers for the whole copy.
     pub fn snapshot(&self) -> Vec<(String, VersionedValue)> {
-        self.snapshot_chunks(crate::SNAPSHOT_CHUNK)
-            .flatten()
-            .collect()
+        self.snapshot_chunks(SNAPSHOT_CHUNK).flatten().collect()
     }
 
-    /// Chunked snapshot iterator with the same fuzzy contract as the
-    /// legacy store (see [`crate::StateDb::snapshot_chunks`]): each
-    /// chunk visits the shard locks once, merges the per-shard tails
-    /// after the cursor, and releases — writers interleave between
-    /// chunks; keys behind the cursor are not revisited.
+    /// Chunked snapshot iterator: each `next()` visits the shard locks
+    /// once, merges up to `chunk` entries after the previous chunk's
+    /// last key, and releases them — writers interleave freely between
+    /// chunks. Keys are yielded in ascending order; a key inserted
+    /// *behind* the cursor mid-scan is not revisited. Quiesced (no
+    /// concurrent writers) the result is an exact point-in-time image;
+    /// under concurrency it is a *fuzzy* snapshot, which
+    /// `fabric-store`'s checkpoint squares up by replaying a journal
+    /// tail over it.
     ///
     /// # Panics
     ///
     /// Panics if `chunk == 0`.
-    pub fn snapshot_chunks(&self, chunk: usize) -> ShardedSnapshotChunks {
+    pub fn snapshot_chunks(&self, chunk: usize) -> SnapshotChunks {
         assert!(chunk > 0, "snapshot chunk size must be non-zero");
-        ShardedSnapshotChunks {
+        SnapshotChunks {
             db: self.clone(),
             cursor: None,
             chunk,
@@ -471,8 +537,18 @@ impl ShardedStateDb {
         }
     }
 
-    /// MVCC validation of a read set (see
-    /// [`crate::StateDb::mvcc_validate`]).
+    /// [`hash_dump`] of the full ordered dump, computed chunk by chunk.
+    /// The recovery cross-checks and the benchmark's oracle compare
+    /// stores with it.
+    pub fn state_hash(&self) -> u64 {
+        hash_dump(self.snapshot_chunks(SNAPSHOT_CHUNK).flatten())
+    }
+
+    /// MVCC validation of a read set: every `(key, expected)` pair must
+    /// match the current version exactly ("the read set of each
+    /// transaction is computed again by accessing the state database, and
+    /// is compared to the read set from the endorsement phase",
+    /// paper §2.1.2).
     pub fn mvcc_validate(&self, reads: &[(String, Option<Height>)]) -> bool {
         reads
             .iter()
@@ -582,11 +658,11 @@ fn merge_sorted(
     out
 }
 
-/// Iterator over bounded snapshot chunks of a [`ShardedStateDb`]; see
-/// [`ShardedStateDb::snapshot_chunks`].
+/// Iterator over bounded snapshot chunks of a [`StateDb`]; see
+/// [`StateDb::snapshot_chunks`].
 #[derive(Debug)]
-pub struct ShardedSnapshotChunks {
-    db: ShardedStateDb,
+pub struct SnapshotChunks {
+    db: StateDb,
     /// Last key yielded by the previous chunk; the next chunk resumes
     /// strictly after it.
     cursor: Option<String>,
@@ -594,7 +670,7 @@ pub struct ShardedSnapshotChunks {
     done: bool,
 }
 
-impl Iterator for ShardedSnapshotChunks {
+impl Iterator for SnapshotChunks {
     type Item = Vec<(String, VersionedValue)>;
 
     fn next(&mut self) -> Option<Self::Item> {
@@ -643,11 +719,16 @@ impl Iterator for ShardedSnapshotChunks {
     }
 }
 
-/// A pinned read view of a [`ShardedStateDb`]: every read resolves
-/// against the version chains at the pinned epoch. Created by
-/// [`ShardedStateDb::pin`]; dropping it releases the prune fence.
+/// A height-pinned read view of a [`StateDb`]; see [`StateDb::pin`].
+///
+/// Every read resolves against the version chains at the pinned epoch,
+/// so reads never observe a torn batch: the pinned height is the
+/// commit high-water mark at pin time, and every write at or below it
+/// was fully applied before that mark advanced. Reads through this
+/// handle do not touch the statistics counters; dropping it releases
+/// the prune fence.
 #[derive(Debug)]
-pub struct ShardedSnapshot {
+pub struct StateSnapshot {
     inner: Arc<SharedInner>,
     /// Pinned epoch (0 = pre-genesis, sees nothing).
     epoch: u64,
@@ -655,8 +736,9 @@ pub struct ShardedSnapshot {
     height: Option<Height>,
 }
 
-impl ShardedSnapshot {
-    /// The height this snapshot is pinned at.
+impl StateSnapshot {
+    /// The height this snapshot is pinned at (`None` = pre-genesis:
+    /// every read sees an empty store).
     pub fn height(&self) -> Option<Height> {
         self.height
     }
@@ -669,24 +751,23 @@ impl ShardedSnapshot {
         })
     }
 
-    /// Point read as of the pinned epoch.
+    /// Point read as of the pinned height.
     pub fn get(&self, key: &str) -> Option<VersionedValue> {
         if self.epoch == 0 {
             return None;
         }
-        let idx = (fnv1a64(key.as_bytes()) % self.inner.shards.len() as u64) as usize;
-        let g = self.inner.shards[idx].read();
+        let g = self.inner.shards[shard_index(key, self.inner.shards.len())].read();
         g.map
             .get(key)
             .and_then(|chain| Self::resolve(chain, self.epoch))
     }
 
-    /// Version-only read as of the pinned epoch.
+    /// Version-only read as of the pinned height.
     pub fn get_version(&self, key: &str) -> Option<Height> {
         self.get(key).map(|v| v.version)
     }
 
-    /// Range scan over `[start, end)` as of the pinned epoch.
+    /// Range scan over `[start, end)` as of the pinned height.
     pub fn range(&self, start: &str, end: &str) -> Vec<(String, VersionedValue)> {
         if self.epoch == 0 {
             return Vec::new();
@@ -704,7 +785,7 @@ impl ShardedSnapshot {
         merge_sorted(per_shard, usize::MAX)
     }
 
-    /// Full ordered dump as of the pinned epoch.
+    /// Full ordered dump as of the pinned height.
     pub fn snapshot(&self) -> Vec<(String, VersionedValue)> {
         if self.epoch == 0 {
             return Vec::new();
@@ -723,7 +804,7 @@ impl ShardedSnapshot {
     }
 }
 
-impl Drop for ShardedSnapshot {
+impl Drop for StateSnapshot {
     fn drop(&mut self) {
         if self.epoch == 0 {
             return;
@@ -742,7 +823,7 @@ impl Drop for ShardedSnapshot {
 mod tests {
     use super::*;
 
-    fn put(db: &ShardedStateDb, key: &str, val: u8, h: Height) {
+    fn put(db: &StateDb, key: &str, val: u8, h: Height) {
         let mut b = WriteBatch::new();
         b.put(key, vec![val]);
         db.apply(&b, h);
@@ -750,7 +831,7 @@ mod tests {
 
     #[test]
     fn single_shard_degenerate_case_works() {
-        let db = ShardedStateDb::with_shards(1);
+        let db = StateDb::with_shards(1);
         put(&db, "a", 1, Height::new(1, 0));
         put(&db, "b", 2, Height::new(1, 1));
         assert_eq!(db.len(), 2);
@@ -760,7 +841,7 @@ mod tests {
 
     #[test]
     fn dead_tombstone_chains_are_dropped() {
-        let db = ShardedStateDb::new();
+        let db = StateDb::new();
         let pin0 = db.pin();
         // Deleting an absent key starts no chain...
         let mut d = WriteBatch::new();
@@ -802,7 +883,7 @@ mod tests {
 
     #[test]
     fn chains_stay_short_without_pins() {
-        let db = ShardedStateDb::new();
+        let db = StateDb::new();
         for i in 0..100 {
             put(&db, "hot", i as u8, Height::new(i, 0));
         }
@@ -817,7 +898,7 @@ mod tests {
 
     #[test]
     fn pin_fences_pruning_and_drop_releases_it() {
-        let db = ShardedStateDb::new();
+        let db = StateDb::new();
         put(&db, "k", 0, Height::new(0, 0));
         let pin = db.pin();
         for i in 1..50 {
@@ -835,7 +916,7 @@ mod tests {
 
     #[test]
     fn version_boundary_height_zero_zero() {
-        let db = ShardedStateDb::new();
+        let db = StateDb::new();
         put(&db, "k", 7, Height::new(0, 0));
         assert_eq!(db.get_version("k"), Some(Height::new(0, 0)));
         assert_eq!(db.tip_height(), Some(Height::new(0, 0)));
@@ -844,7 +925,7 @@ mod tests {
 
     #[test]
     fn same_key_twice_in_batch_is_last_op_wins() {
-        let db = ShardedStateDb::new();
+        let db = StateDb::new();
         let mut b = WriteBatch::new();
         b.put("k", vec![1]);
         b.delete("k");
@@ -864,8 +945,8 @@ mod tests {
     #[test]
     fn parallel_apply_block_matches_sequential() {
         // Enough entries to clear PARALLEL_APPLY_THRESHOLD.
-        let wide = ShardedStateDb::new();
-        let serial = ShardedStateDb::new();
+        let wide = StateDb::new();
+        let serial = StateDb::new();
         let mut batches = Vec::new();
         for tx in 0..8u64 {
             let mut b = WriteBatch::new();
@@ -888,7 +969,7 @@ mod tests {
 
     #[test]
     fn stats_count_reads_writes_misses() {
-        let db = ShardedStateDb::new();
+        let db = StateDb::new();
         db.get("nope");
         put(&db, "k", 1, Height::new(1, 0));
         db.get("k");
@@ -902,7 +983,7 @@ mod tests {
     fn shard_count_independence_of_contents() {
         let mut snaps = Vec::new();
         for shards in [1, 3, 16] {
-            let db = ShardedStateDb::with_shards(shards);
+            let db = StateDb::with_shards(shards);
             for i in 0..100 {
                 put(&db, &format!("key{i:03}"), i as u8, Height::new(1, i));
             }

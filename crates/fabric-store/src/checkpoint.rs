@@ -111,7 +111,7 @@ fn decode(payload: &[u8]) -> Option<Checkpoint> {
             .try_into()
             .expect("take(8) returned 8 bytes"),
     );
-    let mut entries = Vec::new();
+    let mut entries: Vec<(String, VersionedValue)> = Vec::new();
     for _ in 0..n {
         let klen = u32::from_le_bytes(
             take(&mut rest, 4)?
@@ -121,6 +121,11 @@ fn decode(payload: &[u8]) -> Option<Checkpoint> {
         let key = std::str::from_utf8(take(&mut rest, klen)?)
             .ok()?
             .to_string();
+        // `capture` writes an ordered dump: a key at or below its
+        // predecessor is corruption, and restoring it would miscount.
+        if entries.last().is_some_and(|(prev, _)| *prev >= key) {
+            return None;
+        }
         let vlen = u32::from_le_bytes(
             take(&mut rest, 4)?
                 .try_into()
@@ -194,7 +199,8 @@ pub fn write(root: &Path, db: &StateDb) -> Result<Option<Height>, StoreOpenError
     publish(root, &capture(db))
 }
 
-/// Loads the checkpoint if one exists and passes integrity checks.
+/// Loads the checkpoint if one exists and passes integrity checks (CRC,
+/// framing, strictly ascending keys).
 /// `None` covers both "no checkpoint yet" and "checkpoint corrupted" —
 /// the caller falls back to full journal replay either way (and reports
 /// which through [`crate::RecoveryReport`]'s flags).

@@ -8,10 +8,9 @@
 //! path? — needs the state database itself under load: millions of
 //! keys resident ([`StatePreload`]) and skewed write traffic hammering
 //! a hot set while readers pin snapshots ([`ZipfCommitLoad`]). Both
-//! produce plain `(WriteBatch, Height)` streams so they drive any
-//! [`fabric_statedb::StateDb`] backend identically — which is exactly
-//! what the `statedb` benchmark section and the equivalence soak tests
-//! want.
+//! produce plain `(WriteBatch, Height)` streams, so the `statedb`
+//! benchmark section and the equivalence tests feed the same traffic to
+//! a [`fabric_statedb::StateDb`] and to its reference.
 
 use fabric_statedb::{Height, StateDb, WriteBatch};
 use rand::rngs::StdRng;
@@ -107,7 +106,7 @@ pub struct ZipfCommitLoad {
     /// Block number of the first generated block (follow on from a
     /// preload's last height).
     pub first_block: u64,
-    /// RNG seed — same seed, same traffic, any backend.
+    /// RNG seed — same seed, same traffic.
     pub seed: u64,
 }
 
@@ -158,7 +157,6 @@ impl ZipfCommitLoad {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fabric_statedb::StateBackend;
 
     #[test]
     fn preload_loads_exactly_keys() {
@@ -167,7 +165,7 @@ mod tests {
             value_len: 8,
             batch_size: 1_000,
         };
-        let db = StateDb::with_backend(StateBackend::Sharded);
+        let db = StateDb::new();
         let batches = p.load(&db);
         assert_eq!(batches, 3);
         assert_eq!(db.len(), 2_500);
@@ -178,20 +176,6 @@ mod tests {
             p.value_len
         );
         assert_eq!(db.get(&StatePreload::key(2_500)), None);
-    }
-
-    #[test]
-    fn preload_is_backend_identical() {
-        let p = StatePreload {
-            keys: 1_200,
-            value_len: 16,
-            batch_size: 500,
-        };
-        let legacy = StateDb::with_backend(StateBackend::Legacy);
-        let sharded = StateDb::with_backend(StateBackend::Sharded);
-        p.load(&legacy);
-        p.load(&sharded);
-        assert_eq!(legacy.state_hash(), sharded.state_hash());
     }
 
     #[test]
@@ -232,31 +216,5 @@ mod tests {
             *hottest > uniform * 5,
             "zipf(1.0) hot key hit {hottest} times, uniform would be ~{uniform}"
         );
-    }
-
-    #[test]
-    fn zipf_blocks_apply_identically_on_both_backends() {
-        let p = StatePreload {
-            keys: 500,
-            value_len: 8,
-            batch_size: 250,
-        };
-        let load = ZipfCommitLoad {
-            population: 500,
-            blocks: 5,
-            txs_per_block: 20,
-            first_block: 2,
-            ..ZipfCommitLoad::default()
-        };
-        let legacy = StateDb::with_backend(StateBackend::Legacy);
-        let sharded = StateDb::with_backend(StateBackend::Sharded);
-        p.load(&legacy);
-        p.load(&sharded);
-        for block in load.blocks() {
-            legacy.apply_block(&block);
-            sharded.apply_block(&block);
-        }
-        assert_eq!(legacy.state_hash(), sharded.state_hash());
-        assert_eq!(legacy.tip_height(), sharded.tip_height());
     }
 }

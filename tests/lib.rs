@@ -1,12 +1,145 @@
 //! Integration test package; all tests live under `tests/`. What more
 //! than one of them needs lives here.
 
+use std::collections::BTreeMap;
+use std::ops::Bound;
+
 use fabric_crypto::bigint::U256;
 use fabric_crypto::curve::p256;
 use fabric_crypto::ecdsa::{
     batch_s_inverses, verify_batch, BatchItem, Signature, SigningKey, VerifyingKey, BATCH_LANES,
 };
 use fabric_crypto::sha256::sha256;
+use fabric_statedb::{hash_dump, Height, JournalSink, VersionedValue, WriteBatch};
+use parking_lot::Mutex;
+
+/// The sequential reference `fabric_statedb::StateDb` is held to: one
+/// ordered map and the highest height ever applied. No shards, no
+/// version chains, no locks, no journal — what the store must answer
+/// for any sequence of calls, whatever it does to answer it fast.
+#[derive(Debug, Clone, Default)]
+pub struct StateModel {
+    map: BTreeMap<String, VersionedValue>,
+    tip: Option<Height>,
+}
+
+impl StateModel {
+    /// An empty store that has never committed.
+    pub fn new() -> Self {
+        StateModel::default()
+    }
+
+    /// The store a dump and its tip describe (`StateDb::from_snapshot`).
+    pub fn from_snapshot(entries: Vec<(String, VersionedValue)>, tip: Option<Height>) -> Self {
+        StateModel {
+            map: entries.into_iter().collect(),
+            tip,
+        }
+    }
+
+    /// Applies the batch's writes in order, each stamped at `height`;
+    /// the tip is a high-water mark, also for an empty batch.
+    pub fn apply(&mut self, batch: &WriteBatch, height: Height) {
+        self.tip = self.tip.max(Some(height));
+        for (key, value) in batch.iter() {
+            match value {
+                Some(v) => {
+                    let version = VersionedValue {
+                        value: v.to_vec(),
+                        version: height,
+                    };
+                    self.map.insert(key.to_string(), version);
+                }
+                None => {
+                    self.map.remove(key);
+                }
+            }
+        }
+    }
+
+    /// `apply` over the block's batches, in order.
+    pub fn apply_block(&mut self, batches: &[(WriteBatch, Height)]) {
+        for (batch, height) in batches {
+            self.apply(batch, *height);
+        }
+    }
+
+    /// The current value and version of `key`.
+    pub fn get(&self, key: &str) -> Option<VersionedValue> {
+        self.map.get(key).cloned()
+    }
+
+    /// The live keys in `[start, end)`, in key order.
+    pub fn range(&self, start: &str, end: &str) -> Vec<(String, VersionedValue)> {
+        self.map
+            .range::<str, _>((Bound::Included(start), Bound::Excluded(end)))
+            .map(|(k, v)| (k.clone(), v.clone()))
+            .collect()
+    }
+
+    /// Full ordered dump.
+    pub fn snapshot(&self) -> Vec<(String, VersionedValue)> {
+        self.map
+            .iter()
+            .map(|(k, v)| (k.clone(), v.clone()))
+            .collect()
+    }
+
+    /// A read view that later applies do not move: a copy.
+    pub fn pin(&self) -> StateModel {
+        self.clone()
+    }
+
+    /// Highest height ever applied (`None` = never committed).
+    pub fn tip(&self) -> Option<Height> {
+        self.tip
+    }
+
+    /// The dump's hash, by the store's own definition.
+    pub fn state_hash(&self) -> u64 {
+        hash_dump(self.snapshot())
+    }
+}
+
+/// One journaled record: the batch's entries, owned, and its height.
+pub type JournaledBatch = (Vec<(String, Option<Vec<u8>>)>, Height);
+
+/// A journal sink that keeps what it is sent.
+#[derive(Debug, Default)]
+pub struct RecordingSink {
+    /// Every record, in the order they arrived.
+    pub records: Mutex<Vec<JournaledBatch>>,
+    /// `records.len()` at each `apply_boundary`.
+    pub boundaries: Mutex<Vec<usize>>,
+}
+
+impl RecordingSink {
+    /// Applies every recorded batch to `model`, in record order.
+    pub fn replay_into(&self, model: &mut StateModel) {
+        for (entries, height) in self.records.lock().iter() {
+            model.apply(&entries.iter().cloned().collect(), *height);
+        }
+    }
+}
+
+impl JournalSink for RecordingSink {
+    fn record(&self, batch: &WriteBatch, height: Height) {
+        self.records.lock().push((
+            batch
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.map(|b| b.to_vec())))
+                .collect(),
+            height,
+        ));
+    }
+
+    fn apply_boundary(&self) {
+        let at = self.records.lock().len();
+        self.boundaries.lock().push(at);
+    }
+
+    fn flush(&self) {}
+}
 
 /// Whether `verify_batch` runs the eight-lane kernel on this processor.
 pub fn lanes_present() -> bool {

@@ -19,7 +19,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use fabric_statedb::{Height, JournalSink, ShardedStateDb, WriteBatch};
+use fabric_statedb::{Height, JournalSink, StateDb, WriteBatch};
 use parking_lot::Mutex;
 
 /// Serializes tests in this binary: they all mutate the process-wide
@@ -169,7 +169,7 @@ fn shard_parallel_apply_block_keeps_journal_order() {
     let _serial = test_lock();
     fabric_check::enable();
 
-    let db = ShardedStateDb::with_shards(8);
+    let db = StateDb::with_shards(8);
     let probe = Arc::new(OrderProbe::default());
     db.attach_journal(probe.clone());
 
@@ -218,7 +218,7 @@ fn statedb_concurrent_traffic_is_order_clean() {
     let _serial = test_lock();
     fabric_check::enable();
 
-    let db = Arc::new(ShardedStateDb::with_shards(16));
+    let db = Arc::new(StateDb::with_shards(16));
     std::thread::scope(|s| {
         for w in 0..4u64 {
             let db = Arc::clone(&db);

@@ -19,18 +19,19 @@
 //! * **slow-follower stall** and **backpressure shedding** under a
 //!   tiny backlog cap and burst traffic.
 //!
-//! Every scenario audits against the same oracle, on whichever
-//! field/scalar backend pair the CI leg selects — the oracle and the
-//! cluster compute over the same backends, so agreement is exercised on
-//! all four legs.
+//! Every scenario audits against the same oracle, a serial replay whose
+//! own state is held to the sequential model of `tests/lib.rs` by
+//! `serial_replay_state_matches_the_sequential_model`.
 
 use std::path::PathBuf;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
+use bmac_integration_tests::{RecordingSink, StateModel};
 use fabric_cluster::{
     run_with_oracle, ClusterConfig, ClusterReport, FaultPlan, KillPoint, LinkFaults, SerialOracle,
     StallSpec,
 };
+use fabric_peer::pipeline::ValidatorPipeline;
 use fabric_sim::MILLIS;
 use fabric_store::FabricStore;
 use proptest::prelude::*;
@@ -85,6 +86,34 @@ fn check(report: &ClusterReport) {
             .map(|l| (l.max_episode_retransmissions, l.storm_cap))
             .collect::<Vec<_>>()
     );
+}
+
+/// The audits compare peers with a serial replay on the same store
+/// type; this holds that replay's state to the sequential model of
+/// `tests/lib.rs`. Every batch the serial commit stage applies for the
+/// shared scenario (stale commits, a corrupt signature, a duplicate tx
+/// id) reaches a recording journal sink; the batches, applied to the
+/// model, must give the replay's dump and tip.
+#[test]
+fn serial_replay_state_matches_the_sequential_model() {
+    let scenario = scenario();
+    let serial = ValidatorPipeline::new(scenario.validator_msp(), scenario.policies(), 2);
+    let sink = Arc::new(RecordingSink::default());
+    serial.state_db().attach_journal(sink.clone());
+    let mut codes = Vec::new();
+    for block in &scenario.generate().blocks {
+        let r = serial.validate_and_commit(block).expect("serial replay");
+        codes.extend(r.codes);
+    }
+    let valid = codes.iter().filter(|c| c.is_valid()).count();
+    assert!(valid < codes.len(), "the faults must refuse some tx");
+    assert_eq!(sink.records.lock().len(), valid, "one record per valid tx");
+
+    let mut model = StateModel::new();
+    sink.replay_into(&mut model);
+    let db = serial.state_db();
+    assert_eq!(model.snapshot(), db.snapshot());
+    assert_eq!(model.tip(), db.tip_height());
 }
 
 /// The ISSUE's acceptance scenario: 3 peers, 5% per-link loss, one peer

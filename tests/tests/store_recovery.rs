@@ -15,8 +15,9 @@
 //!   sizes and segment sizes, via proptest;
 //! * fsync-free loss: committing without a final flush may lose the
 //!   buffered tail but never breaks prefix equivalence;
-//! * checkpoint faults: corrupted checkpoints fall back to full journal
-//!   replay, checkpoints ahead of the store are discarded;
+//! * checkpoint faults: corrupted checkpoints — including CRC-valid
+//!   ones whose keys are not strictly ascending — fall back to full
+//!   journal replay, checkpoints ahead of the store are discarded;
 //! * a CRC-fixed bit flip inside a stored block (corruption framing
 //!   cannot catch), rejected at reopen with the offending block number;
 //! * format stability: the segment bytes equal the frame and the
@@ -27,10 +28,10 @@
 //!   `BmacReceiver::resuming_from` and converges to the full-chain
 //!   state.
 //!
-//! The store always builds the sharded state database. That journal,
-//! checkpoint and snapshot contents mean the same on the legacy
-//! reference store is `statedb_equivalence.rs`'s job
-//! (`snapshot_restore_crosses_backends`,
+//! That a snapshot dump and a recorded journal mean the same to the
+//! store as to the sequential reference of `tests/lib.rs` is
+//! `statedb_equivalence.rs`'s job
+//! (`snapshot_restore_agrees_with_the_model`,
 //! `journal_order_is_apply_order_under_parallel_commit`).
 
 use std::path::{Path, PathBuf};
@@ -40,7 +41,7 @@ use fabric_peer::pipeline::ValidatorPipeline;
 use fabric_peer::{StreamConfig, StreamValidator, TxValidationCode};
 use fabric_protos::messages::Block;
 use fabric_statedb::VersionedValue;
-use fabric_store::{FabricStore, StoreConfig, StoreOpenError};
+use fabric_store::{checkpoint, FabricStore, StoreConfig, StoreOpenError};
 use proptest::prelude::*;
 use workload::{StreamScenario, Workload};
 
@@ -436,6 +437,44 @@ fn checkpoint_journal_disagreement_is_reconciled() {
     assert_recovers_to_serial_prefix(&jlost, &oracle);
     std::fs::remove_dir_all(&jlost).unwrap();
 
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A checkpoint that passes its CRC but repeats a key is not one
+/// `checkpoint::capture` can write: recovery must discard it and replay
+/// the full journal, not restore a store that counts the key twice.
+#[test]
+fn checkpoint_with_a_repeated_key_is_discarded() {
+    let scenario = small_scenario(404);
+    let oracle = reference(&scenario);
+    let dir = tempdir("ckpt-dup");
+    durable_commit(
+        &dir,
+        &scenario,
+        &oracle,
+        StoreConfig::default(),
+        None,
+        false,
+    );
+    let full = oracle.snapshots.last().unwrap();
+
+    let mut ckpt = checkpoint::capture(
+        &FabricStore::open(&dir, StoreConfig::default())
+            .unwrap()
+            .state_db(),
+    );
+    let (key, mut repeated) = ckpt.entries[0].clone();
+    repeated.value.push(0xEE);
+    ckpt.entries.insert(1, (key, repeated));
+    checkpoint::publish(&dir, &ckpt).unwrap();
+
+    let store = FabricStore::open(&dir, StoreConfig::default()).unwrap();
+    assert!(store.recovery().checkpoint_discarded);
+    let db = store.state_db();
+    assert_eq!(db.len(), db.snapshot().len());
+    assert_eq!(db.len(), full.len());
+    assert_eq!(&db.snapshot(), full);
+    drop(store);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
