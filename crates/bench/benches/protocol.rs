@@ -6,6 +6,7 @@ use fabric_node::chaincode::KvChaincode;
 use fabric_node::network::FabricNetworkBuilder;
 use fabric_policy::parse;
 use std::hint::black_box;
+use workload::{StreamScenario, Workload};
 
 fn one_block(ntx: usize) -> fabric_protos::messages::Block {
     let mut net = FabricNetworkBuilder::new()
@@ -34,6 +35,42 @@ fn bench_protocol(c: &mut Criterion) {
         b.iter(|| {
             let mut sender = BmacSender::new();
             sender.send_block(black_box(&block)).unwrap()
+        })
+    });
+
+    // What the orderer pays per block in a run: a warm sender (every
+    // identity synced) sending and encoding 100-transaction smallbank
+    // blocks, eight distinct ones in turn so that no branch learns one
+    // block. Compare with a traced run's `bmac.send_us_per_block`.
+    let stream = StreamScenario {
+        workload: Workload::Smallbank,
+        accounts: 8,
+        block_size: 100,
+        num_blocks: 8,
+        seed: 5,
+        ..StreamScenario::default()
+    }
+    .generate();
+    let full: Vec<_> = stream
+        .blocks
+        .iter()
+        .filter(|b| b.data.data.len() == 100)
+        .collect();
+    assert!(full.len() >= 8, "eight distinct 100-tx blocks");
+    let mut warm = BmacSender::new();
+    for block in &full {
+        warm.send_block(block).unwrap();
+    }
+    let mut next = 0;
+    group.bench_function("sender_send_encode_100tx_x8", |b| {
+        b.iter(|| {
+            let block = full[next % full.len()];
+            next += 1;
+            warm.send_block(black_box(block))
+                .unwrap()
+                .iter()
+                .map(|p| p.encode().unwrap().len())
+                .sum::<usize>()
         })
     });
 

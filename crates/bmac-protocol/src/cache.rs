@@ -9,8 +9,9 @@
 //! [`SectionType::IdentitySync`](crate::packet::SectionType) packets.
 
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
-use fabric_crypto::identity::NodeId;
+use fabric_crypto::identity::{NodeId, TailHasher};
 
 /// The identity cache.
 ///
@@ -19,9 +20,12 @@ use fabric_crypto::identity::NodeId;
 /// The sender looks identities up by bytes (to strip them); the receiver
 /// only ever goes from id to bytes (to put them back), so entries
 /// installed with [`IdentityCache::insert_raw`] have no bytes → id side.
+/// The bytes → id side hashes an identity by its length and last 32
+/// bytes (its certificate's CA signature, [`TailHasher`]) rather than
+/// all ≈ 900; it holds at most one entry per id.
 #[derive(Debug, Clone, Default)]
 pub struct IdentityCache {
-    by_bytes: HashMap<Vec<u8>, u16>,
+    by_bytes: HashMap<Vec<u8>, u16, BuildHasherDefault<TailHasher>>,
     by_id: HashMap<u16, Vec<u8>>,
 }
 
@@ -78,12 +82,6 @@ impl IdentityCache {
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
         self.by_id.is_empty()
-    }
-
-    /// All known identity byte strings (used by the DataRemover's
-    /// search).
-    pub fn known_identities(&self) -> impl Iterator<Item = (&[u8], u16)> {
-        self.by_bytes.iter().map(|(b, &id)| (b.as_slice(), id))
     }
 }
 

@@ -10,7 +10,9 @@
 //!
 //! * [`packet`] — wire format (L2/L3/L4 framing + BMac L7 header);
 //! * [`cache`] — the identity cache;
-//! * [`sender`] — DataRemover + AnnotationGenerator + sectioning;
+//! * [`sender`] — sectioning, and the DataRemover (the named identity
+//!   fields cut out) and AnnotationGenerator (the named fields pointed
+//!   at) from one in-place walk of each section;
 //! * [`receiver`] — reassembly: the DataInserter half of the hardware
 //!   `protocol_processor`. It restores blocks byte-exactly and stops
 //!   there; whoever consumes a [`ReceivedBlock`] decodes it, once.

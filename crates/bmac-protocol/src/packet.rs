@@ -7,7 +7,7 @@
 //! payload size, while the variable part contains the actual annotations"
 //! (paper §3.2).
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, Bytes};
 use std::fmt;
 
 /// UDP destination port identifying BMac traffic (the `PacketProcessor`
@@ -197,51 +197,65 @@ pub(crate) fn u32_of(what: &'static str, value: usize) -> Result<u32, PacketErro
 }
 
 impl BmacPacket {
-    /// Serializes the packet including L2/L3/L4 framing, ready for the
-    /// wire. The IP/UDP headers are simplified but structurally present
-    /// so the `PacketProcessor` filter has real bytes to classify.
+    /// Whether the packet fits the wire format: a payload of at most
+    /// [`MAX_PAYLOAD`] bytes and counts that fit their header fields. What
+    /// passes encodes.
     ///
     /// # Errors
     ///
     /// [`PacketError::PayloadTooLarge`] when the payload exceeds
-    /// [`MAX_PAYLOAD`].
-    pub fn encode(&self) -> Result<Vec<u8>, PacketError> {
+    /// [`MAX_PAYLOAD`]; [`PacketError::TooLarge`] when the annotation
+    /// count exceeds its `u16` field.
+    pub fn check(&self) -> Result<(), PacketError> {
+        self.header_counts().map(|_| ())
+    }
+
+    /// The annotation count and payload length as their header fields
+    /// carry them, checked.
+    fn header_counts(&self) -> Result<(u16, u32), PacketError> {
         if self.payload.len() > MAX_PAYLOAD {
             return Err(PacketError::PayloadTooLarge(self.payload.len()));
         }
         // The annotation count travels as u16; more than 65535 would
         // silently wrap and desynchronize the variable-part parse.
-        let num_annotations = u16_of("annotation count", self.annotations.len())?;
-        let payload_len = u32_of("payload length", self.payload.len())?;
-        let mut buf = BytesMut::with_capacity(
-            L2_L3_L4_HEADER_BYTES + 24 + self.annotations.len() * 10 + self.payload.len(),
-        );
+        Ok((
+            u16_of("annotation count", self.annotations.len())?,
+            u32_of("payload length", self.payload.len())?,
+        ))
+    }
+
+    /// Serializes the packet including L2/L3/L4 framing, ready for the
+    /// wire, into one buffer of exactly [`BmacPacket::wire_bytes`]. The
+    /// IP/UDP headers are simplified but structurally present so the
+    /// `PacketProcessor` filter has real bytes to classify.
+    ///
+    /// # Errors
+    ///
+    /// As [`BmacPacket::check`].
+    pub fn encode(&self) -> Result<Vec<u8>, PacketError> {
+        let (num_annotations, payload_len) = self.header_counts()?;
+        let mut buf = Vec::with_capacity(self.wire_bytes());
         // L2: dst/src MAC + ethertype (IPv4).
-        buf.put_slice(&[0x02; 6]);
-        buf.put_slice(&[0x01; 6]);
-        buf.put_u16(0x0800);
-        // L3: minimal IPv4 header (version/IHL, ..., protocol=UDP).
-        buf.put_u8(0x45);
-        buf.put_u8(0);
-        buf.put_u16(0); // total length patched by real stacks; unused here
-        buf.put_u32(0);
-        buf.put_u8(64); // TTL
-        buf.put_u8(17); // UDP
-        buf.put_u16(0); // checksum (not modeled)
-        buf.put_u32(0x0a00_0001); // src 10.0.0.1
-        buf.put_u32(0x0a00_0002); // dst 10.0.0.2
-                                  // L4: UDP src/dst/len/checksum.
-        buf.put_u16(BMAC_UDP_PORT);
-        buf.put_u16(BMAC_UDP_PORT);
-        buf.put_u16(0);
-        buf.put_u16(0);
+        buf.extend_from_slice(&[0x02; 6]);
+        buf.extend_from_slice(&[0x01; 6]);
+        buf.extend_from_slice(&0x0800u16.to_be_bytes());
+        // L3: minimal IPv4 header (version/IHL, ..., protocol=UDP); the
+        // total length (bytes 2–3) is patched by real stacks and unused
+        // here, the checksum (10–11) is not modeled.
+        buf.extend_from_slice(&[0x45, 0, 0, 0, 0, 0, 0, 0, 64, 17, 0, 0]);
+        buf.extend_from_slice(&0x0a00_0001u32.to_be_bytes()); // src 10.0.0.1
+        buf.extend_from_slice(&0x0a00_0002u32.to_be_bytes()); // dst 10.0.0.2
+                                                              // L4: UDP src/dst/len/checksum.
+        buf.extend_from_slice(&BMAC_UDP_PORT.to_be_bytes());
+        buf.extend_from_slice(&BMAC_UDP_PORT.to_be_bytes());
+        buf.extend_from_slice(&[0; 4]);
         // L7 fixed part.
-        buf.put_u64(self.block_num);
-        buf.put_u8(self.section.code());
-        buf.put_u16(self.index);
-        buf.put_u16(self.total_txs);
-        buf.put_u16(num_annotations);
-        buf.put_u32(payload_len);
+        buf.extend_from_slice(&self.block_num.to_be_bytes());
+        buf.push(self.section.code());
+        buf.extend_from_slice(&self.index.to_be_bytes());
+        buf.extend_from_slice(&self.total_txs.to_be_bytes());
+        buf.extend_from_slice(&num_annotations.to_be_bytes());
+        buf.extend_from_slice(&payload_len.to_be_bytes());
         // L7 variable part: annotations.
         for a in &self.annotations {
             match a {
@@ -250,20 +264,21 @@ impl BmacPacket {
                     offset,
                     length,
                 } => {
-                    buf.put_u8(0);
-                    buf.put_u8(kind.code());
-                    buf.put_u32(*offset);
-                    buf.put_u32(*length);
+                    buf.push(0);
+                    buf.push(kind.code());
+                    buf.extend_from_slice(&offset.to_be_bytes());
+                    buf.extend_from_slice(&length.to_be_bytes());
                 }
                 Annotation::Locator { offset, id } => {
-                    buf.put_u8(1);
-                    buf.put_u32(*offset);
-                    buf.put_u16(*id);
+                    buf.push(1);
+                    buf.extend_from_slice(&offset.to_be_bytes());
+                    buf.extend_from_slice(&id.to_be_bytes());
                 }
             }
         }
-        buf.put_slice(&self.payload);
-        Ok(buf.to_vec())
+        buf.extend_from_slice(&self.payload);
+        debug_assert_eq!(buf.len(), self.wire_bytes());
+        Ok(buf)
     }
 
     /// Parses a wire packet. Non-BMac packets (wrong UDP port or not
@@ -412,6 +427,22 @@ mod tests {
         let wire = p.encode().unwrap();
         let q = BmacPacket::decode(&wire).unwrap();
         assert_eq!(p, q);
+    }
+
+    #[test]
+    fn encoding_is_the_recorded_wire_layout() {
+        let mut want = vec![0x02; 6];
+        want.extend([0x01; 6]);
+        want.extend([0x08, 0x00]); // ethertype IPv4
+        want.extend([0x45, 0, 0, 0, 0, 0, 0, 0, 64, 17, 0, 0]);
+        want.extend([10, 0, 0, 1, 10, 0, 0, 2]);
+        want.extend([0xb3, 0xac, 0xb3, 0xac, 0, 0, 0, 0]); // UDP
+        want.extend(42u64.to_be_bytes());
+        want.extend([1, 0, 3, 0, 150, 0, 2, 0, 0, 0, 21]);
+        want.extend([0, 1, 0, 0, 0, 10, 0, 0, 0, 71]); // pointer
+        want.extend([1, 0, 0, 0, 5, 0x01, 0x20]); // locator
+        want.extend(b"section payload bytes");
+        assert_eq!(sample().encode().unwrap(), want);
     }
 
     #[test]

@@ -328,11 +328,14 @@ impl KnownCert {
 
 /// Hashes a byte string by its length and last 32 bytes — of a
 /// certificate, the CA signature, its high-entropy end — instead of all
-/// ≈ 830. The map compares whole keys, so strings sharing a tail cost a
+/// ≈ 830. A map compares whole keys, so strings sharing a tail cost a
 /// compare and can never answer for each other. Unkeyed: repeating a tail
-/// collides either way, and [`KNOWN_CERTS_CAP`] bounds how many can.
-#[derive(Default)]
-struct TailHasher(DefaultHasher);
+/// collides either way, so a map hashed with it bounds its size — the
+/// [`KnownCert::resolve`] registry at 1 024 entries, a map keyed by
+/// 16-bit node ids at 65 536. Also fits keys that end in a certificate,
+/// such as a marshaled `SerializedIdentity`.
+#[derive(Debug, Default)]
+pub struct TailHasher(DefaultHasher);
 
 impl Hasher for TailHasher {
     fn write(&mut self, bytes: &[u8]) {

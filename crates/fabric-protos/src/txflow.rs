@@ -22,10 +22,13 @@
 //! before the first is used). A certificate is resolved
 //! ([`KnownCert::resolve`]): parsed once per distinct byte string.
 //!
-//! The owned `marshal`/`unmarshal` types stay for the builders, the BMac
-//! sender and tests; `tests/tests/decode_differential.rs` holds this
-//! decode to the `unmarshal` chain it replaced.
+//! The owned `marshal`/`unmarshal` types stay for the builders and
+//! tests; `tests/tests/decode_differential.rs` holds this decode to the
+//! `unmarshal` chain it replaced. The BMac sender walks the same layers
+//! with the same primitives, for positions instead of values
+//! ([`SectionSpans`]).
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use fabric_crypto::identity::{KnownCert, SigningIdentity};
@@ -404,6 +407,153 @@ fn kv_write(bytes: &[u8]) -> Result<Option<WriteEntry>, WireError> {
         _ => {}
     });
     Ok((!is_delete).then(|| (key.to_owned(), value.to_vec())))
+}
+
+/// A field of a block section that the BMac AnnotationGenerator points
+/// the hardware at (paper §3.2).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SpanKind {
+    /// The orderer's block signature (DER), in the metadata section.
+    BlockSignature,
+    /// The client's envelope signature (DER).
+    ClientSignature,
+    /// The marshaled [`Payload`] the client signed.
+    SignedPayload,
+    /// The first action's marshaled [`ProposalResponsePayload`].
+    ProposalResponse,
+    /// One endorsement signature (DER) of the first action.
+    EndorsementSignature,
+    /// The first action's rwset ([`ChaincodeAction`]`.results`).
+    RwSet,
+}
+
+/// Where the identities and the named fields of one block section lie,
+/// as byte ranges of it: what the BMac sender strips and what it points
+/// at, found by one walk of the section in place.
+///
+/// The walk reads the layers [`decode_transaction`] reads, with the same
+/// rules — the last of a repeated scalar wins, a repeated endorsed
+/// action replaces the response payload and the endorsements alike, the
+/// first action is the one used — and parses nothing it does not descend
+/// through: no certificate, no signature, no rwset. It allocates only
+/// when the lists outgrow what an earlier walk left them. An identity is
+/// a marshaled [`SerializedIdentity`] with a non-empty certificate; a
+/// named field holding anything else is passed over, as are empty
+/// fields.
+#[derive(Debug, Clone, Default)]
+pub struct SectionSpans {
+    /// Identities, in discovery order. In an envelope: the payload's
+    /// creator, then each action's creator followed by its endorsers. In
+    /// the metadata section: the orderer.
+    pub identities: Vec<Range<usize>>,
+    /// Named fields, in annotation order. In an envelope: client
+    /// signature, signed payload, then — for the first action — the
+    /// proposal response, each endorsement signature and the rwset. In
+    /// the metadata section: the block signature.
+    pub fields: Vec<(SpanKind, Range<usize>)>,
+}
+
+impl SectionSpans {
+    /// Walks a marshaled [`Envelope`] (a transaction section).
+    ///
+    /// # Errors
+    ///
+    /// [`WireError`] when a layer the walk descends through is malformed;
+    /// the spans are then incomplete.
+    pub fn walk_envelope(&mut self, envelope: &[u8]) -> Result<(), WireError> {
+        self.identities.clear();
+        self.fields.clear();
+        let (payload, signature) = fields_1_2(envelope)?;
+        self.field(envelope, SpanKind::ClientSignature, signature);
+        self.field(envelope, SpanKind::SignedPayload, payload);
+        let (header, data) = fields_1_2(payload)?;
+        let (_channel_header, signature_header) = fields_1_2(header)?;
+        self.identity(envelope, fields_1_2(signature_header)?.0);
+        let mut first = true;
+        unmarshal_loop!(data, f => if f.number == 1 {
+            let (action_header, action_payload) = fields_1_2(f.data)?;
+            self.identity(envelope, fields_1_2(action_header)?.0);
+            self.walk_action_payload(envelope, action_payload, first)?;
+            first = false;
+        });
+        Ok(())
+    }
+
+    /// Walks a marshaled [`BlockMetadata`] (the metadata section): the
+    /// orderer's [`MetadataSignature`] in the first slot.
+    ///
+    /// # Errors
+    ///
+    /// As [`SectionSpans::walk_envelope`].
+    pub fn walk_metadata(&mut self, metadata: &[u8]) -> Result<(), WireError> {
+        self.identities.clear();
+        self.fields.clear();
+        let mut signatures: Option<&[u8]> = None;
+        unmarshal_loop!(metadata, f => if f.number == 1 && signatures.is_none() {
+            signatures = Some(fields_1_2(f.data)?.0);
+        });
+        let (signature_header, signature) = fields_1_2(signatures.unwrap_or_default())?;
+        self.identity(metadata, fields_1_2(signature_header)?.0);
+        self.field(metadata, SpanKind::BlockSignature, signature);
+        Ok(())
+    }
+
+    /// A `ChaincodeActionPayload`: its endorsers, and for the first
+    /// action the response payload, endorsement signatures and rwset.
+    fn walk_action_payload(
+        &mut self,
+        envelope: &[u8],
+        action_payload: &[u8],
+        first: bool,
+    ) -> Result<(), WireError> {
+        let (identities, fields) = (self.identities.len(), self.fields.len());
+        let mut prp: &[u8] = &[];
+        unmarshal_loop!(action_payload, f => if f.number == 2 {
+            self.identities.truncate(identities);
+            self.fields.truncate(fields);
+            prp = &[];
+            unmarshal_loop!(f.data, g => match g.number {
+                1 => prp = g.data,
+                2 => {
+                    let (endorser, signature) = fields_1_2(g.data)?;
+                    self.identity(envelope, endorser);
+                    if first {
+                        self.field(envelope, SpanKind::EndorsementSignature, signature);
+                    }
+                }
+                _ => {}
+            });
+        });
+        if first {
+            let (_proposal_hash, extension) = fields_1_2(prp)?;
+            let (results, _events) = fields_1_2(extension)?;
+            if !prp.is_empty() {
+                let at = span_of(envelope, prp);
+                self.fields.insert(fields, (SpanKind::ProposalResponse, at));
+            }
+            self.field(envelope, SpanKind::RwSet, results);
+        }
+        Ok(())
+    }
+
+    fn identity(&mut self, section: &[u8], identity: &[u8]) {
+        if matches!(name_and_bytes(identity), Ok((_, cert)) if !cert.is_empty()) {
+            self.identities.push(span_of(section, identity));
+        }
+    }
+
+    fn field(&mut self, section: &[u8], kind: SpanKind, value: &[u8]) {
+        if !value.is_empty() {
+            self.fields.push((kind, span_of(section, value)));
+        }
+    }
+}
+
+/// Where `part`, a non-empty slice of `section`, lies in it.
+fn span_of(section: &[u8], part: &[u8]) -> Range<usize> {
+    let start = part.as_ptr() as usize - section.as_ptr() as usize;
+    debug_assert!(start + part.len() <= section.len());
+    start..start + part.len()
 }
 
 /// Builds a block from ordered envelopes, with the orderer's signature in

@@ -30,8 +30,12 @@ use fabric_protos::txflow::{
     block_header_hash, block_signature_message, decode_block_struct, decode_transaction,
     DecodedBlock, DecodedEndorsement, DecodedTransaction,
 };
-use fabric_protos::wire::{put_varint, DecodeMeter, WireError};
-use workload::{StreamScenario, Workload};
+use fabric_protos::wire::{DecodeMeter, WireError};
+use workload::Workload;
+
+mod corpus;
+
+use corpus::{envelopes, workload_block};
 
 /// The decode as it was before it walked in place: one owned struct per
 /// layer, `to_vec()` at every level.
@@ -232,35 +236,12 @@ impl Tally {
     }
 }
 
-/// The last (workload) block of a generated stream.
-fn workload_block(workload: Workload, block_size: usize) -> Block {
-    let scenario = StreamScenario {
-        workload,
-        accounts: 8,
-        block_size,
-        num_blocks: 1,
-        seed: 17,
-        ..StreamScenario::default()
-    };
-    scenario.generate().blocks.pop().expect("a workload block")
-}
-
-fn envelopes() -> Vec<(&'static str, Vec<u8>)> {
-    vec![
-        (
-            "smallbank",
-            workload_block(Workload::Smallbank, 2).data.data.remove(0),
-        ),
-        ("drm", workload_block(Workload::Drm, 2).data.data.remove(0)),
-    ]
-}
-
 #[test]
 fn truncation_at_every_offset() {
     for (name, envelope) in envelopes() {
         let mut tally = Tally::default();
-        for cut in 0..=envelope.len() {
-            tally.envelope(&envelope[..cut], &format!("{name} cut at {cut}"));
+        for (what, variant) in corpus::truncations(&envelope) {
+            tally.envelope(&variant, &format!("{name} {what}"));
         }
         tally.assert_both_outcomes_seen(name);
     }
@@ -270,228 +251,19 @@ fn truncation_at_every_offset() {
 fn every_single_byte_flip() {
     for (name, envelope) in envelopes() {
         let mut tally = Tally::default();
-        for at in 0..envelope.len() {
-            for mask in [0x01, 0x80, 0xff] {
-                let mut flipped = envelope.clone();
-                flipped[at] ^= mask;
-                tally.envelope(&flipped, &format!("{name} byte {at} ^ {mask:#x}"));
-            }
+        for (what, variant) in corpus::byte_flips(&envelope) {
+            tally.envelope(&variant, &format!("{name} {what}"));
         }
         tally.assert_both_outcomes_seen(name);
     }
 }
 
-/// One encoded field of a message.
-#[derive(Clone)]
-struct Raw {
-    number: u32,
-    /// Tag, length and value as they go on the wire.
-    encoded: Vec<u8>,
-    /// The value of a length-delimited field; `None` for the others.
-    payload: Option<Vec<u8>>,
-}
-
-fn varint_at(bytes: &[u8], pos: &mut usize) -> u64 {
-    let mut v = 0u64;
-    for shift in (0..64).step_by(7) {
-        let byte = bytes[*pos];
-        *pos += 1;
-        v |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return v;
-        }
-    }
-    panic!("varint overflow in a well-formed message");
-}
-
-/// Splits a well-formed message into its fields.
-fn split(bytes: &[u8]) -> Vec<Raw> {
-    let mut fields = Vec::new();
-    let mut pos = 0;
-    while pos < bytes.len() {
-        let start = pos;
-        let tag = varint_at(bytes, &mut pos);
-        let mut payload = None;
-        match tag & 7 {
-            0 => {
-                varint_at(bytes, &mut pos);
-            }
-            1 => pos += 8,
-            5 => pos += 4,
-            2 => {
-                let len = varint_at(bytes, &mut pos) as usize;
-                payload = Some(bytes[pos..pos + len].to_vec());
-                pos += len;
-            }
-            other => panic!("wire type {other} in a well-formed message"),
-        }
-        fields.push(Raw {
-            number: (tag >> 3) as u32,
-            encoded: bytes[start..pos].to_vec(),
-            payload,
-        });
-    }
-    fields
-}
-
-fn join(fields: &[Raw]) -> Vec<u8> {
-    fields.iter().flat_map(|f| f.encoded.clone()).collect()
-}
-
-/// A length-delimited field, written even when empty.
-fn ld(number: u32, payload: &[u8]) -> Raw {
-    let mut encoded = Vec::new();
-    put_varint(&mut encoded, u64::from(number) << 3 | 2);
-    put_varint(&mut encoded, payload.len() as u64);
-    encoded.extend_from_slice(payload);
-    Raw {
-        number,
-        encoded,
-        payload: Some(payload.to_vec()),
-    }
-}
-
-fn varint(number: u32, value: u64) -> Raw {
-    let mut encoded = Vec::new();
-    put_varint(&mut encoded, u64::from(number) << 3);
-    put_varint(&mut encoded, value);
-    Raw {
-        number,
-        encoded,
-        payload: None,
-    }
-}
-
-/// `message` with `edit` applied to the field list of the layer `path`
-/// leads to: each step descends into the first length-delimited field
-/// of that number. Panics when the path does not exist, so a layer the
-/// harness means to cover cannot silently go uncovered.
-fn at_layer(message: &[u8], path: &[u32], edit: &dyn Fn(&mut Vec<Raw>)) -> Vec<u8> {
-    let mut fields = split(message);
-    match path.split_first() {
-        None => edit(&mut fields),
-        Some((&step, rest)) => {
-            let field = fields
-                .iter_mut()
-                .find(|f| f.number == step && f.payload.is_some())
-                .unwrap_or_else(|| panic!("no field {step} on the way to {path:?}"));
-            let inner = at_layer(field.payload.as_deref().expect("checked"), rest, edit);
-            *field = ld(step, &inner);
-        }
-    }
-    join(&fields)
-}
-
-/// The fields of that layer.
-fn layer(message: &[u8], path: &[u32]) -> Vec<Raw> {
-    let found = std::cell::RefCell::new(Vec::new());
-    at_layer(message, path, &|fields| {
-        *found.borrow_mut() = fields.clone()
-    });
-    found.into_inner()
-}
-
-const PAYLOAD: &[u32] = &[1];
-const HEADER: &[u32] = &[1, 1];
-const CHANNEL_HEADER: &[u32] = &[1, 1, 1];
-const SIGNATURE_HEADER: &[u32] = &[1, 1, 2];
-const CREATOR: &[u32] = &[1, 1, 2, 1];
-const TRANSACTION: &[u32] = &[1, 2];
-const ACTION: &[u32] = &[1, 2, 1];
-const ACTION_PAYLOAD: &[u32] = &[1, 2, 1, 2];
-const ENDORSED_ACTION: &[u32] = &[1, 2, 1, 2, 2];
-const ENDORSEMENT: &[u32] = &[1, 2, 1, 2, 2, 2];
-const ENDORSER: &[u32] = &[1, 2, 1, 2, 2, 2, 1];
-const PRP: &[u32] = &[1, 2, 1, 2, 2, 1];
-const CC_ACTION: &[u32] = &[1, 2, 1, 2, 2, 1, 2];
-const RESPONSE: &[u32] = &[1, 2, 1, 2, 2, 1, 2, 3];
-const CHAINCODE_ID: &[u32] = &[1, 2, 1, 2, 2, 1, 2, 4];
-const TX_RWSET: &[u32] = &[1, 2, 1, 2, 2, 1, 2, 1];
-const NS_RWSET: &[u32] = &[1, 2, 1, 2, 2, 1, 2, 1, 2];
-const KV_RWSET: &[u32] = &[1, 2, 1, 2, 2, 1, 2, 1, 2, 2];
-const KV_READ: &[u32] = &[1, 2, 1, 2, 2, 1, 2, 1, 2, 2, 1];
-const VERSION: &[u32] = &[1, 2, 1, 2, 2, 1, 2, 1, 2, 2, 1, 2];
-const KV_WRITE: &[u32] = &[1, 2, 1, 2, 2, 1, 2, 1, 2, 2, 3];
-
-/// Every message layer of an envelope (the action's own signature
-/// header, `[1, 2, 1, 1]`, is carried and never decoded).
-const LAYERS: &[(&str, &[u32])] = &[
-    ("Envelope", &[]),
-    ("Payload", PAYLOAD),
-    ("Header", HEADER),
-    ("ChannelHeader", CHANNEL_HEADER),
-    ("SignatureHeader", SIGNATURE_HEADER),
-    ("creator SerializedIdentity", CREATOR),
-    ("Transaction", TRANSACTION),
-    ("TransactionAction", ACTION),
-    ("ChaincodeActionPayload", ACTION_PAYLOAD),
-    ("ChaincodeEndorsedAction", ENDORSED_ACTION),
-    ("Endorsement", ENDORSEMENT),
-    ("endorser SerializedIdentity", ENDORSER),
-    ("ProposalResponsePayload", PRP),
-    ("ChaincodeAction", CC_ACTION),
-    ("Response", RESPONSE),
-    ("ChaincodeID", CHAINCODE_ID),
-    ("TxReadWriteSet", TX_RWSET),
-    ("NsReadWriteSet", NS_RWSET),
-    ("KVRWSet", KV_RWSET),
-    ("KVRead", KV_READ),
-    ("Version", VERSION),
-    ("KVWrite", KV_WRITE),
-];
-
 #[test]
 fn dropped_duplicated_reordered_and_unknown_fields_at_each_layer() {
     for (name, envelope) in envelopes() {
         let mut tally = Tally::default();
-        for (layer_name, path) in LAYERS {
-            let n = layer(&envelope, path).len();
-            assert!(n > 0, "{name}: {layer_name} is empty");
-            let mut run = |what: String, edit: &dyn Fn(&mut Vec<Raw>)| {
-                tally.envelope(
-                    &at_layer(&envelope, path, edit),
-                    &format!("{name}, {layer_name}: {what}"),
-                );
-            };
-            for i in 0..n {
-                run(format!("field {i} dropped"), &|f| drop(f.remove(i)));
-                run(format!("field {i} repeated in place"), &|f| {
-                    f.insert(i, f[i].clone())
-                });
-                run(format!("field {i} repeated at the end"), &|f| {
-                    f.push(f[i].clone())
-                });
-                run(format!("field {i} moved to the front"), &|f| {
-                    let moved = f.remove(i);
-                    f.insert(0, moved);
-                });
-            }
-            run("reversed".into(), &|f| f.reverse());
-            for front in [true, false] {
-                let place = |f: &mut Vec<Raw>, extra: Raw| {
-                    if front {
-                        f.insert(0, extra)
-                    } else {
-                        f.push(extra)
-                    }
-                };
-                run(format!("unknown varint, front {front}"), &|f| {
-                    place(f, varint(99, 7))
-                });
-                run(format!("unknown bytes, front {front}"), &|f| {
-                    place(f, ld(98, b"xyz"))
-                });
-                // The known numbers under the wrong wire type, and
-                // present but empty (which `marshal` never writes).
-                for number in 1..=6 {
-                    run(format!("field {number} as varint, front {front}"), &|f| {
-                        place(f, varint(number, 3))
-                    });
-                    run(format!("field {number} empty, front {front}"), &|f| {
-                        place(f, ld(number, b""))
-                    });
-                }
-            }
+        for (what, variant) in corpus::layer_edits(&envelope) {
+            tally.envelope(&variant, &format!("{name}, {what}"));
         }
         tally.assert_both_outcomes_seen(name);
     }
@@ -501,19 +273,17 @@ fn dropped_duplicated_reordered_and_unknown_fields_at_each_layer() {
 fn a_second_action_is_walked_and_the_first_one_used() {
     for (name, envelope) in envelopes() {
         let mut tally = Tally::default();
+        let [(both_what, both), (torn_what, torn), (first_what, first)] =
+            corpus::second_actions(&envelope);
         // Well-formed but different: the decode must still be the first.
         let intact = decode_transaction(&envelope).unwrap();
-        let second = ld(1, &join(&[ld(1, b"other header"), ld(2, b"")]));
-        let both = at_layer(&envelope, TRANSACTION, &|f| f.push(second.clone()));
-        tally.envelope(&both, &format!("{name}: second action"));
+        tally.envelope(&both, &format!("{name}: {both_what}"));
         assert_same_tx_but_len(&decode_transaction(&both).unwrap(), &intact);
         // Malformed: walked, so rejected, although it would not be used.
-        let torn = at_layer(&envelope, TRANSACTION, &|f| f.push(ld(1, &[0x0a, 0x05, 1])));
-        tally.envelope(&torn, &format!("{name}: torn second action"));
+        tally.envelope(&torn, &format!("{name}: {torn_what}"));
         assert_eq!(decode_transaction(&torn).unwrap_err(), WireError::Truncated);
         // Put first, the empty action is the one used.
-        let first = at_layer(&envelope, TRANSACTION, &|f| f.insert(0, ld(1, b"")));
-        tally.envelope(&first, &format!("{name}: empty action first"));
+        tally.envelope(&first, &format!("{name}: {first_what}"));
         tally.assert_both_outcomes_seen(name);
     }
 }
@@ -533,27 +303,21 @@ fn a_repeated_endorsed_action_replaces_response_and_endorsements_alike() {
         let mut tally = Tally::default();
         let intact = decode_transaction(&envelope).unwrap();
         assert!(!intact.endorsements.is_empty());
+        let [(bare_what, bare), (only_what, only_endorsements), (empty_what, emptied)] =
+            corpus::repeated_endorsed_actions(&envelope);
         // A second `action` carrying only a proposal response payload:
         // the endorsements of the first must not survive it.
-        let endorsed = layer(&envelope, ENDORSED_ACTION);
-        let prp = endorsed.iter().find(|f| f.number == 1);
-        let bare = ld(2, &prp.expect("a response payload").encoded);
-        let replaced = at_layer(&envelope, ACTION_PAYLOAD, &|f| f.push(bare.clone()));
-        tally.envelope(&replaced, &format!("{name}: bare second action"));
-        let decoded = decode_transaction(&replaced).unwrap();
+        tally.envelope(&bare, &format!("{name}: {bare_what}"));
+        let decoded = decode_transaction(&bare).unwrap();
         assert!(decoded.endorsements.is_empty());
         assert_eq!(decoded.writes, intact.writes);
         // And one carrying only endorsements leaves no response payload.
-        let kept: Vec<Raw> = endorsed.into_iter().filter(|f| f.number == 2).collect();
-        let only_endorsements =
-            at_layer(&envelope, ACTION_PAYLOAD, &|f| f.push(ld(2, &join(&kept))));
-        tally.envelope(&only_endorsements, &format!("{name}: no response payload"));
+        tally.envelope(&only_endorsements, &format!("{name}: {only_what}"));
         let decoded = decode_transaction(&only_endorsements).unwrap();
         assert_eq!(decoded.endorsements.len(), intact.endorsements.len());
         assert!(decoded.writes.is_empty() && decoded.chaincode.is_empty());
         // An empty one ends it: nothing left to use.
-        let emptied = at_layer(&envelope, ACTION_PAYLOAD, &|f| f.push(ld(2, b"")));
-        tally.envelope(&emptied, &format!("{name}: empty second action"));
+        tally.envelope(&emptied, &format!("{name}: {empty_what}"));
         assert_eq!(tally.err, 0);
     }
 }
@@ -563,49 +327,27 @@ fn a_repeated_chaincode_id_replaces_the_name_even_with_none() {
     for (name, envelope) in envelopes() {
         let mut tally = Tally::default();
         let namespace = decode_transaction(&envelope).unwrap().chaincode;
-        let renamed = at_layer(&envelope, CC_ACTION, &|f| {
-            f.push(ld(4, &ld(2, b"other").encoded));
-        });
-        tally.envelope(&renamed, &format!("{name}: renamed"));
+        let [(renamed_what, renamed), (unnamed_what, unnamed)] =
+            corpus::repeated_chaincode_ids(&envelope);
+        tally.envelope(&renamed, &format!("{name}: {renamed_what}"));
         assert_eq!(decode_transaction(&renamed).unwrap().chaincode, "other");
         // A later id without a name leaves none: the namespace is used.
-        let unnamed = at_layer(&renamed, CC_ACTION, &|f| {
-            f.push(ld(4, &ld(3, b"2.0").encoded));
-        });
-        tally.envelope(&unnamed, &format!("{name}: unnamed"));
+        tally.envelope(&unnamed, &format!("{name}: {unnamed_what}"));
         assert_eq!(decode_transaction(&unnamed).unwrap().chaincode, namespace);
     }
 }
 
 #[test]
 fn non_utf8_in_every_string_field_is_rejected_alike() {
-    let strings: &[(&str, &[u32], u32)] = &[
-        ("channel_id", CHANNEL_HEADER, 4),
-        ("tx_id", CHANNEL_HEADER, 5),
-        ("creator mspid", CREATOR, 1),
-        ("endorser mspid", ENDORSER, 1),
-        ("chaincode path", CHAINCODE_ID, 1),
-        ("chaincode name", CHAINCODE_ID, 2),
-        ("chaincode version", CHAINCODE_ID, 3),
-        ("namespace", NS_RWSET, 1),
-        ("read key", KV_READ, 1),
-        ("write key", KV_WRITE, 1),
-    ];
     for (name, envelope) in envelopes() {
         let mut tally = Tally::default();
-        for (field, path, number) in strings {
-            for front in [true, false] {
-                let bad = at_layer(&envelope, path, &|f| {
-                    let at = if front { 0 } else { f.len() };
-                    f.insert(at, ld(*number, &[b'a', 0xff, 0xfe]));
-                });
-                tally.envelope(&bad, &format!("{name}: {field}, front {front}"));
-                assert_eq!(
-                    decode_transaction(&bad).unwrap_err(),
-                    WireError::Semantic("invalid utf-8"),
-                    "{name}: {field}, front {front}"
-                );
-            }
+        for (what, bad) in corpus::non_utf8_strings(&envelope) {
+            tally.envelope(&bad, &format!("{name}: {what}"));
+            assert_eq!(
+                decode_transaction(&bad).unwrap_err(),
+                WireError::Semantic("invalid utf-8"),
+                "{name}: {what}"
+            );
         }
         assert_eq!(tally.ok, 0);
     }

@@ -571,3 +571,124 @@ fn swapped_envelope_crosses_the_link_and_is_refused_by_the_committer() {
     );
     assert_eq!(pipeline.ledger().height(), 1, "exactly the serial prefix");
 }
+
+/// A block the sender refuses — here for an envelope it cannot walk, or
+/// a section too large for one packet — leaves it as it was: the
+/// identities that block introduced are synced again by the next block
+/// that names them, so nothing parks at the receiver, and the refused
+/// block is not counted.
+#[test]
+fn a_refused_block_leaves_the_link_intact() {
+    let blocks = three_block_chain();
+    let garbage = vec![0xffu8; 48];
+    // One unknown 10 000-byte field makes a section no packet can carry.
+    let mut oversized = blocks[0].data.data[1].clone();
+    fabric_protos::wire::put_varint(&mut oversized, 15 << 3 | 2);
+    fabric_protos::wire::put_varint(&mut oversized, 10_000);
+    oversized.extend([0u8; 10_000]);
+    for (bad, refusal) in [(garbage, "decode"), (oversized, "packet")] {
+        let mut refused = blocks[0].clone();
+        refused.data.data[1] = bad;
+        let mut sender = BmacSender::new();
+        match (sender.send_block(&refused), refusal) {
+            (Err(bmac_protocol::SendError::Decode(_)), "decode")
+            | (Err(bmac_protocol::SendError::Packet(_)), "packet") => {}
+            (other, _) => panic!("{refusal}: expected a refusal, got {other:?}"),
+        }
+        assert_eq!(sender.stats(), Default::default(), "{refusal}");
+
+        let mut receiver = BmacReceiver::new();
+        let mut received = Vec::new();
+        for block in &blocks {
+            for p in sender.send_block(block).unwrap() {
+                received.extend(receiver.ingest(&p.encode().unwrap()).unwrap());
+            }
+        }
+        assert_eq!(receiver.incomplete_blocks(), Vec::<u64>::new(), "{refusal}");
+        assert_eq!(received.len(), blocks.len(), "{refusal}");
+        for (got, want) in received.iter().zip(&blocks) {
+            assert_eq!(got.block.marshal(), want.marshal(), "{refusal}");
+        }
+        assert_eq!(sender.stats().blocks, blocks.len() as u64, "{refusal}");
+    }
+}
+
+/// A second certificate for a node id the sender has filed — the same
+/// client re-enrolled under another serial, or a forgery naming its id —
+/// travels inline: no locator, no sync (which the receiver would refuse
+/// as re-pointing a known id). The block crosses byte-exactly, and a
+/// software peer fed what the link delivered flags it exactly as one
+/// validating the block itself.
+#[test]
+fn a_reissued_certificate_travels_inline() {
+    let mut msp = Msp::new(2);
+    let client = msp.issue(0, Role::Client, 0).unwrap();
+    let endorsers = [
+        msp.issue(0, Role::Peer, 0).unwrap(),
+        msp.issue(1, Role::Peer, 0).unwrap(),
+    ];
+    let orderer = msp.issue(0, Role::Orderer, 0).unwrap();
+    // The same CA, one issue later: `Client 0` again, under serial 2.
+    let mut again = Msp::new(2);
+    again.issue(0, Role::Admin, 0).unwrap();
+    let reissued = again.issue(0, Role::Client, 0).unwrap();
+    assert_eq!(reissued.node_id(), client.node_id());
+    assert_ne!(reissued.certificate(), client.certificate());
+
+    let tx = |who: &fabric_crypto::identity::SigningIdentity, i: u8| {
+        let params = fabric_protos::txflow::TxParams {
+            channel_id: "mychannel",
+            chaincode: "kv",
+            reads: vec![],
+            writes: vec![(format!("k{i}"), vec![i])],
+            nonce: vec![i; 8],
+            timestamp: 1_700_000_000,
+        };
+        fabric_protos::txflow::build_transaction(who, &[&endorsers[0], &endorsers[1]], &params)
+            .envelope
+    };
+    let first = fabric_protos::txflow::build_block(0, &[0; 32], vec![tx(&client, 0)], &orderer);
+    let second = fabric_protos::txflow::build_block(
+        1,
+        &fabric_protos::txflow::block_header_hash(&first.header),
+        vec![tx(&reissued, 1), tx(&client, 2)],
+        &orderer,
+    );
+
+    let mut sender = BmacSender::new();
+    let mut receiver = BmacReceiver::new();
+    let mut received = Vec::new();
+    for block in [&first, &second] {
+        let packets = sender.send_block(block).unwrap();
+        if block.header.number == 1 {
+            assert!(packets
+                .iter()
+                .all(|p| p.section != SectionType::IdentitySync));
+            let inline = &packets[1];
+            assert_eq!(
+                (inline.section, inline.index),
+                (SectionType::Transaction, 0)
+            );
+            let cut = inline
+                .annotations
+                .iter()
+                .filter(|a| matches!(a, bmac_protocol::Annotation::Locator { .. }))
+                .count();
+            assert_eq!(cut, 2, "the endorsers only; both creators stay inline");
+        }
+        for p in packets {
+            received.extend(receiver.ingest(&p.encode().unwrap()).unwrap());
+        }
+    }
+    assert_eq!(received.len(), 2);
+    assert_eq!(received[0].block.marshal(), first.marshal());
+    assert_eq!(received[1].block.marshal(), second.marshal());
+
+    let (via_link, _) = software_peer();
+    let (direct, _) = software_peer();
+    for (got, want) in received.iter().zip([&first, &second]) {
+        let a = via_link.validate_and_commit(&got.block).unwrap();
+        let b = direct.validate_and_commit(want).unwrap();
+        assert_eq!((a.block_valid, a.codes), (b.block_valid, b.codes));
+    }
+}
