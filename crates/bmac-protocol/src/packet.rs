@@ -55,46 +55,31 @@ impl SectionType {
     }
 }
 
-/// Kinds of data fields a pointer annotation can mark for the hardware
-/// `DataExtractor` (§3.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FieldKind {
-    /// Orderer block signature (DER).
-    BlockSignature,
-    /// Client transaction signature (DER).
-    ClientSignature,
-    /// One endorsement signature (DER).
-    EndorsementSignature,
-    /// The proposal-response payload region (endorsement hash input).
-    ProposalResponse,
-    /// The rwset region (reads + writes).
-    RwSet,
-    /// The payload region covered by the client signature.
-    SignedPayload,
+// The kinds of data fields a pointer annotation can mark for the
+// hardware `DataExtractor` (§3.2) are named by the walk that finds them;
+// their wire codes are set here.
+pub use fabric_protos::txflow::FieldKind;
+
+fn field_code(kind: FieldKind) -> u8 {
+    match kind {
+        FieldKind::BlockSignature => 0,
+        FieldKind::ClientSignature => 1,
+        FieldKind::EndorsementSignature => 2,
+        FieldKind::ProposalResponse => 3,
+        FieldKind::RwSet => 4,
+        FieldKind::SignedPayload => 5,
+    }
 }
 
-impl FieldKind {
-    fn code(self) -> u8 {
-        match self {
-            FieldKind::BlockSignature => 0,
-            FieldKind::ClientSignature => 1,
-            FieldKind::EndorsementSignature => 2,
-            FieldKind::ProposalResponse => 3,
-            FieldKind::RwSet => 4,
-            FieldKind::SignedPayload => 5,
-        }
-    }
-
-    fn from_code(code: u8) -> Result<Self, PacketError> {
-        match code {
-            0 => Ok(FieldKind::BlockSignature),
-            1 => Ok(FieldKind::ClientSignature),
-            2 => Ok(FieldKind::EndorsementSignature),
-            3 => Ok(FieldKind::ProposalResponse),
-            4 => Ok(FieldKind::RwSet),
-            5 => Ok(FieldKind::SignedPayload),
-            other => Err(PacketError::BadFieldKind(other)),
-        }
+fn field_kind(code: u8) -> Result<FieldKind, PacketError> {
+    match code {
+        0 => Ok(FieldKind::BlockSignature),
+        1 => Ok(FieldKind::ClientSignature),
+        2 => Ok(FieldKind::EndorsementSignature),
+        3 => Ok(FieldKind::ProposalResponse),
+        4 => Ok(FieldKind::RwSet),
+        5 => Ok(FieldKind::SignedPayload),
+        other => Err(PacketError::BadFieldKind(other)),
     }
 }
 
@@ -265,7 +250,7 @@ impl BmacPacket {
                     length,
                 } => {
                     buf.push(0);
-                    buf.push(kind.code());
+                    buf.push(field_code(*kind));
                     buf.extend_from_slice(&offset.to_be_bytes());
                     buf.extend_from_slice(&length.to_be_bytes());
                 }
@@ -339,7 +324,7 @@ impl BmacPacket {
                     if buf.remaining() < 9 {
                         return Err(PacketError::Truncated);
                     }
-                    let kind = FieldKind::from_code(buf.get_u8())?;
+                    let kind = field_kind(buf.get_u8())?;
                     let offset = buf.get_u32();
                     let length = buf.get_u32();
                     annotations.push(Annotation::Pointer {

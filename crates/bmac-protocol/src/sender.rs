@@ -13,17 +13,22 @@
 //!   elsewhere (inside a write value, say) stay where they are. A new
 //!   identity is filed under the node id its certificate embeds and
 //!   synchronized to the receiver with an `IdentitySync` packet ahead of
-//!   the first section that locates it; a certificate for an id already
-//!   filed under other bytes (re-enrolment under another serial, or a
-//!   forgery) is sent inline, since the receiver refuses a sync that
-//!   re-points a known id.
+//!   the first section that locates it. An identity the sender cannot
+//!   file is sent inline: one whose certificate does not parse, and one
+//!   whose id is already filed under other bytes (re-enrolment under
+//!   another serial, or a forgery), since the receiver refuses a sync
+//!   that re-points a known id.
 //! * **AnnotationGenerator** — pointer annotations record the offset and
 //!   length of the fields the hardware needs (signatures, signed
 //!   regions, rwsets) *in reconstructed-section coordinates*, each at
 //!   its own field, so the `DataExtractor` can fetch them without
 //!   recursive protobuf decoding.
 //!
-//! A block is sent whole or not at all: the identities it introduces
+//! The sender refuses a block only for an envelope the peer's
+//! `decode_transaction` refuses too (the walk is no stricter than that
+//! decode), for a metadata section whose signature slot does not parse,
+//! or for a section too large for one packet. A block is sent whole or
+//! not at all: the identities it introduces
 //! join the cache, and [`SenderStats`] moves, only once every section
 //! is built and passes [`BmacPacket::check`]. A refused block leaves the
 //! sender as it found it, so the next block syncs what it needs.
@@ -49,11 +54,11 @@ use std::ops::Range;
 use bytes::Bytes;
 use fabric_crypto::identity::{Certificate, NodeId};
 use fabric_protos::messages::{Block, SerializedIdentity};
-use fabric_protos::txflow::{SectionSpans, SpanKind};
+use fabric_protos::txflow::SectionSpans;
 use fabric_protos::wire::WireError;
 
 use crate::cache::IdentityCache;
-use crate::packet::{u16_of, u32_of, Annotation, BmacPacket, FieldKind, PacketError, SectionType};
+use crate::packet::{u16_of, u32_of, Annotation, BmacPacket, PacketError, SectionType};
 
 /// Statistics for the bandwidth comparison of Figure 9a. Only blocks
 /// that were sent count.
@@ -249,7 +254,7 @@ impl Outgoing {
         self.cuts.clear();
         for i in 0..self.spans.identities.len() {
             let span = self.spans.identities[i].clone();
-            if let Some(id) = self.resolve(cache, &bytes[span.clone()])? {
+            if let Some(id) = self.resolve(cache, &bytes[span.clone()]) {
                 self.cuts.push((span, id));
             }
         }
@@ -269,7 +274,7 @@ impl Outgoing {
         payload.extend_from_slice(&bytes[pos..]);
         for (kind, span) in &self.spans.fields {
             annotations.push(Annotation::Pointer {
-                kind: field_kind(*kind),
+                kind: *kind,
                 offset: u32_of("pointer offset", span.start).map_err(SendError::Packet)?,
                 length: u32_of("pointer length", span.len()).map_err(SendError::Packet)?,
             });
@@ -281,46 +286,31 @@ impl Outgoing {
 
     /// The id `identity` is located by — synced first when this block
     /// introduces it — or `None` to send it inline.
-    fn resolve(
-        &mut self,
-        cache: &IdentityCache,
-        identity: &[u8],
-    ) -> Result<Option<u16>, SendError> {
+    fn resolve(&mut self, cache: &IdentityCache, identity: &[u8]) -> Option<u16> {
         if let Some(id) = cache.id_of(identity) {
-            return Ok(Some(id));
+            return Some(id);
         }
         if let Some((node_id, _)) = self.new.iter().find(|(_, known)| **known == *identity) {
-            return Ok(Some(node_id.encode()));
+            return Some(node_id.encode());
         }
-        let si = SerializedIdentity::unmarshal(identity).map_err(SendError::Decode)?;
-        let cert = Certificate::from_bytes(&si.id_bytes)
-            .map_err(|_| SendError::Decode(WireError::Semantic("bad certificate")))?;
-        let id = cert.node_id.encode();
+        let si = SerializedIdentity::unmarshal(identity).ok()?;
+        let node_id = Certificate::from_bytes(&si.id_bytes).ok()?.node_id;
+        let id = node_id.encode();
         if cache.bytes_of(id).is_some() || self.new.iter().any(|(n, _)| n.encode() == id) {
             // The id is filed under another certificate.
-            return Ok(None);
+            return None;
         }
         let identity = Bytes::copy_from_slice(identity);
         self.push(SectionType::IdentitySync, id, Vec::new(), identity.clone());
-        self.new.push((cert.node_id, identity));
-        Ok(Some(id))
-    }
-}
-
-fn field_kind(kind: SpanKind) -> FieldKind {
-    match kind {
-        SpanKind::BlockSignature => FieldKind::BlockSignature,
-        SpanKind::ClientSignature => FieldKind::ClientSignature,
-        SpanKind::SignedPayload => FieldKind::SignedPayload,
-        SpanKind::ProposalResponse => FieldKind::ProposalResponse,
-        SpanKind::EndorsementSignature => FieldKind::EndorsementSignature,
-        SpanKind::RwSet => FieldKind::RwSet,
+        self.new.push((node_id, identity));
+        Some(id)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packet::FieldKind;
     use fabric_node::chaincode::KvChaincode;
     use fabric_node::network::FabricNetworkBuilder;
     use fabric_policy::parse;

@@ -410,36 +410,41 @@ fn kv_write(bytes: &[u8]) -> Result<Option<WriteEntry>, WireError> {
 }
 
 /// A field of a block section that the BMac AnnotationGenerator points
-/// the hardware at (paper §3.2).
+/// the hardware `DataExtractor` at (paper §3.2). Its wire code is
+/// `bmac-protocol`'s.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpanKind {
+pub enum FieldKind {
     /// The orderer's block signature (DER), in the metadata section.
     BlockSignature,
     /// The client's envelope signature (DER).
     ClientSignature,
-    /// The marshaled [`Payload`] the client signed.
-    SignedPayload,
-    /// The first action's marshaled [`ProposalResponsePayload`].
-    ProposalResponse,
     /// One endorsement signature (DER) of the first action.
     EndorsementSignature,
+    /// The first action's marshaled [`ProposalResponsePayload`] (the
+    /// endorsement hash input).
+    ProposalResponse,
     /// The first action's rwset ([`ChaincodeAction`]`.results`).
     RwSet,
+    /// The marshaled [`Payload`] the client signed.
+    SignedPayload,
 }
 
 /// Where the identities and the named fields of one block section lie,
 /// as byte ranges of it: what the BMac sender strips and what it points
 /// at, found by one walk of the section in place.
 ///
-/// The walk reads the layers [`decode_transaction`] reads, with the same
-/// rules — the last of a repeated scalar wins, a repeated endorsed
-/// action replaces the response payload and the endorsements alike, the
-/// first action is the one used — and parses nothing it does not descend
-/// through: no certificate, no signature, no rwset. It allocates only
-/// when the lists outgrow what an earlier walk left them. An identity is
-/// a marshaled [`SerializedIdentity`] with a non-empty certificate; a
-/// named field holding anything else is passed over, as are empty
-/// fields.
+/// The walk is no stricter than [`decode_transaction`]: it fails only
+/// where that decode fails the envelope. Every layer it descends
+/// through is one the decode walks, read with the same rules — the last
+/// of a repeated scalar wins, a repeated endorsed action replaces the
+/// response payload and the endorsements alike, the first action is the
+/// one used. An action's header and a later action's payload, which the
+/// decode never reads, give their identities where they parse and
+/// nothing where they do not. The walk parses no certificate, signature
+/// or rwset, and allocates only when the lists outgrow what an earlier
+/// walk left them. An identity is a marshaled [`SerializedIdentity`]
+/// with a non-empty certificate; a named field holding anything else is
+/// passed over, as are empty fields.
 #[derive(Debug, Clone, Default)]
 pub struct SectionSpans {
     /// Identities, in discovery order. In an envelope: the payload's
@@ -450,7 +455,7 @@ pub struct SectionSpans {
     /// signature, signed payload, then — for the first action — the
     /// proposal response, each endorsement signature and the rwset. In
     /// the metadata section: the block signature.
-    pub fields: Vec<(SpanKind, Range<usize>)>,
+    pub fields: Vec<(FieldKind, Range<usize>)>,
 }
 
 impl SectionSpans {
@@ -458,22 +463,30 @@ impl SectionSpans {
     ///
     /// # Errors
     ///
-    /// [`WireError`] when a layer the walk descends through is malformed;
-    /// the spans are then incomplete.
+    /// [`WireError`] when a layer the walk descends through is malformed,
+    /// which fails [`decode_transaction`] too; the spans are then
+    /// incomplete.
     pub fn walk_envelope(&mut self, envelope: &[u8]) -> Result<(), WireError> {
         self.identities.clear();
         self.fields.clear();
         let (payload, signature) = fields_1_2(envelope)?;
-        self.field(envelope, SpanKind::ClientSignature, signature);
-        self.field(envelope, SpanKind::SignedPayload, payload);
+        self.field(envelope, FieldKind::ClientSignature, signature);
+        self.field(envelope, FieldKind::SignedPayload, payload);
         let (header, data) = fields_1_2(payload)?;
         let (_channel_header, signature_header) = fields_1_2(header)?;
         self.identity(envelope, fields_1_2(signature_header)?.0);
         let mut first = true;
         unmarshal_loop!(data, f => if f.number == 1 {
             let (action_header, action_payload) = fields_1_2(f.data)?;
-            self.identity(envelope, fields_1_2(action_header)?.0);
-            self.walk_action_payload(envelope, action_payload, first)?;
+            if let Ok((creator, _nonce)) = fields_1_2(action_header) {
+                self.identity(envelope, creator);
+            }
+            let identities = self.identities.len();
+            match self.walk_action_payload(envelope, action_payload, first) {
+                Err(e) if first => return Err(e),
+                Err(_) => self.identities.truncate(identities),
+                Ok(()) => {}
+            }
             first = false;
         });
         Ok(())
@@ -484,7 +497,8 @@ impl SectionSpans {
     ///
     /// # Errors
     ///
-    /// As [`SectionSpans::walk_envelope`].
+    /// [`WireError`] when the first slot is not a [`MetadataSignature`];
+    /// the spans are then incomplete.
     pub fn walk_metadata(&mut self, metadata: &[u8]) -> Result<(), WireError> {
         self.identities.clear();
         self.fields.clear();
@@ -493,8 +507,10 @@ impl SectionSpans {
             signatures = Some(fields_1_2(f.data)?.0);
         });
         let (signature_header, signature) = fields_1_2(signatures.unwrap_or_default())?;
-        self.identity(metadata, fields_1_2(signature_header)?.0);
-        self.field(metadata, SpanKind::BlockSignature, signature);
+        if let Ok((orderer, _nonce)) = fields_1_2(signature_header) {
+            self.identity(metadata, orderer);
+        }
+        self.field(metadata, FieldKind::BlockSignature, signature);
         Ok(())
     }
 
@@ -518,7 +534,7 @@ impl SectionSpans {
                     let (endorser, signature) = fields_1_2(g.data)?;
                     self.identity(envelope, endorser);
                     if first {
-                        self.field(envelope, SpanKind::EndorsementSignature, signature);
+                        self.field(envelope, FieldKind::EndorsementSignature, signature);
                     }
                 }
                 _ => {}
@@ -529,9 +545,10 @@ impl SectionSpans {
             let (results, _events) = fields_1_2(extension)?;
             if !prp.is_empty() {
                 let at = span_of(envelope, prp);
-                self.fields.insert(fields, (SpanKind::ProposalResponse, at));
+                self.fields
+                    .insert(fields, (FieldKind::ProposalResponse, at));
             }
-            self.field(envelope, SpanKind::RwSet, results);
+            self.field(envelope, FieldKind::RwSet, results);
         }
         Ok(())
     }
@@ -542,7 +559,7 @@ impl SectionSpans {
         }
     }
 
-    fn field(&mut self, section: &[u8], kind: SpanKind, value: &[u8]) {
+    fn field(&mut self, section: &[u8], kind: FieldKind, value: &[u8]) {
         if !value.is_empty() {
             self.fields.push((kind, span_of(section, value)));
         }

@@ -20,11 +20,18 @@
 //! * a known identity's bytes outside the named identity fields (inside
 //!   a write value) stay inline; the reference cut every occurrence.
 //!
+//! Where the reference refused a block the peer accepts — an identity
+//! in an action header or a later action whose certificate does not
+//! parse — the sender sends it, that identity inline.
+//!
 //! And over hostile input — every envelope of `decode_differential`'s
 //! corpus placed in a block, and the orderer-signature slot mutated at
 //! every offset — the sender either refuses the block with
 //! `SendError::Decode`, leaving itself as it was, or emits packets that
-//! `BmacReceiver` reassembles byte-exactly. Nothing panics.
+//! `BmacReceiver` reassembles byte-exactly. Nothing panics. A refused
+//! block stalls every BMac peer at its number, so the sender refuses
+//! one only where the peer's `decode_transaction` rejects an envelope of
+//! it, or where the reference refuses it too.
 
 use std::collections::HashMap;
 
@@ -41,7 +48,8 @@ use fabric_protos::messages::{
     SerializedIdentity, Transaction,
 };
 use fabric_protos::txflow::{
-    block_header_hash, build_block, build_transaction, serialize_identity, TxParams,
+    block_header_hash, build_block, build_transaction, decode_transaction, serialize_identity,
+    TxParams,
 };
 use fabric_protos::wire::WireError;
 use workload::{StreamScenario, Workload};
@@ -688,6 +696,98 @@ fn a_known_identity_inside_a_write_value_stays_inline() {
 }
 
 // ---------------------------------------------------------------------
+// What the peer never reads.
+// ---------------------------------------------------------------------
+
+/// `envelope`'s first action, with `edit` applied at `path` (a path
+/// into the whole envelope that leads through that action).
+fn edited_action(envelope: &[u8], path: &[u32], edit: &dyn Fn(&mut Vec<corpus::Raw>)) -> Vec<u8> {
+    let edited = corpus::at_layer(envelope, path, edit);
+    let action = corpus::layer(&edited, corpus::TRANSACTION).remove(0);
+    action.payload.expect("a length-delimited action")
+}
+
+/// `decode_transaction` reads neither an action's header nor any action
+/// but the first. Junk there, which the peer never sees, must not get
+/// the block refused: it crosses byte-exactly, with the packets the
+/// reference sent. An identity there whose certificate does not parse,
+/// which got the block refused by the reference, travels inline.
+#[test]
+fn what_the_peer_never_reads_never_refuses_a_block() {
+    const ACTION_CREATOR: &[u32] = &[1, 2, 1, 1, 1];
+    let template = corpus::workload_block(Workload::Smallbank, 2);
+    let envelope = &template.data.data[1];
+    let no_cert = |f: &mut Vec<corpus::Raw>| {
+        let at = f.iter().position(|r| r.number == 2).unwrap();
+        f[at] = corpus::ld(2, b"not a certificate");
+    };
+    let later = |action: Vec<u8>| {
+        corpus::at_layer(envelope, corpus::TRANSACTION, &|f| {
+            f.push(corpus::ld(1, &action))
+        })
+    };
+    let junk_header = |f: &mut Vec<corpus::Raw>| {
+        let at = f.iter().position(|r| r.number == 1).unwrap();
+        f[at] = corpus::ld(1, b"other header");
+    };
+    let header = corpus::layer(envelope, corpus::ACTION).remove(0);
+    assert_eq!(header.number, 1);
+    let torn = corpus::join(&[header, corpus::ld(2, &[0x0a, 0x05, 1])]);
+    let cases: Vec<(&str, Vec<u8>, bool)> = vec![
+        (
+            "junk action header",
+            corpus::at_layer(envelope, corpus::ACTION, &junk_header),
+            true,
+        ),
+        (
+            "second action with a junk header",
+            corpus::second_actions(envelope)[0].1.clone(),
+            true,
+        ),
+        ("torn second action payload", later(torn), true),
+        (
+            "action creator without a certificate",
+            corpus::at_layer(envelope, ACTION_CREATOR, &no_cert),
+            false,
+        ),
+        (
+            "second action's endorser without a certificate",
+            later(edited_action(envelope, corpus::ENDORSER, &no_cert)),
+            false,
+        ),
+    ];
+    for (what, mutated, reference_sends) in cases {
+        assert!(
+            decode_transaction(&mutated).is_ok(),
+            "{what}: the peer decodes it"
+        );
+        let mut block = template.clone();
+        block.header.number = 1;
+        block.data.data[1] = mutated;
+
+        let (mut sender, mut reference) = (BmacSender::new(), ReferenceSender::default());
+        let mut receiver = BmacReceiver::new();
+        let first = sender.send_block(&template).unwrap();
+        assert_eq!(first, reference.send_block(&template).unwrap(), "{what}");
+        reassemble(&mut receiver, &first);
+
+        let packets = sender.send_block(&block).unwrap();
+        assert_eq!(
+            reassemble(&mut receiver, &packets).marshal(),
+            block.marshal(),
+            "{what}"
+        );
+        match reference.send_block(&block) {
+            Ok(expected) => {
+                assert!(reference_sends, "{what}: the reference sends it");
+                assert_eq!(packets, expected, "{what}");
+            }
+            Err(e) => assert!(!reference_sends, "{what}: the reference refuses it: {e}"),
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // Hostile input.
 // ---------------------------------------------------------------------
 
@@ -701,6 +801,14 @@ struct Link {
     refused: usize,
 }
 
+/// Whether a fresh [`ReferenceSender`] sends `block`. It panics on a
+/// second certificate for a node id it has filed: that block it does
+/// not send.
+fn reference_sends(block: &Block) -> bool {
+    let sent = std::panic::catch_unwind(|| ReferenceSender::default().send_block(block));
+    matches!(sent, Ok(Ok(_)))
+}
+
 impl Link {
     fn new() -> Self {
         Link {
@@ -712,7 +820,11 @@ impl Link {
         }
     }
 
-    fn offer(&mut self, mut block: Block, what: &str) {
+    /// Offers `block` as the next block; whether it was refused. Unless
+    /// the peer rejects the block anyway (`peer_rejects`), the sender
+    /// must not refuse a block the reference sends: no declared
+    /// difference refuses one.
+    fn offer(&mut self, mut block: Block, what: &str, peer_rejects: bool) -> bool {
         block.header.number = self.next;
         let before = self.sender.stats();
         match self.sender.send_block(&block) {
@@ -721,10 +833,16 @@ impl Link {
                 assert_eq!(got.marshal(), block.marshal(), "{what}");
                 self.next += 1;
                 self.sent += 1;
+                false
             }
-            Err(SendError::Decode(_)) => {
+            Err(SendError::Decode(e)) => {
                 assert_eq!(self.sender.stats(), before, "{what}: refused but counted");
+                assert!(
+                    peer_rejects || !reference_sends(&block),
+                    "{what}: refused ({e}) a block the reference sends"
+                );
                 self.refused += 1;
+                true
             }
             Err(e) => panic!("{what}: {e}"),
         }
@@ -745,8 +863,12 @@ fn every_corpus_envelope_is_refused_or_crosses_byte_exactly() {
             .chain(corpus::non_utf8_strings(&envelope));
         for (what, mutated) in mutations {
             let mut block = template.clone();
+            let peer_rejects = decode_transaction(&mutated).is_err();
             block.data.data[1] = mutated;
-            link.offer(block, &format!("{name}: {what}"));
+            let what = format!("{name}: {what}");
+            // The walk is no stricter than the peer's decode.
+            let refused = link.offer(block, &what, peer_rejects);
+            assert!(!refused || peer_rejects, "{what}: the peer decodes it");
         }
         assert!(
             link.sent > 0 && link.refused > 0,
@@ -755,7 +877,7 @@ fn every_corpus_envelope_is_refused_or_crosses_byte_exactly() {
             link.refused
         );
         // The link still carries an intact block afterwards.
-        link.offer(template, &format!("{name}: intact"));
+        assert!(!link.offer(template, &format!("{name}: intact"), false));
         assert!(link.receiver.incomplete_blocks().is_empty());
     }
 }
@@ -768,10 +890,10 @@ fn a_mutated_orderer_signature_slot_is_refused_or_crosses_byte_exactly() {
     for at in 0..slot.len() {
         let mut flipped = template.clone();
         flipped.metadata.metadata[metadata_index::SIGNATURES][at] ^= 0xff;
-        link.offer(flipped, &format!("slot byte {at} flipped"));
+        link.offer(flipped, &format!("slot byte {at} flipped"), false);
         let mut cut = template.clone();
         cut.metadata.metadata[metadata_index::SIGNATURES].truncate(at);
-        link.offer(cut, &format!("slot cut at {at}"));
+        link.offer(cut, &format!("slot cut at {at}"), false);
     }
     assert!(link.sent > 0 && link.refused > 0);
 }
