@@ -4,9 +4,10 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use fabric_crypto::identity::{Msp, Role};
 use fabric_protos::txflow::{
-    build_block, build_transaction, decode_block, decode_transaction, TxParams,
+    build_block, build_transaction, decode_block, decode_transaction, SectionSpans, TxParams,
 };
 use std::hint::black_box;
+use workload::{StreamScenario, Workload};
 
 fn bench_protos(c: &mut Criterion) {
     let mut group = c.benchmark_group("protos");
@@ -77,6 +78,40 @@ fn bench_protos(c: &mut Criterion) {
     let block_bytes = build_block(1, &[0u8; 32], envs, &orderer).marshal();
     group.bench_function("decode_block_100tx", |b| {
         b.iter(|| decode_block(black_box(&block_bytes)).unwrap())
+    });
+
+    // The BMac sender's walk alone: every envelope of a 100-transaction
+    // smallbank block, eight distinct blocks in turn, as `protocol`'s
+    // `sender_send_encode_100tx_x8` sends them (which adds the copying
+    // and encoding).
+    let stream = StreamScenario {
+        workload: Workload::Smallbank,
+        accounts: 8,
+        block_size: 100,
+        num_blocks: 8,
+        seed: 5,
+        ..StreamScenario::default()
+    }
+    .generate();
+    let full: Vec<_> = stream
+        .blocks
+        .iter()
+        .filter(|b| b.data.data.len() == 100)
+        .collect();
+    assert!(full.len() >= 8, "eight distinct 100-tx blocks");
+    let mut spans = SectionSpans::default();
+    let mut next = 0;
+    group.bench_function("sender_walk_100tx_x8", |b| {
+        b.iter(|| {
+            let block = full[next % full.len()];
+            next += 1;
+            let mut found = 0;
+            for envelope in &block.data.data {
+                spans.walk_envelope(black_box(envelope)).unwrap();
+                found += spans.identities.len() + spans.fields.len();
+            }
+            found
+        })
     });
     group.finish();
 }

@@ -12,7 +12,7 @@
 //! * [`cache`] — the identity cache;
 //! * [`sender`] — sectioning, and the DataRemover (the named identity
 //!   fields cut out) and AnnotationGenerator (the named fields pointed
-//!   at) from one in-place walk of each section;
+//!   at) from one walk of each section through the decode's layer code;
 //! * [`receiver`] — reassembly: the DataInserter half of the hardware
 //!   `protocol_processor`. It restores blocks byte-exactly and stops
 //!   there; whoever consumes a [`ReceivedBlock`] decodes it, once.

@@ -14,32 +14,32 @@
 //!   identity is filed under the node id its certificate embeds and
 //!   synchronized to the receiver with an `IdentitySync` packet ahead of
 //!   the first section that locates it. An identity the sender cannot
-//!   file is sent inline: one whose certificate does not parse, and one
-//!   whose id is already filed under other bytes (re-enrolment under
-//!   another serial, or a forgery), since the receiver refuses a sync
-//!   that re-points a known id.
+//!   file is sent inline: one that is not a `SerializedIdentity` with a
+//!   certificate that parses, and one whose id is already filed under
+//!   other bytes (re-enrolment under another serial, or a forgery),
+//!   since the receiver refuses a sync that re-points a known id.
 //! * **AnnotationGenerator** — pointer annotations record the offset and
 //!   length of the fields the hardware needs (signatures, signed
 //!   regions, rwsets) *in reconstructed-section coordinates*, each at
 //!   its own field, so the `DataExtractor` can fetch them without
 //!   recursive protobuf decoding.
 //!
-//! The sender refuses a block only for an envelope the peer's
-//! `decode_transaction` refuses too (the walk is no stricter than that
-//! decode), for a metadata section whose signature slot does not parse,
-//! or for a section too large for one packet. A block is sent whole or
-//! not at all: the identities it introduces
-//! join the cache, and [`SenderStats`] moves, only once every section
-//! is built and passes [`BmacPacket::check`]. A refused block leaves the
-//! sender as it found it, so the next block syncs what it needs.
+//! The sender refuses a block for an envelope that fails a layer
+//! function the peer's `decode_transaction` calls on it (the walk reads
+//! envelopes through them, so the peer rejects that envelope too), for
+//! a metadata section whose signature slot does not parse, or for a
+//! section too large for one packet. A block is sent whole or not at
+//! all: its new identities join the cache, and [`SenderStats`] moves,
+//! only once every section is built and passes [`BmacPacket::check`]. A
+//! refused block leaves the sender as it was, so the next syncs what it needs.
 //!
 //! # Cost
 //!
-//! Per envelope: one walk of the layers `decode_transaction` walks
-//! (slices only, no certificate or signature parsed, scratch lists
-//! reused across sections), one `TailHasher` lookup per identity field
-//! (the hash of its last 32 bytes and one compare), and one copy of the
-//! bytes that stay into a buffer of exact size. The block itself is
+//! Per envelope: one walk through `decode_transaction`'s layer functions
+//! (slices only, no certificate or signature parsed, an endorsement list
+//! per action), one `TailHasher` lookup per identity field (the hash of
+//! its last 32 bytes and one compare), and one copy of the bytes that
+//! stay into a buffer of exact size. The block itself is
 //! never re-marshaled: `block_bytes` is [`Block::encoded_len`], the
 //! wire bytes are [`BmacPacket::wire_bytes`], and nothing is encoded
 //! here — the caller encodes each packet once. Sending and encoding a

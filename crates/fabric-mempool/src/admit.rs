@@ -3,18 +3,17 @@
 //! Admission needs exactly four facts about a submitted envelope: its
 //! transaction id (for dedup), the creator certificate and client
 //! signature (for the verify pool), and the signed payload digest (the
-//! signature-cache key). The full recursive unmarshal — actions,
-//! proposal response, read/write sets, endorsements — is deferred to
-//! the verify workers, keeping the admission hot path to three protobuf
-//! layers and one SHA-256.
+//! signature-cache key). It reads them with the peer's own layer code
+//! (`txflow::EnvelopeHead`: five protobuf layers, then the creator's
+//! identity and the DER signature) and one SHA-256; the rest — actions,
+//! proposal response, read/write sets, endorsements — is deferred to the
+//! verify workers.
 
 use std::sync::Arc;
 
 use fabric_crypto::{sha256, KnownCert, Signature};
 use fabric_peer::SigCacheKey;
-use fabric_protos::messages::{
-    ChannelHeader, Envelope, Payload, SerializedIdentity, SignatureHeader,
-};
+use fabric_protos::txflow::EnvelopeHead;
 use fabric_protos::wire::WireError;
 
 /// The admission-relevant slice of a transaction envelope.
@@ -42,23 +41,16 @@ pub struct AdmissionTx {
 /// identity, certificate, or DER signature fail to parse — the caller
 /// rejects such submissions as malformed without burning a verify.
 pub fn decode_admission(envelope_bytes: &[u8]) -> Result<AdmissionTx, WireError> {
-    let envelope = Envelope::unmarshal(envelope_bytes)?;
-    let payload = Payload::unmarshal(&envelope.payload)?;
-    let ch = ChannelHeader::unmarshal(&payload.header.channel_header)?;
-    if ch.tx_id.is_empty() {
+    let head = EnvelopeHead::walk(envelope_bytes)?;
+    if head.tx_id.is_empty() {
         return Err(WireError::Semantic("empty tx id"));
     }
-    let sig_header = SignatureHeader::unmarshal(&payload.header.signature_header)?;
-    let creator = SerializedIdentity::unmarshal(&sig_header.creator)?;
-    let creator_cert = KnownCert::resolve(&creator.id_bytes)
-        .map_err(|_| WireError::Semantic("bad creator certificate"))?;
-    let client_signature = fabric_crypto::der::decode_signature(&envelope.signature)
-        .map_err(|_| WireError::Semantic("bad client signature DER"))?;
-    let payload_digest = sha256(&envelope.payload);
+    let (creator_cert, client_signature) = head.signer()?;
+    let payload_digest = sha256(head.payload);
     let cache_key =
         SigCacheKey::compute(&creator_cert.public_key, &payload_digest, &client_signature);
     Ok(AdmissionTx {
-        tx_id: ch.tx_id,
+        tx_id: head.tx_id.to_owned(),
         creator_cert,
         client_signature,
         payload_digest,

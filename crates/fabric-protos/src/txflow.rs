@@ -23,10 +23,10 @@
 //! ([`KnownCert::resolve`]): parsed once per distinct byte string.
 //!
 //! The owned `marshal`/`unmarshal` types stay for the builders and
-//! tests; `tests/tests/decode_differential.rs` holds this decode to the
-//! `unmarshal` chain it replaced. The BMac sender walks the same layers
-//! with the same primitives, for positions instead of values
-//! ([`SectionSpans`]).
+//! tests; `tests/tests/decode_differential.rs` holds this decode and
+//! admission to the `unmarshal` chains they replaced. This decode, the
+//! BMac sender's [`SectionSpans`] and mempool admission read each layer
+//! of an envelope with one function here, so they agree on every layer.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -278,55 +278,95 @@ fn parse_signature(der: &[u8], what: &'static str) -> Result<Signature, WireErro
     fabric_crypto::der::decode_signature(der).map_err(|_| WireError::Semantic(what))
 }
 
-/// Fully decodes a marshaled envelope, walking every nested layer in
-/// place (the module docs say what that allocates and what it must agree
-/// with).
-///
-/// # Errors
-///
-/// Returns [`WireError`] when any layer is structurally malformed — a
-/// missing action, unparsable certificate, or invalid DER signature.
-pub fn decode_transaction(envelope_bytes: &[u8]) -> Result<DecodedTransaction, WireError> {
-    let (payload, client_der) = fields_1_2(envelope_bytes)?;
-    let (mut channel_header, mut signature_header, mut data): (&[u8], &[u8], &[u8]) =
-        (&[], &[], &[]);
-    unmarshal_loop!(payload, f => match f.number {
-        1 => (channel_header, signature_header) = fields_1_2(f.data)?,
-        2 => data = f.data,
-        _ => {}
-    });
-    let (mut channel_id, mut tx_id) = ("", "");
-    unmarshal_loop!(channel_header, f => match f.number {
-        4 => channel_id = utf8_str(f.data)?,
-        5 => tx_id = utf8_str(f.data)?,
-        _ => {}
-    });
-    let (creator, _nonce) = fields_1_2(signature_header)?;
-    let creator_cert = identity_cert(creator, "bad creator certificate")?;
-    let client_signature = parse_signature(client_der, "bad client signature DER")?;
+/// An envelope's layers above its transaction, walked in place:
+/// [`Envelope`], [`Payload`] and its [`Header`], [`ChannelHeader`] and
+/// [`SignatureHeader`]. Every reader of an envelope starts here.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct EnvelopeHead<'a> {
+    /// The marshaled [`Payload`] the client signed.
+    pub payload: &'a [u8],
+    /// The client's signature over it (DER).
+    pub signature: &'a [u8],
+    /// Channel name.
+    pub channel_id: &'a str,
+    /// Hex transaction id.
+    pub tx_id: &'a str,
+    /// The creator's marshaled [`SerializedIdentity`].
+    pub creator: &'a [u8],
+    /// The marshaled [`Transaction`].
+    pub transaction: &'a [u8],
+}
 
-    // Transaction: every action is walked, the first one is used.
-    let mut action = None;
-    unmarshal_loop!(data, f => if f.number == 1 {
-        let header_and_payload = fields_1_2(f.data)?;
-        action.get_or_insert(header_and_payload);
+impl<'a> EnvelopeHead<'a> {
+    /// Walks a marshaled [`Envelope`] down to its signature header; a
+    /// [`WireError`] when one of these layers is malformed.
+    pub fn walk(envelope: &'a [u8]) -> Result<Self, WireError> {
+        let mut head = EnvelopeHead::default();
+        (head.payload, head.signature) = fields_1_2(envelope)?;
+        let (mut channel_header, mut signature_header): (&[u8], &[u8]) = (&[], &[]);
+        unmarshal_loop!(head.payload, f => match f.number {
+            1 => (channel_header, signature_header) = fields_1_2(f.data)?,
+            2 => head.transaction = f.data,
+            _ => {}
+        });
+        unmarshal_loop!(channel_header, f => match f.number {
+            4 => head.channel_id = utf8_str(f.data)?,
+            5 => head.tx_id = utf8_str(f.data)?,
+            _ => {}
+        });
+        (head.creator, _) = fields_1_2(signature_header)?;
+        Ok(head)
+    }
+
+    /// The creator's certificate and the client's signature; a
+    /// [`WireError`] when either does not parse.
+    pub fn signer(&self) -> Result<(Arc<KnownCert>, Signature), WireError> {
+        let creator = identity_cert(self.creator, "bad creator certificate")?;
+        let signature = parse_signature(self.signature, "bad client signature DER")?;
+        Ok((creator, signature))
+    }
+}
+
+/// A [`Transaction`]'s actions, each given to `each` in order (with
+/// whether it is the first); returns the first once all are walked.
+fn transaction_actions<'a>(
+    transaction: &'a [u8],
+    mut each: impl FnMut(bool, &'a [u8], &'a [u8]),
+) -> Result<(&'a [u8], &'a [u8]), WireError> {
+    let mut first = None;
+    unmarshal_loop!(transaction, f => if f.number == 1 {
+        let (header, payload) = fields_1_2(f.data)?;
+        each(first.is_none(), header, payload);
+        first.get_or_insert((header, payload));
     });
-    let (_, action_payload) = action.ok_or(WireError::Semantic("transaction has no actions"))?;
-    // ChaincodeActionPayload: a repeated endorsed action replaces the
-    // proposal response payload and the endorsements alike.
+    first.ok_or(WireError::Semantic("transaction has no actions"))
+}
+
+/// An endorsement's marshaled endorser identity and signature (DER).
+type Endorsed<'a> = (&'a [u8], &'a [u8]);
+
+/// A [`ChaincodeActionPayload`]'s endorsed action: the marshaled
+/// [`ProposalResponsePayload`] and each endorsement. A repeated endorsed
+/// action replaces both alike.
+fn endorsed_action(action_payload: &[u8]) -> Result<(&[u8], Vec<Endorsed<'_>>), WireError> {
     let mut prp: &[u8] = &[];
-    let mut endorsed: Vec<(&[u8], &[u8])> = Vec::new();
+    let mut endorsements = Vec::new();
     unmarshal_loop!(action_payload, f => if f.number == 2 {
         prp = &[];
-        endorsed.clear();
+        endorsements.clear();
         unmarshal_loop!(f.data, g => match g.number {
             1 => prp = g.data,
-            2 => endorsed.push(fields_1_2(g.data)?),
+            2 => endorsements.push(fields_1_2(g.data)?),
             _ => {}
         });
     });
+    Ok((prp, endorsements))
+}
+
+/// A [`ProposalResponsePayload`]'s [`ChaincodeAction`]: its results (a
+/// marshaled [`TxReadWriteSet`]) and the chaincode id's name.
+fn chaincode_action(prp: &[u8]) -> Result<(&[u8], &str), WireError> {
     let (_proposal_hash, extension) = fields_1_2(prp)?;
-    // ChaincodeAction: the results, and the chaincode id's name.
     let (mut results, mut chaincode): (&[u8], &str) = (&[], "");
     unmarshal_loop!(extension, f => match f.number {
         1 => results = f.data,
@@ -341,6 +381,24 @@ pub fn decode_transaction(envelope_bytes: &[u8]) -> Result<DecodedTransaction, W
         }
         _ => {}
     });
+    Ok((results, chaincode))
+}
+
+/// Fully decodes a marshaled envelope, walking every nested layer in
+/// place (the module docs say what that allocates and what it must agree
+/// with).
+///
+/// # Errors
+///
+/// Returns [`WireError`] when any layer is structurally malformed — a
+/// missing action, unparsable certificate, or invalid DER signature.
+pub fn decode_transaction(envelope_bytes: &[u8]) -> Result<DecodedTransaction, WireError> {
+    let head = EnvelopeHead::walk(envelope_bytes)?;
+    let (creator_cert, client_signature) = head.signer()?;
+    // Every action is walked, the first one is used.
+    let (_, action_payload) = transaction_actions(head.transaction, |_, _, _| {})?;
+    let (prp, endorsed) = endorsed_action(action_payload)?;
+    let (results, mut chaincode) = chaincode_action(prp)?;
     // TxReadWriteSet: every namespace is walked before any rwset is.
     let mut namespaces: Vec<(&str, &[u8])> = Vec::new();
     unmarshal_loop!(results, f => if f.number == 2 {
@@ -373,12 +431,12 @@ pub fn decode_transaction(envelope_bytes: &[u8]) -> Result<DecodedTransaction, W
     }
 
     Ok(DecodedTransaction {
-        tx_id: tx_id.to_owned(),
-        channel_id: channel_id.to_owned(),
+        tx_id: head.tx_id.to_owned(),
+        channel_id: head.channel_id.to_owned(),
         chaincode: chaincode.to_owned(),
         creator_cert,
         client_signature,
-        signed_payload: payload.to_vec(),
+        signed_payload: head.payload.to_vec(),
         reads,
         writes,
         endorsements,
@@ -433,18 +491,14 @@ pub enum FieldKind {
 /// as byte ranges of it: what the BMac sender strips and what it points
 /// at, found by one walk of the section in place.
 ///
-/// The walk is no stricter than [`decode_transaction`]: it fails only
-/// where that decode fails the envelope. Every layer it descends
-/// through is one the decode walks, read with the same rules — the last
-/// of a repeated scalar wins, a repeated endorsed action replaces the
-/// response payload and the endorsements alike, the first action is the
-/// one used. An action's header and a later action's payload, which the
-/// decode never reads, give their identities where they parse and
-/// nothing where they do not. The walk parses no certificate, signature
-/// or rwset, and allocates only when the lists outgrow what an earlier
-/// walk left them. An identity is a marshaled [`SerializedIdentity`]
-/// with a non-empty certificate; a named field holding anything else is
-/// passed over, as are empty fields.
+/// An envelope is walked with the layer functions [`decode_transaction`]
+/// calls on it, so the walk fails only where that decode fails. On top
+/// of them it reads, for identities only and never failing, each
+/// action's header and a later action's endorsers. It parses no
+/// identity, certificate, signature or rwset, and allocates an
+/// endorsement list per action (its own lists only when they outgrow an
+/// earlier walk's). Every non-empty identity or named field is given,
+/// whatever it holds: the sender checks an identity it does not know.
 #[derive(Debug, Clone, Default)]
 pub struct SectionSpans {
     /// Identities, in discovery order. In an envelope: the payload's
@@ -463,32 +517,39 @@ impl SectionSpans {
     ///
     /// # Errors
     ///
-    /// [`WireError`] when a layer the walk descends through is malformed,
-    /// which fails [`decode_transaction`] too; the spans are then
-    /// incomplete.
+    /// [`WireError`] from a layer function [`decode_transaction`] calls
+    /// on the same bytes; the spans are then incomplete.
     pub fn walk_envelope(&mut self, envelope: &[u8]) -> Result<(), WireError> {
         self.identities.clear();
         self.fields.clear();
-        let (payload, signature) = fields_1_2(envelope)?;
-        self.field(envelope, FieldKind::ClientSignature, signature);
-        self.field(envelope, FieldKind::SignedPayload, payload);
-        let (header, data) = fields_1_2(payload)?;
-        let (_channel_header, signature_header) = fields_1_2(header)?;
-        self.identity(envelope, fields_1_2(signature_header)?.0);
-        let mut first = true;
-        unmarshal_loop!(data, f => if f.number == 1 {
-            let (action_header, action_payload) = fields_1_2(f.data)?;
-            if let Ok((creator, _nonce)) = fields_1_2(action_header) {
+        let head = EnvelopeHead::walk(envelope)?;
+        self.field(envelope, FieldKind::ClientSignature, head.signature);
+        self.field(envelope, FieldKind::SignedPayload, head.payload);
+        self.identity(envelope, head.creator);
+        // Where the first action's endorsers go: after its creator.
+        let mut first_ends = 0;
+        let (_, first) = transaction_actions(head.transaction, |is_first, header, payload| {
+            if let Ok((creator, _nonce)) = fields_1_2(header) {
                 self.identity(envelope, creator);
             }
-            let identities = self.identities.len();
-            match self.walk_action_payload(envelope, action_payload, first) {
-                Err(e) if first => return Err(e),
-                Err(_) => self.identities.truncate(identities),
-                Ok(()) => {}
+            if is_first {
+                first_ends = self.identities.len();
+            } else if let Ok((_, endorsements)) = endorsed_action(payload) {
+                for (endorser, _) in endorsements {
+                    self.identity(envelope, endorser);
+                }
             }
-            first = false;
-        });
+        })?;
+        let (prp, endorsements) = endorsed_action(first)?;
+        let (results, _chaincode) = chaincode_action(prp)?;
+        self.field(envelope, FieldKind::ProposalResponse, prp);
+        let later = self.identities.len();
+        for (endorser, signature) in endorsements {
+            self.identity(envelope, endorser);
+            self.field(envelope, FieldKind::EndorsementSignature, signature);
+        }
+        self.field(envelope, FieldKind::RwSet, results);
+        self.identities[first_ends..].rotate_left(later - first_ends);
         Ok(())
     }
 
@@ -514,47 +575,8 @@ impl SectionSpans {
         Ok(())
     }
 
-    /// A `ChaincodeActionPayload`: its endorsers, and for the first
-    /// action the response payload, endorsement signatures and rwset.
-    fn walk_action_payload(
-        &mut self,
-        envelope: &[u8],
-        action_payload: &[u8],
-        first: bool,
-    ) -> Result<(), WireError> {
-        let (identities, fields) = (self.identities.len(), self.fields.len());
-        let mut prp: &[u8] = &[];
-        unmarshal_loop!(action_payload, f => if f.number == 2 {
-            self.identities.truncate(identities);
-            self.fields.truncate(fields);
-            prp = &[];
-            unmarshal_loop!(f.data, g => match g.number {
-                1 => prp = g.data,
-                2 => {
-                    let (endorser, signature) = fields_1_2(g.data)?;
-                    self.identity(envelope, endorser);
-                    if first {
-                        self.field(envelope, FieldKind::EndorsementSignature, signature);
-                    }
-                }
-                _ => {}
-            });
-        });
-        if first {
-            let (_proposal_hash, extension) = fields_1_2(prp)?;
-            let (results, _events) = fields_1_2(extension)?;
-            if !prp.is_empty() {
-                let at = span_of(envelope, prp);
-                self.fields
-                    .insert(fields, (FieldKind::ProposalResponse, at));
-            }
-            self.field(envelope, FieldKind::RwSet, results);
-        }
-        Ok(())
-    }
-
     fn identity(&mut self, section: &[u8], identity: &[u8]) {
-        if matches!(name_and_bytes(identity), Ok((_, cert)) if !cert.is_empty()) {
+        if !identity.is_empty() {
             self.identities.push(span_of(section, identity));
         }
     }

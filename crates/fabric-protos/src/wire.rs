@@ -312,7 +312,7 @@ impl<'a> ProtoReader<'a> {
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.pos + n > self.buf.len() {
+        if n > self.buf.len() - self.pos {
             return Err(WireError::Truncated);
         }
         let out = &self.buf[self.pos..self.pos + n];

@@ -2,7 +2,8 @@
 //! messages: arbitrary-value roundtrips and decoder robustness.
 
 use fabric_protos::messages::*;
-use fabric_protos::wire::{put_varint, varint_len, ProtoReader, ProtoWriter};
+use fabric_protos::txflow::SectionSpans;
+use fabric_protos::wire::{put_varint, varint_len, ProtoReader, ProtoWriter, WireError};
 use proptest::prelude::*;
 
 proptest! {
@@ -140,5 +141,32 @@ proptest! {
         let _ = ChannelHeader::unmarshal(&bytes);
         let _ = fabric_protos::txflow::decode_transaction(&bytes);
         let _ = fabric_protos::txflow::decode_block(&bytes);
+        let _ = fabric_protos::txflow::EnvelopeHead::walk(&bytes);
+        // The sender's walks, complete or not, give spans of the input.
+        let mut spans = SectionSpans::default();
+        for walk in [SectionSpans::walk_envelope, SectionSpans::walk_metadata] {
+            let _ = walk(&mut spans, &bytes);
+            let fields = spans.fields.iter().map(|(_, span)| span);
+            for span in spans.identities.iter().chain(fields) {
+                prop_assert!(span.start < span.end && span.end <= bytes.len());
+            }
+        }
     }
+}
+
+/// A length prefix close to `u64::MAX` must not wrap the reader's bounds
+/// check into a slice panic: every reader sees a truncated field.
+#[test]
+fn a_length_beyond_the_address_space_is_a_truncation() {
+    let mut bytes = vec![0x0a];
+    bytes.extend([0xff; 9]);
+    bytes.push(0x01);
+    assert_eq!(Envelope::unmarshal(&bytes), Err(WireError::Truncated));
+    let decoded = fabric_protos::txflow::decode_transaction(&bytes);
+    assert_eq!(decoded.unwrap_err(), WireError::Truncated);
+    let head = fabric_protos::txflow::EnvelopeHead::walk(&bytes);
+    assert_eq!(head.unwrap_err(), WireError::Truncated);
+    let mut spans = SectionSpans::default();
+    assert_eq!(spans.walk_envelope(&bytes), Err(WireError::Truncated));
+    assert_eq!(spans.walk_metadata(&bytes), Err(WireError::Truncated));
 }

@@ -20,11 +20,18 @@
 //!   transaction, and the orderer-signature slot truncated and flipped
 //!   at every offset.
 //!
+//! Mempool admission reads the head of the same envelopes with the
+//! decode's layer functions; its owned chain is kept here too
+//! ([`owned_admission`]), and every envelope above goes through both:
+//! same `Ok`/`Err`, same [`WireError`], equal tx id, creator, client
+//! signature and payload digest.
+//!
 //! This is the first instalment of ROADMAP item 4's "decoders never
 //! panic" harness.
 
 use fabric_crypto::der::decode_signature;
 use fabric_crypto::KnownCert;
+use fabric_mempool::{decode_admission, AdmissionTx, SigCacheKey};
 use fabric_protos::messages::*;
 use fabric_protos::txflow::{
     block_header_hash, block_signature_message, decode_block_struct, decode_transaction,
@@ -106,6 +113,33 @@ fn owned_decode_transaction(envelope_bytes: &[u8]) -> Result<DecodedTransaction,
         writes,
         endorsements,
         envelope_len: envelope_bytes.len(),
+    })
+}
+
+/// Mempool admission as it was before it shared the decode's layer
+/// functions: five owned layers, then the identity.
+fn owned_admission(envelope_bytes: &[u8]) -> Result<AdmissionTx, WireError> {
+    let envelope = Envelope::unmarshal(envelope_bytes)?;
+    let payload = Payload::unmarshal(&envelope.payload)?;
+    let ch = ChannelHeader::unmarshal(&payload.header.channel_header)?;
+    if ch.tx_id.is_empty() {
+        return Err(WireError::Semantic("empty tx id"));
+    }
+    let sig_header = SignatureHeader::unmarshal(&payload.header.signature_header)?;
+    let creator = SerializedIdentity::unmarshal(&sig_header.creator)?;
+    let creator_cert = KnownCert::resolve(&creator.id_bytes)
+        .map_err(|_| WireError::Semantic("bad creator certificate"))?;
+    let client_signature = decode_signature(&envelope.signature)
+        .map_err(|_| WireError::Semantic("bad client signature DER"))?;
+    let payload_digest = fabric_crypto::sha256(&envelope.payload);
+    let cache_key =
+        SigCacheKey::compute(&creator_cert.public_key, &payload_digest, &client_signature);
+    Ok(AdmissionTx {
+        tx_id: ch.tx_id,
+        creator_cert,
+        client_signature,
+        payload_digest,
+        cache_key,
     })
 }
 
@@ -192,6 +226,29 @@ impl Tally {
             }
             (a, b) => panic!(
                 "{what}: owned {:?} but in place {:?}",
+                a.map(|t| t.tx_id),
+                b.map(|t| t.tx_id)
+            ),
+        }
+        match (owned_admission(envelope), decode_admission(envelope)) {
+            (Ok(a), Ok(b)) => {
+                assert_eq!(a.tx_id, b.tx_id, "{what}: admission tx_id");
+                assert_eq!(
+                    **a.creator_cert, **b.creator_cert,
+                    "{what}: admission creator"
+                );
+                assert_eq!(
+                    a.client_signature, b.client_signature,
+                    "{what}: admission sig"
+                );
+                assert_eq!(
+                    a.payload_digest, b.payload_digest,
+                    "{what}: admission digest"
+                );
+            }
+            (Err(a), Err(b)) => assert_eq!(a, b, "{what}: admission error"),
+            (a, b) => panic!(
+                "{what}: owned admission {:?} but in place {:?}",
                 a.map(|t| t.tx_id),
                 b.map(|t| t.tx_id)
             ),

@@ -22,7 +22,11 @@
 //!
 //! Where the reference refused a block the peer accepts — an identity
 //! in an action header or a later action whose certificate does not
-//! parse — the sender sends it, that identity inline.
+//! parse — the sender sends it, that identity inline. Where the peer's
+//! decode rejects an envelope at a layer the sender walks with the
+//! decode's own function — no action, a tx id or chaincode name that is
+//! not UTF-8 — the sender refuses the block (the reference sent the
+//! first two).
 //!
 //! And over hostile input — every envelope of `decode_differential`'s
 //! corpus placed in a block, and the orderer-signature slot mutated at
@@ -785,6 +789,54 @@ fn what_the_peer_never_reads_never_refuses_a_block() {
             Err(e) => assert!(!reference_sends, "{what}: the reference refuses it: {e}"),
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// The declared refusals.
+// ---------------------------------------------------------------------
+
+/// The sender walks an envelope with the peer's own layer functions, so
+/// an envelope the decode rejects at one of them gets its block refused:
+/// no action, a tx id or a chaincode name that is not UTF-8. Each
+/// refusal leaves the link as it was.
+#[test]
+fn what_the_peer_rejects_at_a_shared_layer_refuses_the_block() {
+    let template = corpus::workload_block(Workload::Smallbank, 2);
+    let envelope = &template.data.data[1];
+    let non_utf8 = |number: u32| {
+        move |f: &mut Vec<corpus::Raw>| {
+            let at = f.iter().position(|r| r.number == number).unwrap();
+            f[at] = corpus::ld(number, &[b'a', 0xff, 0xfe]);
+        }
+    };
+    let no_action = |f: &mut Vec<corpus::Raw>| f.retain(|r| r.number != 1);
+    let cases = [
+        (
+            "no action",
+            corpus::at_layer(envelope, corpus::TRANSACTION, &no_action),
+        ),
+        (
+            "tx id not UTF-8",
+            corpus::at_layer(envelope, corpus::CHANNEL_HEADER, &non_utf8(5)),
+        ),
+        (
+            "chaincode name not UTF-8",
+            corpus::at_layer(envelope, corpus::CHAINCODE_ID, &non_utf8(2)),
+        ),
+    ];
+    let mut link = Link::new();
+    assert!(!link.offer(template.clone(), "intact first", false));
+    for (what, mutated) in cases {
+        assert!(
+            decode_transaction(&mutated).is_err(),
+            "{what}: the peer rejects it"
+        );
+        let mut block = template.clone();
+        block.data.data[1] = mutated;
+        assert!(link.offer(block, what, true), "{what}: sent");
+    }
+    assert!(!link.offer(template, "intact after", false));
+    assert!(link.receiver.incomplete_blocks().is_empty());
 }
 
 // ---------------------------------------------------------------------
