@@ -4,7 +4,7 @@
 //! in the protocol (§3.1), and engine geometry at an equal engine budget.
 
 use bmac_bench::{heading, report_checks, table, ShapeCheck};
-use bmac_hw::{validate_block, Geometry, HwModelConfig, HwWorkload};
+use bmac_hw::{validate_block, BlockShape, Geometry, HwModelConfig};
 use bmac_protocol::BmacSender;
 use fabric_node::chaincode::KvChaincode;
 use fabric_node::network::FabricNetworkBuilder;
@@ -12,14 +12,14 @@ use fabric_policy::Policy;
 
 const BLOCK: usize = 150;
 
-fn tps(config: &HwModelConfig, w: &HwWorkload) -> f64 {
+fn tps(config: &HwModelConfig, w: &BlockShape) -> f64 {
     validate_block(config, w).throughput_tps(w.num_txs, config)
 }
 
 fn main() {
     // --- Ablation 1: short-circuit evaluation (paper §3.3).
     heading("ablation: short-circuit endorsement evaluation (2of3, 8x2)");
-    let mut w = HwWorkload::smallbank(BLOCK);
+    let mut w = BlockShape::smallbank(BLOCK);
     w.endorsements_per_tx = 3;
     w.needed_endorsements = 2;
     let mut cfg = HwModelConfig::new(Geometry::new(8, 2));
@@ -36,7 +36,7 @@ fn main() {
 
     // --- Ablation 2: hw/sw overlap of validation and ledger commit.
     heading("ablation: overlap of hw validation with sw ledger commit");
-    let w = HwWorkload::smallbank(BLOCK);
+    let w = BlockShape::smallbank(BLOCK);
     let mut cfg = HwModelConfig::new(Geometry::new(8, 2));
     let overlapped = tps(&cfg, &w);
     cfg.overlap_commit = false;
@@ -84,7 +84,7 @@ fn main() {
     // --- Ablation 4: engine geometry sweep at equal engine budget.
     heading("ablation: geometry sweep (~16 vscc engines, 3-endorsement workload)");
     let mut rows = Vec::new();
-    let mut w3 = HwWorkload::smallbank(BLOCK);
+    let mut w3 = BlockShape::smallbank(BLOCK);
     w3.endorsements_per_tx = 3;
     w3.needed_endorsements = 3;
     for (v, e) in [(16usize, 1usize), (8, 2), (5, 3), (4, 4)] {

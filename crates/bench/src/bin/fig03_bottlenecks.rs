@@ -5,7 +5,7 @@
 //! and vCPU count vary (paper §2.1.3).
 
 use bmac_bench::{heading, report_checks, table, ShapeCheck};
-use fabric_peer::{BlockProfile, SwValidatorModel};
+use bmac_hw::{BlockShape, SwValidatorModel};
 use fabric_sim::as_millis;
 
 fn main() {
@@ -20,7 +20,7 @@ fn main() {
         (200, 16),
     ] {
         let model = SwValidatorModel::new(vcpus);
-        let p = model.cpu_profile(&BlockProfile::smallbank(block_size));
+        let p = model.cpu_profile(&BlockShape::smallbank(block_size));
         rows.push(vec![
             format!("{block_size}"),
             format!("{vcpus}"),
@@ -58,7 +58,7 @@ fn main() {
         (200, 16),
     ] {
         let model = SwValidatorModel::new(vcpus);
-        let b = model.validate_block(&BlockProfile::smallbank(block_size));
+        let b = model.validate_block(&BlockShape::smallbank(block_size));
         rows.push(vec![
             format!("{block_size}"),
             format!("{vcpus}"),
@@ -84,15 +84,31 @@ fn main() {
 
     // Shape checks against §2.1.3's observations (block 200, 8 vCPUs).
     let model = SwValidatorModel::new(8);
-    let profile = model.cpu_profile(&BlockProfile::smallbank(200));
-    let b = model.validate_block(&BlockProfile::smallbank(200));
+    let shape = BlockShape::smallbank(200);
+    let profile = model.cpu_profile(&shape);
+    let b = model.validate_block(&shape);
     let statedb_share = as_millis(b.mvcc + b.statedb_commit) / as_millis(b.total_excl_ledger());
+    let runner_up = [
+        profile.sha256,
+        profile.unmarshal,
+        profile.statedb,
+        profile.ledger,
+    ]
+    .into_iter()
+    .max()
+    .expect("four categories");
     let checks = vec![
         ShapeCheck::new(
             "ecdsa_verify share (%, ~40)",
             40.0,
             profile.share(profile.ecdsa),
-            0.25,
+            0.24,
+        ),
+        ShapeCheck::at_least(
+            "ecdsa_verify the largest operation (ratio to next > 1)",
+            1.0,
+            profile.ecdsa as f64 / runner_up as f64,
+            0.0,
         ),
         ShapeCheck::new(
             "sha256 share (%, ~10)",
@@ -104,7 +120,7 @@ fn main() {
             "unmarshal share (%, ~10)",
             10.0,
             profile.share(profile.unmarshal),
-            0.5,
+            0.45,
         ),
         ShapeCheck::new(
             "statedb share of validation (%, 10-20)",

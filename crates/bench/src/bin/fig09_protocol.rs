@@ -6,6 +6,7 @@
 //! (b) CDF of end-to-end block transmission time.
 
 use bmac_bench::{cdf_summary, heading, report_checks, table, ShapeCheck, TransmissionModel};
+use bmac_hw::SwCosts;
 use bmac_protocol::BmacSender;
 use fabric_node::chaincode::KvChaincode;
 use fabric_node::gossip::gossip_wire_bytes;
@@ -117,7 +118,9 @@ fn main() {
     let scale = 150.0 / txs as f64;
     let gossip_block = (raw_per_block * scale) as usize;
     let bmac_block = (bmac_per_block * scale) as usize;
-    let unmarshal = (150 * 36 + (gossip_block / 1024) * 3) as u64 * fabric_sim::MICROS;
+    let costs = SwCosts::default();
+    let unmarshal =
+        150 * costs.unmarshal_per_tx + (gossip_block / 1024) as u64 * costs.unmarshal_per_kb;
     let mut rng = StdRng::seed_from_u64(99);
     let mut gossip_samples = Samples::new();
     let mut bmac_samples = Samples::new();

@@ -1,8 +1,7 @@
 //! Figure 10: breakdown of block validation, sw_validator vs BMac peer.
 
 use bmac_bench::{heading, report_checks, table, ShapeCheck};
-use bmac_hw::{validate_block, Geometry, HwModelConfig, HwWorkload};
-use fabric_peer::{BlockProfile, SwValidatorModel};
+use bmac_hw::{validate_block, BlockShape, Geometry, HwModelConfig, SwValidatorModel};
 use fabric_sim::as_millis;
 
 fn main() {
@@ -11,9 +10,10 @@ fn main() {
     let mut sw200_8 = None;
     let mut hw200_8 = None;
     for &(block, par) in &[(100usize, 4usize), (100, 8), (200, 4), (200, 8)] {
-        let sw = SwValidatorModel::new(par).validate_block(&BlockProfile::smallbank(block));
+        let shape = BlockShape::smallbank(block);
+        let sw = SwValidatorModel::new(par).validate_block(&shape);
         let hw_cfg = HwModelConfig::new(Geometry::new(par, 2));
-        let hw = validate_block(&hw_cfg, &HwWorkload::smallbank(block));
+        let hw = validate_block(&hw_cfg, &shape);
         if (block, par) == (200, 8) {
             sw200_8 = Some(sw);
             hw200_8 = Some(hw);
@@ -70,19 +70,19 @@ fn main() {
             "sw unmarshal ms (paper ~8)",
             8.0,
             as_millis(sw.unmarshal),
-            0.3,
+            0.25,
         ),
         ShapeCheck::new(
             "sw block validation ms (paper 35.9)",
             35.9,
             as_millis(sw.total_excl_ledger() - sw.unmarshal),
-            0.2,
+            0.16,
         ),
         ShapeCheck::new(
             "hw block validation ms (paper 9.7)",
             9.7,
             as_millis(hw.total),
-            0.1,
+            0.05,
         ),
         ShapeCheck::new(
             "validation speedup (paper 3.7x)",

@@ -1,26 +1,22 @@
 //! Figure 11: smallbank commit throughput across block sizes and
-//! vCPUs/tx_validators, plus the §4.3 simulator projection
-//! (`--projection`).
+//! vCPUs/tx_validators, plus the §4.3 simulator projection.
 
 use bmac_bench::{heading, report_checks, table, ShapeCheck};
-use bmac_hw::{validate_block, Geometry, HwModelConfig, HwWorkload};
-use fabric_peer::{BlockProfile, SwValidatorModel};
+use bmac_hw::{validate_block, BlockShape, Geometry, HwModelConfig, SwValidatorModel};
 use fabric_sim::as_millis;
 
 fn sw_tps(block: usize, vcpus: usize) -> f64 {
     SwValidatorModel::new(vcpus)
-        .validate_block(&BlockProfile::smallbank(block))
+        .validate_block(&BlockShape::smallbank(block))
         .throughput_tps(block)
 }
 
 fn hw_tps(block: usize, validators: usize) -> f64 {
     let cfg = HwModelConfig::new(Geometry::new(validators, 2));
-    validate_block(&cfg, &HwWorkload::smallbank(block)).throughput_tps(block, &cfg)
+    validate_block(&cfg, &BlockShape::smallbank(block)).throughput_tps(block, &cfg)
 }
 
 fn main() {
-    let projection = std::env::args().any(|a| a == "--projection");
-
     heading("Figure 11: smallbank commit throughput (tps)");
     let blocks = [50usize, 100, 150, 200, 250];
     let parallel = [4usize, 8, 16];
@@ -52,39 +48,40 @@ fn main() {
     let sw16 = sw_tps(250, 16);
     let hw4 = hw_tps(250, 4);
     let hw16 = hw_tps(250, 16);
-    let hw32 = hw_tps(250, 32);
+    let peak_cfg = HwModelConfig::new(Geometry::new(32, 2));
+    let peak = validate_block(&peak_cfg, &BlockShape::smallbank(250));
+    let hw32 = peak.throughput_tps(250, &peak_cfg);
+    let peak_latency_ms = as_millis(peak.total);
     println!();
     println!(
         "BMac 4 validators vs sw 16 vCPUs: {:.1}x (paper ~2x)",
         hw4 / sw16
     );
     println!(
-        "peak (32 validators, block 250): {:.0} tps (paper 68,900)",
-        hw32
+        "peak (32 validators, block 250): {:.0} tps at {:.2} ms (paper 68,900 at 3.63 ms)",
+        hw32, peak_latency_ms
     );
     println!(
         "speedup vs 16-vCPU software: {:.1}x (paper ~12x)",
         hw32 / sw16
     );
 
-    if projection {
-        heading("simulator projection beyond 16 tx_validators (paper §4.3)");
-        let mut rows = Vec::new();
-        for &(v, b) in &[(32usize, 250usize), (50, 250), (64, 500), (80, 500)] {
-            let cfg = HwModelConfig::new(Geometry::new(v, 2));
-            let r = validate_block(&cfg, &HwWorkload::smallbank(b));
-            rows.push(vec![
-                format!("{v}"),
-                format!("{b}"),
-                format!("{:.0}", r.throughput_tps(b, &cfg)),
-                format!("{:.2}", as_millis(r.total)),
-            ]);
-        }
-        table(
-            &["tx_validators", "block", "tps", "block latency (ms)"],
-            &rows,
-        );
+    heading("simulator projection beyond 16 tx_validators (paper §4.3)");
+    let mut rows = Vec::new();
+    for &(v, b) in &[(32usize, 250usize), (50, 250), (64, 500), (80, 500)] {
+        let cfg = HwModelConfig::new(Geometry::new(v, 2));
+        let r = validate_block(&cfg, &BlockShape::smallbank(b));
+        rows.push(vec![
+            format!("{v}"),
+            format!("{b}"),
+            format!("{:.0}", r.throughput_tps(b, &cfg)),
+            format!("{:.2}", as_millis(r.total)),
+        ]);
     }
+    table(
+        &["tx_validators", "block", "tps", "block latency (ms)"],
+        &rows,
+    );
 
     let checks = vec![
         ShapeCheck::new(
@@ -97,9 +94,9 @@ fn main() {
             "sw tps, block 250, 16 vCPUs (paper 5,600)",
             5_600.0,
             sw16,
-            0.15,
+            0.14,
         ),
-        ShapeCheck::new("sw scaling 4->16 vCPUs (paper 1.5x)", 1.5, sw16 / sw4, 0.15),
+        ShapeCheck::new("sw scaling 4->16 vCPUs (paper 1.5x)", 1.5, sw16 / sw4, 0.13),
         ShapeCheck::new(
             "bmac tps, block 250, 4 validators (paper 10,700)",
             10_700.0,
@@ -115,6 +112,12 @@ fn main() {
         ShapeCheck::new("bmac scaling 4->16 (paper 3.6x)", 3.6, hw16 / hw4, 0.1),
         ShapeCheck::new("bmac4 / sw16 (paper ~2x)", 2.0, hw4 / sw16, 0.1),
         ShapeCheck::new("peak tps (paper 68,900)", 68_900.0, hw32, 0.05),
+        ShapeCheck::new(
+            "peak block latency ms (paper 3.63)",
+            3.63,
+            peak_latency_ms,
+            0.07,
+        ),
         ShapeCheck::new("peak speedup vs sw (paper ~12x)", 12.0, hw32 / sw16, 0.12),
         ShapeCheck::new(
             "projection 50 validators (paper ~100k)",

@@ -64,8 +64,10 @@ pub struct ShapeCheck {
     pub measured: f64,
     /// Acceptable relative deviation for a pass.
     pub tolerance: f64,
-    /// When true, only a measured value *below* `paper × (1 - tolerance)`
-    /// fails — for "at least X" claims like "improved by ~40x".
+    /// When true, only a measured value at or below
+    /// `paper × (1 - tolerance)` fails — for "at least X" claims like
+    /// "improved by ~40x", and with zero tolerance for "above X" claims
+    /// like "drm is faster" (ratio above 1).
     pub one_sided: bool,
 }
 
@@ -81,8 +83,8 @@ impl ShapeCheck {
         }
     }
 
-    /// Creates a one-sided check: passes when `measured` meets or beats
-    /// `paper` (within tolerance below it).
+    /// Creates a one-sided check: passes when `measured` is above
+    /// `paper × (1 - tolerance)`.
     pub fn at_least(metric: impl Into<String>, paper: f64, measured: f64, tolerance: f64) -> Self {
         ShapeCheck {
             metric: metric.into(),
@@ -100,7 +102,7 @@ impl ShapeCheck {
         }
         let rel = (self.measured - self.paper) / self.paper;
         if self.one_sided {
-            rel >= -self.tolerance
+            rel > -self.tolerance
         } else {
             rel.abs() <= self.tolerance
         }
@@ -211,6 +213,9 @@ mod tests {
     fn shape_check_passes_within_tolerance() {
         assert!(ShapeCheck::new("x", 100.0, 105.0, 0.10).passes());
         assert!(!ShapeCheck::new("x", 100.0, 125.0, 0.10).passes());
+        // One-sided checks hold a strict bound: equal to the floor fails.
+        assert!(ShapeCheck::at_least("x", 1.0, 1.001, 0.0).passes());
+        assert!(!ShapeCheck::at_least("x", 1.0, 1.0, 0.0).passes());
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! The paper's environment (Fabric v1.4 in Go on 2.2 GHz Xeon vCPUs) is
 //! reproduced as a cost model. Every constant below is derived from
 //! numbers the paper itself reports; the derivations are spelled out so
-//! the calibration is auditable, and `tests/calibration.rs` in the bench
-//! crate checks the resulting figure shapes against the paper.
+//! the calibration is auditable, and the bench crate's `fig*` binaries
+//! check the resulting figure shapes against the paper (`cargo test`
+//! runs them all through `crates/bench/tests/figures.rs`).
 //!
 //! Derivations (paper references):
 //!
@@ -31,7 +32,9 @@
 //!   transactions.
 //! * **Ledger commit 3 ms + 10 µs/KB.** Figure 3b: ledger commit is
 //!   I/O-bound, takes longer than state DB access, grows with block
-//!   size; excluded from throughput metrics like the paper (§4.2).
+//!   size; excluded from throughput metrics like the paper (§4.2). The
+//!   hardware model's serialized-commit ablation charges the same fixed
+//!   part (`HwModelConfig::new`).
 //! * **Policy sub-expression visit ≈ 85 µs.** Figure 12b: the complex
 //!   OR-of-ANDs policy drops the software peer to ~2,700 tps because
 //!   "Fabric implementation evaluates all sub-expressions of a policy

@@ -11,7 +11,15 @@
 //!
 //! * [`timing`] — the latency constants;
 //! * [`resources`] — the Table-1 FPGA utilization model;
+//! * [`shape`] — [`BlockShape`], the one block description both
+//!   performance models read, measured from real blocks or set to
+//!   smallbank / drm;
 //! * [`throughput`] — the closed-form steady-state model for sweeps;
+//! * [`model`] and [`costs`] — the calibrated model of the *software*
+//!   validator peer the paper compares BMac with (Fabric v1.4 on Xeon
+//!   vCPUs, Figures 3 and 10–13), with its cost constants derived from
+//!   the paper. No peer calls either model; the `fig*` binaries of the
+//!   bench crate do;
 //! * [`processor`] — the detailed functional+timed block_processor; it
 //!   forms each `ecdsa_engine` request (key id, SHA-256 digest,
 //!   signature) at the point the engine is charged;
@@ -25,13 +33,19 @@
 
 #![warn(missing_docs)]
 
+pub mod costs;
 pub mod machine;
+pub mod model;
 pub mod processor;
 pub mod resources;
+pub mod shape;
 pub mod throughput;
 pub mod timing;
 
+pub use costs::SwCosts;
 pub use machine::{BMacMachine, MachineError};
+pub use model::{CpuProfile, SwBreakdown, SwValidatorModel};
 pub use processor::{BlockProcessor, HwBlockResult, HwBlockStats, ProcessorConfig};
 pub use resources::{utilization, Geometry, Utilization};
-pub use throughput::{validate_block, HwBreakdown, HwModelConfig, HwWorkload};
+pub use shape::BlockShape;
+pub use throughput::{validate_block, HwBreakdown, HwModelConfig};

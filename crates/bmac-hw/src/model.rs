@@ -1,7 +1,7 @@
 //! Calibrated performance model of the software validator peer.
 //!
 //! Computes the per-stage latency breakdown of Figure 3b / Figure 10 and
-//! the commit throughput of Figure 11 for arbitrary workload profiles,
+//! the commit throughput of Figure 11 for any [`BlockShape`],
 //! using the [`SwCosts`] constants derived from the paper. The model's
 //! structure mirrors Fabric v1.4's validator: unmarshal and MVCC/commit
 //! are sequential, verify+vscc fans out over a bounded worker pool, and
@@ -11,65 +11,7 @@
 use fabric_sim::{throughput_per_sec, ServerPool, SimTime};
 
 use crate::costs::SwCosts;
-
-/// Workload shape of one block, as consumed by the performance models.
-#[derive(Debug, Clone, Copy)]
-pub struct BlockProfile {
-    /// Transactions in the block (the paper's "block size").
-    pub num_txs: usize,
-    /// Endorsements carried by each transaction.
-    pub endorsements_per_tx: usize,
-    /// State DB reads per transaction.
-    pub reads_per_tx: usize,
-    /// State DB writes per transaction.
-    pub writes_per_tx: usize,
-    /// Marshaled envelope bytes per transaction (Gossip form).
-    pub tx_bytes: usize,
-    /// Extra policy sub-expression visits per transaction beyond the
-    /// native k-of-n path (0 for simple policies; the paper's complex
-    /// OR-of-ANDs policy costs 11 extra visits).
-    pub policy_extra_visits: usize,
-    /// Endorsement verifications actually *needed* to satisfy the policy
-    /// in the common all-valid case (`min_satisfying`); the hardware's
-    /// short-circuit evaluation uses this, software ignores it.
-    pub needed_endorsements: usize,
-}
-
-impl BlockProfile {
-    /// A smallbank-shaped profile: 2 reads, 2 writes, ~3.4 KB envelopes
-    /// with the default 2-of-2 policy (2 endorsements).
-    pub fn smallbank(num_txs: usize) -> Self {
-        BlockProfile {
-            num_txs,
-            endorsements_per_tx: 2,
-            reads_per_tx: 2,
-            writes_per_tx: 2,
-            tx_bytes: 3_400,
-            policy_extra_visits: 0,
-            needed_endorsements: 2,
-        }
-    }
-
-    /// A drm-shaped profile: fewer database accesses than smallbank
-    /// (§4.3: "drm application has less accesses to database"), same
-    /// 2-of-2 endorsement shape.
-    pub fn drm(num_txs: usize) -> Self {
-        BlockProfile {
-            num_txs,
-            endorsements_per_tx: 2,
-            reads_per_tx: 1,
-            writes_per_tx: 1,
-            tx_bytes: 3_300,
-            policy_extra_visits: 0,
-            needed_endorsements: 2,
-        }
-    }
-
-    /// Total block bytes in Gossip form.
-    pub fn block_bytes(&self) -> usize {
-        self.num_txs * self.tx_bytes + 512
-    }
-}
+use crate::shape::BlockShape;
 
 /// Per-stage latency breakdown for one block (software peer).
 #[derive(Debug, Clone, Copy, Default)]
@@ -171,7 +113,7 @@ impl SwValidatorModel {
     }
 
     /// Computes the stage breakdown for one block.
-    pub fn validate_block(&self, p: &BlockProfile) -> SwBreakdown {
+    pub fn validate_block(&self, p: &BlockShape) -> SwBreakdown {
         let c = &self.costs;
         let kb = p.block_bytes() as u64 / 1024;
         let unmarshal =
@@ -208,7 +150,7 @@ impl SwValidatorModel {
     /// # Panics
     ///
     /// Panics if `hit_rate` is outside `[0, 1]`.
-    pub fn validate_block_cached(&self, p: &BlockProfile, hit_rate: f64) -> SwBreakdown {
+    pub fn validate_block_cached(&self, p: &BlockShape, hit_rate: f64) -> SwBreakdown {
         assert!(
             (0.0..=1.0).contains(&hit_rate),
             "hit rate must be in [0, 1]"
@@ -230,7 +172,7 @@ impl SwValidatorModel {
     /// verifies ALL endorsements regardless of the policy. Shared by
     /// the baseline and cache-aware models so their cost structure
     /// cannot drift apart.
-    fn vscc_stage(&self, p: &BlockProfile, check: SimTime) -> SimTime {
+    fn vscc_stage(&self, p: &BlockShape, check: SimTime) -> SimTime {
         let c = &self.costs;
         let per_tx_parallel = (1 + p.endorsements_per_tx) as u64 * check
             + p.policy_extra_visits as u64 * c.policy_visit;
@@ -253,7 +195,7 @@ impl SwValidatorModel {
     /// the hardware-independent view of the streaming validator's
     /// scaling — wall-clock overlap on a 1-vCPU CI host is bounded by
     /// the host, not the architecture.
-    pub fn stream_makespan(&self, p: &BlockProfile, num_blocks: usize, lanes: usize) -> SimTime {
+    pub fn stream_makespan(&self, p: &BlockShape, num_blocks: usize, lanes: usize) -> SimTime {
         let b = self.validate_block(p);
         let verify = b.unmarshal + b.block_verify + b.verify_vscc;
         let commit = b.mvcc + b.statedb_commit + b.ledger;
@@ -271,13 +213,13 @@ impl SwValidatorModel {
     /// The serial (one block at a time) reference cost for the same
     /// stream: `num_blocks` × the full per-block latency including the
     /// ledger append the stream also pays.
-    pub fn serial_stream_cost(&self, p: &BlockProfile, num_blocks: usize) -> SimTime {
+    pub fn serial_stream_cost(&self, p: &BlockShape, num_blocks: usize) -> SimTime {
         let b = self.validate_block(p);
         num_blocks as u64 * (b.total_excl_ledger() + b.ledger)
     }
 
     /// CPU-time attribution for one block (drives Figure 3a).
-    pub fn cpu_profile(&self, p: &BlockProfile) -> CpuProfile {
+    pub fn cpu_profile(&self, p: &BlockShape) -> CpuProfile {
         let c = &self.costs;
         let verifies = p.num_txs as u64 * (1 + p.endorsements_per_tx) as u64 + 1;
         let kb = p.block_bytes() as u64 / 1024;
@@ -311,28 +253,10 @@ impl SwValidatorModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fabric_sim::MILLIS;
-
-    #[test]
-    fn fig11_shape_sw_scaling_is_weak() {
-        // Paper: block 250, 4 -> 16 vCPUs gives only ~1.5x (3,900 ->
-        // 5,600 tps).
-        let p = BlockProfile::smallbank(250);
-        let t4 = SwValidatorModel::new(4)
-            .validate_block(&p)
-            .throughput_tps(250);
-        let t16 = SwValidatorModel::new(16)
-            .validate_block(&p)
-            .throughput_tps(250);
-        let scaling = t16 / t4;
-        assert!(t4 > 2_800.0 && t4 < 4_500.0, "4 vCPU tps {t4}");
-        assert!(t16 > 4_800.0 && t16 < 6_500.0, "16 vCPU tps {t16}");
-        assert!(scaling > 1.3 && scaling < 1.9, "scaling {scaling}");
-    }
 
     #[test]
     fn cached_model_reduces_to_baseline_at_zero_hit_rate() {
-        let p = BlockProfile::smallbank(100);
+        let p = BlockShape::smallbank(100);
         let m = SwValidatorModel::new(4);
         let base = m.validate_block(&p);
         let cached = m.validate_block_cached(&p, 0.0);
@@ -342,7 +266,7 @@ mod tests {
 
     #[test]
     fn cached_model_scales_with_hit_rate() {
-        let p = BlockProfile::smallbank(100);
+        let p = BlockShape::smallbank(100);
         let m = SwValidatorModel::new(4);
         let cold = m.validate_block_cached(&p, 0.0);
         let warm = m.validate_block_cached(&p, 0.9);
@@ -357,98 +281,20 @@ mod tests {
     }
 
     #[test]
-    fn fig10_shape_block200_breakdown() {
-        // Paper: block 200, 8 vCPUs: unmarshal ~8 ms, block validation
-        // (excl unmarshal) ~35.9 ms.
-        let p = BlockProfile::smallbank(200);
-        let b = SwValidatorModel::new(8).validate_block(&p);
-        let unm_ms = b.unmarshal as f64 / MILLIS as f64;
-        let validation_ms = (b.total_excl_ledger() - b.unmarshal) as f64 / MILLIS as f64;
-        assert!((6.0..10.5).contains(&unm_ms), "unmarshal {unm_ms} ms");
-        assert!(
-            (30.0..42.0).contains(&validation_ms),
-            "validation {validation_ms} ms"
-        );
-    }
-
-    #[test]
     fn throughput_grows_with_block_size() {
         let model = SwValidatorModel::new(8);
         let t50 = model
-            .validate_block(&BlockProfile::smallbank(50))
+            .validate_block(&BlockShape::smallbank(50))
             .throughput_tps(50);
         let t250 = model
-            .validate_block(&BlockProfile::smallbank(250))
+            .validate_block(&BlockShape::smallbank(250))
             .throughput_tps(250);
         assert!(t250 > t50, "amortization: {t50} -> {t250}");
     }
 
     #[test]
-    fn endorsements_reduce_throughput_linearly() {
-        // Figure 12a: throughput decreases almost linearly with the
-        // number of endorsements; 2of3 == 3of3 for software.
-        let model = SwValidatorModel::new(8);
-        let mut p = BlockProfile::smallbank(150);
-        p.endorsements_per_tx = 1;
-        let t1 = model.validate_block(&p).throughput_tps(150);
-        p.endorsements_per_tx = 2;
-        let t2 = model.validate_block(&p).throughput_tps(150);
-        p.endorsements_per_tx = 3;
-        let t3 = model.validate_block(&p).throughput_tps(150);
-        assert!(t1 > t2 && t2 > t3);
-        // 2of3 vs 3of3: same endorsement count -> identical time.
-        let mut p2of3 = p;
-        p2of3.needed_endorsements = 2;
-        assert_eq!(
-            model.validate_block(&p).total_excl_ledger(),
-            model.validate_block(&p2of3).total_excl_ledger()
-        );
-    }
-
-    #[test]
-    fn complex_policy_slows_software_peer() {
-        // Figure 12b: the OR-of-ANDs policy drops software to ~2,700 tps.
-        let model = SwValidatorModel::new(8);
-        let mut simple = BlockProfile::smallbank(150);
-        simple.endorsements_per_tx = 4;
-        simple.needed_endorsements = 2;
-        let mut complex = simple;
-        complex.policy_extra_visits = 11;
-        let t_simple = model.validate_block(&simple).throughput_tps(150);
-        let t_complex = model.validate_block(&complex).throughput_tps(150);
-        assert!(t_complex < t_simple);
-        assert!(
-            (2_200.0..3_200.0).contains(&t_complex),
-            "complex {t_complex}"
-        );
-    }
-
-    #[test]
-    fn cpu_profile_matches_fig3a_ordering() {
-        // ecdsa dominates; sha ~ 10%; unmarshal ~ 10%.
-        let profile = SwValidatorModel::new(8).cpu_profile(&BlockProfile::smallbank(200));
-        let ecdsa = profile.share(profile.ecdsa);
-        let sha = profile.share(profile.sha256);
-        let unm = profile.share(profile.unmarshal);
-        let statedb = profile.share(profile.statedb);
-        assert!(ecdsa > 30.0 && ecdsa < 50.0, "ecdsa {ecdsa}%");
-        assert!(sha > 5.0 && sha < 15.0, "sha {sha}%");
-        assert!(unm > 3.0 && unm < 15.0, "unmarshal {unm}%");
-        assert!(statedb < ecdsa, "statedb {statedb}% below ecdsa");
-        // ecdsa is the single most expensive operation.
-        for other in [
-            profile.sha256,
-            profile.unmarshal,
-            profile.statedb,
-            profile.ledger,
-        ] {
-            assert!(profile.ecdsa > other);
-        }
-    }
-
-    #[test]
     fn stream_makespan_shows_stage_overlap() {
-        let p = BlockProfile::smallbank(100);
+        let p = BlockShape::smallbank(100);
         let m = SwValidatorModel::new(4);
         let serial = m.serial_stream_cost(&p, 8);
         let one_lane = m.stream_makespan(&p, 8, 1);
@@ -463,18 +309,5 @@ mod tests {
         // chain (commit is strictly in-order).
         let b = m.validate_block(&p);
         assert!(two_lanes >= 8 * (b.mvcc + b.statedb_commit + b.ledger));
-    }
-
-    #[test]
-    fn drm_faster_than_smallbank_for_software() {
-        // Figure 13: drm has fewer db accesses -> faster mvcc/commit.
-        let model = SwValidatorModel::new(8);
-        let t_small = model
-            .validate_block(&BlockProfile::smallbank(150))
-            .throughput_tps(150);
-        let t_drm = model
-            .validate_block(&BlockProfile::drm(150))
-            .throughput_tps(150);
-        assert!(t_drm > t_small);
     }
 }

@@ -3,8 +3,9 @@
 //! "Caliper clients create random transactions, and a total of 150,000
 //! transactions (30,000 repeated 5 times) are used to compute average
 //! metrics" (paper §4.2). The driver generates random operations against
-//! a [`FabricNetwork`], collects the blocks the ordering service cuts,
-//! and measures the envelope-size profile the performance models consume.
+//! a [`FabricNetwork`] and collects the blocks the ordering service cuts
+//! (`bmac_hw::BlockShape::measure` reads the performance models' block
+//! shape off them).
 //!
 //! Endorsers commit blocks too, and what they commit must be what a
 //! validator commits: [`Driver::commit_back`] replays every cut block on
@@ -17,7 +18,7 @@ use fabric_crypto::identity::Msp;
 use fabric_node::client::ClientError;
 use fabric_node::endorser::TxWrites;
 use fabric_node::network::FabricNetwork;
-use fabric_peer::{BlockProfile, StageTimings, TxValidationCode, ValidatorPipeline};
+use fabric_peer::{StageTimings, TxValidationCode, ValidatorPipeline};
 use fabric_protos::messages::Block;
 use fabric_protos::txflow::{decode_block_struct, DecodedBlock};
 use rand::rngs::StdRng;
@@ -302,41 +303,9 @@ fn commit_valid_writes(net: &mut FabricNetwork, decoded: DecodedBlock, codes: &[
     net.commit_to_endorsers(decoded.number, &writes);
 }
 
-/// Measures a [`BlockProfile`] from real blocks: average envelope size,
-/// endorsements, and rwset shape. This grounds the performance models in
-/// the actual wire data (the profile, not the paper's assumed constants).
-pub fn measure_profile(blocks: &[Block]) -> BlockProfile {
-    let mut txs = 0usize;
-    let mut bytes = 0usize;
-    let mut ends = 0usize;
-    let mut reads = 0usize;
-    let mut writes = 0usize;
-    for block in blocks {
-        let decoded = fabric_protos::txflow::decode_block(&block.marshal()).expect("blocks decode");
-        for tx in &decoded.txs {
-            txs += 1;
-            bytes += tx.envelope_len;
-            ends += tx.endorsements.len();
-            reads += tx.reads.len();
-            writes += tx.writes.len();
-        }
-    }
-    let txs_nz = txs.max(1);
-    BlockProfile {
-        num_txs: txs / blocks.len().max(1),
-        endorsements_per_tx: (ends + txs_nz / 2) / txs_nz,
-        reads_per_tx: (reads + txs_nz / 2) / txs_nz,
-        writes_per_tx: (writes + txs_nz / 2) / txs_nz,
-        tx_bytes: bytes / txs_nz,
-        policy_extra_visits: 0,
-        needed_endorsements: (ends + txs_nz / 2) / txs_nz,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::drm::Drm;
     use crate::smallbank::Smallbank;
     use fabric_node::network::FabricNetworkBuilder;
     use fabric_policy::parse;
@@ -373,50 +342,5 @@ mod tests {
         for b in &blocks {
             assert_eq!(b.data.data.len(), 5);
         }
-    }
-
-    #[test]
-    fn profile_reflects_smallbank_shape() {
-        let mut net = smallbank_net(6);
-        let mut driver = Driver::new(Workload::Smallbank, 8, 7);
-        driver.prepare(&mut net).unwrap();
-        let blocks = driver.generate_blocks(&mut net, 2).unwrap();
-        let profile = measure_profile(&blocks);
-        assert_eq!(profile.endorsements_per_tx, 2); // 2of2 policy
-        assert!(profile.tx_bytes > 2_000, "envelope {}", profile.tx_bytes);
-        assert!(profile.reads_per_tx >= 1);
-        assert!(profile.writes_per_tx >= 1);
-    }
-
-    #[test]
-    fn drm_workload_runs() {
-        let mut net = FabricNetworkBuilder::new()
-            .orgs(2)
-            .block_size(4)
-            .chaincode("drm", parse("2-outof-2 orgs").unwrap())
-            .build();
-        net.install_chaincode(|| Box::new(Drm::new()));
-        let mut driver = Driver::new(Workload::Drm, 6, 9);
-        driver.prepare(&mut net).unwrap();
-        let blocks = driver.generate_blocks(&mut net, 2).unwrap();
-        let profile = measure_profile(&blocks);
-        // drm: fewer db accesses than smallbank.
-        assert!(profile.reads_per_tx <= 1);
-        assert!(profile.writes_per_tx <= 1);
-    }
-
-    #[test]
-    fn split_payment_inflates_rw() {
-        let mut net = smallbank_net(4);
-        let mut driver = Driver::new(Workload::SplitPayment(4), 8, 11);
-        driver.prepare(&mut net).unwrap();
-        let blocks = driver.generate_blocks(&mut net, 2).unwrap();
-        let profile = measure_profile(&blocks);
-        assert!(profile.reads_per_tx >= 4, "reads {}", profile.reads_per_tx);
-        assert!(
-            profile.writes_per_tx >= 4,
-            "writes {}",
-            profile.writes_per_tx
-        );
     }
 }

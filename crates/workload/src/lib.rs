@@ -4,8 +4,7 @@
 //! operations plus the Figure 12c split-payment extension) and [`drm`]
 //! (digital asset management with fewer database accesses), plus a
 //! Caliper-like [`driver`] that generates random transactions against a
-//! `FabricNetwork` and measures workload profiles for the performance
-//! models.
+//! `FabricNetwork`.
 
 #![warn(missing_docs)]
 
@@ -17,7 +16,7 @@ pub mod state_load;
 pub mod stream_gen;
 
 pub use arrivals::{open_loop_schedule, Arrival, OpenLoopConfig, ZipfSampler};
-pub use driver::{measure_profile, Driver, Workload};
+pub use driver::{Driver, Workload};
 pub use drm::Drm;
 pub use smallbank::Smallbank;
 pub use state_load::{StatePreload, ZipfCommitLoad};

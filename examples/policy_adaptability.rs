@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run -p examples --bin policy_adaptability`
 
-use bmac_hw::{validate_block, Geometry, HwModelConfig, HwWorkload};
+use bmac_hw::{validate_block, BlockShape, Geometry, HwModelConfig};
 use fabric_crypto::identity::{NodeId, Role};
 use fabric_policy::circuit::{PolicyStatus, ShortCircuitEvaluator};
 use fabric_policy::{parse, PolicyCircuit};
@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // applications using 2ofN and 3ofN policies, respectively" (§4.3).
     println!("\nthroughput by geometry (block 150):");
     for (name, ends, needed) in [("2of3", 3usize, 2usize), ("3of3", 3, 3)] {
-        let mut w = HwWorkload::smallbank(150);
+        let mut w = BlockShape::smallbank(150);
         w.endorsements_per_tx = ends;
         w.needed_endorsements = needed;
         for geometry in [Geometry::new(8, 2), Geometry::new(5, 3)] {

@@ -6,13 +6,13 @@
 use std::collections::HashMap;
 
 use bmac_core::{BMacPeer, BmacConfig};
+use bmac_hw::{BlockShape, Geometry, HwModelConfig, SwValidatorModel};
 use bmac_protocol::BmacSender;
 use fabric_crypto::identity::{Msp, Role};
 use fabric_node::network::FabricNetworkBuilder;
 use fabric_peer::pipeline::ValidatorPipeline;
-use fabric_peer::{BlockProfile, SwValidatorModel};
 use fabric_policy::parse;
-use workload::{measure_profile, Driver, Smallbank, Workload};
+use workload::{Driver, Smallbank, Workload};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Network with the smallbank chaincode under 2-of-2 endorsement.
@@ -77,23 +77,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!("\nequivalence check (paper §4.1): {mismatches} mismatches");
 
-    // Paper-scale throughput from the calibrated models, grounded in the
-    // measured workload profile.
-    let profile = measure_profile(&work_blocks);
+    // Paper-scale throughput from both calibrated models, fed the one
+    // block shape measured from the workload.
+    let shape = BlockShape::measure(&work_blocks);
     println!(
-        "\nmeasured profile: {} B/envelope, {} endorsements, {}r{}w per tx",
-        profile.tx_bytes, profile.endorsements_per_tx, profile.reads_per_tx, profile.writes_per_tx
+        "\nmeasured shape: {} B/envelope, {} B/BMac section, {} endorsements, {}r{}w per tx",
+        shape.tx_bytes,
+        shape.tx_section_bytes,
+        shape.endorsements_per_tx,
+        shape.reads_per_tx,
+        shape.writes_per_tx
     );
-    let mut paper_scale = profile;
-    paper_scale.num_txs = 250;
+    let paper_scale = BlockShape {
+        num_txs: 250,
+        ..shape
+    };
     let sw_tps = SwValidatorModel::new(16)
         .validate_block(&paper_scale)
         .throughput_tps(250);
-    let hw_cfg = bmac_hw::HwModelConfig::new(bmac_hw::Geometry::new(16, 2));
-    let hw_tps = bmac_hw::validate_block(&hw_cfg, &bmac_hw::HwWorkload::smallbank(250))
-        .throughput_tps(250, &hw_cfg);
+    let hw_cfg = HwModelConfig::new(Geometry::new(16, 2));
+    let hw_tps = bmac_hw::validate_block(&hw_cfg, &paper_scale).throughput_tps(250, &hw_cfg);
     println!("paper-scale model (block 250, 16 vCPUs/validators): sw {sw_tps:.0} tps, bmac {hw_tps:.0} tps ({:.1}x)", hw_tps / sw_tps);
-    let _ = BlockProfile::smallbank(1);
     if mismatches > 0 {
         std::process::exit(1);
     }

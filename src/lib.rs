@@ -7,9 +7,12 @@
 //! * [`fabric_crypto`] — ECDSA P-256 / SHA-256 substrate with the
 //!   precomputed fixed-base, wNAF, and batch-inversion fast paths;
 //! * [`fabric_peer`] — software validator pipeline (parallel vscc,
-//!   signature cache) and calibrated performance model;
+//!   signature cache);
 //! * [`bmac_core`] / `bmac_hw` / `bmac_protocol` — the hardware
-//!   Blockchain Machine simulation and its network protocol;
+//!   Blockchain Machine simulation and its network protocol; `bmac_hw`
+//!   also holds the paper's two performance models (the card's
+//!   closed-form model and the calibrated software-peer model) and the
+//!   `BlockShape` both read;
 //! * `fabric_node`, `fabric_policy`, `fabric_protos`, `fabric_statedb`,
 //!   `fabric_ledger`, `fabric_sim`, `workload` —
 //!   supporting network, policy, wire-format, state, and workload crates.

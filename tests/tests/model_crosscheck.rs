@@ -1,21 +1,25 @@
 //! Cross-checks between the detailed per-block hardware simulation and
 //! the closed-form throughput model — the reproduction of the paper's
 //! "performance reported by our simulator is always within 1% of actual
-//! measurements" validation (§4.1), here between our two model layers.
+//! measurements" validation (§4.1), here between our two model layers —
+//! and between the models' inputs and the blocks the workloads generate
+//! (`BlockShape::measure`).
 
 use std::collections::HashMap;
 use std::time::Instant;
 
 use bmac_hw::processor::ProcessorConfig;
-use bmac_hw::{validate_block, BMacMachine, Geometry, HwModelConfig, HwWorkload};
+use bmac_hw::{
+    validate_block, BMacMachine, BlockShape, Geometry, HwModelConfig, SwBreakdown, SwValidatorModel,
+};
 use bmac_protocol::BmacSender;
 use fabric_crypto::identity::{Msp, Role};
 use fabric_node::chaincode::KvChaincode;
 use fabric_node::network::FabricNetworkBuilder;
-use fabric_peer::{BlockProfile, SwValidatorModel, ValidatorPipeline};
+use fabric_peer::ValidatorPipeline;
 use fabric_policy::parse;
 use fabric_sim::as_millis;
-use workload::{Driver, Smallbank, Workload};
+use workload::{Driver, Drm, Smallbank, Workload};
 
 /// Runs `blocks` real blocks of `ntx` smallbank transactions through the
 /// detailed machine and returns the mean block latency (ms).
@@ -60,7 +64,7 @@ fn detailed_simulation_matches_closed_form_within_5pct() {
     for &(ntx, validators) in &[(8usize, 2usize), (12, 4), (16, 8)] {
         let detailed = detailed_latency_ms(ntx, validators, 2);
         let cfg = HwModelConfig::new(Geometry::new(validators, 2));
-        let closed = as_millis(validate_block(&cfg, &HwWorkload::smallbank(ntx)).total);
+        let closed = as_millis(validate_block(&cfg, &BlockShape::smallbank(ntx)).total);
         let rel = (detailed - closed).abs() / closed;
         assert!(
             rel < 0.05,
@@ -154,11 +158,10 @@ fn cached_pipeline_speedup_matches_cache_model() {
     // measured path covers unmarshal + orderer check + verify/vscc, so
     // compare against that slice of the breakdown.
     let model = SwValidatorModel::new(1);
-    let profile = BlockProfile::smallbank(NTX);
-    let cold_model = model.validate_block_cached(&profile, 0.0);
-    let warm_model = model.validate_block_cached(&profile, 1.0);
-    let model_slice =
-        |b: &fabric_peer::SwBreakdown| (b.unmarshal + b.block_verify + b.verify_vscc) as f64;
+    let shape = BlockShape::smallbank(NTX);
+    let cold_model = model.validate_block_cached(&shape, 0.0);
+    let warm_model = model.validate_block_cached(&shape, 1.0);
+    let model_slice = |b: &SwBreakdown| (b.unmarshal + b.block_verify + b.verify_vscc) as f64;
     let model_speedup = model_slice(&cold_model) / model_slice(&warm_model);
     let measured_speedup = cold_us / warm_us;
 
@@ -183,4 +186,53 @@ fn hardware_latency_scales_down_with_validators() {
         l8 < l2 * 0.55,
         "8 validators ({l8:.2} ms) should be well under half of 2 validators ({l2:.2} ms)"
     );
+}
+
+/// Measures the shape of two `workload` blocks of `block_size`
+/// transactions generated on a 2-of-2 network.
+fn measured_shape(workload: Workload, block_size: usize, seed: u64) -> BlockShape {
+    let mut net = FabricNetworkBuilder::new()
+        .orgs(2)
+        .block_size(block_size)
+        .chaincode(workload.chaincode(), parse("2-outof-2 orgs").unwrap())
+        .build();
+    match workload {
+        Workload::Drm => net.install_chaincode(|| Box::new(Drm::new())),
+        _ => net.install_chaincode(|| Box::new(Smallbank::new())),
+    }
+    let mut driver = Driver::new(workload, 8, seed);
+    driver.prepare(&mut net).unwrap();
+    let blocks = driver.generate_blocks(&mut net, 2).unwrap();
+    BlockShape::measure(&blocks)
+}
+
+#[test]
+fn measured_shape_reflects_smallbank() {
+    let shape = measured_shape(Workload::Smallbank, 6, 7);
+    assert_eq!(shape.endorsements_per_tx, 2); // 2of2 policy
+    assert!(shape.tx_bytes > 2_000, "envelope {}", shape.tx_bytes);
+    assert!(shape.reads_per_tx >= 1);
+    assert!(shape.writes_per_tx >= 1);
+    // The BMac section is the envelope with its identities stripped.
+    assert!(
+        shape.tx_section_bytes > 0 && shape.tx_section_bytes < shape.tx_bytes,
+        "section {} of envelope {}",
+        shape.tx_section_bytes,
+        shape.tx_bytes
+    );
+}
+
+#[test]
+fn measured_drm_shape_has_fewer_db_accesses() {
+    let shape = measured_shape(Workload::Drm, 4, 9);
+    // drm: fewer db accesses than smallbank.
+    assert!(shape.reads_per_tx <= 1);
+    assert!(shape.writes_per_tx <= 1);
+}
+
+#[test]
+fn split_payment_inflates_measured_rw() {
+    let shape = measured_shape(Workload::SplitPayment(4), 4, 11);
+    assert!(shape.reads_per_tx >= 4, "reads {}", shape.reads_per_tx);
+    assert!(shape.writes_per_tx >= 4, "writes {}", shape.writes_per_tx);
 }
