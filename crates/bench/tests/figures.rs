@@ -1,8 +1,8 @@
 //! Every figure and table binary must pass its paper-vs-measured shape
 //! checks: each exits with the number of checks that print `DEVIATES`,
 //! so a non-zero exit here names a paper number the models no longer
-//! reproduce. This is where each paper number is asserted; the model
-//! crates' unit tests keep only structural properties.
+//! reproduce. The checks here are the widest set and the tightest
+//! bands; the model crate's unit tests repeat the main numbers.
 
 use std::process::Command;
 

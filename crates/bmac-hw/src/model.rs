@@ -253,6 +253,24 @@ impl SwValidatorModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fabric_sim::MILLIS;
+
+    #[test]
+    fn fig11_shape_sw_scaling_is_weak() {
+        // Paper: block 250, 4 -> 16 vCPUs gives only ~1.5x (3,900 ->
+        // 5,600 tps).
+        let p = BlockShape::smallbank(250);
+        let t4 = SwValidatorModel::new(4)
+            .validate_block(&p)
+            .throughput_tps(250);
+        let t16 = SwValidatorModel::new(16)
+            .validate_block(&p)
+            .throughput_tps(250);
+        let scaling = t16 / t4;
+        assert!(t4 > 2_800.0 && t4 < 4_500.0, "4 vCPU tps {t4}");
+        assert!(t16 > 4_800.0 && t16 < 6_500.0, "16 vCPU tps {t16}");
+        assert!(scaling > 1.3 && scaling < 1.9, "scaling {scaling}");
+    }
 
     #[test]
     fn cached_model_reduces_to_baseline_at_zero_hit_rate() {
@@ -281,6 +299,21 @@ mod tests {
     }
 
     #[test]
+    fn fig10_shape_block200_breakdown() {
+        // Paper: block 200, 8 vCPUs: unmarshal ~8 ms, block validation
+        // (excl unmarshal) ~35.9 ms.
+        let p = BlockShape::smallbank(200);
+        let b = SwValidatorModel::new(8).validate_block(&p);
+        let unm_ms = b.unmarshal as f64 / MILLIS as f64;
+        let validation_ms = (b.total_excl_ledger() - b.unmarshal) as f64 / MILLIS as f64;
+        assert!((6.0..10.5).contains(&unm_ms), "unmarshal {unm_ms} ms");
+        assert!(
+            (30.0..42.0).contains(&validation_ms),
+            "validation {validation_ms} ms"
+        );
+    }
+
+    #[test]
     fn throughput_grows_with_block_size() {
         let model = SwValidatorModel::new(8);
         let t50 = model
@@ -290,6 +323,46 @@ mod tests {
             .validate_block(&BlockShape::smallbank(250))
             .throughput_tps(250);
         assert!(t250 > t50, "amortization: {t50} -> {t250}");
+    }
+
+    #[test]
+    fn endorsements_reduce_throughput_linearly() {
+        // Figure 12a: throughput decreases almost linearly with the
+        // number of endorsements; 2of3 == 3of3 for software.
+        let model = SwValidatorModel::new(8);
+        let mut p = BlockShape::smallbank(150);
+        p.endorsements_per_tx = 1;
+        let t1 = model.validate_block(&p).throughput_tps(150);
+        p.endorsements_per_tx = 2;
+        let t2 = model.validate_block(&p).throughput_tps(150);
+        p.endorsements_per_tx = 3;
+        let t3 = model.validate_block(&p).throughput_tps(150);
+        assert!(t1 > t2 && t2 > t3);
+        // 2of3 vs 3of3: same endorsement count -> identical time.
+        let mut p2of3 = p;
+        p2of3.needed_endorsements = 2;
+        assert_eq!(
+            model.validate_block(&p).total_excl_ledger(),
+            model.validate_block(&p2of3).total_excl_ledger()
+        );
+    }
+
+    #[test]
+    fn complex_policy_slows_software_peer() {
+        // Figure 12b: the OR-of-ANDs policy drops software to ~2,700 tps.
+        let model = SwValidatorModel::new(8);
+        let mut simple = BlockShape::smallbank(150);
+        simple.endorsements_per_tx = 4;
+        simple.needed_endorsements = 2;
+        let mut complex = simple;
+        complex.policy_extra_visits = 11;
+        let t_simple = model.validate_block(&simple).throughput_tps(150);
+        let t_complex = model.validate_block(&complex).throughput_tps(150);
+        assert!(t_complex < t_simple);
+        assert!(
+            (2_200.0..3_200.0).contains(&t_complex),
+            "complex {t_complex}"
+        );
     }
 
     #[test]
@@ -309,5 +382,18 @@ mod tests {
         // chain (commit is strictly in-order).
         let b = m.validate_block(&p);
         assert!(two_lanes >= 8 * (b.mvcc + b.statedb_commit + b.ledger));
+    }
+
+    #[test]
+    fn drm_faster_than_smallbank_for_software() {
+        // Figure 13: drm has fewer db accesses -> faster mvcc/commit.
+        let model = SwValidatorModel::new(8);
+        let t_small = model
+            .validate_block(&BlockShape::smallbank(150))
+            .throughput_tps(150);
+        let t_drm = model
+            .validate_block(&BlockShape::drm(150))
+            .throughput_tps(150);
+        assert!(t_drm > t_small);
     }
 }

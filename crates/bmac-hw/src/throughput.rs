@@ -137,7 +137,110 @@ pub fn validate_block(config: &HwModelConfig, w: &BlockShape) -> HwBreakdown {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fabric_sim::MILLIS;
+    use fabric_sim::{as_millis, MILLIS};
+
+    fn tput(v: usize, e: usize, w: BlockShape) -> f64 {
+        let config = HwModelConfig::new(Geometry::new(v, e));
+        validate_block(&config, &w).throughput_tps(w.num_txs, &config)
+    }
+
+    #[test]
+    fn fig11_bmac_block250_4_to_16_validators() {
+        // Paper: 10,700 tps (4 validators) -> 38,400 tps (16 validators).
+        let t4 = tput(4, 2, BlockShape::smallbank(250));
+        let t16 = tput(16, 2, BlockShape::smallbank(250));
+        assert!(
+            (t4 - 10_700.0).abs() / 10_700.0 < 0.05,
+            "4 validators: {t4}"
+        );
+        assert!(
+            (t16 - 38_400.0).abs() / 38_400.0 < 0.08,
+            "16 validators: {t16}"
+        );
+        // "throughput of BMac peer increases by 3.6x with 4 to 16".
+        let scaling = t16 / t4;
+        assert!((3.2..4.0).contains(&scaling), "scaling {scaling}");
+    }
+
+    #[test]
+    fn peak_throughput_matches_68900() {
+        // Paper: "up to 68,900 tps with block latency of 3.63ms"
+        // (32 validators, block 250 reproduce both numbers).
+        let config = HwModelConfig::new(Geometry::new(32, 2));
+        let b = validate_block(&config, &BlockShape::smallbank(250));
+        let lat_ms = as_millis(b.total);
+        let tps = b.throughput_tps(250, &config);
+        assert!((3.3..3.9).contains(&lat_ms), "latency {lat_ms} ms");
+        assert!((tps - 68_900.0).abs() / 68_900.0 < 0.05, "tps {tps}");
+    }
+
+    #[test]
+    fn projection_100k_and_150k() {
+        // §4.3: ~100,000 tps at 50 validators/block 250; ~150,000 tps at
+        // 80 validators/block 500.
+        let t50 = tput(50, 2, BlockShape::smallbank(250));
+        let t80 = tput(80, 2, BlockShape::smallbank(500));
+        assert!(
+            (t50 - 100_000.0).abs() / 100_000.0 < 0.05,
+            "50 validators {t50}"
+        );
+        assert!(
+            (t80 - 150_000.0).abs() / 150_000.0 < 0.05,
+            "80 validators {t80}"
+        );
+    }
+
+    #[test]
+    fn fig10_block200_8validators_latency() {
+        // Paper: block validation improved to 9.7 ms.
+        let config = HwModelConfig::new(Geometry::new(8, 2));
+        let b = validate_block(&config, &BlockShape::smallbank(200));
+        let ms = as_millis(b.total);
+        assert!((9.2..10.2).contains(&ms), "block 200 latency {ms} ms");
+    }
+
+    #[test]
+    fn fig12a_short_circuit_2of3_vs_3of3() {
+        // Paper: 19,800 tps with 2of3 vs 10,400 tps with 3of3 (8x2,
+        // block 150).
+        let mut w = BlockShape::smallbank(150);
+        w.endorsements_per_tx = 3;
+        w.needed_endorsements = 2; // 2of3
+        let t_2of3 = tput(8, 2, w);
+        w.needed_endorsements = 3; // 3of3
+        let t_3of3 = tput(8, 2, w);
+        assert!((t_2of3 - 19_800.0).abs() / 19_800.0 < 0.06, "2of3 {t_2of3}");
+        assert!((t_3of3 - 10_400.0).abs() / 10_400.0 < 0.06, "3of3 {t_3of3}");
+    }
+
+    #[test]
+    fn fig12b_geometry_tradeoff() {
+        // Paper: 8x2 beats 5x3 by ~52% on 2of3; 5x3 beats 8x2 by ~25% on
+        // 3of3.
+        let mut w = BlockShape::smallbank(150);
+        w.endorsements_per_tx = 3;
+        w.needed_endorsements = 2;
+        let r_2of3 = tput(8, 2, w) / tput(5, 3, w);
+        assert!((1.4..1.65).contains(&r_2of3), "8x2/5x3 on 2of3 = {r_2of3}");
+        w.needed_endorsements = 3;
+        let r_3of3 = tput(5, 3, w) / tput(8, 2, w);
+        assert!((1.15..1.4).contains(&r_3of3), "5x3/8x2 on 3of3 = {r_3of3}");
+    }
+
+    #[test]
+    fn fig12c_database_work_is_hidden() {
+        // Paper: BMac throughput unchanged as rw set grows (hidden by
+        // tx_vscc latency).
+        let base = tput(8, 2, BlockShape::smallbank(150));
+        let mut heavy = BlockShape::smallbank(150);
+        heavy.reads_per_tx = 8;
+        heavy.writes_per_tx = 8;
+        let t_heavy = tput(8, 2, heavy);
+        assert!(
+            (base - t_heavy).abs() / base < 0.02,
+            "db work visible: {base} vs {t_heavy}"
+        );
+    }
 
     #[test]
     fn short_circuit_ablation_doubles_vscc_rounds() {
@@ -162,5 +265,14 @@ mod tests {
         config.overlap_commit = false;
         let serialized = validate_block(&config, &w).throughput_tps(150, &config);
         assert!(overlapped > serialized * 1.3);
+    }
+
+    #[test]
+    fn fig13_drm_equals_smallbank_for_hardware() {
+        // "throughput of BMac peer is very similar to smallbank because
+        // its dominated by vscc latency".
+        let s = tput(8, 2, BlockShape::smallbank(150));
+        let d = tput(8, 2, BlockShape::drm(150));
+        assert!((s - d).abs() / s < 0.02);
     }
 }
