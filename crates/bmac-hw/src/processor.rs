@@ -33,16 +33,14 @@ use crate::timing::{
     ECDSA_ENGINE_LATENCY, HW_DB_ACCESS, MVCC_FIXED, RESULT_PUBLISH, SCHEDULE_LATENCY,
 };
 
-/// Configuration of the block_processor.
+/// Configuration of the block_processor. Short-circuit endorsement
+/// evaluation and early abort (§3.3) are how the card works, so neither
+/// is a setting: a transaction is skipped as soon as it becomes invalid,
+/// and a vscc stops issuing verifications once its policy is satisfied.
 #[derive(Debug, Clone)]
 pub struct ProcessorConfig {
     /// Architecture geometry (tx_validators × engines).
     pub geometry: Geometry,
-    /// Short-circuit endorsement evaluation (§3.3).
-    pub short_circuit: bool,
-    /// Early-abort conditions along the pipeline (§3.3: "skip a
-    /// transaction as soon as it becomes invalid").
-    pub early_abort: bool,
     /// In-hardware database capacity.
     pub db_capacity: usize,
     /// Number of organizations (register-file width).
@@ -50,13 +48,12 @@ pub struct ProcessorConfig {
 }
 
 impl ProcessorConfig {
-    /// Paper defaults for a geometry: short-circuit and early-abort on,
-    /// 8192-entry database.
+    /// A processor of `geometry` for `num_orgs` organizations, with the
+    /// paper's 8192-entry database
+    /// ([`fabric_statedb::HW_DB_DEFAULT_CAPACITY`]).
     pub fn new(geometry: Geometry, num_orgs: usize) -> Self {
         ProcessorConfig {
             geometry,
-            short_circuit: true,
-            early_abort: true,
             db_capacity: fabric_statedb::HW_DB_DEFAULT_CAPACITY,
             num_orgs,
         }
@@ -238,7 +235,7 @@ impl BlockProcessor {
                 .min_by_key(|&v| self.verify_free[v].max(vstart))
                 .expect("at least one validator");
             let vs = vstart.max(self.verify_free[v]) + SCHEDULE_LATENCY;
-            let (valid_so_far, ve) = if !block_valid && self.config.early_abort {
+            let (valid_so_far, ve) = if !block_valid {
                 // Skip: the block is already invalid (§3.3 tx_verify skip).
                 tx_code[i] = TxValidationCode::BadSignature;
                 (false, vs)
@@ -338,7 +335,7 @@ impl BlockProcessor {
         keys: &HashMap<u16, VerifyingKey>,
         valid_so_far: bool,
     ) -> Result<(bool, u64, u64, u64), ProcessError> {
-        if !valid_so_far && self.config.early_abort {
+        if !valid_so_far {
             // Endorsements discarded (§3.3).
             return Ok((false, 0, 0, tx.endorsements.len() as u64));
         }
@@ -351,10 +348,7 @@ impl BlockProcessor {
         let mut executed = 0u64;
         let mut idx = 0usize;
         let mut satisfied = false;
-        while idx < tx.endorsements.len() {
-            if satisfied && self.config.short_circuit {
-                break;
-            }
+        while idx < tx.endorsements.len() && !satisfied {
             waves += 1;
             let wave_end = (idx + e).min(tx.endorsements.len());
             for end in &tx.endorsements[idx..wave_end] {

@@ -14,8 +14,6 @@
 //! ```yaml
 //! network:
 //!   orgs: 2
-//!   channel: mychannel
-//!   endorsers_per_org: 1
 //! chaincodes:
 //!   - name: smallbank
 //!     policy: 2-outof-2 orgs
@@ -23,9 +21,11 @@
 //!   tx_validators: 8
 //!   engines_per_vscc: 2
 //!   db_capacity: 8192
-//!   short_circuit: true
-//!   early_abort: true
 //! ```
+//!
+//! Every key is optional except a chaincode's `name` and `policy`; a key
+//! outside this schema is rejected rather than skipped, so a misspelt
+//! one cannot silently leave its default in place.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -99,6 +99,8 @@ pub enum ConfigError {
     BadValue(&'static str, String),
     /// An endorsement policy failed to parse.
     BadPolicy(String),
+    /// A key outside the schema, by its full path (`architecture.tx_validator`).
+    UnknownKey(String),
 }
 
 impl fmt::Display for ConfigError {
@@ -112,6 +114,7 @@ impl fmt::Display for ConfigError {
                 write!(f, "invalid value for {key}: {got:?}")
             }
             ConfigError::BadPolicy(e) => write!(f, "invalid endorsement policy: {e}"),
+            ConfigError::UnknownKey(key) => write!(f, "unknown config key: {key}"),
         }
     }
 }
@@ -252,10 +255,6 @@ pub struct ChaincodeConfig {
 pub struct BmacConfig {
     /// Number of organizations.
     pub orgs: u8,
-    /// Channel name.
-    pub channel: String,
-    /// Endorser peers per organization.
-    pub endorsers_per_org: u8,
     /// Chaincodes with their policies.
     pub chaincodes: Vec<ChaincodeConfig>,
     /// tx_validator instances.
@@ -264,29 +263,41 @@ pub struct BmacConfig {
     pub engines_per_vscc: usize,
     /// In-hardware database capacity.
     pub db_capacity: usize,
-    /// Short-circuit policy evaluation.
-    pub short_circuit: bool,
-    /// Early-abort pipeline conditions.
-    pub early_abort: bool,
-    /// Maximum transactions per block supported by the architecture.
-    pub max_block_txs: usize,
 }
 
 impl Default for BmacConfig {
     fn default() -> Self {
         BmacConfig {
             orgs: 2,
-            channel: "mychannel".into(),
-            endorsers_per_org: 1,
             chaincodes: Vec::new(),
             tx_validators: 8,
             engines_per_vscc: 2,
-            db_capacity: 8192,
-            short_circuit: true,
-            early_abort: true,
-            max_block_txs: 256,
+            db_capacity: fabric_statedb::HW_DB_DEFAULT_CAPACITY,
         }
     }
+}
+
+/// Rejects the first key of `map` not in `known`; `section` prefixes
+/// its path in the error.
+fn reject_unknown(map: &Value, section: &str, known: &[&str]) -> Result<(), ConfigError> {
+    let Value::Map(m) = map else { return Ok(()) };
+    match m.keys().find(|k| !known.contains(&k.as_str())) {
+        Some(k) if section.is_empty() => Err(ConfigError::UnknownKey(k.clone())),
+        Some(k) => Err(ConfigError::UnknownKey(format!("{section}.{k}"))),
+        None => Ok(()),
+    }
+}
+
+/// The integer at `path` (`section.key`) under `section`, if present.
+fn int_at(section: &Value, path: &'static str) -> Result<Option<u64>, ConfigError> {
+    let key = path.rsplit_once('.').map_or(path, |(_, key)| key);
+    section
+        .get(key)
+        .map(|v| {
+            v.as_u64()
+                .ok_or_else(|| ConfigError::BadValue(path, format!("{v:?}")))
+        })
+        .transpose()
 }
 
 impl BmacConfig {
@@ -294,32 +305,21 @@ impl BmacConfig {
     ///
     /// # Errors
     ///
-    /// [`ConfigError`] for syntax problems, missing keys, or malformed
-    /// policies.
+    /// [`ConfigError`] for syntax problems, missing or unknown keys, or
+    /// malformed values and policies.
     pub fn from_yaml(input: &str) -> Result<Self, ConfigError> {
         let root = parse_yaml(input)?;
+        reject_unknown(&root, "", &["network", "chaincodes", "architecture"])?;
         let mut config = BmacConfig::default();
         if let Some(network) = root.get("network") {
-            if let Some(v) = network.get("orgs") {
-                config.orgs = v
-                    .as_u64()
-                    .ok_or_else(|| ConfigError::BadValue("network.orgs", format!("{v:?}")))?
-                    as u8;
-            }
-            if let Some(v) = network.get("channel") {
-                config.channel = v
-                    .as_str()
-                    .ok_or_else(|| ConfigError::BadValue("network.channel", format!("{v:?}")))?
-                    .to_string();
-            }
-            if let Some(v) = network.get("endorsers_per_org") {
-                config.endorsers_per_org = v.as_u64().ok_or_else(|| {
-                    ConfigError::BadValue("network.endorsers_per_org", format!("{v:?}"))
-                })? as u8;
+            reject_unknown(network, "network", &["orgs"])?;
+            if let Some(n) = int_at(network, "network.orgs")? {
+                config.orgs = n as u8;
             }
         }
         if let Some(ccs) = root.get("chaincodes") {
             for item in ccs.items() {
+                reject_unknown(item, "chaincodes[]", &["name", "policy"])?;
                 let name = item
                     .get("name")
                     .and_then(Value::as_str)
@@ -335,35 +335,19 @@ impl BmacConfig {
             }
         }
         if let Some(arch) = root.get("architecture") {
-            if let Some(v) = arch.get("tx_validators") {
-                config.tx_validators = v.as_u64().ok_or_else(|| {
-                    ConfigError::BadValue("architecture.tx_validators", format!("{v:?}"))
-                })? as usize;
+            reject_unknown(
+                arch,
+                "architecture",
+                &["tx_validators", "engines_per_vscc", "db_capacity"],
+            )?;
+            if let Some(n) = int_at(arch, "architecture.tx_validators")? {
+                config.tx_validators = n as usize;
             }
-            if let Some(v) = arch.get("engines_per_vscc") {
-                config.engines_per_vscc = v.as_u64().ok_or_else(|| {
-                    ConfigError::BadValue("architecture.engines_per_vscc", format!("{v:?}"))
-                })? as usize;
+            if let Some(n) = int_at(arch, "architecture.engines_per_vscc")? {
+                config.engines_per_vscc = n as usize;
             }
-            if let Some(v) = arch.get("db_capacity") {
-                config.db_capacity = v.as_u64().ok_or_else(|| {
-                    ConfigError::BadValue("architecture.db_capacity", format!("{v:?}"))
-                })? as usize;
-            }
-            if let Some(v) = arch.get("short_circuit") {
-                config.short_circuit = v.as_bool().ok_or_else(|| {
-                    ConfigError::BadValue("architecture.short_circuit", format!("{v:?}"))
-                })?;
-            }
-            if let Some(v) = arch.get("early_abort") {
-                config.early_abort = v.as_bool().ok_or_else(|| {
-                    ConfigError::BadValue("architecture.early_abort", format!("{v:?}"))
-                })?;
-            }
-            if let Some(v) = arch.get("max_block_txs") {
-                config.max_block_txs = v.as_u64().ok_or_else(|| {
-                    ConfigError::BadValue("architecture.max_block_txs", format!("{v:?}"))
-                })? as usize;
+            if let Some(n) = int_at(arch, "architecture.db_capacity")? {
+                config.db_capacity = n as usize;
             }
         }
         Ok(config)
@@ -391,8 +375,6 @@ mod tests {
 # Blockchain Machine configuration
 network:
   orgs: 4
-  channel: paperchannel
-  endorsers_per_org: 1
 chaincodes:
   - name: smallbank
     policy: 2-outof-2 orgs
@@ -402,19 +384,15 @@ architecture:
   tx_validators: 16
   engines_per_vscc: 2
   db_capacity: 8192
-  short_circuit: true
-  early_abort: true
 ";
 
     #[test]
     fn parses_full_sample() {
         let c = BmacConfig::from_yaml(SAMPLE).unwrap();
         assert_eq!(c.orgs, 4);
-        assert_eq!(c.channel, "paperchannel");
         assert_eq!(c.chaincodes.len(), 2);
         assert_eq!(c.chaincodes[0].name, "smallbank");
         assert_eq!(c.tx_validators, 16);
-        assert!(c.short_circuit);
         assert_eq!(c.geometry().to_string(), "16x2");
     }
 
@@ -446,6 +424,20 @@ architecture:
             err,
             ConfigError::BadValue("architecture.tx_validators", _)
         ));
+    }
+
+    #[test]
+    fn unknown_keys_are_rejected() {
+        let err = BmacConfig::from_yaml("architecture:\n  tx_validator: 16\n").unwrap_err();
+        assert_eq!(
+            err,
+            ConfigError::UnknownKey("architecture.tx_validator".into())
+        );
+        let err = BmacConfig::from_yaml("architecture:\n  short_circuit: true\n").unwrap_err();
+        assert_eq!(
+            err,
+            ConfigError::UnknownKey("architecture.short_circuit".into())
+        );
     }
 
     #[test]

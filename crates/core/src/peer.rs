@@ -88,8 +88,6 @@ impl BMacPeer {
     pub fn new(config: &BmacConfig, msp: Msp) -> Self {
         let processor_config = ProcessorConfig {
             geometry: config.geometry(),
-            short_circuit: config.short_circuit,
-            early_abort: config.early_abort,
             db_capacity: config.db_capacity,
             num_orgs: config.orgs as usize,
         };

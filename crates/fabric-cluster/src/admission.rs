@@ -1,11 +1,12 @@
 //! Mempool-fed ordering: the cluster's block stream produced by the
 //! admission front-end instead of taken verbatim from the scenario.
 //!
-//! The pregenerated mode transmits `scenario.generate()`'s blocks as-is
-//! — including the injected duplicate tx ids and corrupted client
-//! signatures, which the *validators* then flag. A real Fabric network
-//! never orders most of that traffic: the ordering service sits behind
-//! an admission front-end that deduplicates and signature-checks first.
+//! The cluster transmits its oracle's blocks.
+//! [`SerialOracle::build`](crate::SerialOracle::build) holds `scenario.generate()`'s blocks as-is — including the injected
+//! duplicate tx ids and corrupted client signatures, which the
+//! *validators* then flag. A real Fabric network never orders most of
+//! that traffic: the ordering service sits behind an admission
+//! front-end that deduplicates and signature-checks first.
 //! [`mempool_feed_blocks`] reproduces that path: every envelope of the
 //! generated stream is submitted to a [`Mempool`], verified by its
 //! worker pool, and the survivors are drained — in admission order —
@@ -13,9 +14,14 @@
 //! signed by the scenario's deterministic orderer identity.
 //!
 //! The output is deterministic (admission order is the generated-stream
-//! order; the verify pool never reorders), so the cluster can audit a
-//! mempool-fed run against [`SerialOracle::from_blocks`](crate::oracle::SerialOracle::from_blocks) of the same
-//! stream, bit-identically, exactly as it audits a pregenerated run.
+//! order; the verify pool never reorders), so a mempool-fed run is
+//! audited exactly as a generated one, against the oracle of the stream
+//! it produced:
+//!
+//! ```text
+//! let fed = mempool_feed_blocks(&scenario, &feed).blocks;
+//! run_with_oracle(&cfg, &plan, &SerialOracle::from_blocks(&scenario, fed))
+//! ```
 
 use std::sync::Arc;
 
@@ -23,6 +29,8 @@ use fabric_mempool::{AdmitOutcome, Mempool, MempoolConfig, MempoolStats, Signatu
 use fabric_node::orderer::{OrdererConfig, OrderingService};
 use fabric_protos::messages::Block;
 use workload::StreamScenario;
+
+use crate::cluster::SIG_CACHE;
 
 /// Shape of the admission front-end feeding the orderer.
 #[derive(Debug, Clone, Copy)]
@@ -36,8 +44,6 @@ pub struct MempoolFeed {
     /// Admissions between verify-pool/drain cycles (the feed's batching
     /// granularity; any positive value yields the same blocks).
     pub verify_batch: usize,
-    /// Signature-cache capacity of the admission-side shared cache.
-    pub sig_cache: usize,
 }
 
 impl Default for MempoolFeed {
@@ -46,20 +52,8 @@ impl Default for MempoolFeed {
             mempool: MempoolConfig::default(),
             resubmit_every: 3,
             verify_batch: 8,
-            sig_cache: 8192,
         }
     }
-}
-
-/// How the cluster's block stream is produced.
-#[derive(Debug, Clone)]
-pub enum OrderingMode {
-    /// Transmit the scenario's generated blocks verbatim (the original
-    /// harness path: validators see every injected fault).
-    Pregenerated,
-    /// Push the generated envelopes through an admission mempool and
-    /// let a fresh ordering service cut the blocks that survive.
-    MempoolFed(MempoolFeed),
 }
 
 /// What the admission front-end produced for one scenario.
@@ -87,7 +81,7 @@ pub fn mempool_feed_blocks(scenario: &StreamScenario, feed: &MempoolFeed) -> Fee
     let generated = scenario.generate();
     let mempool = Mempool::with_msp(
         feed.mempool,
-        Arc::new(SignatureCache::new(feed.sig_cache)),
+        Arc::new(SignatureCache::new(SIG_CACHE)),
         Some(scenario.validator_msp()),
     );
     let mut orderer = OrderingService::new(

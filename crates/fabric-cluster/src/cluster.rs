@@ -3,15 +3,16 @@
 //!
 //! Topology and flow:
 //!
-//! 1. The **orderer** releases the scenario's blocks on a pacing
-//!    schedule ([`ClusterConfig::block_interval`], optionally in
-//!    [`ClusterConfig::burst`]-sized groups), encodes each through a
-//!    per-peer [`BmacSender`] and hands the wire packets to that peer's
-//!    [`RetransmitSupervisor`] (Go-Back-N window + adaptive RTO).
-//! 2. Each packet crosses a [`LossyLink`] — bandwidth, latency,
-//!    queueing, plus the [`FaultPlan`]'s loss/duplication/reordering/
-//!    corruption rolls — framed with an FCS so corruption is dropped at
-//!    the NIC instead of being acked and then failing reassembly.
+//! 1. The **orderer** releases the oracle's blocks every 500 µs
+//!    (optionally in [`ClusterConfig::burst`]-sized groups), encodes
+//!    each through a per-peer [`BmacSender`] and hands the wire packets
+//!    to that peer's [`RetransmitSupervisor`] (Go-Back-N window of 8 +
+//!    adaptive RTO).
+//! 2. Each packet crosses a [`LossyLink`] — gigabit bandwidth, 100 µs
+//!    latency, queueing, plus the [`FaultPlan`]'s loss/duplication/
+//!    reordering/corruption rolls — framed with an FCS so corruption is
+//!    dropped at the NIC instead of being acked and then failing
+//!    reassembly.
 //! 3. Each **peer** runs the full receive stack: [`GoBackNReceiver`]
 //!    (ARQ, feedback generation) → [`BmacReceiver`] (block reassembly)
 //!    → a durable [`StreamValidator`] over a [`FabricStore`]
@@ -47,15 +48,32 @@ use fabric_sim::{as_millis, EventQueue, NetLink, Samples, SimTime, MICROS};
 use fabric_store::{FabricStore, StoreConfig};
 use workload::StreamScenario;
 
-use crate::admission::{mempool_feed_blocks, OrderingMode};
 use crate::faults::{FaultPlan, KillPoint};
 use crate::link::{LinkTally, LossyLink};
 use crate::oracle::SerialOracle;
 
-/// Signature-cache capacity of every peer validator.
-const SIG_CACHE: usize = 8192;
+/// Signature-cache capacity of every peer validator and of the
+/// admission front-end.
+pub(crate) const SIG_CACHE: usize = 8192;
 /// vscc workers per peer validator.
 const WORKERS: usize = 2;
+/// Go-Back-N window (packets) per orderer→peer connection.
+const WINDOW: usize = 8;
+/// Pacing between block releases at the orderer.
+const BLOCK_INTERVAL: SimTime = 500 * MICROS;
+/// Data/feedback link bandwidth (bits per second).
+const BANDWIDTH_BPS: u64 = 1_000_000_000;
+/// Data/feedback link propagation latency.
+const LINK_LATENCY: SimTime = 100 * MICROS;
+
+/// Durable-store tuning of every peer: each block goes to the OS as it
+/// commits, so a kill tears the store at a block boundary.
+fn store_config() -> StoreConfig {
+    StoreConfig {
+        group_commit: 1,
+        ..StoreConfig::default()
+    }
+}
 
 /// Static shape of one cluster run.
 #[derive(Debug, Clone)]
@@ -66,29 +84,12 @@ pub struct ClusterConfig {
     pub scenario: StreamScenario,
     /// Directory holding one durable store per peer (`peer-<i>/`).
     pub root: PathBuf,
-    /// Go-Back-N window (packets) per orderer→peer connection.
-    pub window: usize,
-    /// Retransmission timer policy (shared by every link).
-    pub rto: RtoPolicy,
-    /// Durable-store tuning of every peer.
-    pub store: StoreConfig,
-    /// Streaming-validator shape of every peer.
-    pub stream: StreamConfig,
-    /// Pacing between block releases at the orderer.
-    pub block_interval: SimTime,
     /// Blocks released per interval (burst traffic when > 1).
     pub burst: usize,
     /// Backpressure cap: when a peer's supervisor backlog (packets
     /// queued behind the window) reaches this, the orderer defers that
     /// peer's next block instead of queueing more (counted as shed).
     pub max_backlog: usize,
-    /// Data/feedback link bandwidth (bits per second).
-    pub bandwidth_bps: u64,
-    /// Data/feedback link propagation latency.
-    pub link_latency: SimTime,
-    /// How the block stream is produced: the scenario's pregenerated
-    /// blocks verbatim, or re-cut by a mempool-fed ordering service.
-    pub ordering: OrderingMode,
 }
 
 impl ClusterConfig {
@@ -98,19 +99,8 @@ impl ClusterConfig {
             peers: 3,
             scenario,
             root: root.into(),
-            window: 8,
-            rto: RtoPolicy::default(),
-            store: StoreConfig {
-                group_commit: 1,
-                ..StoreConfig::default()
-            },
-            stream: StreamConfig::default(),
-            block_interval: 500 * MICROS,
             burst: 1,
             max_backlog: 64,
-            bandwidth_bps: 1_000_000_000,
-            link_latency: 100 * MICROS,
-            ordering: OrderingMode::Pregenerated,
         }
     }
 }
@@ -265,23 +255,18 @@ impl ClusterReport {
     }
 }
 
-/// Runs the cluster described by `config` under `plan`, building the
-/// serial oracle first — from the scenario's pregenerated blocks, or
-/// from the blocks a mempool-fed ordering service cuts, per
-/// [`ClusterConfig::ordering`]. Prefer [`run_with_oracle`] when several
-/// runs share a scenario — the oracle replay is the expensive part.
+/// Runs the cluster described by `config` under `plan` over the
+/// scenario's generated blocks, building their serial oracle first.
+/// Prefer [`run_with_oracle`] when several runs share a scenario — the
+/// oracle replay is the expensive part.
 pub fn run(config: &ClusterConfig, plan: &FaultPlan) -> ClusterReport {
-    let oracle = match &config.ordering {
-        OrderingMode::Pregenerated => SerialOracle::build(&config.scenario),
-        OrderingMode::MempoolFed(feed) => {
-            let outcome = mempool_feed_blocks(&config.scenario, feed);
-            SerialOracle::from_blocks(&config.scenario, outcome.blocks)
-        }
-    };
-    run_with_oracle(config, plan, &oracle)
+    run_with_oracle(config, plan, &SerialOracle::build(&config.scenario))
 }
 
-/// Runs the cluster against a pre-built oracle.
+/// Runs the cluster against a pre-built oracle, transmitting the
+/// oracle's blocks. A mempool-fed run passes the oracle of the blocks
+/// [`mempool_feed_blocks`](crate::mempool_feed_blocks) cut
+/// ([`SerialOracle::from_blocks`]).
 ///
 /// # Panics
 ///
@@ -322,8 +307,8 @@ impl<'a> Sim<'a> {
             .map(|i| {
                 let dir = cfg.root.join(format!("peer-{i}"));
                 std::fs::create_dir_all(&dir).expect("create peer store dir");
-                let store = FabricStore::open(&dir, cfg.store).expect("open fresh peer store");
-                let validator = make_validator(&cfg.scenario, &store, cfg.stream);
+                let store = FabricStore::open(&dir, store_config()).expect("open fresh peer store");
+                let validator = make_validator(&cfg.scenario, &store);
                 PeerNode {
                     dir,
                     conn: 0,
@@ -344,10 +329,10 @@ impl<'a> Sim<'a> {
                 let faults = plan.link_for(i);
                 Uplink {
                     sender: BmacSender::new(),
-                    sup: RetransmitSupervisor::new(cfg.window, cfg.rto),
+                    sup: RetransmitSupervisor::new(WINDOW, RtoPolicy::default()),
                     link: LossyLink::new(
-                        NetLink::new(cfg.bandwidth_bps, cfg.link_latency),
-                        NetLink::new(cfg.bandwidth_bps, cfg.link_latency),
+                        NetLink::new(BANDWIDTH_BPS, LINK_LATENCY),
+                        NetLink::new(BANDWIDTH_BPS, LINK_LATENCY),
                         faults,
                     ),
                     cursor: 0,
@@ -388,7 +373,7 @@ impl<'a> Sim<'a> {
             }
             self.q.schedule_at(t, Ev::Release(hi));
             i = hi;
-            t += self.cfg.block_interval;
+            t += BLOCK_INTERVAL;
         }
     }
 
@@ -597,10 +582,10 @@ impl<'a> Sim<'a> {
     /// sender, fresh ARQ pair, next generation number — with the
     /// orderer's cursor reset to the recovered height.
     fn rejoin(&mut self, p: usize, now: SimTime) {
-        let store = FabricStore::open(&self.peers[p].dir, self.cfg.store)
+        let store = FabricStore::open(&self.peers[p].dir, store_config())
             .expect("crash recovery must reopen the store");
         let k = store.ledger().height();
-        let validator = make_validator(&self.cfg.scenario, &store, self.cfg.stream);
+        let validator = make_validator(&self.cfg.scenario, &store);
         let peer = &mut self.peers[p];
         peer.validator = Some(validator);
         peer.bmac = BmacReceiver::resuming_from(k);
@@ -617,7 +602,7 @@ impl<'a> Sim<'a> {
         up.acc_suppressed += up.sup.suppressed_nacks();
         up.acc_max_episode = up.acc_max_episode.max(up.sup.max_episode_retransmissions());
         up.sender = BmacSender::new();
-        up.sup = RetransmitSupervisor::new(self.cfg.window, self.cfg.rto);
+        up.sup = RetransmitSupervisor::new(WINDOW, RtoPolicy::default());
         up.down = false;
         up.cursor = k as usize;
         self.pump(p, now);
@@ -652,7 +637,7 @@ impl<'a> Sim<'a> {
             } else {
                 // A peer that never rejoined: its torn store must still
                 // recover to a serial prefix.
-                let (height, divergence) = match FabricStore::open(&peer.dir, self.cfg.store) {
+                let (height, divergence) = match FabricStore::open(&peer.dir, store_config()) {
                     Ok(store) => {
                         match self.oracle.audit(&store.ledger(), &store.state_db(), false) {
                             Ok(h) => (h, None),
@@ -697,11 +682,7 @@ impl<'a> Sim<'a> {
     }
 }
 
-fn make_validator(
-    scenario: &StreamScenario,
-    store: &FabricStore,
-    stream: StreamConfig,
-) -> StreamValidator {
+fn make_validator(scenario: &StreamScenario, store: &FabricStore) -> StreamValidator {
     let pipeline = ValidatorPipeline::with_storage(
         scenario.validator_msp(),
         scenario.policies(),
@@ -710,7 +691,7 @@ fn make_validator(
         store.state_db(),
         store.ledger(),
     );
-    StreamValidator::new(Arc::new(pipeline), stream)
+    StreamValidator::new(Arc::new(pipeline), StreamConfig::default())
 }
 
 #[cfg(test)]
@@ -769,14 +750,16 @@ mod tests {
     /// bit-identical to the serial oracle of the stream it produced.
     #[test]
     fn mempool_fed_cluster_matches_its_serial_oracle() {
-        use crate::admission::MempoolFeed;
+        use crate::admission::{mempool_feed_blocks, MempoolFeed};
         let dir = tempdir("mempool-fed");
+        let scenario = small_scenario();
+        let fed = mempool_feed_blocks(&scenario, &MempoolFeed::default());
+        let oracle = SerialOracle::from_blocks(&scenario, fed.blocks);
         let cfg = ClusterConfig {
             peers: 2,
-            ordering: OrderingMode::MempoolFed(MempoolFeed::default()),
-            ..ClusterConfig::new(&dir, small_scenario())
+            ..ClusterConfig::new(&dir, scenario)
         };
-        let report = run(&cfg, &FaultPlan::default());
+        let report = run_with_oracle(&cfg, &FaultPlan::default(), &oracle);
         report.assert_converged();
         assert!(report.blocks > 0, "the feed produced a stream");
         for p in &report.peers {

@@ -9,7 +9,7 @@
 //! `tests/tests/cluster_faults.rs` shrink a failure to a reproducible
 //! tuple.
 
-use fabric_sim::{SimTime, MICROS};
+use fabric_sim::SimTime;
 
 /// Per-link packet-fault rates. All percentages are `0..=100` and are
 /// rolled independently per packet from a deterministic per-link RNG
@@ -22,8 +22,7 @@ pub struct LinkFaults {
     /// Probability (%) a data packet is delivered twice.
     pub dup_pct: u8,
     /// Probability (%) a data packet is delayed past its successors
-    /// (reordering): its arrival is pushed back by
-    /// [`LinkFaults::reorder_extra`].
+    /// (reordering): its arrival is pushed back by 400 µs.
     pub reorder_pct: u8,
     /// Probability (%) a data packet is corrupted in flight. The link
     /// frames every packet with an FCS trailer, so corruption is
@@ -32,8 +31,6 @@ pub struct LinkFaults {
     pub corrupt_pct: u8,
     /// Probability (%) an ack/nack on the reverse path is lost.
     pub feedback_loss_pct: u8,
-    /// Extra delay applied to reordered packets.
-    pub reorder_extra: SimTime,
     /// Seed of this link's fault RNG stream.
     pub seed: u64,
 }
@@ -46,7 +43,6 @@ impl Default for LinkFaults {
             reorder_pct: 0,
             corrupt_pct: 0,
             feedback_loss_pct: 0,
-            reorder_extra: 400 * MICROS,
             seed: 1,
         }
     }

@@ -23,12 +23,13 @@
 //!   `BmacReceiver::resuming_from`;
 //! * [`oracle`] — [`SerialOracle`], the serial-replay ground truth and
 //!   the audit that defines convergence;
-//! * [`admission`] — the mempool-fed ordering mode
-//!   ([`OrderingMode::MempoolFed`]): the scenario's envelopes pass
-//!   through `fabric-mempool`'s admission front-end (dedup, pre-order
-//!   signature verification, shedding) and a fresh ordering service
-//!   cuts the surviving stream, which is then audited bit-identically
-//!   like any other.
+//! * [`admission`] — mempool-fed ordering ([`mempool_feed_blocks`]):
+//!   the scenario's envelopes pass through `fabric-mempool`'s admission
+//!   front-end (dedup, pre-order signature verification, shedding) and
+//!   a fresh ordering service cuts the surviving stream; the cluster
+//!   transmits it, via [`run_with_oracle`] over
+//!   [`SerialOracle::from_blocks`], and audits it bit-identically like
+//!   any other.
 //!
 //! See `README.md` for the topology diagram, the fault-plane knobs and
 //! the scenario catalog exercised by `tests/tests/cluster_faults.rs`.
@@ -41,7 +42,7 @@ pub mod faults;
 pub mod link;
 pub mod oracle;
 
-pub use admission::{mempool_feed_blocks, FeedOutcome, MempoolFeed, OrderingMode};
+pub use admission::{mempool_feed_blocks, FeedOutcome, MempoolFeed};
 pub use cluster::{run, run_with_oracle, ClusterConfig, ClusterReport, LinkReport, PeerOutcome};
 pub use faults::{FaultPlan, KillPoint, LinkFaults, StallSpec};
 pub use link::{LinkTally, LossyLink};

@@ -12,12 +12,16 @@
 //! reassembly, losing the block despite a positive ack. With the FCS,
 //! corruption degenerates to loss and retransmission recovers it.
 
-use fabric_sim::{NetLink, SimTime};
+use fabric_sim::{NetLink, SimTime, MICROS};
 
 use crate::faults::LinkFaults;
 
 /// FCS trailer length (FNV-1a 32-bit).
 pub const FCS_LEN: usize = 4;
+
+/// Extra delay of a reordered packet, which lands it behind packets
+/// sent after it.
+const REORDER_EXTRA: SimTime = 400 * MICROS;
 
 fn fcs32(bytes: &[u8]) -> [u8; 4] {
     let mut h: u32 = 0x811C_9DC5;
@@ -113,7 +117,7 @@ impl LossyLink {
                 self.tally.corrupted += 1;
             }
             if self.roll() < self.faults.reorder_pct {
-                arrival += self.faults.reorder_extra;
+                arrival += REORDER_EXTRA;
                 self.tally.reordered += 1;
             }
             out.push((arrival, bytes));
@@ -211,13 +215,12 @@ mod tests {
     fn reordering_pushes_a_packet_past_its_successor() {
         let mut link = clean_link(LinkFaults {
             reorder_pct: 100,
-            reorder_extra: 1_000_000_000,
             ..LinkFaults::default()
         });
         let first = link.transmit(0, b"a").remove(0).0;
         let mut clean = clean_link(LinkFaults::default());
         let base = clean.transmit(0, b"a").remove(0).0;
-        assert_eq!(first, base + 1_000_000_000);
+        assert_eq!(first, base + REORDER_EXTRA);
     }
 
     #[test]

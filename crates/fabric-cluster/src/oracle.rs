@@ -38,9 +38,9 @@ impl SerialOracle {
     }
 
     /// Builds the oracle for an arbitrary ordered block stream validated
-    /// under `scenario`'s MSP and policies — the mempool-fed mode cuts
-    /// its own blocks, and they need the same serial ground truth as a
-    /// pregenerated stream.
+    /// under `scenario`'s MSP and policies — a mempool-fed stream
+    /// ([`crate::mempool_feed_blocks`]) is cut by its own orderer, and
+    /// needs the same serial ground truth as the generated one.
     pub fn from_blocks(scenario: &StreamScenario, blocks: Vec<Block>) -> Self {
         let serial = ValidatorPipeline::new(scenario.validator_msp(), scenario.policies(), 2);
         let mut codes = Vec::new();

@@ -14,7 +14,11 @@ use crate::client::{Client, ClientError};
 use crate::endorser::{EndorserPeer, TxWrites};
 use crate::orderer::{OrdererConfig, OrderingService};
 
-/// Builder for [`FabricNetwork`].
+/// The network's one channel.
+const CHANNEL: &str = "mychannel";
+
+/// Builder for [`FabricNetwork`]. Every organization runs one endorser
+/// peer.
 ///
 /// ```
 /// use fabric_node::network::FabricNetworkBuilder;
@@ -23,7 +27,6 @@ use crate::orderer::{OrdererConfig, OrderingService};
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let network = FabricNetworkBuilder::new()
 ///     .orgs(2)
-///     .endorsers_per_org(1)
 ///     .block_size(4)
 ///     .chaincode("kv", parse("2-outof-2 orgs")?)
 ///     .build();
@@ -34,10 +37,8 @@ use crate::orderer::{OrdererConfig, OrderingService};
 #[derive(Debug)]
 pub struct FabricNetworkBuilder {
     orgs: u8,
-    endorsers_per_org: u8,
     clients: usize,
     block_size: usize,
-    channel: String,
     chaincodes: Vec<(String, Policy)>,
     seed: u64,
 }
@@ -46,10 +47,8 @@ impl Default for FabricNetworkBuilder {
     fn default() -> Self {
         FabricNetworkBuilder {
             orgs: 2,
-            endorsers_per_org: 1,
             clients: 1,
             block_size: 150,
-            channel: "mychannel".into(),
             chaincodes: Vec::new(),
             seed: 7,
         }
@@ -69,12 +68,6 @@ impl FabricNetworkBuilder {
         self
     }
 
-    /// Endorser peers per organization.
-    pub fn endorsers_per_org(mut self, n: u8) -> Self {
-        self.endorsers_per_org = n;
-        self
-    }
-
     /// Number of clients (Caliper ran 16).
     pub fn clients(mut self, n: usize) -> Self {
         self.clients = n.max(1);
@@ -84,12 +77,6 @@ impl FabricNetworkBuilder {
     /// Transactions per block.
     pub fn block_size(mut self, n: usize) -> Self {
         self.block_size = n.max(1);
-        self
-    }
-
-    /// Channel name.
-    pub fn channel(mut self, name: impl Into<String>) -> Self {
-        self.channel = name.into();
         self
     }
 
@@ -111,13 +98,9 @@ impl FabricNetworkBuilder {
     /// boots the ordering service.
     pub fn build(self) -> FabricNetwork {
         let mut msp = Msp::new(self.orgs);
-        let mut endorsers = Vec::new();
-        for org in 0..self.orgs {
-            for seq in 0..self.endorsers_per_org {
-                let ident = msp.issue(org, Role::Peer, seq).expect("issue endorser");
-                endorsers.push(EndorserPeer::new(ident));
-            }
-        }
+        let endorsers = (0..self.orgs)
+            .map(|org| EndorserPeer::new(msp.issue(org, Role::Peer, 0).expect("issue endorser")))
+            .collect();
         let orderer_ident = msp.issue(0, Role::Orderer, 0).expect("issue orderer");
         let ordering = OrderingService::new(
             orderer_ident,
@@ -145,16 +128,14 @@ impl FabricNetworkBuilder {
                          ({orgs} orgs × 16 client slots): {e}"
                     )
                 });
-                Client::new(ident, self.channel.clone(), self.seed ^ (i as u64) << 16)
+                Client::new(ident, CHANNEL, self.seed ^ (i as u64) << 16)
             })
             .collect();
         FabricNetwork {
             msp,
             endorsers,
-            endorsers_per_org: self.endorsers_per_org,
             clients,
             ordering,
-            channel: self.channel,
             chaincodes: self.chaincodes,
         }
     }
@@ -165,11 +146,10 @@ impl FabricNetworkBuilder {
 #[derive(Debug)]
 pub struct FabricNetwork {
     msp: Msp,
+    /// One endorser per organization, endorser `i` in org `i`.
     endorsers: Vec<EndorserPeer>,
-    endorsers_per_org: u8,
     clients: Vec<Client>,
     ordering: OrderingService,
-    channel: String,
     chaincodes: Vec<(String, Policy)>,
 }
 
@@ -182,11 +162,6 @@ impl FabricNetwork {
     /// The membership service provider.
     pub fn msp(&self) -> &Msp {
         &self.msp
-    }
-
-    /// Channel name.
-    pub fn channel(&self) -> &str {
-        &self.channel
     }
 
     /// The endorsement policy registered for a chaincode.
@@ -251,10 +226,9 @@ impl FabricNetwork {
         // One endorsement per principal org in the policy (the paper's
         // workloads carry one endorsement per organization listed).
         let principal_orgs: Vec<u8> = policy.principals().iter().map(|p| p.org).collect();
-        let endorsers_per_org = self.endorsers_per_org.max(1) as usize;
         let mut indices: Vec<usize> = principal_orgs
             .iter()
-            .map(|&org| org as usize * endorsers_per_org)
+            .map(|&org| usize::from(org))
             .filter(|&i| i < self.endorsers.len())
             .collect();
         indices.sort_unstable();

@@ -44,7 +44,6 @@ fn main() {
             corrupt_pct: 2,
             feedback_loss_pct: 2,
             seed: 20_22,
-            ..LinkFaults::default()
         },
         kills: vec![KillPoint {
             peer: 1,

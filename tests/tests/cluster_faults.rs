@@ -33,7 +33,7 @@ use fabric_cluster::{
 };
 use fabric_peer::pipeline::ValidatorPipeline;
 use fabric_sim::MILLIS;
-use fabric_store::FabricStore;
+use fabric_store::{FabricStore, StoreConfig};
 use proptest::prelude::*;
 use workload::{StreamScenario, Workload};
 
@@ -283,7 +283,6 @@ fn combined_fault_soup_converges() {
             corrupt_pct: 5,
             feedback_loss_pct: 5,
             seed: 1234,
-            ..LinkFaults::default()
         },
         kills: vec![KillPoint {
             peer: 2,
@@ -358,7 +357,8 @@ fn rejoined_store_reopens_to_the_full_chain() {
     };
     let report = run_with_oracle(&cfg, &plan, oracle());
     check(&report);
-    let store = FabricStore::open(dir.join("peer-0"), cfg.store).unwrap();
+    // Recovery reads what is on disk; the store's write tuning plays no part.
+    let store = FabricStore::open(dir.join("peer-0"), StoreConfig::default()).unwrap();
     let h = oracle()
         .audit(&store.ledger(), &store.state_db(), true)
         .expect("cold reopen after rejoin audits clean");

@@ -28,7 +28,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use fabric_cluster::{
-    mempool_feed_blocks, run, ClusterConfig, FaultPlan, KillPoint, MempoolFeed, OrderingMode,
+    mempool_feed_blocks, run_with_oracle, ClusterConfig, FaultPlan, KillPoint, MempoolFeed,
     SerialOracle,
 };
 use fabric_ledger::Ledger;
@@ -125,7 +125,6 @@ proptest! {
                 verify_workers: workers,
                 ..MempoolConfig::default()
             },
-            ..MempoolFeed::default()
         };
         let outcome = mempool_feed_blocks(&scenario, &feed);
         let ordered = ordered_tx_ids(&outcome.blocks);
@@ -152,10 +151,12 @@ proptest! {
 #[test]
 fn mempool_fed_cluster_survives_kill_and_rejoin() {
     let dir = tempdir("kill-rejoin");
+    let scenario = scenario();
+    let fed = mempool_feed_blocks(&scenario, &MempoolFeed::default());
+    let oracle = SerialOracle::from_blocks(&scenario, fed.blocks);
     let cfg = ClusterConfig {
         peers: 3,
-        ordering: OrderingMode::MempoolFed(MempoolFeed::default()),
-        ..ClusterConfig::new(&dir, scenario())
+        ..ClusterConfig::new(&dir, scenario)
     };
     let plan = FaultPlan {
         kills: vec![KillPoint {
@@ -165,7 +166,7 @@ fn mempool_fed_cluster_survives_kill_and_rejoin() {
         }],
         ..FaultPlan::default()
     };
-    let report = run(&cfg, &plan);
+    let report = run_with_oracle(&cfg, &plan, &oracle);
     report.assert_converged();
     let killed = &report.peers[1];
     assert!(killed.alive, "the killed peer rejoined");
