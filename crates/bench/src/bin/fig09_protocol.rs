@@ -9,9 +9,9 @@ use bmac_bench::{cdf_summary, heading, report_checks, table, ShapeCheck, Transmi
 use bmac_hw::SwCosts;
 use bmac_protocol::BmacSender;
 use fabric_node::chaincode::KvChaincode;
-use fabric_node::gossip::gossip_wire_bytes;
 use fabric_node::network::FabricNetworkBuilder;
 use fabric_policy::Policy;
+use fabric_sim::gossip::gossip_wire_bytes;
 use fabric_sim::{Samples, MILLIS};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

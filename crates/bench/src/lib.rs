@@ -160,7 +160,7 @@ impl TransmissionModel {
     /// `block_bytes`, using `u ∈ (0,1]` as the jitter variate.
     pub fn gossip_ms(&self, block_bytes: usize, unmarshal: SimTime, u: f64) -> f64 {
         let mut link = NetLink::gigabit();
-        let wire = fabric_node::gossip::gossip_transmit(&mut link, 0, block_bytes);
+        let wire = fabric_sim::gossip::gossip_transmit(&mut link, 0, block_bytes);
         let jitter = (-(u.max(1e-9)).ln() * self.jitter_mean as f64) as SimTime;
         fabric_sim::as_millis(self.base + jitter + wire + unmarshal)
     }

@@ -198,7 +198,7 @@ impl BmacSender {
             .iter()
             .map(|p| p.wire_bytes() as u64)
             .sum::<u64>();
-        self.stats.gossip_wire_bytes += fabric_node::gossip::gossip_wire_bytes(block_bytes) as u64;
+        self.stats.gossip_wire_bytes += fabric_sim::gossip::gossip_wire_bytes(block_bytes) as u64;
         self.stats.identity_bytes_removed += out.removed as u64;
         self.stats.block_bytes += block_bytes as u64;
         Ok(out.packets)

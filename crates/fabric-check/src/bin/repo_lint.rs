@@ -1,6 +1,7 @@
 //! Workspace lint gate. With no arguments, scans the whole tree from
-//! the workspace root and exits non-zero on any finding (CI's
-//! `lint-gate`). With `--lint-as <virtual-path> <file>...`, lints the
+//! the workspace root (sources, `LOCK_ORDER.txt`, and the crate
+//! manifests against `LAYERS.txt`) and exits non-zero on any finding
+//! (CI's `lint-gate`). With `--lint-as <virtual-path> <file>...`, lints the
 //! given files as if they lived at the virtual path — how CI proves the
 //! known-bad fixtures still trip their rules.
 

@@ -21,7 +21,8 @@
 //!   this repo has already paid for (truncating casts, hot-path
 //!   `unwrap()`, unjustified `Ordering::Relaxed`) plus consistency
 //!   checks of the `LOCK_ORDER.txt` manifest against the labels
-//!   actually present in source.
+//!   actually present in source, and of the `LAYERS.txt` manifest
+//!   against the crates' `[dependencies]`.
 //!
 //! This crate is deliberately std-only: the `parking_lot` shim depends
 //! on it, so it must sit below every lock in the workspace and must not

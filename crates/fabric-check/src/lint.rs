@@ -1,6 +1,6 @@
 //! Lexical repo lint: line-level scans for the defect classes the
-//! repo's history has already paid for, plus `LOCK_ORDER.txt` manifest
-//! consistency. Deliberately parser-free (offline-shims constraint):
+//! repo's history has already paid for, plus `LOCK_ORDER.txt` and
+//! `LAYERS.txt` manifest consistency. Deliberately parser-free (offline-shims constraint):
 //! everything is substring matching over lines, with a comment-aware
 //! suppression syntax (`// lint:allow(<rule>) <reason>`) for the rare
 //! justified exception.
@@ -21,7 +21,7 @@
 //!   caller's back. Configuration arrives through constructors.
 //! * `spawn-site` — `thread::scope` / `thread::spawn` /
 //!   `thread::Builder` outside the files that own the workspace's
-//!   threads: `fabric-peer/src/verify.rs` (every signature-verification
+//!   threads: `fabric-crypto/src/verify.rs` (every signature-verification
 //!   fan-out), `fabric-peer/src/stream.rs` (the streaming validator's
 //!   lanes) and `fabric-statedb/src/sharded.rs` (the striped apply). A
 //!   new parallel loop goes through one of them instead of becoming a
@@ -43,6 +43,11 @@
 //! * `lock-order` — `LOCK_ORDER.txt` must parse, be acyclic, declare
 //!   every `named("...")` label used in non-test source, and not
 //!   declare labels that no longer exist (or `test.` labels at all).
+//! * `layer-edge` — every `crates/*/Cargo.toml` `[dependencies]` entry
+//!   (optional ones included; dev- and build-dependencies are not
+//!   layering) must be a `<crate> -> <dependency>` line of `LAYERS.txt`,
+//!   and every line there must be such an entry. A new dependency is a
+//!   reviewed line, like a lock order.
 //!
 //! Scope: `crates/<name>/src/**/*.rs` excluding `crates/shims` (vendored
 //! stand-ins), `crates/bench` (reporting binary, not hot-path code) and
@@ -361,7 +366,7 @@ pub fn lint_file(path: &str, content: &str) -> Vec<Finding> {
             hit(
                 "spawn-site",
                 "thread spawned outside the workspace's spawn sites: run the work through \
-                 `fabric_peer::verify::Verifier::par_map` (or extend the allow-list with a reason)"
+                 `fabric_crypto::Verifier::par_map` (or extend the allow-list with a reason)"
                     .to_string(),
             );
         }
@@ -497,13 +502,125 @@ pub fn lock_order_findings(
     findings
 }
 
+/// The `[dependencies]` edges a `Cargo.toml` declares, as `(package,
+/// dependency, line)`. Dependencies in a `[dependencies]`,
+/// `[target.<cfg>.dependencies]` or `[dependencies.<name>]` table count,
+/// optional ones included; dev- and build-dependencies do not.
+fn manifest_edges(manifest: &str) -> Vec<(String, String, usize)> {
+    let mut package = String::new();
+    let mut deps = Vec::new();
+    let mut table = "";
+    for (idx, raw) in manifest.lines().enumerate() {
+        let line = raw.trim();
+        if line.starts_with('#') {
+            continue;
+        }
+        if line.starts_with('[') {
+            table = line.trim_matches(|c| c == '[' || c == ']');
+            if let Some(dep) = table.strip_prefix("dependencies.") {
+                deps.push((dep.to_string(), idx + 1));
+            }
+            continue;
+        }
+        let Some((key, value)) = line.split_once('=') else {
+            continue;
+        };
+        let key = key.trim();
+        if table == "package" && key == "name" {
+            package = value.trim().trim_matches('"').to_string();
+        } else if table == "dependencies" || table.ends_with(".dependencies") {
+            let dep = key.split_once('.').map_or(key, |(dep, _)| dep);
+            deps.push((dep.trim().to_string(), idx + 1));
+        }
+    }
+    deps.into_iter()
+        .map(|(dep, line)| (package.clone(), dep, line))
+        .collect()
+}
+
+/// `layer-edge` findings: each `(path, content)` crate manifest against
+/// the edges `layers_text` declares. `layers_path` is echoed into
+/// findings.
+fn layer_findings(
+    layers_text: &str,
+    layers_path: &str,
+    manifests: &[(String, String)],
+) -> Vec<Finding> {
+    let finding = |path: &str, line: usize, message: String| Finding {
+        path: path.to_string(),
+        line,
+        rule: LAYER_EDGE,
+        message,
+    };
+    let declared = match parse_manifest(layers_text) {
+        Ok(m) => m.edges,
+        Err(e) => {
+            return vec![finding(
+                layers_path,
+                0,
+                format!("manifest parse error: {e}"),
+            )]
+        }
+    };
+    let mut findings = Vec::new();
+    let mut present = HashSet::new();
+    for (path, content) in manifests {
+        for (krate, dep, line) in manifest_edges(content) {
+            let edge = (krate, dep);
+            if !declared.contains(&edge) {
+                findings.push(finding(
+                    path,
+                    line,
+                    format!(
+                        "dependency `{} -> {}` is not declared in {layers_path}: add the line \
+                         if the layering allows it",
+                        edge.0, edge.1
+                    ),
+                ));
+            }
+            present.insert(edge);
+        }
+    }
+    for (a, b) in &declared {
+        if !present.contains(&(a.clone(), b.clone())) {
+            findings.push(finding(
+                layers_path,
+                0,
+                format!("declared edge `{a} -> {b}` is in no crate's [dependencies]"),
+            ));
+        }
+    }
+    findings
+}
+
+/// Where the crate-layering manifest lives, relative to the workspace
+/// root.
+const LAYERS_PATH: &str = "crates/fabric-check/LAYERS.txt";
+
+const LAYER_EDGE: &str = "layer-edge";
+
+/// `layer-edge` over the workspace: every `crates/*/Cargo.toml` against
+/// `LAYERS.txt`.
+fn workspace_layer_findings(root: &Path) -> std::io::Result<Vec<Finding>> {
+    let mut manifests = Vec::new();
+    for entry in std::fs::read_dir(root.join("crates"))? {
+        let path = entry?.path().join("Cargo.toml");
+        if path.is_file() {
+            manifests.push((rel(root, &path), std::fs::read_to_string(&path)?));
+        }
+    }
+    manifests.sort();
+    let layers = std::fs::read_to_string(root.join(LAYERS_PATH))?;
+    Ok(layer_findings(&layers, LAYERS_PATH, &manifests))
+}
+
 const ENV_SELECTOR: &str = "env-selector";
 
 const SPAWN_PATTERNS: [&str; 3] = ["thread::scope", "thread::spawn", "thread::Builder"];
 
 /// The files allowed to start threads (see the `spawn-site` rule).
 const SPAWN_SITES: [&str; 3] = [
-    "crates/fabric-peer/src/verify.rs",
+    "crates/fabric-crypto/src/verify.rs",
     "crates/fabric-peer/src/stream.rs",
     "crates/fabric-statedb/src/sharded.rs",
 ];
@@ -580,7 +697,7 @@ fn rel(root: &Path, path: &Path) -> String {
 
 /// Full tree scan from the workspace root: per-line rules over
 /// [`scan_roots`], label collection additionally over `tests/`, and
-/// the lock-order manifest checks.
+/// the lock-order and layer manifest checks.
 pub fn workspace_findings(root: &Path) -> std::io::Result<Vec<Finding>> {
     let mut findings = Vec::new();
     let mut labels = Vec::new();
@@ -640,6 +757,7 @@ pub fn workspace_findings(root: &Path) -> std::io::Result<Vec<Finding>> {
             message: format!("cannot read manifest: {e}"),
         }),
     }
+    findings.extend(workspace_layer_findings(root)?);
     findings.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
     Ok(findings)
 }
@@ -838,6 +956,51 @@ mod tests {
         assert_eq!(labels.len(), 2);
         assert!(!labels[0].in_test && labels[0].label == "x.a");
         assert!(labels[1].in_test && labels[1].label == "test.b");
+    }
+
+    #[test]
+    fn layer_edge_reads_dependencies_tables_and_flags_unlisted_and_stale_edges() {
+        let manifest = "\
+[package]
+name = \"x\"
+
+[features]
+check = [\"dep:z\"]
+
+[dependencies]
+y.workspace = true
+# w = \"a comment, not an edge\"
+z = { workspace = true, optional = true }
+
+[dev-dependencies]
+w.workspace = true
+
+[dependencies.v]
+path = \"../v\"
+";
+        let manifests = [("crates/x/Cargo.toml".to_string(), manifest.to_string())];
+        let layers = "x -> y\nx -> z\nx -> v\n";
+        assert!(layer_findings(layers, "LAYERS.txt", &manifests).is_empty());
+        // The optional dependency unlisted: named at its manifest line.
+        let f = layer_findings("x -> y\nx -> v\n", "LAYERS.txt", &manifests);
+        assert_eq!(rules(&f), vec!["layer-edge"], "{f:?}");
+        assert_eq!((f[0].path.as_str(), f[0].line), ("crates/x/Cargo.toml", 10));
+        assert!(f[0].message.contains("x -> z"), "{f:?}");
+        // A stale line: a dev-dependency is no [dependencies] edge.
+        let f = layer_findings(&format!("{layers}x -> w\n"), "LAYERS.txt", &manifests);
+        assert_eq!(rules(&f), vec!["layer-edge"], "{f:?}");
+        assert_eq!(f[0].path, "LAYERS.txt");
+        assert!(f[0].message.contains("x -> w"), "{f:?}");
+    }
+
+    #[test]
+    fn workspace_dependencies_are_exactly_the_declared_layers() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let f = workspace_layer_findings(&root).expect("manifests and LAYERS.txt readable");
+        assert!(f.is_empty(), "{f:#?}");
+        let layers = std::fs::read_to_string(root.join(LAYERS_PATH)).expect("readable");
+        let m = parse_manifest(&layers).expect("LAYERS.txt parses");
+        assert!(manifest_cycle(&m).is_none());
     }
 
     #[test]

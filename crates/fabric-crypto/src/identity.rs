@@ -629,6 +629,12 @@ impl fmt::Display for IdentityError {
 
 impl std::error::Error for IdentityError {}
 
+/// [`KnownCert::resolve`]'s registry is process-wide and cleared when
+/// full: the tests that reason about what it holds and the tests that
+/// flood it (here and in `verify`) run one at a time.
+#[cfg(test)]
+pub(crate) static REGISTRY_TESTS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -755,10 +761,6 @@ mod tests {
         assert_ne!(fps[0], fps[2]);
         assert_ne!(fps[1], fps[2]);
     }
-
-    /// The registry is process-wide and the tests below reason about
-    /// what it holds: one at a time.
-    static REGISTRY_TESTS: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     #[test]
     fn a_certificate_is_parsed_and_fingerprinted_once_per_byte_string() {

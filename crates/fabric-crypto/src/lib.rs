@@ -54,6 +54,13 @@
 //! # Ok(())
 //! # }
 //! ```
+//!
+//! On top of the primitives sits the one signature-verification engine
+//! that the committer (`fabric-peer`) and the admission pool
+//! (`fabric-mempool`) both run on: [`verify`] ([`Verifier`]: the
+//! certificate memo, claim → verify → fulfill over the shared verdict
+//! cache, and the verification threads) and [`sigcache`]
+//! ([`SignatureCache`]: the sharded LRU of verdicts, shared by both).
 
 #![warn(missing_docs)]
 
@@ -67,8 +74,12 @@ pub mod mont;
 #[cfg(target_arch = "x86_64")]
 pub mod p256x8;
 pub mod sha256;
+pub mod sigcache;
+pub mod verify;
 
 pub use bigint::U256;
 pub use ecdsa::{EcdsaError, Signature, SigningKey, VerifyingKey};
 pub use identity::{Certificate, Identity, KnownCert, Msp, NodeId, Role, SigningIdentity};
 pub use sha256::{sha256, Sha256};
+pub use sigcache::{Claim, ClaimGuard, SigCacheKey, SigCacheStats, SignatureCache};
+pub use verify::Verifier;

@@ -23,8 +23,8 @@ use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
 
-use fabric_crypto::sha256::{sha256, sha256_many};
-use fabric_crypto::{Signature, VerifyingKey};
+use crate::sha256::{sha256, sha256_many};
+use crate::{Signature, VerifyingKey};
 
 const SHARDS: usize = 16;
 
@@ -473,8 +473,8 @@ impl LruShard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fabric_crypto::ecdsa::SigningKey;
-    use fabric_crypto::sha256;
+    use crate::ecdsa::SigningKey;
+    use crate::sha256;
 
     fn triple(tag: u8) -> (VerifyingKey, [u8; 32], Signature) {
         let key = SigningKey::from_seed(&[tag]);

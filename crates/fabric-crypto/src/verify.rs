@@ -3,8 +3,8 @@
 //! The paper's block_processor feeds block_verify, tx_verify and tx_vscc
 //! from one bank of `ecdsa_engine`s (§3.3), and Fabric runs the same
 //! signature check before ordering and again at commit. Here the
-//! committer's orderer check and vscc stage ([`crate::pipeline`]) and the
-//! admission pool (`fabric-mempool`) all go through one [`Verifier`],
+//! committer's orderer check and vscc stage (`fabric_peer::pipeline`) and
+//! the admission pool (`fabric-mempool`) all go through one [`Verifier`],
 //! which owns what a verification needs and nothing else:
 //!
 //! * [`Verifier::trusted`] — membership: the MSP chain check behind one
@@ -24,10 +24,10 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use fabric_crypto::{KnownCert, Msp};
 use parking_lot::Mutex;
 
 use crate::sigcache::{Claim, ClaimGuard, SigCacheKey, SignatureCache, TryClaim};
+use crate::{KnownCert, Msp};
 
 /// Upper bound on memoized certificate verdicts before the memo resets
 /// (one 32-byte fingerprint and a flag per entry, so about a megabyte
@@ -37,7 +37,8 @@ const CERT_MEMO_CAPACITY: usize = 16 * 1024;
 
 /// Signature verification for one peer or admission front-end: trust
 /// anchors, certificate memo, shared verdict cache, worker count and the
-/// count of ECDSA verifications actually run.
+/// counts of ECDSA verifications run, threads spawned and memo locks
+/// taken.
 #[derive(Debug)]
 pub struct Verifier {
     /// Trust anchors; `None` skips the membership check.
@@ -55,6 +56,10 @@ pub struct Verifier {
     /// Underlying ECDSA verifications run through [`Verifier::check`];
     /// cache hits and coalesced waits do not count.
     verifications: AtomicUsize,
+    /// Threads [`Verifier::par_map`] spawned.
+    spawned: AtomicUsize,
+    /// Times [`Verifier::trusted`] took the certificate memo's lock.
+    memo_locks: AtomicUsize,
 }
 
 impl Verifier {
@@ -72,6 +77,8 @@ impl Verifier {
             sig_cache,
             workers,
             verifications: AtomicUsize::new(0),
+            spawned: AtomicUsize::new(0),
+            memo_locks: AtomicUsize::new(0),
         }
     }
 
@@ -96,8 +103,8 @@ impl Verifier {
 
     /// The certificate memo, locked.
     fn memo(&self) -> parking_lot::MutexGuard<'_, HashMap<[u8; 32], bool>> {
-        #[cfg(test)]
-        MEMO_LOCKS.with(|n| n.set(n.get() + 1));
+        // relaxed: monotonic stats counter; never gates data visibility
+        self.memo_locks.fetch_add(1, Ordering::Relaxed);
         self.cert_memo.lock()
     }
 
@@ -193,8 +200,8 @@ impl Verifier {
         };
         std::thread::scope(|scope| {
             for _ in 1..workers {
-                #[cfg(test)]
-                SPAWNS.with(|n| n.set(n.get() + 1));
+                // relaxed: monotonic stats counter; never gates data visibility
+                self.spawned.fetch_add(1, Ordering::Relaxed);
                 scope.spawn(steal);
             }
             steal();
@@ -211,6 +218,19 @@ impl Verifier {
         self.verifications.load(Ordering::Relaxed)
     }
 
+    /// Threads [`Verifier::par_map`] has spawned so far (the calling
+    /// thread, which always takes part, is not counted).
+    pub fn spawned(&self) -> usize {
+        // relaxed: monotonic stats counter; never gates data visibility
+        self.spawned.load(Ordering::Relaxed)
+    }
+
+    /// Times [`Verifier::trusted`] has taken the certificate memo's lock.
+    pub fn memo_locks(&self) -> usize {
+        // relaxed: monotonic stats counter; never gates data visibility
+        self.memo_locks.load(Ordering::Relaxed)
+    }
+
     /// Threads [`Verifier::par_map`] uses, the calling one included.
     pub fn workers(&self) -> usize {
         self.workers
@@ -223,24 +243,9 @@ impl Verifier {
 }
 
 #[cfg(test)]
-thread_local! {
-    /// Threads [`Verifier::par_map`] spawned on behalf of this thread.
-    pub(crate) static SPAWNS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-    /// Times [`Verifier::trusted`] took the certificate memo's lock on
-    /// this thread.
-    pub(crate) static MEMO_LOCKS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-}
-
-/// `KnownCert::resolve`'s registry is process-wide and cleared when
-/// full: a test that floods it and a test that counts a block's distinct
-/// certificates by pointer run one at a time.
-#[cfg(test)]
-pub(crate) static REGISTRY_FLOOD: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-#[cfg(test)]
 mod tests {
     use super::*;
-    use fabric_crypto::identity::Role;
+    use crate::identity::Role;
     use std::sync::atomic::AtomicBool;
 
     fn verifier(msp: Option<Msp>, workers: usize) -> Verifier {
@@ -454,7 +459,7 @@ mod tests {
         }
     }
 
-    fn known(cert: &fabric_crypto::Certificate) -> Arc<KnownCert> {
+    fn known(cert: &crate::Certificate) -> Arc<KnownCert> {
         KnownCert::resolve(&cert.to_bytes()).expect("a certificate's own bytes parse")
     }
 
@@ -480,7 +485,9 @@ mod tests {
         // An untrusted submitter sends a fresh certificate per envelope:
         // each names an organization the anchors do not know, so every
         // one is rejected — and none may cost memory beyond the bound.
-        let _one_at_a_time = REGISTRY_FLOOD.lock().unwrap_or_else(|p| p.into_inner());
+        let _one_at_a_time = crate::identity::REGISTRY_TESTS
+            .lock()
+            .unwrap_or_else(|p| p.into_inner());
         let mut msp = Msp::new(2);
         let template = msp.issue(0, Role::Client, 0).unwrap().certificate().clone();
         let v = verifier(Some(msp), 1);

@@ -353,7 +353,7 @@ impl Ledger {
                 return Err(corrupt());
             }
             for (i, tx) in decoded.txs.iter().enumerate() {
-                tx_index.insert(tx.tx_id.clone(), (number, i));
+                tx_index.entry(tx.tx_id.clone()).or_insert((number, i));
                 if cb.tx_filter[i] == TxValidationCode::Valid {
                     for (key, _) in &tx.writes {
                         history.record(key, number, i as u64);
@@ -451,8 +451,9 @@ impl Ledger {
         // Store write first: if it fails the indexes stay untouched and
         // the commit is cleanly rejected.
         g.store.append(&committed)?;
+        // A replayed tx id keeps its first occurrence.
         for (i, tx_id) in tx_ids.iter().enumerate() {
-            g.tx_index.insert(tx_id.clone(), (expected, i));
+            g.tx_index.entry(tx_id.clone()).or_insert((expected, i));
         }
         for (i, keys) in modified_keys.iter().enumerate() {
             if committed.tx_filter[i] == TxValidationCode::Valid {
@@ -474,8 +475,9 @@ impl Ledger {
         self.inner.lock().store.get(number)
     }
 
-    /// Looks up which block and position committed `tx_id` (the duplicate
-    /// check of ledger commit).
+    /// Looks up which block and position first committed `tx_id` (the
+    /// duplicate check of ledger commit); a later replay of the same id,
+    /// in that block or another, does not move the entry.
     pub fn find_tx(&self, tx_id: &str) -> Option<(u64, usize)> {
         self.inner.lock().tx_index.get(tx_id).copied()
     }
@@ -594,7 +596,6 @@ mod tests {
         let mut msp = Msp::new(1);
         let client = msp.issue(0, Role::Client, 0).unwrap();
         let endorser = msp.issue(0, Role::Peer, 0).unwrap();
-        let orderer = msp.issue(0, Role::Orderer, 0).unwrap();
         let mut envs = Vec::new();
         let mut ids = Vec::new();
         for i in 0..ntx {
@@ -613,7 +614,13 @@ mod tests {
             envs.push(built.envelope);
             ids.push(built.tx_id);
         }
-        (build_block(number, &prev, envs, &orderer), ids)
+        (block_of(number, prev, envs), ids)
+    }
+
+    /// An orderer-signed block of `envs` as given, replays included.
+    fn block_of(number: u64, prev: [u8; 32], envs: Vec<Vec<u8>>) -> Block {
+        let orderer = Msp::new(1).issue(0, Role::Orderer, 0).unwrap();
+        build_block(number, &prev, envs, &orderer)
     }
 
     #[test]
@@ -766,6 +773,25 @@ mod tests {
             .unwrap();
         assert_eq!(ledger.find_tx(&ids[1]), Some((0, 1)));
         assert_eq!(ledger.find_tx("nope"), None);
+        // A replay keeps the first occurrence, inside a block (the fresh
+        // id twice) and across blocks (block 0's second transaction).
+        let (fresh, fresh_ids) = make_block(1, ledger.tip_hash(), 1);
+        let fresh_env = fresh.data.data[0].clone();
+        let replayed_env = ledger.block(0).unwrap().block.data.data[1].clone();
+        ledger
+            .commit_block(
+                block_of(
+                    1,
+                    ledger.tip_hash(),
+                    vec![fresh_env.clone(), replayed_env, fresh_env],
+                ),
+                &[fresh_ids[0].clone(), ids[1].clone(), fresh_ids[0].clone()],
+                vec![TxValidationCode::Valid; 3],
+                &[vec![], vec![], vec![]],
+            )
+            .unwrap();
+        assert_eq!(ledger.find_tx(&fresh_ids[0]), Some((1, 0)));
+        assert_eq!(ledger.find_tx(&ids[1]), Some((0, 1)));
     }
 
     #[test]
@@ -854,6 +880,33 @@ mod tests {
             .commit_block(b2, &ids2, vec![TxValidationCode::Valid], &[vec![]])
             .unwrap();
         assert_eq!(reopened.height(), 3);
+        // Replays, inside block 3 and of block 1's transaction, keep the
+        // first occurrence when committed and when rebuilt on reopen.
+        let (fresh, fresh_ids) = make_block(3, reopened.tip_hash(), 1);
+        let fresh_env = fresh.data.data[0].clone();
+        let replayed_env = reopened.block(1).unwrap().block.data.data[0].clone();
+        let replayed = decoded.txs[0].tx_id.clone();
+        reopened
+            .commit_block(
+                block_of(
+                    3,
+                    reopened.tip_hash(),
+                    vec![fresh_env.clone(), fresh_env, replayed_env],
+                ),
+                &[fresh_ids[0].clone(), fresh_ids[0].clone(), replayed.clone()],
+                vec![TxValidationCode::Valid; 3],
+                &[vec![], vec![], vec![]],
+            )
+            .unwrap();
+        let mut store = MemoryBlockStore::new();
+        for n in 0..reopened.height() {
+            store.append(&reopened.block(n).unwrap()).unwrap();
+        }
+        let rebuilt = Ledger::with_store(Box::new(store)).unwrap();
+        for ledger in [&reopened, &rebuilt] {
+            assert_eq!(ledger.find_tx(&fresh_ids[0]), Some((3, 0)));
+            assert_eq!(ledger.find_tx(&replayed), Some((1, 0)));
+        }
     }
 
     #[test]

@@ -11,8 +11,7 @@
 
 use std::sync::Arc;
 
-use fabric_crypto::{sha256, KnownCert, Signature};
-use fabric_peer::SigCacheKey;
+use fabric_crypto::{sha256, KnownCert, SigCacheKey, Signature};
 use fabric_protos::txflow::EnvelopeHead;
 use fabric_protos::wire::WireError;
 

@@ -14,7 +14,7 @@
 //! * **pre-ordering verification** — [`Mempool::verify_pending`] checks
 //!   client signatures, then warms endorsement verdicts, decoupled from
 //!   the commit path, on the same engine the committer's vscc stage
-//!   runs on ([`fabric_peer::Verifier`]: membership memo, claim on the
+//!   runs on ([`fabric_crypto::Verifier`]: membership memo, claim on the
 //!   *shared* [`SignatureCache`], work-stealing threads) — so every
 //!   signature verified here is a cache hit there, and this crate spawns
 //!   no thread and keeps no memo of its own;
@@ -39,15 +39,14 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use fabric_crypto::{sha256, Msp};
-use fabric_peer::Verifier;
+use fabric_crypto::{sha256, Msp, Verifier};
 use fabric_protos::txflow::decode_transaction;
 use parking_lot::Mutex;
 
 pub use admit::{decode_admission, AdmissionTx};
 // Re-exported so downstream crates can build a shared cache without
-// depending on fabric-peer directly.
-pub use fabric_peer::{SigCacheKey, SigCacheStats, SignatureCache};
+// depending on fabric-crypto directly.
+pub use fabric_crypto::{SigCacheKey, SigCacheStats, SignatureCache};
 
 /// Dedup/replay-window shards (the admission lock granularity).
 const SHARDS: usize = 16;
@@ -240,7 +239,7 @@ pub struct Mempool {
 
 impl Mempool {
     /// Creates a mempool verifying against `cache` (share this `Arc`
-    /// with the committer's [`fabric_peer::ValidatorPipeline`] so
+    /// with the committer's `fabric_peer::ValidatorPipeline` so
     /// admission verdicts are committer cache hits), without
     /// membership validation.
     ///

@@ -1,12 +1,12 @@
-//! Fabric network roles: endorser peers, clients, orderers, Gossip.
+//! Fabric network roles: endorser peers, clients, orderers.
 //!
 //! Everything a validator peer consumes is produced here: endorser peers
 //! simulate proposals against their state databases ([`endorser`]),
-//! clients gather endorsements and sign envelopes ([`client`]), the
-//! single orderer cuts signed blocks ([`orderer`]), and the
-//! Gossip dissemination model ([`gossip`]) provides the baseline wire
-//! behaviour the BMac protocol is compared against. [`network`] wires a
-//! complete topology (paper Figure 8).
+//! clients gather endorsements and sign envelopes ([`client`]), and the
+//! single orderer cuts signed blocks ([`orderer`]). [`network`] wires a
+//! complete topology (paper Figure 8). The Gossip wire model that the
+//! BMac protocol is compared against is `fabric_sim::gossip`, beside the
+//! simulated links it transmits over.
 //!
 //! # Example
 //!
@@ -34,7 +34,6 @@
 pub mod chaincode;
 pub mod client;
 pub mod endorser;
-pub mod gossip;
 pub mod network;
 pub mod orderer;
 

@@ -2,11 +2,12 @@
 //!
 //! [`pipeline`] is the *functional* peer: real ECDSA/SHA-256, real
 //! protobuf unmarshaling, vscc over the one signature-verification
-//! engine ([`verify::Verifier`], which the mempool's admission pool
-//! calls too), sequential MVCC and commit against a real state database
-//! and ledger. It is used for correctness (including the
-//! software-vs-hardware equivalence check of §4.1) and for wall-clock
-//! measurement. The paper-scale *performance model* of this peer
+//! engine ([`Verifier`], which lives in `fabric-crypto` because the
+//! mempool's admission pool calls it too, and which this crate
+//! re-exports with its [`SignatureCache`]), sequential MVCC and commit
+//! against a real state database and ledger. It is used for correctness
+//! (including the software-vs-hardware equivalence check of §4.1) and
+//! for wall-clock measurement. The paper-scale *performance model* of this peer
 //! (Figures 3, 10–13) is not here: it lives beside the hardware model in
 //! `bmac_hw::model`, since no peer path calls it.
 //!
@@ -23,12 +24,10 @@
 #![warn(missing_docs)]
 
 pub mod pipeline;
-pub mod sigcache;
 pub mod stream;
-pub mod verify;
 
+pub use fabric_crypto::{sigcache, verify};
+pub use fabric_crypto::{Claim, ClaimGuard, SigCacheKey, SigCacheStats, SignatureCache, Verifier};
 pub use fabric_ledger::TxValidationCode;
 pub use pipeline::{BlockValidationResult, StageTimings, ValidateError, ValidatorPipeline};
-pub use sigcache::{Claim, ClaimGuard, SigCacheKey, SigCacheStats, SignatureCache};
 pub use stream::{StreamConfig, StreamError, StreamReport, StreamStats, StreamValidator};
-pub use verify::Verifier;

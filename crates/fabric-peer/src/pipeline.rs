@@ -77,15 +77,15 @@ use std::time::Instant;
 use fabric_crypto::ecdsa::{batch_s_inverses, verify_batch, BatchItem, BATCH_LANES};
 use fabric_crypto::identity::NodeId;
 use fabric_crypto::sha256::sha256_many;
-use fabric_crypto::{KnownCert, Msp, Signature, VerifyingKey, U256};
+use fabric_crypto::{
+    KnownCert, Msp, SigCacheKey, SigCacheStats, Signature, SignatureCache, Verifier, VerifyingKey,
+    U256,
+};
 use fabric_ledger::{Ledger, LedgerError, TxValidationCode};
 use fabric_policy::Policy;
 use fabric_protos::messages::Block;
 use fabric_protos::txflow::{decode_block_struct, hash_block_data, DecodedBlock};
 use fabric_statedb::{Height, StateDb, WriteBatch};
-
-use crate::sigcache::{SigCacheKey, SigCacheStats, SignatureCache};
-use crate::verify::Verifier;
 
 /// Per-stage wall-clock timings of one block validation (µs).
 #[derive(Debug, Clone, Copy, Default)]
@@ -792,8 +792,8 @@ thread_local! {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sigcache::Claim;
     use fabric_crypto::identity::Role;
+    use fabric_crypto::Claim;
     use fabric_node::chaincode::KvChaincode;
     use fabric_node::network::FabricNetworkBuilder;
     use fabric_policy::parse;
@@ -1110,13 +1110,10 @@ mod tests {
         assert_eq!(r1.commit_hash, r8.commit_hash);
     }
 
-    /// This thread's count of batch-inverted signatures and of threads
-    /// `par_map` spawned for it.
-    fn inverted_and_spawned() -> (usize, usize) {
-        (
-            INVERTED.with(|n| n.get()),
-            crate::verify::SPAWNS.with(|n| n.get()),
-        )
+    /// This thread's count of batch-inverted signatures and the count of
+    /// threads `validator`'s `par_map` spawned.
+    fn inverted_and_spawned(validator: &ValidatorPipeline) -> (usize, usize) {
+        (INVERTED.with(|n| n.get()), validator.verifier.spawned())
     }
 
     /// A validator with four workers and one 4-transaction block: 13
@@ -1135,7 +1132,7 @@ mod tests {
     #[test]
     fn cold_block_misses_every_task_and_its_replay_hits_every_task_for_nothing() {
         let (validator, block) = validator_and_block_of_four();
-        let (inverted, spawned) = inverted_and_spawned();
+        let (inverted, spawned) = inverted_and_spawned(&validator);
         let cold = validator.verify_block_signatures(&block).unwrap();
         assert!(cold.iter().all(|c| c.is_valid()));
         let stats = validator.sig_cache_stats();
@@ -1145,7 +1142,10 @@ mod tests {
         // vscc are ⌈12 / 8⌉ = 2 chunks, so two of the 4 workers have
         // something to take and one of them is the caller.
         assert_eq!(BATCH_LANES, 8);
-        assert_eq!(inverted_and_spawned(), (inverted + 13, spawned + 1));
+        assert_eq!(
+            inverted_and_spawned(&validator),
+            (inverted + 13, spawned + 1)
+        );
 
         let warm = validator.verify_block_signatures(&block).unwrap();
         assert_eq!(warm, cold);
@@ -1153,7 +1153,7 @@ mod tests {
         assert_eq!((stats.hits, stats.misses), (13, 13));
         assert_eq!(validator.verifications(), 13);
         assert_eq!(
-            inverted_and_spawned(),
+            inverted_and_spawned(&validator),
             (inverted + 13, spawned + 1),
             "an all-hit block inverts nothing and spawns nothing"
         );
@@ -1244,16 +1244,13 @@ mod tests {
     fn a_block_takes_the_certificate_memo_once_per_distinct_certificate() {
         // Two 100-transaction blocks over six identities: the orderer,
         // three clients, one endorser in each of two organizations.
-        let _one_at_a_time = crate::verify::REGISTRY_FLOOD
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
         let (mut net, validator) = network_of_clients_and_validator(3, 100, 2);
         let mut blocks = Vec::new();
         for i in 0..200 {
             let args = [format!("k{i}"), "1".into()];
             blocks.extend(net.submit_invocation(i % 3, "kv", "put", &args).unwrap());
         }
-        let memo_locks = || crate::verify::MEMO_LOCKS.with(|n| n.get());
+        let memo_locks = || validator.verifier.memo_locks();
         for (block, locks_per_certificate) in blocks.iter().zip([
             2, // cold: one to look, one to record the chain check
             1,
@@ -1278,14 +1275,14 @@ mod tests {
         validator.verify_vscc_parallel(&half, true);
         let stats = validator.sig_cache_stats();
         assert_eq!((stats.hits, stats.misses), (0, 6));
-        let (inverted, _) = inverted_and_spawned();
+        let (inverted, _) = inverted_and_spawned(&validator);
 
         let codes = validator.verify_vscc_parallel(&decoded, true);
         assert!(codes.iter().all(|c| c.is_valid()));
         let stats = validator.sig_cache_stats();
         assert_eq!((stats.hits, stats.misses), (6, 12));
         assert_eq!(validator.verifications(), 12);
-        assert_eq!(inverted_and_spawned().0, inverted + 6);
+        assert_eq!(inverted_and_spawned(&validator).0, inverted + 6);
     }
 
     #[test]

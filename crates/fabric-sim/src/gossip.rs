@@ -7,7 +7,7 @@
 //! TCP/IP segmentation — and the resulting transmission time over a
 //! [`NetLink`], which feeds the Figure 9 comparisons.
 
-use fabric_sim::{NetLink, SimTime};
+use crate::{NetLink, SimTime};
 
 /// Standard Ethernet MTU used for TCP segmentation.
 pub const MTU: usize = 1500;
@@ -51,7 +51,7 @@ pub fn gossip_overhead_fraction(block_bytes: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fabric_sim::MICROS;
+    use crate::MICROS;
 
     #[test]
     fn wire_bytes_exceed_payload() {

@@ -3,10 +3,10 @@
 //! The paper validated its results with "a high-level simulator for BMac
 //! architecture ... The performance reported by our simulator is always
 //! within 1% of actual measurements from the hardware" (§4.1). This crate
-//! is the equivalent substrate for our reproduction: a typed event queue,
-//! multi-server resources (ECDSA engines, vscc worker threads), FIFO
-//! occupancy tracking, and network links with bandwidth/latency, all in
-//! integer nanoseconds.
+//! is the equivalent substrate: a typed event queue, multi-server
+//! resources (ECDSA engines, vscc threads), FIFO occupancy tracking and
+//! network links, in integer nanoseconds, plus [`gossip`], the wire model
+//! the BMac protocol is compared against.
 
 #![warn(missing_docs)]
 
@@ -272,6 +272,8 @@ impl NetLink {
         self.latency
     }
 }
+
+pub mod gossip;
 
 /// FIFO occupancy tracker: not a queue of items, but a depth counter with
 /// a high-water mark, used to size the hardware FIFOs in Figure 7.

@@ -6,9 +6,9 @@
 
 use bmac_protocol::{Annotation, BmacSender, SectionType};
 use fabric_node::chaincode::KvChaincode;
-use fabric_node::gossip::gossip_wire_bytes;
 use fabric_node::network::FabricNetworkBuilder;
 use fabric_policy::parse;
+use fabric_sim::gossip::gossip_wire_bytes;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut net = FabricNetworkBuilder::new()

@@ -165,7 +165,7 @@ impl ReferenceSender {
             .iter()
             .map(|p| p.encode().map(|w| w.len()).unwrap_or(0) as u64)
             .sum::<u64>();
-        self.stats.gossip_wire_bytes += fabric_node::gossip::gossip_wire_bytes(block_bytes) as u64;
+        self.stats.gossip_wire_bytes += fabric_sim::gossip::gossip_wire_bytes(block_bytes) as u64;
         self.stats.block_bytes += block_bytes as u64;
         for p in &packets {
             p.encode().map_err(SendError::Packet)?;
