@@ -572,12 +572,15 @@ impl HistoryDb {
         HistoryDb::default()
     }
 
-    /// Records that `key` was modified by `(block, tx)`.
+    /// Records that `key` was modified by `(block, tx)`. Only a key
+    /// with no history yet is copied.
     pub fn record(&mut self, key: &str, block: u64, tx: u64) {
-        self.entries
-            .entry(key.to_string())
-            .or_default()
-            .push((block, tx));
+        match self.entries.get_mut(key) {
+            Some(history) => history.push((block, tx)),
+            None => {
+                self.entries.insert(key.to_string(), vec![(block, tx)]);
+            }
+        }
     }
 
     /// All modifications of `key`, oldest first.

@@ -37,6 +37,7 @@
 use std::fmt;
 
 mod bounded;
+mod inline;
 mod sharded;
 
 pub use bounded::{BoundedDbError, BoundedStateDb, HW_DB_DEFAULT_CAPACITY};

@@ -1,13 +1,7 @@
-//! [`StateDb`], the hash-sharded MVCC state store every peer runs — the
-//! commit-path rework of ROADMAP item 3.
-//!
-//! # Why
-//!
-//! A single-lock design — one `BTreeMap` behind one `RwLock` — funnels
-//! every point read, range scan, snapshot chunk, and batch apply through
-//! that lock. Fine for 25-tx harness blocks; the bottleneck at the
-//! million-key populations `workload::arrivals` generates, and a hard
-//! blocker for a wide commit stage.
+//! [`StateDb`], the hash-sharded MVCC state store every peer runs. The
+//! single-lock store it replaced (one `BTreeMap` behind one `RwLock`)
+//! funnelled every read, scan and apply through that lock: the
+//! bottleneck at million-key populations and a blocker for a wide commit.
 //!
 //! # Structure
 //!
@@ -16,6 +10,10 @@
 //!   shards. Point reads touch exactly one shard lock; a block's write
 //!   batches group by shard and disjoint shard groups apply
 //!   concurrently ([`StateDb::apply_block`]).
+//! * **Short keys and values in place.** A key of at most 22 bytes is
+//!   stored inside its map node, and a value of at most 22 bytes inside
+//!   its chain entry (`crate::inline`); longer ones go to the heap. The
+//!   map is keyed by the key's bytes, whose order is `str` order.
 //! * **Version chains (MVCC).** Each key maps to a short chain of
 //!   `(epoch, height, value-or-tombstone)` entries in apply order.
 //!   Live reads resolve the newest entry; a pinned snapshot
@@ -45,11 +43,13 @@
 //! take only shard locks; `pin()` takes `pins` → `committed`.
 
 use std::collections::BTreeMap;
+use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::{Mutex, RwLock};
 
+use crate::inline::{InlineBytes, Key};
 use crate::{Height, JournalSink, StateDbStats, VersionedValue, WriteBatch};
 
 /// Default shard count: enough to spread a wide commit stage's batches
@@ -90,18 +90,18 @@ fn assert_order_held(_stage: &str) {}
 
 /// One version of one key. Chains are kept in apply order (last =
 /// newest); `value: None` is a tombstone.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct VersionEntry {
     /// The apply epoch that wrote this entry (see module docs).
     epoch: u64,
     /// Commit height stamped on the write.
     height: Height,
-    value: Option<Vec<u8>>,
+    value: Option<InlineBytes>,
 }
 
 #[derive(Debug, Default)]
 struct Shard {
-    map: BTreeMap<String, Vec<VersionEntry>>,
+    map: BTreeMap<Key, Vec<VersionEntry>>,
     /// Keys whose newest entry is a put (i.e. visible to a live read).
     live: usize,
 }
@@ -156,6 +156,37 @@ impl Default for StateDb {
     fn default() -> Self {
         StateDb::new()
     }
+}
+
+/// The processor count, read once per process: std reads the cgroup
+/// quota files on every `available_parallelism` call (20–30 µs a call in
+/// a 2-vCPU Linux container), and every apply needs the count.
+fn processors() -> usize {
+    static PROCESSORS: OnceLock<usize> = OnceLock::new();
+    *PROCESSORS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+impl VersionEntry {
+    /// The entry as a read returns it: `None` for a tombstone.
+    fn read(&self) -> Option<VersionedValue> {
+        Some(VersionedValue {
+            value: self.value.as_ref()?.as_slice().to_vec(),
+            version: self.height,
+        })
+    }
+
+    /// The entry's version as a read sees it: `None` for a tombstone.
+    fn version(&self) -> Option<Height> {
+        self.value.as_ref().map(|_| self.height)
+    }
+}
+
+/// The bounds of a `[start, end)` scan over a shard map, borrowed.
+fn key_range<'a>(start: &'a str, end: &'a str) -> (Bound<&'a [u8]>, Bound<&'a [u8]>) {
+    (
+        Bound::Included(start.as_bytes()),
+        Bound::Excluded(end.as_bytes()),
+    )
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -239,9 +270,9 @@ impl StateDb {
                 let chain = vec![VersionEntry {
                     epoch,
                     height: v.version,
-                    value: Some(v.value),
+                    value: Some(InlineBytes::new(&v.value)),
                 }];
-                if g.map.insert(key, chain).is_none() {
+                if g.map.insert(Key::new(&key), chain).is_none() {
                     g.live += 1;
                 }
             }
@@ -276,26 +307,35 @@ impl StateDb {
     /// Point read of the current value and version: one shard read
     /// lock, newest chain entry.
     pub fn get(&self, key: &str) -> Option<VersionedValue> {
+        self.read_newest(key, VersionEntry::read)
+    }
+
+    /// Reads just the version (the MVCC hot path): the same lookup as
+    /// [`StateDb::get`], counted the same, without copying the value.
+    pub fn get_version(&self, key: &str) -> Option<Height> {
+        self.read_newest(key, VersionEntry::version)
+    }
+
+    /// Applies `read` to the newest entry of `key`'s chain under its
+    /// shard's read lock, counting a read, and a miss when `read` finds
+    /// nothing (an absent key or a tombstone).
+    fn read_newest<T>(
+        &self,
+        key: &str,
+        read: impl FnOnce(&VersionEntry) -> Option<T>,
+    ) -> Option<T> {
         // relaxed: monotonic stats counter; never gates data visibility
         self.inner.reads.fetch_add(1, Ordering::Relaxed);
         let shard = self.inner.shards[self.shard_of(key)].read();
-        let hit = shard.map.get(key).and_then(|chain| {
-            let newest = chain.last()?;
-            Some(VersionedValue {
-                value: newest.value.clone()?,
-                version: newest.height,
-            })
-        });
+        let hit = shard
+            .map
+            .get(key.as_bytes())
+            .and_then(|chain| read(chain.last()?));
         if hit.is_none() {
             // relaxed: monotonic stats counter; never gates data visibility
             self.inner.misses.fetch_add(1, Ordering::Relaxed);
         }
         hit
-    }
-
-    /// Reads just the version (the MVCC hot path).
-    pub fn get_version(&self, key: &str) -> Option<Height> {
-        self.get(key).map(|v| v.version)
     }
 
     /// Applies a write batch, stamping every entry at `height`. With a
@@ -386,12 +426,9 @@ impl StateDb {
         inner.writes.fetch_add(total as u64, Ordering::Relaxed);
 
         let busy = groups.iter().filter(|g| !g.is_empty()).count();
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(busy);
+        let workers = processors().min(busy);
         if total >= PARALLEL_APPLY_THRESHOLD && workers > 1 {
-            // Wide commit: at most `available_parallelism` threads, each
+            // Wide commit: at most `processors()` threads, each
             // applying a stripe of shard groups (thread w takes groups
             // w, w+workers, ...). Each group goes to exactly one thread
             // and groups touch disjoint shards, so the shard write
@@ -458,17 +495,8 @@ impl StateDb {
             let g = shard.read();
             per_shard.push(
                 g.map
-                    .range(start.to_string()..end.to_string())
-                    .filter_map(|(k, chain)| {
-                        let newest = chain.last()?;
-                        Some((
-                            k.clone(),
-                            VersionedValue {
-                                value: newest.value.clone()?,
-                                version: newest.height,
-                            },
-                        ))
-                    })
+                    .range::<[u8], _>(key_range(start, end))
+                    .filter_map(|(k, chain)| Some((k.as_str().to_owned(), chain.last()?.read()?)))
                     .collect(),
             );
         }
@@ -569,9 +597,9 @@ fn apply_group(shard: &RwLock<Shard>, group: &[GroupEntry], horizon: u64) {
         let entry = VersionEntry {
             epoch,
             height,
-            value: value.map(|v| v.to_vec()),
+            value: value.map(InlineBytes::new),
         };
-        match g.map.get_mut(key) {
+        match g.map.get_mut(key.as_bytes()) {
             Some(chain) => {
                 let was_live = chain.last().is_some_and(|e| e.value.is_some());
                 let now_live = entry.value.is_some();
@@ -587,7 +615,7 @@ fn apply_group(shard: &RwLock<Shard>, group: &[GroupEntry], horizon: u64) {
                 // the key rather than let delete-heavy workloads
                 // accumulate dead chains.
                 if chain.iter().all(|e| e.value.is_none()) {
-                    g.map.remove(key);
+                    g.map.remove(key.as_bytes());
                 }
             }
             None => {
@@ -595,7 +623,7 @@ fn apply_group(shard: &RwLock<Shard>, group: &[GroupEntry], horizon: u64) {
                 // readers at every epoch already resolve the key to
                 // None. Only a put starts a chain.
                 if entry.value.is_some() {
-                    g.map.insert(key.to_string(), vec![entry]);
+                    g.map.insert(Key::new(key), vec![entry]);
                     g.live += 1;
                 }
             }
@@ -683,28 +711,14 @@ impl Iterator for SnapshotChunks {
         let mut per_shard: Vec<Vec<(String, VersionedValue)>> = Vec::new();
         for shard in &self.db.inner.shards {
             let g = shard.read();
-            let range = match &self.cursor {
-                Some(last) => g.map.range::<str, _>((
-                    std::ops::Bound::Excluded(last.as_str()),
-                    std::ops::Bound::Unbounded,
-                )),
-                None => g.map.range::<str, _>((
-                    std::ops::Bound::<&str>::Unbounded,
-                    std::ops::Bound::Unbounded,
-                )),
+            let after = match &self.cursor {
+                Some(last) => Bound::Excluded(last.as_bytes()),
+                None => Bound::Unbounded,
             };
             per_shard.push(
-                range
-                    .filter_map(|(k, chain)| {
-                        let newest = chain.last()?;
-                        Some((
-                            k.clone(),
-                            VersionedValue {
-                                value: newest.value.clone()?,
-                                version: newest.height,
-                            },
-                        ))
-                    })
+                g.map
+                    .range::<[u8], _>((after, Bound::Unbounded))
+                    .filter_map(|(k, chain)| Some((k.as_str().to_owned(), chain.last()?.read()?)))
                     .take(self.chunk)
                     .collect(),
             );
@@ -743,28 +757,36 @@ impl StateSnapshot {
         self.height
     }
 
-    fn resolve(chain: &[VersionEntry], epoch: u64) -> Option<VersionedValue> {
-        let e = chain.iter().rev().find(|e| e.epoch <= epoch)?;
-        Some(VersionedValue {
-            value: e.value.clone()?,
-            version: e.height,
-        })
+    /// The newest entry of `chain` at or below the pinned epoch.
+    fn resolve<'c>(&self, chain: &'c [VersionEntry]) -> Option<&'c VersionEntry> {
+        chain.iter().rev().find(|e| e.epoch <= self.epoch)
     }
 
-    /// Point read as of the pinned height.
-    pub fn get(&self, key: &str) -> Option<VersionedValue> {
+    /// Applies `read` to `key`'s entry as of the pinned epoch, under its
+    /// shard's read lock.
+    fn read_pinned<T>(
+        &self,
+        key: &str,
+        read: impl FnOnce(&VersionEntry) -> Option<T>,
+    ) -> Option<T> {
         if self.epoch == 0 {
             return None;
         }
         let g = self.inner.shards[shard_index(key, self.inner.shards.len())].read();
         g.map
-            .get(key)
-            .and_then(|chain| Self::resolve(chain, self.epoch))
+            .get(key.as_bytes())
+            .and_then(|chain| read(self.resolve(chain)?))
     }
 
-    /// Version-only read as of the pinned height.
+    /// Point read as of the pinned height.
+    pub fn get(&self, key: &str) -> Option<VersionedValue> {
+        self.read_pinned(key, VersionEntry::read)
+    }
+
+    /// Version-only read as of the pinned height, without copying the
+    /// value.
     pub fn get_version(&self, key: &str) -> Option<Height> {
-        self.get(key).map(|v| v.version)
+        self.read_pinned(key, VersionEntry::version)
     }
 
     /// Range scan over `[start, end)` as of the pinned height.
@@ -777,8 +799,10 @@ impl StateSnapshot {
             let g = shard.read();
             per_shard.push(
                 g.map
-                    .range(start.to_string()..end.to_string())
-                    .filter_map(|(k, chain)| Some((k.clone(), Self::resolve(chain, self.epoch)?)))
+                    .range::<[u8], _>(key_range(start, end))
+                    .filter_map(|(k, chain)| {
+                        Some((k.as_str().to_owned(), self.resolve(chain)?.read()?))
+                    })
                     .collect(),
             );
         }
@@ -796,7 +820,9 @@ impl StateSnapshot {
             per_shard.push(
                 g.map
                     .iter()
-                    .filter_map(|(k, chain)| Some((k.clone(), Self::resolve(chain, self.epoch)?)))
+                    .filter_map(|(k, chain)| {
+                        Some((k.as_str().to_owned(), self.resolve(chain)?.read()?))
+                    })
                     .collect(),
             );
         }
@@ -853,7 +879,7 @@ mod tests {
         assert!(!db.inner.shards[db.shard_of("ghost")]
             .read()
             .map
-            .contains_key("ghost"));
+            .contains_key("ghost".as_bytes()));
         // ...and deleting a live key leaves a chain only as long as a
         // pinned reader might still resolve the put below it.
         put(&db, "k", 1, Height::new(2, 0));
@@ -865,7 +891,7 @@ mod tests {
         assert!(db.inner.shards[db.shard_of("k")]
             .read()
             .map
-            .contains_key("k"));
+            .contains_key("k".as_bytes()));
         drop(pin);
         // Next touch prunes the put; the all-tombstone chain drops.
         let mut d3 = WriteBatch::new();
@@ -875,7 +901,7 @@ mod tests {
             !db.inner.shards[db.shard_of("k")]
                 .read()
                 .map
-                .contains_key("k"),
+                .contains_key("k".as_bytes()),
             "dead tombstone chain should have been dropped"
         );
         assert_eq!(db.len(), 0);
@@ -888,7 +914,7 @@ mod tests {
             put(&db, "hot", i as u8, Height::new(i, 0));
         }
         let shard = db.inner.shards[db.shard_of("hot")].read();
-        let chain = shard.map.get("hot").unwrap();
+        let chain = shard.map.get("hot".as_bytes()).unwrap();
         assert!(
             chain.len() <= 2,
             "unpinned hot-key chain grew to {} entries",
@@ -911,7 +937,7 @@ mod tests {
         // ...and after release, the next touch prunes the history.
         put(&db, "k", 99, Height::new(99, 0));
         let shard = db.inner.shards[db.shard_of("k")].read();
-        assert!(shard.map.get("k").unwrap().len() <= 2);
+        assert!(shard.map.get("k".as_bytes()).unwrap().len() <= 2);
     }
 
     #[test]

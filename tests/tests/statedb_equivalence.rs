@@ -92,6 +92,41 @@ fn arb_op() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// The store keeps a key or value of up to this many bytes in place
+/// (`fabric-statedb/src/inline.rs`) and a longer one on the heap.
+const INLINE_CAP: usize = 22;
+
+/// Byte lengths on both sides of the in-place capacity.
+const BOUNDARY_LENS: [usize; 5] = [0, INLINE_CAP - 1, INLINE_CAP, INLINE_CAP + 1, 64];
+
+/// Keys at the in-place boundary. ASCII keys of each boundary length
+/// share one-letter stems, so keys of different lengths and different
+/// storage sort between each other. Multi-byte UTF-8 keys (2-, 3- and
+/// 4-byte characters, optionally behind one ASCII byte) land just below,
+/// on and just above the capacity.
+fn boundary_key() -> impl Strategy<Value = String> {
+    prop_oneof![
+        (0..BOUNDARY_LENS.len(), "[ab]").prop_map(|(i, stem)| {
+            let len = BOUNDARY_LENS[i];
+            let mut key = stem.repeat(len.min(1));
+            key.extend(std::iter::repeat_n('x', len.saturating_sub(1)));
+            key
+        }),
+        (0usize..3, 0usize..4, "[ab]{0,1}").prop_map(|(c, extra, prefix)| {
+            let ch = ['é', '€', '𝄞'][c];
+            let n = INLINE_CAP / ch.len_utf8() - 1 + extra;
+            prefix + &ch.to_string().repeat(n)
+        }),
+    ]
+}
+
+/// Values of the boundary lengths (~3 puts per delete).
+fn boundary_value() -> impl Strategy<Value = Option<Vec<u8>>> {
+    let put =
+        || (0..BOUNDARY_LENS.len(), any::<u8>()).prop_map(|(i, b)| Some(vec![b; BOUNDARY_LENS[i]]));
+    prop_oneof![put(), put(), put(), Just(None)]
+}
+
 fn to_batch(entries: &[(String, Option<Vec<u8>>)]) -> WriteBatch {
     entries.iter().cloned().collect()
 }
@@ -261,6 +296,65 @@ proptest! {
         }
         let chunked: Vec<_> = db.snapshot_chunks(chunk).flatten().collect();
         prop_assert_eq!(chunked, model.snapshot());
+    }
+
+    /// Keys and values of lengths on both sides of the in-place
+    /// capacity, and multi-byte UTF-8 keys, answer as in the model on
+    /// every read path: point reads, versions, ranges, chunked dumps,
+    /// pinned reads, the state hash and a `from_snapshot` round trip.
+    #[test]
+    fn inline_boundary_keys_and_values_match_the_model(
+        segments in proptest::collection::vec(
+            proptest::collection::vec(
+                (proptest::collection::vec((boundary_key(), boundary_value()), 0..8), arb_height()),
+                0..4,
+            ),
+            1..5,
+        ),
+        chunk in 1usize..8,
+    ) {
+        let mut model = StateModel::new();
+        let db = StateDb::new();
+        let mut pins = Vec::new();
+        let mut probes = std::collections::BTreeSet::new();
+        for segment in &segments {
+            pins.push((model.pin(), db.pin()));
+            for (entries, height) in segment {
+                probes.extend(entries.iter().map(|(k, _)| k.clone()));
+                let batch = to_batch(entries);
+                model.apply(&batch, *height);
+                db.apply(&batch, *height);
+            }
+        }
+        probes.insert(String::new());
+        let probes: Vec<String> = probes.into_iter().collect();
+        for key in &probes {
+            prop_assert_eq!(model.get(key), db.get(key), "get({:?})", key);
+            prop_assert_eq!(model.get(key).map(|v| v.version), db.get_version(key));
+        }
+        for (i, start) in probes.iter().enumerate() {
+            for end in &probes[i..] {
+                prop_assert_eq!(model.range(start, end), db.range(start, end));
+            }
+        }
+        let chunked: Vec<_> = db.snapshot_chunks(chunk).flatten().collect();
+        prop_assert_eq!(&chunked, &model.snapshot());
+        prop_assert_eq!(model.state_hash(), db.state_hash());
+        for (mp, sp) in &pins {
+            prop_assert_eq!(mp.snapshot(), sp.snapshot());
+            for key in &probes {
+                prop_assert_eq!(mp.get(key), sp.get(key), "pinned get({:?})", key);
+                prop_assert_eq!(mp.get(key).map(|v| v.version), sp.get_version(key));
+            }
+            let (first, last) = (&probes[0], &probes[probes.len() - 1]);
+            prop_assert_eq!(mp.range(first, last), sp.range(first, last));
+        }
+        let restored = StateDb::from_snapshot(db.snapshot(), db.tip_height());
+        prop_assert_eq!(restored.snapshot(), model.snapshot());
+        prop_assert_eq!(restored.state_hash(), model.state_hash());
+        for key in &probes {
+            prop_assert_eq!(model.get(key), restored.get(key), "restored get({:?})", key);
+        }
     }
 }
 
