@@ -98,8 +98,8 @@ impl HwBlockStats {
 pub struct HwBlockResult {
     /// Block number.
     pub block_num: u64,
-    /// Orderer-signature validity.
-    pub block_valid: bool,
+    /// The block_verify bit: the orderer signature verified.
+    pub block_verify: bool,
     /// Per-transaction flags, in order.
     pub flags: Vec<TxValidationCode>,
     /// Timing statistics.
@@ -210,7 +210,7 @@ impl BlockProcessor {
         let bv_end = bv_start + t;
         self.block_verify_free = bv_end;
         stats.verifications += 1;
-        let block_valid = self.check(
+        let block_verify = self.check(
             &block.orderer_cert,
             &block.orderer_signed_message,
             &block.orderer_signature,
@@ -235,7 +235,7 @@ impl BlockProcessor {
                 .min_by_key(|&v| self.verify_free[v].max(vstart))
                 .expect("at least one validator");
             let vs = vstart.max(self.verify_free[v]) + SCHEDULE_LATENCY;
-            let (valid_so_far, ve) = if !block_valid {
+            let (valid_so_far, ve) = if !block_verify {
                 // Skip: the block is already invalid (§3.3 tx_verify skip).
                 tx_code[i] = TxValidationCode::BadSignature;
                 (false, vs)
@@ -319,7 +319,7 @@ impl BlockProcessor {
 
         Ok(HwBlockResult {
             block_num: block.number,
-            block_valid,
+            block_verify,
             flags,
             stats,
         })

@@ -213,7 +213,7 @@ fn orderer_request_derived_from_the_decoded_block_verifies() {
     let mut net = kv_net(1);
     let block = one_block(&mut net, "a");
     let (r, _) = process_on_fresh_machine(&block);
-    assert!(r.block_valid);
+    assert!(r.block_verify);
     assert_eq!(r.valid_count(), 1);
     // Same key, same signature, different header bytes: the digest is
     // taken over what was received, so the block is refused and — early
@@ -223,7 +223,7 @@ fn orderer_request_derived_from_the_decoded_block_verifies() {
     let mut tampered = block.clone();
     tampered.header.previous_hash = vec![0xAA; 32];
     let (r, _) = process_on_fresh_machine(&tampered);
-    assert!(!r.block_valid);
+    assert!(!r.block_verify);
     assert_eq!(r.valid_count(), 0);
     assert_eq!(r.stats.verifications, 1);
 }
@@ -264,7 +264,7 @@ fn client_and_endorsement_requests_derived_from_the_decoded_block_verify() {
     // every id the processor derived from a certificate's node id named
     // one of them: no `UnknownKey`, every digest verified under its key.
     assert_eq!(keys, 4);
-    assert!(r.block_valid);
+    assert!(r.block_verify);
     assert_eq!(r.valid_count(), 2);
     // 1 block + 2 × (1 client + 2 endorsements), none skipped under 2-of-2.
     assert_eq!(r.stats.verifications, 7);

@@ -127,7 +127,7 @@ impl BmacReceiver {
     }
 
     /// Creates a receiver attached to a chain whose next expected block
-    /// is `next_block` (the resuming peer's `Ledger::next_block_number`):
+    /// is `next_block` (the resuming peer's `Ledger::height`):
     /// sections for blocks below it are discarded as late duplicates,
     /// and the completed-block memory stays bounded by the reorder depth
     /// instead of growing per delivered block.

@@ -57,15 +57,6 @@ impl Value {
         self.as_str()?.parse().ok()
     }
 
-    /// The value as a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self.as_str()? {
-            "true" | "yes" | "on" => Some(true),
-            "false" | "no" | "off" => Some(false),
-            _ => None,
-        }
-    }
-
     /// Map lookup.
     pub fn get(&self, key: &str) -> Option<&Value> {
         match self {
@@ -456,7 +447,7 @@ architecture:
     fn yaml_value_accessors() {
         let v = parse_yaml("a: 5\nb: true\nc: hello\n").unwrap();
         assert_eq!(v.get("a").unwrap().as_u64(), Some(5));
-        assert_eq!(v.get("b").unwrap().as_bool(), Some(true));
+        assert_eq!(v.get("b").unwrap().as_str(), Some("true"));
         assert_eq!(v.get("c").unwrap().as_str(), Some("hello"));
         assert_eq!(v.get("missing"), None);
     }

@@ -47,7 +47,7 @@
 //!     committed.extend(peer.ingest_wire(&packet.encode()?, 0)?);
 //! }
 //! assert_eq!(committed.len(), 1);
-//! assert!(committed[0].block_valid);
+//! assert_eq!(committed[0].valid_count(), 1);
 //! # Ok(())
 //! # }
 //! ```

@@ -3,11 +3,11 @@
 //! The peer couples the simulated FPGA card ([`BMacMachine`]) with the
 //! Fabric software side: blocks arrive as BMac packets, the hardware
 //! validates them, and the software reads the result with
-//! `GetBlockData()` "right before the ledger commit operation" (§3.5),
-//! commits the block to the disk ledger and mirrors the valid write sets
-//! into its own queryable state database — through the same commit tail
-//! as the software peer ([`ValidatorPipeline::commit_flagged`]), fed the
-//! hardware's flags and the block the machine decoded. When a block
+//! `GetBlockData()` "right before the ledger commit operation" (§3.5).
+//! It drops a block whose card-computed block_verify bit failed, and
+//! commits any other through [`ValidatorPipeline::commit_flagged`] with
+//! the card's flags (MVCC ran on the card): check → apply the valid
+//! write sets to its queryable state database → append. When a block
 //! arrives through Gossip instead (a software-only sender), the peer
 //! falls back to the full software validation pipeline — the
 //! compatibility goal of §1.
@@ -17,8 +17,8 @@ use std::collections::HashMap;
 use bmac_hw::processor::HwBlockStats;
 use bmac_hw::{BMacMachine, MachineError, ProcessorConfig};
 use fabric_crypto::Msp;
-use fabric_ledger::{Ledger, LedgerError, TxValidationCode};
-use fabric_peer::pipeline::{StageTimings, ValidateError, ValidatorPipeline};
+use fabric_ledger::{Ledger, TxValidationCode};
+use fabric_peer::pipeline::{ValidateError, ValidatorPipeline};
 use fabric_protos::messages::Block;
 use fabric_sim::SimTime;
 use fabric_statedb::StateDb;
@@ -30,8 +30,6 @@ use crate::config::BmacConfig;
 pub struct CommitRecord {
     /// Block number.
     pub block_num: u64,
-    /// Whether the orderer signature verified.
-    pub block_valid: bool,
     /// Per-transaction validation flags.
     pub flags: Vec<TxValidationCode>,
     /// Running commit hash after the block.
@@ -52,18 +50,17 @@ impl CommitRecord {
 pub enum PeerError {
     /// Hardware machine error.
     Machine(MachineError),
-    /// Ledger commit failure.
-    Ledger(LedgerError),
-    /// Software fallback validation failure.
-    Fallback(ValidateError),
+    /// The block was refused: by the software fallback's validation, or
+    /// by the host, before commit, when the card's block_verify bit
+    /// failed ([`ValidateError::OrdererSignature`]) or the commit did.
+    Refused(ValidateError),
 }
 
 impl std::fmt::Display for PeerError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             PeerError::Machine(e) => write!(f, "hardware: {e}"),
-            PeerError::Ledger(e) => write!(f, "ledger: {e}"),
-            PeerError::Fallback(e) => write!(f, "software fallback: {e}"),
+            PeerError::Refused(e) => write!(f, "block refused: {e}"),
         }
     }
 }
@@ -78,7 +75,6 @@ pub struct BMacPeer {
     /// database, commits hardware-validated blocks and validates
     /// Gossip-delivered ones.
     fallback: ValidatorPipeline,
-    commits: Vec<CommitRecord>,
 }
 
 impl BMacPeer {
@@ -96,11 +92,7 @@ impl BMacPeer {
         // The BMac peer VM runs with 4 vCPUs in the paper — its software
         // only commits blocks; fallback validation uses those vCPUs.
         let fallback = ValidatorPipeline::new(msp, policies, 4);
-        BMacPeer {
-            machine,
-            fallback,
-            commits: Vec::new(),
-        }
+        BMacPeer { machine, fallback }
     }
 
     /// The peer's ledger.
@@ -113,17 +105,13 @@ impl BMacPeer {
         self.fallback.state_db()
     }
 
-    /// The underlying machine (for traffic statistics).
-    pub fn machine(&self) -> &BMacMachine {
-        &self.machine
-    }
-
     /// Ingests one wire packet at `arrival` (simulated time), then
     /// commits any block whose hardware result became available.
     ///
     /// # Errors
     ///
-    /// [`PeerError`] on hardware or ledger failures.
+    /// [`PeerError::Machine`] on hardware failures, [`PeerError::Refused`]
+    /// when the host refuses a block.
     pub fn ingest_wire(
         &mut self,
         wire: &[u8],
@@ -140,56 +128,44 @@ impl BMacPeer {
     ///
     /// # Errors
     ///
-    /// [`PeerError::Fallback`] when software validation fails
-    /// structurally.
-    pub fn receive_gossip_block(&mut self, block: &Block) -> Result<CommitRecord, PeerError> {
+    /// [`PeerError::Refused`] when software validation refuses the
+    /// block.
+    pub fn receive_gossip_block(&self, block: &Block) -> Result<CommitRecord, PeerError> {
         let result = self
             .fallback
             .validate_and_commit(block)
-            .map_err(PeerError::Fallback)?;
-        let record = CommitRecord {
+            .map_err(PeerError::Refused)?;
+        Ok(CommitRecord {
             block_num: result.block_num,
-            block_valid: result.block_valid,
             flags: result.codes,
             commit_hash: result.commit_hash,
             hw_stats: None,
-        };
-        self.commits.push(record.clone());
-        Ok(record)
+        })
     }
 
-    /// All commits so far.
-    pub fn commits(&self) -> &[CommitRecord] {
-        &self.commits
-    }
-
-    /// `GetBlockData()` + ledger commit for every pending hardware
-    /// result (the software side of Figure 4b).
+    /// `GetBlockData()` + ledger commit of each pending hardware result
+    /// (Figure 4b's software side), dropping one whose block_verify failed.
     fn drain_hw_results(&mut self) -> Result<Vec<CommitRecord>, PeerError> {
         let mut out = Vec::new();
         while let Some((result, block, decoded)) = self.machine.get_block_data_full() {
+            if !result.block_verify {
+                return Err(PeerError::Refused(ValidateError::OrdererSignature {
+                    block: result.block_num,
+                }));
+            }
             // Ledger append plus the mirror of the valid write sets into
             // the software-visible state DB, so queries and the Gossip
             // fallback stay consistent with the in-hardware database.
             let committed = self
                 .fallback
-                .commit_flagged(
-                    block,
-                    decoded,
-                    result.block_valid,
-                    result.flags,
-                    StageTimings::default(),
-                )
-                .map_err(PeerError::Ledger)?;
-            let record = CommitRecord {
+                .commit_flagged(block, decoded, result.flags)
+                .map_err(PeerError::Refused)?;
+            out.push(CommitRecord {
                 block_num: committed.block_num,
-                block_valid: committed.block_valid,
                 flags: committed.codes,
                 commit_hash: committed.commit_hash,
                 hw_stats: Some(result.stats),
-            };
-            self.commits.push(record.clone());
-            out.push(record);
+            });
         }
         Ok(out)
     }
@@ -248,7 +224,6 @@ mod tests {
         }
         assert_eq!(records.len(), 1);
         let r = &records[0];
-        assert!(r.block_valid);
         assert_eq!(r.valid_count(), 3);
         assert!(r.hw_stats.is_some());
         assert_eq!(peer.ledger().height(), 1);
@@ -297,7 +272,7 @@ mod tests {
     #[test]
     fn gossip_fallback_works() {
         let mut net = make_network();
-        let mut peer = BMacPeer::new(&test_config(), test_msp());
+        let peer = BMacPeer::new(&test_config(), test_msp());
         net.submit_invocation(0, "kv", "put", &["a".into(), "1".into()])
             .unwrap();
         net.submit_invocation(0, "kv", "put", &["b".into(), "2".into()])
@@ -306,7 +281,7 @@ mod tests {
             .submit_invocation(0, "kv", "put", &["c".into(), "3".into()])
             .unwrap();
         let record = peer.receive_gossip_block(&blocks[0]).unwrap();
-        assert!(record.block_valid);
+        assert_eq!(record.valid_count(), 3);
         assert!(record.hw_stats.is_none());
         assert_eq!(peer.ledger().height(), 1);
     }

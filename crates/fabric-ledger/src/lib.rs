@@ -28,7 +28,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use fabric_crypto::sha256::Sha256;
-use fabric_protos::messages::{metadata_index, Block};
+use fabric_protos::messages::{metadata_index, Block, BlockHeader};
 use fabric_protos::txflow::{block_header_hash, decode_block_struct, hash_block_data};
 use parking_lot::Mutex;
 
@@ -310,6 +310,19 @@ struct LedgerInner {
     history: HistoryDb,
 }
 
+impl LedgerInner {
+    fn check_next(&self, header: &BlockHeader) -> Result<(), LedgerError> {
+        let (got, expected) = (header.number, self.store.len());
+        let tip_hash = self.tip.map(|t| t.header_hash).unwrap_or([0u8; 32]);
+        match got.cmp(&expected) {
+            std::cmp::Ordering::Less => Err(LedgerError::Duplicate(got)),
+            std::cmp::Ordering::Greater => Err(LedgerError::OutOfOrder { expected, got }),
+            _ if header.previous_hash != tip_hash => Err(LedgerError::BrokenChain),
+            _ => Ok(()),
+        }
+    }
+}
+
 impl Ledger {
     /// Creates an empty in-memory ledger.
     pub fn new() -> Self {
@@ -379,13 +392,6 @@ impl Ledger {
         self.height.load(Ordering::Acquire)
     }
 
-    /// Number of the next block this ledger will accept — the streaming
-    /// validator's reorder buffer starts its sequence here so a stream
-    /// can resume an existing chain.
-    pub fn next_block_number(&self) -> u64 {
-        self.height()
-    }
-
     /// Hash of the chain tip's header, or zeros for an empty chain.
     pub fn tip_hash(&self) -> [u8; 32] {
         let g = self.inner.lock();
@@ -396,6 +402,17 @@ impl Ledger {
     pub fn tip_commit_hash(&self) -> [u8; 32] {
         let g = self.inner.lock();
         g.tip.map(|t| t.commit_hash).unwrap_or([0u8; 32])
+    }
+
+    /// Checks that `header` is the chain's next link — number and
+    /// `previous_hash` — as [`Ledger::commit_block`] does; the committer
+    /// calls it before it writes any state.
+    ///
+    /// # Errors
+    ///
+    /// Duplicate, out-of-order or broken-chain [`LedgerError`]s.
+    pub fn check_next(&self, header: &BlockHeader) -> Result<(), LedgerError> {
+        self.inner.lock().check_next(header)
     }
 
     /// Commits a validated block: stamps the transactions filter and
@@ -416,21 +433,8 @@ impl Ledger {
         modified_keys: &[Vec<String>],
     ) -> Result<CommittedBlock, LedgerError> {
         let mut g = self.inner.lock();
-        let expected = g.store.len();
-        if block.header.number != expected {
-            return Err(if block.header.number < expected {
-                LedgerError::Duplicate(block.header.number)
-            } else {
-                LedgerError::OutOfOrder {
-                    expected,
-                    got: block.header.number,
-                }
-            });
-        }
-        let tip_hash = g.tip.map(|t| t.header_hash).unwrap_or([0u8; 32]);
-        if block.header.previous_hash != tip_hash {
-            return Err(LedgerError::BrokenChain);
-        }
+        g.check_next(&block.header)?;
+        let expected = block.header.number;
         if tx_filter.len() != block.data.data.len() || tx_ids.len() != tx_filter.len() {
             return Err(LedgerError::FilterMismatch);
         }
@@ -706,7 +710,6 @@ mod tests {
             "height() waited for the commit instead of reporting the height before it"
         );
         assert_eq!(ledger.height(), 1);
-        assert_eq!(ledger.next_block_number(), 1);
     }
 
     #[test]

@@ -13,15 +13,19 @@
 //!    block to the ledger with the validation flags and commit hash;
 //! 5. miscellaneous: history database updates.
 //!
+//! A *block* fault refuses the whole block with a [`ValidateError`]
+//! before anything of it is written; a *transaction* fault is a flag in
+//! the committed block. Commit runs check → MVCC → apply → append.
+//!
 //! Wall-clock time spent in each stage is recorded so tests and examples
 //! can reproduce the bottleneck analysis of Figure 3 on real hardware.
 //!
 //! A block is decoded **once**, at the top of the verify stage (step 1):
 //! the link hands over reassembled bytes, and every later step — and
 //! `verify_block_signatures`, which is the verify stage alone — reads
-//! that one `DecodedBlock`. Steps 4–5 are one function,
-//! [`ValidatorPipeline::commit_flagged`], which the hardware peer also
-//! calls with the flags its machine computed.
+//! that one `DecodedBlock`. The hardware peer (`bmac-core`) drops a
+//! block whose card-computed block_verify bit failed (§3.5), and commits
+//! the card's flags through [`ValidatorPipeline::commit_flagged`].
 //!
 //! # Verification architecture
 //!
@@ -121,8 +125,6 @@ impl StageTimings {
 pub struct BlockValidationResult {
     /// Block number.
     pub block_num: u64,
-    /// Whether the block-level (orderer) signature verified.
-    pub block_valid: bool,
     /// Per-transaction validation codes, in order.
     pub codes: Vec<TxValidationCode>,
     /// Transaction ids, in order.
@@ -140,10 +142,12 @@ impl BlockValidationResult {
     }
 }
 
-/// Errors from block validation.
+/// Errors from block validation. Each refuses the whole block before
+/// any write of it, except a failed store append after the state writes.
 #[derive(Debug)]
 pub enum ValidateError {
-    /// The block could not be decoded at all.
+    /// The block could not be decoded: its metadata or any one of its
+    /// envelopes.
     Decode(fabric_protos::wire::WireError),
     /// The header's `data_hash` is not the hash of the envelopes that
     /// arrived with it: the block is refused like an undecodable one.
@@ -151,7 +155,21 @@ pub enum ValidateError {
         /// Number the header claims.
         block: u64,
     },
-    /// Ledger append failed (ordering/duplicate/chain problems).
+    /// The orderer's signature (or certificate) does not verify.
+    OrdererSignature {
+        /// Number the header claims.
+        block: u64,
+    },
+    /// The state holds writes of a block the ledger lacks (its append
+    /// failed): every block is refused until the store is reopened.
+    StateAhead {
+        /// Block of the state database's last write.
+        block: u64,
+        /// The ledger's height.
+        height: u64,
+    },
+    /// The block is not the ledger's next link (duplicate, out of
+    /// order, broken chain) or its append failed.
     Ledger(LedgerError),
 }
 
@@ -164,6 +182,12 @@ impl std::fmt::Display for ValidateError {
                     f,
                     "block {block}: header data hash does not match its envelopes"
                 )
+            }
+            ValidateError::OrdererSignature { block } => {
+                write!(f, "block {block}: bad orderer signature")
+            }
+            ValidateError::StateAhead { block, height } => {
+                write!(f, "state holds block {block} at ledger height {height}")
             }
             ValidateError::Ledger(e) => write!(f, "ledger commit failed: {e}"),
         }
@@ -212,7 +236,7 @@ impl ValidatorPipeline {
     /// mode: pass the state database and ledger recovered by
     /// `fabric_store::FabricStore::open` and the peer resumes the chain
     /// where it left off (the streaming validator picks its first block
-    /// number up from `ledger.next_block_number()`). With a journal
+    /// number up from `ledger.height()`). With a journal
     /// attached to the state database and a durable block store under
     /// the ledger, a block is acknowledged only after its store write:
     /// the commit stage writes state batches (journaled write-ahead) and
@@ -308,11 +332,11 @@ impl ValidatorPipeline {
     ///
     /// # Errors
     ///
-    /// [`ValidateError::Decode`] when the block structure itself is
-    /// unparsable (individual bad transactions are *flagged*, not
-    /// errors), [`ValidateError::DataHash`] when the envelopes are not
-    /// the ones the header commits to, or [`ValidateError::Ledger`] when
-    /// the append fails.
+    /// [`ValidateError::Decode`] when the metadata or any one envelope
+    /// does not decode (one bad envelope refuses the whole block),
+    /// [`ValidateError::DataHash`], [`ValidateError::OrdererSignature`],
+    /// and the errors of [`ValidatorPipeline::commit_flagged`]. A bad
+    /// signature, policy or read set is a transaction's *flag*.
     pub fn validate_and_commit(
         &self,
         block: &Block,
@@ -328,9 +352,10 @@ impl ValidatorPipeline {
     ///
     /// The block's one decode happens here: the link delivers reassembled
     /// bytes, and everything downstream (vscc, MVCC, commit) reads this
-    /// `DecodedBlock`. A block with an envelope that does not parse, or
+    /// `DecodedBlock`. A block with an envelope that does not parse,
     /// whose envelopes are not the ones its header's `data_hash` commits
-    /// to, is rejected here and never committed.
+    /// to, or whose orderer signature fails, is rejected here and never
+    /// committed.
     pub(crate) fn verify_stage(&self, block: &Block) -> Result<VerifiedBlock, ValidateError> {
         let mut timings = StageTimings::default();
 
@@ -351,26 +376,29 @@ impl ValidatorPipeline {
                 block: block.header.number,
             });
         }
-        let block_valid = self.verify_orderer(&decoded);
+        if !self.verify_orderer(&decoded) {
+            return Err(ValidateError::OrdererSignature {
+                block: block.header.number,
+            });
+        }
         timings.block_verify_us = t0.elapsed().as_micros() as u64;
 
         // Step 2: parallel verification + vscc.
         let t0 = Instant::now();
-        let codes = self.verify_vscc_parallel(&decoded, block_valid);
+        let codes = self.verify_vscc_parallel(&decoded);
         timings.verify_vscc_us = t0.elapsed().as_micros() as u64;
 
         Ok(VerifiedBlock {
             decoded,
-            block_valid,
             codes,
             timings,
         })
     }
 
-    /// Steps 3–5: sequential MVCC against the *current* state database,
-    /// state commit, ledger append. Must run strictly in block order —
-    /// the streaming validator funnels every block through its commit
-    /// sequencer before calling this.
+    /// Check, then steps 3–5: sequential MVCC against the *current* state
+    /// database, state commit, ledger append. Must run strictly in block
+    /// order — the streaming validator funnels every block through its
+    /// commit sequencer before calling this.
     pub(crate) fn commit_stage(
         &self,
         block: Block,
@@ -378,10 +406,10 @@ impl ValidatorPipeline {
     ) -> Result<BlockValidationResult, ValidateError> {
         let VerifiedBlock {
             decoded,
-            block_valid,
             mut codes,
             mut timings,
         } = verified;
+        self.check_next(&block)?;
 
         // Step 3: sequential MVCC, "applied successively to all the valid
         // transactions of the block, starting from the first one"
@@ -411,44 +439,55 @@ impl ValidatorPipeline {
         }
         timings.mvcc_us = t0.elapsed().as_micros() as u64;
 
-        self.commit_flagged(block, decoded, block_valid, codes, timings)
+        self.apply_and_append(block, decoded, codes, timings)
+    }
+
+    /// The check before any write: the state holds nothing the ledger
+    /// lacks (so MVCC of block N+1 saw every write of block N), and
+    /// `block` is the ledger's next link.
+    fn check_next(&self, block: &Block) -> Result<(), ValidateError> {
+        let height = self.ledger.height();
+        if let Some(tip) = self.state_db.tip_height().filter(|h| h.block_num >= height) {
+            let block = tip.block_num;
+            return Err(ValidateError::StateAhead { block, height });
+        }
+        self.ledger
+            .check_next(&block.header)
             .map_err(ValidateError::Ledger)
     }
 
-    /// Steps 4–5, the one commit tail: applies the write sets of the
-    /// transactions `codes` marks valid to the state database, then
-    /// appends `block` to the ledger with those codes. The software path
-    /// reaches it from its commit stage, after MVCC; the hardware peer
-    /// (`bmac-core`) calls it with the flags the machine computed.
-    /// `decoded` must be the decode of `block`, `codes` one per
-    /// transaction, and calls must come in block order. Both are moved:
-    /// the block into the ledger, the write sets into the state batches.
+    /// The commit of a block whose flags are final (the hardware peer's,
+    /// from its card): the check, then steps 4–5 — the write sets of the
+    /// transactions `codes` marks valid go to the state database, then
+    /// `block` to the ledger with those codes. `decoded` must be the
+    /// decode of `block`, `codes` one per transaction. Both are moved.
     ///
     /// # Errors
     ///
-    /// [`LedgerError`] when the append fails.
+    /// [`ValidateError::StateAhead`] or [`ValidateError::Ledger`], before
+    /// any write unless the append itself failed.
     pub fn commit_flagged(
         &self,
         block: Block,
+        decoded: DecodedBlock,
+        codes: Vec<TxValidationCode>,
+    ) -> Result<BlockValidationResult, ValidateError> {
+        self.check_next(&block)?;
+        self.apply_and_append(block, decoded, codes, StageTimings::default())
+    }
+
+    /// Steps 4–5 of a block that passed [`Self::check_next`].
+    fn apply_and_append(
+        &self,
+        block: Block,
         mut decoded: DecodedBlock,
-        block_valid: bool,
         codes: Vec<TxValidationCode>,
         mut timings: StageTimings,
-    ) -> Result<BlockValidationResult, LedgerError> {
+    ) -> Result<BlockValidationResult, ValidateError> {
         assert_eq!(codes.len(), decoded.txs.len(), "one code per transaction");
         let block_num = decoded.number;
-        // Step 4a: state DB commit of valid write sets. The tip guard is
-        // the commit-ordering invariant the streaming sequencer relies
-        // on: writes land in strictly increasing block order, so MVCC of
-        // block N+1 (above) observed every committed write of block N.
+        // Step 4a: state DB commit of valid write sets.
         let t0 = Instant::now();
-        debug_assert!(
-            self.state_db
-                .tip_height()
-                .is_none_or(|h| h.block_num < block_num),
-            "state writes for block {block_num} would land at or below the committed tip {:?}",
-            self.state_db.tip_height(),
-        );
         // One batch per valid transaction — including empty write sets,
         // because a durable journal counts one record per valid tx —
         // handed to the state DB as a single block so the sharded
@@ -478,12 +517,12 @@ impl ValidatorPipeline {
         let t0 = Instant::now();
         let committed = self
             .ledger
-            .commit_block(block, &tx_ids, codes.clone(), &modified)?;
+            .commit_block(block, &tx_ids, codes.clone(), &modified)
+            .map_err(ValidateError::Ledger)?;
         timings.ledger_us = t0.elapsed().as_micros() as u64;
 
         Ok(BlockValidationResult {
             block_num,
-            block_valid,
             codes,
             tx_ids,
             commit_hash: committed.commit_hash,
@@ -501,7 +540,8 @@ impl ValidatorPipeline {
     /// # Errors
     ///
     /// [`ValidateError::Decode`] when the block structure is unparsable,
-    /// [`ValidateError::DataHash`] when it does not match its header.
+    /// [`ValidateError::DataHash`] when it does not match its header,
+    /// [`ValidateError::OrdererSignature`] when the orderer did not sign it.
     pub fn verify_block_signatures(
         &self,
         block: &Block,
@@ -528,17 +568,7 @@ impl ValidatorPipeline {
     /// Step 2: the five-phase signature pipeline described in the module
     /// docs — collect tasks, look each up, batch-invert and verify the
     /// misses, assemble per-transaction codes.
-    fn verify_vscc_parallel(
-        &self,
-        decoded: &DecodedBlock,
-        block_valid: bool,
-    ) -> Vec<TxValidationCode> {
-        // An invalid block invalidates every transaction without burning
-        // a single verification, as Fabric does.
-        if !block_valid {
-            return vec![TxValidationCode::BadSignature; decoded.txs.len()];
-        }
-
+    fn verify_vscc_parallel(&self, decoded: &DecodedBlock) -> Vec<TxValidationCode> {
         // Phase 1: collect unique verification tasks. Certificate (MSP)
         // validation is cheap and stays sequential here.
         let (tasks, txs) = self.collect_tasks(decoded);
@@ -715,7 +745,6 @@ impl ValidatorPipeline {
 #[derive(Debug)]
 pub(crate) struct VerifiedBlock {
     pub(crate) decoded: DecodedBlock,
-    pub(crate) block_valid: bool,
     pub(crate) codes: Vec<TxValidationCode>,
     pub(crate) timings: StageTimings,
 }
@@ -855,7 +884,6 @@ mod tests {
             .submit_invocation(0, "kv", "put", &["b".into(), "2".into()])
             .unwrap();
         let result = validator.validate_and_commit(&blocks[0]).unwrap();
-        assert!(result.block_valid);
         assert_eq!(result.valid_count(), 2);
         assert_eq!(validator.state_db().get("a").unwrap().value, b"1");
         assert_eq!(validator.ledger().height(), 1);
@@ -928,9 +956,18 @@ mod tests {
         // A well-formed orderer signature, over another header.
         let slot = fabric_protos::messages::metadata_index::SIGNATURES;
         block.metadata.metadata[slot] = next.metadata.metadata[slot].clone();
-        let result = validator.validate_and_commit(&block).unwrap();
-        assert!(!result.block_valid);
-        assert!(result.codes.iter().all(|c| !c.is_valid()));
+        let before = validator.verifications();
+        let refused = validator.validate_and_commit(&block);
+        assert!(matches!(
+            refused,
+            Err(ValidateError::OrdererSignature { block: 0 })
+        ));
+        assert_eq!(validator.verifications() - before, 1, "the orderer's alone");
+        assert_eq!(validator.ledger().height(), 0);
+        assert_eq!(
+            validator.state_db().state_hash(),
+            StateDb::new().state_hash()
+        );
     }
 
     #[test]
@@ -985,7 +1022,7 @@ mod tests {
         }
         assert_eq!(decoded.txs[0].endorsements.len(), 9);
         let before = validator.verifications();
-        let codes = validator.verify_vscc_parallel(&decoded, true);
+        let codes = validator.verify_vscc_parallel(&decoded);
         assert_eq!(codes[0], TxValidationCode::Valid);
         // 1 client + 2 unique endorsements; the 7 duplicates were
         // deduplicated before reaching the ECDSA engine.
@@ -1001,11 +1038,11 @@ mod tests {
         let block_len = blocks[0].marshal().len();
         let decoded = fabric_protos::txflow::decode_block_struct(&blocks[0], block_len).unwrap();
         let first = validator.verifications();
-        validator.verify_vscc_parallel(&decoded, true);
+        validator.verify_vscc_parallel(&decoded);
         let after_first = validator.verifications();
         assert_eq!(after_first - first, 3, "client + 2 endorsements");
         // Re-validating the same signatures costs zero verifications.
-        validator.verify_vscc_parallel(&decoded, true);
+        validator.verify_vscc_parallel(&decoded);
         assert_eq!(validator.verifications(), after_first);
         let stats = validator.sig_cache_stats();
         assert_eq!(stats.hits, 3);
@@ -1025,12 +1062,12 @@ mod tests {
         let block_len = blocks[0].marshal().len();
         let mut decoded =
             fabric_protos::txflow::decode_block_struct(&blocks[0], block_len).unwrap();
-        let codes = validator.verify_vscc_parallel(&decoded, true);
+        let codes = validator.verify_vscc_parallel(&decoded);
         assert_eq!(codes[0], TxValidationCode::Valid);
         // Corrupt the client's signed payload: digest changes, cache
         // misses, verification fails.
         decoded.txs[0].signed_payload.push(0xFF);
-        let codes = validator.verify_vscc_parallel(&decoded, true);
+        let codes = validator.verify_vscc_parallel(&decoded);
         assert_eq!(codes[0], TxValidationCode::BadSignature);
     }
 
@@ -1230,7 +1267,7 @@ mod tests {
         assert_eq!(plans[0], plans[2], "the repeat names the same tasks");
         assert_eq!(plans[1], TxPlan::BadCreator);
         assert_eq!(
-            validator.verify_vscc_parallel(&decoded, true),
+            validator.verify_vscc_parallel(&decoded),
             [
                 TxValidationCode::Valid,
                 TxValidationCode::BadSignature,
@@ -1272,12 +1309,12 @@ mod tests {
         let decoded = decode_block_struct(&block, 0).unwrap();
         let mut half = decoded.clone();
         half.txs.truncate(2);
-        validator.verify_vscc_parallel(&half, true);
+        validator.verify_vscc_parallel(&half);
         let stats = validator.sig_cache_stats();
         assert_eq!((stats.hits, stats.misses), (0, 6));
         let (inverted, _) = inverted_and_spawned(&validator);
 
-        let codes = validator.verify_vscc_parallel(&decoded, true);
+        let codes = validator.verify_vscc_parallel(&decoded);
         assert!(codes.iter().all(|c| c.is_valid()));
         let stats = validator.sig_cache_stats();
         assert_eq!((stats.hits, stats.misses), (6, 12));
@@ -1300,7 +1337,7 @@ mod tests {
             panic!("nothing is cached yet");
         };
         std::thread::scope(|s| {
-            let vscc = s.spawn(|| validator.verify_vscc_parallel(&decoded, true));
+            let vscc = s.spawn(|| validator.verify_vscc_parallel(&decoded));
             // Every lookup precedes every claim, and the two endorsement
             // claims are counted misses: once both are in, the client
             // key has been looked up — while still held here.

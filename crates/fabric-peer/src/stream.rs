@@ -14,11 +14,11 @@
 //!   is safe at any depth.
 //! * **commit sequencer** — a single thread drains verified blocks in
 //!   strict block-number order and runs the order-sensitive half
-//!   (`ValidatorPipeline::commit_stage`: MVCC, then the
-//!   [`ValidatorPipeline::commit_flagged`] tail — state DB commit, ledger
-//!   append). Because MVCC for block N+1 only ever runs *after* block
-//!   N's writes are applied, the stream observes exactly the state a
-//!   serial `validate_and_commit` replay would — the serial-equivalence
+//!   (`ValidatorPipeline::commit_stage`: check, MVCC, state DB commit,
+//!   ledger append — [`ValidatorPipeline::commit_flagged`]'s order).
+//!   Because MVCC for block N+1 only ever runs *after* block N's writes
+//!   are applied, the stream observes exactly the state a serial
+//!   `validate_and_commit` replay would — the serial-equivalence
 //!   harness in `tests/tests/stream_equivalence.rs` proves this
 //!   bit-for-bit (validation flags, commit hashes, final state) on
 //!   randomized multi-block streams.
@@ -71,9 +71,9 @@ impl Default for StreamConfig {
 /// Errors from the streaming validator.
 #[derive(Debug)]
 pub enum StreamError {
-    /// A block failed structural decode or ledger append (same cases as
-    /// [`ValidateError`]); blocks before it committed, later ones were
-    /// discarded.
+    /// A block was refused (any [`ValidateError`]: decode, data hash,
+    /// orderer signature, state ahead of the ledger, ledger): blocks
+    /// before it committed, later ones were discarded.
     Validate(ValidateError),
     /// A block number at or below the already-dispatched horizon was
     /// pushed again.
@@ -246,7 +246,7 @@ impl StreamValidator {
             config.max_in_flight >= config.verify_lanes,
             "in-flight window smaller than the lane count would idle lanes"
         );
-        let base = pipeline.ledger().next_block_number();
+        let base = pipeline.ledger().height();
         let shared = Arc::new(Shared {
             pipeline,
             state: Mutex::named(

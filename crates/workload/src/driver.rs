@@ -18,7 +18,7 @@ use fabric_crypto::identity::Msp;
 use fabric_node::client::ClientError;
 use fabric_node::endorser::TxWrites;
 use fabric_node::network::FabricNetwork;
-use fabric_peer::{StageTimings, TxValidationCode, ValidatorPipeline};
+use fabric_peer::{TxValidationCode, ValidatorPipeline};
 use fabric_protos::messages::Block;
 use fabric_protos::txflow::{decode_block_struct, DecodedBlock};
 use rand::rngs::StdRng;
@@ -145,13 +145,7 @@ impl Driver {
             let decoded = decode_block_struct(block, 0).expect("driver-produced blocks decode");
             let codes = vec![TxValidationCode::Valid; decoded.txs.len()];
             self.oracle(net)
-                .commit_flagged(
-                    block.clone(),
-                    decoded.clone(),
-                    true,
-                    codes.clone(),
-                    StageTimings::default(),
-                )
+                .commit_flagged(block.clone(), decoded.clone(), codes.clone())
                 .expect("driver-produced blocks chain");
             commit_valid_writes(net, decoded, &codes);
         }

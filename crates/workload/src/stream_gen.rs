@@ -30,8 +30,8 @@ use std::collections::HashMap;
 use fabric_crypto::identity::{Msp, Role, SigningIdentity};
 use fabric_node::network::{FabricNetwork, FabricNetworkBuilder};
 use fabric_policy::{parse, Policy};
-use fabric_protos::messages::{Block, Envelope};
-use fabric_protos::txflow::{block_header_hash, build_block};
+use fabric_protos::messages::Block;
+use fabric_protos::txflow::{block_header_hash, build_block, EnvelopeHead};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -184,10 +184,11 @@ impl StreamScenario {
             .collect();
         targets.shuffle(&mut rng);
         for &(b, t) in targets.iter().take(self.corrupt_sigs) {
-            let mut env = Envelope::unmarshal(&blocks[b].data.data[t]).expect("envelope decodes");
-            let n = env.signature.len();
-            env.signature[n - 1] ^= 0x01;
-            blocks[b].data.data[t] = env.marshal();
+            let env = &mut blocks[b].data.data[t];
+            let head = EnvelopeHead::walk(env).expect("envelope decodes");
+            // The signature's last byte, flipped in place.
+            let last = head.signature.as_ptr_range().end as usize - env.as_ptr() as usize - 1;
+            env[last] ^= 0x01;
         }
         for _ in 0..self.duplicate_txs {
             if hi - lo < 2 {

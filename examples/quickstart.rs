@@ -58,9 +58,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let record = &committed[0];
     println!(
-        "block {}: valid={}, {}/{} transactions valid, hw latency {:.2} ms",
+        "block {}: {}/{} transactions valid, hw latency {:.2} ms",
         record.block_num,
-        record.block_valid,
         record.valid_count(),
         record.flags.len(),
         record

@@ -131,7 +131,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.journal_records_replayed,
         report.journal_truncated_bytes,
     );
-    let next = store.ledger().next_block_number();
+    let next = store.ledger().height();
     assert!(next <= half as u64, "cannot recover blocks never committed");
 
     // Tip-hash continuity: the next block of the original stream chains
