@@ -177,7 +177,7 @@ mod tests {
         // Tamper with one state key behind the validator's back.
         let db = replay.state_db();
         let mut batch = fabric_statedb::WriteBatch::new();
-        batch.put("rogue_key", b"rogue".to_vec());
+        batch.put("rogue_key", b"rogue");
         db.apply(&batch, fabric_statedb::Height::new(999, 0));
         let err = oracle
             .audit(&replay.ledger(), &replay.state_db(), true)

@@ -489,13 +489,14 @@ impl JacobianPoint {
         }
     }
 
-    /// Projects back to affine coordinates (one field inversion).
+    /// Projects back to affine coordinates (one field inversion, by
+    /// [`Fp256::inv`]: variable-time, like the rest of this crate).
     pub fn to_affine(&self) -> AffinePoint {
         if self.is_identity() {
             return AffinePoint::identity();
         }
         let f = Fp256;
-        let zinv = f.inv_prime(&self.z).expect("nonzero z");
+        let zinv = f.inv(&self.z).expect("nonzero z");
         let zinv2 = f.sqr(&zinv);
         let zinv3 = f.mul(&zinv2, &zinv);
         AffinePoint {
@@ -503,6 +504,18 @@ impl JacobianPoint {
             y: f.mul(&self.y, &zinv3),
             infinity: false,
         }
+    }
+
+    /// The affine `x` coordinate alone, `x / z²`: all an ECDSA signature
+    /// keeps of `k·G`, so signing skips [`Self::to_affine`]'s `y` and its
+    /// `z⁻³`. Zero for the identity, as [`AffinePoint::identity`] reads.
+    pub fn affine_x(&self) -> U256 {
+        if self.is_identity() {
+            return U256::ZERO;
+        }
+        let f = Fp256;
+        let zinv = f.inv(&self.z).expect("nonzero z");
+        f.mul(&self.x, &f.sqr(&zinv))
     }
 }
 

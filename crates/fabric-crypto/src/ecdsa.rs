@@ -375,9 +375,15 @@ impl SigningKey {
     /// nonce, so signing needs no RNG and is reproducible across runs.
     ///
     /// `k·G` runs on the precomputed fixed-base comb table (no
-    /// doublings) and `k⁻¹` on binary-Euclid inversion, making signing
-    /// several times faster than the seed's windowed ladder + Fermat
-    /// exponentiation while producing bit-identical signatures.
+    /// doublings), only its affine `x` is computed, and both `k⁻¹` and
+    /// the projection's `z⁻¹` run on binary-Euclid inversion, making
+    /// signing several times faster than the seed's windowed ladder +
+    /// Fermat exponentiation while producing bit-identical signatures.
+    ///
+    /// Not constant-time: both inversions are variable-time binary
+    /// Euclid on values derived from the secret nonce (the Fermat
+    /// exponentiation they replaced is no hardening either, see
+    /// [`crate::fp256`]). The keys signed with here are synthetic.
     pub fn sign_prehashed(&self, digest: &[u8; 32]) -> Signature {
         let c = p256();
         let n = &c.order;
@@ -388,8 +394,7 @@ impl SigningKey {
             if k.is_zero() || &k >= n {
                 continue;
             }
-            let point = mul_fixed_base(&k).to_affine();
-            let r = point.x.reduce_once(n);
+            let r = mul_fixed_base(&k).affine_x().reduce_once(n);
             if r.is_zero() {
                 continue;
             }

@@ -117,7 +117,9 @@ impl Fp256 {
 
     /// Multiplicative inverse via Fermat's little theorem (`a^(p-2)`).
     /// Returns `None` for zero. [`Self::inv`] is several times faster;
-    /// this is the independent check it is tested against.
+    /// this is the independent check it is tested against, and no
+    /// production path calls it. Variable-time: the reduction's final
+    /// correction depends on the operands.
     pub fn inv_prime(&self, a: &U256) -> Option<U256> {
         if a.is_zero() {
             return None;
@@ -128,6 +130,9 @@ impl Fp256 {
 
     /// Multiplicative inverse via the shared binary extended Euclid
     /// ([`crate::bigint::inv_mod_odd`]). Returns `None` for zero.
+    /// Variable-time: the number of Euclid steps depends on `a`. Signing
+    /// inverts the projective `z` of `k·G` with it, as it inverts the
+    /// nonce itself with the same core.
     ///
     /// Unlike the Montgomery path, no domain conversions bracket the
     /// Euclidean core: canonical residues go straight in and out.

@@ -598,13 +598,11 @@ pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; 32] {
         key_block[..key.len()].copy_from_slice(key);
     }
     let mut inner = Sha256::new();
-    let ipad: Vec<u8> = key_block.iter().map(|b| b ^ 0x36).collect();
-    inner.update(&ipad);
+    inner.update(&key_block.map(|b| b ^ 0x36));
     inner.update(message);
     let inner_hash = inner.finalize();
     let mut outer = Sha256::new();
-    let opad: Vec<u8> = key_block.iter().map(|b| b ^ 0x5c).collect();
-    outer.update(&opad);
+    outer.update(&key_block.map(|b| b ^ 0x5c));
     outer.update(&inner_hash);
     outer.finalize()
 }

@@ -210,8 +210,8 @@ mod tests {
     fn kv_transfer_moves_balance() {
         let db = StateDb::new();
         let mut b = WriteBatch::new();
-        b.put("alice", b"100".to_vec());
-        b.put("bob", b"50".to_vec());
+        b.put("alice", b"100");
+        b.put("bob", b"50");
         db.apply(&b, Height::new(1, 0));
         let cc = KvChaincode::new("kv");
         let r = cc

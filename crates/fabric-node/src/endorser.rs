@@ -109,7 +109,7 @@ impl EndorserPeer {
         for (tx_num, writes) in tx_writes {
             let mut batch = WriteBatch::new();
             for (k, v) in writes {
-                batch.put(k.clone(), v.clone());
+                batch.put(k, v);
             }
             self.db.apply(&batch, Height::new(block_num, *tx_num));
         }

@@ -492,8 +492,9 @@ impl ValidatorPipeline {
         // because a durable journal counts one record per valid tx —
         // handed to the state DB as a single block so the sharded
         // backend can fan the apply out over disjoint shards. The ledger
-        // indexes a valid transaction's keys; the batch takes its writes
-        // (what is left of `decoded` is freed after both stage timers).
+        // indexes a valid transaction's keys, taken by move; the batch
+        // copies its writes (what is left of `decoded` is freed after
+        // both stage timers).
         let mut batches: Vec<(WriteBatch, Height)> = Vec::new();
         let mut tx_ids = Vec::with_capacity(codes.len());
         let mut modified: Vec<Vec<String>> = Vec::with_capacity(codes.len());
@@ -503,11 +504,16 @@ impl ValidatorPipeline {
                 modified.push(Vec::new());
                 continue;
             }
-            modified.push(tx.writes.iter().map(|(k, _)| k.clone()).collect());
             let mut batch = WriteBatch::new();
-            for (k, v) in std::mem::take(&mut tx.writes) {
+            for (k, v) in &tx.writes {
                 batch.put(k, v);
             }
+            modified.push(
+                std::mem::take(&mut tx.writes)
+                    .into_iter()
+                    .map(|(k, _)| k)
+                    .collect(),
+            );
             batches.push((batch, Height::new(block_num, i as u64)));
         }
         self.state_db.apply_block(&batches);

@@ -39,6 +39,11 @@ impl std::error::Error for BoundedDbError {}
 /// reads of a locked key fail with [`BoundedDbError::Locked`],
 /// reproducing the hardware's "internal locking mechanism to disallow
 /// reading of a key if it is currently being written" (paper §3.3).
+///
+/// One ordered map, unlike [`crate::StateDb`]'s hash index: at most
+/// 8 192 keys keep every lookup in cache, the card model charges each
+/// access a modelled latency (`bmac_hw::timing`) rather than timing this
+/// map, and an ordered map has no worst case to key a hasher against.
 #[derive(Debug)]
 pub struct BoundedStateDb {
     map: BTreeMap<String, VersionedValue>,

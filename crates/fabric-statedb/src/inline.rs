@@ -1,13 +1,14 @@
 //! Keys and values stored in place: the byte strings of
-//! [`crate::StateDb`]'s shard maps.
+//! [`crate::StateDb`]'s shard indexes and of [`crate::WriteBatch`].
 //!
-//! A byte string of at most [`INLINE_CAP`] bytes lives inside the map
-//! node or chain entry that holds it, so a key comparison during a
-//! descent reads the node it is already on and a short value costs no
-//! allocation of its own. Longer ones go to the heap.
+//! A byte string of at most [`INLINE_CAP`] bytes lives inside the hash
+//! bucket, tree node, chain entry or batch entry that holds it, so a key
+//! comparison reads the slot it is already on and a short key or value
+//! costs no allocation of its own. Longer ones go to the heap.
 
 use std::borrow::Borrow;
 use std::cmp::Ordering;
+use std::hash::{Hash, Hasher};
 
 /// Bytes a string may have and still be stored in place. With its
 /// length byte and the variant tag an [`InlineBytes`] is 24 bytes, the
@@ -16,6 +17,7 @@ pub(crate) const INLINE_CAP: usize = 22;
 
 /// A byte string held in place up to [`INLINE_CAP`] bytes, on the heap
 /// beyond.
+#[derive(Clone)]
 pub(crate) enum InlineBytes {
     Inline { len: u8, buf: [u8; INLINE_CAP] },
     Heap(Box<[u8]>),
@@ -49,11 +51,12 @@ impl std::fmt::Debug for InlineBytes {
     }
 }
 
-/// A shard map key: the UTF-8 bytes of a `&str`, ordered as bytes.
-/// Byte order is `str` order, so the map answers lookups and ranges
-/// keyed by `key.as_bytes()` ([`Borrow<[u8]>`]) in the order a
-/// `BTreeMap<String, _>` would.
-#[derive(Debug)]
+/// A state key: the UTF-8 bytes of a `&str`, hashed and ordered as
+/// bytes. Byte order is `str` order, so the ordered index answers
+/// ranges keyed by `key.as_bytes()` ([`Borrow<[u8]>`]) in the order a
+/// `BTreeSet<String>` would; and a `Key` hashes exactly as its
+/// `[u8]` does, so the hash index finds it by `key.as_bytes()` too.
+#[derive(Clone)]
 pub(crate) struct Key(InlineBytes);
 
 impl Key {
@@ -69,6 +72,20 @@ impl Key {
 impl Borrow<[u8]> for Key {
     fn borrow(&self) -> &[u8] {
         self.0.as_slice()
+    }
+}
+
+impl std::fmt::Debug for Key {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.as_str().fmt(f)
+    }
+}
+
+/// The `Borrow` contract: equal to `<[u8] as Hash>::hash` of the same
+/// bytes, which is what a lookup by `&[u8]` hashes.
+impl Hash for Key {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.as_slice().hash(state);
     }
 }
 
@@ -113,6 +130,25 @@ mod tests {
                 matches!(stored, InlineBytes::Inline { .. }),
                 len <= INLINE_CAP,
                 "length {len}"
+            );
+        }
+    }
+
+    #[test]
+    fn keys_hash_as_their_bytes() {
+        use std::hash::BuildHasher;
+        let hasher = std::collections::hash_map::RandomState::new();
+        for s in [
+            "",
+            "a",
+            "acct0000000001",
+            "acct0000000001_longer_than_inline",
+            "€",
+        ] {
+            assert_eq!(
+                hasher.hash_one(Key::new(s)),
+                hasher.hash_one(s.as_bytes()),
+                "{s:?}"
             );
         }
     }

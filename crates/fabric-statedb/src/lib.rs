@@ -10,10 +10,11 @@
 //! The stores:
 //!
 //! * [`StateDb`] — the unbounded, thread-safe store every software peer
-//!   runs: hash-sharded, with per-shard version-chained maps so reads
-//!   can pin a height snapshot ([`StateDb::pin`]) without blocking the
-//!   committer, a k-way merged ordered index preserving range/prefix
-//!   scans, and per-shard write batches so a block's commit goes wide
+//!   runs: hash-sharded, with a per-shard hash index of version chains
+//!   that serves every point read and write, so reads can pin a height
+//!   snapshot ([`StateDb::pin`]) without blocking the committer; a
+//!   per-shard ordered key set, k-way merged, that serves range/prefix
+//!   scans; and per-shard write batches so a block's commit goes wide
 //!   over disjoint shards;
 //! * [`BoundedStateDb`] — a capacity-limited store with an explicit
 //!   read/write-lock discipline, modeling the in-hardware BRAM/URAM
@@ -35,6 +36,8 @@
 #![warn(missing_docs)]
 
 use std::fmt;
+
+use inline::{InlineBytes, Key};
 
 mod bounded;
 mod inline;
@@ -79,9 +82,14 @@ pub struct VersionedValue {
 }
 
 /// A batch of writes applied atomically at commit.
+///
+/// A key or value of at most 22 bytes is held inside the batch's own
+/// entry, as the state database holds it; longer ones are copied to the
+/// heap. `put` and `delete` copy what they are given, so a caller that
+/// keeps its strings passes them by reference.
 #[derive(Debug, Clone, Default)]
 pub struct WriteBatch {
-    entries: Vec<(String, Option<Vec<u8>>)>,
+    entries: Vec<(Key, Option<InlineBytes>)>,
 }
 
 impl WriteBatch {
@@ -91,14 +99,17 @@ impl WriteBatch {
     }
 
     /// Queues a put.
-    pub fn put(&mut self, key: impl Into<String>, value: Vec<u8>) -> &mut Self {
-        self.entries.push((key.into(), Some(value)));
+    pub fn put(&mut self, key: impl AsRef<str>, value: impl AsRef<[u8]>) -> &mut Self {
+        self.entries.push((
+            Key::new(key.as_ref()),
+            Some(InlineBytes::new(value.as_ref())),
+        ));
         self
     }
 
     /// Queues a delete.
-    pub fn delete(&mut self, key: impl Into<String>) -> &mut Self {
-        self.entries.push((key.into(), None));
+    pub fn delete(&mut self, key: impl AsRef<str>) -> &mut Self {
+        self.entries.push((Key::new(key.as_ref()), None));
         self
     }
 
@@ -114,21 +125,26 @@ impl WriteBatch {
 
     /// Iterates over `(key, value-or-delete)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (&str, Option<&[u8]>)> {
-        self.entries.iter().map(|(k, v)| (k.as_str(), v.as_deref()))
+        self.entries
+            .iter()
+            .map(|(k, v)| (k.as_str(), v.as_ref().map(InlineBytes::as_slice)))
     }
 }
 
 impl FromIterator<(String, Option<Vec<u8>>)> for WriteBatch {
     fn from_iter<I: IntoIterator<Item = (String, Option<Vec<u8>>)>>(iter: I) -> Self {
-        WriteBatch {
-            entries: iter.into_iter().collect(),
-        }
+        let mut batch = WriteBatch::new();
+        batch.extend(iter);
+        batch
     }
 }
 
 impl Extend<(String, Option<Vec<u8>>)> for WriteBatch {
     fn extend<I: IntoIterator<Item = (String, Option<Vec<u8>>)>>(&mut self, iter: I) {
-        self.entries.extend(iter);
+        self.entries.extend(
+            iter.into_iter()
+                .map(|(k, v)| (Key::new(&k), v.as_deref().map(InlineBytes::new))),
+        );
     }
 }
 
@@ -195,7 +211,7 @@ mod legacy {
         fn put_get_roundtrip() {
             let db = StateDb::new();
             let mut b = WriteBatch::new();
-            b.put("a", b"1".to_vec());
+            b.put("a", b"1");
             db.apply(&b, Height::new(1, 0));
             assert_eq!(db.get("a").unwrap().value, b"1");
             assert_eq!(db.get_version("a"), Some(Height::new(1, 0)));
@@ -206,7 +222,7 @@ mod legacy {
         fn later_write_bumps_version() {
             let db = StateDb::new();
             let mut b = WriteBatch::new();
-            b.put("a", b"1".to_vec());
+            b.put("a", b"1");
             db.apply(&b, Height::new(1, 0));
             db.apply(&b, Height::new(2, 3));
             assert_eq!(db.get_version("a"), Some(Height::new(2, 3)));
@@ -216,7 +232,7 @@ mod legacy {
         fn delete_removes_key() {
             let db = StateDb::new();
             let mut b = WriteBatch::new();
-            b.put("a", b"1".to_vec());
+            b.put("a", b"1");
             db.apply(&b, Height::new(1, 0));
             let mut d = WriteBatch::new();
             d.delete("a");
@@ -229,7 +245,7 @@ mod legacy {
         fn mvcc_validation_semantics() {
             let db = StateDb::new();
             let mut b = WriteBatch::new();
-            b.put("a", b"1".to_vec());
+            b.put("a", b"1");
             db.apply(&b, Height::new(1, 0));
             // matching version -> valid
             assert!(db.mvcc_validate(&[("a".into(), Some(Height::new(1, 0)))]));
@@ -246,7 +262,7 @@ mod legacy {
             let db = StateDb::new();
             let mut b = WriteBatch::new();
             for k in ["b", "a", "c", "d"] {
-                b.put(k, k.as_bytes().to_vec());
+                b.put(k, k.as_bytes());
             }
             db.apply(&b, Height::new(1, 0));
             let keys: Vec<String> = db.range("a", "d").into_iter().map(|(k, _)| k).collect();

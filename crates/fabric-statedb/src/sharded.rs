@@ -5,15 +5,41 @@
 //!
 //! # Structure
 //!
-//! * **Shards.** Keys hash (FNV-1a, [`DEFAULT_SHARDS`] shards by
-//!   default) to independent `RwLock<BTreeMap<key, version-chain>>`
-//!   shards. Point reads touch exactly one shard lock; a block's write
-//!   batches group by shard and disjoint shard groups apply
+//! * **Shards, each with two indexes.** Keys hash (FNV-1a,
+//!   [`DEFAULT_SHARDS`] shards by default) to independent `RwLock`ed
+//!   shards. A shard holds its keys twice under its one lock: a
+//!   `HashMap` from key to version chain, and a `BTreeSet` of the same
+//!   keys in order. Point reads touch exactly one shard lock; a block's
+//!   write batches group by shard and disjoint shard groups apply
 //!   concurrently ([`StateDb::apply_block`]).
+//! * **Point path against scan path.** `get`, `get_version`,
+//!   `mvcc_validate`, pinned `get`s and every write go through the hash
+//!   map alone: one probe, whatever the shard's size, where a `BTreeMap`
+//!   descended some six levels of nodes, each searched key by key, in a
+//!   62 500-key shard at 1 M keys. The ordered set is touched on the
+//!   point path only when a write creates a key or drops its
+//!   all-tombstone chain. The scans (`range`, `snapshot`,
+//!   `snapshot_chunks`, `state_hash` and [`StateSnapshot`]'s `range` and
+//!   `snapshot`) walk the ordered set and look each key's chain up in
+//!   the hash map; [`StateDb::from_snapshot`] fills both.
+//! * **A keyed hasher, and no hash order anywhere.** The hash maps use
+//!   std's `RandomState`, keyed afresh per map: state keys are chosen by
+//!   clients, and an unkeyed hash would let them aim every key at one
+//!   bucket chain, a worst case the `BTreeMap` never had. Nothing
+//!   iterates a hash map, so neither the key nor insertion order can
+//!   reach a dump, a scan or a state hash.
+//! * **Memory.** At 1 M keys of the state benchmark's shape (14-byte
+//!   keys, 8-byte values, one version each) the two indexes, the chains
+//!   and the allocator's overhead take ≈ 220 bytes a key, against ≈ 161
+//!   for the one `BTreeMap` they replaced (resident-set growth over the
+//!   preload, 16 shards, x86-64 glibc). The hash buckets are ≈ 100 of
+//!   them (48 bytes each, and a 62 500-key shard fills about half of its
+//!   131 072), the one-entry chains ≈ 64 and the ordered set ≈ 50.
 //! * **Short keys and values in place.** A key of at most 22 bytes is
-//!   stored inside its map node, and a value of at most 22 bytes inside
-//!   its chain entry (`crate::inline`); longer ones go to the heap. The
-//!   map is keyed by the key's bytes, whose order is `str` order.
+//!   stored inside its hash bucket and its tree node, and a value of at
+//!   most 22 bytes inside its chain entry (`crate::inline`); longer ones
+//!   go to the heap. Keys hash and order as their bytes, whose order is
+//!   `str` order.
 //! * **Version chains (MVCC).** Each key maps to a short chain of
 //!   `(epoch, height, value-or-tombstone)` entries in apply order.
 //!   Live reads resolve the newest entry; a pinned snapshot
@@ -30,8 +56,8 @@
 //!   block, even while shard groups commit in parallel, and why
 //!   non-monotone heights (exercised by the equivalence harness) don't
 //!   confuse snapshot reads.
-//! * **Ordered index.** `range`/`snapshot`/`snapshot_chunks` k-way
-//!   merge the per-shard ordered maps (shards partition the keyspace
+//! * **Ordered scans.** `range`/`snapshot`/`snapshot_chunks` k-way
+//!   merge the per-shard ordered sets (shards partition the keyspace
 //!   disjointly, so the merge is a plain heap-less cursor sweep over at
 //!   most `shards` tails).
 //! * **Journal ordering.** A commit-order mutex is held across journal
@@ -42,7 +68,7 @@
 //! Lock order: `order` → `pins` → shard locks → `committed`. Readers
 //! take only shard locks; `pin()` takes `pins` → `committed`.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -99,11 +125,41 @@ struct VersionEntry {
     value: Option<InlineBytes>,
 }
 
-#[derive(Debug, Default)]
+/// One shard: the same keys in two indexes, both under the shard's
+/// lock. Every key of `chains` is in `order` and the other way round.
+#[derive(Default)]
 struct Shard {
-    map: BTreeMap<Key, Vec<VersionEntry>>,
+    /// Each key's version chain, keyed by std's `RandomState` (see the
+    /// module docs): what every point read and write goes through.
+    chains: HashMap<Key, Vec<VersionEntry>>,
+    /// The keys in byte order: what only the scans read.
+    order: BTreeSet<Key>,
     /// Keys whose newest entry is a put (i.e. visible to a live read).
     live: usize,
+}
+
+/// Counts only: listing `chains` would print them in the hasher's
+/// order, which differs from map to map and run to run.
+impl std::fmt::Debug for Shard {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Shard")
+            .field("keys", &self.order.len())
+            .field("live", &self.live)
+            .finish()
+    }
+}
+
+impl Shard {
+    /// The keys of `bounds` in order, each with its chain.
+    fn scan<'s>(
+        &'s self,
+        bounds: (Bound<&[u8]>, Bound<&[u8]>),
+    ) -> impl Iterator<Item = (&'s Key, &'s [VersionEntry])> + 's {
+        self.order.range::<[u8], _>(bounds).map(|key| {
+            let chain = self.chains.get(key).expect("every ordered key has a chain");
+            (key, chain.as_slice())
+        })
+    }
 }
 
 /// State guarded by the commit-order mutex: held across journal record
@@ -272,7 +328,8 @@ impl StateDb {
                     height: v.version,
                     value: Some(InlineBytes::new(&v.value)),
                 }];
-                if g.map.insert(Key::new(&key), chain).is_none() {
+                if g.chains.insert(Key::new(&key), chain).is_none() {
+                    g.order.insert(Key::new(&key));
                     g.live += 1;
                 }
             }
@@ -328,7 +385,7 @@ impl StateDb {
         self.inner.reads.fetch_add(1, Ordering::Relaxed);
         let shard = self.inner.shards[self.shard_of(key)].read();
         let hit = shard
-            .map
+            .chains
             .get(key.as_bytes())
             .and_then(|chain| read(chain.last()?));
         if hit.is_none() {
@@ -407,25 +464,50 @@ impl StateDb {
 
         // Group entries by home shard, preserving batch order within
         // each group (same-shard writes from later batches come later,
-        // so last-write-wins holds across the whole block).
-        let mut groups: Vec<Vec<GroupEntry>> = vec![Vec::new(); inner.shards.len()];
-        let mut total = 0usize;
+        // so last-write-wins holds across the whole block): a counting
+        // sort into one vector, shard `s`'s run ending at `ends[s]` and
+        // starting where shard `s - 1`'s ends.
+        let total: usize = batches.iter().map(|(batch, _)| batch.len()).sum();
+        let mut homes = Vec::with_capacity(total);
+        let mut ends = vec![0usize; inner.shards.len()];
         let mut tip = order.tip;
-        for (i, (batch, height)) in batches.iter().enumerate() {
-            let epoch = epoch_pre + 1 + i as u64;
+        for (batch, height) in batches {
             tip = Some(match tip {
                 Some(t) => t.max(*height),
                 None => *height,
             });
-            for (key, value) in batch.iter() {
-                groups[self.shard_of(key)].push((key, value, epoch, *height));
-                total += 1;
+            for (key, _) in batch.iter() {
+                let home = self.shard_of(key);
+                ends[home] += 1;
+                homes.push(home);
             }
         }
+        let mut start = 0;
+        for end in &mut ends {
+            let count = *end;
+            *end = start;
+            start += count;
+        }
+        let mut entries: Vec<GroupEntry> = vec![("", None, 0, Height::default()); total];
+        let mut homes = homes.into_iter();
+        for (i, (batch, height)) in batches.iter().enumerate() {
+            let epoch = epoch_pre + 1 + i as u64;
+            for (key, value) in batch.iter() {
+                let home = homes.next().expect("one home per entry");
+                entries[ends[home]] = (key, value, epoch, *height);
+                ends[home] += 1;
+            }
+        }
+        let group = |idx: usize| {
+            let start = if idx == 0 { 0 } else { ends[idx - 1] };
+            &entries[start..ends[idx]]
+        };
         // relaxed: monotonic stats counter; never gates data visibility
         inner.writes.fetch_add(total as u64, Ordering::Relaxed);
 
-        let busy = groups.iter().filter(|g| !g.is_empty()).count();
+        let busy = (0..ends.len())
+            .filter(|&idx| !group(idx).is_empty())
+            .count();
         let workers = processors().min(busy);
         if total >= PARALLEL_APPLY_THRESHOLD && workers > 1 {
             // Wide commit: at most `processors()` threads, each
@@ -434,22 +516,22 @@ impl StateDb {
             // and groups touch disjoint shards, so the shard write
             // locks never contend; capping at the core count keeps the
             // spawn overhead from swamping the fan-out on small hosts.
-            let groups = &groups;
+            let group = &group;
             std::thread::scope(|scope| {
                 for w in 0..workers {
                     scope.spawn(move || {
-                        for idx in (w..groups.len()).step_by(workers) {
-                            if !groups[idx].is_empty() {
-                                apply_group(&inner.shards[idx], &groups[idx], horizon);
+                        for idx in (w..inner.shards.len()).step_by(workers) {
+                            if !group(idx).is_empty() {
+                                apply_group(&inner.shards[idx], group(idx), horizon);
                             }
                         }
                     });
                 }
             });
         } else {
-            for (idx, group) in groups.iter().enumerate() {
-                if !group.is_empty() {
-                    apply_group(&inner.shards[idx], group, horizon);
+            for (idx, shard) in inner.shards.iter().enumerate() {
+                if !group(idx).is_empty() {
+                    apply_group(shard, group(idx), horizon);
                 }
             }
         }
@@ -494,8 +576,7 @@ impl StateDb {
         for shard in &self.inner.shards {
             let g = shard.read();
             per_shard.push(
-                g.map
-                    .range::<[u8], _>(key_range(start, end))
+                g.scan(key_range(start, end))
                     .filter_map(|(k, chain)| Some((k.as_str().to_owned(), chain.last()?.read()?)))
                     .collect(),
             );
@@ -599,12 +680,19 @@ fn apply_group(shard: &RwLock<Shard>, group: &[GroupEntry], horizon: u64) {
             height,
             value: value.map(InlineBytes::new),
         };
-        match g.map.get_mut(key.as_bytes()) {
+        match g.chains.get_mut(key.as_bytes()) {
             Some(chain) => {
                 let was_live = chain.last().is_some_and(|e| e.value.is_some());
                 let now_live = entry.value.is_some();
-                chain.push(entry);
+                // The new entry's epoch is above the horizon, so pruning
+                // before the push keeps what pruning after it would; an
+                // unpinned chain then needs room for two entries, never
+                // the four a doubling push would give a one-entry chain.
                 prune_chain(chain, horizon);
+                if chain.len() == 1 {
+                    chain.reserve_exact(1);
+                }
+                chain.push(entry);
                 match (was_live, now_live) {
                     (false, true) => g.live += 1,
                     (true, false) => g.live -= 1,
@@ -615,7 +703,8 @@ fn apply_group(shard: &RwLock<Shard>, group: &[GroupEntry], horizon: u64) {
                 // the key rather than let delete-heavy workloads
                 // accumulate dead chains.
                 if chain.iter().all(|e| e.value.is_none()) {
-                    g.map.remove(key.as_bytes());
+                    g.chains.remove(key.as_bytes());
+                    g.order.remove(key.as_bytes());
                 }
             }
             None => {
@@ -623,7 +712,8 @@ fn apply_group(shard: &RwLock<Shard>, group: &[GroupEntry], horizon: u64) {
                 // readers at every epoch already resolve the key to
                 // None. Only a put starts a chain.
                 if entry.value.is_some() {
-                    g.map.insert(Key::new(key), vec![entry]);
+                    g.chains.insert(Key::new(key), vec![entry]);
+                    g.order.insert(Key::new(key));
                     g.live += 1;
                 }
             }
@@ -716,8 +806,7 @@ impl Iterator for SnapshotChunks {
                 None => Bound::Unbounded,
             };
             per_shard.push(
-                g.map
-                    .range::<[u8], _>((after, Bound::Unbounded))
+                g.scan((after, Bound::Unbounded))
                     .filter_map(|(k, chain)| Some((k.as_str().to_owned(), chain.last()?.read()?)))
                     .take(self.chunk)
                     .collect(),
@@ -773,7 +862,7 @@ impl StateSnapshot {
             return None;
         }
         let g = self.inner.shards[shard_index(key, self.inner.shards.len())].read();
-        g.map
+        g.chains
             .get(key.as_bytes())
             .and_then(|chain| read(self.resolve(chain)?))
     }
@@ -798,8 +887,7 @@ impl StateSnapshot {
         for shard in &self.inner.shards {
             let g = shard.read();
             per_shard.push(
-                g.map
-                    .range::<[u8], _>(key_range(start, end))
+                g.scan(key_range(start, end))
                     .filter_map(|(k, chain)| {
                         Some((k.as_str().to_owned(), self.resolve(chain)?.read()?))
                     })
@@ -818,8 +906,7 @@ impl StateSnapshot {
         for shard in &self.inner.shards {
             let g = shard.read();
             per_shard.push(
-                g.map
-                    .iter()
+                g.scan((Bound::Unbounded, Bound::Unbounded))
                     .filter_map(|(k, chain)| {
                         Some((k.as_str().to_owned(), self.resolve(chain)?.read()?))
                     })
@@ -855,6 +942,19 @@ mod tests {
         db.apply(&b, h);
     }
 
+    /// Whether `key` has a chain, after checking that both of its
+    /// shard's indexes say the same.
+    fn holds(db: &StateDb, key: &str) -> bool {
+        let g = db.inner.shards[db.shard_of(key)].read();
+        let chained = g.chains.contains_key(key.as_bytes());
+        assert_eq!(
+            chained,
+            g.order.contains(key.as_bytes()),
+            "indexes disagree on {key:?}"
+        );
+        chained
+    }
+
     #[test]
     fn single_shard_degenerate_case_works() {
         let db = StateDb::with_shards(1);
@@ -876,10 +976,7 @@ mod tests {
         assert_eq!(db.get("ghost"), None);
         assert_eq!(pin0.get("ghost"), None);
         drop(pin0);
-        assert!(!db.inner.shards[db.shard_of("ghost")]
-            .read()
-            .map
-            .contains_key("ghost".as_bytes()));
+        assert!(!holds(&db, "ghost"));
         // ...and deleting a live key leaves a chain only as long as a
         // pinned reader might still resolve the put below it.
         put(&db, "k", 1, Height::new(2, 0));
@@ -888,20 +985,14 @@ mod tests {
         d2.delete("k");
         db.apply(&d2, Height::new(3, 0));
         assert_eq!(pin.get("k").unwrap().value, vec![1], "pin fences the put");
-        assert!(db.inner.shards[db.shard_of("k")]
-            .read()
-            .map
-            .contains_key("k".as_bytes()));
+        assert!(holds(&db, "k"));
         drop(pin);
         // Next touch prunes the put; the all-tombstone chain drops.
         let mut d3 = WriteBatch::new();
         d3.delete("k");
         db.apply(&d3, Height::new(4, 0));
         assert!(
-            !db.inner.shards[db.shard_of("k")]
-                .read()
-                .map
-                .contains_key("k".as_bytes()),
+            !holds(&db, "k"),
             "dead tombstone chain should have been dropped"
         );
         assert_eq!(db.len(), 0);
@@ -914,7 +1005,7 @@ mod tests {
             put(&db, "hot", i as u8, Height::new(i, 0));
         }
         let shard = db.inner.shards[db.shard_of("hot")].read();
-        let chain = shard.map.get("hot".as_bytes()).unwrap();
+        let chain = shard.chains.get("hot".as_bytes()).unwrap();
         assert!(
             chain.len() <= 2,
             "unpinned hot-key chain grew to {} entries",
@@ -937,7 +1028,7 @@ mod tests {
         // ...and after release, the next touch prunes the history.
         put(&db, "k", 99, Height::new(99, 0));
         let shard = db.inner.shards[db.shard_of("k")].read();
-        assert!(shard.map.get("k".as_bytes()).unwrap().len() <= 2);
+        assert!(shard.chains.get("k".as_bytes()).unwrap().len() <= 2);
     }
 
     #[test]

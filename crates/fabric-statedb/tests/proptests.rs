@@ -29,7 +29,7 @@ proptest! {
         let db = StateDb::new();
         let mut b = WriteBatch::new();
         for k in &keys {
-            b.put(k.clone(), b"x".to_vec());
+            b.put(k.clone(), b"x");
         }
         db.apply(&b, Height::new(3, 7));
         // Reading current versions validates...
@@ -102,7 +102,7 @@ proptest! {
         // surviving entry stamped at the batch height.
         let db = StateDb::new();
         let mut seed = WriteBatch::new();
-        seed.put("a", b"seed".to_vec());
+        seed.put("a", b"seed");
         db.apply(&seed, Height::new(1, 0));
 
         let batch: WriteBatch = ops

@@ -96,9 +96,7 @@ pub fn decode_batch(payload: &[u8]) -> Option<(Height, WriteBatch)> {
                 .try_into()
                 .expect("take(4) returned 4 bytes"),
         ) as usize;
-        let key = std::str::from_utf8(take(&mut rest, klen)?)
-            .ok()?
-            .to_string();
+        let key = std::str::from_utf8(take(&mut rest, klen)?).ok()?;
         match take(&mut rest, 1)?[0] {
             1 => {
                 let vlen = u32::from_le_bytes(
@@ -106,7 +104,7 @@ pub fn decode_batch(payload: &[u8]) -> Option<(Height, WriteBatch)> {
                         .try_into()
                         .expect("take(4) returned 4 bytes"),
                 ) as usize;
-                batch.put(key, take(&mut rest, vlen)?.to_vec());
+                batch.put(key, take(&mut rest, vlen)?);
             }
             0 => {
                 batch.delete(key);

@@ -129,7 +129,7 @@ mod tests {
     fn purchase_reads_content_writes_license() {
         let db = StateDb::new();
         let mut b = WriteBatch::new();
-        b.put(content_key("song1"), b"alice:10:registered".to_vec());
+        b.put(content_key("song1"), b"alice:10:registered");
         db.apply(&b, Height::new(1, 0));
         let r = Drm::new()
             .execute("purchase_license", &["song1".into(), "bob".into()], &db)
@@ -154,7 +154,7 @@ mod tests {
     fn transfer_keeps_price() {
         let db = StateDb::new();
         let mut b = WriteBatch::new();
-        b.put(content_key("song1"), b"alice:10:registered".to_vec());
+        b.put(content_key("song1"), b"alice:10:registered");
         db.apply(&b, Height::new(1, 0));
         let r = Drm::new()
             .execute("transfer_ownership", &["song1".into(), "carol".into()], &db)
@@ -167,7 +167,7 @@ mod tests {
         // Figure 13's premise.
         let db = StateDb::new();
         let mut b = WriteBatch::new();
-        b.put(content_key("c"), b"o:1:registered".to_vec());
+        b.put(content_key("c"), b"o:1:registered");
         db.apply(&b, Height::new(1, 0));
         let drm = Drm::new()
             .execute("purchase_license", &["c".into(), "u".into()], &db)

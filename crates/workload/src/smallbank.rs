@@ -181,10 +181,10 @@ mod tests {
     fn seeded_db() -> StateDb {
         let db = StateDb::new();
         let mut b = WriteBatch::new();
-        b.put(checking_key("alice"), b"1000".to_vec());
-        b.put(savings_key("alice"), b"500".to_vec());
-        b.put(checking_key("bob"), b"100".to_vec());
-        b.put(savings_key("bob"), b"50".to_vec());
+        b.put(checking_key("alice"), b"1000");
+        b.put(savings_key("alice"), b"500");
+        b.put(checking_key("bob"), b"100");
+        b.put(savings_key("bob"), b"50");
         db.apply(&b, Height::new(1, 0));
         db
     }

@@ -46,15 +46,33 @@ impl Default for StatePreload {
 impl StatePreload {
     /// The canonical key of account index `i` (`0 <= i < keys`).
     pub fn key(i: u64) -> String {
-        format!("acct{i:010}")
+        let mut key = String::new();
+        Self::key_into(&mut key, i);
+        key
+    }
+
+    /// Writes [`StatePreload::key`]`(i)` over `buf`: the generators
+    /// reuse one buffer rather than allocate a key a write.
+    fn key_into(buf: &mut String, i: u64) -> &str {
+        use std::fmt::Write;
+        buf.clear();
+        write!(buf, "acct{i:010}").expect("writing to a String cannot fail");
+        buf
     }
 
     /// The deterministic value stored for account index `i`.
     pub fn value(&self, i: u64) -> Vec<u8> {
-        let mut v = i.to_le_bytes().to_vec();
-        v.resize(self.value_len, 0xA5);
-        v.truncate(self.value_len);
+        let mut v = Vec::new();
+        self.value_into(&mut v, i);
         v
+    }
+
+    /// Writes [`StatePreload::value`]`(i)` over `buf`.
+    fn value_into<'b>(&self, buf: &'b mut Vec<u8>, i: u64) -> &'b [u8] {
+        buf.clear();
+        buf.extend_from_slice(&i.to_le_bytes());
+        buf.resize(self.value_len, 0xA5);
+        buf
     }
 
     /// Iterates the preload as `(batch, height)` pairs: batch `b`
@@ -64,9 +82,11 @@ impl StatePreload {
         (0..total_batches).map(move |b| {
             let start = b * self.batch_size;
             let end = (start + self.batch_size).min(self.keys);
-            let batch: WriteBatch = (start..end)
-                .map(|i| (Self::key(i), Some(self.value(i))))
-                .collect();
+            let (mut key, mut value) = (String::new(), Vec::new());
+            let mut batch = WriteBatch::new();
+            for i in start..end {
+                batch.put(Self::key_into(&mut key, i), self.value_into(&mut value, i));
+            }
             (batch, Height::new(b, 0))
         })
     }
@@ -130,6 +150,7 @@ impl ZipfCommitLoad {
     pub fn blocks(&self) -> Vec<Vec<(WriteBatch, Height)>> {
         let mut rng = StdRng::seed_from_u64(self.seed);
         let zipf = ZipfSampler::new(self.population, self.exponent);
+        let mut key = String::new();
         (0..self.blocks)
             .map(|b| {
                 let block_num = self.first_block + b;
@@ -142,9 +163,10 @@ impl ZipfCommitLoad {
                             // space deterministically so the hot set isn't
                             // one contiguous run of shard hashes.
                             let i = (rank - 1) % self.population;
-                            let mut value = block_num.to_le_bytes().to_vec();
-                            value.extend_from_slice(&(tx as u64).to_le_bytes());
-                            batch.put(StatePreload::key(i), value);
+                            let mut value = [0; 16];
+                            value[..8].copy_from_slice(&block_num.to_le_bytes());
+                            value[8..].copy_from_slice(&(tx as u64).to_le_bytes());
+                            batch.put(StatePreload::key_into(&mut key, i), value);
                         }
                         (batch, Height::new(block_num, tx as u64))
                     })

@@ -492,7 +492,7 @@ fn soak_pinned_readers_never_see_torn_or_future_state() {
     // Block 0: seed every key so readers always find all 8.
     let mut seed = WriteBatch::new();
     for k in 0..KEYS {
-        seed.put(format!("k{k}"), 0u64.to_le_bytes().to_vec());
+        seed.put(format!("k{k}"), 0u64.to_le_bytes());
     }
     db.apply(&seed, Height::new(0, 0));
 
@@ -506,7 +506,7 @@ fn soak_pinned_readers_never_see_torn_or_future_state() {
                     let batches: Vec<(WriteBatch, Height)> = (0..KEYS)
                         .map(|k| {
                             let mut b = WriteBatch::new();
-                            b.put(format!("k{k}"), block.to_le_bytes().to_vec());
+                            b.put(format!("k{k}"), block.to_le_bytes());
                             (b, Height::new(block, k as u64))
                         })
                         .collect();
@@ -584,7 +584,7 @@ fn soak_pinned_readers_never_see_torn_or_future_state() {
 fn soak_live_reads_are_always_committed_values() {
     let db = StateDb::new();
     let mut seed = WriteBatch::new();
-    seed.put("x", 0u64.to_le_bytes().to_vec());
+    seed.put("x", 0u64.to_le_bytes());
     db.apply(&seed, Height::new(0, 0));
 
     std::thread::scope(|scope| {
@@ -593,7 +593,7 @@ fn soak_live_reads_are_always_committed_values() {
             scope.spawn(move || {
                 for block in 1..=2_000u64 {
                     let mut b = WriteBatch::new();
-                    b.put("x", block.to_le_bytes().to_vec());
+                    b.put("x", block.to_le_bytes());
                     db.apply(&b, Height::new(block, 0));
                 }
             })
@@ -688,4 +688,194 @@ fn same_key_twice_in_batch_is_identical() {
     assert_eq!(model.get("k"), db.get("k"));
     assert_eq!(db.get("k").unwrap().value, vec![4]);
     assert_eq!(model.state_hash(), db.state_hash());
+}
+
+// ---------------------------------------------------------------------
+// The two indexes of a shard: a hash index for point reads and writes,
+// an ordered index for scans. Every scan walks the ordered index and
+// looks each key up in the hash index, so an index that misses a key, or
+// keeps one the other dropped, shows in a scan against the model.
+// ---------------------------------------------------------------------
+
+/// A step of the index tape: writes over a four-key pool, and pins
+/// taken and released, so keys often die to all-tombstone chains
+/// (dropped from both indexes once no pin fences them) and come back.
+#[derive(Debug, Clone)]
+enum IndexOp {
+    Put(usize, u8),
+    Delete(usize),
+    Pin,
+    /// Releases the pin at this index of the live ones, if any.
+    Unpin(usize),
+}
+
+const INDEX_KEYS: [&str; 4] = ["a", "ab", "b", "k05"];
+
+fn arb_index_op() -> impl Strategy<Value = IndexOp> {
+    prop_oneof![
+        (0..INDEX_KEYS.len(), any::<u8>()).prop_map(|(k, v)| IndexOp::Put(k, v)),
+        (0..INDEX_KEYS.len()).prop_map(IndexOp::Delete),
+        (0..INDEX_KEYS.len()).prop_map(IndexOp::Delete),
+        Just(IndexOp::Pin),
+        (0usize..4).prop_map(IndexOp::Unpin),
+    ]
+}
+
+/// Every scan of `db` against `model`: ranges over every pair of pool
+/// bounds, the dump, chunked dumps and the state hash.
+fn scans_agree(model: &StateModel, db: &StateDb) -> Result<(), TestCaseError> {
+    let bounds = ["", "a", "ab", "b", "k", "k05", "z"];
+    for (i, start) in bounds.iter().enumerate() {
+        for end in &bounds[i..] {
+            prop_assert_eq!(model.range(start, end), db.range(start, end));
+        }
+    }
+    prop_assert_eq!(model.snapshot(), db.snapshot());
+    for chunk in [1, 2, 3] {
+        let chunked: Vec<_> = db.snapshot_chunks(chunk).flatten().collect();
+        prop_assert_eq!(chunked, model.snapshot(), "chunk {}", chunk);
+    }
+    prop_assert_eq!(model.state_hash(), db.state_hash());
+    prop_assert_eq!(model.snapshot().len(), db.len());
+    for key in INDEX_KEYS {
+        prop_assert_eq!(model.get(key), db.get(key), "get({})", key);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The hash index and the ordered index hold the same keys through
+    /// deletes down to all-tombstone chains, re-inserts of dropped keys,
+    /// and pins that keep dead versions alive: every scan of the live
+    /// store and of every live pin answers as the model.
+    #[test]
+    fn indexes_agree_through_deletes_reinserts_and_pins(
+        ops in proptest::collection::vec(arb_index_op(), 1..60),
+    ) {
+        let mut model = StateModel::new();
+        let db = StateDb::new();
+        let mut pins = Vec::new();
+        for (step, op) in ops.iter().enumerate() {
+            let height = Height::new(step as u64 + 1, 0);
+            let mut batch = WriteBatch::new();
+            match op {
+                IndexOp::Put(k, v) => {
+                    batch.put(INDEX_KEYS[*k], [*v]);
+                }
+                IndexOp::Delete(k) => {
+                    batch.delete(INDEX_KEYS[*k]);
+                }
+                IndexOp::Pin => pins.push((model.pin(), db.pin())),
+                IndexOp::Unpin(i) => {
+                    if !pins.is_empty() {
+                        pins.remove(i % pins.len());
+                    }
+                }
+            }
+            if !batch.is_empty() {
+                model.apply(&batch, height);
+                db.apply(&batch, height);
+            }
+            scans_agree(&model, &db)?;
+            for (mp, sp) in &pins {
+                prop_assert_eq!(mp.snapshot(), sp.snapshot());
+                prop_assert_eq!(mp.range("a", "k"), sp.range("a", "k"));
+                for key in INDEX_KEYS {
+                    prop_assert_eq!(mp.get(key), sp.get(key), "pinned get({})", key);
+                }
+            }
+        }
+    }
+}
+
+/// Each `StateDb` keys its hash indexes afresh (std `RandomState`), and
+/// the order writes arrive in decides the order a hash index holds its
+/// keys. Two stores fed the same writes in opposite key orders, with
+/// deletes among them, still give identical dumps, chunked dumps,
+/// ranges and state hashes: nothing a caller sees iterates a hash index.
+#[test]
+fn hasher_keys_and_insertion_order_do_not_reach_the_dumps() {
+    let keys: Vec<String> = (0..3_000u64)
+        .map(|i| format!("acct{:010}", i * 7_919 % 3_000))
+        .collect();
+    let feed = |db: &StateDb, keys: &mut dyn Iterator<Item = &String>| {
+        for key in keys {
+            let i: u64 = key[4..].parse().expect("numbered key");
+            let mut batch = WriteBatch::new();
+            batch.put(key, i.to_le_bytes());
+            if i.is_multiple_of(5) {
+                batch.delete(key);
+            }
+            db.apply(&batch, Height::new(1, i));
+        }
+    };
+    let forward = StateDb::new();
+    let backward = StateDb::new();
+    feed(&forward, &mut keys.iter());
+    feed(&backward, &mut keys.iter().rev());
+    assert_eq!(forward.len(), 2_400);
+    assert_eq!(forward.snapshot(), backward.snapshot());
+    assert_eq!(forward.state_hash(), backward.state_hash());
+    let chunks = |db: &StateDb| db.snapshot_chunks(97).collect::<Vec<_>>();
+    assert_eq!(chunks(&forward), chunks(&backward));
+    assert_eq!(
+        forward.range("acct0000000100", "acct0000002000"),
+        backward.range("acct0000000100", "acct0000002000")
+    );
+    let dump = forward.snapshot();
+    assert!(dump.windows(2).all(|w| w[0].0 < w[1].0), "ascending keys");
+}
+
+/// A `WriteBatch` hands back what it was given, in order, for keys and
+/// values on both sides of the 22-byte in-place capacity (multi-byte
+/// UTF-8 keys among them) and for deletes, whichever way it was built:
+/// `put`/`delete` with owned or borrowed arguments, `FromIterator` or
+/// `Extend`.
+#[test]
+fn write_batch_round_trips_on_both_sides_of_the_inline_capacity() {
+    let mut entries: Vec<(String, Option<Vec<u8>>)> = Vec::new();
+    for len in BOUNDARY_LENS {
+        for (i, ch) in ['x', 'é', '€', '𝄞'].into_iter().enumerate() {
+            let key: String = std::iter::repeat_n(ch, len / ch.len_utf8() + i % 2).collect();
+            let value = (len % 3 != 1).then(|| vec![len as u8; BOUNDARY_LENS[i]]);
+            entries.push((key, value));
+        }
+    }
+    assert!(entries.iter().any(|(k, _)| k.len() == INLINE_CAP));
+    assert!(entries.iter().any(|(k, _)| k.len() == INLINE_CAP + 1));
+    assert!(entries.iter().any(|(_, v)| v.is_none()));
+    let read_back = |batch: &WriteBatch| -> Vec<(String, Option<Vec<u8>>)> {
+        batch
+            .iter()
+            .map(|(k, v)| (k.to_owned(), v.map(<[u8]>::to_vec)))
+            .collect()
+    };
+
+    let mut owned = WriteBatch::new();
+    let mut borrowed = WriteBatch::new();
+    for (key, value) in &entries {
+        match value {
+            Some(v) => {
+                owned.put(key.clone(), v.clone());
+                borrowed.put(key.as_str(), v.as_slice());
+            }
+            None => {
+                owned.delete(key.clone());
+                borrowed.delete(key);
+            }
+        }
+    }
+    let collected: WriteBatch = entries.iter().cloned().collect();
+    let (head, tail) = entries.split_at(entries.len() / 2);
+    let mut extended: WriteBatch = head.iter().cloned().collect();
+    extended.extend(tail.iter().cloned());
+
+    for batch in [&owned, &borrowed, &collected, &extended, &owned.clone()] {
+        assert_eq!(batch.len(), entries.len());
+        assert!(!batch.is_empty());
+        assert_eq!(read_back(batch), entries);
+    }
+    assert!(WriteBatch::new().is_empty());
 }
