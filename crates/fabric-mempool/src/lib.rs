@@ -496,8 +496,7 @@ impl Mempool {
 mod tests {
     use super::*;
     use fabric_crypto::identity::Role;
-    use fabric_protos::messages::Envelope;
-    use fabric_protos::txflow::{build_transaction, TxParams};
+    use fabric_protos::txflow::{build_transaction, EnvelopeHead, TxParams};
 
     fn test_msp() -> (
         Msp,
@@ -610,11 +609,12 @@ mod tests {
         let mp = pool(MempoolConfig::default());
         let env = envelope(&client, &endorsers, 4);
         // Corrupt the client signature the way the stream generator
-        // does: flip the last DER byte (still parses, fails verify).
-        let mut parsed = Envelope::unmarshal(&env).unwrap();
-        let last = parsed.signature.len() - 1;
-        parsed.signature[last] ^= 0x01;
-        let corrupt = parsed.marshal();
+        // does: flip the last DER byte in place (still parses, fails
+        // verify).
+        let mut corrupt = env.clone();
+        let head = EnvelopeHead::walk(&corrupt).unwrap();
+        let last = head.signature.as_ptr_range().end as usize - corrupt.as_ptr() as usize - 1;
+        corrupt[last] ^= 0x01;
         assert_eq!(mp.admit(&corrupt), AdmitOutcome::Admitted);
         let report = mp.verify_pending();
         assert_eq!((report.valid, report.invalid), (0, 1));

@@ -5,8 +5,8 @@
 //! — and the software validator pays ~10% of its time unmarshaling them
 //! (Figure 3a). This crate rebuilds that stack from scratch:
 //!
-//! * [`wire`] — the varint/length-delimited protobuf wire format with a
-//!   decode-effort meter;
+//! * [`wire`] — the varint/length-delimited protobuf wire format, and a
+//!   per-thread count of the fields decoded that the tests compare;
 //! * [`messages`] — Fabric's message types with the real field numbers
 //!   (`Envelope`, `Payload`, `Transaction`, endorsements, rwsets, blocks);
 //! * [`txflow`] — building complete endorsed transactions and signed

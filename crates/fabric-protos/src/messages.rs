@@ -7,13 +7,17 @@
 //! the same ~20-layer decode cost — that the paper's §3.2 analysis
 //! describes for real Fabric blocks.
 //!
-//! Every type provides `marshal`/`unmarshal`; unknown fields are skipped
-//! on decode, mirroring protobuf semantics.
+//! Every type provides `marshal`, which the builders in
+//! [`crate::txflow`] use. A transaction's layers are decoded in place by
+//! `txflow`'s layer functions, so only what is read whole keeps an owned
+//! `unmarshal`: [`SerializedIdentity`], [`Version`] and the block types.
+//! Decoders skip unknown fields, mirroring protobuf semantics.
 
 use crate::wire::{bytes_field_len, message_field_len, uint64_field_len, ProtoWriter, WireError};
 
-/// Generates `marshal`/`unmarshal` boilerplate-free accessors is overkill
-/// here; each message is written out explicitly for auditability.
+/// Runs `$body` on each field of `$bytes` in wire order, bound to
+/// `$field`, and returns a [`WireError`] from the enclosing function when
+/// the reader meets one. Every decoder in this crate reads through it.
 macro_rules! unmarshal_loop {
     ($bytes:expr, $field:ident => $body:expr) => {{
         let mut reader = $crate::wire::ProtoReader::new($bytes);
@@ -42,23 +46,6 @@ impl Envelope {
         w.bytes(2, &self.signature);
         w.into_bytes()
     }
-
-    /// Parses from protobuf bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError`] for malformed input.
-    pub fn unmarshal(bytes: &[u8]) -> Result<Self, WireError> {
-        let mut m = Envelope::default();
-        unmarshal_loop!(bytes, f => {
-            match f.number {
-                1 => m.payload = f.data.to_vec(),
-                2 => m.signature = f.data.to_vec(),
-                _ => {}
-            }
-        });
-        Ok(m)
-    }
 }
 
 /// Payload of an envelope: header + app data. (`common.Payload`)
@@ -79,23 +66,6 @@ impl Payload {
         w.bytes(2, &self.data);
         w.into_bytes()
     }
-
-    /// Parses from protobuf bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError`] for malformed input.
-    pub fn unmarshal(bytes: &[u8]) -> Result<Self, WireError> {
-        let mut m = Payload::default();
-        unmarshal_loop!(bytes, f => {
-            match f.number {
-                1 => m.header = Header::unmarshal(f.data)?,
-                2 => m.data = f.data.to_vec(),
-                _ => {}
-            }
-        });
-        Ok(m)
-    }
 }
 
 /// Channel + signature header pair. (`common.Header`)
@@ -114,23 +84,6 @@ impl Header {
         w.bytes(1, &self.channel_header);
         w.bytes(2, &self.signature_header);
         w.into_bytes()
-    }
-
-    /// Parses from protobuf bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError`] for malformed input.
-    pub fn unmarshal(bytes: &[u8]) -> Result<Self, WireError> {
-        let mut m = Header::default();
-        unmarshal_loop!(bytes, f => {
-            match f.number {
-                1 => m.channel_header = f.data.to_vec(),
-                2 => m.signature_header = f.data.to_vec(),
-                _ => {}
-            }
-        });
-        Ok(m)
     }
 }
 
@@ -171,27 +124,6 @@ impl ChannelHeader {
         w.uint64(6, self.epoch);
         w.into_bytes()
     }
-
-    /// Parses from protobuf bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError`] for malformed input.
-    pub fn unmarshal(bytes: &[u8]) -> Result<Self, WireError> {
-        let mut m = ChannelHeader::default();
-        unmarshal_loop!(bytes, f => {
-            match f.number {
-                1 => m.header_type = f.value,
-                2 => m.version = f.value,
-                3 => m.timestamp = f.value,
-                4 => m.channel_id = utf8(f.data)?,
-                5 => m.tx_id = utf8(f.data)?,
-                6 => m.epoch = f.value,
-                _ => {}
-            }
-        });
-        Ok(m)
-    }
 }
 
 /// Creator identity + nonce. (`common.SignatureHeader`)
@@ -210,23 +142,6 @@ impl SignatureHeader {
         w.bytes(1, &self.creator);
         w.bytes(2, &self.nonce);
         w.into_bytes()
-    }
-
-    /// Parses from protobuf bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError`] for malformed input.
-    pub fn unmarshal(bytes: &[u8]) -> Result<Self, WireError> {
-        let mut m = SignatureHeader::default();
-        unmarshal_loop!(bytes, f => {
-            match f.number {
-                1 => m.creator = f.data.to_vec(),
-                2 => m.nonce = f.data.to_vec(),
-                _ => {}
-            }
-        });
-        Ok(m)
     }
 }
 
@@ -259,7 +174,7 @@ impl SerializedIdentity {
         let mut m = SerializedIdentity::default();
         unmarshal_loop!(bytes, f => {
             match f.number {
-                1 => m.mspid = utf8(f.data)?,
+                1 => m.mspid = utf8_str(f.data)?.to_owned(),
                 2 => m.id_bytes = f.data.to_vec(),
                 _ => {}
             }
@@ -284,21 +199,6 @@ impl Transaction {
         }
         w.into_bytes()
     }
-
-    /// Parses from protobuf bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError`] for malformed input.
-    pub fn unmarshal(bytes: &[u8]) -> Result<Self, WireError> {
-        let mut m = Transaction::default();
-        unmarshal_loop!(bytes, f => {
-            if f.number == 1 {
-                m.actions.push(TransactionAction::unmarshal(f.data)?);
-            }
-        });
-        Ok(m)
-    }
 }
 
 /// One action of a transaction. (`peer.TransactionAction`)
@@ -318,23 +218,6 @@ impl TransactionAction {
         w.bytes(2, &self.payload);
         w.into_bytes()
     }
-
-    /// Parses from protobuf bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError`] for malformed input.
-    pub fn unmarshal(bytes: &[u8]) -> Result<Self, WireError> {
-        let mut m = TransactionAction::default();
-        unmarshal_loop!(bytes, f => {
-            match f.number {
-                1 => m.header = f.data.to_vec(),
-                2 => m.payload = f.data.to_vec(),
-                _ => {}
-            }
-        });
-        Ok(m)
-    }
 }
 
 /// Proposal payload + endorsed action. (`peer.ChaincodeActionPayload`)
@@ -353,23 +236,6 @@ impl ChaincodeActionPayload {
         w.bytes(1, &self.chaincode_proposal_payload);
         w.bytes(2, &self.action.marshal());
         w.into_bytes()
-    }
-
-    /// Parses from protobuf bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError`] for malformed input.
-    pub fn unmarshal(bytes: &[u8]) -> Result<Self, WireError> {
-        let mut m = ChaincodeActionPayload::default();
-        unmarshal_loop!(bytes, f => {
-            match f.number {
-                1 => m.chaincode_proposal_payload = f.data.to_vec(),
-                2 => m.action = ChaincodeEndorsedAction::unmarshal(f.data)?,
-                _ => {}
-            }
-        });
-        Ok(m)
     }
 }
 
@@ -393,23 +259,6 @@ impl ChaincodeEndorsedAction {
         }
         w.into_bytes()
     }
-
-    /// Parses from protobuf bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError`] for malformed input.
-    pub fn unmarshal(bytes: &[u8]) -> Result<Self, WireError> {
-        let mut m = ChaincodeEndorsedAction::default();
-        unmarshal_loop!(bytes, f => {
-            match f.number {
-                1 => m.proposal_response_payload = f.data.to_vec(),
-                2 => m.endorsements.push(Endorsement::unmarshal(f.data)?),
-                _ => {}
-            }
-        });
-        Ok(m)
-    }
 }
 
 /// A single endorsement. (`peer.Endorsement`)
@@ -432,23 +281,6 @@ impl Endorsement {
         w.bytes(2, &self.signature);
         w.into_bytes()
     }
-
-    /// Parses from protobuf bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError`] for malformed input.
-    pub fn unmarshal(bytes: &[u8]) -> Result<Self, WireError> {
-        let mut m = Endorsement::default();
-        unmarshal_loop!(bytes, f => {
-            match f.number {
-                1 => m.endorser = f.data.to_vec(),
-                2 => m.signature = f.data.to_vec(),
-                _ => {}
-            }
-        });
-        Ok(m)
-    }
 }
 
 /// What endorsers signed. (`peer.ProposalResponsePayload`)
@@ -467,23 +299,6 @@ impl ProposalResponsePayload {
         w.bytes(1, &self.proposal_hash);
         w.bytes(2, &self.extension);
         w.into_bytes()
-    }
-
-    /// Parses from protobuf bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError`] for malformed input.
-    pub fn unmarshal(bytes: &[u8]) -> Result<Self, WireError> {
-        let mut m = ProposalResponsePayload::default();
-        unmarshal_loop!(bytes, f => {
-            match f.number {
-                1 => m.proposal_hash = f.data.to_vec(),
-                2 => m.extension = f.data.to_vec(),
-                _ => {}
-            }
-        });
-        Ok(m)
     }
 }
 
@@ -512,31 +327,6 @@ impl ChaincodeAction {
         w.bytes(4, &self.chaincode_id.marshal());
         w.into_bytes()
     }
-
-    /// Parses from protobuf bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError`] for malformed input.
-    pub fn unmarshal(bytes: &[u8]) -> Result<Self, WireError> {
-        let mut m = ChaincodeAction::default();
-        unmarshal_loop!(bytes, f => {
-            match f.number {
-                1 => m.results = f.data.to_vec(),
-                2 => m.events = f.data.to_vec(),
-                3 => {
-                    unmarshal_loop!(f.data, g => {
-                        if g.number == 1 {
-                            m.response_status = g.value;
-                        }
-                    });
-                }
-                4 => m.chaincode_id = ChaincodeId::unmarshal(f.data)?,
-                _ => {}
-            }
-        });
-        Ok(m)
-    }
 }
 
 /// Chaincode coordinates. (`peer.ChaincodeID`)
@@ -559,24 +349,6 @@ impl ChaincodeId {
         w.string(3, &self.version);
         w.into_bytes()
     }
-
-    /// Parses from protobuf bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError`] for malformed input.
-    pub fn unmarshal(bytes: &[u8]) -> Result<Self, WireError> {
-        let mut m = ChaincodeId::default();
-        unmarshal_loop!(bytes, f => {
-            match f.number {
-                1 => m.path = utf8(f.data)?,
-                2 => m.name = utf8(f.data)?,
-                3 => m.version = utf8(f.data)?,
-                _ => {}
-            }
-        });
-        Ok(m)
-    }
 }
 
 /// Read/write sets across namespaces. (`rwset.TxReadWriteSet`)
@@ -598,23 +370,6 @@ impl TxReadWriteSet {
         }
         w.into_bytes()
     }
-
-    /// Parses from protobuf bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError`] for malformed input.
-    pub fn unmarshal(bytes: &[u8]) -> Result<Self, WireError> {
-        let mut m = TxReadWriteSet::default();
-        unmarshal_loop!(bytes, f => {
-            match f.number {
-                1 => m.data_model = f.value,
-                2 => m.ns_rwset.push(NsReadWriteSet::unmarshal(f.data)?),
-                _ => {}
-            }
-        });
-        Ok(m)
-    }
 }
 
 /// One namespace's rwset. (`rwset.NsReadWriteSet`)
@@ -633,23 +388,6 @@ impl NsReadWriteSet {
         w.string(1, &self.namespace);
         w.bytes(2, &self.rwset);
         w.into_bytes()
-    }
-
-    /// Parses from protobuf bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError`] for malformed input.
-    pub fn unmarshal(bytes: &[u8]) -> Result<Self, WireError> {
-        let mut m = NsReadWriteSet::default();
-        unmarshal_loop!(bytes, f => {
-            match f.number {
-                1 => m.namespace = utf8(f.data)?,
-                2 => m.rwset = f.data.to_vec(),
-                _ => {}
-            }
-        });
-        Ok(m)
     }
 }
 
@@ -674,23 +412,6 @@ impl KvRwSet {
             w.bytes(3, &wr.marshal());
         }
         w.into_bytes()
-    }
-
-    /// Parses from protobuf bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError`] for malformed input.
-    pub fn unmarshal(bytes: &[u8]) -> Result<Self, WireError> {
-        let mut m = KvRwSet::default();
-        unmarshal_loop!(bytes, f => {
-            match f.number {
-                1 => m.reads.push(KvRead::unmarshal(f.data)?),
-                3 => m.writes.push(KvWrite::unmarshal(f.data)?),
-                _ => {}
-            }
-        });
-        Ok(m)
     }
 }
 
@@ -718,23 +439,6 @@ impl KvRead {
             });
         }
         w.into_bytes()
-    }
-
-    /// Parses from protobuf bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError`] for malformed input.
-    pub fn unmarshal(bytes: &[u8]) -> Result<Self, WireError> {
-        let mut m = KvRead::default();
-        unmarshal_loop!(bytes, f => {
-            match f.number {
-                1 => m.key = utf8(f.data)?,
-                2 => m.version = Some(Version::unmarshal(f.data)?),
-                _ => {}
-            }
-        });
-        Ok(m)
     }
 }
 
@@ -793,24 +497,6 @@ impl KvWrite {
         w.boolean(2, self.is_delete);
         w.bytes(3, &self.value);
         w.into_bytes()
-    }
-
-    /// Parses from protobuf bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError`] for malformed input.
-    pub fn unmarshal(bytes: &[u8]) -> Result<Self, WireError> {
-        let mut m = KvWrite::default();
-        unmarshal_loop!(bytes, f => {
-            match f.number {
-                1 => m.key = utf8(f.data)?,
-                2 => m.is_delete = f.value != 0,
-                3 => m.value = f.data.to_vec(),
-                _ => {}
-            }
-        });
-        Ok(m)
     }
 }
 
@@ -1067,27 +753,6 @@ impl MetadataSignature {
         w.bytes(2, &self.signature);
         w.into_bytes()
     }
-
-    /// Parses from protobuf bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError`] for malformed input.
-    pub fn unmarshal(bytes: &[u8]) -> Result<Self, WireError> {
-        let mut m = MetadataSignature::default();
-        unmarshal_loop!(bytes, f => {
-            match f.number {
-                1 => m.signature_header = f.data.to_vec(),
-                2 => m.signature = f.data.to_vec(),
-                _ => {}
-            }
-        });
-        Ok(m)
-    }
-}
-
-fn utf8(b: &[u8]) -> Result<String, WireError> {
-    utf8_str(b).map(str::to_owned)
 }
 
 /// A string field, borrowed.
@@ -1098,6 +763,7 @@ pub(crate) fn utf8_str(b: &[u8]) -> Result<&str, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::txflow::EnvelopeHead;
 
     #[test]
     fn envelope_roundtrip() {
@@ -1105,7 +771,8 @@ mod tests {
             payload: vec![1, 2, 3],
             signature: vec![4, 5],
         };
-        assert_eq!(Envelope::unmarshal(&e.marshal()).unwrap(), e);
+        // common.Envelope: payload = 1, signature = 2.
+        assert_eq!(e.marshal(), b"\x0a\x03\x01\x02\x03\x12\x02\x04\x05");
     }
 
     #[test]
@@ -1118,7 +785,11 @@ mod tests {
             tx_id: "abcd1234".into(),
             epoch: 0,
         };
-        assert_eq!(ChannelHeader::unmarshal(&ch.marshal()).unwrap(), ch);
+        // common.ChannelHeader: type = 1, version = 2, timestamp = 3
+        // (varints), channel_id = 4, tx_id = 5; a zero epoch (6) is not
+        // emitted.
+        let expected = b"\x08\x03\x10\x01\x18\x80\xe2\xcf\xaa\x06\x22\x09mychannel\x2a\x08abcd1234";
+        assert_eq!(ch.marshal(), expected);
     }
 
     #[test]
@@ -1150,7 +821,12 @@ mod tests {
                 },
             ],
         };
-        assert_eq!(KvRwSet::unmarshal(&rw.marshal()).unwrap(), rw);
+        // kvrwset.KVRWSet: reads = 1, writes = 3. KVRead: key = 1,
+        // version = 2 (block_num = 1, tx_num = 2). KVWrite: key = 1,
+        // is_delete = 2, value = 3.
+        let expected = b"\x0a\x0c\x0a\x04acc1\x12\x04\x08\x05\x10\x02\x0a\x06\x0a\x04acc2\
+            \x1a\x0b\x0a\x04acc1\x1a\x03100\x1a\x07\x0a\x03old\x10\x01";
+        assert_eq!(rw.marshal(), expected);
     }
 
     #[test]
@@ -1184,12 +860,13 @@ mod tests {
     #[test]
     fn unknown_fields_are_skipped() {
         let mut w = ProtoWriter::new();
-        w.bytes(1, b"payload");
+        w.bytes(1, b"\x18\x07"); // a payload of one unknown field (3)
         w.uint64(99, 7); // unknown field
         w.bytes(2, b"sig");
-        let e = Envelope::unmarshal(&w.into_bytes()).unwrap();
-        assert_eq!(e.payload, b"payload");
-        assert_eq!(e.signature, b"sig");
+        let envelope = w.into_bytes();
+        let head = EnvelopeHead::walk(&envelope).unwrap();
+        assert_eq!(head.payload, b"\x18\x07");
+        assert_eq!(head.signature, b"sig");
     }
 
     #[test]
@@ -1200,7 +877,9 @@ mod tests {
                 payload: vec![2, 3],
             }],
         };
-        assert_eq!(Transaction::unmarshal(&tx.marshal()).unwrap(), tx);
+        // peer.Transaction: actions = 1. TransactionAction: header = 1,
+        // payload = 2.
+        assert_eq!(tx.marshal(), b"\x0a\x07\x0a\x01\x01\x12\x02\x02\x03");
     }
 
     #[test]
@@ -1215,7 +894,10 @@ mod tests {
                 version: "1.0".into(),
             },
         };
-        let parsed = ChaincodeAction::unmarshal(&ca.marshal()).unwrap();
-        assert_eq!(parsed, ca);
+        // peer.ChaincodeAction: results = 1, empty events (2) not emitted,
+        // response = 3 (a message with status = 1), chaincode_id = 4.
+        // ChaincodeID: empty path (1) not emitted, name = 2, version = 3.
+        let expected = b"\x0a\x01\x01\x1a\x03\x08\xc8\x01\x22\x10\x12\x09smallbank\x1a\x031.0";
+        assert_eq!(ca.marshal(), expected);
     }
 }

@@ -22,11 +22,13 @@
 //! before the first is used). A certificate is resolved
 //! ([`KnownCert::resolve`]): parsed once per distinct byte string.
 //!
-//! The owned `marshal`/`unmarshal` types stay for the builders and
-//! tests; `tests/tests/decode_differential.rs` holds this decode and
-//! admission to the `unmarshal` chains they replaced. This decode, the
-//! BMac sender's [`SectionSpans`] and mempool admission read each layer
-//! of an envelope with one function here, so they agree on every layer.
+//! The [`crate::messages`] structs stay for the builders, which marshal
+//! them; none of a transaction's layers has an owned decoder here.
+//! `tests/tests/decode_differential.rs` holds this decode and admission
+//! to the owned `unmarshal` chains they replaced, which live on as the
+//! tests' reference in `tests/tests/owned/`. This decode, the BMac
+//! sender's [`SectionSpans`] and mempool admission read each layer of an
+//! envelope with one function here, so they agree on every layer.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -807,11 +809,11 @@ mod tests {
     fn tampered_payload_fails_client_signature() {
         let (client, e1, _, _) = test_identities();
         let built = build_transaction(&client, &[&e1], &sample_params());
-        let mut env = Envelope::unmarshal(&built.envelope).unwrap();
-        // Flip a byte inside the signed payload.
-        let n = env.payload.len() / 2;
-        env.payload[n] ^= 0xff;
-        let decoded = decode_transaction(&env.marshal()).unwrap();
+        let mut env = built.envelope;
+        // Flip a byte inside the signed payload, in place.
+        let payload = span_of(&env, EnvelopeHead::walk(&env).unwrap().payload);
+        env[payload.start + payload.len() / 2] ^= 0xff;
+        let decoded = decode_transaction(&env).unwrap();
         assert!(decoded
             .creator_cert
             .public_key

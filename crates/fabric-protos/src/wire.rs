@@ -5,8 +5,8 @@
 //! value from a protobuf embedded in a particular layer, the receiver has
 //! to recursively decode all the outer layers first" (paper §3.2). This
 //! module provides the varint/length-delimited encoding those layers are
-//! built from, plus a decode-effort meter used to reproduce the paper's
-//! unmarshaling-cost observations.
+//! built from, plus [`DecodeMeter`], a per-thread count of the fields
+//! decoded that the tests compare decoders by.
 
 use std::cell::Cell;
 use std::fmt;
@@ -231,9 +231,9 @@ pub struct Field<'a> {
 
 /// Streaming protobuf reader over a byte slice.
 ///
-/// Unknown fields are skippable, mirroring real protobuf decoders. The
-/// reader charges every decoded byte to an optional [`DecodeMeter`] so the
-/// software peer model can report unmarshaling effort (paper Figure 3).
+/// Unknown fields are skippable, mirroring real protobuf decoders. Every
+/// field it decodes, on every read, adds one to a thread-local counter
+/// that [`DecodeMeter`] reads.
 #[derive(Debug)]
 pub struct ProtoReader<'a> {
     buf: &'a [u8],
@@ -325,10 +325,12 @@ thread_local! {
     static METER: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Measures protobuf decode effort (fields decoded) on the current thread.
+/// Counts the fields [`ProtoReader`] decodes on the current thread,
+/// whoever reads them.
 ///
-/// The software validator uses this to report how much unmarshaling work a
-/// block costs — the quantity the BMac protocol processor eliminates.
+/// No production code reads it: it is a test oracle.
+/// `tests/tests/decode_differential.rs` uses it to hold the in-place
+/// decode to walking exactly the fields of the owned chain it replaced.
 #[derive(Debug)]
 pub struct DecodeMeter {
     start: u64,

@@ -1,9 +1,11 @@
 //! Differential harness for the in-place envelope decode.
 //!
 //! `txflow::decode_transaction` walks the nested protobuf layers over
-//! borrowed slices; the owned `unmarshal` chain it replaced (every layer
-//! materialised as its `messages` struct) is kept here as the oracle. The
-//! two must accept and reject exactly the same inputs — same `Ok`/`Err`,
+//! borrowed slices. The owned `unmarshal` chain it replaced (every layer
+//! materialised as its `messages` struct) lives on in `owned/mod.rs`,
+//! shared with the other harnesses, and [`owned_decode_transaction`]
+//! reads an envelope through it as the oracle. The two must accept and
+//! reject exactly the same inputs — same `Ok`/`Err`,
 //! same [`WireError`], field-for-field equal output, equal
 //! `DecodeMeter::fields_decoded` — and neither may panic, over:
 //!
@@ -21,8 +23,8 @@
 //!   at every offset.
 //!
 //! Mempool admission reads the head of the same envelopes with the
-//! decode's layer functions; its owned chain is kept here too
-//! ([`owned_admission`]), and every envelope above goes through both:
+//! decode's layer functions; [`owned_admission`] reads it through the
+//! same owned chain, and every envelope above goes through both:
 //! same `Ok`/`Err`, same [`WireError`], equal tx id, creator, client
 //! signature and payload digest.
 //!
@@ -41,8 +43,10 @@ use fabric_protos::wire::{DecodeMeter, WireError};
 use workload::Workload;
 
 mod corpus;
+mod owned;
 
 use corpus::{envelopes, workload_block};
+use owned::Unmarshal;
 
 /// The decode as it was before it walked in place: one owned struct per
 /// layer, `to_vec()` at every level.

@@ -18,6 +18,10 @@ use fabric_protos::messages::{
 };
 use workload::{Driver, Smallbank, Workload};
 
+mod owned;
+
+use owned::Unmarshal;
+
 fn make_msp() -> Msp {
     let mut msp = Msp::new(2);
     msp.issue(0, Role::Peer, 0).unwrap();

@@ -3,7 +3,7 @@
 //! `BmacSender` finds a section's identities and annotated fields with
 //! one walk of it in place (`fabric_protos::txflow::SectionSpans`). The
 //! sender before it is kept below as [`ReferenceSender`]: it unmarshaled
-//! every layer into owned structs, searched each envelope for every
+//! every layer into owned structs (the chain in `owned/mod.rs`), searched each envelope for every
 //! annotated field and for every cached identity, marshaled the block
 //! for its length and encoded every packet to size it. Over smallbank,
 //! drm and kv streams — fault-injected, with clients and endorsers
@@ -59,6 +59,9 @@ use fabric_protos::wire::WireError;
 use workload::{StreamScenario, Workload};
 
 mod corpus;
+mod owned;
+
+use owned::Unmarshal;
 
 // ---------------------------------------------------------------------
 // The reference: the sender as it was before the walk.
