@@ -5,10 +5,8 @@
 //! value from a protobuf embedded in a particular layer, the receiver has
 //! to recursively decode all the outer layers first" (paper §3.2). This
 //! module provides the varint/length-delimited encoding those layers are
-//! built from, plus [`DecodeMeter`], a per-thread count of the fields
-//! decoded that the tests compare decoders by.
+//! built from.
 
-use std::cell::Cell;
 use std::fmt;
 
 /// Wire types from the protobuf encoding spec.
@@ -231,9 +229,7 @@ pub struct Field<'a> {
 
 /// Streaming protobuf reader over a byte slice.
 ///
-/// Unknown fields are skippable, mirroring real protobuf decoders. Every
-/// field it decodes, on every read, adds one to a thread-local counter
-/// that [`DecodeMeter`] reads.
+/// Unknown fields are skippable, mirroring real protobuf decoders.
 #[derive(Debug)]
 pub struct ProtoReader<'a> {
     buf: &'a [u8],
@@ -289,7 +285,6 @@ impl<'a> ProtoReader<'a> {
                 (len as u64, b)
             }
         };
-        METER.with(|m| m.set(m.get() + 1));
         Ok(Some(Field {
             number,
             wire_type,
@@ -318,35 +313,6 @@ impl<'a> ProtoReader<'a> {
         let out = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         Ok(out)
-    }
-}
-
-thread_local! {
-    static METER: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Counts the fields [`ProtoReader`] decodes on the current thread,
-/// whoever reads them.
-///
-/// No production code reads it: it is a test oracle.
-/// `tests/tests/decode_differential.rs` uses it to hold the in-place
-/// decode to walking exactly the fields of the owned chain it replaced.
-#[derive(Debug)]
-pub struct DecodeMeter {
-    start: u64,
-}
-
-impl DecodeMeter {
-    /// Starts measuring from the current counter value.
-    pub fn start() -> Self {
-        DecodeMeter {
-            start: METER.with(|m| m.get()),
-        }
-    }
-
-    /// Fields decoded on this thread since [`DecodeMeter::start`].
-    pub fn fields_decoded(&self) -> u64 {
-        METER.with(|m| m.get()) - self.start
     }
 }
 
@@ -522,10 +488,12 @@ mod tests {
             w.uint64(i, i as u64);
         }
         let buf = w.into_bytes();
-        let meter = DecodeMeter::start();
         let mut r = ProtoReader::new(&buf);
-        while r.next_field().unwrap().is_some() {}
-        assert_eq!(meter.fields_decoded(), 10);
+        let mut fields = 0;
+        while r.next_field().unwrap().is_some() {
+            fields += 1;
+        }
+        assert_eq!(fields, 10);
     }
 
     #[test]

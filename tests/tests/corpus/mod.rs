@@ -210,13 +210,16 @@ pub fn byte_flips(envelope: &[u8]) -> impl Iterator<Item = Variant> + '_ {
 }
 
 /// At each of [`LAYERS`]: every field dropped, duplicated in place and
-/// at the end, and moved to the front; the fields reversed; an unknown
-/// varint and bytes field, and each of the field numbers 1–6 as a
-/// varint and as an empty length-delimited field, in front and behind.
+/// at the end, and moved to the front, and the body of every
+/// length-delimited one replaced by `[0x0b]` and by `[0x80]`; the fields
+/// reversed; an unknown varint and bytes field, and each of the field
+/// numbers 1–6 as a varint and as an empty length-delimited field, in
+/// front and behind.
 pub fn layer_edits(envelope: &[u8]) -> Vec<Variant> {
     let mut out = Vec::new();
     for (layer_name, path) in LAYERS {
-        let n = layer(envelope, path).len();
+        let fields = layer(envelope, path);
+        let n = fields.len();
         assert!(n > 0, "{layer_name} is empty");
         let mut run = |what: String, edit: &dyn Fn(&mut Vec<Raw>)| {
             out.push((
@@ -236,6 +239,16 @@ pub fn layer_edits(envelope: &[u8]) -> Vec<Variant> {
                 let moved = f.remove(i);
                 f.insert(0, moved);
             });
+            // `[0x0b]` is UTF-8 but no message (wire type 3); `[0x80]` is
+            // neither. A field parsed as a message rejects both, one read
+            // as a string only the second, one carried as bytes neither.
+            if fields[i].payload.is_some() {
+                for junk in [[0x0bu8], [0x80]] {
+                    run(format!("field {i} body {junk:02x?}"), &|f| {
+                        f[i] = ld(f[i].number, &junk)
+                    });
+                }
+            }
         }
         run("reversed".into(), &|f| f.reverse());
         for front in [true, false] {

@@ -7,8 +7,7 @@
 //! `decode_differential` (the peer's decode and mempool admission),
 //! `sender_equivalence` (the BMac sender's walk) and `e2e_equivalence`
 //! (which edits envelopes with it). It reads field by field through
-//! `wire::ProtoReader`, as the decoders it replaced did, so
-//! `DecodeMeter` counts the fields the in-place walk must match.
+//! `wire::ProtoReader`, as the decoders it replaced did.
 //!
 //! `SerializedIdentity`, `Version` and the block types are read whole in
 //! production, so they keep their own `unmarshal` and are not here.
