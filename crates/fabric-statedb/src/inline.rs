@@ -1,8 +1,8 @@
 //! Keys and values stored in place: the byte strings of
 //! [`crate::StateDb`]'s shard indexes and of [`crate::WriteBatch`].
 //!
-//! A byte string of at most [`INLINE_CAP`] bytes lives inside the hash
-//! bucket, tree node, chain entry or batch entry that holds it, so a key
+//! A byte string of at most [`INLINE_CAP`] bytes lives inside the arena
+//! slot, tree node, chain entry or batch entry that holds it, so a key
 //! comparison reads the slot it is already on and a short key or value
 //! costs no allocation of its own. Longer ones go to the heap.
 
@@ -55,7 +55,8 @@ impl std::fmt::Debug for InlineBytes {
 /// bytes. Byte order is `str` order, so the ordered index answers
 /// ranges keyed by `key.as_bytes()` ([`Borrow<[u8]>`]) in the order a
 /// `BTreeSet<String>` would; and a `Key` hashes exactly as its
-/// `[u8]` does, so the hash index finds it by `key.as_bytes()` too.
+/// `[u8]` does, so the point index, which hashes a held `Key` when it
+/// moves it and a looked-up key's bytes, finds both at one home.
 #[derive(Clone)]
 pub(crate) struct Key(InlineBytes);
 
@@ -67,11 +68,15 @@ impl Key {
     pub(crate) fn as_str(&self) -> &str {
         std::str::from_utf8(self.0.as_slice()).expect("a Key is only built from a &str")
     }
+
+    pub(crate) fn as_bytes(&self) -> &[u8] {
+        self.0.as_slice()
+    }
 }
 
 impl Borrow<[u8]> for Key {
     fn borrow(&self) -> &[u8] {
-        self.0.as_slice()
+        self.as_bytes()
     }
 }
 

@@ -10,7 +10,8 @@
 //! The stores:
 //!
 //! * [`StateDb`] — the unbounded, thread-safe store every software peer
-//!   runs: hash-sharded, with a per-shard hash index of version chains
+//!   runs: hash-sharded, with each key and its version chain in one
+//!   slot of a per-shard arena, found through a per-shard hash index
 //!   that serves every point read and write, so reads can pin a height
 //!   snapshot ([`StateDb::pin`]) without blocking the committer; a
 //!   per-shard ordered key set, k-way merged, that serves range/prefix

@@ -5,38 +5,50 @@
 //!
 //! # Structure
 //!
-//! * **Shards, each with two indexes.** Keys hash (FNV-1a,
-//!   [`DEFAULT_SHARDS`] shards by default) to independent `RwLock`ed
-//!   shards. A shard holds its keys twice under its one lock: a
-//!   `HashMap` from key to version chain, and a `BTreeSet` of the same
-//!   keys in order. Point reads touch exactly one shard lock; a block's
-//!   write batches group by shard and disjoint shard groups apply
-//!   concurrently ([`StateDb::apply_block`]).
+//! * **Shards, each with two indexes over one arena.** Keys hash
+//!   (FNV-1a, [`DEFAULT_SHARDS`] shards by default) to independent
+//!   `RwLock`ed shards. Under its one lock a shard holds each key and
+//!   its version chain once, in a slot of its arena (pages of 256
+//!   slots, so growth moves no slot; a freed slot is reused before the
+//!   arena grows), and indexes the slots twice: a point index of 4-byte
+//!   slot numbers in an open-addressing table, probed linearly, and a
+//!   `BTreeSet` of the same keys in order. Point reads touch exactly one
+//!   shard lock; a block's write batches group by shard and disjoint
+//!   shard groups apply concurrently ([`StateDb::apply_block`]).
 //! * **Point path against scan path.** `get`, `get_version`,
-//!   `mvcc_validate`, pinned `get`s and every write go through the hash
-//!   map alone: one probe, whatever the shard's size, where a `BTreeMap`
-//!   descended some six levels of nodes, each searched key by key, in a
-//!   62 500-key shard at 1 M keys. The ordered set is touched on the
-//!   point path only when a write creates a key or drops its
+//!   `mvcc_validate`, pinned `get`s and every write go through the point
+//!   index alone: one short probe run, whatever the shard's size, where a
+//!   `BTreeMap` descended some six levels of nodes, each searched key by
+//!   key, in a 62 500-key shard at 1 M keys. The table is at least twice
+//!   the keys it holds, so a run ends at an empty position soon; a
+//!   deleted key's position is closed by shifting the rest of its run
+//!   back, so no tombstone lengthens a run. The ordered set is touched
+//!   on the point path only when a write creates a key or drops its
 //!   all-tombstone chain. The scans (`range`, `snapshot`,
 //!   `snapshot_chunks`, `state_hash` and [`StateSnapshot`]'s `range` and
 //!   `snapshot`) walk the ordered set and look each key's chain up in
-//!   the hash map; [`StateDb::from_snapshot`] fills both.
-//! * **A keyed hasher, and no hash order anywhere.** The hash maps use
-//!   std's `RandomState`, keyed afresh per map: state keys are chosen by
-//!   clients, and an unkeyed hash would let them aim every key at one
-//!   bucket chain, a worst case the `BTreeMap` never had. Nothing
-//!   iterates a hash map, so neither the key nor insertion order can
-//!   reach a dump, a scan or a state hash.
+//!   the point index; [`StateDb::from_snapshot`] sizes both to the
+//!   checkpoint and fills them.
+//! * **A keyed hasher, and no hash order anywhere.** Each shard's point
+//!   index hashes with its own std `RandomState`: state keys are chosen
+//!   by clients, and an unkeyed hash would let them aim every key at one
+//!   probe run, a worst case the `BTreeMap` never had. Under a key they
+//!   cannot know, their keys land as random keys do, and the half-empty
+//!   table keeps a run a few positions long. Nothing iterates the point
+//!   index or the arena for a reader, so neither the hasher's key nor
+//!   insertion order can reach a dump, a scan or a state hash.
 //! * **Memory.** At 1 M keys of the state benchmark's shape (14-byte
-//!   keys, 8-byte values, one version each) the two indexes, the chains
-//!   and the allocator's overhead take ≈ 220 bytes a key, against ≈ 161
-//!   for the one `BTreeMap` they replaced (resident-set growth over the
-//!   preload, 16 shards, x86-64 glibc). The hash buckets are ≈ 100 of
-//!   them (48 bytes each, and a 62 500-key shard fills about half of its
-//!   131 072), the one-entry chains ≈ 64 and the ordered set ≈ 50.
+//!   keys, 8-byte values, one version each) a shard takes ≈ 133 bytes a
+//!   key, against ≈ 218 for the hash map of chains this replaced and
+//!   ≈ 161 for the one `BTreeMap` before it (resident-set growth over
+//!   the preload, 16 shards, x86-64 glibc; ≈ 135–138 against ≈ 180 at
+//!   0.8 M keys). The arena slot is 72 of them (a 24-byte key and a
+//!   48-byte one-entry chain, in place), the point index ≈ 8 (131 072
+//!   positions of 4 bytes for a 62 500-key shard; ≈ 10.5 at 0.8 M) and
+//!   the ordered set ≈ 50. A touched key adds its two-entry chain, a
+//!   96-byte heap block (≈ 112 bytes with the allocator's header).
 //! * **Short keys and values in place.** A key of at most 22 bytes is
-//!   stored inside its hash bucket and its tree node, and a value of at
+//!   stored inside its arena slot and its tree node, and a value of at
 //!   most 22 bytes inside its chain entry (`crate::inline`); longer ones
 //!   go to the heap. Keys hash and order as their bytes, whose order is
 //!   `str` order.
@@ -68,7 +80,10 @@
 //! Lock order: `order` → `pins` → shard locks → `committed`. Readers
 //! take only shard locks; `pin()` takes `pins` → `committed`.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::borrow::Borrow;
+use std::collections::hash_map::RandomState;
+use std::collections::{BTreeMap, BTreeSet};
+use std::hash::BuildHasher;
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -125,22 +140,103 @@ struct VersionEntry {
     value: Option<InlineBytes>,
 }
 
+/// A key's versions: one entry in place, a vector from two up. A
+/// preloaded or restored key owns no heap block of its own.
+enum Chain {
+    One(VersionEntry),
+    Many(Vec<VersionEntry>),
+}
+
+impl Chain {
+    /// The entries in apply order; never empty.
+    fn entries(&self) -> &[VersionEntry] {
+        match self {
+            Chain::One(entry) => std::slice::from_ref(entry),
+            Chain::Many(entries) => entries,
+        }
+    }
+
+    /// Prunes the chain below `horizon`, then appends `entry`, whose
+    /// epoch is above it: pruning before the push keeps what pruning
+    /// after it would. A one-entry chain becomes a vector with room for
+    /// exactly two, what an unpinned chain keeps.
+    fn push(&mut self, entry: VersionEntry, horizon: u64) {
+        let entries = match std::mem::replace(self, Chain::Many(Vec::new())) {
+            Chain::One(first) => vec![first, entry],
+            Chain::Many(mut entries) => {
+                prune_chain(&mut entries, horizon);
+                entries.push(entry);
+                entries
+            }
+        };
+        *self = Chain::Many(entries);
+    }
+}
+
+/// What an arena slot holds: a key and its chain, in one place.
+struct Slot {
+    key: Key,
+    chain: Chain,
+}
+
+/// Slots a page of the arena holds. The arena grows a page at a time,
+/// so growth moves no slot, and a shard leaves at most one page part
+/// empty.
+const PAGE: usize = 256;
+
+/// The point index's mark for a position that holds no slot number.
+const EMPTY: u32 = u32::MAX;
+
+/// The point index's smallest non-empty length.
+const MIN_TABLE: usize = 16;
+
+/// The point index's length for `keys` keys: a power of two at least
+/// twice the count, so that a probe run ends at an empty position soon.
+fn table_len(keys: usize) -> usize {
+    if keys == 0 {
+        0
+    } else {
+        (keys * 2).next_power_of_two().max(MIN_TABLE)
+    }
+}
+
+/// Writes slot number `slot` into the first empty position of `table`
+/// from `hash`'s home on.
+fn place(table: &mut [u32], hash: u64, slot: u32) {
+    let mask = table.len() - 1;
+    let mut pos = hash as usize & mask;
+    while table[pos] != EMPTY {
+        pos = (pos + 1) & mask;
+    }
+    table[pos] = slot;
+}
+
 /// One shard: the same keys in two indexes, both under the shard's
-/// lock. Every key of `chains` is in `order` and the other way round.
-#[derive(Default)]
-struct Shard {
-    /// Each key's version chain, keyed by std's `RandomState` (see the
-    /// module docs): what every point read and write goes through.
-    chains: HashMap<Key, Vec<VersionEntry>>,
+/// lock. Each key and its chain sit in one slot of the arena; the point
+/// index finds the slot by hash, the ordered set holds the keys in
+/// order. Every key of the point index is in `order` and the other way
+/// round.
+struct Shard<S = RandomState> {
+    /// The slot arena, in pages of [`PAGE`]: slot `n` is
+    /// `pages[n / PAGE][n % PAGE]`, `None` once freed.
+    pages: Vec<Vec<Option<Slot>>>,
+    /// Freed slot numbers, reused before the arena grows.
+    free: Vec<u32>,
+    /// The point index: slot numbers, or [`EMPTY`], in an open-addressing
+    /// table probed linearly from the key's hash. Its length is zero or
+    /// a power of two at least twice the keys it holds.
+    table: Box<[u32]>,
+    /// The key of the point index's hash (see the module docs).
+    hasher: S,
     /// The keys in byte order: what only the scans read.
     order: BTreeSet<Key>,
     /// Keys whose newest entry is a put (i.e. visible to a live read).
     live: usize,
 }
 
-/// Counts only: listing `chains` would print them in the hasher's
-/// order, which differs from map to map and run to run.
-impl std::fmt::Debug for Shard {
+/// Counts only: listing the slots would print them in the order their
+/// keys were first written, which the scans must not see.
+impl<S> std::fmt::Debug for Shard<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Shard")
             .field("keys", &self.order.len())
@@ -149,16 +245,203 @@ impl std::fmt::Debug for Shard {
     }
 }
 
-impl Shard {
+impl<S: BuildHasher> Shard<S> {
+    /// An empty shard whose arena and point index hold `keys` keys
+    /// without growing.
+    fn with_capacity(keys: usize, hasher: S) -> Self {
+        Shard {
+            pages: Vec::with_capacity(keys.div_ceil(PAGE)),
+            free: Vec::new(),
+            table: vec![EMPTY; table_len(keys)].into_boxed_slice(),
+            hasher,
+            order: BTreeSet::new(),
+            live: 0,
+        }
+    }
+
+    fn slot(&self, n: u32) -> &Slot {
+        let n = n as usize;
+        self.pages[n / PAGE][n % PAGE]
+            .as_ref()
+            .expect("the point index holds live slots only")
+    }
+
+    fn slot_mut(&mut self, n: u32) -> &mut Slot {
+        let n = n as usize;
+        self.pages[n / PAGE][n % PAGE]
+            .as_mut()
+            .expect("the point index holds live slots only")
+    }
+
+    /// The position in the point index of `key`'s slot number.
+    fn position(&self, hash: u64, key: &[u8]) -> Option<usize> {
+        if self.table.is_empty() {
+            return None;
+        }
+        let mask = self.table.len() - 1;
+        let mut pos = hash as usize & mask;
+        loop {
+            let n = self.table[pos];
+            if n == EMPTY {
+                return None;
+            }
+            if self.slot(n).key.as_bytes() == key {
+                return Some(pos);
+            }
+            pos = (pos + 1) & mask;
+        }
+    }
+
+    /// `key`'s chain: one probe run of the point index.
+    fn chain(&self, key: &[u8]) -> Option<&[VersionEntry]> {
+        let pos = self.position(self.hasher.hash_one(key), key)?;
+        Some(self.slot(self.table[pos]).chain.entries())
+    }
+
     /// The keys of `bounds` in order, each with its chain.
     fn scan<'s>(
         &'s self,
         bounds: (Bound<&[u8]>, Bound<&[u8]>),
     ) -> impl Iterator<Item = (&'s Key, &'s [VersionEntry])> + 's {
         self.order.range::<[u8], _>(bounds).map(|key| {
-            let chain = self.chains.get(key).expect("every ordered key has a chain");
-            (key, chain.as_slice())
+            let chain = self.chain(key.as_bytes());
+            (key, chain.expect("every ordered key has a chain"))
         })
+    }
+
+    /// Adds `key`, which the shard does not hold, with the one-entry
+    /// chain of a put: into a free slot or a new one, the point index and
+    /// the ordered set.
+    fn insert(&mut self, hash: u64, key: &str, put: VersionEntry) {
+        if (self.order.len() + 1) * 2 > self.table.len() {
+            self.grow();
+        }
+        let key = Key::new(key);
+        let slot = Some(Slot {
+            key: key.clone(),
+            chain: Chain::One(put),
+        });
+        let n = match self.free.pop() {
+            Some(n) => {
+                self.pages[n as usize / PAGE][n as usize % PAGE] = slot;
+                n
+            }
+            None => {
+                if self.pages.last().is_none_or(|page| page.len() == PAGE) {
+                    self.pages.push(Vec::with_capacity(PAGE));
+                }
+                let last = self.pages.len() - 1;
+                let page = &mut self.pages[last];
+                page.push(slot);
+                u32::try_from(last * PAGE + page.len() - 1)
+                    .ok()
+                    .filter(|&n| n != EMPTY)
+                    .expect("a shard holds fewer than 2^32 - 1 slots")
+            }
+        };
+        place(&mut self.table, hash, n);
+        self.order.insert(key);
+        self.live += 1;
+    }
+
+    /// Doubles the point index and places every held slot number anew,
+    /// walking the arena in slot order.
+    fn grow(&mut self) {
+        let mut table = vec![EMPTY; (self.table.len() * 2).max(MIN_TABLE)].into_boxed_slice();
+        for (p, page) in self.pages.iter().enumerate() {
+            for (i, slot) in page.iter().enumerate() {
+                if let Some(slot) = slot {
+                    place(
+                        &mut table,
+                        self.hasher.hash_one(&slot.key),
+                        (p * PAGE + i) as u32,
+                    );
+                }
+            }
+        }
+        self.table = table;
+    }
+
+    /// Drops the key whose slot number sits at `pos` of the point index:
+    /// closes the gap by shifting the rest of its probe run back (no
+    /// tombstones), frees the slot for reuse and leaves the ordered set.
+    fn remove(&mut self, pos: usize) {
+        let mask = self.table.len() - 1;
+        let n = self.table[pos];
+        let mut hole = pos;
+        let mut next = (pos + 1) & mask;
+        while self.table[next] != EMPTY {
+            let home = self.hasher.hash_one(&self.slot(self.table[next]).key) as usize & mask;
+            // The entry at `next` may fill the hole unless its home lies
+            // after the hole in its probe run.
+            if next.wrapping_sub(home) & mask >= next.wrapping_sub(hole) & mask {
+                self.table[hole] = self.table[next];
+                hole = next;
+            }
+            next = (next + 1) & mask;
+        }
+        self.table[hole] = EMPTY;
+        let slot = self.pages[n as usize / PAGE][n as usize % PAGE]
+            .take()
+            .expect("the point index holds live slots only");
+        self.order.remove(slot.key.as_bytes());
+        self.free.push(n);
+    }
+
+    /// Applies one shard's slice of a block, pruning each touched chain
+    /// below the retention fence.
+    fn apply(&mut self, group: &[GroupEntry], horizon: u64) {
+        for &(key, value, epoch, height) in group {
+            let entry = VersionEntry {
+                epoch,
+                height,
+                value: value.map(InlineBytes::new),
+            };
+            let hash = self.hasher.hash_one(key.as_bytes());
+            match self.position(hash, key.as_bytes()) {
+                Some(pos) => {
+                    let n = self.table[pos];
+                    let chain = &mut self.slot_mut(n).chain;
+                    let was_live = chain.entries().last().is_some_and(|e| e.value.is_some());
+                    let now_live = entry.value.is_some();
+                    chain.push(entry, horizon);
+                    // A chain of only tombstones reads as "absent" at
+                    // every epoch — exactly what a missing chain reads
+                    // as. Drop the key rather than let delete-heavy
+                    // workloads accumulate dead chains.
+                    let dead = chain.entries().iter().all(|e| e.value.is_none());
+                    match (was_live, now_live) {
+                        (false, true) => self.live += 1,
+                        (true, false) => self.live -= 1,
+                        _ => {}
+                    }
+                    if dead {
+                        self.remove(pos);
+                    }
+                }
+                None => {
+                    // A tombstone for an absent key carries no
+                    // information: readers at every epoch already
+                    // resolve the key to None. Only a put starts a chain.
+                    if entry.value.is_some() {
+                        self.insert(hash, key, entry);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Restores one checkpoint entry as a one-entry chain; a repeated
+    /// key keeps its last entry.
+    fn restore(&mut self, key: &str, entry: VersionEntry) {
+        let hash = self.hasher.hash_one(key.as_bytes());
+        match self.position(hash, key.as_bytes()) {
+            Some(pos) => {
+                let n = self.table[pos];
+                self.slot_mut(n).chain = Chain::One(entry);
+            }
+            None => self.insert(hash, key, entry),
+        }
     }
 }
 
@@ -291,10 +574,19 @@ impl StateDb {
     /// Panics if `shards == 0`.
     pub fn with_shards(shards: usize) -> Self {
         assert!(shards > 0, "shard count must be non-zero");
+        StateDb::from_shards(
+            (0..shards)
+                .map(|_| Shard::with_capacity(0, RandomState::new()))
+                .collect(),
+        )
+    }
+
+    fn from_shards(shards: Vec<Shard>) -> Self {
         StateDb {
             inner: Arc::new(SharedInner {
-                shards: (0..shards)
-                    .map(|_| RwLock::named("statedb.shard", Shard::default()))
+                shards: shards
+                    .into_iter()
+                    .map(|shard| RwLock::named("statedb.shard", shard))
                     .collect(),
                 order: Mutex::named("statedb.order", OrderState::default()),
                 committed: RwLock::named("statedb.committed", (0, None)),
@@ -310,29 +602,34 @@ impl StateDb {
     /// previous [`StateDb::snapshot`] (ascending keys) plus the tip
     /// height recorded with it. Entries land in their home shards as
     /// single-entry chains at epoch 1; the journal replay that follows a
-    /// snapshot restore continues from this tip.
+    /// snapshot restore continues from this tip. Each shard is built
+    /// once, before any lock exists, with its arena and point index
+    /// sized to its entry count, so a restore never regrows either.
     pub fn from_snapshot(entries: Vec<(String, VersionedValue)>, tip: Option<Height>) -> Self {
-        let db = StateDb::new();
         let epoch = if entries.is_empty() && tip.is_none() {
             0
         } else {
             1
         };
+        let mut counts = vec![0usize; DEFAULT_SHARDS];
+        for (key, _) in &entries {
+            counts[shard_index(key, DEFAULT_SHARDS)] += 1;
+        }
+        let mut shards: Vec<Shard> = counts
+            .into_iter()
+            .map(|keys| Shard::with_capacity(keys, RandomState::new()))
+            .collect();
+        for (key, v) in entries {
+            let entry = VersionEntry {
+                epoch,
+                height: v.version,
+                value: Some(InlineBytes::new(&v.value)),
+            };
+            shards[shard_index(&key, DEFAULT_SHARDS)].restore(&key, entry);
+        }
+        let db = StateDb::from_shards(shards);
         {
             let mut order = db.inner.order.lock();
-            for (key, v) in entries {
-                let shard = &db.inner.shards[db.shard_of(&key)];
-                let mut g = shard.write();
-                let chain = vec![VersionEntry {
-                    epoch,
-                    height: v.version,
-                    value: Some(InlineBytes::new(&v.value)),
-                }];
-                if g.chains.insert(Key::new(&key), chain).is_none() {
-                    g.order.insert(Key::new(&key));
-                    g.live += 1;
-                }
-            }
             order.epoch = epoch;
             order.tip = tip;
             *db.inner.committed.write() = (epoch, tip);
@@ -385,8 +682,7 @@ impl StateDb {
         self.inner.reads.fetch_add(1, Ordering::Relaxed);
         let shard = self.inner.shards[self.shard_of(key)].read();
         let hit = shard
-            .chains
-            .get(key.as_bytes())
+            .chain(key.as_bytes())
             .and_then(|chain| read(chain.last()?));
         if hit.is_none() {
             // relaxed: monotonic stats counter; never gates data visibility
@@ -423,11 +719,10 @@ impl StateDb {
     /// for the whole call (also when `batches` is empty), and a pinned
     /// reader sees all of the block or none of it.
     pub fn apply_block(&self, batches: &[(WriteBatch, Height)]) {
-        let refs: Vec<(&WriteBatch, Height)> = batches.iter().map(|(b, h)| (b, *h)).collect();
-        self.apply_batches(&refs, true);
+        self.apply_batches(batches, true);
     }
 
-    fn apply_batches(&self, batches: &[(&WriteBatch, Height)], journal: bool) {
+    fn apply_batches<B: Borrow<WriteBatch>>(&self, batches: &[(B, Height)], journal: bool) {
         let inner = &self.inner;
         // The commit-order mutex is held for the WHOLE apply: journal
         // record order == apply order, and concurrent apply calls
@@ -438,7 +733,7 @@ impl StateDb {
             if let Some(sink) = &order.journal {
                 for (batch, height) in batches {
                     assert_order_held("journal record emitted");
-                    sink.record(batch, *height);
+                    sink.record(batch.borrow(), *height);
                 }
                 // Also for a block with no valid transaction: the sink
                 // counts its group-commit window in apply calls.
@@ -467,7 +762,7 @@ impl StateDb {
         // so last-write-wins holds across the whole block): a counting
         // sort into one vector, shard `s`'s run ending at `ends[s]` and
         // starting where shard `s - 1`'s ends.
-        let total: usize = batches.iter().map(|(batch, _)| batch.len()).sum();
+        let total: usize = batches.iter().map(|(batch, _)| batch.borrow().len()).sum();
         let mut homes = Vec::with_capacity(total);
         let mut ends = vec![0usize; inner.shards.len()];
         let mut tip = order.tip;
@@ -476,7 +771,7 @@ impl StateDb {
                 Some(t) => t.max(*height),
                 None => *height,
             });
-            for (key, _) in batch.iter() {
+            for (key, _) in batch.borrow().iter() {
                 let home = self.shard_of(key);
                 ends[home] += 1;
                 homes.push(home);
@@ -492,7 +787,7 @@ impl StateDb {
         let mut homes = homes.into_iter();
         for (i, (batch, height)) in batches.iter().enumerate() {
             let epoch = epoch_pre + 1 + i as u64;
-            for (key, value) in batch.iter() {
+            for (key, value) in batch.borrow().iter() {
                 let home = homes.next().expect("one home per entry");
                 entries[ends[home]] = (key, value, epoch, *height);
                 ends[home] += 1;
@@ -522,7 +817,7 @@ impl StateDb {
                     scope.spawn(move || {
                         for idx in (w..inner.shards.len()).step_by(workers) {
                             if !group(idx).is_empty() {
-                                apply_group(&inner.shards[idx], group(idx), horizon);
+                                inner.shards[idx].write().apply(group(idx), horizon);
                             }
                         }
                     });
@@ -531,7 +826,7 @@ impl StateDb {
         } else {
             for (idx, shard) in inner.shards.iter().enumerate() {
                 if !group(idx).is_empty() {
-                    apply_group(shard, group(idx), horizon);
+                    shard.write().apply(group(idx), horizon);
                 }
             }
         }
@@ -668,58 +963,6 @@ impl StateDb {
 /// One write destined for a shard: key, value (`None` = delete), the
 /// epoch of its batch, and the batch's commit height.
 type GroupEntry<'a> = (&'a str, Option<&'a [u8]>, u64, Height);
-
-/// Applies one shard's slice of a block under that shard's write lock,
-/// pruning each touched chain below the retention fence.
-fn apply_group(shard: &RwLock<Shard>, group: &[GroupEntry], horizon: u64) {
-    let mut guard = shard.write();
-    let g = &mut *guard;
-    for &(key, value, epoch, height) in group {
-        let entry = VersionEntry {
-            epoch,
-            height,
-            value: value.map(InlineBytes::new),
-        };
-        match g.chains.get_mut(key.as_bytes()) {
-            Some(chain) => {
-                let was_live = chain.last().is_some_and(|e| e.value.is_some());
-                let now_live = entry.value.is_some();
-                // The new entry's epoch is above the horizon, so pruning
-                // before the push keeps what pruning after it would; an
-                // unpinned chain then needs room for two entries, never
-                // the four a doubling push would give a one-entry chain.
-                prune_chain(chain, horizon);
-                if chain.len() == 1 {
-                    chain.reserve_exact(1);
-                }
-                chain.push(entry);
-                match (was_live, now_live) {
-                    (false, true) => g.live += 1,
-                    (true, false) => g.live -= 1,
-                    _ => {}
-                }
-                // A chain of only tombstones reads as "absent" at every
-                // epoch — exactly what a missing chain reads as. Drop
-                // the key rather than let delete-heavy workloads
-                // accumulate dead chains.
-                if chain.iter().all(|e| e.value.is_none()) {
-                    g.chains.remove(key.as_bytes());
-                    g.order.remove(key.as_bytes());
-                }
-            }
-            None => {
-                // A tombstone for an absent key carries no information:
-                // readers at every epoch already resolve the key to
-                // None. Only a put starts a chain.
-                if entry.value.is_some() {
-                    g.chains.insert(Key::new(key), vec![entry]);
-                    g.order.insert(Key::new(key));
-                    g.live += 1;
-                }
-            }
-        }
-    }
-}
 
 /// Drops chain entries no pinned or future reader can resolve: every
 /// entry strictly before the newest entry at-or-below `horizon`. The
@@ -862,8 +1105,7 @@ impl StateSnapshot {
             return None;
         }
         let g = self.inner.shards[shard_index(key, self.inner.shards.len())].read();
-        g.chains
-            .get(key.as_bytes())
+        g.chain(key.as_bytes())
             .and_then(|chain| read(self.resolve(chain)?))
     }
 
@@ -946,7 +1188,7 @@ mod tests {
     /// shard's indexes say the same.
     fn holds(db: &StateDb, key: &str) -> bool {
         let g = db.inner.shards[db.shard_of(key)].read();
-        let chained = g.chains.contains_key(key.as_bytes());
+        let chained = g.chain(key.as_bytes()).is_some();
         assert_eq!(
             chained,
             g.order.contains(key.as_bytes()),
@@ -1005,7 +1247,7 @@ mod tests {
             put(&db, "hot", i as u8, Height::new(i, 0));
         }
         let shard = db.inner.shards[db.shard_of("hot")].read();
-        let chain = shard.chains.get("hot".as_bytes()).unwrap();
+        let chain = shard.chain("hot".as_bytes()).unwrap();
         assert!(
             chain.len() <= 2,
             "unpinned hot-key chain grew to {} entries",
@@ -1028,7 +1270,7 @@ mod tests {
         // ...and after release, the next touch prunes the history.
         put(&db, "k", 99, Height::new(99, 0));
         let shard = db.inner.shards[db.shard_of("k")].read();
-        assert!(shard.chains.get("k".as_bytes()).unwrap().len() <= 2);
+        assert!(shard.chain("k".as_bytes()).unwrap().len() <= 2);
     }
 
     #[test]
@@ -1111,5 +1353,123 @@ mod tests {
         }
         assert_eq!(snaps[0], snaps[1]);
         assert_eq!(snaps[1], snaps[2]);
+    }
+
+    /// Forces colliding hashes: a key whose last byte is odd hashes to
+    /// `u64::MAX`, one whose last byte is even to `u64::MAX - 2`. Their
+    /// homes are the point index's last and third-last positions, so
+    /// every key lands in one probe run that wraps to position 0.
+    struct Colliding(u8);
+
+    impl BuildHasher for Colliding {
+        type Hasher = Colliding;
+
+        fn build_hasher(&self) -> Colliding {
+            Colliding(0)
+        }
+    }
+
+    impl std::hash::Hasher for Colliding {
+        fn finish(&self) -> u64 {
+            u64::MAX - 2 * u64::from(self.0.is_multiple_of(2))
+        }
+
+        fn write(&mut self, bytes: &[u8]) {
+            if let Some(&last) = bytes.last() {
+                self.0 = last;
+            }
+        }
+    }
+
+    /// Slots the arena has handed out, freed ones included.
+    fn arena_len<S>(shard: &Shard<S>) -> usize {
+        shard.pages.iter().map(Vec::len).sum()
+    }
+
+    #[test]
+    fn a_slot_holds_a_key_and_one_entry_in_72_bytes() {
+        assert_eq!(std::mem::size_of::<Chain>(), 48);
+        assert_eq!(std::mem::size_of::<Option<Slot>>(), 72);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn index_holds_a_wrapped_probe_run_to_a_map(
+            ops in proptest::collection::vec(
+                (0..10usize, proptest::option::of(proptest::prelude::any::<u8>())),
+                1..200,
+            ),
+        ) {
+            let mut shard = Shard::with_capacity(0, Colliding(0));
+            let mut model = std::collections::HashMap::new();
+            let keys: Vec<String> = (0..10).map(|i| format!("key{i}")).collect();
+            for (i, &(k, value)) in ops.iter().enumerate() {
+                // One apply an op, unpinned: the horizon is the epoch
+                // before it, so a second delete drops the key's slot.
+                let epoch = i as u64 + 1;
+                let put = value.map(|v| [v]);
+                let write = put.as_ref().map(|v| &v[..]);
+                shard.apply(&[(&keys[k], write, epoch, Height::new(epoch, 0))], epoch - 1);
+                match value {
+                    Some(v) => model.insert(k, v),
+                    None => model.remove(&k),
+                };
+                for (k, key) in keys.iter().enumerate() {
+                    let newest = shard.chain(key.as_bytes()).and_then(|chain| {
+                        chain.last()?.value.as_ref().map(|v| v.as_slice()[0])
+                    });
+                    proptest::prop_assert_eq!(newest, model.get(&k).copied(), "{}", key);
+                }
+                proptest::prop_assert_eq!(shard.live, model.len());
+                // Linear probing's invariant: no empty position between
+                // a held slot number and its home, so backward shifts
+                // left no gap; and the index holds the ordered set's
+                // keys, no more.
+                let mask = shard.table.len().wrapping_sub(1);
+                let mut held = 0;
+                for (pos, &n) in shard.table.iter().enumerate() {
+                    if n == EMPTY {
+                        continue;
+                    }
+                    held += 1;
+                    let mut at = shard.hasher.hash_one(&shard.slot(n).key) as usize & mask;
+                    while at != pos {
+                        proptest::prop_assert!(shard.table[at] != EMPTY, "gap at {}", at);
+                        at = (at + 1) & mask;
+                    }
+                }
+                proptest::prop_assert_eq!(held, shard.order.len());
+                for key in &shard.order {
+                    proptest::prop_assert!(shard.chain(key.as_bytes()).is_some());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn freed_slots_are_reused() {
+        let db = StateDb::with_shards(1);
+        let mut peak = 0;
+        for i in 0..10_000u64 {
+            let key = format!("fresh{i:05}");
+            put(&db, &key, 1, Height::new(3 * i, 0));
+            peak = peak.max(db.inner.shards[0].read().order.len());
+            // The first delete keeps the put for a reader pinned before
+            // it; the second prunes the put and drops the key.
+            for h in 1..3 {
+                let mut d = WriteBatch::new();
+                d.delete(&key);
+                db.apply(&d, Height::new(3 * i + h, 0));
+            }
+            assert!(!holds(&db, &key));
+        }
+        let shard = db.inner.shards[0].read();
+        assert!(
+            arena_len(&shard) <= peak,
+            "arena of {} slots for at most {peak} keys",
+            arena_len(&shard)
+        );
     }
 }

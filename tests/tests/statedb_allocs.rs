@@ -1,53 +1,65 @@
-//! Exact allocation counts of the state database's block path, held
-//! to a checked-in budget.
+//! Exact allocation counts of the state database's block path, and the
+//! exact heap bytes a key of a preloaded store holds, held to a
+//! checked-in budget.
 //!
 //! A counting global allocator sees every heap allocation this binary
 //! makes, on every thread; the binary has one test so that nothing else
 //! runs beside the steps it counts. The block is the peer's shape: 100
 //! transactions of two short-key writes, one `WriteBatch` a transaction,
-//! applied with one `apply_block` to keys a preload already holds.
+//! applied with one `apply_block` to keys a preload already holds. The
+//! heap bytes are the requested sizes live after a preload of 50 000 and
+//! of 60 000 keys into a fresh store, divided by the key count: the two
+//! counts sit on both sides of a 16-shard store's growth from 4 096 to
+//! 8 192 keys a shard in a table with a 7/8 load limit.
 //!
 //! Run with `-- --nocapture` to see the table. A change that adds an
-//! allocation to a counted step fails here; a change that removes some
-//! lowers the budget in the same commit.
+//! allocation or a held byte to a counted step fails here; a change that
+//! removes some lowers the budget in the same commit.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 use fabric_statedb::{Height, StateDb, WriteBatch};
 
-/// Counts allocation calls (`alloc`, `alloc_zeroed`, `realloc`) and
-/// hands every call to the system allocator.
+/// Counts allocation calls (`alloc`, `alloc_zeroed`, `realloc`) and the
+/// bytes requested and not yet freed, and hands every call to the
+/// system allocator.
 struct Counting;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static LIVE: AtomicI64 = AtomicI64::new(0);
 
 // SAFETY: every method forwards to `System` with the caller's own
 // arguments, so the caller's `GlobalAlloc` obligations carry over
 // unchanged; the counter touches no allocated memory.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // relaxed: a plain event count, read after the counted step
+        // relaxed: plain event and byte counts, read after the counted step
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        LIVE.fetch_add(layout.size() as i64, Ordering::Relaxed);
         // SAFETY: forwarded as received (see the impl).
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        // relaxed: a plain event count, read after the counted step
+        // relaxed: plain event and byte counts, read after the counted step
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        LIVE.fetch_add(layout.size() as i64, Ordering::Relaxed);
         // SAFETY: forwarded as received (see the impl).
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // relaxed: a plain event count, read after the counted step
+        // relaxed: plain event and byte counts, read after the counted step
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        LIVE.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
         // SAFETY: forwarded as received (see the impl).
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // relaxed: a plain byte count, read after the counted step
+        LIVE.fetch_sub(layout.size() as i64, Ordering::Relaxed);
         // SAFETY: forwarded as received (see the impl).
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -64,23 +76,43 @@ fn counted<T>(step: impl FnOnce() -> T) -> (T, u64) {
     (out, ALLOCS.load(Ordering::Relaxed) - before)
 }
 
+/// Heap bytes a key that a fresh store holds after a preload of `keys`
+/// keys, rounded up: what the store and its preload leave allocated.
+fn heap_bytes_a_key(keys: u64) -> u64 {
+    let mut preload = WriteBatch::new();
+    for i in 0..keys {
+        preload.put(key(i), i.to_le_bytes());
+    }
+    // relaxed: the store's threads are joined before `apply` returns
+    let before = LIVE.load(Ordering::Relaxed);
+    let db = StateDb::new();
+    db.apply(&preload, Height::new(0, 0));
+    let held = LIVE.load(Ordering::Relaxed) - before;
+    assert_eq!(db.len() as u64, keys);
+    (held as u64).div_ceil(keys)
+}
+
 const PRELOAD_KEYS: u64 = 4_096;
 const TXS: u64 = 100;
 const WRITES_PER_TX: u64 = 2;
 
-/// The checked-in budget: allocation calls a step may make, at most.
-/// Today's exact counts; see the module docs for when they move.
-const BUDGET: [(&str, u64); 4] = [
+/// The checked-in budget: allocation calls a step may make, and heap
+/// bytes a key a preloaded store may hold, at most. Today's exact
+/// counts; see the module docs for when they move.
+const BUDGET: [(&str, u64); 6] = [
     // One entry vector a batch, plus the block's vector. Short keys and
     // values are held in the entries.
     ("build 100 batches", 101),
-    // The regrouping by shard (four vectors), and each touched chain
-    // growing from the preload's one entry to room for two.
-    ("apply, first touch", 204),
+    // The regrouping by shard (three vectors), and each touched chain
+    // leaving its slot for a vector with room for two entries.
+    ("apply, first touch", 203),
     // The regrouping alone: the chains already have their room.
-    ("apply again", 4),
+    ("apply again", 3),
     // Point reads allocate nothing.
     ("get_version x200", 0),
+    // A 72-byte arena slot, the point index and the ordered set.
+    ("heap bytes a key, 50k", 137),
+    ("heap bytes a key, 60k", 132),
 ];
 
 /// The key of account `i`: 14 bytes, like the benchmark's.
@@ -122,9 +154,16 @@ fn block_path_allocations_stay_within_budget() {
     assert_eq!(found, keys.len());
     assert_eq!(db.get_version(&keys[0]), Some(Height::new(2, 0)));
 
-    let counts = [build, apply_first, apply_again, gets];
+    let counts = [
+        build,
+        apply_first,
+        apply_again,
+        gets,
+        heap_bytes_a_key(50_000),
+        heap_bytes_a_key(60_000),
+    ];
     let mut over = Vec::new();
-    println!("{:<22} {:>8} {:>8}", "step", "allocs", "budget");
+    println!("{:<22} {:>8} {:>8}", "step", "count", "budget");
     for ((step, budget), count) in BUDGET.iter().zip(counts) {
         println!("{step:<22} {count:>8} {budget:>8}");
         if count > *budget {
