@@ -2,12 +2,10 @@
 //! [`crate::StateDb`]'s shard indexes and of [`crate::WriteBatch`].
 //!
 //! A byte string of at most [`INLINE_CAP`] bytes lives inside the arena
-//! slot, tree node, chain entry or batch entry that holds it, so a key
-//! comparison reads the slot it is already on and a short key or value
-//! costs no allocation of its own. Longer ones go to the heap.
+//! slot, chain entry or batch entry that holds it, so a key comparison
+//! reads the slot it is already on and a short key or value costs no
+//! allocation of its own. Longer ones go to the heap.
 
-use std::borrow::Borrow;
-use std::cmp::Ordering;
 use std::hash::{Hash, Hasher};
 
 /// Bytes a string may have and still be stored in place. With its
@@ -52,11 +50,11 @@ impl std::fmt::Debug for InlineBytes {
 }
 
 /// A state key: the UTF-8 bytes of a `&str`, hashed and ordered as
-/// bytes. Byte order is `str` order, so the ordered index answers
-/// ranges keyed by `key.as_bytes()` ([`Borrow<[u8]>`]) in the order a
-/// `BTreeSet<String>` would; and a `Key` hashes exactly as its
-/// `[u8]` does, so the point index, which hashes a held `Key` when it
-/// moves it and a looked-up key's bytes, finds both at one home.
+/// bytes. Byte order is `str` order, so the ordered index, which
+/// compares `key.as_bytes()`, answers ranges in the order a
+/// `BTreeSet<String>` would; and a `Key` hashes exactly as its `[u8]`
+/// does, so the point index, which hashes a held `Key` when it moves it
+/// and a looked-up key's bytes, finds both at one home.
 #[derive(Clone)]
 pub(crate) struct Key(InlineBytes);
 
@@ -74,43 +72,17 @@ impl Key {
     }
 }
 
-impl Borrow<[u8]> for Key {
-    fn borrow(&self) -> &[u8] {
-        self.as_bytes()
-    }
-}
-
 impl std::fmt::Debug for Key {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         self.as_str().fmt(f)
     }
 }
 
-/// The `Borrow` contract: equal to `<[u8] as Hash>::hash` of the same
-/// bytes, which is what a lookup by `&[u8]` hashes.
+/// Equal to `<[u8] as Hash>::hash` of the same bytes, which is what a
+/// lookup by `&[u8]` hashes.
 impl Hash for Key {
     fn hash<H: Hasher>(&self, state: &mut H) {
         self.0.as_slice().hash(state);
-    }
-}
-
-impl PartialEq for Key {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.as_slice() == other.0.as_slice()
-    }
-}
-
-impl Eq for Key {}
-
-impl PartialOrd for Key {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Key {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.0.as_slice().cmp(other.0.as_slice())
     }
 }
 
@@ -174,7 +146,7 @@ mod tests {
         ];
         let mut keys: Vec<Key> = strs.iter().map(|s| Key::new(s)).collect();
         strs.sort();
-        keys.sort();
+        keys.sort_by(|a, b| a.as_bytes().cmp(b.as_bytes()));
         let sorted: Vec<&str> = keys.iter().map(Key::as_str).collect();
         assert_eq!(sorted, strs);
     }

@@ -10,11 +10,14 @@
 //!   `RwLock`ed shards. Under its one lock a shard holds each key and
 //!   its version chain once, in a slot of its arena (pages of 256
 //!   slots, so growth moves no slot; a freed slot is reused before the
-//!   arena grows), and indexes the slots twice: a point index of 4-byte
-//!   slot numbers in an open-addressing table, probed linearly, and a
-//!   `BTreeSet` of the same keys in order. Point reads touch exactly one
-//!   shard lock; a block's write batches group by shard and disjoint
-//!   shard groups apply concurrently ([`StateDb::apply_block`]).
+//!   arena grows), and indexes the slots twice, both times by 4-byte
+//!   slot number: a point index, an open-addressing table probed
+//!   linearly, and an ordered index, sorted chunks of at most 512 slot
+//!   numbers. The one invariant between them: the ordered index holds
+//!   exactly the point index's slot numbers, in key order. Point reads
+//!   touch exactly one shard lock; a block's write batches group by
+//!   shard and disjoint shard groups apply concurrently
+//!   ([`StateDb::apply_block`]).
 //! * **Point path against scan path.** `get`, `get_version`,
 //!   `mvcc_validate`, pinned `get`s and every write go through the point
 //!   index alone: one short probe run, whatever the shard's size, where a
@@ -22,13 +25,18 @@
 //!   key, in a 62 500-key shard at 1 M keys. The table is at least twice
 //!   the keys it holds, so a run ends at an empty position soon; a
 //!   deleted key's position is closed by shifting the rest of its run
-//!   back, so no tombstone lengthens a run. The ordered set is touched
-//!   on the point path only when a write creates a key or drops its
-//!   all-tombstone chain. The scans (`range`, `snapshot`,
-//!   `snapshot_chunks`, `state_hash` and [`StateSnapshot`]'s `range` and
-//!   `snapshot`) walk the ordered set and look each key's chain up in
-//!   the point index; [`StateDb::from_snapshot`] sizes both to the
-//!   checkpoint and fills them.
+//!   back, so no tombstone lengthens a run. The ordered index is touched
+//!   on the point path only when a write creates a key or drops it. The
+//!   scans (`range`, `snapshot`, `snapshot_chunks`, `state_hash` and
+//!   [`StateSnapshot`]'s `range` and `snapshot`) find their first key
+//!   with two binary searches, over the chunks and then inside one, each
+//!   key read through the arena, and walk on from there, reading each
+//!   key and chain straight from its slot. A key above the shard's last
+//!   one, as every key of a preload and of [`StateDb::from_snapshot`]
+//!   is, goes at the end, so those fill chunks to the brim; a key
+//!   inserted into a full chunk splits it in halves; a chunk emptied by
+//!   deletes is dropped, and one that fits beside a neighbour in half a
+//!   chunk joins it, so the index stays more than a quarter full.
 //! * **A keyed hasher, and no hash order anywhere.** Each shard's point
 //!   index hashes with its own std `RandomState`: state keys are chosen
 //!   by clients, and an unkeyed hash would let them aim every key at one
@@ -38,17 +46,18 @@
 //!   index or the arena for a reader, so neither the hasher's key nor
 //!   insertion order can reach a dump, a scan or a state hash.
 //! * **Memory.** At 1 M keys of the state benchmark's shape (14-byte
-//!   keys, 8-byte values, one version each) a shard takes ≈ 133 bytes a
-//!   key, against ≈ 218 for the hash map of chains this replaced and
-//!   ≈ 161 for the one `BTreeMap` before it (resident-set growth over
-//!   the preload, 16 shards, x86-64 glibc; ≈ 135–138 against ≈ 180 at
-//!   0.8 M keys). The arena slot is 72 of them (a 24-byte key and a
+//!   keys, 8-byte values, one version each) a shard takes ≈ 86 bytes a
+//!   key, against ≈ 134 with a `BTreeSet` of the keys as its ordered
+//!   index, ≈ 218 for the hash map of chains before that and ≈ 161 for
+//!   the one `BTreeMap` before that (resident-set growth over the
+//!   preload, 16 shards, x86-64 glibc; ≈ 90 against ≈ 137 at 0.8 M
+//!   keys). The arena slot is 72 of them (a 24-byte key and a
 //!   48-byte one-entry chain, in place), the point index ≈ 8 (131 072
 //!   positions of 4 bytes for a 62 500-key shard; ≈ 10.5 at 0.8 M) and
-//!   the ordered set ≈ 50. A touched key adds its two-entry chain, a
+//!   the ordered index ≈ 4. A touched key adds its two-entry chain, a
 //!   96-byte heap block (≈ 112 bytes with the allocator's header).
 //! * **Short keys and values in place.** A key of at most 22 bytes is
-//!   stored inside its arena slot and its tree node, and a value of at
+//!   stored inside its arena slot, and a value of at
 //!   most 22 bytes inside its chain entry (`crate::inline`); longer ones
 //!   go to the heap. Keys hash and order as their bytes, whose order is
 //!   `str` order.
@@ -59,7 +68,10 @@
 //!   pinned *epoch* — so readers execute at a height snapshot without
 //!   blocking the committer, and the committer never blocks behind
 //!   readers. Chains are pruned below the oldest live pin on every
-//!   touch, so hot keys stay short.
+//!   touch, so hot keys stay short. A deleted key whose chain a pin
+//!   still needs is noted with its tombstone's epoch, and the first
+//!   apply whose prune fence reaches that epoch drops it, in whichever
+//!   shard it sits, rather than its next write, which may never come.
 //! * **Epochs, not heights, order visibility.** Every apply completes
 //!   one epoch (a monotone counter); the `(epoch, tip-height)` pair
 //!   advances *after* the whole apply — a whole block for
@@ -69,7 +81,7 @@
 //!   non-monotone heights (exercised by the equivalence harness) don't
 //!   confuse snapshot reads.
 //! * **Ordered scans.** `range`/`snapshot`/`snapshot_chunks` k-way
-//!   merge the per-shard ordered sets (shards partition the keyspace
+//!   merge the per-shard ordered indexes (shards partition the keyspace
 //!   disjointly, so the merge is a plain heap-less cursor sweep over at
 //!   most `shards` tails).
 //! * **Journal ordering.** A commit-order mutex is held across journal
@@ -82,9 +94,9 @@
 
 use std::borrow::Borrow;
 use std::collections::hash_map::RandomState;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::hash::BuildHasher;
-use std::ops::Bound;
+use std::ops::{Bound, RangeBounds};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -211,11 +223,21 @@ fn place(table: &mut [u32], hash: u64, slot: u32) {
     table[pos] = slot;
 }
 
-/// One shard: the same keys in two indexes, both under the shard's
-/// lock. Each key and its chain sit in one slot of the arena; the point
-/// index finds the slot by hash, the ordered set holds the keys in
-/// order. Every key of the point index is in `order` and the other way
-/// round.
+/// Slot numbers a chunk of the ordered index holds at most: 2 KB.
+const CHUNK: usize = 512;
+
+/// A new chunk of the ordered index holding `n` alone, with room for
+/// [`CHUNK`].
+fn chunk_of(n: u32) -> Vec<u32> {
+    let mut chunk = Vec::with_capacity(CHUNK);
+    chunk.push(n);
+    chunk
+}
+
+/// One shard: each key once, in a slot of the arena, and its slot
+/// number in two indexes, both under the shard's lock. The point index
+/// finds a slot by hash; the ordered index holds exactly the point
+/// index's slot numbers, in key order.
 struct Shard<S = RandomState> {
     /// The slot arena, in pages of [`PAGE`]: slot `n` is
     /// `pages[n / PAGE][n % PAGE]`, `None` once freed.
@@ -228,10 +250,19 @@ struct Shard<S = RandomState> {
     table: Box<[u32]>,
     /// The key of the point index's hash (see the module docs).
     hasher: S,
-    /// The keys in byte order: what only the scans read.
-    order: BTreeSet<Key>,
+    /// The ordered index, what only the scans read: the slot numbers in
+    /// their keys' byte order, cut into chunks of at most [`CHUNK`].
+    /// No chunk is empty, and any two neighbouring chunks hold more than
+    /// half a chunk between them.
+    order: Vec<Vec<u32>>,
+    /// Keys the shard holds: the slot numbers in each index.
+    keys: usize,
     /// Keys whose newest entry is a put (i.e. visible to a live read).
     live: usize,
+    /// `(epoch, slot number)` of each tombstone written onto a chain it
+    /// left held, in epoch order: the keys [`Shard::sweep`] may drop. A
+    /// slot may have been freed, reused or written again since.
+    tombstones: Vec<(u64, u32)>,
 }
 
 /// Counts only: listing the slots would print them in the order their
@@ -239,7 +270,7 @@ struct Shard<S = RandomState> {
 impl<S> std::fmt::Debug for Shard<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Shard")
-            .field("keys", &self.order.len())
+            .field("keys", &self.keys)
             .field("live", &self.live)
             .finish()
     }
@@ -254,8 +285,10 @@ impl<S: BuildHasher> Shard<S> {
             free: Vec::new(),
             table: vec![EMPTY; table_len(keys)].into_boxed_slice(),
             hasher,
-            order: BTreeSet::new(),
+            order: Vec::new(),
+            keys: 0,
             live: 0,
+            tombstones: Vec::new(),
         }
     }
 
@@ -298,27 +331,101 @@ impl<S: BuildHasher> Shard<S> {
         Some(self.slot(self.table[pos]).chain.entries())
     }
 
-    /// The keys of `bounds` in order, each with its chain.
+    /// Where the ordered index's first key inside lower bound `lo` sits:
+    /// a chunk, and a position in it that is short of the chunk's end
+    /// unless the chunk is one past the last. Two binary searches, the
+    /// first over the chunks' last keys, each key read through the arena.
+    fn seek(&self, lo: Bound<&[u8]>) -> (usize, usize) {
+        let before = |n: &u32| !(lo, Bound::Unbounded).contains(&self.slot(*n).key.as_bytes());
+        let c = self
+            .order
+            .partition_point(|chunk| before(chunk.last().expect("no chunk is empty")));
+        let i = self
+            .order
+            .get(c)
+            .map_or(0, |chunk| chunk.partition_point(before));
+        (c, i)
+    }
+
+    /// The keys of `bounds` in order, each with its chain, read straight
+    /// from the ordered index's slot numbers.
     fn scan<'s>(
         &'s self,
-        bounds: (Bound<&[u8]>, Bound<&[u8]>),
+        (lo, hi): (Bound<&'s [u8]>, Bound<&'s [u8]>),
     ) -> impl Iterator<Item = (&'s Key, &'s [VersionEntry])> + 's {
-        self.order.range::<[u8], _>(bounds).map(|key| {
-            let chain = self.chain(key.as_bytes());
-            (key, chain.expect("every ordered key has a chain"))
-        })
+        let (c, i) = self.seek(lo);
+        self.order[c..]
+            .iter()
+            .flatten()
+            .skip(i)
+            .map(|&n| self.slot(n))
+            .take_while(move |slot| (Bound::Unbounded, hi).contains(&slot.key.as_bytes()))
+            .map(|slot| (&slot.key, slot.chain.entries()))
+    }
+
+    /// Puts slot number `n`, whose key the ordered index does not hold,
+    /// in its place. A key above the shard's last one, as every preloaded
+    /// and restored key is, goes at the end, packing chunks full; a key
+    /// inside a full chunk splits that chunk in halves.
+    fn order_insert(&mut self, n: u32) {
+        let key = self.slot(n).key.as_bytes();
+        let last = self.order.last().and_then(|chunk| chunk.last());
+        if last.is_none_or(|&last| self.slot(last).key.as_bytes() < key) {
+            match self.order.last_mut() {
+                Some(chunk) if chunk.len() < CHUNK => chunk.push(n),
+                _ => self.order.push(chunk_of(n)),
+            }
+            return;
+        }
+        let (c, i) = self.seek(Bound::Included(key));
+        let chunk = &mut self.order[c];
+        if chunk.len() < CHUNK {
+            chunk.insert(i, n);
+            return;
+        }
+        let mut upper = Vec::with_capacity(CHUNK);
+        upper.extend(chunk.drain(CHUNK / 2..));
+        if i <= CHUNK / 2 {
+            chunk.insert(i, n);
+        } else {
+            upper.insert(i - CHUNK / 2, n);
+        }
+        self.order.insert(c + 1, upper);
+    }
+
+    /// Takes slot number `n`, whose key is still in its slot, out of the
+    /// ordered index. A chunk left empty is dropped, and one that fits
+    /// beside a neighbour in half a chunk joins it, so that no order of
+    /// deletes leaves the index mostly empty chunks.
+    fn order_remove(&mut self, n: u32) {
+        let (c, i) = self.seek(Bound::Included(self.slot(n).key.as_bytes()));
+        let chunk = &mut self.order[c];
+        assert_eq!(chunk[i], n, "the ordered index holds every held slot");
+        chunk.remove(i);
+        if chunk.is_empty() {
+            self.order.remove(c);
+            return;
+        }
+        let fits = |order: &[Vec<u32>], a: usize| order[a].len() + order[a + 1].len() <= CHUNK / 2;
+        let join = if c + 1 < self.order.len() && fits(&self.order, c) {
+            c
+        } else if c > 0 && fits(&self.order, c - 1) {
+            c - 1
+        } else {
+            return;
+        };
+        let next = self.order.remove(join + 1);
+        self.order[join].extend_from_slice(&next);
     }
 
     /// Adds `key`, which the shard does not hold, with the one-entry
-    /// chain of a put: into a free slot or a new one, the point index and
-    /// the ordered set.
+    /// chain of a put: into a free slot or a new one, and both indexes.
     fn insert(&mut self, hash: u64, key: &str, put: VersionEntry) {
-        if (self.order.len() + 1) * 2 > self.table.len() {
+        if (self.keys + 1) * 2 > self.table.len() {
             self.grow();
         }
-        let key = Key::new(key);
         let slot = Some(Slot {
-            key: key.clone(),
+            key: Key::new(key),
             chain: Chain::One(put),
         });
         let n = match self.free.pop() {
@@ -340,7 +447,8 @@ impl<S: BuildHasher> Shard<S> {
             }
         };
         place(&mut self.table, hash, n);
-        self.order.insert(key);
+        self.order_insert(n);
+        self.keys += 1;
         self.live += 1;
     }
 
@@ -363,11 +471,13 @@ impl<S: BuildHasher> Shard<S> {
     }
 
     /// Drops the key whose slot number sits at `pos` of the point index:
-    /// closes the gap by shifting the rest of its probe run back (no
-    /// tombstones), frees the slot for reuse and leaves the ordered set.
+    /// takes the number out of the ordered index, closes the gap in the
+    /// point index by shifting the rest of its probe run back (no
+    /// tombstones) and frees the slot for reuse.
     fn remove(&mut self, pos: usize) {
         let mask = self.table.len() - 1;
         let n = self.table[pos];
+        self.order_remove(n);
         let mut hole = pos;
         let mut next = (pos + 1) & mask;
         while self.table[next] != EMPTY {
@@ -381,11 +491,9 @@ impl<S: BuildHasher> Shard<S> {
             next = (next + 1) & mask;
         }
         self.table[hole] = EMPTY;
-        let slot = self.pages[n as usize / PAGE][n as usize % PAGE]
-            .take()
-            .expect("the point index holds live slots only");
-        self.order.remove(slot.key.as_bytes());
+        self.pages[n as usize / PAGE][n as usize % PAGE] = None;
         self.free.push(n);
+        self.keys -= 1;
     }
 
     /// Applies one shard's slice of a block, pruning each touched chain
@@ -417,6 +525,8 @@ impl<S: BuildHasher> Shard<S> {
                     }
                     if dead {
                         self.remove(pos);
+                    } else if !now_live {
+                        self.tombstones.push((epoch, n));
                     }
                 }
                 None => {
@@ -429,6 +539,41 @@ impl<S: BuildHasher> Shard<S> {
                 }
             }
         }
+    }
+
+    /// Drops the keys whose newest entry is a tombstone at or below
+    /// `horizon`, the retention fence of the apply that calls it: pruned
+    /// to the fence, their chains hold tombstones alone, which every
+    /// reader resolves as it does a missing key. Returns the epoch of
+    /// the oldest tombstone left to sweep, `u64::MAX` for none.
+    fn sweep(&mut self, horizon: u64) -> u64 {
+        let mut tombstones = std::mem::take(&mut self.tombstones);
+        let due = tombstones.partition_point(|&(epoch, _)| epoch <= horizon);
+        for &(_, n) in &tombstones[..due] {
+            let dead = match &mut self.pages[n as usize / PAGE][n as usize % PAGE] {
+                Some(Slot {
+                    chain: Chain::Many(entries),
+                    ..
+                }) if entries.last().is_some_and(|e| e.value.is_none()) => {
+                    prune_chain(entries, horizon);
+                    entries.iter().all(|e| e.value.is_none())
+                }
+                // Freed, or written with a put since.
+                _ => false,
+            };
+            if dead {
+                let key = self.slot(n).key.as_bytes();
+                let pos = self
+                    .position(self.hasher.hash_one(key), key)
+                    .expect("a held slot is in the point index");
+                self.remove(pos);
+            }
+        }
+        tombstones.drain(..due);
+        self.tombstones = tombstones;
+        self.tombstones
+            .first()
+            .map_or(u64::MAX, |&(epoch, _)| epoch)
     }
 
     /// Restores one checkpoint entry as a one-entry chain; a repeated
@@ -454,6 +599,10 @@ struct OrderState {
     epoch: u64,
     /// High-water mark of applied heights.
     tip: Option<Height>,
+    /// For each shard, an epoch at or below that of its oldest tombstone
+    /// left to sweep, `u64::MAX` for none: an apply whose horizon is
+    /// below it leaves the shard unlocked.
+    tombstoned: Vec<u64>,
 }
 
 #[derive(Debug)]
@@ -582,13 +731,17 @@ impl StateDb {
     }
 
     fn from_shards(shards: Vec<Shard>) -> Self {
+        let order = OrderState {
+            tombstoned: vec![u64::MAX; shards.len()],
+            ..OrderState::default()
+        };
         StateDb {
             inner: Arc::new(SharedInner {
                 shards: shards
                     .into_iter()
                     .map(|shard| RwLock::named("statedb.shard", shard))
                     .collect(),
-                order: Mutex::named("statedb.order", OrderState::default()),
+                order: Mutex::named("statedb.order", order),
                 committed: RwLock::named("statedb.committed", (0, None)),
                 pins: Mutex::named("statedb.pins", BTreeMap::new()),
                 reads: AtomicU64::new(0),
@@ -791,6 +944,9 @@ impl StateDb {
                 let home = homes.next().expect("one home per entry");
                 entries[ends[home]] = (key, value, epoch, *height);
                 ends[home] += 1;
+                if value.is_none() {
+                    order.tombstoned[home] = order.tombstoned[home].min(epoch);
+                }
             }
         }
         let group = |idx: usize| {
@@ -831,6 +987,16 @@ impl StateDb {
             }
         }
 
+        // A key deleted at or below the fence reads as absent to every
+        // reader the fence keeps: drop it now, in whichever shard it
+        // sits, rather than at its next write, which may never come. A
+        // shard with no such key due stays unlocked.
+        for (idx, shard) in inner.shards.iter().enumerate() {
+            if order.tombstoned[idx] <= horizon {
+                order.tombstoned[idx] = shard.write().sweep(horizon);
+            }
+        }
+
         // Publish: the new epoch/tip become pinnable only now, after
         // every shard group is fully applied.
         assert_order_held("epoch/tip published");
@@ -867,16 +1033,8 @@ impl StateDb {
     /// scans k-way merged (shards partition the keyspace, so this is a
     /// cursor sweep, not a sort).
     pub fn range(&self, start: &str, end: &str) -> Vec<(String, VersionedValue)> {
-        let mut per_shard: Vec<Vec<(String, VersionedValue)>> = Vec::new();
-        for shard in &self.inner.shards {
-            let g = shard.read();
-            per_shard.push(
-                g.scan(key_range(start, end))
-                    .filter_map(|(k, chain)| Some((k.as_str().to_owned(), chain.last()?.read()?)))
-                    .collect(),
-            );
-        }
-        merge_sorted(per_shard, usize::MAX)
+        self.inner
+            .scan(key_range(start, end), usize::MAX, <[VersionEntry]>::last)
     }
 
     /// Number of live keys (O(shards): summed per-shard counters).
@@ -982,6 +1140,36 @@ fn prune_chain(chain: &mut Vec<VersionEntry>, horizon: u64) {
     }
 }
 
+impl SharedInner {
+    /// The first `limit` keys of `bounds` in key order, each with the
+    /// entry `resolve` picks from its chain, skipping the keys for which
+    /// it picks none or a tombstone: each shard's scan under its own read
+    /// lock in turn, then merged (shards partition the keyspace, so this
+    /// is a cursor sweep, not a sort).
+    fn scan(
+        &self,
+        bounds: (Bound<&[u8]>, Bound<&[u8]>),
+        limit: usize,
+        resolve: impl Fn(&[VersionEntry]) -> Option<&VersionEntry>,
+    ) -> Vec<(String, VersionedValue)> {
+        let per_shard = self
+            .shards
+            .iter()
+            .map(|shard| {
+                shard
+                    .read()
+                    .scan(bounds)
+                    .filter_map(|(key, chain)| {
+                        Some((key.as_str().to_owned(), resolve(chain)?.read()?))
+                    })
+                    .take(limit)
+                    .collect()
+            })
+            .collect();
+        merge_sorted(per_shard, limit)
+    }
+}
+
 /// Merges per-shard ascending runs into one ascending run, taking at
 /// most `limit` entries. Runs are disjoint (shards partition the
 /// keyspace), so a simple min-cursor sweep suffices.
@@ -1038,24 +1226,15 @@ impl Iterator for SnapshotChunks {
         if self.done {
             return None;
         }
-        // Collect up to `chunk` entries after the cursor from each
-        // shard (each shard lock held only for its own scan), then
-        // merge down to the overall next `chunk` keys.
-        let mut per_shard: Vec<Vec<(String, VersionedValue)>> = Vec::new();
-        for shard in &self.db.inner.shards {
-            let g = shard.read();
-            let after = match &self.cursor {
-                Some(last) => Bound::Excluded(last.as_bytes()),
-                None => Bound::Unbounded,
-            };
-            per_shard.push(
-                g.scan((after, Bound::Unbounded))
-                    .filter_map(|(k, chain)| Some((k.as_str().to_owned(), chain.last()?.read()?)))
-                    .take(self.chunk)
-                    .collect(),
-            );
-        }
-        let batch = merge_sorted(per_shard, self.chunk);
+        let after = match &self.cursor {
+            Some(last) => Bound::Excluded(last.as_bytes()),
+            None => Bound::Unbounded,
+        };
+        let batch = self.db.inner.scan(
+            (after, Bound::Unbounded),
+            self.chunk,
+            <[VersionEntry]>::last,
+        );
         if batch.len() < self.chunk {
             self.done = true;
         }
@@ -1089,7 +1268,8 @@ impl StateSnapshot {
         self.height
     }
 
-    /// The newest entry of `chain` at or below the pinned epoch.
+    /// The newest entry of `chain` at or below the pinned epoch: none at
+    /// epoch 0, since every apply writes at epoch 1 or above.
     fn resolve<'c>(&self, chain: &'c [VersionEntry]) -> Option<&'c VersionEntry> {
         chain.iter().rev().find(|e| e.epoch <= self.epoch)
     }
@@ -1122,40 +1302,17 @@ impl StateSnapshot {
 
     /// Range scan over `[start, end)` as of the pinned height.
     pub fn range(&self, start: &str, end: &str) -> Vec<(String, VersionedValue)> {
-        if self.epoch == 0 {
-            return Vec::new();
-        }
-        let mut per_shard: Vec<Vec<(String, VersionedValue)>> = Vec::new();
-        for shard in &self.inner.shards {
-            let g = shard.read();
-            per_shard.push(
-                g.scan(key_range(start, end))
-                    .filter_map(|(k, chain)| {
-                        Some((k.as_str().to_owned(), self.resolve(chain)?.read()?))
-                    })
-                    .collect(),
-            );
-        }
-        merge_sorted(per_shard, usize::MAX)
+        self.inner.scan(key_range(start, end), usize::MAX, |chain| {
+            self.resolve(chain)
+        })
     }
 
     /// Full ordered dump as of the pinned height.
     pub fn snapshot(&self) -> Vec<(String, VersionedValue)> {
-        if self.epoch == 0 {
-            return Vec::new();
-        }
-        let mut per_shard: Vec<Vec<(String, VersionedValue)>> = Vec::new();
-        for shard in &self.inner.shards {
-            let g = shard.read();
-            per_shard.push(
-                g.scan((Bound::Unbounded, Bound::Unbounded))
-                    .filter_map(|(k, chain)| {
-                        Some((k.as_str().to_owned(), self.resolve(chain)?.read()?))
-                    })
-                    .collect(),
-            );
-        }
-        merge_sorted(per_shard, usize::MAX)
+        self.inner
+            .scan((Bound::Unbounded, Bound::Unbounded), usize::MAX, |chain| {
+                self.resolve(chain)
+            })
     }
 }
 
@@ -1176,6 +1333,8 @@ impl Drop for StateSnapshot {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
 
     fn put(db: &StateDb, key: &str, val: u8, h: Height) {
@@ -1189,9 +1348,10 @@ mod tests {
     fn holds(db: &StateDb, key: &str) -> bool {
         let g = db.inner.shards[db.shard_of(key)].read();
         let chained = g.chain(key.as_bytes()).is_some();
+        let only = Bound::Included(key.as_bytes());
         assert_eq!(
             chained,
-            g.order.contains(key.as_bytes()),
+            g.scan((only, only)).next().is_some(),
             "indexes disagree on {key:?}"
         );
         chained
@@ -1425,8 +1585,8 @@ mod tests {
                 proptest::prop_assert_eq!(shard.live, model.len());
                 // Linear probing's invariant: no empty position between
                 // a held slot number and its home, so backward shifts
-                // left no gap; and the index holds the ordered set's
-                // keys, no more.
+                // left no gap; and the index holds the shard's keys, the
+                // ordered index's, no more.
                 let mask = shard.table.len().wrapping_sub(1);
                 let mut held = 0;
                 for (pos, &n) in shard.table.iter().enumerate() {
@@ -1440,8 +1600,8 @@ mod tests {
                         at = (at + 1) & mask;
                     }
                 }
-                proptest::prop_assert_eq!(held, shard.order.len());
-                for key in &shard.order {
+                proptest::prop_assert_eq!(held, shard.keys);
+                for (key, _) in shard.scan((Bound::Unbounded, Bound::Unbounded)) {
                     proptest::prop_assert!(shard.chain(key.as_bytes()).is_some());
                 }
             }
@@ -1455,7 +1615,7 @@ mod tests {
         for i in 0..10_000u64 {
             let key = format!("fresh{i:05}");
             put(&db, &key, 1, Height::new(3 * i, 0));
-            peak = peak.max(db.inner.shards[0].read().order.len());
+            peak = peak.max(db.inner.shards[0].read().keys);
             // The first delete keeps the put for a reader pinned before
             // it; the second prunes the put and drops the key.
             for h in 1..3 {
@@ -1471,5 +1631,128 @@ mod tests {
             "arena of {} slots for at most {peak} keys",
             arena_len(&shard)
         );
+    }
+
+    #[test]
+    fn a_deleted_key_leaves_at_the_next_apply() {
+        let db = StateDb::new();
+        // Later applies write a key of another shard than the deleted ones.
+        let other = (0..)
+            .map(|i| format!("other{i}"))
+            .find(|o| db.shard_of(o) != db.shard_of("k") && db.shard_of(o) != db.shard_of("p"))
+            .expect("some key lives in a third shard");
+        let delete = |key: &str, h: Height| {
+            let mut d = WriteBatch::new();
+            d.delete(key);
+            db.apply(&d, h);
+        };
+
+        put(&db, "k", 1, Height::new(1, 0));
+        delete("k", Height::new(2, 0));
+        // The put stays for a reader pinned at the epoch before the delete.
+        assert!(holds(&db, "k"));
+        put(&db, &other, 1, Height::new(3, 0));
+        assert!(!holds(&db, "k"), "no pin: gone after one more apply");
+        assert_eq!(db.get("k"), None);
+
+        put(&db, "p", 1, Height::new(4, 0));
+        let pin = db.pin();
+        delete("p", Height::new(5, 0));
+        put(&db, &other, 2, Height::new(6, 0));
+        assert!(holds(&db, "p"), "the pin fences the put");
+        assert_eq!(pin.get("p").unwrap().value, vec![1]);
+        assert_eq!(pin.range("p", "q").len(), 1);
+        drop(pin);
+        assert!(holds(&db, "p"), "nothing sweeps between applies");
+        put(&db, &other, 3, Height::new(7, 0));
+        assert!(!holds(&db, "p"), "gone at the first apply after the pin");
+        assert_eq!(db.get("p"), None);
+        assert_eq!(db.len(), 1);
+    }
+
+    /// Keys the ordered-index proptest draws from: more than three full
+    /// chunks.
+    const ORDERED_KEYS: usize = 4 * CHUNK;
+
+    /// One lower or upper bound from a drawn `(kind, key)` pair.
+    fn bound(keys: &[String], (kind, k): (u8, usize)) -> Bound<&[u8]> {
+        match kind {
+            0 => Bound::Included(keys[k].as_bytes()),
+            1 => Bound::Excluded(keys[k].as_bytes()),
+            _ => Bound::Unbounded,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// Each op writes `count` keys `first`, `first + step`, ... (mod
+        /// the key space) in one apply, puts or deletes, and sweeps as
+        /// the next unpinned apply would; then every scan and the
+        /// index's shape are held to a `BTreeSet` of the live keys. Runs
+        /// of step 1 into an empty stretch append and empty chunks; wider
+        /// steps insert between held keys and split full chunks; a put
+        /// after a delete fills a freed slot.
+        #[test]
+        fn ordered_index_holds_to_a_sorted_set(
+            ops in proptest::collection::vec(
+                (
+                    0..3u8,
+                    0..ORDERED_KEYS,
+                    1..CHUNK * 2,
+                    1..6usize,
+                    (0..3u8, 0..ORDERED_KEYS),
+                    (0..3u8, 0..ORDERED_KEYS),
+                ),
+                1..16,
+            ),
+        ) {
+            let keys: Vec<String> = (0..ORDERED_KEYS).map(|i| format!("acct{i:010}")).collect();
+            let mut shard = Shard::with_capacity(0, RandomState::new());
+            let mut model = BTreeSet::new();
+            for (i, &(kind, first, count, step, lo, hi)) in ops.iter().enumerate() {
+                let epoch = i as u64 + 1;
+                let put = kind < 2;
+                let group: Vec<GroupEntry> = (0..count)
+                    .map(|j| {
+                        let key = &keys[(first + j * step) % ORDERED_KEYS];
+                        if put {
+                            model.insert(key.clone());
+                        } else {
+                            model.remove(key);
+                        }
+                        (key.as_str(), put.then_some(&b"v"[..]), epoch, Height::new(epoch, 0))
+                    })
+                    .collect();
+                shard.apply(&group, epoch - 1);
+                shard.sweep(epoch);
+
+                let bounds = (bound(&keys, lo), bound(&keys, hi));
+                let scanned: Vec<&str> = shard.scan(bounds).map(|(key, _)| key.as_str()).collect();
+                let expected: Vec<&str> = model
+                    .iter()
+                    .map(String::as_str)
+                    .filter(|key| bounds.contains(&key.as_bytes()))
+                    .collect();
+                proptest::prop_assert_eq!(scanned, expected, "scan {:?}", bounds);
+
+                let held: Vec<u32> = shard.order.iter().flatten().copied().collect();
+                let in_order: Vec<&str> = held.iter().map(|&n| shard.slot(n).key.as_str()).collect();
+                proptest::prop_assert!(in_order.iter().eq(model.iter()), "index != model");
+                proptest::prop_assert_eq!(shard.keys, model.len());
+                proptest::prop_assert_eq!(shard.live, model.len());
+                for &n in &held {
+                    let key = shard.slot(n).key.as_bytes();
+                    let pos = shard.position(shard.hasher.hash_one(key), key);
+                    proptest::prop_assert_eq!(pos.map(|pos| shard.table[pos]), Some(n));
+                }
+                for chunk in &shard.order {
+                    proptest::prop_assert!((1..=CHUNK).contains(&chunk.len()));
+                }
+                for pair in shard.order.windows(2) {
+                    proptest::prop_assert!(pair[0].len() + pair[1].len() > CHUNK / 2);
+                }
+            }
+        }
     }
 }

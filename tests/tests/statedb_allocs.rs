@@ -7,6 +7,7 @@
 //! runs beside the steps it counts. The block is the peer's shape: 100
 //! transactions of two short-key writes, one `WriteBatch` a transaction,
 //! applied with one `apply_block` to keys a preload already holds. The
+//! scan is the state benchmark's: one pinned 100-key `range`. The
 //! heap bytes are the requested sizes live after a preload of 50 000 and
 //! of 60 000 keys into a fresh store, divided by the key count: the two
 //! counts sit on both sides of a 16-shard store's growth from 4 096 to
@@ -99,7 +100,7 @@ const WRITES_PER_TX: u64 = 2;
 /// The checked-in budget: allocation calls a step may make, and heap
 /// bytes a key a preloaded store may hold, at most. Today's exact
 /// counts; see the module docs for when they move.
-const BUDGET: [(&str, u64); 6] = [
+const BUDGET: [(&str, u64); 7] = [
     // One entry vector a batch, plus the block's vector. Short keys and
     // values are held in the entries.
     ("build 100 batches", 101),
@@ -110,9 +111,12 @@ const BUDGET: [(&str, u64); 6] = [
     ("apply again", 3),
     // Point reads allocate nothing.
     ("get_version x200", 0),
-    // A 72-byte arena slot, the point index and the ordered set.
-    ("heap bytes a key, 50k", 137),
-    ("heap bytes a key, 60k", 132),
+    // A key string and a value vector a row (200), and the vectors that
+    // collect each shard's rows and the merged run, each growing.
+    ("pin, range 100", 245),
+    // A 72-byte arena slot, the point index and the ordered index.
+    ("heap bytes a key, 50k", 92),
+    ("heap bytes a key, 60k", 88),
 ];
 
 /// The key of account `i`: 14 bytes, like the benchmark's.
@@ -152,6 +156,8 @@ fn block_path_allocations_stay_within_budget() {
     let ((), apply_again) = counted(|| db.apply_block(&second));
     let (found, gets) = counted(|| keys.iter().filter_map(|k| db.get_version(k)).count());
     assert_eq!(found, keys.len());
+    let (rows, range) = counted(|| db.pin().range(&key(1_000), &key(1_100)).len());
+    assert_eq!(rows, 100);
     assert_eq!(db.get_version(&keys[0]), Some(Height::new(2, 0)));
 
     let counts = [
@@ -159,6 +165,7 @@ fn block_path_allocations_stay_within_budget() {
         apply_first,
         apply_again,
         gets,
+        range,
         heap_bytes_a_key(50_000),
         heap_bytes_a_key(60_000),
     ];
