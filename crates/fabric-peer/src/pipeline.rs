@@ -495,7 +495,7 @@ impl ValidatorPipeline {
         // indexes a valid transaction's keys, taken by move; the batch
         // copies its writes (what is left of `decoded` is freed after
         // both stage timers).
-        let mut batches: Vec<(WriteBatch, Height)> = Vec::new();
+        let mut batches: Vec<(WriteBatch, Height)> = Vec::with_capacity(codes.len());
         let mut tx_ids = Vec::with_capacity(codes.len());
         let mut modified: Vec<Vec<String>> = Vec::with_capacity(codes.len());
         for (i, tx) in decoded.txs.iter_mut().enumerate() {

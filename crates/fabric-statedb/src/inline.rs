@@ -1,10 +1,11 @@
 //! Keys and values stored in place: the byte strings of
-//! [`crate::StateDb`]'s shard indexes and of [`crate::WriteBatch`].
+//! [`crate::StateDb`]'s arena slots and version chains.
 //!
 //! A byte string of at most [`INLINE_CAP`] bytes lives inside the arena
-//! slot, chain entry or batch entry that holds it, so a key comparison
-//! reads the slot it is already on and a short key or value costs no
-//! allocation of its own. Longer ones go to the heap.
+//! slot or chain entry that holds it, so a key comparison reads the
+//! slot it is already on and a short key or value costs no allocation
+//! of its own. Longer ones go to the heap. A [`crate::WriteBatch`] holds
+//! neither: its keys and values sit in its one encoded buffer.
 
 use std::hash::{Hash, Hasher};
 

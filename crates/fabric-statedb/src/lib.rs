@@ -38,8 +38,6 @@
 
 use std::fmt;
 
-use inline::{InlineBytes, Key};
-
 mod bounded;
 mod inline;
 mod sharded;
@@ -82,15 +80,28 @@ pub struct VersionedValue {
     pub version: Height,
 }
 
-/// A batch of writes applied atomically at commit.
+/// A batch of writes applied atomically at commit, held as the entry
+/// part of its state-journal record.
 ///
-/// A key or value of at most 22 bytes is held inside the batch's own
-/// entry, as the state database holds it; longer ones are copied to the
-/// heap. `put` and `delete` copy what they are given, so a caller that
-/// keeps its strings passes them by reference.
-#[derive(Debug, Clone, Default)]
+/// The batch is one byte buffer in the journal's encoding, integers
+/// little-endian:
+///
+/// ```text
+/// n_entries u32 | ( key_len u32 | key | tag u8 (0=delete, 1=put) |
+///                   [ value_len u32 | value ] )*
+/// ```
+///
+/// A journal appends [`WriteBatch::encoded`] as it is, and recovery
+/// checks a record's bytes once with [`WriteBatch::from_encoded`] and
+/// keeps them. An empty batch holds no allocation; the first `put` or
+/// `delete` reserves room for two entries of its own size, so a
+/// two-write transaction of like-sized writes makes one allocation.
+/// `put` and `delete` copy what they are given, so a caller that keeps
+/// its strings passes them by reference.
+#[derive(Clone, Default)]
 pub struct WriteBatch {
-    entries: Vec<(Key, Option<InlineBytes>)>,
+    /// Empty, or the encoding above with `n_entries` at least 1.
+    buf: Vec<u8>,
 }
 
 impl WriteBatch {
@@ -100,35 +111,135 @@ impl WriteBatch {
     }
 
     /// Queues a put.
+    ///
+    /// # Panics
+    ///
+    /// If the key or the value is longer than `u32::MAX` bytes, or the
+    /// batch already holds `u32::MAX` entries.
     pub fn put(&mut self, key: impl AsRef<str>, value: impl AsRef<[u8]>) -> &mut Self {
-        self.entries.push((
-            Key::new(key.as_ref()),
-            Some(InlineBytes::new(value.as_ref())),
-        ));
-        self
+        self.push(key.as_ref(), Some(value.as_ref()))
     }
 
     /// Queues a delete.
+    ///
+    /// # Panics
+    ///
+    /// As [`WriteBatch::put`].
     pub fn delete(&mut self, key: impl AsRef<str>) -> &mut Self {
-        self.entries.push((Key::new(key.as_ref()), None));
+        self.push(key.as_ref(), None)
+    }
+
+    fn push(&mut self, key: &str, value: Option<&[u8]>) -> &mut Self {
+        let n = u32::try_from(self.len() + 1).expect("batch exceeds u32::MAX entries");
+        if self.buf.is_empty() {
+            let entry = 5 + key.len() + value.map_or(0, |v| 4 + v.len());
+            self.buf.reserve_exact(4 + 2 * entry);
+            self.buf.extend_from_slice(&[0; 4]);
+        }
+        self.buf[..4].copy_from_slice(&n.to_le_bytes());
+        put_field(&mut self.buf, key.as_bytes());
+        match value {
+            Some(v) => {
+                self.buf.push(1);
+                put_field(&mut self.buf, v);
+            }
+            None => self.buf.push(0),
+        }
         self
     }
 
     /// Number of queued operations.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        split_u32(&self.buf).map_or(0, |(n, _)| n as usize)
     }
 
     /// Whether the batch is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.buf.is_empty()
     }
 
     /// Iterates over `(key, value-or-delete)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (&str, Option<&[u8]>)> {
-        self.entries
-            .iter()
-            .map(|(k, v)| (k.as_str(), v.as_ref().map(InlineBytes::as_slice)))
+        let mut rest = self.buf.get(4..).unwrap_or_default();
+        std::iter::from_fn(move || {
+            (!rest.is_empty())
+                .then(|| next_entry(&mut rest).expect("a WriteBatch holds a valid encoding"))
+        })
+    }
+
+    /// The batch's encoding (see the type's docs); four zero bytes for
+    /// an empty batch.
+    pub fn encoded(&self) -> &[u8] {
+        if self.buf.is_empty() {
+            &[0; 4]
+        } else {
+            &self.buf
+        }
+    }
+
+    /// The batch `bytes` encode, or `None` unless they are exactly one
+    /// well-formed encoding: every length inside the input, every tag
+    /// 0 or 1, every key UTF-8, and no byte after the last entry. Never
+    /// panics, and allocates no more than `bytes.len()`.
+    pub fn from_encoded(bytes: &[u8]) -> Option<WriteBatch> {
+        let (n, mut rest) = split_u32(bytes)?;
+        for _ in 0..n {
+            next_entry(&mut rest)?;
+        }
+        if !rest.is_empty() {
+            return None;
+        }
+        Some(if n == 0 {
+            WriteBatch::new()
+        } else {
+            WriteBatch {
+                buf: bytes.to_vec(),
+            }
+        })
+    }
+}
+
+/// Splits a little-endian `u32` off the front of `bytes`.
+fn split_u32(bytes: &[u8]) -> Option<(u32, &[u8])> {
+    let (head, tail) = bytes.split_first_chunk::<4>()?;
+    Some((u32::from_le_bytes(*head), tail))
+}
+
+/// Appends one `len u32 | bytes` field.
+fn put_field(buf: &mut Vec<u8>, field: &[u8]) {
+    let len = u32::try_from(field.len()).expect("batch key or value exceeds u32::MAX bytes");
+    buf.extend_from_slice(&len.to_le_bytes());
+    buf.extend_from_slice(field);
+}
+
+/// Takes one `len u32 | bytes` field off the front of `rest`.
+fn take_field<'a>(rest: &mut &'a [u8]) -> Option<&'a [u8]> {
+    let (len, tail) = split_u32(rest)?;
+    let (field, tail) = tail.split_at_checked(usize::try_from(len).ok()?)?;
+    *rest = tail;
+    Some(field)
+}
+
+/// Takes one encoded entry off the front of `rest`; `None` if it is not
+/// a well-formed one.
+fn next_entry<'a>(rest: &mut &'a [u8]) -> Option<(&'a str, Option<&'a [u8]>)> {
+    let key = std::str::from_utf8(take_field(rest)?).ok()?;
+    let (&tag, tail) = rest.split_first()?;
+    *rest = tail;
+    let value = match tag {
+        0 => None,
+        1 => Some(take_field(rest)?),
+        _ => return None,
+    };
+    Some((key, value))
+}
+
+/// Lists the entries, as `iter` yields them.
+impl fmt::Debug for WriteBatch {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("WriteBatch")
+            .field("entries", &self.iter().collect::<Vec<_>>())
+            .finish()
     }
 }
 
@@ -142,10 +253,9 @@ impl FromIterator<(String, Option<Vec<u8>>)> for WriteBatch {
 
 impl Extend<(String, Option<Vec<u8>>)> for WriteBatch {
     fn extend<I: IntoIterator<Item = (String, Option<Vec<u8>>)>>(&mut self, iter: I) {
-        self.entries.extend(
-            iter.into_iter()
-                .map(|(k, v)| (Key::new(&k), v.as_deref().map(InlineBytes::new))),
-        );
+        for (key, value) in iter {
+            self.push(&key, value.as_deref());
+        }
     }
 }
 
@@ -493,6 +603,74 @@ mod tests {
         db.apply(&b, Height::new(0, 0));
         assert_eq!(pin.get("a"), None);
         assert!(pin.snapshot().is_empty());
+    }
+
+    #[test]
+    fn a_batch_is_its_journal_encoding() {
+        assert_eq!(std::mem::size_of::<WriteBatch>(), 24);
+        let empty = WriteBatch::new();
+        assert_eq!(empty.encoded(), [0; 4]);
+        assert!(empty.is_empty());
+        let mut b = WriteBatch::new();
+        b.put("ab", [7]).delete("é");
+        assert_eq!(
+            b.encoded(),
+            [2, 0, 0, 0, 2, 0, 0, 0, b'a', b'b', 1, 1, 0, 0, 0, 7, 2, 0, 0, 0, 0xC3, 0xA9, 0]
+        );
+        assert_eq!(b.len(), 2);
+        let entries: Vec<_> = b.iter().collect();
+        assert_eq!(entries, [("ab", Some([7u8].as_slice())), ("é", None)]);
+        assert_eq!(
+            format!("{b:?}"),
+            r#"WriteBatch { entries: [("ab", Some([7])), ("é", None)] }"#
+        );
+    }
+
+    #[test]
+    fn a_two_write_batch_fills_its_first_reservation() {
+        let mut b = WriteBatch::new();
+        b.put("acct0000000042", [1; 16]);
+        let reserved = b.buf.capacity();
+        assert_eq!(reserved, 4 + 2 * (4 + 14 + 1 + 4 + 16));
+        b.put("acct0000000043", [2; 16]);
+        assert_eq!(b.buf.capacity(), reserved);
+        assert_eq!(b.buf.len(), reserved);
+    }
+
+    #[test]
+    fn from_encoded_takes_back_exactly_what_encoded_gives() {
+        let mut b = WriteBatch::new();
+        b.put("k", [1, 2, 3]).delete("gone").put("", []);
+        let bytes = b.encoded().to_vec();
+        let back = WriteBatch::from_encoded(&bytes).unwrap();
+        assert_eq!(back.encoded(), bytes);
+        assert!(back.iter().eq(b.iter()));
+        for cut in 0..bytes.len() {
+            assert!(
+                WriteBatch::from_encoded(&bytes[..cut]).is_none(),
+                "cut={cut}"
+            );
+        }
+        let mut trailing = bytes.clone();
+        trailing.push(0);
+        assert!(
+            WriteBatch::from_encoded(&trailing).is_none(),
+            "trailing byte"
+        );
+        let mut bad_tag = bytes.clone();
+        bad_tag[4 + 4 + 1] = 2;
+        assert!(WriteBatch::from_encoded(&bad_tag).is_none(), "tag 2");
+        let mut bad_key = bytes.clone();
+        bad_key[4 + 4] = 0xFF;
+        assert!(
+            WriteBatch::from_encoded(&bad_key).is_none(),
+            "key not UTF-8"
+        );
+        // A count far past the input, and lengths far past it.
+        assert!(WriteBatch::from_encoded(&[0xFF; 4]).is_none());
+        assert!(WriteBatch::from_encoded(&[1, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF]).is_none());
+        let empty = WriteBatch::from_encoded(&[0; 4]).unwrap();
+        assert!(empty.is_empty() && empty.buf.capacity() == 0);
     }
 
     #[test]

@@ -347,20 +347,39 @@ impl<S: BuildHasher> Shard<S> {
         (c, i)
     }
 
-    /// The keys of `bounds` in order, each with its chain, read straight
-    /// from the ordered index's slot numbers.
+    /// How many keys `bounds` holds, and those keys in order, each with
+    /// its chain, read straight from the ordered index's slot numbers.
+    /// The count is a seek to each end and a sum of the chunk lengths
+    /// between them.
     fn scan<'s>(
         &'s self,
-        (lo, hi): (Bound<&'s [u8]>, Bound<&'s [u8]>),
-    ) -> impl Iterator<Item = (&'s Key, &'s [VersionEntry])> + 's {
-        let (c, i) = self.seek(lo);
-        self.order[c..]
+        (lo, hi): (Bound<&[u8]>, Bound<&[u8]>),
+    ) -> (
+        usize,
+        impl Iterator<Item = (&'s Key, &'s [VersionEntry])> + 's,
+    ) {
+        let start = self.seek(lo);
+        let end = match hi {
+            Bound::Included(h) => self.seek(Bound::Excluded(h)),
+            Bound::Excluded(h) => self.seek(Bound::Included(h)),
+            Bound::Unbounded => (self.order.len(), 0),
+        };
+        let keys = if start < end {
+            let whole: usize = self.order[start.0..end.0].iter().map(Vec::len).sum();
+            whole + end.1 - start.1
+        } else {
+            0
+        };
+        let rows = self.order[start.0..]
             .iter()
             .flatten()
-            .skip(i)
-            .map(|&n| self.slot(n))
-            .take_while(move |slot| (Bound::Unbounded, hi).contains(&slot.key.as_bytes()))
-            .map(|slot| (&slot.key, slot.chain.entries()))
+            .skip(start.1)
+            .take(keys)
+            .map(|&n| {
+                let slot = self.slot(n);
+                (&slot.key, slot.chain.entries())
+            });
+        (keys, rows)
     }
 
     /// Puts slot number `n`, whose key the ordered index does not hold,
@@ -1145,7 +1164,9 @@ impl SharedInner {
     /// entry `resolve` picks from its chain, skipping the keys for which
     /// it picks none or a tombstone: each shard's scan under its own read
     /// lock in turn, then merged (shards partition the keyspace, so this
-    /// is a cursor sweep, not a sort).
+    /// is a cursor sweep, not a sort). Each shard's run is allocated once,
+    /// for its keys in `bounds` up to `limit`, and the merged run once,
+    /// for the runs' rows up to `limit`.
     fn scan(
         &self,
         bounds: (Bound<&[u8]>, Bound<&[u8]>),
@@ -1156,14 +1177,16 @@ impl SharedInner {
             .shards
             .iter()
             .map(|shard| {
-                shard
-                    .read()
-                    .scan(bounds)
-                    .filter_map(|(key, chain)| {
+                let shard = shard.read();
+                let (keys, rows) = shard.scan(bounds);
+                let mut run = Vec::with_capacity(keys.min(limit));
+                run.extend(
+                    rows.filter_map(|(key, chain)| {
                         Some((key.as_str().to_owned(), resolve(chain)?.read()?))
                     })
-                    .take(limit)
-                    .collect()
+                    .take(limit),
+                );
+                run
             })
             .collect();
         merge_sorted(per_shard, limit)
@@ -1178,7 +1201,7 @@ fn merge_sorted(
     limit: usize,
 ) -> Vec<(String, VersionedValue)> {
     let mut cursors = vec![0usize; runs.len()];
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(runs.iter().map(Vec::len).sum::<usize>().min(limit));
     while out.len() < limit {
         let mut min: Option<usize> = None;
         for (i, run) in runs.iter().enumerate() {
@@ -1351,7 +1374,7 @@ mod tests {
         let only = Bound::Included(key.as_bytes());
         assert_eq!(
             chained,
-            g.scan((only, only)).next().is_some(),
+            g.scan((only, only)).1.next().is_some(),
             "indexes disagree on {key:?}"
         );
         chained
@@ -1601,7 +1624,7 @@ mod tests {
                     }
                 }
                 proptest::prop_assert_eq!(held, shard.keys);
-                for (key, _) in shard.scan((Bound::Unbounded, Bound::Unbounded)) {
+                for (key, _) in shard.scan((Bound::Unbounded, Bound::Unbounded)).1 {
                     proptest::prop_assert!(shard.chain(key.as_bytes()).is_some());
                 }
             }
@@ -1728,7 +1751,9 @@ mod tests {
                 shard.sweep(epoch);
 
                 let bounds = (bound(&keys, lo), bound(&keys, hi));
-                let scanned: Vec<&str> = shard.scan(bounds).map(|(key, _)| key.as_str()).collect();
+                let (count, rows) = shard.scan(bounds);
+                let scanned: Vec<&str> = rows.map(|(key, _)| key.as_str()).collect();
+                proptest::prop_assert_eq!(count, scanned.len());
                 let expected: Vec<&str> = model
                     .iter()
                     .map(String::as_str)

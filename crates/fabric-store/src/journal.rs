@@ -10,6 +10,12 @@
 //!                     [ value_len u32 | value ] )*
 //! ```
 //!
+//! Everything after the height is the batch's own encoding, and
+//! `fabric-statedb` is its one codec: a [`WriteBatch`] holds exactly
+//! those bytes, so a record is the height and one copy of
+//! [`WriteBatch::encoded`], and recovery checks the rest with
+//! [`WriteBatch::from_encoded`] and keeps it as the batch.
+//!
 //! The journal is attached to the peer's [`StateDb`] as its
 //! [`JournalSink`]: the state database forwards every batch here,
 //! under its own write lock, *before* mutating memory — so the
@@ -40,82 +46,28 @@ use crate::StoreOpenError;
 
 /// Encodes one `(batch, height)` journal record payload.
 pub fn encode_batch(batch: &WriteBatch, height: Height) -> Vec<u8> {
-    let mut out = Vec::with_capacity(24 + 16 * batch.len());
+    let mut out = Vec::with_capacity(16 + batch.encoded().len());
     encode_batch_into(&mut out, batch, height);
     out
 }
 
 /// [`encode_batch`] appended to `out`: how the journal writes a record
-/// payload straight into its group buffer.
+/// payload straight into its group buffer, the height and then the
+/// batch's own bytes.
 fn encode_batch_into(out: &mut Vec<u8>, batch: &WriteBatch, height: Height) {
     out.extend_from_slice(&height.block_num.to_le_bytes());
     out.extend_from_slice(&height.tx_num.to_le_bytes());
-    let n = u32::try_from(batch.len()).expect("journal batch exceeds u32::MAX entries");
-    out.extend_from_slice(&n.to_le_bytes());
-    for (key, value) in batch.iter() {
-        let klen = u32::try_from(key.len()).expect("journal key exceeds u32::MAX bytes");
-        out.extend_from_slice(&klen.to_le_bytes());
-        out.extend_from_slice(key.as_bytes());
-        match value {
-            Some(v) => {
-                out.push(1);
-                let vlen = u32::try_from(v.len()).expect("journal value exceeds u32::MAX bytes");
-                out.extend_from_slice(&vlen.to_le_bytes());
-                out.extend_from_slice(v);
-            }
-            None => out.push(0),
-        }
-    }
+    out.extend_from_slice(batch.encoded());
 }
 
 /// Decodes a journal record payload. `None` on any structural mismatch
 /// (a CRC-passing record that does not parse is corruption, not a torn
 /// write — the caller reports it).
 pub fn decode_batch(payload: &[u8]) -> Option<(Height, WriteBatch)> {
-    let take = frame::take;
-    let mut rest = payload;
-    let block = u64::from_le_bytes(
-        take(&mut rest, 8)?
-            .try_into()
-            .expect("take(8) returned 8 bytes"),
-    );
-    let tx = u64::from_le_bytes(
-        take(&mut rest, 8)?
-            .try_into()
-            .expect("take(8) returned 8 bytes"),
-    );
-    let n = u32::from_le_bytes(
-        take(&mut rest, 4)?
-            .try_into()
-            .expect("take(4) returned 4 bytes"),
-    );
-    let mut batch = WriteBatch::new();
-    for _ in 0..n {
-        let klen = u32::from_le_bytes(
-            take(&mut rest, 4)?
-                .try_into()
-                .expect("take(4) returned 4 bytes"),
-        ) as usize;
-        let key = std::str::from_utf8(take(&mut rest, klen)?).ok()?;
-        match take(&mut rest, 1)?[0] {
-            1 => {
-                let vlen = u32::from_le_bytes(
-                    take(&mut rest, 4)?
-                        .try_into()
-                        .expect("take(4) returned 4 bytes"),
-                ) as usize;
-                batch.put(key, take(&mut rest, vlen)?);
-            }
-            0 => {
-                batch.delete(key);
-            }
-            _ => return None,
-        }
-    }
-    if !rest.is_empty() {
-        return None;
-    }
-    Some((Height::new(block, tx), batch))
+    let (block, rest) = payload.split_first_chunk::<8>()?;
+    let (tx, rest) = rest.split_first_chunk::<8>()?;
+    let height = Height::new(u64::from_le_bytes(*block), u64::from_le_bytes(*tx));
+    Some((height, WriteBatch::from_encoded(rest)?))
 }
 
 /// Result of scanning a journal file at open.
